@@ -1,15 +1,12 @@
 //! The machine block every result carries (absolute numbers do not carry
 //! across machines) and the process's peak memory.
 
+use pebble_io::json::escape;
 use std::process::Command;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-fn quote(s: &str) -> String {
-    pebble_io::json::escape(s)
-}
 
 fn cpu_model() -> String {
     std::fs::read_to_string("/proc/cpuinfo")
@@ -62,10 +59,10 @@ pub fn block(workload: &str, seed: u64, traced: bool) -> String {
     format!(
         "{{\"machine\":{{\"nproc\":{nproc},\"cpu\":\"{}\",\"rustc\":\"{}\",\"commit\":\"{}\",\
          \"workload\":\"{}\",\"seed\":{seed},\"traced\":{traced}}}}}",
-        quote(&cpu_model()),
-        quote(&command_line("rustc", &["--version"], None)),
-        quote(&git_commit()),
-        quote(workload),
+        escape(&cpu_model()),
+        escape(&command_line("rustc", &["--version"], None)),
+        escape(&git_commit()),
+        escape(workload),
     )
 }
 
