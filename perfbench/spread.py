@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Run one workload of the benchmark on several seeds and report, for each
-metric, its median and its spread: the distance between the first and third
-quartile (statistics.quantiles(values, n=4)) as a share of the median.
+end-to-end metric, its median and its spread: the distance between the first
+and third quartile (statistics.quantiles(values, n=4)) as a share of the
+median.
 
     python3 perfbench/spread.py --workload corpus-compose --seeds 1-10 \
-        [--seconds 10] [--trace 0] [--binary <path>]
+        [--seconds 25]
 
-Run it from the repository root. Without --binary the benchmark is run
-through `cargo run --release`; the measured numbers are the same either way.
+Run it from the repository root; it runs the command in BENCHMARK.json.
 """
 import argparse
 import json
@@ -25,20 +25,14 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", default="1-5")
-    ap.add_argument("--seconds", default="10")
-    ap.add_argument("--trace", default="0")
-    ap.add_argument("--binary")
+    ap.add_argument("--seconds", default="25")
     args = ap.parse_args()
-    base = (
-        [args.binary]
-        if args.binary
-        else ["cargo", "run", "--release", "--quiet", "--offline",
-              "--manifest-path", "perfbench/Cargo.toml", "--"]
-    )
+    with open("BENCHMARK.json") as f:
+        base = json.load(f)["command"]
     values = {}
     for seed in seeds(args.seeds):
         cmd = base + ["--workload", args.workload, "--seed", str(seed),
-                      "--seconds", args.seconds, "--trace", args.trace]
+                      "--seconds", args.seconds, "--trace", "0"]
         out = subprocess.run(cmd, capture_output=True, text=True, check=True)
         result = json.loads(out.stdout.strip().splitlines()[-1])
         if not result["correct"]:

@@ -109,6 +109,22 @@ fn pass_s(pass: &[Result<Certified, String>]) -> f64 {
     pass.iter().flatten().map(|c| c.total_s).sum()
 }
 
+/// One pass with every instance at its fastest over `passes`: other work on
+/// a shared machine only ever adds time, often half again for seconds at a
+/// time.
+fn best_pass_s(passes: &[Vec<Result<Certified, String>>]) -> f64 {
+    (0..passes[0].len())
+        .map(|i| {
+            passes
+                .iter()
+                .filter_map(|pass| pass[i].as_ref().ok())
+                .map(|c| c.total_s)
+                .reduce(f64::min)
+                .unwrap_or(0.0)
+        })
+        .sum()
+}
+
 /// Time the benchmark's own ladder and replay calls took, per instance.
 struct CheckTimes {
     ladder_s: Vec<f64>,
@@ -166,12 +182,17 @@ fn check_all(
     times
 }
 
+/// Program set-up: the first certification in a process, of a tiny DAG
+/// through the workload's own path (first-call lazy initialisation).
+pub fn set_up(ready: impl FnOnce()) -> Result<(), String> {
+    certify(&pebble_io::write(&fft(16).dag, Format::EdgeList))?;
+    ready();
+    Ok(())
+}
+
 pub fn run(opts: &Opts) -> Result<Outcome, String> {
     let corpus = instances(opts.seed);
-    // Set-up: one certification of a tiny DAG through the same path.
-    let warm_up = pebble_io::write(&fft(16).dag, Format::EdgeList);
-    let set_up = || certify(&warm_up);
-    let mut setups = time_set_ups(SETUPS / 2, set_up, drop)?;
+    let mut setups = time_set_ups(&opts.workload, SETUPS / 2)?;
 
     let phase_s = if opts.trace {
         opts.seconds / 2.0
@@ -181,7 +202,8 @@ pub fn run(opts: &Opts) -> Result<Outcome, String> {
     let rss = machine::RssSampler::start();
     let untraced = passes(&corpus, phase_s);
     let rss_mb = rss.finish();
-    setups.extend(time_set_ups(SETUPS - SETUPS / 2, set_up, drop)?);
+    let peak_rss_mb = machine::peak_rss_mb();
+    setups.extend(time_set_ups(&opts.workload, SETUPS - SETUPS / 2)?);
     let mut runs = vec![untraced];
     let mut traced_layers = None;
     if opts.trace {
@@ -189,8 +211,7 @@ pub fn run(opts: &Opts) -> Result<Outcome, String> {
         let spans = SpanLedger::install();
         let traced = passes(&corpus, phase_s);
         SpanLedger::uninstall();
-        let after = Snapshot::take();
-        traced_layers = Some((before, spans, after));
+        traced_layers = Some((spans, Snapshot::take().since(&before)));
         runs.push(traced);
     }
 
@@ -209,8 +230,7 @@ pub fn run(opts: &Opts) -> Result<Outcome, String> {
             );
         }
     }
-    let pass_times: Vec<f64> = untraced.iter().map(|p| pass_s(p)).collect();
-    let certify_s = median(&pass_times).expect("at least one pass");
+    let certify_s = best_pass_s(untraced);
     let gaps: Vec<f64> = runs
         .iter()
         .flatten()
@@ -225,7 +245,7 @@ pub fn run(opts: &Opts) -> Result<Outcome, String> {
     ];
 
     let mut per_layer = Vec::new();
-    if let Some((before, spans, after)) = traced_layers {
+    if let Some((spans, counters)) = traced_layers {
         let traced = &runs[1];
         let n = traced.len() as f64;
         let all: Vec<&Certified> = traced.iter().flatten().flatten().collect();
@@ -258,14 +278,14 @@ pub fn run(opts: &Opts) -> Result<Outcome, String> {
         let validate_s: f64 = times.validate_s.iter().sum();
         layers.set("bounds.ladder_s", ladder_s);
         layers.set("sim.validate_s", validate_s);
-        layers.set_engine(&before, &after, n);
+        layers.set_engine(&counters, n);
         let path_s = parse_s + compose_s + ladder_s + validate_s;
         layers.set("blocking_path_pct", 100.0 * path_s / traced_certify_s);
         layers.set(
             "trace_overhead_pct",
-            100.0 * (traced_certify_s - certify_s) / certify_s,
+            100.0 * (best_pass_s(traced) - certify_s) / certify_s,
         );
-        layers.set_opt("mem.peak_rss_mb", machine::peak_rss_mb());
+        layers.set_opt("mem.peak_rss_mb", peak_rss_mb);
         layers.set_opt("mem.rss_mb_p50", median(&rss_mb));
         layers.set("fail_ratio", tally.ratio());
         per_layer = layers.into_metrics();

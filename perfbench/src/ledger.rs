@@ -55,36 +55,61 @@ impl SpanLedger {
     }
 }
 
-/// The global registry's counters and gauges, summed per family (so a
-/// labelled or sharded family reads as one number).
-pub struct Snapshot(BTreeMap<String, f64>);
+/// The global registry's engine and cache counters, read through their
+/// handles. (The help texts are the program's own, in case the benchmark
+/// registers a family first.)
+pub struct Snapshot {
+    pub expanded: f64,
+    pub generated: f64,
+    pub distinct: f64,
+    pub cache_hits: f64,
+    pub cache_misses: f64,
+    pub revalidation_failures: f64,
+}
 
 impl Snapshot {
     pub fn take() -> Snapshot {
-        Snapshot::parse(&Registry::global().render_prometheus())
-    }
-
-    fn parse(text: &str) -> Snapshot {
-        let mut families = BTreeMap::new();
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            let Some((series, value)) = line.rsplit_once(' ') else {
-                continue;
-            };
-            let family = series.split('{').next().unwrap_or(series);
-            if let Ok(v) = value.parse::<f64>() {
-                *families.entry(family.to_string()).or_insert(0.0) += v;
-            }
+        let registry = Registry::global();
+        let counter = |name, help| registry.counter(name, help, &[]).get() as f64;
+        let sharded = |name, help| registry.sharded_counter(name, help, &[]).total() as f64;
+        Snapshot {
+            expanded: sharded(
+                "engine_expanded_total",
+                "States expanded by the search engine",
+            ),
+            generated: sharded(
+                "engine_generated_total",
+                "Successor states generated by the search engine",
+            ),
+            distinct: counter(
+                "engine_distinct_total",
+                "Distinct states interned across engine solves",
+            ),
+            cache_hits: counter(
+                "cache_hits_total",
+                "Schedule-cache lookups served from a validated stored entry",
+            ),
+            cache_misses: counter(
+                "cache_misses_total",
+                "Schedule-cache lookups that found nothing servable",
+            ),
+            revalidation_failures: counter(
+                "cache_revalidation_failures_total",
+                "Stored entries that failed shape check or simulator re-validation",
+            ),
         }
-        Snapshot(families)
     }
 
-    pub fn get(&self, family: &str) -> f64 {
-        self.0.get(family).copied().unwrap_or(0.0)
-    }
-
-    /// `after - self` for one family.
-    pub fn delta(&self, after: &Snapshot, family: &str) -> f64 {
-        after.get(family) - self.get(family)
+    /// How far every counter moved from `before` to `self`.
+    pub fn since(&self, before: &Snapshot) -> Snapshot {
+        Snapshot {
+            expanded: self.expanded - before.expanded,
+            generated: self.generated - before.generated,
+            distinct: self.distinct - before.distinct,
+            cache_hits: self.cache_hits - before.cache_hits,
+            cache_misses: self.cache_misses - before.cache_misses,
+            revalidation_failures: self.revalidation_failures - before.revalidation_failures,
+        }
     }
 }
 
@@ -159,16 +184,12 @@ impl Layers {
         self.0.insert(name, value);
     }
 
-    /// The engine counters' change between two registry snapshots, per
-    /// one of the `passes` the snapshots enclose.
-    pub fn set_engine(&mut self, before: &Snapshot, after: &Snapshot, passes: f64) {
-        for (name, family) in [
-            ("engine.expanded", "engine_expanded_total"),
-            ("engine.generated", "engine_generated_total"),
-            ("engine.distinct", "engine_distinct_total"),
-        ] {
-            self.set(name, before.delta(after, family) / passes);
-        }
+    /// The engine counters' change over a traced phase, per one of the
+    /// `passes` it held.
+    pub fn set_engine(&mut self, change: &Snapshot, passes: f64) {
+        self.set("engine.expanded", change.expanded / passes);
+        self.set("engine.generated", change.generated / passes);
+        self.set("engine.distinct", change.distinct / passes);
     }
 
     /// The portfolio members' busy time and run count from a span ledger,
@@ -255,19 +276,5 @@ mod tests {
         assert_eq!(ledger.busy_s("portfolio:beam"), 2.0);
         assert_eq!(ledger.busy_s("portfolio:greedy"), 0.0);
         assert_eq!(ledger.count_prefix("portfolio:"), 2);
-    }
-
-    #[test]
-    fn snapshots_sum_series_per_family() {
-        let text = "# TYPE engine_expanded_total counter\n\
-                    engine_expanded_total 10\n\
-                    engine_solves_total{stop=\"completed\"} 2\n\
-                    engine_solves_total{stop=\"deadline\"} 3\n\
-                    serve_pool_queue_depth 1\n";
-        let before = Snapshot::parse(text);
-        assert_eq!(before.get("engine_solves_total"), 5.0);
-        let after = Snapshot::parse("engine_expanded_total 25\n");
-        assert_eq!(before.delta(&after, "engine_expanded_total"), 15.0);
-        assert_eq!(before.get("missing_total"), 0.0);
     }
 }

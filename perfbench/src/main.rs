@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
-//!     --workload <corpus-compose|stream-fft-1m|serve-mixed> \
+//!     --workload <corpus-compose|stream-fft-245k|serve-mixed> \
 //!     --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
@@ -23,7 +23,9 @@ mod stats;
 mod stream;
 
 use stats::Tally;
-use std::process::ExitCode;
+use std::io::BufRead;
+use std::process::{Command, ExitCode, Stdio};
+use std::time::Instant;
 
 /// One reported number.
 pub struct Metric {
@@ -57,24 +59,48 @@ pub struct Opts {
 /// all.
 pub const SETUPS: usize = 21;
 
-/// Time `n` runs of `set_up` (not of `tear_down`), in seconds.
-pub fn time_set_ups<T>(
-    n: usize,
-    mut set_up: impl FnMut() -> Result<T, String>,
-    mut tear_down: impl FnMut(T),
-) -> Result<Vec<f64>, String> {
+/// The flag that turns the benchmark into a set-up probe for one workload:
+/// it sets the program up, prints `ready`, tears down and exits.
+const SET_UP_PROBE: &str = "--set-up-probe";
+
+/// Time `n` set-ups of `workload`, each in a fresh process (so each pays
+/// process start and every first-call lazy initialisation): from spawning
+/// the probe to its `ready` line, in seconds.
+pub fn time_set_ups(workload: &str, n: usize) -> Result<Vec<f64>, String> {
+    let exe = std::env::current_exe().map_err(|e| format!("cannot find the benchmark: {e}"))?;
     (0..n)
         .map(|_| {
-            let started = std::time::Instant::now();
-            let ready = set_up()?;
+            let started = Instant::now();
+            let mut child = Command::new(&exe)
+                .args([SET_UP_PROBE, workload])
+                .stdout(Stdio::piped())
+                .spawn()
+                .map_err(|e| format!("cannot start a set-up probe: {e}"))?;
+            let mut line = String::new();
+            let read = std::io::BufReader::new(child.stdout.take().expect("piped stdout"))
+                .read_line(&mut line);
             let elapsed = started.elapsed().as_secs_f64();
-            tear_down(ready);
-            Ok(elapsed)
+            let status = child.wait().map_err(|e| e.to_string())?;
+            match read {
+                Ok(_) if line.trim() == "ready" && status.success() => Ok(elapsed),
+                _ => Err(format!("set-up probe failed ({status})")),
+            }
         })
         .collect()
 }
 
-const WORKLOADS: [&str; 3] = ["corpus-compose", "stream-fft-1m", "serve-mixed"];
+/// The probe's side of `time_set_ups`.
+fn set_up_probe(workload: &str) -> Result<(), String> {
+    let ready = || println!("ready");
+    match workload {
+        "corpus-compose" => corpus::set_up(ready),
+        "stream-fft-245k" => stream::set_up(ready),
+        "serve-mixed" => serve::set_up(ready),
+        _ => Err(format!("no set-up for workload `{workload}`")),
+    }
+}
+
+const WORKLOADS: [&str; 3] = ["corpus-compose", "stream-fft-245k", "serve-mixed"];
 
 fn parse_args(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
@@ -134,6 +160,17 @@ fn json_metrics(metrics: &[Metric]) -> String {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let [flag, workload] = args.as_slice() {
+        if flag == SET_UP_PROBE {
+            return match set_up_probe(workload) {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("perfbench: set-up probe: {e}");
+                    ExitCode::from(1)
+                }
+            };
+        }
+    }
     let opts = match parse_args(&args) {
         Ok(opts) => opts,
         Err(e) => {
@@ -143,7 +180,7 @@ fn main() -> ExitCode {
     };
     let run = match opts.workload.as_str() {
         "corpus-compose" => corpus::run(&opts),
-        "stream-fft-1m" => stream::run(&opts),
+        "stream-fft-245k" => stream::run(&opts),
         _ => serve::run(&opts),
     };
     let outcome = match run {

@@ -483,9 +483,9 @@ fn insert_probe(reqs: &[Request]) -> Result<Vec<f64>, String> {
     Ok(out)
 }
 
-/// The operation latency of this workload: the geometric mean over cache
-/// hits. (The median sits between clusters of differently sized shapes and
-/// jumps between them from run to run; the geometric mean does not.)
+/// The geometric mean of hit latency, the basis of `trace_overhead_pct`.
+/// (The median sits between clusters of differently sized shapes and jumps
+/// between them from run to run; the geometric mean does not.)
 fn hit_geomean_ms(answers: &[Answer]) -> f64 {
     let hits = answers.iter().filter(|a| a.status == 200 && a.is_hit());
     geomean(&latencies_ms(hits)).unwrap_or(0.0)
@@ -495,16 +495,25 @@ fn latencies_ms<'a>(answers: impl Iterator<Item = &'a Answer>) -> Vec<f64> {
     answers.map(|a| a.latency_s * 1e3).collect()
 }
 
+/// Program set-up: open an empty cache, start the server and get its first
+/// answer (`GET /healthz`; a first cold request would time the cache's
+/// `fsync`, which varies more than the rest put together).
+pub fn set_up(ready: impl FnOnce()) -> Result<(), String> {
+    let (server, _) = start_server("setup")?;
+    ready();
+    stop_server(server);
+    Ok(())
+}
+
 pub fn run(opts: &Opts) -> Result<Outcome, String> {
     let reqs = requests(opts.seed);
-    let set_up = || start_server("setup");
-    let tear_down = |(server, _)| stop_server(server);
-    let mut setups = time_set_ups(SETUPS / 2, set_up, tear_down)?;
+    let mut setups = time_set_ups(&opts.workload, SETUPS / 2)?;
     let depth_max = AtomicI64::new(0);
     let rss = machine::RssSampler::start();
     let (untraced, _) = phase(&reqs, opts.seconds, &depth_max)?;
     let rss_mb = rss.finish();
-    setups.extend(time_set_ups(SETUPS - SETUPS / 2, set_up, tear_down)?);
+    let peak_rss_mb = machine::peak_rss_mb();
+    setups.extend(time_set_ups(&opts.workload, SETUPS - SETUPS / 2)?);
     let traced = if opts.trace {
         let before = Snapshot::take();
         let spans = SpanLedger::install();
@@ -512,7 +521,7 @@ pub fn run(opts: &Opts) -> Result<Outcome, String> {
         let result = phase(&reqs, opts.seconds, &depth_max);
         SpanLedger::uninstall();
         let (answers, wall_s) = result?;
-        Some((before, spans, answers, wall_s, Snapshot::take()))
+        Some((spans, answers, wall_s, Snapshot::take().since(&before)))
     } else {
         None
     };
@@ -536,7 +545,7 @@ pub fn run(opts: &Opts) -> Result<Outcome, String> {
     ];
 
     let mut per_layer = Vec::new();
-    if let Some((before, spans, answers, wall_s, after)) = traced {
+    if let Some((spans, answers, wall_s, counters)) = traced {
         let traced_checked = check_phase(&reqs, &answers, &mut tally);
         let ok: Vec<&Answer> = answers.iter().filter(|a| a.status == 200).collect();
         let hits: Vec<&Answer> = ok.iter().copied().filter(|a| a.is_hit()).collect();
@@ -556,10 +565,7 @@ pub fn run(opts: &Opts) -> Result<Outcome, String> {
             .iter()
             .map(|a| a.latency_s * 1e3 - a.stages_ms())
             .collect();
-        let (hit_n, miss_n) = (
-            before.delta(&after, "cache_hits_total"),
-            before.delta(&after, "cache_misses_total"),
-        );
+        let (hit_n, miss_n) = (counters.cache_hits, counters.cache_misses);
         let traced_op_ms = hit_geomean_ms(&answers);
         let latency_sum: f64 = ok.iter().map(|a| a.latency_s * 1e3).sum();
         let stages_sum: f64 = ok.iter().map(|a| a.stages_ms()).sum();
@@ -575,7 +581,7 @@ pub fn run(opts: &Opts) -> Result<Outcome, String> {
         layers.set("cache.hit_ratio", hit_n / (hit_n + miss_n).max(1.0));
         layers.set(
             "cache.revalidation_failures",
-            before.delta(&after, "cache_revalidation_failures_total"),
+            counters.revalidation_failures,
         );
         layers.set_opt("http.overhead_ms_p50", median(&overhead));
         layers.set(
@@ -592,7 +598,7 @@ pub fn run(opts: &Opts) -> Result<Outcome, String> {
         );
         layers.set_portfolio(&spans, 1.0);
         layers.set("bounds.ladder_s", traced_checked.ladder_s);
-        layers.set_engine(&before, &after, 1.0);
+        layers.set_engine(&counters, 1.0);
         layers.set(
             "sim.validate_s",
             stage(&colds, "validate_us").iter().sum::<f64>() / 1e3,
@@ -617,7 +623,7 @@ pub fn run(opts: &Opts) -> Result<Outcome, String> {
         layers.set("blocking_path_pct", 100.0 * stages_sum / latency_sum);
         let op_ms = hit_geomean_ms(&untraced);
         layers.set("trace_overhead_pct", 100.0 * (traced_op_ms - op_ms) / op_ms);
-        layers.set_opt("mem.peak_rss_mb", machine::peak_rss_mb());
+        layers.set_opt("mem.peak_rss_mb", peak_rss_mb);
         layers.set_opt("mem.rss_mb_p50", median(&rss_mb));
         layers.set("fail_ratio", tally.ratio());
         per_layer = layers.into_metrics();
