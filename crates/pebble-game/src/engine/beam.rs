@@ -17,11 +17,10 @@
 //! The engine adds the anytime contract on top of the classic level loop:
 //! deadline/cancel/budget stops are honoured between macro steps, and an
 //! early stop *greedily completes* the best partial schedule so the caller
-//! still receives a full, simulator-validated incumbent. With `workers > 1`
-//! (and `width > 1`) child materialisation is fanned out across scoped
-//! threads; the subsequent rank-order dedup scan is sequential, so the
-//! chosen beam — and therefore the answer — is identical to a
-//! single-threaded run.
+//! still receives a full, simulator-validated incumbent. The search is
+//! sequential: each level materialises proposals in rank order and stops
+//! after `width` distinct survivors, so only the children that can enter the
+//! beam are ever built.
 
 use super::astar::stop_requested;
 use super::domain::Domain;
@@ -32,7 +31,7 @@ use crate::packed;
 use crate::prbp::PrbpConfig;
 use pebble_dag::{Dag, NodeId};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Instant;
 
 /// Node pebble states mirrored from the simulator.
@@ -43,10 +42,9 @@ const DARK: u8 = 3;
 
 /// Move-chain link: the moves appended by one macro step, linked back to the
 /// parent partial schedule. Keeps full traces shareable between beam entries
-/// without copying (and, now that the link is `Arc`, across the materialiser
-/// threads).
+/// without copying.
 struct MoveLink {
-    parent: Option<Arc<MoveLink>>,
+    parent: Option<Rc<MoveLink>>,
     moves: Vec<PrbpMove>,
 }
 
@@ -68,7 +66,7 @@ struct Entry {
     io: usize,
     /// Canonical `[red | blue | marked]` packed words, kept incrementally.
     packed: Vec<u64>,
-    moves: Option<Arc<MoveLink>>,
+    moves: Option<Rc<MoveLink>>,
 }
 
 impl Entry {
@@ -240,7 +238,7 @@ impl Entry {
             packed::set(&mut self.packed[wn..2 * wn], v.index());
             self.drop_red(wn, v);
         }
-        self.moves = Some(Arc::new(MoveLink {
+        self.moves = Some(Rc::new(MoveLink {
             parent: self.moves.take(),
             moves,
         }));
@@ -280,9 +278,8 @@ impl Entry {
 /// The engine's beam-mode PRBP solve. Requires `r ≥ 2` (returns
 /// [`ExactError::Unsolvable`] below) and the standard delete semantics
 /// (the emitted macro steps use `Save`/`Delete`, so `no_delete` configs are
-/// unsupported). Deterministic at every worker count: ranking ties break by
-/// node id and beam insertion order, and parallel materialisation feeds a
-/// sequential rank-order dedup scan.
+/// unsupported). Deterministic: ranking ties break by node id and beam
+/// insertion order.
 pub(crate) fn solve_beam(
     dag: &Dag,
     config: PrbpConfig,
@@ -314,7 +311,6 @@ pub(crate) fn solve_beam(
         p.raise_bound(h0);
     }
     let deadline_at = engine.deadline.map(|d| Instant::now() + d);
-    let workers = engine.effective_workers();
 
     let wn = packed::plane_words(dag.node_count());
     let levels = dag.nodes().filter(|&v| !dag.is_source(v)).count();
@@ -351,82 +347,44 @@ pub(crate) fn solve_beam(
         proposals.sort_unstable_by_key(|&(g, ei, v)| (g, v.index(), ei));
         stats.generated += proposals.len();
 
-        // Materialise the best distinct successor configurations. The
-        // parallel path builds every proposed child up front across scoped
-        // threads, then replays the exact sequential dedup scan, so the
-        // surviving beam is identical to a one-worker run.
+        // Materialise the best distinct successor configurations in rank
+        // order, stopping once `width` of them survive the dedup.
         let mut next: Vec<Entry> = Vec::with_capacity(width);
         let mut seen: HashMap<Vec<u64>, usize> = HashMap::new();
-        if workers > 1 && width > 1 && proposals.len() > 1 {
-            let mut children: Vec<Option<Entry>> = Vec::new();
-            children.resize_with(proposals.len(), || None);
-            let chunk = proposals.len().div_ceil(workers);
-            let beam_ref = &beam;
-            std::thread::scope(|scope| {
-                for (props, outs) in proposals.chunks(chunk).zip(children.chunks_mut(chunk)) {
-                    scope.spawn(move || {
-                        for (&(_, ei, v), out) in props.iter().zip(outs.iter_mut()) {
-                            let mut child = beam_ref[ei].clone_for_child();
-                            child.complete(dag, r, wn, v);
-                            *out = Some(child);
-                        }
-                    });
-                }
-            });
-            for child in children.into_iter().map(|c| c.expect("materialised")) {
-                if next.len() >= width {
-                    break;
-                }
-                stats.expanded += 1;
-                stats.distinct += 1;
-                match seen.get(&child.packed) {
-                    Some(&slot) => {
-                        if child.io < next[slot].io {
-                            next[slot] = child;
-                        }
-                    }
-                    None => {
-                        seen.insert(child.packed.clone(), next.len());
-                        next.push(child);
-                    }
-                }
+        for &(_, ei, v) in &proposals {
+            if next.len() >= width {
+                break;
             }
-        } else {
-            for &(_, ei, v) in &proposals {
-                if next.len() >= width {
-                    break;
-                }
-                if let Some(reason) = stop_requested(deadline_at, engine) {
-                    stopped = Some(reason);
-                    if next.is_empty() {
-                        // No child of this level survives yet; fall back to
-                        // the parent beam for greedy completion.
-                        break 'levels;
-                    }
-                    beam = next;
+            if let Some(reason) = stop_requested(deadline_at, engine) {
+                stopped = Some(reason);
+                if next.is_empty() {
+                    // No child of this level survives yet; fall back to
+                    // the parent beam for greedy completion.
                     break 'levels;
                 }
-                let mut child = if width == 1 {
-                    // Width-1 fast path: only one child is ever materialised,
-                    // so advance the single entry without cloning its state.
-                    debug_assert_eq!(ei, 0);
-                    beam.pop().expect("single beam entry")
-                } else {
-                    beam[ei].clone_for_child()
-                };
-                child.complete(dag, r, wn, v);
-                stats.expanded += 1;
-                stats.distinct += 1;
-                match seen.get(&child.packed) {
-                    Some(&slot) => {
-                        if child.io < next[slot].io {
-                            next[slot] = child;
-                        }
+                beam = next;
+                break 'levels;
+            }
+            let mut child = if width == 1 {
+                // Width-1 fast path: only one child is ever materialised,
+                // so advance the single entry without cloning its state.
+                debug_assert_eq!(ei, 0);
+                beam.pop().expect("single beam entry")
+            } else {
+                beam[ei].clone_for_child()
+            };
+            child.complete(dag, r, wn, v);
+            stats.expanded += 1;
+            stats.distinct += 1;
+            match seen.get(&child.packed) {
+                Some(&slot) => {
+                    if child.io < next[slot].io {
+                        next[slot] = child;
                     }
-                    None => {
-                        seen.insert(child.packed.clone(), next.len());
-                        next.push(child);
-                    }
+                }
+                None => {
+                    seen.insert(child.packed.clone(), next.len());
+                    next.push(child);
                 }
             }
         }

@@ -88,7 +88,7 @@ impl CancelToken {
 }
 
 /// Knobs of one engine solve.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Wall-clock budget for the solve, measured from entry. `None` runs to
     /// completion (or until another stop condition fires).
@@ -104,9 +104,11 @@ pub struct EngineConfig {
     /// Candidate next-nodes proposed per beam entry per level (beam only;
     /// `0` means the default of 4).
     pub branch: usize,
-    /// Worker threads inside this one solve. `0` uses the available hardware
-    /// parallelism; the default of `Default::default()` is 1 (sequential,
-    /// deterministic statistics).
+    /// Worker threads of an exact A* solve driven by a
+    /// [`HeuristicSpec::PerWorker`] factory. `0` uses the available hardware
+    /// parallelism; the default is 1 (sequential, deterministic statistics).
+    /// The beam search and single-heuristic solves always run on the calling
+    /// thread.
     pub workers: usize,
     /// Fail fast on an early stop instead of synthesising an incumbent: a
     /// beam solve interrupted before its last level normally *greedily
@@ -117,6 +119,21 @@ pub struct EngineConfig {
     /// (possibly greedy-quality) answer. Exact A* mode is unaffected — it
     /// already reports `Interrupted` when stopped without an incumbent.
     pub fail_fast: bool,
+}
+
+impl Default for EngineConfig {
+    /// No stop condition, exact A*, one worker.
+    fn default() -> Self {
+        EngineConfig {
+            deadline: None,
+            node_budget: None,
+            cancel: None,
+            width: None,
+            branch: 0,
+            workers: 1,
+            fail_fast: false,
+        }
+    }
 }
 
 impl EngineConfig {
@@ -381,8 +398,7 @@ pub fn solve_prbp(
     let domain = PrbpDomain::new(dag, config);
     if let Some(width) = engine.width {
         let raw = beam::solve_beam(dag, config, &domain, engine, width, heuristic, progress)?;
-        // The beam aggregates its statistics centrally, so it reports as
-        // worker 0 regardless of how many threads scored proposals.
+        // The beam runs on the calling thread, so it reports as worker 0.
         obs::record_worker(0, raw.stats.expanded, raw.stats.generated);
         obs::record_solve(raw.stats.distinct, raw.stop);
         return Ok(finish(&domain, raw));
@@ -508,6 +524,12 @@ mod tests {
             })
             .collect();
         assert_eq!(costs, vec![(true, 10), (true, 7), (false, 3)]);
+    }
+
+    #[test]
+    fn default_config_is_sequential() {
+        assert_eq!(EngineConfig::default().effective_workers(), 1);
+        assert!(EngineConfig::with_workers(0).effective_workers() >= 1);
     }
 
     #[test]

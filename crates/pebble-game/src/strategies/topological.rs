@@ -13,6 +13,7 @@
 use crate::moves::{PrbpMove, RbpMove};
 use crate::trace::{PrbpTrace, RbpTrace};
 use pebble_dag::{topo, Dag, NodeId};
+use std::collections::BTreeSet;
 
 /// A generic RBP strategy processing nodes in topological order. Returns
 /// `None` if `r < Δ_in + 1` (no valid RBP pebbling exists).
@@ -21,10 +22,11 @@ pub fn rbp_topological(dag: &Dag, r: usize) -> Option<RbpTrace> {
         return None;
     }
     let n = dag.node_count();
-    let mut red = vec![false; n];
+    // The red nodes in id order: eviction scans these (at most r) instead of
+    // every node of the DAG.
+    let mut red: BTreeSet<NodeId> = BTreeSet::new();
     let mut blue = vec![false; n];
     let mut computed = vec![false; n];
-    let mut red_count = 0usize;
     for v in dag.nodes() {
         if dag.is_source(v) {
             blue[v.index()] = true;
@@ -38,14 +40,15 @@ pub fn rbp_topological(dag: &Dag, r: usize) -> Option<RbpTrace> {
             continue;
         }
         let needed: Vec<NodeId> = dag.predecessors(v).collect();
-        let missing = needed.iter().filter(|u| !red[u.index()]).count();
+        let missing = needed.iter().filter(|u| !red.contains(u)).count();
 
         // Free up space: first drop red pebbles that are no longer needed
         // (all successors computed), then save-and-drop arbitrary other
         // pebbles until the inputs and the output fit.
-        let mut evict_candidates: Vec<NodeId> = dag
-            .nodes()
-            .filter(|&w| red[w.index()] && !needed.contains(&w) && w != v)
+        let mut evict_candidates: Vec<NodeId> = red
+            .iter()
+            .copied()
+            .filter(|&w| !needed.contains(&w) && w != v)
             .collect();
         // Dead pebbles first (free), then pebbles that already have a blue copy.
         evict_candidates.sort_by_key(|&w| {
@@ -54,7 +57,7 @@ pub fn rbp_topological(dag: &Dag, r: usize) -> Option<RbpTrace> {
             (!dead as u8, !has_blue as u8)
         });
         let mut ei = 0;
-        while red_count + missing + 1 > r {
+        while red.len() + missing + 1 > r {
             let w = evict_candidates[ei];
             ei += 1;
             let dead = dag.successors(w).all(|s| computed[s.index()]);
@@ -63,28 +66,23 @@ pub fn rbp_topological(dag: &Dag, r: usize) -> Option<RbpTrace> {
                 blue[w.index()] = true;
             }
             trace.push(RbpMove::Delete(w));
-            red[w.index()] = false;
-            red_count -= 1;
+            red.remove(&w);
         }
 
         for &u in &needed {
-            if !red[u.index()] {
+            if red.insert(u) {
                 debug_assert!(blue[u.index()], "value of {u:?} lost");
                 trace.push(RbpMove::Load(u));
-                red[u.index()] = true;
-                red_count += 1;
             }
         }
         trace.push(RbpMove::Compute(v));
-        red[v.index()] = true;
-        red_count += 1;
+        red.insert(v);
         computed[v.index()] = true;
         if dag.is_sink(v) {
             trace.push(RbpMove::Save(v));
             blue[v.index()] = true;
             trace.push(RbpMove::Delete(v));
-            red[v.index()] = false;
-            red_count -= 1;
+            red.remove(&v);
         }
     }
     Some(trace)
@@ -111,22 +109,24 @@ pub fn prbp_topological(dag: &Dag, r: usize) -> Option<PrbpTrace> {
             state[v.index()] = BLUE;
         }
     }
-    let mut red_count = 0usize;
+    // The red (light or dark) nodes in id order: eviction scans these (at
+    // most r) instead of every node of the DAG.
+    let mut red: BTreeSet<NodeId> = BTreeSet::new();
     let mut trace = PrbpTrace::new();
     let order = topo::topological_order(dag);
 
     // Evict one red pebble that is neither `keep_a` nor `keep_b`.
     let evict_one = |state: &mut Vec<u8>,
                      marked_out: &Vec<usize>,
-                     red_count: &mut usize,
+                     red: &mut BTreeSet<NodeId>,
                      trace: &mut PrbpTrace,
                      keep_a: NodeId,
                      keep_b: NodeId| {
         // Prefer: dark pebbles whose out-edges are all marked (free delete),
         // then light reds (free delete, blue copy remains), then dark pebbles
-        // that must be saved first.
+        // that must be saved first; the lowest id within a tier.
         let mut best: Option<(u8, NodeId)> = None;
-        for w in dag.nodes() {
+        for &w in red.iter() {
             if w == keep_a || w == keep_b {
                 continue;
             }
@@ -138,6 +138,9 @@ pub fn prbp_topological(dag: &Dag, r: usize) -> Option<PrbpTrace> {
             };
             if best.map_or(true, |(p, _)| priority < p) {
                 best = Some((priority, w));
+                if priority == 0 {
+                    break;
+                }
             }
         }
         let (priority, w) = best.expect("r >= 2 guarantees an evictable pebble");
@@ -156,7 +159,7 @@ pub fn prbp_topological(dag: &Dag, r: usize) -> Option<PrbpTrace> {
                 state[w.index()] = BLUE;
             }
         }
-        *red_count -= 1;
+        red.remove(&w);
     };
 
     for &v in &order {
@@ -173,20 +176,18 @@ pub fn prbp_topological(dag: &Dag, r: usize) -> Option<PrbpTrace> {
                 if !matches!(state[v.index()], LIGHT | DARK) {
                     required += 1;
                 }
-                if red_count + required <= r {
+                if red.len() + required <= r {
                     break;
                 }
-                evict_one(&mut state, &marked_out, &mut red_count, &mut trace, u, v);
+                evict_one(&mut state, &marked_out, &mut red, &mut trace, u, v);
             }
             if !matches!(state[u.index()], LIGHT | DARK) {
                 debug_assert_eq!(state[u.index()], BLUE, "value of {u:?} lost");
                 trace.push(PrbpMove::Load(u));
                 state[u.index()] = LIGHT;
-                red_count += 1;
+                red.insert(u);
             }
-            if !matches!(state[v.index()], LIGHT | DARK) {
-                red_count += 1;
-            }
+            red.insert(v);
             trace.push(PrbpMove::PartialCompute { from: u, to: v });
             state[v.index()] = DARK;
             marked_out[u.index()] += 1;
@@ -196,7 +197,7 @@ pub fn prbp_topological(dag: &Dag, r: usize) -> Option<PrbpTrace> {
             state[v.index()] = LIGHT;
             trace.push(PrbpMove::Delete(v));
             state[v.index()] = BLUE;
-            red_count -= 1;
+            red.remove(&v);
         }
     }
     Some(trace)

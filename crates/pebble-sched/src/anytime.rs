@@ -164,7 +164,6 @@ pub fn anytime_prbp_result(
     let beam_engine = EngineConfig {
         deadline: Some(config.deadline / 2),
         width: Some(config.seed_width.max(1)),
-        workers: config.workers,
         fail_fast: config.fail_fast,
         ..EngineConfig::default()
     };

@@ -15,9 +15,8 @@
 //! globally cheapest next node online — the workhorse for instances where a
 //! fixed compute order wastes locality; larger widths buy schedule quality
 //! on mid-size instances for more time and memory. Callers that want
-//! deadlines, cancellation or parallel child materialisation configure the
-//! same search through [`pebble_game::engine::solve_prbp`] with
-//! `EngineConfig::width`.
+//! deadlines or cancellation configure the same search through
+//! [`pebble_game::engine::solve_prbp`] with `EngineConfig::width`.
 
 use pebble_dag::Dag;
 use pebble_game::engine::{solve_prbp, EngineConfig, HeuristicSpec};

@@ -9,10 +9,14 @@
 //!    bands at a few size caps, and sink-cone tiles where applicable.
 //! 2. **Schedule** each component on its extracted sub-DAG (members +
 //!    boundary inputs), dispatching components across scoped worker threads.
-//!    Components within [`ComposeConfig::exact_budget`] nodes are solved
-//!    *optimally* by the A* solver; larger ones get the best of the
-//!    heuristic portfolio, plus the shared-input-affinity edge schedule
-//!    ([`crate::edges`]) on cone-shaped components.
+//!    Each distinct sub-DAG is scheduled once per call: identical components
+//!    (the blocks of a blocked FFT, the tiles of a matmul) reuse its
+//!    schedule. The heuristic portfolio runs first, plus the
+//!    shared-input-affinity edge schedule ([`crate::edges`]) on cone-shaped
+//!    components; a schedule meeting the load-count bound is optimal and
+//!    ends the work. Otherwise components within
+//!    [`ComposeConfig::exact_budget`] nodes go to the exact engine, seeded
+//!    with the portfolio's schedule.
 //! 3. **Stitch**: replay each component's moves against the full-DAG
 //!    simulator in quotient-topological order. Boundary-aware
 //!    eviction keeps the stitched trace valid: a deletion whose value still
@@ -28,9 +32,10 @@
 //! gaps, not just lower costs.
 
 use crate::edges::{cone_affinity_edges, greedy_prbp_edges};
+use crate::obs::{self, ComponentOutcome};
 use crate::policy::FurthestInFuture;
 use crate::report::{certify_prbp_with_bounds, BoundSet, BoundValue, ScheduleReport};
-use crate::suite::{best_prbp, default_suite, Scheduler};
+use crate::suite::{best_prbp, default_suite, validated_cost, Scheduler};
 use pebble_bounds::composed_prbp_bound;
 use pebble_dag::decompose::{decompose, Decomposition, ExtractedComponent, Strategy};
 use pebble_dag::{Dag, NodeId};
@@ -40,6 +45,7 @@ use pebble_game::moves::PrbpMove;
 use pebble_game::prbp::PrbpConfig;
 use pebble_game::trace::{PrbpTrace, TraceError};
 use pebble_game::PrbpBuilder;
+use std::collections::{HashMap, HashSet};
 
 /// The default node budget below which components are solved exactly. The
 /// unified engine's seeded branch-and-bound (the portfolio's best schedule
@@ -50,9 +56,9 @@ pub const DEFAULT_EXACT_BUDGET: usize = 24;
 /// Configuration of the [`compose_prbp`] pipeline.
 #[derive(Debug, Clone)]
 pub struct ComposeConfig {
-    /// Components with at most this many sub-DAG nodes are solved optimally
-    /// by the A* solver (falling back to the portfolio when the state limit
-    /// trips).
+    /// Components with at most this many sub-DAG nodes whose portfolio
+    /// schedule misses the load-count bound are searched exactly, seeded with
+    /// that schedule (which stands when the state limit trips).
     pub exact_budget: usize,
     /// State limit per per-component exact search.
     pub exact_max_states: usize,
@@ -166,8 +172,11 @@ pub fn compose_prbp(dag: &Dag, r: usize, config: &ComposeConfig) -> Option<Compo
     let _schedule_span = pebble_obs::trace::span("compose:schedule");
     let mut best: Option<(usize, PrbpTrace, Strategy, usize, usize)> = None;
     let mut composed_bound: Option<usize> = None;
+    let mut memo = ScheduleMemo::new();
     for decomposition in &candidates {
-        let Some(scheduled) = schedule_decomposition(dag, r, decomposition, config, threads) else {
+        let Some(scheduled) =
+            schedule_decomposition(dag, r, decomposition, config, threads, &mut memo)
+        else {
             continue;
         };
         // The composable bound is admissible for every candidate partition,
@@ -251,6 +260,31 @@ pub fn compose_prbp_report(
     ))
 }
 
+/// Structural identity of an extracted sub-DAG: its node count and its edges
+/// in id order. Equal keys mean equal sub-DAGs up to node labels, which no
+/// scheduler reads, so one schedule serves every copy.
+type ComponentKey = (usize, Vec<(NodeId, NodeId)>);
+
+fn component_key(dag: &Dag) -> ComponentKey {
+    (
+        dag.node_count(),
+        dag.edges().map(|e| dag.edge_endpoints(e)).collect(),
+    )
+}
+
+/// The schedules of the distinct sub-DAGs seen so far in one compose call;
+/// `None` when a sub-DAG could not be scheduled.
+type ScheduleMemo = HashMap<ComponentKey, Option<ComponentSchedule>>;
+
+/// One component's schedule, in the component's local ids.
+struct ComponentSchedule {
+    trace: PrbpTrace,
+    /// The exact optimum, when the schedule is proven optimal.
+    exact: Option<usize>,
+    /// How the schedule was obtained (never [`ComponentOutcome::Reused`]).
+    outcome: ComponentOutcome,
+}
+
 struct ScheduledDecomposition {
     trace: PrbpTrace,
     cost: usize,
@@ -266,32 +300,54 @@ fn schedule_decomposition(
     decomposition: &Decomposition,
     config: &ComposeConfig,
     threads: usize,
+    memo: &mut ScheduleMemo,
 ) -> Option<ScheduledDecomposition> {
     let extracted: Vec<ExtractedComponent> = decomposition
         .components
         .iter()
         .map(|c| pebble_dag::decompose::extract_component(dag, c))
         .collect();
-    let components_span = pebble_obs::trace::span("compose:components");
-    let results = par_map(extracted.iter().collect(), threads, |sub| {
-        let _span = pebble_obs::trace::span("compose:component");
-        schedule_component(sub, r, config)
-    });
-    drop(components_span);
-    let mut traces = Vec::with_capacity(results.len());
-    let mut exact = Vec::with_capacity(results.len());
-    for result in results {
-        let (trace, solved) = result?;
-        traces.push(trace);
-        exact.push(solved);
+    let keys: Vec<ComponentKey> = extracted.iter().map(|c| component_key(&c.dag)).collect();
+    // Schedule only the first copy of each sub-DAG not seen earlier in this
+    // call; every other copy reuses its schedule.
+    let mut fresh = vec![false; keys.len()];
+    let mut pending: HashSet<&ComponentKey> = HashSet::new();
+    for (i, key) in keys.iter().enumerate() {
+        fresh[i] = !memo.contains_key(key) && pending.insert(key);
     }
+    let firsts: Vec<usize> = (0..keys.len()).filter(|&i| fresh[i]).collect();
+    let components_span = pebble_obs::trace::span("compose:components");
+    let results = par_map(
+        firsts.iter().map(|&i| &extracted[i]).collect(),
+        threads,
+        |sub| {
+            let _span = pebble_obs::trace::span("compose:component");
+            schedule_component(sub, r, config)
+        },
+    );
+    drop(components_span);
+    for (i, result) in firsts.into_iter().zip(results) {
+        memo.insert(keys[i].clone(), result);
+    }
+    let mut schedules = Vec::with_capacity(keys.len());
+    for key in &keys {
+        schedules.push(memo[key].as_ref()?);
+    }
+    obs::compose_components(schedules.iter().zip(&fresh).map(|(s, &first)| {
+        if first {
+            s.outcome
+        } else {
+            ComponentOutcome::Reused
+        }
+    }));
+    let traces: Vec<&PrbpTrace> = schedules.iter().map(|s| &s.trace).collect();
     let stitch_span = pebble_obs::trace::span("compose:stitch");
     let (trace, cost) = stitch(dag, r, &extracted, &traces);
     drop(stitch_span);
     Some(ScheduledDecomposition {
         trace,
         cost,
-        exact,
+        exact: schedules.iter().map(|s| s.exact).collect(),
         partition: decomposition
             .components
             .iter()
@@ -300,8 +356,7 @@ fn schedule_decomposition(
     })
 }
 
-/// Schedule one extracted component. Returns the local trace and, when the
-/// component was solved optimally, its exact cost.
+/// Schedule one extracted component.
 ///
 /// Heuristics run first: a heuristic schedule meeting the admissible
 /// load-count bound is already provably optimal, which skips the exponential
@@ -312,9 +367,10 @@ fn schedule_component(
     sub: &ExtractedComponent,
     r: usize,
     config: &ComposeConfig,
-) -> Option<(PrbpTrace, Option<usize>)> {
+) -> Option<ComponentSchedule> {
     let dag = &sub.dag;
     let config_prbp = PrbpConfig::new(r);
+    let lower = exact::prbp_initial_bound(dag, config_prbp, &LoadCountHeuristic);
     let mut suite = default_suite();
     if dag.node_count() <= 512 {
         suite.push(Scheduler::Beam {
@@ -324,22 +380,21 @@ fn schedule_component(
     }
     let mut best: Option<(PrbpTrace, usize)> = best_prbp(dag, r, &suite).map(|(_, t, c)| (t, c));
     // Cone-shaped components additionally get the streaming-accumulator
-    // edge schedule, which the node-order portfolio cannot express.
-    if let Some(edges) = cone_affinity_edges(dag) {
-        if let Some(trace) = greedy_prbp_edges(dag, r, &edges, &mut FurthestInFuture) {
-            let cost = trace
-                .validate(dag, config_prbp)
-                .expect("edge executor emits valid traces");
-            if best.as_ref().map_or(true, |&(_, c)| cost < c) {
-                best = Some((trace, cost));
-            }
-        }
+    // edge schedule, which the node-order portfolio cannot express. A
+    // portfolio schedule at the bound cannot be beaten, so it is skipped then.
+    if best.as_ref().map_or(true, |&(_, c)| c > lower) {
+        let edges = cone_affinity_edges(dag)
+            .and_then(|edges| greedy_prbp_edges(dag, r, &edges, &mut FurthestInFuture));
+        keep_cheaper(dag, r, &mut best, edges);
     }
     let (trace, cost) = best?;
-    let lower = exact::prbp_initial_bound(dag, config_prbp, &LoadCountHeuristic);
     if cost == lower {
         // Certified optimal without any search.
-        return Some((trace, Some(cost)));
+        return Some(ComponentSchedule {
+            trace,
+            exact: Some(cost),
+            outcome: ComponentOutcome::Bound,
+        });
     }
     if dag.node_count() <= config.exact_budget {
         // Seed the engine with the portfolio's best schedule: the search
@@ -358,11 +413,41 @@ fn schedule_component(
             Some(&trace),
             None,
         ) {
-            let certified = out.proven_optimal.then_some(out.cost);
-            return Some((out.trace, certified));
+            return Some(ComponentSchedule {
+                exact: out.proven_optimal.then_some(out.cost),
+                outcome: if out.proven_optimal {
+                    ComponentOutcome::Exact
+                } else {
+                    ComponentOutcome::Heuristic
+                },
+                trace: out.trace,
+            });
         }
     }
-    Some((trace, None))
+    Some(ComponentSchedule {
+        trace,
+        exact: None,
+        outcome: ComponentOutcome::Heuristic,
+    })
+}
+
+/// Keep the edge executor's `trace`, if it produced one, in `best` when it
+/// validates and is strictly cheaper.
+fn keep_cheaper(
+    dag: &Dag,
+    r: usize,
+    best: &mut Option<(PrbpTrace, usize)>,
+    trace: Option<PrbpTrace>,
+) {
+    let Some(trace) = trace else {
+        return;
+    };
+    let Some(cost) = validated_cost(dag, r, &trace, &"the edge executor") else {
+        return;
+    };
+    if best.as_ref().map_or(true, |&(_, c)| cost < c) {
+        *best = Some((trace, cost));
+    }
 }
 
 /// Replay per-component traces against the full-DAG simulator, in component
@@ -373,7 +458,7 @@ fn stitch(
     dag: &Dag,
     r: usize,
     extracted: &[ExtractedComponent],
-    traces: &[PrbpTrace],
+    traces: &[&PrbpTrace],
 ) -> (PrbpTrace, usize) {
     let mut builder = PrbpBuilder::new(dag, PrbpConfig::new(r));
     for (sub, trace) in extracted.iter().zip(traces) {
@@ -500,11 +585,43 @@ mod tests {
         }
         let dag = b.build().unwrap();
         let r = 3;
+        let reused = || {
+            pebble_obs::metrics::Registry::global()
+                .counter("compose_components_total", "", &[("outcome", "reused")])
+                .get()
+        };
+        let reused_before = reused();
         let outcome = compose_prbp(&dag, r, &ComposeConfig::default()).unwrap();
         let opt = optimal_prbp_cost(&dag, PrbpConfig::new(r), SearchConfig::default()).unwrap();
         assert_eq!(outcome.cost, opt);
         assert_eq!(outcome.composed_bound, Some(opt));
         assert!(outcome.trace.validate(&dag, PrbpConfig::new(r)).is_ok());
+        // The two copies share one sub-DAG: the second reuses the first's
+        // schedule.
+        assert!(reused() > reused_before);
+    }
+
+    #[test]
+    fn an_edge_executor_without_a_trace_keeps_the_portfolio_schedule() {
+        let dag = matmul(2, 2, 2).dag;
+        let r = 4;
+        let (_, trace, cost) = best_prbp(&dag, r, &default_suite()).unwrap();
+        let mut best = Some((trace.clone(), cost));
+        keep_cheaper(&dag, r, &mut best, None);
+        assert_eq!(best, Some((trace.clone(), cost)));
+        let mut none = None;
+        keep_cheaper(&dag, r, &mut none, Some(trace.clone()));
+        assert_eq!(none, Some((trace, cost)));
+    }
+
+    // Release builds skip an invalid trace; debug builds stop on it.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn an_invalid_edge_schedule_is_skipped() {
+        let dag = matmul(2, 2, 2).dag;
+        let mut best = None;
+        keep_cheaper(&dag, 4, &mut best, Some(PrbpTrace::new()));
+        assert!(best.is_none());
     }
 
     #[test]

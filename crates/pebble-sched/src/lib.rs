@@ -32,10 +32,11 @@
 //!   scheduled one edge at a time, which makes streaming-accumulator
 //!   (tiled matmul / attention) access patterns expressible generically.
 //! * [`compose`] — structure-aware divide-and-conquer: decompose
-//!   ([`pebble_dag::decompose`]), schedule components independently (exact
-//!   A* below a node budget, portfolio above, dispatched across scoped
-//!   threads), stitch with boundary-aware eviction, and certify against the
-//!   composable lower bounds of `pebble-bounds`.
+//!   ([`pebble_dag::decompose`]), schedule each distinct component once
+//!   (portfolio first, exact search below a node budget when the portfolio
+//!   misses the bound, dispatched across scoped threads), stitch with
+//!   boundary-aware eviction, and certify against the composable lower
+//!   bounds of `pebble-bounds`.
 //! * [`suite`] — the named portfolio the experiments and benchmarks sweep.
 //! * [`anytime`] — deadline-bounded anytime scheduling on the unified
 //!   engine ([`pebble_game::engine`]): a fast validated seed, then seeded
@@ -50,6 +51,7 @@ pub mod compose;
 pub mod edges;
 pub mod greedy;
 pub mod local;
+mod obs;
 pub mod order;
 pub mod policy;
 pub mod report;

@@ -1,0 +1,68 @@
+//! The scheduler's hook into the `pebble-obs` metrics registry: which
+//! portfolio family wins, and how compose obtained each component's
+//! schedule. Both are labelled by small fixed sets, so cardinality stays
+//! bounded; both are recorded once per portfolio sweep or per decomposition,
+//! never inside a scheduler's loop.
+
+use pebble_obs::metrics::Registry;
+
+/// Count one portfolio sweep won by a member of `family`.
+pub(crate) fn portfolio_win(family: &'static str) {
+    Registry::global()
+        .counter(
+            "sched_portfolio_wins_total",
+            "Portfolio sweeps won, by member family",
+            &[("member", family)],
+        )
+        .inc();
+}
+
+/// How compose obtained one component's schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ComponentOutcome {
+    /// Copied from an identical component scheduled earlier in the same call.
+    Reused,
+    /// The portfolio met the component's load-count bound.
+    Bound,
+    /// The exact engine proved the schedule optimal.
+    Exact,
+    /// Neither: the best heuristic schedule.
+    Heuristic,
+}
+
+impl ComponentOutcome {
+    const ALL: [ComponentOutcome; 4] = [
+        ComponentOutcome::Reused,
+        ComponentOutcome::Bound,
+        ComponentOutcome::Exact,
+        ComponentOutcome::Heuristic,
+    ];
+
+    fn as_str(self) -> &'static str {
+        match self {
+            ComponentOutcome::Reused => "reused",
+            ComponentOutcome::Bound => "bound",
+            ComponentOutcome::Exact => "exact",
+            ComponentOutcome::Heuristic => "heuristic",
+        }
+    }
+}
+
+/// Count the outcomes of one decomposition's components.
+pub(crate) fn compose_components(outcomes: impl IntoIterator<Item = ComponentOutcome>) {
+    let mut tally = [0u64; ComponentOutcome::ALL.len()];
+    for outcome in outcomes {
+        tally[outcome as usize] += 1;
+    }
+    for (outcome, n) in ComponentOutcome::ALL.into_iter().zip(tally) {
+        if n > 0 {
+            Registry::global()
+                .counter(
+                    "compose_components_total",
+                    "Compose components scheduled, by how the schedule was obtained",
+                    &[("outcome", outcome.as_str())],
+                )
+                .add(n);
+        }
+    }
+}

@@ -10,6 +10,8 @@ use crate::local::{local_search_prbp, LocalSearchConfig};
 use crate::order;
 use crate::policy::{EvictionPolicy, FewestRemainingConsumers, FurthestInFuture, Lru};
 use pebble_dag::{Dag, NodeId};
+use pebble_game::exact::{self, LoadCountHeuristic};
+use pebble_game::prbp::PrbpConfig;
 use pebble_game::strategies::topological;
 use pebble_game::trace::{PrbpTrace, RbpTrace};
 use std::fmt;
@@ -234,9 +236,21 @@ impl std::str::FromStr for Scheduler {
 }
 
 impl Scheduler {
+    /// The scheduler's family: the `member` label of
+    /// `sched_portfolio_wins_total`. Static per family (not per
+    /// parameterisation) so the label set stays bounded.
+    fn family(self) -> &'static str {
+        match self {
+            Scheduler::Baseline => "baseline",
+            Scheduler::Greedy { .. } => "greedy",
+            Scheduler::Beam { .. } => "beam",
+            Scheduler::Local { .. } => "local",
+            Scheduler::Compose { .. } => "compose",
+        }
+    }
+
     /// Stable phase label for trace spans and the `phase_duration_us`
-    /// metric. Static per *family* (not per parameterisation) so the metric
-    /// label set stays bounded.
+    /// metric, per family like [`Scheduler::family`].
     fn phase_name(self) -> &'static str {
         match self {
             Scheduler::Baseline => "portfolio:baseline",
@@ -320,28 +334,71 @@ pub fn default_suite() -> Vec<Scheduler> {
     ]
 }
 
-/// Run every scheduler of `suite` in PRBP and return the cheapest result as
-/// `(scheduler, trace, validated cost)`. Costs come from a full simulator
-/// re-validation of each trace, not from the builders' counters.
+/// Run the schedulers of `suite` in order in PRBP and return the first
+/// cheapest result as `(scheduler, trace, validated cost)`. Costs come from a
+/// full simulator re-validation of each trace, not from the builders'
+/// counters.
+///
+/// The sweep stops at the first member whose cost meets the admissible
+/// load-count bound: no later member can be strictly cheaper, so the result
+/// is the one a full sweep would return. A member that emits no trace, or an
+/// invalid one, is skipped. The winner's family is counted in
+/// `sched_portfolio_wins_total`.
 pub fn best_prbp(
     dag: &Dag,
     r: usize,
     suite: &[Scheduler],
 ) -> Option<(Scheduler, PrbpTrace, usize)> {
+    let best = first_minimum(dag, r, suite, |s| s.run_prbp(dag, r));
+    if let Some((s, ..)) = &best {
+        crate::obs::portfolio_win(s.family());
+    }
+    best
+}
+
+/// [`best_prbp`]'s sweep, with the way a member is run passed in.
+fn first_minimum(
+    dag: &Dag,
+    r: usize,
+    suite: &[Scheduler],
+    run: impl Fn(Scheduler) -> Option<PrbpTrace>,
+) -> Option<(Scheduler, PrbpTrace, usize)> {
+    let lower = exact::prbp_initial_bound(dag, PrbpConfig::new(r), &LoadCountHeuristic);
     let mut best: Option<(Scheduler, PrbpTrace, usize)> = None;
     for &s in suite {
         let _span = pebble_obs::trace::span(s.phase_name());
-        let Some(trace) = s.run_prbp(dag, r) else {
+        let Some(trace) = run(s) else {
             continue;
         };
-        let cost = trace
-            .validate(dag, pebble_game::prbp::PrbpConfig::new(r))
-            .expect("schedulers emit valid traces");
+        let Some(cost) = validated_cost(dag, r, &trace, &s) else {
+            continue;
+        };
         if best.as_ref().map_or(true, |&(_, _, c)| cost < c) {
             best = Some((s, trace, cost));
         }
+        if cost == lower {
+            break;
+        }
     }
     best
+}
+
+/// The replayed cost of a scheduler's trace. An invalid trace is a bug in
+/// that scheduler: debug builds stop on it, release builds return `None` so
+/// the caller skips the member instead of panicking.
+pub(crate) fn validated_cost(
+    dag: &Dag,
+    r: usize,
+    trace: &PrbpTrace,
+    scheduler: &dyn fmt::Display,
+) -> Option<usize> {
+    match trace.validate(dag, PrbpConfig::new(r)) {
+        Ok(cost) => Some(cost),
+        Err(e) => {
+            debug_assert!(false, "{scheduler} emitted an invalid trace: {e}");
+            None
+        }
+    }
 }
 
 #[cfg(test)]
@@ -413,6 +470,18 @@ mod tests {
     }
 
     #[test]
+    fn the_winning_family_is_counted() {
+        let wins = |family| {
+            pebble_obs::metrics::Registry::global()
+                .counter("sched_portfolio_wins_total", "", &[("member", family)])
+                .get()
+        };
+        let dag = fft(16).dag;
+        let (s, ..) = best_prbp(&dag, 4, &default_suite()).unwrap();
+        assert!(wins(s.family()) >= 1);
+    }
+
+    #[test]
     fn best_of_suite_never_loses_to_baseline() {
         for dag in [fig1_full().dag, fft(16).dag] {
             for r in [2usize, 4, 8] {
@@ -425,6 +494,43 @@ mod tests {
                 assert!(best <= base, "best {best} > baseline {base}");
             }
         }
+    }
+
+    #[test]
+    fn a_member_without_a_trace_is_skipped() {
+        let dag = fft(16).dag;
+        let r = 4;
+        let suite = default_suite();
+        let skipped = |s: Scheduler| {
+            (s != Scheduler::Baseline)
+                .then(|| s.run_prbp(&dag, r))
+                .flatten()
+        };
+        let (s, trace, cost) = first_minimum(&dag, r, &suite, skipped).unwrap();
+        assert_ne!(s, Scheduler::Baseline);
+        assert_eq!(Some(trace), s.run_prbp(&dag, r));
+        let others = suite[1..]
+            .iter()
+            .map(|m| validated_cost(&dag, r, &m.run_prbp(&dag, r).unwrap(), m).unwrap());
+        assert_eq!(Some(cost), others.min());
+        // No member at all: no result.
+        assert!(first_minimum(&dag, r, &suite, |_| None).is_none());
+    }
+
+    // Release builds skip an invalid trace; debug builds stop on it.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn an_invalid_trace_is_skipped() {
+        let dag = fft(16).dag;
+        let r = 4;
+        let suite = default_suite();
+        let broken = |s: Scheduler| match s {
+            Scheduler::Baseline => Some(PrbpTrace::new()),
+            s => s.run_prbp(&dag, r),
+        };
+        let (s, ..) = first_minimum(&dag, r, &suite, broken).unwrap();
+        assert_ne!(s, Scheduler::Baseline);
+        assert_eq!(validated_cost(&dag, r, &PrbpTrace::new(), &"empty"), None);
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! to the generic `strategies::topological` baseline. On instances small
 //! enough for the exact A* solvers, the portfolio stays within a fixed
 //! factor of the true optimum.
+//!
+//! The portfolio sweep stops at the load-count bound and compose schedules
+//! each distinct component once; both shortcuts are checked here against
+//! references that do neither.
 
 use pebble_dag::generators::{random_layered, RandomLayeredConfig};
 use pebble_dag::Dag;
@@ -13,6 +17,7 @@ use pebble_game::exact::{self, SearchConfig};
 use pebble_game::prbp::PrbpConfig;
 use pebble_game::rbp::RbpConfig;
 use pebble_game::strategies::topological;
+use pebble_game::trace::PrbpTrace;
 use pebble_sched::{
     best_prbp, certify_prbp, certify_rbp, default_suite, OrderKind, PolicyKind, Scheduler,
 };
@@ -73,6 +78,19 @@ proptest! {
                 prop_assert!(report.cost >= bound.value);
             }
         }
+    }
+
+    #[test]
+    fn portfolio_returns_the_first_minimum_of_a_full_sweep((dag, r) in dag_strategy()) {
+        let mut full: Option<(Scheduler, PrbpTrace, usize)> = None;
+        for s in full_suite() {
+            let Some(trace) = s.run_prbp(&dag, r) else { continue };
+            let cost = trace.validate(&dag, PrbpConfig::new(r)).expect("valid trace");
+            if full.as_ref().map_or(true, |&(_, _, c)| cost < c) {
+                full = Some((s, trace, cost));
+            }
+        }
+        prop_assert_eq!(best_prbp(&dag, r, &full_suite()), full);
     }
 
     #[test]
@@ -142,6 +160,211 @@ fn greedy_grid_is_exhaustive_at_minimum_cache() {
             let s = Scheduler::Greedy { policy, order };
             let trace = s.run_prbp(&dag, 2).expect("r = 2 suffices for PRBP");
             assert!(trace.validate(&dag, PrbpConfig::new(2)).is_ok(), "{s}");
+        }
+    }
+}
+
+/// Compose as it runs without its two shortcuts: every extracted component
+/// is scheduled on its own (no reuse of identical components) by a portfolio
+/// that runs every member (no stop at the bound) and always tries the edge
+/// executor, then the candidates are stitched and compared as
+/// `compose_prbp` does.
+#[cfg(not(debug_assertions))]
+mod compose_reference {
+    use super::*;
+    use pebble_bounds::composed_prbp_bound;
+    use pebble_dag::decompose::{decompose, extract_component, ExtractedComponent, Strategy};
+    use pebble_dag::generators::{fft, matmul};
+    use pebble_dag::{DagBuilder, NodeId};
+    use pebble_game::engine::{self, EngineConfig, HeuristicSpec};
+    use pebble_game::exact::LoadCountHeuristic;
+    use pebble_game::moves::PrbpMove;
+    use pebble_game::PrbpBuilder;
+    use pebble_sched::compose::DEFAULT_EXACT_BUDGET;
+    use pebble_sched::{
+        compose_prbp, cone_affinity_edges, greedy_prbp_edges, ComposeConfig, FurthestInFuture,
+    };
+
+    fn component(dag: &Dag, r: usize) -> Option<(PrbpTrace, Option<usize>)> {
+        let config = PrbpConfig::new(r);
+        let mut suite = default_suite();
+        if dag.node_count() <= 512 {
+            suite.push(Scheduler::Beam {
+                width: 8,
+                branch: 4,
+            });
+        }
+        let mut candidates: Vec<PrbpTrace> =
+            suite.iter().filter_map(|s| s.run_prbp(dag, r)).collect();
+        if let Some(edges) = cone_affinity_edges(dag) {
+            candidates.extend(greedy_prbp_edges(dag, r, &edges, &mut FurthestInFuture));
+        }
+        let mut best: Option<(PrbpTrace, usize)> = None;
+        for trace in candidates {
+            let cost = trace.validate(dag, config).expect("valid trace");
+            if best.as_ref().map_or(true, |&(_, c)| cost < c) {
+                best = Some((trace, cost));
+            }
+        }
+        let (trace, cost) = best?;
+        if cost == exact::prbp_initial_bound(dag, config, &LoadCountHeuristic) {
+            return Some((trace, Some(cost)));
+        }
+        if dag.node_count() <= DEFAULT_EXACT_BUDGET {
+            let engine_cfg = EngineConfig {
+                node_budget: Some(ComposeConfig::default().exact_max_states),
+                ..EngineConfig::default()
+            };
+            if let Ok(out) = engine::solve_prbp(
+                dag,
+                config,
+                &engine_cfg,
+                HeuristicSpec::Single(&LoadCountHeuristic),
+                Some(&trace),
+                None,
+            ) {
+                return Some((out.trace, out.proven_optimal.then_some(out.cost)));
+            }
+        }
+        Some((trace, None))
+    }
+
+    fn stitch(
+        dag: &Dag,
+        r: usize,
+        parts: &[(ExtractedComponent, PrbpTrace)],
+    ) -> (PrbpTrace, usize) {
+        let mut builder = PrbpBuilder::new(dag, PrbpConfig::new(r));
+        for (sub, trace) in parts {
+            let map = |l: NodeId| sub.to_global[l.index()];
+            for &mv in &trace.moves {
+                match mv {
+                    PrbpMove::Load(v) => builder.push(PrbpMove::Load(map(v))).unwrap(),
+                    PrbpMove::Save(v) => builder.push(PrbpMove::Save(map(v))).unwrap(),
+                    PrbpMove::PartialCompute { from, to } => builder
+                        .push(PrbpMove::PartialCompute {
+                            from: map(from),
+                            to: map(to),
+                        })
+                        .unwrap(),
+                    PrbpMove::Delete(v) => {
+                        builder.evict(map(v)).unwrap();
+                    }
+                    PrbpMove::Clear(_) => unreachable!(),
+                }
+            }
+            for &g in &sub.to_global {
+                if builder.game().pebble_state(g).has_red() {
+                    builder.evict(g).unwrap();
+                }
+            }
+        }
+        let (trace, game) = builder.finish();
+        (trace, game.io_cost())
+    }
+
+    type Reference = (usize, PrbpTrace, Strategy, usize, usize, Option<usize>);
+
+    fn reference(dag: &Dag, r: usize) -> Reference {
+        let budget = DEFAULT_EXACT_BUDGET;
+        let mut caps = vec![(4 * r).max(2 * budget), (16 * r).max(4 * budget)];
+        caps.dedup();
+        let mut candidates = vec![decompose(dag, Strategy::Whole).unwrap()];
+        candidates.extend(decompose(dag, Strategy::Wcc).filter(|d| d.components.len() > 1));
+        for &cap in &caps {
+            let cones = Strategy::SinkCones {
+                max_nodes: cap,
+                max_sinks: (3 * r / 4).max(1),
+            };
+            candidates.extend(decompose(dag, cones).filter(|d| d.components.len() > 1));
+            let bands = Strategy::LevelBands { max_nodes: cap };
+            candidates.extend(decompose(dag, bands).filter(|d| d.components.len() > 1));
+        }
+        let mut best: Option<Reference> = None;
+        let mut composed: Option<usize> = None;
+        for d in &candidates {
+            let mut parts = Vec::new();
+            let mut exact_costs = Vec::new();
+            for c in &d.components {
+                let sub = extract_component(dag, c);
+                let Some((trace, exact)) = component(&sub.dag, r) else {
+                    break;
+                };
+                parts.push((sub, trace));
+                exact_costs.push(exact);
+            }
+            if parts.len() < d.components.len() {
+                continue;
+            }
+            let (trace, cost) = stitch(dag, r, &parts);
+            let bound = if d.components.len() > 1 {
+                let partition: Vec<Vec<NodeId>> =
+                    d.components.iter().map(|c| c.nodes.clone()).collect();
+                composed_prbp_bound(dag, PrbpConfig::new(r), &partition, true).map(|mut b| {
+                    for (i, c) in d.components.iter().enumerate() {
+                        if c.inputs.is_empty() && c.outputs.is_empty() {
+                            if let Some(e) = exact_costs[i] {
+                                b.per_component[i] = b.per_component[i].max(e);
+                            }
+                        }
+                    }
+                    b.total()
+                })
+            } else {
+                exact_costs[0]
+            };
+            if let Some(total) = bound {
+                composed = Some(composed.map_or(total, |b| b.max(total)));
+            }
+            if best.as_ref().map_or(true, |b| cost < b.0) {
+                let exact = exact_costs.iter().filter(|e| e.is_some()).count();
+                best = Some((cost, trace, d.strategy, d.components.len(), exact, None));
+            }
+        }
+        let mut best = best.expect("the whole DAG is always a candidate");
+        best.5 = composed;
+        best
+    }
+
+    #[test]
+    fn compose_equals_the_reference_without_reuse_or_stop() {
+        let random = random_layered(RandomLayeredConfig {
+            layers: 10,
+            width: 12,
+            max_in_degree: 3,
+            seed: 11,
+        });
+        // Two 7-node trees of different shapes: equal node and edge counts,
+        // different sub-DAGs, so neither may reuse the other's schedule.
+        let mut b = DagBuilder::new();
+        let n = b.add_nodes(14);
+        for (u, v) in [(0, 4), (1, 4), (2, 5), (3, 5), (4, 6), (5, 6)] {
+            b.add_edge(n[u], n[v]);
+        }
+        for (u, v) in [(7, 11), (8, 11), (11, 12), (9, 12), (12, 13), (10, 13)] {
+            b.add_edge(n[u], n[v]);
+        }
+        let forest = b.build().unwrap();
+        for (name, dag, r) in [
+            ("fft-64", fft(64).dag, 8),
+            ("matmul-4", matmul(4, 4, 4).dag, 12),
+            ("random-10x12", random, 6),
+            ("forest", forest, 3),
+        ] {
+            let got = compose_prbp(&dag, r, &ComposeConfig::default()).unwrap();
+            let want = reference(&dag, r);
+            assert_eq!(
+                (
+                    got.cost,
+                    &got.trace,
+                    got.strategy,
+                    got.components,
+                    got.exact_components,
+                    got.composed_bound
+                ),
+                (want.0, &want.1, want.2, want.3, want.4, want.5),
+                "{name} at r={r}"
+            );
         }
     }
 }
