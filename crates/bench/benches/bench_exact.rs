@@ -2,24 +2,44 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pebble_dag::generators::{binary_tree, chained_gadgets, fig1_full};
-use pebble_game::exact::{self, SearchConfig};
+use pebble_dag::Dag;
+use pebble_game::engine::{solve_prbp, solve_rbp, EngineConfig};
+use pebble_game::exact::LoadCountHeuristic;
 use pebble_game::prbp::PrbpConfig;
 use pebble_game::rbp::RbpConfig;
+
+fn rbp_opt(dag: &Dag, r: usize) -> usize {
+    let engine = EngineConfig::default();
+    let out = solve_rbp(
+        dag,
+        RbpConfig::new(r),
+        &engine,
+        &LoadCountHeuristic,
+        None,
+        None,
+    );
+    out.unwrap().cost
+}
+
+fn prbp_opt(dag: &Dag, r: usize) -> usize {
+    let engine = EngineConfig::default();
+    let out = solve_prbp(
+        dag,
+        PrbpConfig::new(r),
+        &engine,
+        &LoadCountHeuristic,
+        None,
+        None,
+    );
+    out.unwrap().cost
+}
 
 fn bench_fig1(c: &mut Criterion) {
     let f = fig1_full();
     let mut group = c.benchmark_group("exact_fig1_r4");
     group.sample_size(10);
-    group.bench_function("rbp", |b| {
-        b.iter(|| {
-            exact::optimal_rbp_cost(&f.dag, RbpConfig::new(4), SearchConfig::default()).unwrap()
-        })
-    });
-    group.bench_function("prbp", |b| {
-        b.iter(|| {
-            exact::optimal_prbp_cost(&f.dag, PrbpConfig::new(4), SearchConfig::default()).unwrap()
-        })
-    });
+    group.bench_function("rbp", |b| b.iter(|| rbp_opt(&f.dag, 4)));
+    group.bench_function("prbp", |b| b.iter(|| prbp_opt(&f.dag, 4)));
     group.finish();
 }
 
@@ -29,17 +49,11 @@ fn bench_binary_tree(c: &mut Criterion) {
     for depth in [2usize, 3] {
         let dag = binary_tree(depth);
         group.bench_with_input(BenchmarkId::new("rbp", depth), &dag, |b, dag| {
-            b.iter(|| {
-                exact::optimal_rbp_cost(dag, RbpConfig::new(3), SearchConfig::default()).unwrap()
-            })
+            b.iter(|| rbp_opt(dag, 3))
         });
     }
     let small = binary_tree(2);
-    group.bench_function("prbp/2", |b| {
-        b.iter(|| {
-            exact::optimal_prbp_cost(&small, PrbpConfig::new(3), SearchConfig::default()).unwrap()
-        })
-    });
+    group.bench_function("prbp/2", |b| b.iter(|| prbp_opt(&small, 3)));
     group.finish();
 }
 
@@ -50,9 +64,7 @@ fn bench_chained_gadgets(c: &mut Criterion) {
         let copies = 1usize;
         let g = chained_gadgets(copies);
         group.bench_with_input(BenchmarkId::new("prbp", copies), &g.dag, |b, dag| {
-            b.iter(|| {
-                exact::optimal_prbp_cost(dag, PrbpConfig::new(4), SearchConfig::default()).unwrap()
-            })
+            b.iter(|| prbp_opt(dag, 4))
         });
     }
     group.finish();

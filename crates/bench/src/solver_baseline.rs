@@ -1,7 +1,8 @@
 //! The CI-tracked exact-solver benchmark baseline (`BENCH_solvers.json`).
 //!
 //! A corpus of small instances from the paper's E1–E9 experiment families is
-//! solved with every shipped A* heuristic. Two metrics are recorded per
+//! solved by the engine's sequential A* with each shipped heuristic:
+//! `zero` (uniform-cost search) and `load-count`. Two metrics are recorded per
 //! (instance, heuristic) pair:
 //!
 //! * **expanded** — states expanded by the search. Deterministic and
@@ -20,10 +21,8 @@ use pebble_dag::generators::{
     binary_tree, chained_gadgets, fig1_full, kary_tree, matvec, pebble_collection, zipper,
 };
 use pebble_dag::Dag;
-use pebble_game::engine::{self as engine, EngineConfig, HeuristicSpec};
-use pebble_game::exact::{
-    self, LoadCountHeuristic, LowerBound, SearchConfig, Solved, ZeroHeuristic,
-};
+use pebble_game::engine::{self as engine, EngineConfig};
+use pebble_game::exact::{LoadCountHeuristic, LowerBound, SearchStats, ZeroHeuristic};
 use pebble_game::prbp::PrbpConfig;
 use pebble_game::rbp::RbpConfig;
 use serde::{Deserialize, Serialize};
@@ -143,26 +142,35 @@ pub fn corpus() -> Vec<InstanceSpec> {
 
 /// The heuristics measured for every instance, in output order.
 pub fn heuristic_names() -> Vec<&'static str> {
-    vec!["zero", "load-count", "s-dominator", "s-edge"]
+    heuristics().iter().map(|h| h.name()).collect()
 }
 
-fn heuristic_by_name(name: &str) -> Box<dyn LowerBound> {
-    match name {
-        "zero" => Box::new(ZeroHeuristic),
-        "load-count" => Box::new(LoadCountHeuristic),
-        "s-dominator" => Box::new(pebble_bounds::SDominatorHeuristic::new()),
-        "s-edge" => Box::new(pebble_bounds::SEdgeHeuristic::new()),
-        other => panic!("unknown heuristic {other}"),
-    }
+fn heuristics() -> [&'static dyn LowerBound; 2] {
+    [&ZeroHeuristic, &LoadCountHeuristic]
 }
 
-fn solve(spec: &InstanceSpec, heuristic: &dyn LowerBound) -> Solved {
-    let search = SearchConfig::default();
+/// One sequential engine solve: the proven optimal cost and its statistics.
+fn solve(spec: &InstanceSpec, heuristic: &dyn LowerBound) -> (usize, SearchStats) {
+    let engine = EngineConfig::default();
     match spec.model {
-        "rbp" => exact::optimal_rbp_cost_with(&spec.dag, RbpConfig::new(spec.r), search, heuristic),
-        "prbp" => {
-            exact::optimal_prbp_cost_with(&spec.dag, PrbpConfig::new(spec.r), search, heuristic)
-        }
+        "rbp" => engine::solve_rbp(
+            &spec.dag,
+            RbpConfig::new(spec.r),
+            &engine,
+            heuristic,
+            None,
+            None,
+        )
+        .map(|out| (out.cost, out.stats)),
+        "prbp" => engine::solve_prbp(
+            &spec.dag,
+            PrbpConfig::new(spec.r),
+            &engine,
+            heuristic,
+            None,
+            None,
+        )
+        .map(|out| (out.cost, out.stats)),
         other => panic!("unknown model {other}"),
     }
     .expect("corpus instances must be solvable")
@@ -170,35 +178,31 @@ fn solve(spec: &InstanceSpec, heuristic: &dyn LowerBound) -> Solved {
 
 /// Measure one instance with every heuristic, `reps` timed repetitions each.
 pub fn measure(spec: &InstanceSpec, reps: usize) -> InstanceResult {
-    let mut heuristics = Vec::new();
+    let mut results = Vec::new();
     let mut costs = Vec::new();
-    for name in heuristic_names() {
+    for h in heuristics() {
         // Untimed warm-up: the first solve pays for allocator growth and cold
         // caches, which would otherwise dominate small-rep medians.
-        solve(spec, heuristic_by_name(name).as_ref());
+        solve(spec, h);
         let mut solved = None;
         let mut times: Vec<u64> = (0..reps.max(1))
             .map(|_| {
-                // A fresh heuristic per repetition: the residual caches must
-                // not carry over, or later repetitions measure a different
-                // (cheaper) search.
-                let h = heuristic_by_name(name);
                 let t0 = Instant::now();
-                let s = solve(spec, h.as_ref());
+                let s = solve(spec, h);
                 let dt = t0.elapsed().as_nanos() as u64;
                 solved = Some(s);
                 dt
             })
             .collect();
         times.sort_unstable();
-        let solved = solved.expect("at least one repetition");
-        costs.push(solved.cost);
-        heuristics.push(HeuristicResult {
-            heuristic: name.to_string(),
-            cost: solved.cost,
-            expanded: solved.stats.expanded,
-            generated: solved.stats.generated,
-            distinct: solved.stats.distinct,
+        let (cost, stats) = solved.expect("at least one repetition");
+        costs.push(cost);
+        results.push(HeuristicResult {
+            heuristic: h.name().to_string(),
+            cost,
+            expanded: stats.expanded,
+            generated: stats.generated,
+            distinct: stats.distinct,
             median_ns: times[times.len() / 2],
         });
     }
@@ -214,7 +218,7 @@ pub fn measure(spec: &InstanceSpec, reps: usize) -> InstanceResult {
         r: spec.r,
         nodes: spec.dag.node_count(),
         edges: spec.dag.edge_count(),
-        heuristics,
+        heuristics: results,
     }
 }
 
@@ -242,13 +246,12 @@ pub fn measure_engine(spec: &InstanceSpec, reps: usize, workers: usize) -> Engin
         workers,
         ..EngineConfig::default()
     };
-    let make = || Box::new(LoadCountHeuristic) as Box<dyn LowerBound>;
     let run_once = || match spec.model {
         "rbp" => engine::solve_rbp(
             &spec.dag,
             RbpConfig::new(spec.r),
             &engine_cfg,
-            HeuristicSpec::PerWorker(&make),
+            &LoadCountHeuristic,
             None,
             None,
         )
@@ -257,7 +260,7 @@ pub fn measure_engine(spec: &InstanceSpec, reps: usize, workers: usize) -> Engin
             &spec.dag,
             PrbpConfig::new(spec.r),
             &engine_cfg,
-            HeuristicSpec::PerWorker(&make),
+            &LoadCountHeuristic,
             None,
             None,
         )

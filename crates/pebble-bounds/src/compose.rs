@@ -40,16 +40,9 @@
 
 use pebble_dag::decompose::extract_internal;
 use pebble_dag::{Dag, NodeId};
-use pebble_game::exact::{self, LoadCountHeuristic, LowerBound};
+use pebble_game::exact::{self, LoadCountHeuristic};
 use pebble_game::prbp::PrbpConfig;
 use pebble_game::rbp::RbpConfig;
-
-use crate::heuristics::{SDominatorHeuristic, SEdgeHeuristic};
-
-/// Node-count threshold above which a component's ladder skips the
-/// (max-flow-based) partition bounds and keeps only the linear-time
-/// load-count bound.
-pub const FULL_LADDER_LIMIT: usize = 20_000;
 
 /// A composable lower bound, decomposed into its contributions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,14 +68,15 @@ impl ComposedBound {
 /// Evaluate the composable PRBP bound for `partition` (disjoint member
 /// lists, each sorted ascending; nodes outside every part are treated as
 /// unassigned). Returns `None` for configurations with re-computation
-/// enabled (see the module docs). `full_ladders` additionally evaluates the
-/// S-dominator / S-edge bounds on components up to [`FULL_LADDER_LIMIT`]
-/// nodes.
+/// enabled (see the module docs).
+///
+/// Each component is bounded by its load-count bound. The Section 6 phase
+/// bounds (Theorems 6.5/6.7) would never raise it: at a sub-DAG's initial
+/// state they never exceed load-count (see the crate docs).
 pub fn composed_prbp_bound(
     dag: &Dag,
     config: PrbpConfig,
     partition: &[Vec<NodeId>],
-    full_ladders: bool,
 ) -> Option<ComposedBound> {
     if config.allow_clear {
         return None;
@@ -90,8 +84,8 @@ pub fn composed_prbp_bound(
     let per_component = partition
         .iter()
         .map(|members| {
-            component_contribution(dag, members, full_ladders, |sub, h| {
-                exact::prbp_initial_bound(sub, config, h)
+            component_contribution(dag, members, |sub| {
+                exact::prbp_initial_bound(sub, config, &LoadCountHeuristic)
             })
         })
         .collect();
@@ -108,13 +102,12 @@ pub fn composed_rbp_bound(
     dag: &Dag,
     config: RbpConfig,
     partition: &[Vec<NodeId>],
-    full_ladders: bool,
 ) -> ComposedBound {
     let per_component = partition
         .iter()
         .map(|members| {
-            component_contribution(dag, members, full_ladders, |sub, h| {
-                exact::rbp_initial_bound(sub, config, h)
+            component_contribution(dag, members, |sub| {
+                exact::rbp_initial_bound(sub, config, &LoadCountHeuristic)
             })
         })
         .collect();
@@ -124,24 +117,11 @@ pub fn composed_rbp_bound(
     }
 }
 
-fn component_contribution(
-    dag: &Dag,
-    members: &[NodeId],
-    full_ladders: bool,
-    eval: impl Fn(&Dag, &dyn LowerBound) -> usize,
-) -> usize {
+fn component_contribution(dag: &Dag, members: &[NodeId], bound: impl Fn(&Dag) -> usize) -> usize {
     let Some(internal) = extract_internal(dag, members) else {
         return 0;
     };
-    let mut best = eval(&internal.dag, &LoadCountHeuristic);
-    if full_ladders && internal.dag.node_count() <= FULL_LADDER_LIMIT {
-        let dominator = SDominatorHeuristic::new();
-        let edge = SEdgeHeuristic::new();
-        for h in [&dominator as &dyn LowerBound, &edge] {
-            best = best.max(eval(&internal.dag, h));
-        }
-    }
-    best.saturating_sub(internal.fake_sources + internal.fake_sinks)
+    bound(&internal.dag).saturating_sub(internal.fake_sources + internal.fake_sinks)
 }
 
 fn unassigned_sources(dag: &Dag, partition: &[Vec<NodeId>]) -> usize {
@@ -162,7 +142,13 @@ mod tests {
     use pebble_dag::decompose::{decompose, Strategy};
     use pebble_dag::generators::{binary_tree, fft, matmul};
     use pebble_dag::DagBuilder;
-    use pebble_game::exact::{optimal_prbp_cost, SearchConfig};
+    use pebble_game::engine::{solve_prbp, solve_rbp, EngineConfig};
+
+    fn prbp_opt(dag: &Dag, config: PrbpConfig) -> usize {
+        let engine = EngineConfig::default();
+        let out = solve_prbp(dag, config, &engine, &LoadCountHeuristic, None, None);
+        out.unwrap().cost
+    }
 
     fn parts_of(dag: &Dag, strategy: Strategy) -> Vec<Vec<NodeId>> {
         decompose(dag, strategy)
@@ -186,10 +172,10 @@ mod tests {
         let parts = parts_of(&dag, Strategy::Wcc);
         assert_eq!(parts.len(), 2);
         let config = PrbpConfig::new(2);
-        let composed = composed_prbp_bound(&dag, config, &parts, true).unwrap();
+        let composed = composed_prbp_bound(&dag, config, &parts).unwrap();
         assert_eq!(composed.unassigned_source_loads, 0);
         assert_eq!(composed.per_component.len(), 2);
-        let opt = optimal_prbp_cost(&dag, config, SearchConfig::default()).unwrap();
+        let opt = prbp_opt(&dag, config);
         assert!(composed.total() <= opt, "{} > {}", composed.total(), opt);
         // Each half alone needs 3 I/Os (2 loads + 1 save), and the composed
         // bound sees both halves.
@@ -202,8 +188,8 @@ mod tests {
         let parts = parts_of(&f, Strategy::LevelBands { max_nodes: 8 });
         assert!(parts.len() > 1);
         let config = PrbpConfig::new(3);
-        let composed = composed_prbp_bound(&f, config, &parts, true).unwrap();
-        let opt = optimal_prbp_cost(&f, config, SearchConfig::default()).unwrap();
+        let composed = composed_prbp_bound(&f, config, &parts).unwrap();
+        let opt = prbp_opt(&f, config);
         assert!(composed.total() <= opt, "{} > {}", composed.total(), opt);
     }
 
@@ -218,10 +204,10 @@ mod tests {
             },
         );
         let config = PrbpConfig::new(3);
-        let composed = composed_prbp_bound(&mm, config, &parts, true).unwrap();
+        let composed = composed_prbp_bound(&mm, config, &parts).unwrap();
         // All 4 matrix entries are shared sources.
         assert_eq!(composed.unassigned_source_loads, 4);
-        let opt = optimal_prbp_cost(&mm, config, SearchConfig::default()).unwrap();
+        let opt = prbp_opt(&mm, config);
         assert!(composed.total() <= opt);
     }
 
@@ -230,12 +216,14 @@ mod tests {
         let t = binary_tree(3);
         let parts = parts_of(&t, Strategy::Whole);
         let config = RbpConfig::new(4);
-        let composed = composed_rbp_bound(&t, config, &parts, true);
-        let opt =
-            pebble_game::exact::optimal_rbp_cost(&t, config, SearchConfig::default()).unwrap();
+        let composed = composed_rbp_bound(&t, config, &parts);
+        let engine = EngineConfig::default();
+        let opt = solve_rbp(&t, config, &engine, &LoadCountHeuristic, None, None)
+            .unwrap()
+            .cost;
         assert!(composed.total() <= opt);
-        // Whole-graph partition with full ladders reproduces the plain
-        // single-instance ladder (no credits apply).
+        // The whole-graph partition reproduces the plain single-instance
+        // bound (no credits apply).
         assert!(composed.total() >= t.trivial_cost());
     }
 
@@ -243,6 +231,6 @@ mod tests {
     fn clear_variant_is_refused() {
         let t = binary_tree(2);
         let parts = parts_of(&t, Strategy::Whole);
-        assert!(composed_prbp_bound(&t, PrbpConfig::new(2).with_clear(), &parts, true).is_none());
+        assert!(composed_prbp_bound(&t, PrbpConfig::new(2).with_clear(), &parts).is_none());
     }
 }

@@ -12,9 +12,6 @@
 //!   corresponding partitions: Hong–Kung for RBP, Lemma 6.4 (edge partition)
 //!   and Lemma 6.8 (dominator partition) for PRBP, together with the
 //!   `OPT ≥ r·(MIN(2r) − 1)` bounds (Theorems 6.5 and 6.7).
-//! * [`heuristics`] — the partition bounds repackaged as admissible A*
-//!   heuristics ([`pebble_game::exact::LowerBound`]) that accelerate the
-//!   exact solvers instead of merely verifying their results.
 //! * [`compose`] — composable lower bounds: per-component admissible bounds
 //!   summed with boundary-credit corrections, admissible for *any* node
 //!   partition; the certification counterpart of decomposition-based
@@ -23,6 +20,11 @@
 //!   S-partition bound fails for PRBP.
 //! * [`analytic`] — closed-form lower bounds for FFT (Theorem 6.9), matrix
 //!   multiplication (Theorem 6.10) and attention (Theorem 6.11).
+//!
+//! The Section 6 bounds are not used as A* heuristics or as certification
+//! bounds on a whole DAG: at a DAG's initial state their phase term
+//! `r·(⌈x/2r⌉ − 1)` stays below `x/2 ≤ max(#sources, #sinks)`, so it never
+//! exceeds the load-count bound of `pebble_game::exact`.
 
 #![deny(missing_docs)]
 
@@ -30,12 +32,10 @@ pub mod analytic;
 pub mod compose;
 pub mod counterexample;
 pub mod from_pebbling;
-pub mod heuristics;
 pub mod s_edge_partition;
 pub mod s_partition;
 pub mod terminal;
 
 pub use compose::{composed_prbp_bound, composed_rbp_bound, ComposedBound};
-pub use heuristics::{SDominatorHeuristic, SEdgeHeuristic};
 pub use s_edge_partition::SEdgePartition;
 pub use s_partition::{SDominatorPartition, SPartition};

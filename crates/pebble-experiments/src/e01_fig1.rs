@@ -3,7 +3,8 @@
 
 use crate::Table;
 use pebble_dag::generators::fig1_full;
-use pebble_game::exact::{self, SearchConfig};
+use pebble_game::engine::{solve_prbp, solve_rbp, EngineConfig};
+use pebble_game::exact::LoadCountHeuristic;
 use pebble_game::prbp::PrbpConfig;
 use pebble_game::rbp::RbpConfig;
 use pebble_game::strategies::fig1;
@@ -13,10 +14,14 @@ use pebble_game::strategies::fig1;
 pub fn run() -> Table {
     let f = fig1_full();
     let r = fig1::FIG1_CACHE;
-    let rbp_opt =
-        exact::optimal_rbp_cost(&f.dag, RbpConfig::new(r), SearchConfig::default()).unwrap();
-    let prbp_opt =
-        exact::optimal_prbp_cost(&f.dag, PrbpConfig::new(r), SearchConfig::default()).unwrap();
+    let engine = EngineConfig::default();
+    let h = &LoadCountHeuristic;
+    let rbp_opt = solve_rbp(&f.dag, RbpConfig::new(r), &engine, h, None, None)
+        .unwrap()
+        .cost;
+    let prbp_opt = solve_prbp(&f.dag, PrbpConfig::new(r), &engine, h, None, None)
+        .unwrap()
+        .cost;
     let rbp_strategy = fig1::rbp_optimal_trace(&f)
         .validate(&f.dag, RbpConfig::new(r))
         .unwrap();

@@ -5,7 +5,8 @@
 //! unchanged.
 
 use crate::Table;
-use pebble_game::exact::{self, SearchConfig};
+use pebble_game::engine::{solve_rbp, EngineConfig};
+use pebble_game::exact::LoadCountHeuristic;
 use pebble_game::rbp::RbpConfig;
 use pebble_hardness::level_gadgets::build_tower;
 
@@ -33,14 +34,24 @@ pub fn run() -> Table {
         let exact_small = idx < 2;
         let (plain_opt, adjusted_opt) = if exact_small {
             let r = plain.dag.max_in_degree().max(adjusted.dag.max_in_degree()) + 1;
-            (
-                exact::optimal_rbp_cost(&plain.dag, RbpConfig::new(r), SearchConfig::default())
-                    .map(|c| c.to_string())
-                    .unwrap_or_else(|_| "-".into()),
-                exact::optimal_rbp_cost(&adjusted.dag, RbpConfig::new(r), SearchConfig::default())
-                    .map(|c| c.to_string())
-                    .unwrap_or_else(|_| "-".into()),
-            )
+            // A search that exceeds the state budget reports "-".
+            let engine = EngineConfig {
+                node_budget: Some(5_000_000),
+                ..EngineConfig::default()
+            };
+            let opt = |dag| {
+                solve_rbp(
+                    dag,
+                    RbpConfig::new(r),
+                    &engine,
+                    &LoadCountHeuristic,
+                    None,
+                    None,
+                )
+                .map(|out| out.cost.to_string())
+                .unwrap_or_else(|_| "-".into())
+            };
+            (opt(&plain.dag), opt(&adjusted.dag))
         } else {
             ("-".into(), "-".into())
         };

@@ -6,7 +6,8 @@
 use crate::Table;
 use pebble_dag::generators::fig1_full;
 use pebble_game::cost::CostModel;
-use pebble_game::exact::{self, SearchConfig};
+use pebble_game::engine::{solve_prbp, solve_rbp, EngineConfig};
+use pebble_game::exact::LoadCountHeuristic;
 use pebble_game::prbp::PrbpConfig;
 use pebble_game::rbp::RbpConfig;
 use pebble_game::strategies::fig1;
@@ -15,7 +16,9 @@ use pebble_game::variants::{fig1_recompute_resistant, fig1_sliding_resistant};
 /// Build the E15 table.
 pub fn run() -> Table {
     let r = 4;
-    let search = SearchConfig::default;
+    let engine = EngineConfig::default();
+    let h = &LoadCountHeuristic;
+    let rbp = |dag, config| solve_rbp(dag, config, &engine, h, None, None).unwrap().cost;
     let mut t = Table::new(
         "E15 (App B): model variants on Figure 1 and its adjusted versions (r = 4)",
         &[
@@ -34,12 +37,12 @@ pub fn run() -> Table {
         ("Figure 1 + w0 (B.2)", fig1_sliding_resistant().dag),
     ];
     for (name, dag) in &variants {
-        let one_shot = exact::optimal_rbp_cost(dag, RbpConfig::new(r), search()).unwrap();
-        let recompute =
-            exact::optimal_rbp_cost(dag, RbpConfig::new(r).with_recompute(), search()).unwrap();
-        let sliding =
-            exact::optimal_rbp_cost(dag, RbpConfig::new(r).with_sliding(), search()).unwrap();
-        let prbp = exact::optimal_prbp_cost(dag, PrbpConfig::new(r), search()).unwrap();
+        let one_shot = rbp(dag, RbpConfig::new(r));
+        let recompute = rbp(dag, RbpConfig::new(r).with_recompute());
+        let sliding = rbp(dag, RbpConfig::new(r).with_sliding());
+        let prbp = solve_prbp(dag, PrbpConfig::new(r), &engine, h, None, None)
+            .unwrap()
+            .cost;
         // Appendix B: recompute/sliding never hurt, PRBP stays at 2, and the
         // adjusted DAGs restore 3 for their respective variants.
         t.check(recompute <= one_shot && sliding <= one_shot);

@@ -27,7 +27,8 @@ use pebble_dag::generators::{
     attention_qk, binary_tree, fft, matmul, random_layered, RandomLayeredConfig,
 };
 use pebble_dag::{Dag, DagBuilder};
-use pebble_game::exact::{optimal_prbp_cost, SearchConfig};
+use pebble_game::engine::{solve_prbp, EngineConfig};
+use pebble_game::exact::LoadCountHeuristic;
 use pebble_game::prbp::PrbpConfig;
 use pebble_sched::{
     best_prbp, certify_prbp_with_bounds, compose_prbp, default_suite, BoundSet, BoundValue,
@@ -270,9 +271,11 @@ pub fn run_with_threads(threads: usize) -> Table {
         if inst.expect_exact {
             if inst.dag.node_count() <= 20 {
                 // Within whole-instance A* reach: compare to the optimum.
-                let opt =
-                    optimal_prbp_cost(&inst.dag, PrbpConfig::new(inst.r), SearchConfig::default())
-                        .expect("exact rows are solver-sized");
+                let engine = EngineConfig::default();
+                let config = PrbpConfig::new(inst.r);
+                let opt = solve_prbp(&inst.dag, config, &engine, &LoadCountHeuristic, None, None)
+                    .expect("exact rows are solver-sized")
+                    .cost;
                 t.check(row.outcome.cost == opt);
             } else {
                 // Beyond whole-instance A* reach (the forest): optimality is

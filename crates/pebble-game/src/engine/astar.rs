@@ -296,15 +296,12 @@ pub(crate) fn solve_par<D: Domain>(
     engine: &EngineConfig,
     deadline_at: Option<Instant>,
     workers: usize,
-    make_h: &(dyn Fn() -> Box<dyn LowerBound> + Sync),
+    heuristic: &dyn LowerBound,
     seed: Option<(usize, Vec<D::Move>)>,
     progress: Option<&Progress<D::Move>>,
 ) -> Result<RawOutcome<D::Move>, ExactError> {
     let start = domain.start_words();
-    let h0 = {
-        let h = make_h();
-        domain.h(h.as_ref(), &start)
-    };
+    let h0 = domain.h(heuristic, &start);
     if let Some(p) = progress {
         p.raise_bound(h0);
     }
@@ -360,7 +357,6 @@ pub(crate) fn solve_par<D: Domain>(
         for w in 0..workers {
             let shared = &shared;
             scope.spawn(move || {
-                let h = make_h();
                 let mut heap: BinaryHeap<Reverse<(usize, usize, KeyOrd)>> = BinaryHeap::new();
                 let mut scratch = vec![0u64; words_len];
                 let mut idle_spins = 0u32;
@@ -455,7 +451,7 @@ pub(crate) fn solve_par<D: Domain>(
                             }
                             return true;
                         }
-                        let f_child = new_g + domain.h(h.as_ref(), words);
+                        let f_child = new_g + domain.h(heuristic, words);
                         if f_child > shared.incumbent_cost.load(Ordering::Relaxed) {
                             return true;
                         }

@@ -24,8 +24,8 @@
 
 use super::astar::stop_requested;
 use super::domain::Domain;
-use super::{EngineConfig, HeuristicSpec, Progress, RawOutcome, StopReason};
-use crate::exact::{ExactError, SearchStats};
+use super::{EngineConfig, Progress, RawOutcome, StopReason};
+use crate::exact::{ExactError, LowerBound, SearchStats};
 use crate::moves::PrbpMove;
 use crate::packed;
 use crate::prbp::PrbpConfig;
@@ -286,7 +286,7 @@ pub(crate) fn solve_beam(
     domain: &super::PrbpDomain<'_>,
     engine: &EngineConfig,
     width: usize,
-    heuristic: HeuristicSpec<'_>,
+    heuristic: &dyn LowerBound,
     progress: Option<&Progress<PrbpMove>>,
 ) -> Result<RawOutcome<PrbpMove>, ExactError> {
     assert!(
@@ -303,10 +303,7 @@ pub(crate) fn solve_beam(
         b => b,
     };
     let start = domain.start_words();
-    let h0 = match heuristic {
-        HeuristicSpec::Single(h) => domain.h(h, &start),
-        HeuristicSpec::PerWorker(make) => domain.h(make().as_ref(), &start),
-    };
+    let h0 = domain.h(heuristic, &start);
     if let Some(p) = progress {
         p.raise_bound(h0);
     }

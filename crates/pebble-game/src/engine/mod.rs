@@ -1,8 +1,10 @@
 //! The unified anytime search engine behind every exact and beam solver.
 //!
-//! One search core subsumes the exact A* solvers ([`crate::exact`]), the
-//! beam scheduler of `pebble-sched`, and the exact phase of its compose
-//! pipeline. The engine is
+//! One search core serves every exact solve in the workspace, the beam
+//! scheduler of `pebble-sched`, and the exact phase of its compose
+//! pipeline. [`solve_rbp`] and [`solve_prbp`] are the only entry points:
+//! callers read the outcome's `cost`, `trace` and `stats` directly. The
+//! engine is
 //!
 //! * **anytime** — it keeps a *validated incumbent*: the best complete
 //!   pebbling found so far, always replayed through the game simulator
@@ -31,9 +33,9 @@
 //!   lifetime of a solve.
 //! * **Determinism of answer.** A completed solve returns the unique
 //!   optimal cost no matter how many workers ran; only the search-effort
-//!   statistics vary. `workers = 1` runs the exact sequential loop the
-//!   legacy solvers used, so its statistics (including
-//!   [`SearchStats::distinct`]) are reproducible.
+//!   statistics vary. `workers = 1` (the default) runs the sequential
+//!   loop, whose statistics (including [`SearchStats::distinct`]) are
+//!   reproducible.
 //!
 //! Seeding a solve with a known-valid schedule turns A* into a
 //! branch-and-bound: successors with `f > incumbent` are pruned (sound for
@@ -93,8 +95,9 @@ pub struct EngineConfig {
     /// Wall-clock budget for the solve, measured from entry. `None` runs to
     /// completion (or until another stop condition fires).
     pub deadline: Option<Duration>,
-    /// Maximum number of *distinct* states interned before the solve stops
-    /// (the anytime analogue of [`crate::exact::SearchConfig::max_states`]).
+    /// Maximum number of *distinct* states interned before the solve stops.
+    /// A budget-stopped solve with no incumbent returns
+    /// [`ExactError::StateLimitExceeded`].
     pub node_budget: Option<usize>,
     /// Cooperative cancellation token; checked every expansion batch.
     pub cancel: Option<CancelToken>,
@@ -104,11 +107,10 @@ pub struct EngineConfig {
     /// Candidate next-nodes proposed per beam entry per level (beam only;
     /// `0` means the default of 4).
     pub branch: usize,
-    /// Worker threads of an exact A* solve driven by a
-    /// [`HeuristicSpec::PerWorker`] factory. `0` uses the available hardware
-    /// parallelism; the default is 1 (sequential, deterministic statistics).
-    /// The beam search and single-heuristic solves always run on the calling
-    /// thread.
+    /// Worker threads of an exact A* solve: 1 (the default) runs the
+    /// sequential loop with deterministic statistics, more runs the HDA*
+    /// loop, and `0` uses the available hardware parallelism. The beam
+    /// search always runs on the calling thread.
     pub workers: usize,
     /// Fail fast on an early stop instead of synthesising an incumbent: a
     /// beam solve interrupted before its last level normally *greedily
@@ -206,18 +208,6 @@ pub struct EngineOutcome<T> {
     pub stats: SearchStats,
     /// Why the solve returned.
     pub stop: StopReason,
-}
-
-/// How the engine obtains heuristic instances.
-///
-/// The partition-based heuristics of `pebble-bounds` keep interior caches
-/// (`RefCell`), so a single instance cannot be shared across workers; the
-/// parallel path therefore takes a factory producing one instance per worker.
-pub enum HeuristicSpec<'a> {
-    /// One heuristic instance. Restricts the solve to a single worker.
-    Single(&'a dyn LowerBound),
-    /// A factory called once per worker.
-    PerWorker(&'a (dyn Fn() -> Box<dyn LowerBound> + Sync)),
 }
 
 /// The incumbent channel: a shared cell through which a running solve
@@ -358,14 +348,14 @@ impl<M: Clone> Progress<M> {
 /// `seed`, when given, must be a valid pebbling of `dag` under `config`; it
 /// becomes the initial incumbent and its cost an upper bound that prunes the
 /// search (`f > incumbent`). The returned outcome always carries a validated
-/// trace; with no stop condition configured the call behaves exactly like
-/// the legacy A* solver. `engine.width` is ignored (the beam search is
-/// PRBP-only).
+/// trace; with no stop condition configured it is the proven optimum. One
+/// `heuristic` instance is shared by every worker. `engine.width` is ignored
+/// (the beam search is PRBP-only).
 pub fn solve_rbp(
     dag: &Dag,
     config: RbpConfig,
     engine: &EngineConfig,
-    heuristic: HeuristicSpec<'_>,
+    heuristic: &dyn LowerBound,
     seed: Option<&RbpTrace>,
     progress: Option<&Progress<RbpMove>>,
 ) -> Result<EngineOutcome<RbpTrace>, ExactError> {
@@ -391,7 +381,7 @@ pub fn solve_prbp(
     dag: &Dag,
     config: PrbpConfig,
     engine: &EngineConfig,
-    heuristic: HeuristicSpec<'_>,
+    heuristic: &dyn LowerBound,
     seed: Option<&PrbpTrace>,
     progress: Option<&Progress<PrbpMove>>,
 ) -> Result<EngineOutcome<PrbpTrace>, ExactError> {
@@ -437,7 +427,7 @@ fn finish<D: Domain>(domain: &D, raw: RawOutcome<D::Move>) -> EngineOutcome<D::T
 fn run_astar<D: Domain>(
     domain: &D,
     engine: &EngineConfig,
-    heuristic: HeuristicSpec<'_>,
+    heuristic: &dyn LowerBound,
     seed_moves: Option<Vec<D::Move>>,
     progress: Option<&Progress<D::Move>>,
 ) -> Result<RawOutcome<D::Move>, ExactError> {
@@ -454,32 +444,23 @@ fn run_astar<D: Domain>(
         p.publish(*cost, moves.clone());
     }
     let deadline_at = engine.deadline.map(|d| Instant::now() + d);
-    let workers = match heuristic {
-        // A single (possibly stateful, non-`Sync`) heuristic instance can
-        // only drive the sequential loop.
-        HeuristicSpec::Single(_) => 1,
-        HeuristicSpec::PerWorker(_) => engine.effective_workers(),
-    };
+    let workers = engine.effective_workers();
     let raw = if workers <= 1 {
-        let owned;
-        let h: &dyn LowerBound = match heuristic {
-            HeuristicSpec::Single(h) => h,
-            HeuristicSpec::PerWorker(make) => {
-                owned = make();
-                owned.as_ref()
-            }
-        };
-        let raw = astar::solve_seq(domain, engine, deadline_at, h, seed, progress)?;
+        let raw = astar::solve_seq(domain, engine, deadline_at, heuristic, seed, progress)?;
         obs::record_worker(0, raw.stats.expanded, raw.stats.generated);
         raw
     } else {
-        let make = match heuristic {
-            HeuristicSpec::PerWorker(make) => make,
-            HeuristicSpec::Single(_) => unreachable!("single heuristic forces workers = 1"),
-        };
         // The parallel workers fold their own per-worker counts into the
         // sharded counters at loop exit.
-        astar::solve_par(domain, engine, deadline_at, workers, make, seed, progress)?
+        astar::solve_par(
+            domain,
+            engine,
+            deadline_at,
+            workers,
+            heuristic,
+            seed,
+            progress,
+        )?
     };
     obs::record_solve(raw.stats.distinct, raw.stop);
     Ok(raw)
@@ -547,7 +528,7 @@ mod tests {
             &f.dag,
             PrbpConfig::new(4),
             &EngineConfig::default(),
-            HeuristicSpec::Single(&LoadCountHeuristic),
+            &LoadCountHeuristic,
             None,
             None,
         )
@@ -569,7 +550,7 @@ mod tests {
                 &f.dag,
                 PrbpConfig::new(4),
                 &EngineConfig::default(),
-                HeuristicSpec::Single(&LoadCountHeuristic),
+                &LoadCountHeuristic,
                 None,
                 None,
             )
@@ -580,7 +561,7 @@ mod tests {
             &f.dag,
             PrbpConfig::new(4),
             &EngineConfig::default(),
-            HeuristicSpec::Single(&LoadCountHeuristic),
+            &LoadCountHeuristic,
             Some(&trace),
             None,
         )
@@ -596,12 +577,11 @@ mod tests {
         b.add_edge(n[0], n[1]);
         let g = b.build().unwrap();
         for workers in [1usize, 4] {
-            let make = || Box::new(LoadCountHeuristic) as Box<dyn LowerBound>;
             let out = solve_prbp(
                 &g,
                 PrbpConfig::new(2),
                 &EngineConfig::with_workers(workers),
-                HeuristicSpec::PerWorker(&make),
+                &LoadCountHeuristic,
                 None,
                 None,
             )

@@ -14,12 +14,11 @@
 //!   (Dijkstra) search; the reference point for expansion counts.
 //! * [`LoadCountHeuristic`] — counts values that provably still require a
 //!   load plus sinks that still require a save. Cheap, admissible in every
-//!   model variant, and the default for [`crate::exact::optimal_cost`] and
-//!   friends.
+//!   model variant, and the heuristic every exact solve in the workspace
+//!   runs with.
 //!
-//! The partition-based heuristics derived from the paper's Section 6 lower
-//! bounds (S-edge partitions, S-dominator partitions) live in
-//! `pebble_bounds::heuristics`, which depends on this crate.
+//! Both are stateless, so one instance is shared by every worker of a
+//! parallel solve (hence the `Sync` supertrait of [`LowerBound`]).
 
 use crate::prbp::{PebbleState, PrbpConfig};
 use crate::rbp::RbpConfig;
@@ -76,13 +75,6 @@ impl<'a> RbpStateView<'a> {
             .iter()
             .map(|w| w.count_ones() as usize)
             .sum()
-    }
-
-    /// The packed `computed` plane. Stable across states with equal computed
-    /// sets, so it can key caches in heuristics whose value depends only on
-    /// which nodes remain uncomputed.
-    pub fn computed_words(&self) -> &'a [u64] {
-        &self.words[2 * self.w..3 * self.w]
     }
 }
 
@@ -146,7 +138,7 @@ impl<'a> PrbpStateView<'a> {
 
     /// Number of marked edges.
     pub fn marked_count(&self) -> usize {
-        self.marked_words()
+        self.words[2 * self.wn..]
             .iter()
             .map(|w| w.count_ones() as usize)
             .sum()
@@ -158,13 +150,6 @@ impl<'a> PrbpStateView<'a> {
             .iter()
             .map(|w| w.count_ones() as usize)
             .sum()
-    }
-
-    /// The packed `marked` plane. Stable across states with equal marked
-    /// sets, so it can key caches in heuristics whose value depends only on
-    /// which edges remain unmarked.
-    pub fn marked_words(&self) -> &'a [u64] {
-        &self.words[2 * self.wn..]
     }
 }
 
@@ -181,8 +166,11 @@ impl<'a> PrbpStateView<'a> {
 /// non-optimal cost. Implementations may be arbitrarily weak (0 is always
 /// sound) and should degrade to weaker-but-sound bounds for variants whose
 /// stronger argument does not apply.
-pub trait LowerBound {
-    /// Short stable identifier used in benchmark output (e.g. `"s-edge"`).
+///
+/// A parallel solve shares one instance across its worker threads, so
+/// implementations must be `Sync`.
+pub trait LowerBound: Sync {
+    /// Short stable identifier used in benchmark output (e.g. `"load-count"`).
     fn name(&self) -> &'static str;
 
     /// Lower bound on the remaining I/O cost of an RBP state.
@@ -279,7 +267,7 @@ impl LowerBound for LoadCountHeuristic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::{self, SearchConfig};
+    use crate::exact::{self, prbp_opt, rbp_opt};
     use pebble_dag::generators::fig1_full;
 
     #[test]
@@ -299,13 +287,11 @@ mod tests {
     fn load_count_is_admissible_on_fig1() {
         let f = fig1_full();
         let h_rbp = exact::rbp_initial_bound(&f.dag, RbpConfig::new(4), &LoadCountHeuristic);
-        let opt_rbp =
-            exact::optimal_rbp_cost(&f.dag, RbpConfig::new(4), SearchConfig::default()).unwrap();
+        let opt_rbp = rbp_opt(&f.dag, RbpConfig::new(4)).unwrap();
         assert!(h_rbp <= opt_rbp, "{h_rbp} > {opt_rbp}");
 
         let h_prbp = exact::prbp_initial_bound(&f.dag, PrbpConfig::new(4), &LoadCountHeuristic);
-        let opt_prbp =
-            exact::optimal_prbp_cost(&f.dag, PrbpConfig::new(4), SearchConfig::default()).unwrap();
+        let opt_prbp = prbp_opt(&f.dag, PrbpConfig::new(4)).unwrap();
         assert!(h_prbp <= opt_prbp, "{h_prbp} > {opt_prbp}");
     }
 

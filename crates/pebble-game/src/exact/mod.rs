@@ -1,68 +1,38 @@
-//! Exact optimal-cost solvers for small DAGs.
+//! Exact-search vocabulary shared by the engine and its callers.
 //!
-//! Both solvers run an A* search over pebbling configurations: the state of
-//! the search is the full pebble placement (plus edge markings for PRBP),
-//! transitions are the individual game moves, and the edge weights are the
-//! I/O costs (compute and delete moves are free). States are stored in a
-//! canonical packed encoding ([`crate::packed`]) and deduplicated through a
-//! transposition table, so revisiting a configuration costs one hash lookup
-//! and no fresh allocations.
+//! The exact solvers run an A* search over pebbling configurations: the
+//! state of the search is the full pebble placement (plus edge markings for
+//! PRBP), transitions are the individual game moves, and the edge weights
+//! are the I/O costs (compute and delete moves are free). The search itself
+//! lives in the unified anytime engine: call [`crate::engine::solve_rbp`] /
+//! [`crate::engine::solve_prbp`] and read the outcome's `cost`, `trace` and
+//! `stats`. An engine configuration with no deadline, budget or cancel token
+//! and one worker runs to the proven optimum with reproducible statistics.
 //!
-//! Since PR 6 the search itself lives in the unified anytime engine
-//! ([`crate::engine`]); the entry points here are thin wrappers that run the
-//! engine sequentially with a distinct-state budget, which reproduces the
-//! historical solver behaviour (and statistics) exactly. Callers that want
-//! deadlines, cancellation, incumbent streaming or multi-worker solves
-//! should use [`crate::engine::solve_rbp`] / [`crate::engine::solve_prbp`]
-//! directly.
+//! This module keeps what those solves share:
 //!
-//! The heuristic is pluggable: anything implementing [`LowerBound`] — an
-//! *admissible* lower bound on the remaining I/O — can guide the search
-//! without changing the optimum it returns. [`ZeroHeuristic`] recovers plain
-//! uniform-cost (Dijkstra) search; [`LoadCountHeuristic`] (the default for
-//! the plain `optimal_*` entry points) counts mandatory future loads and
-//! saves; the partition-based bounds of the paper's Section 6 are available
-//! as heuristics from `pebble_bounds::heuristics`. The `*_with` entry points
-//! also report [`SearchStats`] — expanded/generated/distinct state counts —
-//! which benchmarks use as a hardware-independent performance metric.
+//! * the admissible [`LowerBound`] heuristics ([`heuristic`]):
+//!   [`ZeroHeuristic`] recovers plain uniform-cost (Dijkstra) search, and
+//!   [`LoadCountHeuristic`] counts mandatory future loads and saves;
+//! * [`SearchStats`], the expanded/generated/distinct state counts that
+//!   benchmarks use as a hardware-independent performance metric;
+//! * [`ExactError`], why a solve returned no schedule;
+//! * [`rbp_initial_bound`] / [`prbp_initial_bound`], a heuristic evaluated
+//!   on the initial state, which is an admissible lower bound on `OPT`.
 //!
 //! These searches are exponential in general (finding `OPT` is NP-hard,
-//! Theorem 7.1), so they are intended for the paper's small gadget DAGs; the
-//! [`SearchConfig::max_states`] limit guards against runaway instances.
+//! Theorem 7.1), so they are intended for the paper's small gadget DAGs;
+//! `EngineConfig::node_budget` guards against runaway instances.
 
 pub mod heuristic;
 
 pub use heuristic::{LoadCountHeuristic, LowerBound, PrbpStateView, RbpStateView, ZeroHeuristic};
 
-use crate::engine::{self, EngineConfig, HeuristicSpec};
-use crate::moves::Model;
+use crate::engine;
 use crate::prbp::PrbpConfig;
 use crate::rbp::RbpConfig;
-use crate::trace::{PrbpTrace, RbpTrace};
 use pebble_dag::Dag;
 use std::fmt;
-
-/// Limits for the exact search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SearchConfig {
-    /// Maximum number of distinct states to explore before giving up.
-    pub max_states: usize,
-}
-
-impl Default for SearchConfig {
-    fn default() -> Self {
-        SearchConfig {
-            max_states: 5_000_000,
-        }
-    }
-}
-
-impl SearchConfig {
-    /// A search limited to `max_states` explored states.
-    pub fn with_max_states(max_states: usize) -> Self {
-        SearchConfig { max_states }
-    }
-}
 
 /// Counters describing how much work an exact search did. `expanded` is the
 /// hardware-independent metric benchmarks track: the number of states popped
@@ -75,15 +45,6 @@ pub struct SearchStats {
     pub generated: usize,
     /// Distinct states interned in the transposition table.
     pub distinct: usize,
-}
-
-/// A solved instance: the optimal cost plus the search-effort counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Solved {
-    /// The optimal I/O cost.
-    pub cost: usize,
-    /// How much work the search did to prove it.
-    pub stats: SearchStats,
 }
 
 /// Why an exact search did not return an optimum.
@@ -125,150 +86,6 @@ impl fmt::Display for ExactError {
 
 impl std::error::Error for ExactError {}
 
-fn sequential_budget(search: SearchConfig) -> EngineConfig {
-    EngineConfig {
-        node_budget: Some(search.max_states),
-        ..EngineConfig::default()
-    }
-}
-
-/// Optimal I/O cost of pebbling `dag` under `config` (default heuristic).
-pub fn optimal_rbp_cost(
-    dag: &Dag,
-    config: RbpConfig,
-    search: SearchConfig,
-) -> Result<usize, ExactError> {
-    optimal_rbp_cost_with(dag, config, search, &LoadCountHeuristic).map(|s| s.cost)
-}
-
-/// Optimal I/O cost together with one optimal pebbling trace (default
-/// heuristic).
-pub fn optimal_rbp_trace(
-    dag: &Dag,
-    config: RbpConfig,
-    search: SearchConfig,
-) -> Result<(usize, RbpTrace), ExactError> {
-    optimal_rbp_trace_with(dag, config, search, &LoadCountHeuristic)
-        .map(|(s, trace)| (s.cost, trace))
-}
-
-/// Optimal RBP cost under an explicit A* heuristic, with search statistics.
-pub fn optimal_rbp_cost_with(
-    dag: &Dag,
-    config: RbpConfig,
-    search: SearchConfig,
-    heuristic: &dyn LowerBound,
-) -> Result<Solved, ExactError> {
-    engine::solve_rbp(
-        dag,
-        config,
-        &sequential_budget(search),
-        HeuristicSpec::Single(heuristic),
-        None,
-        None,
-    )
-    .map(|out| Solved {
-        cost: out.cost,
-        stats: out.stats,
-    })
-}
-
-/// Optimal RBP cost, statistics and one optimal trace under an explicit A*
-/// heuristic.
-pub fn optimal_rbp_trace_with(
-    dag: &Dag,
-    config: RbpConfig,
-    search: SearchConfig,
-    heuristic: &dyn LowerBound,
-) -> Result<(Solved, RbpTrace), ExactError> {
-    engine::solve_rbp(
-        dag,
-        config,
-        &sequential_budget(search),
-        HeuristicSpec::Single(heuristic),
-        None,
-        None,
-    )
-    .map(|out| {
-        (
-            Solved {
-                cost: out.cost,
-                stats: out.stats,
-            },
-            out.trace,
-        )
-    })
-}
-
-/// Optimal I/O cost of pebbling `dag` under `config` in PRBP (default
-/// heuristic).
-pub fn optimal_prbp_cost(
-    dag: &Dag,
-    config: PrbpConfig,
-    search: SearchConfig,
-) -> Result<usize, ExactError> {
-    optimal_prbp_cost_with(dag, config, search, &LoadCountHeuristic).map(|s| s.cost)
-}
-
-/// Optimal I/O cost together with one optimal PRBP pebbling trace (default
-/// heuristic).
-pub fn optimal_prbp_trace(
-    dag: &Dag,
-    config: PrbpConfig,
-    search: SearchConfig,
-) -> Result<(usize, PrbpTrace), ExactError> {
-    optimal_prbp_trace_with(dag, config, search, &LoadCountHeuristic)
-        .map(|(s, trace)| (s.cost, trace))
-}
-
-/// Optimal PRBP cost under an explicit A* heuristic, with search statistics.
-pub fn optimal_prbp_cost_with(
-    dag: &Dag,
-    config: PrbpConfig,
-    search: SearchConfig,
-    heuristic: &dyn LowerBound,
-) -> Result<Solved, ExactError> {
-    engine::solve_prbp(
-        dag,
-        config,
-        &sequential_budget(search),
-        HeuristicSpec::Single(heuristic),
-        None,
-        None,
-    )
-    .map(|out| Solved {
-        cost: out.cost,
-        stats: out.stats,
-    })
-}
-
-/// Optimal PRBP cost, statistics and one optimal trace under an explicit A*
-/// heuristic.
-pub fn optimal_prbp_trace_with(
-    dag: &Dag,
-    config: PrbpConfig,
-    search: SearchConfig,
-    heuristic: &dyn LowerBound,
-) -> Result<(Solved, PrbpTrace), ExactError> {
-    engine::solve_prbp(
-        dag,
-        config,
-        &sequential_budget(search),
-        HeuristicSpec::Single(heuristic),
-        None,
-        None,
-    )
-    .map(|out| {
-        (
-            Solved {
-                cost: out.cost,
-                stats: out.stats,
-            },
-            out.trace,
-        )
-    })
-}
-
 /// Evaluate a heuristic on the *initial* RBP state (blue pebbles on all
 /// sources, nothing in fast memory). For an admissible heuristic this is a
 /// valid lower bound on `OPT_RBP`, which makes it directly comparable to the
@@ -290,38 +107,42 @@ pub fn prbp_initial_bound(dag: &Dag, config: PrbpConfig, heuristic: &dyn LowerBo
     )
 }
 
-/// Optimal I/O cost of pebbling `dag` with cache size `r` in the given model
-/// (standard one-shot rules, default search limits).
-pub fn optimal_cost(dag: &Dag, r: usize, model: Model) -> Result<usize, ExactError> {
-    match model {
-        Model::Rbp => optimal_rbp_cost(dag, RbpConfig::new(r), SearchConfig::default()),
-        Model::Prbp => optimal_prbp_cost(dag, PrbpConfig::new(r), SearchConfig::default()),
-    }
+/// Proven optimal RBP cost through a sequential load-count engine solve.
+#[cfg(test)]
+pub(crate) fn rbp_opt(dag: &Dag, config: RbpConfig) -> Result<usize, ExactError> {
+    let engine = engine::EngineConfig::default();
+    engine::solve_rbp(dag, config, &engine, &LoadCountHeuristic, None, None).map(|out| out.cost)
+}
+
+/// Proven optimal PRBP cost through a sequential load-count engine solve.
+#[cfg(test)]
+pub(crate) fn prbp_opt(dag: &Dag, config: PrbpConfig) -> Result<usize, ExactError> {
+    let engine = engine::EngineConfig::default();
+    engine::solve_prbp(dag, config, &engine, &LoadCountHeuristic, None, None).map(|out| out.cost)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{solve_prbp, solve_rbp, EngineConfig};
     use pebble_dag::DagBuilder;
 
-    #[test]
-    fn optimal_cost_dispatches_both_models() {
+    fn fork() -> Dag {
         // a, b -> c: RBP needs r >= 3, PRBP works with r = 2.
         let mut b = DagBuilder::new();
         let n = b.add_nodes(3);
         b.add_edge(n[0], n[2]);
         b.add_edge(n[1], n[2]);
-        let g = b.build().unwrap();
-        assert_eq!(optimal_cost(&g, 3, Model::Rbp).unwrap(), 3);
-        assert_eq!(optimal_cost(&g, 2, Model::Rbp), Err(ExactError::Unsolvable));
-        assert_eq!(optimal_cost(&g, 2, Model::Prbp).unwrap(), 3);
-        assert_eq!(optimal_cost(&g, 3, Model::Prbp).unwrap(), 3);
+        b.build().unwrap()
     }
 
     #[test]
-    fn search_config_default_and_override() {
-        assert_eq!(SearchConfig::default().max_states, 5_000_000);
-        assert_eq!(SearchConfig::with_max_states(10).max_states, 10);
+    fn optimal_cost_dispatches_both_models() {
+        let g = fork();
+        assert_eq!(rbp_opt(&g, RbpConfig::new(3)).unwrap(), 3);
+        assert_eq!(rbp_opt(&g, RbpConfig::new(2)), Err(ExactError::Unsolvable));
+        assert_eq!(prbp_opt(&g, PrbpConfig::new(2)).unwrap(), 3);
+        assert_eq!(prbp_opt(&g, PrbpConfig::new(3)).unwrap(), 3);
     }
 
     #[test]
@@ -337,50 +158,39 @@ mod tests {
 
     #[test]
     fn with_variants_report_consistent_stats() {
-        let mut b = DagBuilder::new();
-        let n = b.add_nodes(3);
-        b.add_edge(n[0], n[2]);
-        b.add_edge(n[1], n[2]);
-        let g = b.build().unwrap();
-        let solved = optimal_rbp_cost_with(
-            &g,
-            RbpConfig::new(3),
-            SearchConfig::default(),
-            &ZeroHeuristic,
-        )
-        .unwrap();
+        let g = fork();
+        let engine = EngineConfig::default();
+        let solved = solve_rbp(&g, RbpConfig::new(3), &engine, &ZeroHeuristic, None, None).unwrap();
         assert_eq!(solved.cost, 3);
         assert!(solved.stats.distinct >= solved.stats.expanded);
         assert!(solved.stats.generated >= solved.stats.expanded);
-        let (solved2, trace) = optimal_prbp_trace_with(
-            &g,
-            PrbpConfig::new(2),
-            SearchConfig::default(),
-            &LoadCountHeuristic,
-        )
-        .unwrap();
-        assert_eq!(solved2.cost, 3);
-        assert_eq!(
-            trace.validate(&g, PrbpConfig::new(2)).unwrap(),
-            solved2.cost
-        );
+        let config = PrbpConfig::new(2);
+        let solved = solve_prbp(&g, config, &engine, &LoadCountHeuristic, None, None).unwrap();
+        assert_eq!(solved.cost, 3);
+        assert_eq!(solved.trace.validate(&g, config).unwrap(), solved.cost);
     }
 
     #[test]
     fn initial_bounds_do_not_exceed_optima() {
-        let mut b = DagBuilder::new();
-        let n = b.add_nodes(3);
-        b.add_edge(n[0], n[2]);
-        b.add_edge(n[1], n[2]);
-        let g = b.build().unwrap();
+        let g = fork();
         let h = rbp_initial_bound(&g, RbpConfig::new(3), &LoadCountHeuristic);
-        assert!(h <= optimal_cost(&g, 3, Model::Rbp).unwrap());
+        assert!(h <= rbp_opt(&g, RbpConfig::new(3)).unwrap());
         let h = prbp_initial_bound(&g, PrbpConfig::new(2), &LoadCountHeuristic);
-        assert!(h <= optimal_cost(&g, 2, Model::Prbp).unwrap());
+        assert!(h <= prbp_opt(&g, PrbpConfig::new(2)).unwrap());
+    }
+
+    /// A solve stopped after three distinct states.
+    fn tiny_budget() -> EngineConfig {
+        EngineConfig {
+            node_budget: Some(3),
+            ..EngineConfig::default()
+        }
     }
 
     mod rbp {
         use super::super::*;
+        use super::tiny_budget;
+        use crate::engine::{solve_rbp, EngineConfig};
         use pebble_dag::generators::{binary_tree, fig1_full, pyramid};
         use pebble_dag::DagBuilder;
 
@@ -392,58 +202,30 @@ mod tests {
                 b.add_edge(w[0], w[1]);
             }
             let g = b.build().unwrap();
-            assert_eq!(
-                optimal_rbp_cost(&g, RbpConfig::new(2), SearchConfig::default()).unwrap(),
-                2
-            );
+            assert_eq!(rbp_opt(&g, RbpConfig::new(2)).unwrap(), 2);
         }
 
         #[test]
         fn infeasible_when_cache_too_small() {
-            let mut b = DagBuilder::new();
-            let n = b.add_nodes(3);
-            b.add_edge(n[0], n[2]);
-            b.add_edge(n[1], n[2]);
-            let g = b.build().unwrap();
-            assert_eq!(
-                optimal_rbp_cost(&g, RbpConfig::new(2), SearchConfig::default()),
-                Err(ExactError::Unsolvable)
-            );
+            let g = super::fork();
+            assert_eq!(rbp_opt(&g, RbpConfig::new(2)), Err(ExactError::Unsolvable));
             // Sliding reduces the requirement by one pebble.
-            assert_eq!(
-                optimal_rbp_cost(
-                    &g,
-                    RbpConfig::new(2).with_sliding(),
-                    SearchConfig::default()
-                )
-                .unwrap(),
-                3
-            );
+            assert_eq!(rbp_opt(&g, RbpConfig::new(2).with_sliding()).unwrap(), 3);
         }
 
         #[test]
         fn fig1_optimum_is_three_with_r4() {
             // Proposition 4.2: OPT_RBP = 3.
             let f = fig1_full();
-            assert_eq!(
-                optimal_rbp_cost(&f.dag, RbpConfig::new(4), SearchConfig::default()).unwrap(),
-                3
-            );
+            assert_eq!(rbp_opt(&f.dag, RbpConfig::new(4)).unwrap(), 3);
         }
 
         #[test]
         fn fig1_recomputation_reaches_two() {
             // Appendix B.1: with re-computation, OPT_RBP drops to 2 on Figure 1.
             let f = fig1_full();
-            assert_eq!(
-                optimal_rbp_cost(
-                    &f.dag,
-                    RbpConfig::new(4).with_recompute(),
-                    SearchConfig::default()
-                )
-                .unwrap(),
-                2
-            );
+            let config = RbpConfig::new(4).with_recompute();
+            assert_eq!(rbp_opt(&f.dag, config).unwrap(), 2);
         }
 
         #[test]
@@ -451,15 +233,8 @@ mod tests {
             // Appendix B.2: with sliding pebbles, OPT_RBP also drops to 2 on
             // Figure 1.
             let f = fig1_full();
-            assert_eq!(
-                optimal_rbp_cost(
-                    &f.dag,
-                    RbpConfig::new(4).with_sliding(),
-                    SearchConfig::default()
-                )
-                .unwrap(),
-                2
-            );
+            let config = RbpConfig::new(4).with_sliding();
+            assert_eq!(rbp_opt(&f.dag, config).unwrap(), 2);
         }
 
         #[test]
@@ -469,56 +244,48 @@ mod tests {
             let d = 2;
             let g = binary_tree(d);
             let expected = (1usize << d) + 1 + ((1usize << d) - 2);
-            assert_eq!(
-                optimal_rbp_cost(&g, RbpConfig::new(3), SearchConfig::default()).unwrap(),
-                expected
-            );
+            assert_eq!(rbp_opt(&g, RbpConfig::new(3)).unwrap(), expected);
         }
 
         #[test]
         fn optimal_trace_replays_to_optimal_cost() {
             let f = fig1_full();
-            let (cost, trace) =
-                optimal_rbp_trace(&f.dag, RbpConfig::new(4), SearchConfig::default()).unwrap();
-            assert_eq!(cost, 3);
-            assert_eq!(trace.validate(&f.dag, RbpConfig::new(4)).unwrap(), 3);
+            let config = RbpConfig::new(4);
+            let engine = EngineConfig::default();
+            let out = solve_rbp(&f.dag, config, &engine, &LoadCountHeuristic, None, None).unwrap();
+            assert_eq!(out.cost, 3);
+            assert_eq!(out.trace.validate(&f.dag, config).unwrap(), 3);
         }
 
         #[test]
         fn pyramid_with_ample_cache_has_trivial_cost() {
             let p = pyramid(4);
             let trivial = p.dag.trivial_cost();
-            assert_eq!(
-                optimal_rbp_cost(&p.dag, RbpConfig::new(10), SearchConfig::default()).unwrap(),
-                trivial
-            );
+            assert_eq!(rbp_opt(&p.dag, RbpConfig::new(10)).unwrap(), trivial);
         }
 
         #[test]
         fn state_limit_is_reported() {
             let f = fig1_full();
-            let result =
-                optimal_rbp_cost(&f.dag, RbpConfig::new(4), SearchConfig::with_max_states(3));
+            let config = RbpConfig::new(4);
+            let result = solve_rbp(
+                &f.dag,
+                config,
+                &tiny_budget(),
+                &LoadCountHeuristic,
+                None,
+                None,
+            );
             assert!(matches!(result, Err(ExactError::StateLimitExceeded { .. })));
         }
 
         #[test]
         fn stats_are_populated_and_zero_expands_more() {
             let f = fig1_full();
-            let zero = optimal_rbp_cost_with(
-                &f.dag,
-                RbpConfig::new(4),
-                SearchConfig::default(),
-                &ZeroHeuristic,
-            )
-            .unwrap();
-            let load = optimal_rbp_cost_with(
-                &f.dag,
-                RbpConfig::new(4),
-                SearchConfig::default(),
-                &LoadCountHeuristic,
-            )
-            .unwrap();
+            let config = RbpConfig::new(4);
+            let engine = EngineConfig::default();
+            let zero = solve_rbp(&f.dag, config, &engine, &ZeroHeuristic, None, None).unwrap();
+            let load = solve_rbp(&f.dag, config, &engine, &LoadCountHeuristic, None, None).unwrap();
             assert_eq!(zero.cost, load.cost);
             assert!(zero.stats.expanded > 0 && load.stats.expanded > 0);
             assert!(load.stats.expanded <= zero.stats.expanded);
@@ -528,21 +295,23 @@ mod tests {
 
     mod prbp {
         use super::super::*;
+        use super::tiny_budget;
+        use crate::engine::{solve_prbp, EngineConfig};
         use pebble_dag::generators::{fig1_full, fig1_gadget};
         use pebble_dag::DagBuilder;
 
-        #[test]
-        fn chain_needs_only_trivial_cost_with_r2() {
+        fn chain(len: usize) -> Dag {
             let mut b = DagBuilder::new();
-            let n = b.add_nodes(5);
+            let n = b.add_nodes(len);
             for w in n.windows(2) {
                 b.add_edge(w[0], w[1]);
             }
-            let g = b.build().unwrap();
-            assert_eq!(
-                optimal_prbp_cost(&g, PrbpConfig::new(2), SearchConfig::default()).unwrap(),
-                2
-            );
+            b.build().unwrap()
+        }
+
+        #[test]
+        fn chain_needs_only_trivial_cost_with_r2() {
+            assert_eq!(prbp_opt(&chain(5), PrbpConfig::new(2)).unwrap(), 2);
         }
 
         #[test]
@@ -556,20 +325,13 @@ mod tests {
                 b.add_edge(s, sink);
             }
             let g = b.build().unwrap();
-            assert_eq!(
-                optimal_prbp_cost(&g, PrbpConfig::new(2), SearchConfig::default()).unwrap(),
-                5
-            );
+            assert_eq!(prbp_opt(&g, PrbpConfig::new(2)).unwrap(), 5);
         }
 
         #[test]
         fn cache_of_one_is_unsolvable() {
-            let mut b = DagBuilder::new();
-            let n = b.add_nodes(2);
-            b.add_edge(n[0], n[1]);
-            let g = b.build().unwrap();
             assert_eq!(
-                optimal_prbp_cost(&g, PrbpConfig::new(1), SearchConfig::default()),
+                prbp_opt(&chain(2), PrbpConfig::new(1)),
                 Err(ExactError::Unsolvable)
             );
         }
@@ -578,10 +340,7 @@ mod tests {
         fn fig1_optimum_is_two_with_r4() {
             // Proposition 4.2: OPT_PRBP = 2.
             let f = fig1_full();
-            assert_eq!(
-                optimal_prbp_cost(&f.dag, PrbpConfig::new(4), SearchConfig::default()).unwrap(),
-                2
-            );
+            assert_eq!(prbp_opt(&f.dag, PrbpConfig::new(4)).unwrap(), 2);
         }
 
         #[test]
@@ -589,60 +348,51 @@ mod tests {
             // The standalone 8-node gadget: 2 sources + 2 sinks = trivial
             // cost 4, and PRBP achieves it.
             let g = fig1_gadget();
-            assert_eq!(
-                optimal_prbp_cost(&g.dag, PrbpConfig::new(4), SearchConfig::default()).unwrap(),
-                4
-            );
+            assert_eq!(prbp_opt(&g.dag, PrbpConfig::new(4)).unwrap(), 4);
         }
 
         #[test]
         fn optimal_trace_replays_to_optimal_cost() {
             let f = fig1_full();
-            let (cost, trace) =
-                optimal_prbp_trace(&f.dag, PrbpConfig::new(4), SearchConfig::default()).unwrap();
-            assert_eq!(cost, 2);
-            assert_eq!(trace.validate(&f.dag, PrbpConfig::new(4)).unwrap(), 2);
+            let config = PrbpConfig::new(4);
+            let engine = EngineConfig::default();
+            let out = solve_prbp(&f.dag, config, &engine, &LoadCountHeuristic, None, None).unwrap();
+            assert_eq!(out.cost, 2);
+            assert_eq!(out.trace.validate(&f.dag, config).unwrap(), 2);
         }
 
         #[test]
         fn prbp_never_beats_rbp_from_below_on_chain() {
             // Sanity: on a plain chain both models have the same optimum.
-            let mut b = DagBuilder::new();
-            let n = b.add_nodes(4);
-            for w in n.windows(2) {
-                b.add_edge(w[0], w[1]);
-            }
-            let g = b.build().unwrap();
-            let rbp = optimal_rbp_cost(&g, RbpConfig::new(2), SearchConfig::default()).unwrap();
-            let prbp = optimal_prbp_cost(&g, PrbpConfig::new(2), SearchConfig::default()).unwrap();
+            let g = chain(4);
+            let rbp = rbp_opt(&g, RbpConfig::new(2)).unwrap();
+            let prbp = prbp_opt(&g, PrbpConfig::new(2)).unwrap();
             assert_eq!(rbp, prbp);
         }
 
         #[test]
         fn state_limit_is_reported() {
             let f = fig1_full();
-            let result =
-                optimal_prbp_cost(&f.dag, PrbpConfig::new(4), SearchConfig::with_max_states(3));
+            let config = PrbpConfig::new(4);
+            let result = solve_prbp(
+                &f.dag,
+                config,
+                &tiny_budget(),
+                &LoadCountHeuristic,
+                None,
+                None,
+            );
             assert!(matches!(result, Err(ExactError::StateLimitExceeded { .. })));
         }
 
         #[test]
         fn stats_are_populated_and_zero_expands_more() {
             let f = fig1_full();
-            let zero = optimal_prbp_cost_with(
-                &f.dag,
-                PrbpConfig::new(4),
-                SearchConfig::default(),
-                &ZeroHeuristic,
-            )
-            .unwrap();
-            let load = optimal_prbp_cost_with(
-                &f.dag,
-                PrbpConfig::new(4),
-                SearchConfig::default(),
-                &LoadCountHeuristic,
-            )
-            .unwrap();
+            let config = PrbpConfig::new(4);
+            let engine = EngineConfig::default();
+            let zero = solve_prbp(&f.dag, config, &engine, &ZeroHeuristic, None, None).unwrap();
+            let load =
+                solve_prbp(&f.dag, config, &engine, &LoadCountHeuristic, None, None).unwrap();
             assert_eq!(zero.cost, load.cost);
             assert!(load.stats.expanded <= zero.stats.expanded);
         }

@@ -28,10 +28,10 @@
 //!
 //! * [`engine`] — the unified anytime search engine: cancellable,
 //!   deadline-bounded, optionally parallel A* and beam search with a
-//!   validated-incumbent channel; every solver below runs on it.
-//! * [`exact`] — optimal-cost solvers (uniform-cost search over pebbling
-//!   configurations) for small DAGs, used to reproduce the paper's
-//!   propositions exactly; thin wrappers over [`engine`].
+//!   validated-incumbent channel. `engine::solve_rbp` / `engine::solve_prbp`
+//!   are the exact solvers used to reproduce the paper's propositions.
+//! * [`exact`] — what those solves share: the admissible A* heuristics,
+//!   search statistics, errors and initial-state bounds.
 //! * [`strategies`] — constructive pebbling strategies for every structured
 //!   DAG in the paper (matvec, trees, zipper, pebble collection, chained
 //!   gadgets, FFT, matmul, attention) plus generic topological strategies.

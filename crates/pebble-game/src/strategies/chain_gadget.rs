@@ -129,19 +129,9 @@ mod tests {
         // OPT_RBP grows by at least 1 per gadget.
         for copies in [1usize, 2] {
             let c = chained_gadgets(copies);
-            let prbp_opt = exact::optimal_prbp_cost(
-                &c.dag,
-                PrbpConfig::new(CHAIN_CACHE),
-                exact::SearchConfig::default(),
-            )
-            .unwrap();
+            let prbp_opt = exact::prbp_opt(&c.dag, PrbpConfig::new(CHAIN_CACHE)).unwrap();
             assert_eq!(prbp_opt, 2);
-            let rbp_opt = exact::optimal_rbp_cost(
-                &c.dag,
-                RbpConfig::new(CHAIN_CACHE),
-                exact::SearchConfig::default(),
-            )
-            .unwrap();
+            let rbp_opt = exact::rbp_opt(&c.dag, RbpConfig::new(CHAIN_CACHE)).unwrap();
             assert!(rbp_opt >= copies + 2, "copies={copies}, rbp_opt={rbp_opt}");
             assert!(rbp_opt <= 2 * copies + 2);
         }

@@ -100,18 +100,8 @@ mod tests {
         // Proposition 4.2 verified end to end: the hand strategies achieve the
         // exact optima computed by the solvers.
         let f = fig1_full();
-        let rbp_opt = exact::optimal_rbp_cost(
-            &f.dag,
-            RbpConfig::new(FIG1_CACHE),
-            exact::SearchConfig::default(),
-        )
-        .unwrap();
-        let prbp_opt = exact::optimal_prbp_cost(
-            &f.dag,
-            PrbpConfig::new(FIG1_CACHE),
-            exact::SearchConfig::default(),
-        )
-        .unwrap();
+        let rbp_opt = exact::rbp_opt(&f.dag, RbpConfig::new(FIG1_CACHE)).unwrap();
+        let prbp_opt = exact::prbp_opt(&f.dag, PrbpConfig::new(FIG1_CACHE)).unwrap();
         assert_eq!(rbp_opt, 3);
         assert_eq!(prbp_opt, 2);
         assert_eq!(

@@ -194,16 +194,9 @@ mod tests {
     fn strategy_costs_match_exact_optimum_on_small_trees() {
         // Depth-3 binary tree: the hand strategies hit the true optimum.
         let tree = kary_tree(2, 3);
-        let rbp_opt =
-            exact::optimal_rbp_cost(&tree.dag, RbpConfig::new(3), exact::SearchConfig::default())
-                .unwrap();
+        let rbp_opt = exact::rbp_opt(&tree.dag, RbpConfig::new(3)).unwrap();
         assert_eq!(rbp_opt, rbp_tree_cost_formula(2, 3));
-        let prbp_opt = exact::optimal_prbp_cost(
-            &tree.dag,
-            PrbpConfig::new(3),
-            exact::SearchConfig::default(),
-        )
-        .unwrap();
+        let prbp_opt = exact::prbp_opt(&tree.dag, PrbpConfig::new(3)).unwrap();
         assert_eq!(prbp_opt, prbp_tree_cost_formula(2, 3));
     }
 

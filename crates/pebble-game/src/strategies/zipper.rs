@@ -151,12 +151,8 @@ mod tests {
     fn exact_confirms_strategies_are_upper_bounds() {
         // Small enough for the exact solvers: d = 3, chain of 3, r = 5.
         let z = zipper(3, 3);
-        let rbp_opt =
-            exact::optimal_rbp_cost(&z.dag, RbpConfig::new(5), exact::SearchConfig::default())
-                .unwrap();
-        let prbp_opt =
-            exact::optimal_prbp_cost(&z.dag, PrbpConfig::new(5), exact::SearchConfig::default())
-                .unwrap();
+        let rbp_opt = exact::rbp_opt(&z.dag, RbpConfig::new(5)).unwrap();
+        let prbp_opt = exact::prbp_opt(&z.dag, PrbpConfig::new(5)).unwrap();
         assert!(prbp_opt <= rbp_opt);
         let rbp_strategy = rbp_zipper(&z).validate(&z.dag, RbpConfig::new(5)).unwrap();
         let prbp_strategy = prbp_zipper(&z)

@@ -137,7 +137,7 @@ pub fn no_delete_lower_bound(dag: &Dag, r: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::{self, SearchConfig};
+    use crate::exact;
     use crate::prbp::PrbpConfig;
     use crate::rbp::RbpConfig;
 
@@ -166,15 +166,9 @@ mod tests {
         // OPT_RBP down to 2 (verified in the solver tests); on the adjusted
         // DAG it stays at 3, while PRBP still achieves 2.
         let v = fig1_recompute_resistant();
-        let rbp_recompute = exact::optimal_rbp_cost(
-            &v.dag,
-            RbpConfig::new(4).with_recompute(),
-            SearchConfig::default(),
-        )
-        .unwrap();
+        let rbp_recompute = exact::rbp_opt(&v.dag, RbpConfig::new(4).with_recompute()).unwrap();
         assert_eq!(rbp_recompute, 3);
-        let prbp =
-            exact::optimal_prbp_cost(&v.dag, PrbpConfig::new(4), SearchConfig::default()).unwrap();
+        let prbp = exact::prbp_opt(&v.dag, PrbpConfig::new(4)).unwrap();
         assert_eq!(prbp, 2);
     }
 
@@ -183,15 +177,9 @@ mod tests {
         // Appendix B.2: with the extra w0 node, the sliding model needs 3 I/Os
         // again, while PRBP still achieves the trivial 2.
         let v = fig1_sliding_resistant();
-        let rbp_sliding = exact::optimal_rbp_cost(
-            &v.dag,
-            RbpConfig::new(4).with_sliding(),
-            SearchConfig::default(),
-        )
-        .unwrap();
+        let rbp_sliding = exact::rbp_opt(&v.dag, RbpConfig::new(4).with_sliding()).unwrap();
         assert_eq!(rbp_sliding, 3);
-        let prbp =
-            exact::optimal_prbp_cost(&v.dag, PrbpConfig::new(4), SearchConfig::default()).unwrap();
+        let prbp = exact::prbp_opt(&v.dag, PrbpConfig::new(4)).unwrap();
         assert_eq!(prbp, 2);
     }
 
@@ -207,16 +195,10 @@ mod tests {
         let dag = b.build().unwrap();
         let bound = no_delete_lower_bound(&dag, 2);
         assert_eq!(bound, 3);
-        let opt = exact::optimal_prbp_cost(
-            &dag,
-            PrbpConfig::new(2).with_no_delete(),
-            SearchConfig::default(),
-        )
-        .unwrap();
+        let opt = exact::prbp_opt(&dag, PrbpConfig::new(2).with_no_delete()).unwrap();
         assert!(opt >= bound);
         // The unrestricted optimum is cheaper (only the trivial cost of 2).
-        let unrestricted =
-            exact::optimal_prbp_cost(&dag, PrbpConfig::new(2), SearchConfig::default()).unwrap();
+        let unrestricted = exact::prbp_opt(&dag, PrbpConfig::new(2)).unwrap();
         assert!(unrestricted < opt);
     }
 }

@@ -14,7 +14,8 @@
 //! pollute the count.
 
 use pebble_dag::generators::fig1_full;
-use pebble_game::exact::{optimal_prbp_cost_with, LoadCountHeuristic, SearchConfig};
+use pebble_game::engine::{solve_prbp, EngineConfig};
+use pebble_game::exact::LoadCountHeuristic;
 use pebble_game::prbp::PrbpConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -51,15 +52,15 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn solve_allocations_scale_with_distinct_states_not_generated() {
     let f = fig1_full();
     let config = PrbpConfig::new(2);
-    let search = SearchConfig::default();
+    let engine = EngineConfig::default();
 
     // Warm-up run: pays for lazy one-time initialisation (thread-locals,
     // the DAG's own caches) so the measured run is the steady state.
-    let warm = optimal_prbp_cost_with(&f.dag, config, search, &LoadCountHeuristic)
+    let warm = solve_prbp(&f.dag, config, &engine, &LoadCountHeuristic, None, None)
         .expect("fig1 solves at r = 2");
 
     let before = ALLOCATIONS.load(Relaxed);
-    let solved = optimal_prbp_cost_with(&f.dag, config, search, &LoadCountHeuristic)
+    let solved = solve_prbp(&f.dag, config, &engine, &LoadCountHeuristic, None, None)
         .expect("fig1 solves at r = 2");
     let during = ALLOCATIONS.load(Relaxed) - before;
 

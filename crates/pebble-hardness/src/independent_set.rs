@@ -96,7 +96,7 @@ fn collect_best_containing(
 }
 
 /// The `maxclique-vertex` problem (Lemma A.1): is there a maximum clique of
-/// `g` containing `v0`? Solved via the complement-graph equivalence.
+/// `g` containing `v0`? Decided via the complement-graph equivalence.
 pub fn maxclique_vertex(g: &UGraph, v0: usize) -> bool {
     maxinset_vertex(&g.complement(), v0)
 }

@@ -161,7 +161,8 @@ pub fn build_tower(original_sizes: &[usize], with_aux_levels: bool) -> TowerDag 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pebble_game::exact::{self, SearchConfig};
+    use pebble_game::engine::{solve_rbp, EngineConfig};
+    use pebble_game::exact::LoadCountHeuristic;
     use pebble_game::prbp::PrbpConfig;
     use pebble_game::rbp::RbpConfig;
     use pebble_game::strategies::topological;
@@ -227,13 +228,19 @@ mod tests {
         let plain = build_tower(&[2, 2], false);
         let adjusted = build_tower(&[2, 2], true);
         let r = 3;
-        let plain_opt =
-            exact::optimal_rbp_cost(&plain.dag, RbpConfig::new(r), SearchConfig::default())
-                .unwrap();
-        let adjusted_opt =
-            exact::optimal_rbp_cost(&adjusted.dag, RbpConfig::new(r), SearchConfig::default())
-                .unwrap();
-        assert_eq!(plain_opt, adjusted_opt);
+        let engine = EngineConfig::default();
+        let opt = |dag| {
+            let out = solve_rbp(
+                dag,
+                RbpConfig::new(r),
+                &engine,
+                &LoadCountHeuristic,
+                None,
+                None,
+            );
+            out.unwrap().cost
+        };
+        assert_eq!(opt(&plain.dag), opt(&adjusted.dag));
     }
 
     #[test]

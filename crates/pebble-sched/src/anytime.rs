@@ -24,8 +24,8 @@ use crate::greedy::greedy_prbp_into;
 use crate::order;
 use crate::policy::FurthestInFuture;
 use pebble_dag::Dag;
-use pebble_game::engine::{solve_prbp, EngineConfig, HeuristicSpec, Progress, StopReason};
-use pebble_game::exact::{LoadCountHeuristic, LowerBound};
+use pebble_game::engine::{solve_prbp, EngineConfig, Progress, StopReason};
+use pebble_game::exact::LoadCountHeuristic;
 use pebble_game::moves::PrbpMove;
 use pebble_game::prbp::PrbpConfig;
 use pebble_game::trace::PrbpTrace;
@@ -167,14 +167,7 @@ pub fn anytime_prbp_result(
         fail_fast: config.fail_fast,
         ..EngineConfig::default()
     };
-    let beam = match solve_prbp(
-        dag,
-        game,
-        &beam_engine,
-        HeuristicSpec::Single(&LoadCountHeuristic),
-        None,
-        progress,
-    ) {
+    let beam = match solve_prbp(dag, game, &beam_engine, &LoadCountHeuristic, None, progress) {
         Ok(beam) => beam,
         // Only reachable with `fail_fast` (r < 2 was rejected above): the
         // seeding budget stopped the beam before a validated schedule
@@ -209,7 +202,6 @@ pub fn anytime_prbp_result(
         return Ok(seed);
     }
     let _improve_span = pebble_obs::trace::span("anytime:improve");
-    let make = || Box::new(LoadCountHeuristic) as Box<dyn LowerBound>;
     let exact_engine = EngineConfig {
         deadline: Some(remaining),
         workers: config.workers,
@@ -219,7 +211,7 @@ pub fn anytime_prbp_result(
         dag,
         game,
         &exact_engine,
-        HeuristicSpec::PerWorker(&make),
+        &LoadCountHeuristic,
         Some(&seed.trace),
         progress,
     ) {

@@ -19,7 +19,7 @@
 //! [`pebble_game::engine::solve_prbp`] with `EngineConfig::width`.
 
 use pebble_dag::Dag;
-use pebble_game::engine::{solve_prbp, EngineConfig, HeuristicSpec};
+use pebble_game::engine::{solve_prbp, EngineConfig};
 use pebble_game::exact::LoadCountHeuristic;
 use pebble_game::prbp::PrbpConfig;
 use pebble_game::trace::PrbpTrace;
@@ -68,7 +68,7 @@ pub fn beam_prbp(dag: &Dag, r: usize, cfg: BeamConfig) -> Option<PrbpTrace> {
         dag,
         PrbpConfig::new(r),
         &engine,
-        HeuristicSpec::Single(&LoadCountHeuristic),
+        &LoadCountHeuristic,
         None,
         None,
     )

@@ -39,7 +39,7 @@ use crate::suite::{best_prbp, default_suite, validated_cost, Scheduler};
 use pebble_bounds::composed_prbp_bound;
 use pebble_dag::decompose::{decompose, Decomposition, ExtractedComponent, Strategy};
 use pebble_dag::{Dag, NodeId};
-use pebble_game::engine::{self, EngineConfig, HeuristicSpec};
+use pebble_game::engine::{self, EngineConfig};
 use pebble_game::exact::{self, LoadCountHeuristic};
 use pebble_game::moves::PrbpMove;
 use pebble_game::prbp::PrbpConfig;
@@ -186,18 +186,16 @@ pub fn compose_prbp(dag: &Dag, r: usize, config: &ComposeConfig) -> Option<Compo
         // global ladder the certification evaluates anyway, so only the
         // exact case is taken from it.
         let candidate_bound = if decomposition.components.len() > 1 {
-            composed_prbp_bound(dag, PrbpConfig::new(r), &scheduled.partition, true).map(
-                |mut bound| {
-                    for (i, comp) in decomposition.components.iter().enumerate() {
-                        if comp.inputs.is_empty() && comp.outputs.is_empty() {
-                            if let Some(exact) = scheduled.exact[i] {
-                                bound.per_component[i] = bound.per_component[i].max(exact);
-                            }
+            composed_prbp_bound(dag, PrbpConfig::new(r), &scheduled.partition).map(|mut bound| {
+                for (i, comp) in decomposition.components.iter().enumerate() {
+                    if comp.inputs.is_empty() && comp.outputs.is_empty() {
+                        if let Some(exact) = scheduled.exact[i] {
+                            bound.per_component[i] = bound.per_component[i].max(exact);
                         }
                     }
-                    bound.total()
-                },
-            )
+                }
+                bound.total()
+            })
         } else {
             scheduled.exact[0]
         };
@@ -409,7 +407,7 @@ fn schedule_component(
             dag,
             config_prbp,
             &engine_cfg,
-            HeuristicSpec::Single(&LoadCountHeuristic),
+            &LoadCountHeuristic,
             Some(&trace),
             None,
         ) {
@@ -550,14 +548,26 @@ mod tests {
     use super::*;
     use pebble_dag::generators::{binary_tree, fft, fig1_full, matmul};
     use pebble_dag::DagBuilder;
-    use pebble_game::exact::{optimal_prbp_cost, SearchConfig};
+
+    fn optimum(dag: &Dag, r: usize) -> usize {
+        let engine = EngineConfig::default();
+        let out = engine::solve_prbp(
+            dag,
+            PrbpConfig::new(r),
+            &engine,
+            &LoadCountHeuristic,
+            None,
+            None,
+        );
+        out.unwrap().cost
+    }
 
     #[test]
     fn compose_is_exact_on_small_instances() {
         let dag = fig1_full().dag;
         for r in [3usize, 4] {
             let outcome = compose_prbp(&dag, r, &ComposeConfig::default()).unwrap();
-            let opt = optimal_prbp_cost(&dag, PrbpConfig::new(r), SearchConfig::default()).unwrap();
+            let opt = optimum(&dag, r);
             assert_eq!(outcome.cost, opt);
             assert!(outcome.exact_components >= 1);
             assert_eq!(
@@ -592,7 +602,7 @@ mod tests {
         };
         let reused_before = reused();
         let outcome = compose_prbp(&dag, r, &ComposeConfig::default()).unwrap();
-        let opt = optimal_prbp_cost(&dag, PrbpConfig::new(r), SearchConfig::default()).unwrap();
+        let opt = optimum(&dag, r);
         assert_eq!(outcome.cost, opt);
         assert_eq!(outcome.composed_bound, Some(opt));
         assert!(outcome.trace.validate(&dag, PrbpConfig::new(r)).is_ok());

@@ -62,7 +62,7 @@ pub use beam::{beam_prbp, BeamConfig};
 pub use compose::{compose_prbp, compose_prbp_report, ComposeConfig, ComposeOutcome};
 pub use edges::{cone_affinity_edges, greedy_prbp_edges};
 pub use greedy::{greedy_prbp, greedy_prbp_into, greedy_rbp, greedy_rbp_into};
-pub use local::{local_search_prbp, LocalSearchConfig};
+pub use local::{local_search_prbp, LocalConfig};
 pub use policy::{Candidate, EvictionPolicy, FewestRemainingConsumers, FurthestInFuture, Lru};
 pub use report::{
     certify_greedy_prbp, certify_greedy_rbp, certify_prbp, certify_prbp_with,

@@ -26,7 +26,7 @@ use rand_chacha::ChaCha8Rng;
 
 /// Parameters for [`local_search_prbp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LocalSearchConfig {
+pub struct LocalConfig {
     /// Number of segment-move proposals.
     pub iterations: usize,
     /// RNG seed (the search is fully deterministic for a given seed).
@@ -35,9 +35,9 @@ pub struct LocalSearchConfig {
     pub max_segment: usize,
 }
 
-impl Default for LocalSearchConfig {
+impl Default for LocalConfig {
     fn default() -> Self {
-        LocalSearchConfig {
+        LocalConfig {
             iterations: 200,
             seed: 0x5EED,
             max_segment: 64,
@@ -126,7 +126,7 @@ pub fn local_search_prbp(
     dag: &Dag,
     r: usize,
     initial_order: Option<Vec<NodeId>>,
-    cfg: LocalSearchConfig,
+    cfg: LocalConfig,
 ) -> Option<(PrbpTrace, usize)> {
     if let Some(ord) = &initial_order {
         // Validate here, in release too: a bad caller-supplied order would
@@ -245,7 +245,7 @@ mod tests {
         let dag = fig1_full().dag;
         let mut rev = order::natural(&dag);
         rev.reverse();
-        assert!(local_search_prbp(&dag, 3, Some(rev), LocalSearchConfig::default()).is_none());
+        assert!(local_search_prbp(&dag, 3, Some(rev), LocalConfig::default()).is_none());
     }
 
     #[test]
@@ -263,7 +263,7 @@ mod tests {
                 baseline.validate(&dag, PrbpConfig::new(r)).unwrap(),
                 base_cost
             );
-            let cfg = LocalSearchConfig {
+            let cfg = LocalConfig {
                 iterations: 40,
                 ..Default::default()
             };
@@ -276,7 +276,7 @@ mod tests {
     #[test]
     fn local_search_is_deterministic() {
         let dag = fig1_full().dag;
-        let cfg = LocalSearchConfig::default();
+        let cfg = LocalConfig::default();
         let a = local_search_prbp(&dag, 3, None, cfg).unwrap();
         let b = local_search_prbp(&dag, 3, None, cfg).unwrap();
         assert_eq!(a.1, b.1);
@@ -286,6 +286,6 @@ mod tests {
     #[test]
     fn rejects_tiny_cache() {
         let dag = fig1_full().dag;
-        assert!(local_search_prbp(&dag, 1, None, LocalSearchConfig::default()).is_none());
+        assert!(local_search_prbp(&dag, 1, None, LocalConfig::default()).is_none());
     }
 }

@@ -3,16 +3,18 @@
 //! far from optimal it can be.
 //!
 //! The upper bound always comes from *replaying the trace through the game
-//! simulator* — never from a formula. The lower bounds are the admissible
-//! initial-state bounds of `pebble-bounds` / `pebble-game`:
+//! simulator* — never from a formula. The lower bounds are admissible
+//! bounds on the initial state:
 //!
 //! * `load-count` — mandatory loads and saves
 //!   ([`pebble_game::exact::LoadCountHeuristic`]); always evaluated, so the
 //!   bound ladder is non-empty by construction;
-//! * `s-dominator` — the dominator phase bound of Theorem 6.7
-//!   ([`pebble_bounds::SDominatorHeuristic`]);
-//! * `s-edge` — the S-edge-partition bound of Theorem 6.5
-//!   ([`pebble_bounds::SEdgeHeuristic`]).
+//! * `s-dominator` — the dominator phase bound of Theorem 6.7;
+//! * `s-edge` — the S-edge-partition bound of Theorem 6.5.
+//!
+//! At the initial state both Section 6 entries provably equal `load-count`
+//! (see [`BoundSet`]), so the ladder is linear-time whichever set is asked
+//! for.
 //!
 //! Since each bound is admissible, `cost / best_lower_bound` certifies the
 //! optimality gap: the schedule is provably within that factor of `OPT`.
@@ -26,9 +28,8 @@
 
 use crate::greedy::{greedy_prbp_into, greedy_rbp_into};
 use crate::policy::EvictionPolicy;
-use pebble_bounds::{SDominatorHeuristic, SEdgeHeuristic};
 use pebble_dag::{Dag, NodeId};
-use pebble_game::exact::{self, LoadCountHeuristic, LowerBound};
+use pebble_game::exact::{self, LoadCountHeuristic};
 use pebble_game::prbp::{PrbpConfig, PrbpError, PrbpGame};
 use pebble_game::rbp::{RbpConfig, RbpError, RbpGame};
 use pebble_game::sink::MoveSink;
@@ -44,23 +45,38 @@ pub struct BoundValue {
     pub value: usize,
 }
 
-/// Which admissible lower bounds a certification evaluates.
+/// Which entries a certification's lower-bound ladder lists.
 ///
-/// `load-count` is always part of the ladder — it is linear-time and what
-/// guarantees the ladder is never empty. The partition bounds (`s-dominator`,
-/// `s-edge`) run max-flow computations per phase and are worth their cost on
-/// small and mid-size instances, but not on million-node DAGs.
+/// `load-count` is always part of the ladder, which is what guarantees the
+/// ladder is never empty. `Full` also lists the Section 6 phase bounds
+/// `s-dominator` (Theorem 6.7) and `s-edge` (Theorem 6.5), which at the
+/// initial state always equal `load-count`:
+///
+/// * each phase bound is `max(load-count, r·(⌈x/2r⌉ − 1))`, where `x` is the
+///   minimum dominator size of the remaining work (`s-dominator`) or the
+///   larger of that and the edge-terminal count (`s-edge`);
+/// * at the initial state the sources dominate all remaining work, so the
+///   dominator size is at most `#sources`, and the edge-terminal set of all
+///   edges is the set of sinks, so `x ≤ max(#sources, #sinks)`;
+/// * `⌈x/2r⌉ − 1 < x/2r`, so the phase term is below
+///   `x/2 < #sources + #sinks`, which is `load-count` at the initial state.
+///
+/// So both entries take `load-count`'s value without any max-flow, and the
+/// choice between the sets only controls the ladder's shape: the names and
+/// order of its entries, which reports and their consumers rely on.
+/// `tests/heuristic_admissibility.rs` checks the equality against a max-flow
+/// reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundSet {
-    /// `load-count` only: linear time, the choice for very large instances.
+    /// `load-count` only.
     Fast,
     /// `load-count`, `s-dominator` and `s-edge`.
     Full,
 }
 
 impl BoundSet {
-    /// Node-count threshold above which [`BoundSet::auto_for`] stops
-    /// evaluating the (max-flow-based) partition bounds.
+    /// Node-count threshold above which [`BoundSet::auto_for`] lists the
+    /// one-entry ladder.
     pub const AUTO_FULL_LIMIT: usize = 100_000;
 
     /// [`BoundSet::Full`] for instances up to [`BoundSet::AUTO_FULL_LIMIT`]
@@ -109,30 +125,22 @@ impl ScheduleReport {
     }
 }
 
-/// Evaluate the lower-bound ladder through `eval` (which closes over the DAG,
-/// the model and its configuration). The `load-count` entry is unconditional,
-/// so the returned ladder is non-empty and `best` needs no fallback value —
-/// an empty ladder is impossible by construction.
-fn bound_ladder(set: BoundSet, mut eval: impl FnMut(&dyn LowerBound) -> usize) -> LadderOutcome {
-    let load = BoundValue {
-        name: LoadCountHeuristic.name().to_string(),
-        value: eval(&LoadCountHeuristic),
+/// The lower-bound ladder of `set` for an initial-state `load-count` value
+/// `load`. Every entry equals `load` (see [`BoundSet`]), so the ladder is
+/// non-empty and `best` is `load` by construction.
+fn bound_ladder(set: BoundSet, load: usize) -> LadderOutcome {
+    let names: &[&str] = match set {
+        BoundSet::Fast => &["load-count"],
+        BoundSet::Full => &["load-count", "s-dominator", "s-edge"],
     };
-    let mut best = load.value;
-    let mut bounds = vec![load];
-    if set == BoundSet::Full {
-        let dominator = SDominatorHeuristic::new();
-        let edge = SEdgeHeuristic::new();
-        for h in [&dominator as &dyn LowerBound, &edge] {
-            let value = eval(h);
-            best = best.max(value);
-            bounds.push(BoundValue {
-                name: h.name().to_string(),
-                value,
-            });
-        }
-    }
-    LadderOutcome { bounds, best }
+    let bounds = names
+        .iter()
+        .map(|name| BoundValue {
+            name: name.to_string(),
+            value: load,
+        })
+        .collect();
+    LadderOutcome { bounds, best: load }
 }
 
 struct LadderOutcome {
@@ -171,7 +179,10 @@ pub fn certify_rbp_with(
 ) -> Result<ScheduleReport, TraceError<RbpError>> {
     let config = RbpConfig::new(r);
     let cost = trace.validate(dag, config)?;
-    let ladder = bound_ladder(set, |h| exact::rbp_initial_bound(dag, config, h));
+    let ladder = bound_ladder(
+        set,
+        exact::rbp_initial_bound(dag, config, &LoadCountHeuristic),
+    );
     Ok(assemble(
         "rbp",
         r,
@@ -203,7 +214,10 @@ pub fn certify_prbp_with(
 ) -> Result<ScheduleReport, TraceError<PrbpError>> {
     let config = PrbpConfig::new(r);
     let cost = trace.validate(dag, config)?;
-    let ladder = bound_ladder(set, |h| exact::prbp_initial_bound(dag, config, h));
+    let ladder = bound_ladder(
+        set,
+        exact::prbp_initial_bound(dag, config, &LoadCountHeuristic),
+    );
     Ok(assemble(
         "prbp",
         r,
@@ -248,7 +262,10 @@ pub fn certify_prbp(
 /// anything: `(bounds, best_bound)`. What `prbp bound` prints.
 pub fn prbp_bound_ladder(dag: &Dag, r: usize, set: BoundSet) -> (Vec<BoundValue>, usize) {
     let config = PrbpConfig::new(r);
-    let ladder = bound_ladder(set, |h| exact::prbp_initial_bound(dag, config, h));
+    let ladder = bound_ladder(
+        set,
+        exact::prbp_initial_bound(dag, config, &LoadCountHeuristic),
+    );
     (ladder.bounds, ladder.best)
 }
 
@@ -256,7 +273,10 @@ pub fn prbp_bound_ladder(dag: &Dag, r: usize, set: BoundSet) -> (Vec<BoundValue>
 /// anything: `(bounds, best_bound)`.
 pub fn rbp_bound_ladder(dag: &Dag, r: usize, set: BoundSet) -> (Vec<BoundValue>, usize) {
     let config = RbpConfig::new(r);
-    let ladder = bound_ladder(set, |h| exact::rbp_initial_bound(dag, config, h));
+    let ladder = bound_ladder(
+        set,
+        exact::rbp_initial_bound(dag, config, &LoadCountHeuristic),
+    );
     (ladder.bounds, ladder.best)
 }
 
@@ -320,7 +340,10 @@ pub fn certify_greedy_prbp(
         return Some(Err(TraceError::NotTerminal));
     }
     let cost = sink.game.io_cost();
-    let ladder = bound_ladder(set, |h| exact::prbp_initial_bound(dag, config, h));
+    let ladder = bound_ladder(
+        set,
+        exact::prbp_initial_bound(dag, config, &LoadCountHeuristic),
+    );
     Some(Ok(assemble(
         "prbp",
         r,
@@ -352,7 +375,10 @@ pub fn certify_greedy_rbp(
         return Some(Err(TraceError::NotTerminal));
     }
     let cost = sink.game.io_cost();
-    let ladder = bound_ladder(set, |h| exact::rbp_initial_bound(dag, config, h));
+    let ladder = bound_ladder(
+        set,
+        exact::rbp_initial_bound(dag, config, &LoadCountHeuristic),
+    );
     Some(Ok(assemble(
         "rbp",
         r,
@@ -371,7 +397,7 @@ mod tests {
     use crate::order;
     use crate::policy::FurthestInFuture;
     use pebble_dag::generators::{fft, fig1_full};
-    use pebble_game::exact::SearchConfig;
+    use pebble_game::engine::{solve_prbp, solve_rbp, EngineConfig};
 
     #[test]
     fn prbp_report_brackets_the_exact_optimum() {
@@ -379,8 +405,11 @@ mod tests {
         let r = 4;
         let trace = beam_prbp(&dag, r, BeamConfig::default()).unwrap();
         let report = certify_prbp(&dag, r, &trace, "beam:8").unwrap();
-        let opt =
-            exact::optimal_prbp_cost(&dag, PrbpConfig::new(r), SearchConfig::default()).unwrap();
+        let engine = EngineConfig::default();
+        let config = PrbpConfig::new(r);
+        let opt = solve_prbp(&dag, config, &engine, &LoadCountHeuristic, None, None)
+            .unwrap()
+            .cost;
         assert!(report.best_bound <= opt, "lower bound must be admissible");
         assert!(report.cost >= opt, "no heuristic beats the optimum");
         assert!(report.gap() >= 1.0);
@@ -395,8 +424,11 @@ mod tests {
         let ord = order::natural(&dag);
         let trace = greedy_rbp(&dag, r, &ord, &mut FurthestInFuture).unwrap();
         let report = certify_rbp(&dag, r, &trace, "greedy:belady:natural").unwrap();
-        let opt =
-            exact::optimal_rbp_cost(&dag, RbpConfig::new(r), SearchConfig::default()).unwrap();
+        let engine = EngineConfig::default();
+        let config = RbpConfig::new(r);
+        let opt = solve_rbp(&dag, config, &engine, &LoadCountHeuristic, None, None)
+            .unwrap()
+            .cost;
         assert!(report.best_bound <= opt);
         assert!(report.cost >= opt);
     }
@@ -431,7 +463,9 @@ mod tests {
         assert_eq!(fast.len(), 1);
         assert_eq!(full.len(), 3);
         assert_eq!(fast[0], full[0]);
-        assert!(full_best >= fast_best);
+        assert_eq!(full_best, fast_best);
+        let names: Vec<&str> = full.iter().map(|b| b.name.as_str()).collect();
+        assert_eq!(names, ["load-count", "s-dominator", "s-edge"]);
         let (rfast, _) = rbp_bound_ladder(&dag, 8, BoundSet::Fast);
         assert_eq!(rfast[0].name, "load-count");
     }

@@ -6,7 +6,7 @@
 
 use crate::beam::{beam_prbp, BeamConfig};
 use crate::greedy::{greedy_prbp, greedy_rbp};
-use crate::local::{local_search_prbp, LocalSearchConfig};
+use crate::local::{local_search_prbp, LocalConfig};
 use crate::order;
 use crate::policy::{EvictionPolicy, FewestRemainingConsumers, FurthestInFuture, Lru};
 use pebble_dag::{Dag, NodeId};
@@ -275,7 +275,7 @@ impl Scheduler {
                 dag,
                 r,
                 None,
-                LocalSearchConfig {
+                LocalConfig {
                     iterations,
                     ..Default::default()
                 },

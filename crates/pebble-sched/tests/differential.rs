@@ -24,7 +24,8 @@
 use pebble_bounds::composed_prbp_bound;
 use pebble_dag::generators::{random_layered, RandomLayeredConfig};
 use pebble_dag::{Dag, DagBuilder, NodeId};
-use pebble_game::exact::{optimal_prbp_cost, SearchConfig};
+use pebble_game::engine::{solve_prbp, EngineConfig};
+use pebble_game::exact::LoadCountHeuristic;
 use pebble_game::prbp::PrbpConfig;
 use pebble_sched::{
     certify_prbp, compose_prbp, default_suite, ComposeConfig, OrderKind, PolicyKind, Scheduler,
@@ -107,16 +108,31 @@ fn engines() -> Vec<Scheduler> {
     suite
 }
 
+/// Distinct-state budget of the reference `optimum` search.
+const MAX_STATES: usize = 5_000_000;
+
 fn optimum(dag: &Dag, r: usize) -> usize {
-    optimal_prbp_cost(dag, PrbpConfig::new(r), SearchConfig::default())
-        .expect("differential instances are solver-sized")
+    let engine = EngineConfig {
+        node_budget: Some(MAX_STATES),
+        ..EngineConfig::default()
+    };
+    solve_prbp(
+        dag,
+        PrbpConfig::new(r),
+        &engine,
+        &LoadCountHeuristic,
+        None,
+        None,
+    )
+    .expect("differential instances are solver-sized")
+    .cost
 }
 
 /// Compose configured with the same state headroom as the reference
 /// `optimum` search, so the equality tests compare exact against exact.
 fn exact_config() -> ComposeConfig {
     ComposeConfig {
-        exact_max_states: SearchConfig::default().max_states,
+        exact_max_states: MAX_STATES,
         ..ComposeConfig::default()
     }
 }
@@ -195,7 +211,7 @@ proptest! {
         parts.retain(|p| !p.is_empty());
         for r in [2usize, 3] {
             let opt = optimum(&dag, r);
-            let bound = composed_prbp_bound(&dag, PrbpConfig::new(r), &parts, true)
+            let bound = composed_prbp_bound(&dag, PrbpConfig::new(r), &parts)
                 .expect("standard one-shot configuration");
             prop_assert!(
                 bound.total() <= opt,

@@ -13,7 +13,8 @@
 
 use pebble_dag::generators::{random_layered, RandomLayeredConfig};
 use pebble_dag::Dag;
-use pebble_game::exact::{self, SearchConfig};
+use pebble_game::engine::{self, EngineConfig};
+use pebble_game::exact::LoadCountHeuristic;
 use pebble_game::prbp::PrbpConfig;
 use pebble_game::rbp::RbpConfig;
 use pebble_game::strategies::topological;
@@ -130,8 +131,11 @@ fn portfolio_is_near_optimal_where_the_exact_solver_can_check() {
             seed,
         });
         let r = 3;
-        let opt = exact::optimal_prbp_cost(&dag, PrbpConfig::new(r), SearchConfig::default())
-            .expect("solvable");
+        let engine = EngineConfig::default();
+        let config = PrbpConfig::new(r);
+        let opt = engine::solve_prbp(&dag, config, &engine, &LoadCountHeuristic, None, None)
+            .expect("solvable")
+            .cost;
         let (s, _, best) = best_prbp(&dag, r, &full_suite()).expect("schedulable");
         assert!(
             best <= FACTOR * opt,
@@ -176,8 +180,7 @@ mod compose_reference {
     use pebble_dag::decompose::{decompose, extract_component, ExtractedComponent, Strategy};
     use pebble_dag::generators::{fft, matmul};
     use pebble_dag::{DagBuilder, NodeId};
-    use pebble_game::engine::{self, EngineConfig, HeuristicSpec};
-    use pebble_game::exact::LoadCountHeuristic;
+    use pebble_game::exact;
     use pebble_game::moves::PrbpMove;
     use pebble_game::PrbpBuilder;
     use pebble_sched::compose::DEFAULT_EXACT_BUDGET;
@@ -219,7 +222,7 @@ mod compose_reference {
                 dag,
                 config,
                 &engine_cfg,
-                HeuristicSpec::Single(&LoadCountHeuristic),
+                &LoadCountHeuristic,
                 Some(&trace),
                 None,
             ) {
@@ -300,7 +303,7 @@ mod compose_reference {
             let bound = if d.components.len() > 1 {
                 let partition: Vec<Vec<NodeId>> =
                     d.components.iter().map(|c| c.nodes.clone()).collect();
-                composed_prbp_bound(dag, PrbpConfig::new(r), &partition, true).map(|mut b| {
+                composed_prbp_bound(dag, PrbpConfig::new(r), &partition).map(|mut b| {
                     for (i, c) in d.components.iter().enumerate() {
                         if c.inputs.is_empty() && c.outputs.is_empty() {
                             if let Some(e) = exact_costs[i] {

@@ -5,7 +5,8 @@
 
 use prbp::dag::generators::fig1_full;
 use prbp::dag::stats::DagStats;
-use prbp::game::exact::{self, SearchConfig};
+use prbp::game::engine::{solve_prbp, solve_rbp, EngineConfig};
+use prbp::game::exact::LoadCountHeuristic;
 use prbp::game::prbp::PrbpConfig;
 use prbp::game::rbp::RbpConfig;
 use prbp::game::strategies::fig1;
@@ -18,10 +19,14 @@ fn main() {
     let r = 4;
 
     // Exact optima for both models.
-    let rbp_opt =
-        exact::optimal_rbp_cost(&f.dag, RbpConfig::new(r), SearchConfig::default()).unwrap();
-    let prbp_opt =
-        exact::optimal_prbp_cost(&f.dag, PrbpConfig::new(r), SearchConfig::default()).unwrap();
+    let engine = EngineConfig::default();
+    let h = &LoadCountHeuristic;
+    let rbp_opt = solve_rbp(&f.dag, RbpConfig::new(r), &engine, h, None, None)
+        .unwrap()
+        .cost;
+    let prbp_opt = solve_prbp(&f.dag, PrbpConfig::new(r), &engine, h, None, None)
+        .unwrap()
+        .cost;
     println!("cache size r = {r}");
     println!("  OPT_RBP  = {rbp_opt}   (paper: 3)");
     println!("  OPT_PRBP = {prbp_opt}   (paper: 2)");

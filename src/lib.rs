@@ -36,13 +36,17 @@
 //!
 //! ```
 //! use prbp::dag::generators::binary_tree;
-//! use prbp::game::{exact, Model};
+//! use prbp::game::engine::{solve_prbp, solve_rbp, EngineConfig};
+//! use prbp::game::exact::LoadCountHeuristic;
+//! use prbp::game::{PrbpConfig, RbpConfig};
 //!
 //! // Depth-3 binary tree (8 leaves), cache size r = 3.
 //! let dag = binary_tree(3);
-//! let rbp = exact::optimal_cost(&dag, 3, Model::Rbp).unwrap();
-//! let prbp = exact::optimal_cost(&dag, 3, Model::Prbp).unwrap();
-//! assert!(prbp < rbp); // Proposition 4.5
+//! let engine = EngineConfig::default();
+//! let h = &LoadCountHeuristic;
+//! let rbp = solve_rbp(&dag, RbpConfig::new(3), &engine, h, None, None).unwrap();
+//! let prbp = solve_prbp(&dag, PrbpConfig::new(3), &engine, h, None, None).unwrap();
+//! assert!(prbp.cost < rbp.cost); // Proposition 4.5
 //! ```
 //!
 //! ## Exact optima vs validated strategies
@@ -54,16 +58,21 @@
 //!
 //! ```
 //! use prbp::dag::generators::fig1_full;
-//! use prbp::game::exact::{self, SearchConfig};
+//! use prbp::game::engine::{solve_prbp, solve_rbp, EngineConfig};
+//! use prbp::game::exact::LoadCountHeuristic;
 //! use prbp::game::prbp::PrbpConfig;
 //! use prbp::game::rbp::RbpConfig;
 //! use prbp::game::strategies::fig1;
 //!
 //! let f = fig1_full();
-//! let rbp_opt =
-//!     exact::optimal_rbp_cost(&f.dag, RbpConfig::new(4), SearchConfig::default()).unwrap();
-//! let prbp_opt =
-//!     exact::optimal_prbp_cost(&f.dag, PrbpConfig::new(4), SearchConfig::default()).unwrap();
+//! let engine = EngineConfig::default();
+//! let h = &LoadCountHeuristic;
+//! let rbp_opt = solve_rbp(&f.dag, RbpConfig::new(4), &engine, h, None, None)
+//!     .unwrap()
+//!     .cost;
+//! let prbp_opt = solve_prbp(&f.dag, PrbpConfig::new(4), &engine, h, None, None)
+//!     .unwrap()
+//!     .cost;
 //! assert_eq!((rbp_opt, prbp_opt), (3, 2));
 //!
 //! // The Appendix A.1 strategies match the exact optima.

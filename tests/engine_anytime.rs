@@ -16,8 +16,8 @@
 
 use pebble_dag::generators::{chained_gadgets, fft, zipper};
 use pebble_dag::Dag;
-use pebble_game::engine::{self, CancelToken, EngineConfig, HeuristicSpec, Progress, StopReason};
-use pebble_game::exact::{self, LoadCountHeuristic, LowerBound, SearchConfig};
+use pebble_game::engine::{self, CancelToken, EngineConfig, Progress, StopReason};
+use pebble_game::exact::{self, LoadCountHeuristic, ZeroHeuristic};
 use pebble_game::prbp::PrbpConfig;
 use pebble_game::trace::PrbpTrace;
 use pebble_sched::{greedy_prbp, order, FurthestInFuture};
@@ -29,10 +29,6 @@ use std::time::{Duration, Instant};
 fn greedy_seed(dag: &Dag, r: usize) -> PrbpTrace {
     let ord = order::dfs_postorder(dag);
     greedy_prbp(dag, r, &ord, &mut FurthestInFuture).expect("r >= 2 schedules any DAG")
-}
-
-fn make_h() -> Box<dyn LowerBound> {
-    Box::new(LoadCountHeuristic)
 }
 
 /// Worker count for the stress tests: at least 64 (far beyond the
@@ -69,7 +65,7 @@ fn deadline_solves_always_return_validated_incumbents() {
                 &f.dag,
                 PrbpConfig::new(r),
                 &engine,
-                HeuristicSpec::PerWorker(&make_h),
+                &LoadCountHeuristic,
                 Some(&seed),
                 None,
             )
@@ -100,7 +96,7 @@ fn unseeded_zero_deadline_reports_interrupted() {
         &f.dag,
         PrbpConfig::new(4),
         &engine,
-        HeuristicSpec::Single(&LoadCountHeuristic),
+        &LoadCountHeuristic,
         None,
         None,
     )
@@ -144,7 +140,7 @@ fn cancellation_unblocks_a_64_worker_solve_promptly() {
             &f.dag,
             PrbpConfig::new(r),
             &engine,
-            HeuristicSpec::PerWorker(&make_h),
+            &LoadCountHeuristic,
             Some(&seed),
             None,
         )
@@ -195,7 +191,7 @@ fn progress_incumbents_are_monotone() {
             &f.dag,
             PrbpConfig::new(r),
             &engine,
-            HeuristicSpec::PerWorker(&make_h),
+            &LoadCountHeuristic,
             Some(&seed),
             Some(&progress),
         )
@@ -216,14 +212,23 @@ fn progress_incumbents_are_monotone() {
 }
 
 /// Repeated parallel runs are answer-deterministic: every run proves the
-/// same optimum the sequential legacy solver proves, whatever the
-/// interleaving.
+/// same optimum the sequential uniform-cost (`ZeroHeuristic`) search proves,
+/// whatever the interleaving.
 #[test]
 fn repeated_parallel_runs_agree_on_the_optimum() {
     let cases: Vec<(Dag, usize)> = vec![(zipper(2, 3).dag, 4), (chained_gadgets(1).dag, 4)];
     for (dag, r) in &cases {
-        let legacy = exact::optimal_prbp_cost(dag, PrbpConfig::new(*r), SearchConfig::default())
-            .expect("corpus instances solve");
+        let engine = EngineConfig::default();
+        let reference = engine::solve_prbp(
+            dag,
+            PrbpConfig::new(*r),
+            &engine,
+            &ZeroHeuristic,
+            None,
+            None,
+        )
+        .expect("corpus instances solve")
+        .cost;
         for run in 0..8 {
             let engine = EngineConfig {
                 workers: 4,
@@ -233,15 +238,15 @@ fn repeated_parallel_runs_agree_on_the_optimum() {
                 dag,
                 PrbpConfig::new(*r),
                 &engine,
-                HeuristicSpec::PerWorker(&make_h),
+                &LoadCountHeuristic,
                 None,
                 None,
             )
             .expect("corpus instances solve");
             assert!(out.proven_optimal, "run {run} failed to prove optimality");
             assert_eq!(
-                out.cost, legacy,
-                "run {run} disagrees with the legacy optimum"
+                out.cost, reference,
+                "run {run} disagrees with the uniform-cost optimum"
             );
         }
     }

@@ -1,18 +1,20 @@
-//! The unified engine must be *exactly* the legacy A* solvers.
+//! The engine's optimum must be the true optimum, at every worker count.
 //!
-//! PR 6 collapsed the separate RBP/PRBP A* loops and the beam into one
-//! anytime engine; this suite is the differential proof that nothing
-//! changed. Over the same corpus as `solver_equivalence` — random layered
-//! DAGs (property test), every structured generator family, and the model
-//! variants (re-computation, sliding, `clear`, no-deletion) — it checks:
+//! The reference is the sequential uniform-cost search (`ZeroHeuristic`,
+//! `workers = 1`): with no heuristic it can only return the optimum if the
+//! search loop and move generation are right. Over the same corpus as
+//! `solver_equivalence` — random layered DAGs (property test), every
+//! structured generator family, and the model variants (re-computation,
+//! sliding, `clear`, no-deletion) — this suite checks:
 //!
-//! * the engine at `workers = 1` and `workers = 4` returns exactly the
-//!   legacy optimum, proven, with a simulator-validated trace;
-//! * at `workers = 1` the search statistics (`distinct`, `expanded`) are
-//!   *identical* to the legacy solver's — the anytime machinery must be
-//!   inert when no deadline/cancellation/seed is attached;
+//! * the `LoadCountHeuristic` engine at `workers = 1` and `workers = 4`, and
+//!   the uniform-cost engine at `workers = 4`, return exactly the reference
+//!   optimum, proven, with a simulator-validated trace;
 //! * the beam-mode engine returns a validated schedule bracketed between
 //!   the exact optimum and the adaptive (width-1) greedy.
+//!
+//! The sequential search statistics are pinned separately, by the exact
+//! `expanded`/`generated`/`distinct` counters of `BENCH_solvers.json`.
 //!
 //! Release-only: the reference searches need optimised builds.
 
@@ -23,107 +25,82 @@ use pebble_dag::generators::{
     zipper, RandomLayeredConfig,
 };
 use pebble_dag::Dag;
-use pebble_game::engine::{self, EngineConfig, EngineOutcome, HeuristicSpec, StopReason};
-use pebble_game::exact::{self, LoadCountHeuristic, LowerBound, SearchConfig};
+use pebble_game::engine::{self, EngineConfig, EngineOutcome, StopReason};
+use pebble_game::exact::{LoadCountHeuristic, LowerBound, ZeroHeuristic};
 use pebble_game::moves::{PrbpMove, RbpMove};
 use pebble_game::prbp::PrbpConfig;
 use pebble_game::rbp::RbpConfig;
 use pebble_game::trace::{PrbpTrace, RbpTrace};
 use proptest::prelude::*;
 
-const WORKER_COUNTS: [usize; 2] = [1, 4];
+/// The solves checked against the reference: `(heuristic, workers)`.
+const CHECKED: [(&dyn LowerBound, usize); 3] = [
+    (&LoadCountHeuristic, 1),
+    (&LoadCountHeuristic, 4),
+    (&ZeroHeuristic, 4),
+];
 
-fn engine_rbp(dag: &Dag, config: RbpConfig, workers: usize) -> EngineOutcome<RbpTrace> {
-    let engine = EngineConfig {
-        workers,
-        ..EngineConfig::default()
-    };
-    let make = || Box::new(LoadCountHeuristic) as Box<dyn LowerBound>;
-    let spec = if workers == 1 {
-        HeuristicSpec::Single(&LoadCountHeuristic)
-    } else {
-        HeuristicSpec::PerWorker(&make)
-    };
-    engine::solve_rbp(dag, config, &engine, spec, None, None).expect("corpus instances solve")
+fn assert_proven<T>(out: &EngineOutcome<T>, reference: usize, replayed: usize, what: &str) {
+    assert_eq!(
+        out.cost, reference,
+        "{what} disagrees with the reference optimum"
+    );
+    assert!(out.proven_optimal, "{what} must prove the optimum");
+    assert_eq!(out.stop, StopReason::Completed);
+    assert_eq!(out.bound, out.cost, "proven solves raise bound to cost");
+    assert_eq!(
+        replayed, out.cost,
+        "{what}: trace cost must match reported cost"
+    );
 }
 
-fn engine_prbp(dag: &Dag, config: PrbpConfig, workers: usize) -> EngineOutcome<PrbpTrace> {
-    let engine = EngineConfig {
-        workers,
-        ..EngineConfig::default()
-    };
-    let make = || Box::new(LoadCountHeuristic) as Box<dyn LowerBound>;
-    let spec = if workers == 1 {
-        HeuristicSpec::Single(&LoadCountHeuristic)
-    } else {
-        HeuristicSpec::PerWorker(&make)
-    };
-    engine::solve_prbp(dag, config, &engine, spec, None, None).expect("corpus instances solve")
-}
-
-/// Engine == legacy on an RBP instance, at every worker count.
+/// The engine matches the uniform-cost reference on an RBP instance.
 fn assert_rbp_engine_matches(dag: &Dag, config: RbpConfig) {
-    let legacy =
-        exact::optimal_rbp_cost_with(dag, config, SearchConfig::default(), &LoadCountHeuristic)
-            .expect("legacy reference must solve the instance");
-    for workers in WORKER_COUNTS {
-        let out = engine_rbp(dag, config, workers);
-        assert_eq!(
-            out.cost, legacy.cost,
-            "engine (workers={workers}) disagrees with legacy RBP optimum (r={})",
-            config.r
-        );
-        assert!(out.proven_optimal, "engine must prove the optimum");
-        assert_eq!(out.stop, StopReason::Completed);
-        assert_eq!(out.bound, out.cost, "proven solves raise bound to cost");
+    let solve = |h: &dyn LowerBound, workers: usize| {
+        engine::solve_rbp(
+            dag,
+            config,
+            &EngineConfig::with_workers(workers),
+            h,
+            None,
+            None,
+        )
+        .expect("corpus instances solve")
+    };
+    let reference = solve(&ZeroHeuristic, 1).cost;
+    for (h, workers) in CHECKED {
+        let out = solve(h, workers);
         let replayed = out
             .trace
             .validate(dag, config)
             .expect("engine trace must replay");
-        assert_eq!(replayed, out.cost, "trace cost must match reported cost");
-        if workers == 1 {
-            assert_eq!(
-                out.stats.distinct, legacy.stats.distinct,
-                "sequential engine must intern exactly the legacy state set"
-            );
-            assert_eq!(
-                out.stats.expanded, legacy.stats.expanded,
-                "sequential engine must expand exactly the legacy state set"
-            );
-        }
+        let what = format!("{} (workers={workers}, RBP r={})", h.name(), config.r);
+        assert_proven(&out, reference, replayed, &what);
     }
 }
 
-/// Engine == legacy on a PRBP instance, at every worker count.
+/// The engine matches the uniform-cost reference on a PRBP instance.
 fn assert_prbp_engine_matches(dag: &Dag, config: PrbpConfig) {
-    let legacy =
-        exact::optimal_prbp_cost_with(dag, config, SearchConfig::default(), &LoadCountHeuristic)
-            .expect("legacy reference must solve the instance");
-    for workers in WORKER_COUNTS {
-        let out = engine_prbp(dag, config, workers);
-        assert_eq!(
-            out.cost, legacy.cost,
-            "engine (workers={workers}) disagrees with legacy PRBP optimum (r={})",
-            config.r
-        );
-        assert!(out.proven_optimal, "engine must prove the optimum");
-        assert_eq!(out.stop, StopReason::Completed);
-        assert_eq!(out.bound, out.cost, "proven solves raise bound to cost");
+    let solve = |h: &dyn LowerBound, workers: usize| {
+        engine::solve_prbp(
+            dag,
+            config,
+            &EngineConfig::with_workers(workers),
+            h,
+            None,
+            None,
+        )
+        .expect("corpus instances solve")
+    };
+    let reference = solve(&ZeroHeuristic, 1).cost;
+    for (h, workers) in CHECKED {
+        let out = solve(h, workers);
         let replayed = out
             .trace
             .validate(dag, config)
             .expect("engine trace must replay");
-        assert_eq!(replayed, out.cost, "trace cost must match reported cost");
-        if workers == 1 {
-            assert_eq!(
-                out.stats.distinct, legacy.stats.distinct,
-                "sequential engine must intern exactly the legacy state set"
-            );
-            assert_eq!(
-                out.stats.expanded, legacy.stats.expanded,
-                "sequential engine must expand exactly the legacy state set"
-            );
-        }
+        let what = format!("{} (workers={workers}, PRBP r={})", h.name(), config.r);
+        assert_proven(&out, reference, replayed, &what);
     }
 }
 
@@ -140,7 +117,7 @@ fn assert_beam_bracketed(dag: &Dag, r: usize, optimum: usize) {
             dag,
             PrbpConfig::new(r),
             &engine,
-            HeuristicSpec::Single(&LoadCountHeuristic),
+            &LoadCountHeuristic,
             None,
             None,
         )
@@ -170,7 +147,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn random_dags_engine_equals_legacy(
+    fn random_dags_engine_equals_uniform_cost(
         seed in any::<u64>(),
         layers in 2usize..4,
         width in 1usize..3,
@@ -188,7 +165,7 @@ proptest! {
 }
 
 #[test]
-fn structured_generators_engine_equals_legacy_rbp() {
+fn structured_generators_engine_equals_uniform_cost_rbp() {
     let cases: Vec<Dag> = vec![
         fig1_full().dag,
         zipper(2, 3).dag,
@@ -202,7 +179,7 @@ fn structured_generators_engine_equals_legacy_rbp() {
 }
 
 #[test]
-fn structured_generators_engine_equals_legacy_prbp() {
+fn structured_generators_engine_equals_uniform_cost_prbp() {
     let cases: Vec<(Dag, usize)> = vec![
         (fig1_full().dag, 4),
         (zipper(2, 3).dag, 4),
@@ -218,7 +195,7 @@ fn structured_generators_engine_equals_legacy_prbp() {
 }
 
 #[test]
-fn model_variants_engine_equals_legacy() {
+fn model_variants_engine_equals_uniform_cost() {
     let f = fig1_full();
     assert_rbp_engine_matches(&f.dag, RbpConfig::new(4).with_recompute());
     assert_rbp_engine_matches(&f.dag, RbpConfig::new(4).with_sliding());
@@ -238,8 +215,17 @@ fn beam_mode_engine_is_bracketed_on_the_structured_corpus() {
         (pyramid(2).dag, 2),
     ];
     for (dag, r) in &cases {
-        let optimum = exact::optimal_prbp_cost(dag, PrbpConfig::new(*r), SearchConfig::default())
-            .expect("corpus instances solve");
+        let engine = EngineConfig::default();
+        let optimum = engine::solve_prbp(
+            dag,
+            PrbpConfig::new(*r),
+            &engine,
+            &ZeroHeuristic,
+            None,
+            None,
+        )
+        .expect("corpus instances solve")
+        .cost;
         assert_beam_bracketed(dag, *r, optimum);
     }
 }

@@ -4,11 +4,24 @@
 use prbp::dag::generators::{
     binary_tree, chained_gadgets, fig1_full, kary_tree, matvec, spartition_counterexample, zipper,
 };
-use prbp::game::exact::{self, SearchConfig};
+use prbp::dag::Dag;
+use prbp::game::engine::{solve_prbp, solve_rbp, EngineConfig};
+use prbp::game::exact::{ExactError, LoadCountHeuristic};
 use prbp::game::moves::Model;
 use prbp::game::prbp::PrbpConfig;
 use prbp::game::rbp::RbpConfig;
 use prbp::game::strategies;
+
+/// Proven optimal cost of `dag` at cache `r` in `model`, by a sequential
+/// engine solve.
+fn opt(dag: &Dag, r: usize, model: Model) -> Result<usize, ExactError> {
+    let engine = EngineConfig::default();
+    let h = &LoadCountHeuristic;
+    match model {
+        Model::Rbp => solve_rbp(dag, RbpConfig::new(r), &engine, h, None, None).map(|o| o.cost),
+        Model::Prbp => solve_prbp(dag, PrbpConfig::new(r), &engine, h, None, None).map(|o| o.cost),
+    }
+}
 
 /// Proposition 4.1: OPT_PRBP ≤ OPT_RBP whenever both are defined.
 #[test]
@@ -21,8 +34,8 @@ fn prbp_never_worse_than_rbp_on_small_dags() {
     ];
     for dag in dags {
         let r = dag.max_in_degree() + 1;
-        let rbp = exact::optimal_cost(&dag, r, Model::Rbp).unwrap();
-        let prbp = exact::optimal_cost(&dag, r, Model::Prbp).unwrap();
+        let rbp = opt(&dag, r, Model::Rbp).unwrap();
+        let prbp = opt(&dag, r, Model::Prbp).unwrap();
         assert!(prbp <= rbp, "PRBP {prbp} > RBP {rbp}");
         // Both are at least the trivial cost.
         assert!(prbp >= dag.trivial_cost());
@@ -33,8 +46,8 @@ fn prbp_never_worse_than_rbp_on_small_dags() {
 #[test]
 fn figure_1_separation() {
     let f = fig1_full();
-    assert_eq!(exact::optimal_cost(&f.dag, 4, Model::Rbp).unwrap(), 3);
-    assert_eq!(exact::optimal_cost(&f.dag, 4, Model::Prbp).unwrap(), 2);
+    assert_eq!(opt(&f.dag, 4, Model::Rbp).unwrap(), 3);
+    assert_eq!(opt(&f.dag, 4, Model::Prbp).unwrap(), 2);
 }
 
 /// Proposition 4.3: matrix-vector multiplication separation for m ≥ 3.
@@ -92,7 +105,7 @@ fn tree_formulas_and_gap() {
 fn prbp_works_with_two_pebbles_where_rbp_cannot() {
     let c = spartition_counterexample(4);
     // RBP is infeasible (Δ_in + 1 > r for any r < 17).
-    assert!(exact::optimal_cost(&c.dag, 3, Model::Rbp).is_err());
+    assert!(opt(&c.dag, 3, Model::Rbp).is_err());
     // PRBP pebbles it with 2 pebbles via the generic topological strategy.
     let trace = strategies::topological::prbp_topological(&c.dag, 2).unwrap();
     let cost = trace.validate(&c.dag, PrbpConfig::new(2)).unwrap();
@@ -126,7 +139,11 @@ fn one_shot_is_enforced_end_to_end() {
 #[test]
 fn search_limit_is_honoured() {
     let f = fig1_full();
-    let result =
-        exact::optimal_prbp_cost(&f.dag, PrbpConfig::new(4), SearchConfig::with_max_states(2));
-    assert!(result.is_err());
+    let engine = EngineConfig {
+        node_budget: Some(2),
+        ..EngineConfig::default()
+    };
+    let config = PrbpConfig::new(4);
+    let result = solve_prbp(&f.dag, config, &engine, &LoadCountHeuristic, None, None);
+    assert!(matches!(result, Err(ExactError::StateLimitExceeded { .. })));
 }

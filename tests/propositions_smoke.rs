@@ -8,12 +8,25 @@
 //!   cheaper than RBP at `r = 3`.
 
 use prbp::dag::generators::{binary_tree, fig1_full, kary_tree};
+use prbp::dag::Dag;
 use prbp::game::convert::rbp_to_prbp;
-use prbp::game::exact;
+use prbp::game::engine::{solve_prbp, solve_rbp, EngineConfig};
+use prbp::game::exact::{ExactError, LoadCountHeuristic};
 use prbp::game::moves::Model;
 use prbp::game::prbp::PrbpConfig;
 use prbp::game::rbp::RbpConfig;
 use prbp::game::strategies::{topological, tree};
+
+/// Proven optimal cost of `dag` at cache `r` in `model`, by a sequential
+/// engine solve.
+fn opt(dag: &Dag, r: usize, model: Model) -> Result<usize, ExactError> {
+    let engine = EngineConfig::default();
+    let h = &LoadCountHeuristic;
+    match model {
+        Model::Rbp => solve_rbp(dag, RbpConfig::new(r), &engine, h, None, None).map(|o| o.cost),
+        Model::Prbp => solve_prbp(dag, PrbpConfig::new(r), &engine, h, None, None).map(|o| o.cost),
+    }
+}
 
 /// Proposition 4.1, constructive half: converting a concrete valid RBP trace
 /// yields a valid PRBP trace that costs no more.
@@ -44,8 +57,8 @@ fn prop_4_1_conversion_preserves_cost() {
 fn prop_4_1_optimum_never_worse() {
     for dag in [fig1_full().dag, binary_tree(2), binary_tree(3)] {
         let r = dag.max_in_degree() + 1;
-        let rbp = exact::optimal_cost(&dag, r, Model::Rbp).expect("RBP optimum");
-        let prbp = exact::optimal_cost(&dag, r, Model::Prbp).expect("PRBP optimum");
+        let rbp = opt(&dag, r, Model::Rbp).expect("RBP optimum");
+        let prbp = opt(&dag, r, Model::Prbp).expect("PRBP optimum");
         assert!(prbp <= rbp, "OPT_PRBP {prbp} > OPT_RBP {rbp}");
         assert!(prbp >= dag.trivial_cost());
     }
@@ -56,8 +69,8 @@ fn prop_4_1_optimum_never_worse() {
 #[test]
 fn prop_4_5_strict_separation_on_binary_tree() {
     let dag = binary_tree(3);
-    let rbp_opt = exact::optimal_cost(&dag, 3, Model::Rbp).expect("RBP optimum");
-    let prbp_opt = exact::optimal_cost(&dag, 3, Model::Prbp).expect("PRBP optimum");
+    let rbp_opt = opt(&dag, 3, Model::Rbp).expect("RBP optimum");
+    let prbp_opt = opt(&dag, 3, Model::Prbp).expect("PRBP optimum");
     assert!(
         prbp_opt < rbp_opt,
         "expected strict separation, got OPT_PRBP {prbp_opt} >= OPT_RBP {rbp_opt}"

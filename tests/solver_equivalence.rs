@@ -1,66 +1,54 @@
-//! Every A* heuristic must return exactly the same optimal cost as the
-//! `ZeroHeuristic` uniform-cost search — on random DAGs (property test) and
+//! The `LoadCountHeuristic` A* must return exactly the same optimal cost as
+//! the `ZeroHeuristic` uniform-cost search — on random DAGs (property test) and
 //! on every structured generator family at small sizes, for both RBP and
-//! PRBP, including the model variants. A divergence means a heuristic
+//! PRBP, including the model variants. A divergence means the heuristic
 //! overestimates somewhere (it is not admissible) and would silently corrupt
 //! every experiment built on the solvers.
 
-use pebble_bounds::{SDominatorHeuristic, SEdgeHeuristic};
 use pebble_dag::generators::{
     chained_gadgets, fig1_full, kary_tree, matvec, pebble_collection, pyramid, random_layered,
     zipper, RandomLayeredConfig,
 };
 use pebble_dag::Dag;
-use pebble_game::exact::{self, LoadCountHeuristic, LowerBound, SearchConfig, ZeroHeuristic};
+use pebble_game::engine::{solve_prbp, solve_rbp, EngineConfig};
+use pebble_game::exact::{LoadCountHeuristic, ZeroHeuristic};
 use pebble_game::prbp::PrbpConfig;
 use pebble_game::rbp::RbpConfig;
 use proptest::prelude::*;
 
-fn heuristics() -> Vec<(&'static str, Box<dyn LowerBound>)> {
-    vec![
-        ("load-count", Box::new(LoadCountHeuristic)),
-        ("s-edge", Box::new(SEdgeHeuristic::new())),
-        ("s-dominator", Box::new(SDominatorHeuristic::new())),
-    ]
-}
-
-/// Assert all heuristics agree with the Zero (uniform-cost) optimum.
+/// Assert load-count agrees with the Zero (uniform-cost) optimum.
 fn assert_rbp_equivalent(dag: &Dag, config: RbpConfig) {
-    let search = SearchConfig::default();
-    let zero = exact::optimal_rbp_cost_with(dag, config, search, &ZeroHeuristic)
+    let engine = EngineConfig::default();
+    let zero = solve_rbp(dag, config, &engine, &ZeroHeuristic, None, None)
         .expect("reference search must solve the instance");
-    for (name, h) in heuristics() {
-        let solved = exact::optimal_rbp_cost_with(dag, config, search, h.as_ref())
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(
-            solved.cost, zero.cost,
-            "{name} disagrees with zero on RBP (r={})",
-            config.r
-        );
-        assert!(
-            solved.stats.expanded <= zero.stats.expanded,
-            "{name} expanded more states than blind search on RBP"
-        );
-    }
+    let solved = solve_rbp(dag, config, &engine, &LoadCountHeuristic, None, None)
+        .unwrap_or_else(|e| panic!("load-count: {e}"));
+    assert_eq!(
+        solved.cost, zero.cost,
+        "load-count disagrees with zero on RBP (r={})",
+        config.r
+    );
+    assert!(
+        solved.stats.expanded <= zero.stats.expanded,
+        "load-count expanded more states than blind search on RBP"
+    );
 }
 
 fn assert_prbp_equivalent(dag: &Dag, config: PrbpConfig) {
-    let search = SearchConfig::default();
-    let zero = exact::optimal_prbp_cost_with(dag, config, search, &ZeroHeuristic)
+    let engine = EngineConfig::default();
+    let zero = solve_prbp(dag, config, &engine, &ZeroHeuristic, None, None)
         .expect("reference search must solve the instance");
-    for (name, h) in heuristics() {
-        let solved = exact::optimal_prbp_cost_with(dag, config, search, h.as_ref())
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(
-            solved.cost, zero.cost,
-            "{name} disagrees with zero on PRBP (r={})",
-            config.r
-        );
-        assert!(
-            solved.stats.expanded <= zero.stats.expanded,
-            "{name} expanded more states than blind search on PRBP"
-        );
-    }
+    let solved = solve_prbp(dag, config, &engine, &LoadCountHeuristic, None, None)
+        .unwrap_or_else(|e| panic!("load-count: {e}"));
+    assert_eq!(
+        solved.cost, zero.cost,
+        "load-count disagrees with zero on PRBP (r={})",
+        config.r
+    );
+    assert!(
+        solved.stats.expanded <= zero.stats.expanded,
+        "load-count expanded more states than blind search on PRBP"
+    );
 }
 
 proptest! {
@@ -116,8 +104,8 @@ fn structured_generators_all_heuristics_agree_prbp() {
 
 #[test]
 fn model_variants_all_heuristics_agree() {
-    // The phase-argument heuristics must degrade soundly under the variant
-    // rules too: re-computation, sliding, no-deletion, and `clear`.
+    // The heuristic must degrade soundly under the variant rules too:
+    // re-computation, sliding, no-deletion, and `clear`.
     let f = fig1_full();
     assert_rbp_equivalent(&f.dag, RbpConfig::new(4).with_recompute());
     assert_rbp_equivalent(&f.dag, RbpConfig::new(4).with_sliding());
