@@ -438,15 +438,22 @@ pub(crate) fn solve_par<D: Domain>(
                             // itself is (re-)validated below.
                             let prev = shared.incumbent_cost.fetch_min(new_g, Ordering::AcqRel);
                             if new_g < prev {
-                                let mut bg = shared.best_goal.lock().expect("best_goal poisoned");
-                                if bg.as_ref().map_or(true, |&(c, _)| new_g < c) {
-                                    *bg = Some((new_g, Arc::clone(&child_key)));
-                                }
-                                drop(bg);
+                                // Another worker may lower an ancestor's g
+                                // between the relaxation and the
+                                // reconstruction, so the chain can already
+                                // cost less than `new_g`. Record what it
+                                // costs: `publish_best` lowers the incumbent
+                                // to that, and the goal must match it.
+                                let mut goal_g = new_g;
                                 if let Some(moves) = shared.table.reconstruct_moves(&child_key) {
                                     if let Some(validated) = domain.validate_moves(&moves) {
+                                        goal_g = validated;
                                         shared.publish_best(validated, moves);
                                     }
+                                }
+                                let mut bg = shared.best_goal.lock().expect("best_goal poisoned");
+                                if bg.as_ref().map_or(true, |&(c, _)| goal_g < c) {
+                                    *bg = Some((goal_g, Arc::clone(&child_key)));
                                 }
                             }
                             return true;

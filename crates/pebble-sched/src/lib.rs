@@ -50,6 +50,8 @@ pub mod beam;
 pub mod compose;
 pub mod edges;
 pub mod greedy;
+#[cfg(test)]
+mod heuristics;
 pub mod local;
 mod obs;
 pub mod order;
