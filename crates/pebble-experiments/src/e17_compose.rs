@@ -30,10 +30,7 @@ use pebble_dag::{Dag, DagBuilder};
 use pebble_game::engine::{solve_prbp, EngineConfig};
 use pebble_game::exact::LoadCountHeuristic;
 use pebble_game::prbp::PrbpConfig;
-use pebble_sched::{
-    best_prbp, certify_prbp_with_bounds, compose_prbp, default_suite, BoundSet, BoundValue,
-    ComposeConfig,
-};
+use pebble_sched::{best_prbp, compose_certified, default_suite, BoundSet, ComposeConfig};
 
 /// One corpus instance.
 pub struct ComposeInstance {
@@ -202,30 +199,13 @@ pub fn measure(inst: &ComposeInstance) -> ComposeRow {
         threads: 1,
         ..ComposeConfig::default()
     };
-    let outcome =
-        compose_prbp(&inst.dag, inst.r, &config).expect("corpus instances are schedulable");
-    let extra: Vec<BoundValue> = outcome
-        .composed_bound
-        .map(|value| BoundValue {
-            name: "compose".to_string(),
-            value,
-        })
-        .into_iter()
-        .collect();
-    let report = certify_prbp_with_bounds(
-        &inst.dag,
-        inst.r,
-        &outcome.trace,
-        "compose",
-        BoundSet::auto_for(&inst.dag),
-        extra,
-    )
-    .expect("stitched traces replay through the independent simulator");
+    let certified = compose_certified(&inst.dag, inst.r, &config, BoundSet::auto_for(&inst.dag))
+        .expect("corpus instances are schedulable and their stitched traces replay");
     let (_, _, portfolio_cost) =
         best_prbp(&inst.dag, inst.r, &default_suite()).expect("portfolio handles the corpus");
     ComposeRow {
-        outcome,
-        report,
+        outcome: certified.outcome,
+        report: certified.report,
         portfolio_cost,
     }
 }

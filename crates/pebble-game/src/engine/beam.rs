@@ -389,13 +389,6 @@ pub(crate) fn solve_beam(
         beam = next;
     }
 
-    if stopped.is_some() && engine.fail_fast {
-        // The caller asked for a genuine incumbent or nothing: do not
-        // synthesise one greedily on an early stop.
-        return Err(ExactError::Interrupted {
-            explored: stats.distinct,
-        });
-    }
     let best = beam
         .iter()
         .enumerate()

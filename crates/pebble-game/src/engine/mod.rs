@@ -112,15 +112,6 @@ pub struct EngineConfig {
     /// loop, and `0` uses the available hardware parallelism. The beam
     /// search always runs on the calling thread.
     pub workers: usize,
-    /// Fail fast on an early stop instead of synthesising an incumbent: a
-    /// beam solve interrupted before its last level normally *greedily
-    /// completes* the best partial schedule so the caller still gets a full
-    /// pebbling; with `fail_fast` it returns
-    /// [`ExactError::Interrupted`] instead. Lets deadline-driven callers
-    /// distinguish "the budget produced no incumbent" from a genuine
-    /// (possibly greedy-quality) answer. Exact A* mode is unaffected — it
-    /// already reports `Interrupted` when stopped without an incumbent.
-    pub fail_fast: bool,
 }
 
 impl Default for EngineConfig {
@@ -133,20 +124,11 @@ impl Default for EngineConfig {
             width: None,
             branch: 0,
             workers: 1,
-            fail_fast: false,
         }
     }
 }
 
 impl EngineConfig {
-    /// A sequential configuration with the given deadline.
-    pub fn with_deadline(deadline: Duration) -> Self {
-        EngineConfig {
-            deadline: Some(deadline),
-            ..Default::default()
-        }
-    }
-
     /// A configuration with the given worker count and defaults elsewhere.
     pub fn with_workers(workers: usize) -> Self {
         EngineConfig {
@@ -226,29 +208,6 @@ struct ProgressInner<M> {
     cost: AtomicUsize,
     bound: AtomicUsize,
     best: Mutex<Option<(usize, Vec<M>)>>,
-    /// Every accepted incumbent and bound improvement, in publication order.
-    history: Mutex<Vec<ProgressRecord>>,
-}
-
-/// One entry of a [`Progress`] channel's convergence timeline: an accepted
-/// incumbent or a raised bound, stamped with the `pebble-obs` monotonic
-/// trace clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProgressRecord {
-    /// A new best validated schedule was published.
-    Incumbent {
-        /// Microseconds since the process trace epoch.
-        t_us: u64,
-        /// The validated incumbent cost.
-        cost: usize,
-    },
-    /// The admissible lower bound rose.
-    Bound {
-        /// Microseconds since the process trace epoch.
-        t_us: u64,
-        /// The new bound.
-        value: usize,
-    },
 }
 
 impl<M> Clone for Progress<M> {
@@ -273,7 +232,6 @@ impl<M> Progress<M> {
                 cost: AtomicUsize::new(usize::MAX),
                 bound: AtomicUsize::new(0),
                 best: Mutex::new(None),
-                history: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -299,12 +257,6 @@ impl<M> Progress<M> {
         if best.as_ref().map_or(true, |&(c, _)| cost < c) {
             *best = Some((cost, moves));
             self.inner.cost.store(cost, Ordering::Release);
-            let t_us = pebble_obs::trace::now_us();
-            self.inner
-                .history
-                .lock()
-                .expect("progress poisoned")
-                .push(ProgressRecord::Incumbent { t_us, cost });
             pebble_obs::trace::emit(pebble_obs::trace::TraceEvent::Incumbent { cost: cost as u64 });
         }
     }
@@ -313,26 +265,10 @@ impl<M> Progress<M> {
     pub(crate) fn raise_bound(&self, bound: usize) {
         let prev = self.inner.bound.fetch_max(bound, Ordering::AcqRel);
         if bound > prev {
-            let t_us = pebble_obs::trace::now_us();
-            self.inner
-                .history
-                .lock()
-                .expect("progress poisoned")
-                .push(ProgressRecord::Bound { t_us, value: bound });
             pebble_obs::trace::emit(pebble_obs::trace::TraceEvent::Bound {
                 value: bound as u64,
             });
         }
-    }
-
-    /// The full convergence timeline published so far: every accepted
-    /// incumbent and every bound improvement, in order.
-    pub fn history(&self) -> Vec<ProgressRecord> {
-        self.inner
-            .history
-            .lock()
-            .expect("progress poisoned")
-            .clone()
     }
 }
 
@@ -495,16 +431,6 @@ mod tests {
         p.raise_bound(3);
         p.raise_bound(2);
         assert_eq!(p.bound(), 3);
-        // The history records exactly the accepted improvements, in order.
-        let costs: Vec<(bool, usize)> = p
-            .history()
-            .iter()
-            .map(|r| match *r {
-                ProgressRecord::Incumbent { cost, .. } => (true, cost),
-                ProgressRecord::Bound { value, .. } => (false, value),
-            })
-            .collect();
-        assert_eq!(costs, vec![(true, 10), (true, 7), (false, 3)]);
     }
 
     #[test]

@@ -23,6 +23,7 @@ use pebble_game::engine::{solve_prbp, EngineConfig};
 use pebble_game::exact::LoadCountHeuristic;
 use pebble_game::prbp::PrbpConfig;
 use pebble_game::trace::PrbpTrace;
+use std::time::Instant;
 
 /// Search parameters for [`beam_prbp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,12 +57,24 @@ impl BeamConfig {
 /// that. Deterministic: all ranking ties are broken by node id and beam
 /// insertion order.
 pub fn beam_prbp(dag: &Dag, r: usize, cfg: BeamConfig) -> Option<PrbpTrace> {
+    beam_prbp_until(dag, r, cfg, None)
+}
+
+/// [`beam_prbp`] stopped at `deadline`: a cut beam greedy-completes its
+/// best partial schedule.
+pub(crate) fn beam_prbp_until(
+    dag: &Dag,
+    r: usize,
+    cfg: BeamConfig,
+    deadline: Option<Instant>,
+) -> Option<PrbpTrace> {
     if r < 2 {
         return None;
     }
     let engine = EngineConfig {
         width: Some(cfg.width.max(1)),
         branch: cfg.branch.max(1),
+        deadline: deadline.map(|at| at.saturating_duration_since(Instant::now())),
         ..EngineConfig::default()
     };
     solve_prbp(

@@ -29,23 +29,39 @@
 //! certification, and the winning cost is paired with the composable lower
 //! bound of `pebble-bounds` (plus per-component exact optima where
 //! components are boundary-free), so structure-aware runs certify *tighter*
-//! gaps, not just lower costs.
+//! gaps, not just lower costs. [`compose_certified`] is that whole path in
+//! one call: the single certified solve behind `prbp schedule
+//! --deadline-ms`, cold `serve` requests and `prbp warm`.
+//!
+//! ## Deadline contract
+//!
+//! [`ComposeConfig::deadline`] bounds the solve, measured from entry. It is
+//! checked before each candidate decomposition, before each distinct
+//! component, inside the portfolio's beam members (a cut beam
+//! greedy-completes its schedule) and in the exact phase (which keeps its
+//! validated seed). When it fires, the best candidate stitched so far is
+//! returned; with none, the solve fails with
+//! [`ComposeError::DeadlineNoIncumbent`]. A deadline that never fires
+//! changes nothing: the answer is the one `deadline: None` gives. The
+//! certification after the solve is not covered by the deadline.
 
 use crate::edges::{cone_affinity_edges, greedy_prbp_edges};
 use crate::obs::{self, ComponentOutcome};
 use crate::policy::FurthestInFuture;
 use crate::report::{certify_prbp_with_bounds, BoundSet, BoundValue, ScheduleReport};
-use crate::suite::{best_prbp, default_suite, validated_cost, Scheduler};
+use crate::suite::{best_prbp_until, default_suite, validated_cost, Scheduler};
 use pebble_bounds::composed_prbp_bound;
 use pebble_dag::decompose::{decompose, Decomposition, ExtractedComponent, Strategy};
 use pebble_dag::{Dag, NodeId};
 use pebble_game::engine::{self, EngineConfig};
 use pebble_game::exact::{self, LoadCountHeuristic};
 use pebble_game::moves::PrbpMove;
-use pebble_game::prbp::PrbpConfig;
+use pebble_game::prbp::{PrbpConfig, PrbpError};
 use pebble_game::trace::{PrbpTrace, TraceError};
 use pebble_game::PrbpBuilder;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
+use std::time::{Duration, Instant};
 
 /// The default node budget below which components are solved exactly. The
 /// unified engine's seeded branch-and-bound (the portfolio's best schedule
@@ -69,6 +85,9 @@ pub struct ComposeConfig {
     /// and tiled decompositions; empty derives `{4r, 16r}` from the cache
     /// size.
     pub caps: Vec<usize>,
+    /// Wall-clock budget of the solve, measured from entry; `None` runs to
+    /// completion. See the module's deadline contract.
+    pub deadline: Option<Duration>,
 }
 
 impl Default for ComposeConfig {
@@ -78,16 +97,7 @@ impl Default for ComposeConfig {
             exact_max_states: 2_000_000,
             threads: 0,
             caps: Vec::new(),
-        }
-    }
-}
-
-impl ComposeConfig {
-    /// A configuration with the given exact budget and defaults elsewhere.
-    pub fn with_exact_budget(exact_budget: usize) -> Self {
-        ComposeConfig {
-            exact_budget,
-            ..Default::default()
+            deadline: None,
         }
     }
 }
@@ -112,13 +122,83 @@ pub struct ComposeOutcome {
     pub composed_bound: Option<usize>,
 }
 
+/// Why a compose solve produced no certified schedule.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ComposeError {
+    /// `r < 2`: the PRBP game needs two red pebbles to aggregate anything.
+    SmallR {
+        /// The rejected cache size.
+        r: usize,
+    },
+    /// [`ComposeConfig::deadline`] fired before any candidate decomposition
+    /// was stitched.
+    DeadlineNoIncumbent,
+    /// The stitched schedule failed its re-validation (a scheduler bug).
+    Invalid(TraceError<PrbpError>),
+}
+
+impl fmt::Display for ComposeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ComposeError::SmallR { r } => {
+                write!(f, "r = {r} is too small for PRBP scheduling (need r >= 2)")
+            }
+            ComposeError::DeadlineNoIncumbent => {
+                write!(f, "deadline expired before any incumbent schedule existed")
+            }
+            ComposeError::Invalid(e) => write!(f, "stitched schedule failed re-validation: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ComposeError {}
+
+/// A certified compose solve: the run's outcome, whose trace the report
+/// certifies.
+#[derive(Debug, Clone)]
+pub struct Certified {
+    /// The compose run; `outcome.trace` is the certified schedule.
+    pub outcome: ComposeOutcome,
+    /// The trace's report, scheduler `compose`: the `set` ladder plus the
+    /// `compose` entry when the run found a composable bound.
+    pub report: ScheduleReport,
+}
+
 /// Schedule `dag` in PRBP with cache size `r` through the decompose /
-/// conquer / stitch pipeline. Returns `None` for `r < 2`. The result is
-/// never worse than the plain portfolio ([`best_prbp`] over
-/// [`default_suite`]), which participates as the single-component candidate.
+/// conquer / stitch pipeline. Returns `None` for `r < 2`, or when
+/// [`ComposeConfig::deadline`] fires before any candidate was stitched. The
+/// result is never worse than the plain portfolio ([`crate::best_prbp`]
+/// over [`default_suite`]), which participates as the single-component
+/// candidate.
 pub fn compose_prbp(dag: &Dag, r: usize, config: &ComposeConfig) -> Option<ComposeOutcome> {
+    compose(dag, r, config).ok()
+}
+
+/// [`compose_prbp`] followed by certification: the stitched trace is
+/// re-validated from scratch and its report carries the `set` ladder plus
+/// the composable `compose` bound. The one certified solve of the CLI's
+/// `--deadline-ms`, of cold `serve` requests and of `warm`.
+pub fn compose_certified(
+    dag: &Dag,
+    r: usize,
+    config: &ComposeConfig,
+    set: BoundSet,
+) -> Result<Certified, ComposeError> {
+    let outcome = compose(dag, r, config)?;
+    let extra = outcome.composed_bound.into_iter().map(|value| BoundValue {
+        name: "compose".to_string(),
+        value,
+    });
+    let report = certify_prbp_with_bounds(dag, r, &outcome.trace, "compose", set, extra.collect())
+        .map_err(ComposeError::Invalid)?;
+    Ok(Certified { outcome, report })
+}
+
+fn compose(dag: &Dag, r: usize, config: &ComposeConfig) -> Result<ComposeOutcome, ComposeError> {
+    // A deadline too far out to represent is no deadline.
+    let deadline = config.deadline.and_then(|d| Instant::now().checked_add(d));
     if r < 2 {
-        return None;
+        return Err(ComposeError::SmallR { r });
     }
     let caps: Vec<usize> = if config.caps.is_empty() {
         let mut caps = vec![
@@ -174,8 +254,11 @@ pub fn compose_prbp(dag: &Dag, r: usize, config: &ComposeConfig) -> Option<Compo
     let mut composed_bound: Option<usize> = None;
     let mut memo = ScheduleMemo::new();
     for decomposition in &candidates {
+        if expired(deadline) {
+            break;
+        }
         let Some(scheduled) =
-            schedule_decomposition(dag, r, decomposition, config, threads, &mut memo)
+            schedule_decomposition(dag, r, decomposition, config, threads, deadline, &mut memo)
         else {
             continue;
         };
@@ -218,8 +301,9 @@ pub fn compose_prbp(dag: &Dag, r: usize, config: &ComposeConfig) -> Option<Compo
             ));
         }
     }
-    let (cost, trace, strategy, components, exact_components) = best?;
-    Some(ComposeOutcome {
+    let (cost, trace, strategy, components, exact_components) =
+        best.ok_or(ComposeError::DeadlineNoIncumbent)?;
+    Ok(ComposeOutcome {
         trace,
         cost,
         strategy,
@@ -229,33 +313,9 @@ pub fn compose_prbp(dag: &Dag, r: usize, config: &ComposeConfig) -> Option<Compo
     })
 }
 
-/// [`compose_prbp`] followed by certification: the stitched trace is
-/// re-validated from scratch and its report ladder additionally carries the
-/// composable `compose` bound.
-pub fn compose_prbp_report(
-    dag: &Dag,
-    r: usize,
-    config: &ComposeConfig,
-    set: BoundSet,
-    scheduler: impl Into<String>,
-) -> Option<Result<ScheduleReport, TraceError<pebble_game::prbp::PrbpError>>> {
-    let outcome = compose_prbp(dag, r, config)?;
-    let extra: Vec<BoundValue> = outcome
-        .composed_bound
-        .map(|value| BoundValue {
-            name: "compose".to_string(),
-            value,
-        })
-        .into_iter()
-        .collect();
-    Some(certify_prbp_with_bounds(
-        dag,
-        r,
-        &outcome.trace,
-        scheduler,
-        set,
-        extra,
-    ))
+/// Whether `deadline` has passed (never, without one).
+fn expired(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|at| Instant::now() >= at)
 }
 
 /// Structural identity of an extracted sub-DAG: its node count and its edges
@@ -271,7 +331,8 @@ fn component_key(dag: &Dag) -> ComponentKey {
 }
 
 /// The schedules of the distinct sub-DAGs seen so far in one compose call;
-/// `None` when a sub-DAG could not be scheduled.
+/// `None` when a sub-DAG could not be scheduled, or the deadline cut it off
+/// (after which no candidate is scheduled).
 type ScheduleMemo = HashMap<ComponentKey, Option<ComponentSchedule>>;
 
 /// One component's schedule, in the component's local ids.
@@ -298,6 +359,7 @@ fn schedule_decomposition(
     decomposition: &Decomposition,
     config: &ComposeConfig,
     threads: usize,
+    deadline: Option<Instant>,
     memo: &mut ScheduleMemo,
 ) -> Option<ScheduledDecomposition> {
     let extracted: Vec<ExtractedComponent> = decomposition
@@ -319,8 +381,13 @@ fn schedule_decomposition(
         firsts.iter().map(|&i| &extracted[i]).collect(),
         threads,
         |sub| {
+            // A component the deadline cuts off leaves the candidate
+            // unstitched, and the caller stops at its next check.
+            if expired(deadline) {
+                return None;
+            }
             let _span = pebble_obs::trace::span("compose:component");
-            schedule_component(sub, r, config)
+            schedule_component(sub, r, config, deadline)
         },
     );
     drop(components_span);
@@ -365,6 +432,7 @@ fn schedule_component(
     sub: &ExtractedComponent,
     r: usize,
     config: &ComposeConfig,
+    deadline: Option<Instant>,
 ) -> Option<ComponentSchedule> {
     let dag = &sub.dag;
     let config_prbp = PrbpConfig::new(r);
@@ -376,7 +444,8 @@ fn schedule_component(
             branch: 4,
         });
     }
-    let mut best: Option<(PrbpTrace, usize)> = best_prbp(dag, r, &suite).map(|(_, t, c)| (t, c));
+    let mut best: Option<(PrbpTrace, usize)> =
+        best_prbp_until(dag, r, &suite, deadline).map(|(_, t, c)| (t, c));
     // Cone-shaped components additionally get the streaming-accumulator
     // edge schedule, which the node-order portfolio cannot express. A
     // portfolio schedule at the bound cannot be beaten, so it is skipped then.
@@ -401,6 +470,7 @@ fn schedule_component(
         // returns the best (validated) schedule seen instead of failing.
         let engine_cfg = EngineConfig {
             node_budget: Some(config.exact_max_states),
+            deadline: deadline.map(|at| at.saturating_duration_since(Instant::now())),
             ..EngineConfig::default()
         };
         if let Ok(out) = engine::solve_prbp(
@@ -546,6 +616,7 @@ fn par_map<I: Send, T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::best_prbp;
     use pebble_dag::generators::{binary_tree, fft, fig1_full, matmul};
     use pebble_dag::DagBuilder;
 
@@ -683,23 +754,68 @@ mod tests {
     #[test]
     fn compose_report_carries_the_compose_bound() {
         let dag = binary_tree(3);
-        let report = compose_prbp_report(
-            &dag,
-            4,
-            &ComposeConfig::default(),
-            BoundSet::Full,
-            "compose",
-        )
-        .unwrap()
-        .unwrap();
+        let certified =
+            compose_certified(&dag, 4, &ComposeConfig::default(), BoundSet::Full).unwrap();
+        let report = &certified.report;
+        assert_eq!(report.scheduler, "compose");
         assert!(report.bounds.iter().any(|b| b.name == "compose"));
+        assert_eq!(report.cost, certified.outcome.cost);
         assert!(report.gap() >= 1.0);
         // The 15-node tree is within the exact budget: certified optimal.
         assert!((report.gap() - 1.0).abs() < 1e-9);
     }
 
+    fn with_deadline(deadline: Duration) -> ComposeConfig {
+        ComposeConfig {
+            deadline: Some(deadline),
+            ..ComposeConfig::default()
+        }
+    }
+
     #[test]
     fn compose_rejects_tiny_caches() {
         assert!(compose_prbp(&binary_tree(2), 1, &ComposeConfig::default()).is_none());
+        for config in [ComposeConfig::default(), with_deadline(Duration::ZERO)] {
+            let err = compose_certified(&fig1_full().dag, 1, &config, BoundSet::Fast).unwrap_err();
+            assert_eq!(err, ComposeError::SmallR { r: 1 });
+        }
+    }
+
+    #[test]
+    fn a_generous_deadline_proves_fig1_optimal() {
+        let dag = fig1_full().dag;
+        let config = with_deadline(Duration::from_secs(30));
+        let certified = compose_certified(&dag, 4, &config, BoundSet::Full).unwrap();
+        assert_eq!((certified.report.cost, certified.report.best_bound), (2, 2));
+        assert_eq!(
+            certified.outcome.trace.validate(&dag, PrbpConfig::new(4)),
+            Ok(2)
+        );
+    }
+
+    #[test]
+    fn a_short_deadline_returns_a_certified_schedule() {
+        let dag = fft(64).dag;
+        let deadline = Duration::from_millis(200);
+        let started = Instant::now();
+        let certified =
+            compose_certified(&dag, 8, &with_deadline(deadline), BoundSet::Fast).unwrap();
+        // Generous slack: a cut beam still greedy-completes, and
+        // certification runs after the deadline.
+        assert!(started.elapsed() < deadline + Duration::from_secs(5));
+        let report = &certified.report;
+        let replayed = certified.outcome.trace.validate(&dag, PrbpConfig::new(8));
+        assert_eq!(replayed, Ok(report.cost));
+        assert!(0 < report.best_bound && report.best_bound <= report.cost);
+    }
+
+    #[test]
+    fn a_zero_deadline_has_no_incumbent() {
+        // The check before the first candidate fires on any machine.
+        let config = with_deadline(Duration::ZERO);
+        let dag = fft(64).dag;
+        let err = compose_certified(&dag, 8, &config, BoundSet::Fast).unwrap_err();
+        assert_eq!(err, ComposeError::DeadlineNoIncumbent);
+        assert!(compose_prbp(&dag, 8, &config).is_none());
     }
 }

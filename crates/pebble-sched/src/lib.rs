@@ -36,16 +36,14 @@
 //!   (portfolio first, exact search below a node budget when the portfolio
 //!   misses the bound, dispatched across scoped threads), stitch with
 //!   boundary-aware eviction, and certify against the composable lower
-//!   bounds of `pebble-bounds`.
+//!   bounds of `pebble-bounds`. [`compose_certified`] runs it under an
+//!   optional wall-clock deadline and certifies the result: the one solve
+//!   behind `prbp schedule --deadline-ms`, cold `serve` requests and
+//!   `prbp warm`.
 //! * [`suite`] — the named portfolio the experiments and benchmarks sweep.
-//! * [`anytime`] — deadline-bounded anytime scheduling on the unified
-//!   engine ([`pebble_game::engine`]): a fast validated seed, then seeded
-//!   parallel branch-and-bound until the deadline, returning the best
-//!   certified incumbent at any stop.
 
 #![deny(missing_docs)]
 
-pub mod anytime;
 pub mod beam;
 pub mod compose;
 pub mod edges;
@@ -59,9 +57,10 @@ pub mod policy;
 pub mod report;
 pub mod suite;
 
-pub use anytime::{anytime_prbp, anytime_prbp_result, AnytimeConfig, AnytimeError, AnytimeOutcome};
 pub use beam::{beam_prbp, BeamConfig};
-pub use compose::{compose_prbp, compose_prbp_report, ComposeConfig, ComposeOutcome};
+pub use compose::{
+    compose_certified, compose_prbp, Certified, ComposeConfig, ComposeError, ComposeOutcome,
+};
 pub use edges::{cone_affinity_edges, greedy_prbp_edges};
 pub use greedy::{greedy_prbp, greedy_prbp_into, greedy_rbp, greedy_rbp_into};
 pub use local::{local_search_prbp, LocalConfig};

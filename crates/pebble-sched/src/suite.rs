@@ -4,7 +4,7 @@
 //! display name, so experiment tables and the committed benchmark baseline
 //! can refer to schedulers by string and replay them bit-for-bit.
 
-use crate::beam::{beam_prbp, BeamConfig};
+use crate::beam::{beam_prbp, beam_prbp_until, BeamConfig};
 use crate::greedy::{greedy_prbp, greedy_rbp};
 use crate::local::{local_search_prbp, LocalConfig};
 use crate::order;
@@ -15,6 +15,7 @@ use pebble_game::prbp::PrbpConfig;
 use pebble_game::strategies::topological;
 use pebble_game::trace::{PrbpTrace, RbpTrace};
 use std::fmt;
+use std::time::Instant;
 
 /// Eviction policy selector (the shipped [`crate::policy`] implementations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -281,12 +282,13 @@ impl Scheduler {
                 },
             )
             .map(|(trace, _)| trace),
-            Scheduler::Compose { exact_budget } => crate::compose::compose_prbp(
-                dag,
-                r,
-                &crate::compose::ComposeConfig::with_exact_budget(exact_budget),
-            )
-            .map(|outcome| outcome.trace),
+            Scheduler::Compose { exact_budget } => {
+                let config = crate::compose::ComposeConfig {
+                    exact_budget,
+                    ..Default::default()
+                };
+                crate::compose::compose_prbp(dag, r, &config).map(|outcome| outcome.trace)
+            }
         }
     }
 
@@ -349,7 +351,24 @@ pub fn best_prbp(
     r: usize,
     suite: &[Scheduler],
 ) -> Option<(Scheduler, PrbpTrace, usize)> {
-    let best = first_minimum(dag, r, suite, |s| s.run_prbp(dag, r));
+    best_prbp_until(dag, r, suite, None)
+}
+
+/// [`best_prbp`] under a deadline: once it has passed, the sweep stops at
+/// the next member that would start after a result exists, and a beam
+/// member it cuts greedy-completes its schedule.
+pub(crate) fn best_prbp_until(
+    dag: &Dag,
+    r: usize,
+    suite: &[Scheduler],
+    deadline: Option<Instant>,
+) -> Option<(Scheduler, PrbpTrace, usize)> {
+    let best = first_minimum(dag, r, suite, deadline, |s| match s {
+        Scheduler::Beam { width, branch } => {
+            beam_prbp_until(dag, r, BeamConfig { width, branch }, deadline)
+        }
+        s => s.run_prbp(dag, r),
+    });
     if let Some((s, ..)) = &best {
         crate::obs::portfolio_win(s.family());
     }
@@ -361,11 +380,15 @@ fn first_minimum(
     dag: &Dag,
     r: usize,
     suite: &[Scheduler],
+    deadline: Option<Instant>,
     run: impl Fn(Scheduler) -> Option<PrbpTrace>,
 ) -> Option<(Scheduler, PrbpTrace, usize)> {
     let lower = exact::prbp_initial_bound(dag, PrbpConfig::new(r), &LoadCountHeuristic);
     let mut best: Option<(Scheduler, PrbpTrace, usize)> = None;
     for &s in suite {
+        if best.is_some() && deadline.is_some_and(|at| Instant::now() >= at) {
+            break;
+        }
         let _span = pebble_obs::trace::span(s.phase_name());
         let Some(trace) = run(s) else {
             continue;
@@ -506,7 +529,7 @@ mod tests {
                 .then(|| s.run_prbp(&dag, r))
                 .flatten()
         };
-        let (s, trace, cost) = first_minimum(&dag, r, &suite, skipped).unwrap();
+        let (s, trace, cost) = first_minimum(&dag, r, &suite, None, skipped).unwrap();
         assert_ne!(s, Scheduler::Baseline);
         assert_eq!(Some(trace), s.run_prbp(&dag, r));
         let others = suite[1..]
@@ -514,7 +537,7 @@ mod tests {
             .map(|m| validated_cost(&dag, r, &m.run_prbp(&dag, r).unwrap(), m).unwrap());
         assert_eq!(Some(cost), others.min());
         // No member at all: no result.
-        assert!(first_minimum(&dag, r, &suite, |_| None).is_none());
+        assert!(first_minimum(&dag, r, &suite, None, |_| None).is_none());
     }
 
     // Release builds skip an invalid trace; debug builds stop on it.
@@ -528,7 +551,7 @@ mod tests {
             Scheduler::Baseline => Some(PrbpTrace::new()),
             s => s.run_prbp(&dag, r),
         };
-        let (s, ..) = first_minimum(&dag, r, &suite, broken).unwrap();
+        let (s, ..) = first_minimum(&dag, r, &suite, None, broken).unwrap();
         assert_ne!(s, Scheduler::Baseline);
         assert_eq!(validated_cost(&dag, r, &PrbpTrace::new(), &"empty"), None);
     }

@@ -11,7 +11,7 @@
 //! each distinct component once; both shortcuts are checked here against
 //! references that do neither.
 
-use pebble_dag::generators::{random_layered, RandomLayeredConfig};
+use pebble_dag::generators::{fft, matmul, random_layered, RandomLayeredConfig};
 use pebble_dag::Dag;
 use pebble_game::engine::{self, EngineConfig};
 use pebble_game::exact::LoadCountHeuristic;
@@ -20,9 +20,11 @@ use pebble_game::rbp::RbpConfig;
 use pebble_game::strategies::topological;
 use pebble_game::trace::PrbpTrace;
 use pebble_sched::{
-    best_prbp, certify_prbp, certify_rbp, default_suite, OrderKind, PolicyKind, Scheduler,
+    best_prbp, certify_prbp, certify_rbp, compose_certified, default_suite, BoundSet,
+    ComposeConfig, OrderKind, PolicyKind, Scheduler,
 };
 use proptest::prelude::*;
+use std::time::Duration;
 
 fn dag_strategy() -> impl Strategy<Value = (Dag, usize)> {
     (2usize..5, 2usize..6, 1usize..4, any::<u64>()).prop_map(|(layers, width, deg, seed)| {
@@ -145,6 +147,39 @@ fn portfolio_is_near_optimal_where_the_exact_solver_can_check() {
     }
 }
 
+/// The certified compose solve under a deadline that never fires: the
+/// trace and the serialised report (cost and every bound).
+fn certified_compose(dag: &Dag, r: usize, deadline: Option<Duration>) -> (PrbpTrace, String) {
+    let config = ComposeConfig {
+        deadline,
+        ..ComposeConfig::default()
+    };
+    let certified = compose_certified(dag, r, &config, BoundSet::auto_for(dag)).expect("r >= 2");
+    let report = serde_json::to_string(&certified.report).expect("report serialises");
+    (certified.outcome.trace, report)
+}
+
+const NEVER: Option<Duration> = Some(Duration::from_secs(60));
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn a_deadline_that_never_fires_changes_no_answer((dag, r) in dag_strategy()) {
+        prop_assert_eq!(certified_compose(&dag, r, NEVER), certified_compose(&dag, r, None));
+    }
+}
+
+#[test]
+fn a_deadline_that_never_fires_changes_no_structured_answer() {
+    for (dag, r) in [(fft(64).dag, 16), (matmul(4, 4, 4).dag, 12)] {
+        assert_eq!(
+            certified_compose(&dag, r, NEVER),
+            certified_compose(&dag, r, None)
+        );
+    }
+}
+
 /// The greedy schedulers handle every policy/order combination at the PRBP
 /// capacity floor (`r = 2`), where eviction pressure is maximal.
 #[test]
@@ -178,7 +213,6 @@ mod compose_reference {
     use super::*;
     use pebble_bounds::composed_prbp_bound;
     use pebble_dag::decompose::{decompose, extract_component, ExtractedComponent, Strategy};
-    use pebble_dag::generators::{fft, matmul};
     use pebble_dag::{DagBuilder, NodeId};
     use pebble_game::exact;
     use pebble_game::moves::PrbpMove;

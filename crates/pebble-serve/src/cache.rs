@@ -293,9 +293,10 @@ pub struct WarmSummary {
 }
 
 /// Precompute the cache from a directory of instance files (any `pebble-io`
-/// format, recognised by extension). Each instance is scheduled with the
-/// structure-aware compose pipeline — the strongest offline scheduler in the
-/// suite — certified, and inserted under its canonical key. Files with
+/// format, recognised by extension). Each instance goes through the
+/// certified compose solve ([`pebble_sched::compose_certified`]) that cold
+/// `serve` requests use, here without a deadline unless `compose` sets
+/// one, and is inserted under its canonical key. Files with
 /// unrecognised extensions are ignored; per-file failures are counted, not
 /// fatal.
 pub fn warm_from_dir(
@@ -325,31 +326,13 @@ pub fn warm_from_dir(
             summary.failed += 1;
             continue;
         };
-        let Some(outcome) = pebble_sched::compose_prbp(&dag, r, compose) else {
-            summary.failed += 1;
-            continue;
-        };
-        let extra: Vec<BoundValue> = outcome
-            .composed_bound
-            .map(|value| BoundValue {
-                name: "compose".to_string(),
-                value,
-            })
-            .into_iter()
-            .collect();
-        let Ok(report) = pebble_sched::certify_prbp_with_bounds(
-            &dag,
-            r,
-            &outcome.trace,
-            "compose",
-            pebble_sched::BoundSet::auto_for(&dag),
-            extra,
-        ) else {
+        let set = pebble_sched::BoundSet::auto_for(&dag);
+        let Ok(certified) = pebble_sched::compose_certified(&dag, r, compose, set) else {
             summary.failed += 1;
             continue;
         };
         let form = pebble_dag::canon::canonical_form(&dag);
-        match cache.insert(&dag, &form, r, &report, &outcome.trace)? {
+        match cache.insert(&dag, &form, r, &certified.report, &certified.outcome.trace)? {
             true => summary.inserted += 1,
             false => summary.skipped += 1,
         }

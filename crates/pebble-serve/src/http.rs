@@ -1,15 +1,21 @@
 //! A deliberately small HTTP/1.1 layer over `std::net` — just enough for the
 //! scheduling service (and its CLI client) without external dependencies.
 //!
-//! One request per connection (`Connection: close` semantics), bodies
-//! bounded by a caller-supplied cap, query strings split on `&`/`=` without
+//! One request per connection (`Connection: close` semantics), the request
+//! head (request line plus headers) bounded by [`MAX_HEAD`], bodies bounded
+//! by a caller-supplied cap, query strings split on `&`/`=` without
 //! percent-decoding (every parameter the API accepts is a plain token).
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Take, Write};
 use std::net::TcpStream;
 use std::time::Duration;
+
+/// Largest accepted request head (request line plus headers), in bytes. A
+/// larger head is [`HttpError::Malformed`], so neither one long line nor a
+/// flood of headers can grow server memory without bound.
+pub const MAX_HEAD: usize = 64 << 10;
 
 /// A parsed request: method, path, query parameters and raw body.
 #[derive(Debug)]
@@ -70,12 +76,26 @@ fn parse_query(raw: &str) -> HashMap<String, String> {
         .collect()
 }
 
-/// Read one request from `stream`. Bodies larger than `max_body` are
-/// rejected without being read.
+/// Read one line of the request head from `head`, which holds what is left
+/// of the [`MAX_HEAD`] budget. Returns the bytes read (0 at end of stream).
+fn read_head_line(head: &mut Take<impl BufRead>, line: &mut String) -> Result<usize, HttpError> {
+    let n = head.read_line(line)?;
+    if head.limit() == 0 && !line.ends_with('\n') {
+        return Err(HttpError::Malformed(format!(
+            "request head exceeds {MAX_HEAD} bytes"
+        )));
+    }
+    Ok(n)
+}
+
+/// Read one request from `stream`. A head larger than [`MAX_HEAD`] is
+/// rejected as malformed, and a body larger than `max_body` is rejected
+/// without being read.
 pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
+    let mut head = (&mut reader).take(MAX_HEAD as u64);
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    read_head_line(&mut head, &mut line)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -95,7 +115,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
     let mut content_length = 0usize;
     loop {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if read_head_line(&mut head, &mut header)? == 0 {
             return Err(HttpError::Malformed("connection closed mid-headers".into()));
         }
         let header = header.trim_end();

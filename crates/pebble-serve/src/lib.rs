@@ -2,7 +2,8 @@
 //!
 //! Certified scheduling as a service: a long-running HTTP/JSON server that
 //! accepts DAGs in any `pebble-io` format, schedules them through the
-//! anytime engine under a per-request deadline, and answers with a
+//! certified compose solve ([`pebble_sched::compose_certified`]) under a
+//! per-request deadline, and answers with a
 //! [`pebble_sched::ScheduleReport`] carrying a certified optimality gap.
 //!
 //! The load-bearing piece is the **content-addressed schedule cache**

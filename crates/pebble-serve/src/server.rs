@@ -3,9 +3,10 @@
 //!
 //! Request flow (`POST /v1/schedule`): parse (any `pebble-io` format) →
 //! canonical hash ([`pebble_dag::canon`]) → cache lookup (hits are
-//! simulator-re-validated before they are served) → on a miss, a
-//! deadline-bounded anytime solve ([`pebble_sched::anytime`]) whose
-//! certified result is inserted for the next request of the same shape.
+//! simulator-re-validated before they are served) → on a miss, the
+//! certified compose solve ([`pebble_sched::compose_certified`]) under the
+//! request's deadline, whose result is inserted for the next request of
+//! the same shape.
 //! Every response is either a validated certificate or a structured JSON
 //! error; a deadline too small to produce any incumbent is the distinct
 //! `"status":"deadline-no-incumbent"` outcome (HTTP 504), never a panic.
@@ -24,9 +25,7 @@ use pebble_io::json::escape;
 use pebble_io::Format;
 use pebble_obs::metrics::Registry;
 use pebble_obs::trace::{emit, enabled, TraceEvent};
-use pebble_sched::{
-    anytime_prbp_result, certify_prbp_with, AnytimeConfig, AnytimeError, BoundSet, ScheduleReport,
-};
+use pebble_sched::{compose_certified, BoundSet, ComposeConfig, ComposeError, ScheduleReport};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,7 +44,8 @@ pub struct ServeConfig {
     pub backlog: usize,
     /// Default per-request solve budget (query `deadline_ms` overrides).
     pub deadline: Duration,
-    /// Threads inside each anytime solve (0 = available parallelism).
+    /// Threads scheduling the components of each cold solve
+    /// ([`ComposeConfig::threads`]; 0 = available parallelism).
     pub solver_workers: usize,
     /// Largest accepted request body, in bytes.
     pub max_body: usize,
@@ -404,19 +404,21 @@ fn schedule_response(request: &Request, ctx: &Ctx, read_us: u64) -> Response {
         }
         LookupOutcome::MissAbsent => {}
     }
-    let anytime = AnytimeConfig {
-        workers: ctx.solver_workers,
-        fail_fast: true,
-        ..AnytimeConfig::new(deadline)
+    let config = ComposeConfig {
+        deadline: Some(deadline),
+        threads: ctx.solver_workers,
+        ..ComposeConfig::default()
     };
-    let (solved, solve_us) = timed(STAGE_SOLVE, || anytime_prbp_result(&dag, r, &anytime, None));
+    let (solved, solve_us) = timed(STAGE_SOLVE, || {
+        compose_certified(&dag, r, &config, BoundSet::auto_for(&dag))
+    });
     stages.solve_us = solve_us;
-    let outcome = match solved {
-        Ok(outcome) => outcome,
-        Err(AnytimeError::SmallR { r }) => {
+    let certified = match solved {
+        Ok(certified) => certified,
+        Err(ComposeError::SmallR { r }) => {
             return bad_request(&format!("r = {r} is too small for PRBP (need r >= 2)"))
         }
-        Err(AnytimeError::DeadlineNoIncumbent) => {
+        Err(ComposeError::DeadlineNoIncumbent) => {
             let body = format!(
                 "{{\"status\":\"deadline-no-incumbent\",\"error\":\"deadline of {} ms expired \
                  before any incumbent schedule existed\",\"deadline_ms\":{}}}",
@@ -425,35 +427,19 @@ fn schedule_response(request: &Request, ctx: &Ctx, read_us: u64) -> Response {
             );
             return (504, "Gateway Timeout", body);
         }
-    };
-    let scheduler = if outcome.proven_optimal {
-        "anytime:optimal"
-    } else {
-        "anytime"
-    };
-    let (certified, validate_us) = timed(STAGE_VALIDATE, || {
-        certify_prbp_with(&dag, r, &outcome.trace, scheduler, BoundSet::auto_for(&dag)).inspect(
-            |report| {
-                if let Err(e) = ctx.cache.insert(&dag, &form, r, report, &outcome.trace) {
-                    // A cache write failure degrades to cold-serving; the
-                    // answer stands.
-                    let _ = e;
-                }
-            },
-        )
-    });
-    stages.validate_us = validate_us;
-    let report = match certified {
-        Ok(report) => report,
-        // Unreachable: the anytime outcome is already simulator-validated.
-        Err(e) => {
-            return (
-                500,
-                "Internal Server Error",
-                error_body(&format!("anytime schedule failed re-validation: {e}")),
-            )
+        // Unreachable: stitched schedules are built move by move through
+        // the simulator.
+        Err(e @ ComposeError::Invalid(_)) => {
+            return (500, "Internal Server Error", error_body(&e.to_string()))
         }
     };
+    let report = certified.report;
+    // A cache write failure degrades to cold-serving; the answer stands.
+    let (_, validate_us) = timed(STAGE_VALIDATE, || {
+        ctx.cache
+            .insert(&dag, &form, r, &report, &certified.outcome.trace)
+    });
+    stages.validate_us = validate_us;
     ok_response(
         &dag,
         format,
@@ -637,6 +623,41 @@ mod tests {
         assert!(String::from_utf8(body)
             .unwrap()
             .contains("\"status\":\"deadline-no-incumbent\""));
+        let dir = server.cache().dir().to_path_buf();
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Send `head` raw, ignoring a write the server cuts short, and return
+    /// the response's status code.
+    fn raw_status(addr: &str, head: &[u8]) -> u16 {
+        use std::io::{Read, Write};
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+        let _ = stream.write_all(head);
+        let mut response = String::new();
+        let _ = stream.read_to_string(&mut response);
+        let code = response.get(9..12).and_then(|code| code.parse().ok());
+        code.unwrap_or_else(|| panic!("no status line in {response:?}"))
+    }
+
+    #[test]
+    fn oversized_request_heads_are_rejected() {
+        let server = start_server("head");
+        let addr = server.local_addr().to_string();
+        let long_line = format!(
+            "GET /healthz HTTP/1.1\r\nX-Long: {}\r\n\r\n",
+            "a".repeat(1 << 20)
+        );
+        let flood = format!(
+            "GET /healthz HTTP/1.1\r\n{}\r\n",
+            "X-Flood: 1\r\n".repeat(100_000)
+        );
+        for head in [long_line, flood] {
+            assert_eq!(raw_status(&addr, head.as_bytes()), 400);
+            let healthz = client_request(&addr, "GET", "/healthz", b"", Duration::from_secs(10));
+            assert_eq!(healthz.unwrap().0, 200);
+        }
         let dir = server.cache().dir().to_path_buf();
         server.shutdown();
         let _ = std::fs::remove_dir_all(dir);

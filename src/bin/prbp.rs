@@ -17,7 +17,7 @@
 //! * `prbp submit` — client for a running `prbp serve` (deterministic
 //!   exponential-backoff retries on transient connection failures);
 //! * `prbp trace` — analyse a `--trace` JSONL capture: phase timings and
-//!   the anytime convergence curve.
+//!   the engine's convergence curve.
 //!
 //! Exit codes: 0 success, 1 runtime/parse error, 2 usage error, 3 deadline
 //! expired before any incumbent schedule existed (`--deadline-ms` solves and
@@ -27,9 +27,9 @@ use pebble_dag::{generators, Dag};
 use pebble_io::Format;
 use pebble_obs::trace::JsonlSink;
 use pebble_sched::{
-    anytime_prbp_result, best_prbp, certify_greedy_prbp, certify_greedy_rbp, certify_prbp_with,
-    certify_rbp_with, default_suite, prbp_bound_ladder, rbp_bound_ladder, AnytimeConfig,
-    AnytimeError, AnytimeOutcome, BoundSet, BoundValue, ComposeConfig, ScheduleReport, Scheduler,
+    best_prbp, certify_greedy_prbp, certify_greedy_rbp, certify_prbp_with, certify_rbp_with,
+    compose_certified, default_suite, prbp_bound_ladder, rbp_bound_ladder, BoundSet, BoundValue,
+    ComposeConfig, ComposeError, ScheduleReport, Scheduler,
 };
 use pebble_serve::http::{client_request_with_retries, Backoff};
 use pebble_serve::{warm_from_dir, ScheduleCache, ServeConfig, Server};
@@ -56,10 +56,11 @@ USAGE:
          streaming), beam:<width>[:<branch>], local:<iterations>, baseline,
          compose[:<exact-budget>] (structure-aware decomposition; PRBP only),
          or `suite` (best of the default portfolio; materialises traces)
-      --deadline-ms runs the anytime engine instead of --scheduler (PRBP
-         only): best simulator-validated schedule within the wall-clock
-         budget, improved by --workers parallel exact search (0 = all cores)
-         and certified with an admissible bound ladder
+      --deadline-ms runs the certified compose solve instead of
+         --scheduler (PRBP only): the best stitched schedule found within
+         the wall-clock budget, components scheduled on --workers threads
+         (0 = all cores), certified with the bound ladder plus the
+         composable `compose` bound
       --trace FILE.jsonl streams typed observability events (phase spans,
          incumbent/bound improvements) to FILE; analyse with `prbp trace`
   prbp bound --input PATH --r <cache> [--model prbp|rbp] [--format F]
@@ -80,7 +81,7 @@ USAGE:
       deadline-no-incumbent. Transient connection failures retry under
       deterministic exponential backoff (250 ms doubling, capped at 4 s)
   prbp trace FILE.jsonl
-      analyse a --trace capture: phase-timing breakdown and the anytime
+      analyse a --trace capture: phase-timing breakdown and the engine's
       convergence curve (time-to-first-incumbent, time-to-final-bound,
       gap over time); `-` reads stdin
 
@@ -373,45 +374,35 @@ fn cmd_gen(args: &Args) -> Result<(), CliError> {
 
 use pebble_io::json::escape as json_escape;
 
-/// Serialise the schedule output document: input metadata, the certified
-/// report, and the gap as a top-level convenience field.
-fn schedule_doc(path: &str, format: Format, dag: &Dag, report: &ScheduleReport) -> String {
-    let report_json = serde_json::to_string(report).expect("report serialises");
+/// The `input` object of the output documents.
+fn input_json(path: &str, format: Format, dag: &Dag) -> String {
     format!(
-        "{{\"input\":{{\"path\":\"{}\",\"format\":\"{}\",\"nodes\":{},\"edges\":{}}},\"report\":{},\"gap\":{:.4}}}\n",
+        "{{\"path\":\"{}\",\"format\":\"{}\",\"nodes\":{},\"edges\":{}}}",
         json_escape(path),
         format.name(),
         dag.node_count(),
-        dag.edge_count(),
-        report_json,
-        report.gap()
+        dag.edge_count()
     )
 }
 
-/// The anytime output document: the schedule_doc fields plus the engine's
-/// run metadata (deadline, workers, wall-clock, stop reason, proof status).
-#[allow(clippy::too_many_arguments)]
-fn anytime_doc(
+/// Serialise the schedule output document: input metadata, the certified
+/// report, and the gap as a top-level convenience field. A `--deadline-ms`
+/// solve adds `"status":"ok"` and its `"deadline":{...}` member.
+fn schedule_doc(
     path: &str,
     format: Format,
     dag: &Dag,
     report: &ScheduleReport,
-    outcome: &AnytimeOutcome,
-    deadline_ms: usize,
-    workers: usize,
-    solve_ms: u128,
+    deadline: Option<&str>,
 ) -> String {
     let report_json = serde_json::to_string(report).expect("report serialises");
+    let (status, deadline) = match deadline {
+        Some(member) => ("\"status\":\"ok\",", format!(",{member}")),
+        None => ("", String::new()),
+    };
     format!(
-        "{{\"status\":\"ok\",\"input\":{{\"path\":\"{}\",\"format\":\"{}\",\"nodes\":{},\"edges\":{}}},\
-         \"anytime\":{{\"deadline_ms\":{deadline_ms},\"workers\":{workers},\"solve_ms\":{solve_ms},\
-         \"stop\":\"{}\",\"proven_optimal\":{}}},\"report\":{},\"gap\":{:.4}}}\n",
-        json_escape(path),
-        format.name(),
-        dag.node_count(),
-        dag.edge_count(),
-        outcome.stop.as_str(),
-        outcome.proven_optimal,
+        "{{{status}\"input\":{}{deadline},\"report\":{},\"gap\":{:.4}}}\n",
+        input_json(path, format, dag),
         report_json,
         report.gap()
     )
@@ -457,45 +448,45 @@ fn schedule_run(args: &Args) -> Result<(), CliError> {
     let set = bound_set(args, &dag)?;
     let sched_name = args.get("scheduler").unwrap_or("greedy:belady:dfs");
 
-    if let Some(deadline_ms) = args.parse_usize("deadline-ms")? {
+    let solve_span = pebble_obs::trace::span("cli:solve");
+    // The `"deadline":{...}` member of a `--deadline-ms` solve's document.
+    let mut deadline_member = None;
+    let report = if let Some(deadline_ms) = args.parse_usize("deadline-ms")? {
         if model != "prbp" {
-            return Err(usage("--deadline-ms (the anytime engine) is PRBP-only"));
+            return Err(usage("--deadline-ms (the compose solve) is PRBP-only"));
         }
         if args.get("scheduler").is_some() {
             return Err(usage(
-                "--deadline-ms runs the anytime engine; drop --scheduler",
+                "--deadline-ms runs the compose solve; drop --scheduler",
             ));
         }
         if deadline_ms == 0 {
             return Err(usage("--deadline-ms must be >= 1"));
         }
         let workers = args.usize_or("workers", 0)?;
-        // Fail fast: a budget too small to produce even a first incumbent
-        // is a distinct, machine-readable outcome (exit code 3), not an
-        // unbounded extra greedy pass.
-        let config = AnytimeConfig {
-            workers,
-            fail_fast: true,
-            ..AnytimeConfig::new(Duration::from_millis(deadline_ms as u64))
+        let config = ComposeConfig {
+            deadline: Some(Duration::from_millis(deadline_ms as u64)),
+            threads: workers,
+            ..ComposeConfig::default()
         };
         let started = Instant::now();
-        let solve_span = pebble_obs::trace::span("cli:solve");
-        let solved = anytime_prbp_result(&dag, r, &config, None);
-        drop(solve_span);
-        let outcome = match solved {
-            Ok(outcome) => outcome,
-            Err(AnytimeError::SmallR { r }) => {
+        let solved = compose_certified(&dag, r, &config, set);
+        let solve_ms = started.elapsed().as_millis();
+        let member = format!("\"deadline\":{{\"deadline_ms\":{deadline_ms},\"workers\":{workers}");
+        match solved {
+            Ok(certified) => {
+                deadline_member = Some(format!("{member},\"solve_ms\":{solve_ms}}}"));
+                certified.report
+            }
+            Err(ComposeError::SmallR { r }) => {
                 return Err(runtime(format!("r = {r} is too small (PRBP needs r >= 2)")))
             }
-            Err(AnytimeError::DeadlineNoIncumbent) => {
+            Err(ComposeError::DeadlineNoIncumbent) => {
+                // A budget too small to stitch even one candidate is a
+                // distinct, machine-readable outcome (exit code 3).
                 let doc = format!(
-                    "{{\"status\":\"deadline-no-incumbent\",\"input\":{{\"path\":\"{}\",\
-                     \"format\":\"{}\",\"nodes\":{},\"edges\":{}}},\
-                     \"anytime\":{{\"deadline_ms\":{deadline_ms},\"workers\":{workers}}}}}\n",
-                    json_escape(&path),
-                    format.name(),
-                    dag.node_count(),
-                    dag.edge_count()
+                    "{{\"status\":\"deadline-no-incumbent\",\"input\":{},{member}}}}}\n",
+                    input_json(&path, format, &dag)
                 );
                 write_output(args.get("out"), &doc)?;
                 return Err(CliError::DeadlineNoIncumbent(format!(
@@ -503,50 +494,11 @@ fn schedule_run(args: &Args) -> Result<(), CliError> {
                      existed for {path} at r = {r}"
                 )));
             }
-        };
-        let solve_ms = started.elapsed().as_millis();
-        let certify_span = pebble_obs::trace::span("cli:certify");
-        let report = certify_prbp_with(&dag, r, &outcome.trace, "anytime", set)
-            .map_err(|e| runtime(format!("certification failed: {e}")))?;
-        drop(certify_span);
-        eprintln!(
-            "{}: {} nodes, {} edges | anytime r={} cost={} best_bound={} gap={:.2}x \
-             ({} after {solve_ms} ms, deadline {deadline_ms} ms{})",
-            path,
-            dag.node_count(),
-            dag.edge_count(),
-            r,
-            report.cost,
-            report.best_bound,
-            report.gap(),
-            outcome.stop.as_str(),
-            if outcome.proven_optimal {
-                ", proven optimal"
-            } else {
-                ""
-            }
-        );
-        let _write_span = pebble_obs::trace::span("cli:write");
-        return write_output(
-            args.get("out"),
-            &anytime_doc(
-                &path,
-                format,
-                &dag,
-                &report,
-                &outcome,
-                deadline_ms,
-                workers,
-                solve_ms,
-            ),
-        );
-    }
-    if args.get("workers").is_some() {
+            Err(e @ ComposeError::Invalid(_)) => return Err(runtime(e.to_string())),
+        }
+    } else if args.get("workers").is_some() {
         return Err(usage("--workers requires --deadline-ms"));
-    }
-
-    let solve_span = pebble_obs::trace::span("cli:solve");
-    let report = if sched_name == "suite" {
+    } else if sched_name == "suite" {
         if model != "prbp" {
             return Err(usage("--scheduler suite is PRBP-only"));
         }
@@ -611,7 +563,8 @@ fn schedule_run(args: &Args) -> Result<(), CliError> {
         report.gap()
     );
     let _write_span = pebble_obs::trace::span("cli:write");
-    write_output(args.get("out"), &schedule_doc(&path, format, &dag, &report))
+    let doc = schedule_doc(&path, format, &dag, &report, deadline_member.as_deref());
+    write_output(args.get("out"), &doc)
 }
 
 fn cmd_trace(rest: &[String]) -> Result<(), CliError> {
