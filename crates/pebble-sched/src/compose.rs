@@ -775,6 +775,10 @@ mod tests {
     #[test]
     fn compose_rejects_tiny_caches() {
         assert!(compose_prbp(&binary_tree(2), 1, &ComposeConfig::default()).is_none());
+    }
+
+    #[test]
+    fn r_below_two_is_rejected() {
         for config in [ComposeConfig::default(), with_deadline(Duration::ZERO)] {
             let err = compose_certified(&fig1_full().dag, 1, &config, BoundSet::Fast).unwrap_err();
             assert_eq!(err, ComposeError::SmallR { r: 1 });
