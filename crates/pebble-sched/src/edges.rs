@@ -16,8 +16,12 @@
 //! which is verified up-front in `O(n + m)`; invalid sequences return
 //! `None`. Eviction decisions go through the usual pluggable
 //! [`EvictionPolicy`], with Belady next-use distances measured in edge
-//! positions.
+//! positions. Victims come from the indexed eviction queue the node
+//! executors use: a node's next occurrence changes only when the sequence
+//! reaches an edge it is an endpoint of, so each edge costs `O(log r)` in
+//! the queue instead of a scan over the red nodes.
 
+use crate::eviction::EvictionIndex;
 use crate::policy::{Candidate, EvictionPolicy};
 use pebble_dag::liveness::NEVER;
 use pebble_dag::{Dag, EdgeId, NodeId};
@@ -65,104 +69,81 @@ pub fn greedy_prbp_edges(
     }
     let mut cursor = vec![0u32; n];
 
-    let mut red = Vec::new(); // current red nodes (order irrelevant)
-    let mut is_red = vec![false; n];
+    let mut red = EvictionIndex::new(n);
     let mut last_use = vec![0usize; n];
     let mut builder = PrbpBuilder::new(dag, PrbpConfig::new(r));
-    let mut candidates: Vec<Candidate> = Vec::with_capacity(r);
 
     for (t, &e) in edges.iter().enumerate() {
         let (u, v) = dag.edge_endpoints(e);
-        let mut needed = 0;
-        if !is_red[u.index()] {
-            needed += 1;
-        }
-        if !is_red[v.index()] {
-            needed += 1;
-        }
+        red.begin_position(t);
+        let needed = usize::from(!red.contains(u)) + usize::from(!red.contains(v));
         while red.len() + needed > r {
-            candidates.clear();
-            for &w in &red {
-                let w: NodeId = w;
-                if w == u || w == v {
-                    continue;
-                }
-                let game = builder.game();
-                let remaining = game.unmarked_out_degree(w);
-                let dark = game.pebble_state(w) == pebble_game::PebbleState::DarkRed;
-                let free = !dark || (remaining == 0 && !dag.is_sink(w));
-                let next_use = if remaining == 0 {
-                    NEVER
-                } else {
-                    let occ = &occurrences[w.index()];
-                    let mut c = cursor[w.index()] as usize;
-                    while c < occ.len() && occ[c] as usize <= t {
-                        c += 1;
+            let victim = red.pop_victim(
+                policy,
+                |w| w == u || w == v,
+                |w| {
+                    let game = builder.game();
+                    let remaining = game.unmarked_out_degree(w);
+                    let dark = game.pebble_state(w) == PebbleState::DarkRed;
+                    let next_use = if remaining == 0 {
+                        NEVER
+                    } else {
+                        let occ = &occurrences[w.index()];
+                        let mut c = cursor[w.index()] as usize;
+                        while c < occ.len() && occ[c] as usize <= t {
+                            c += 1;
+                        }
+                        cursor[w.index()] = c as u32;
+                        occ.get(c).map(|&p| p as usize).unwrap_or(NEVER)
+                    };
+                    Candidate {
+                        node: w,
+                        next_use,
+                        last_use: last_use[w.index()],
+                        remaining_consumers: remaining,
+                        free: !dark || (remaining == 0 && !dag.is_sink(w)),
                     }
-                    cursor[w.index()] = c as u32;
-                    occ.get(c).map(|&p| p as usize).unwrap_or(NEVER)
-                };
-                candidates.push(Candidate {
-                    node: w,
-                    next_use,
-                    last_use: last_use[w.index()],
-                    remaining_consumers: remaining,
-                    free,
-                });
-            }
-            let victim = candidates[policy.choose(&candidates)].node;
+                },
+            );
             builder.evict(victim).expect("victim is evictable");
-            remove_red(&mut red, &mut is_red, victim);
         }
-        if !is_red[u.index()] {
+        if !red.contains(u) {
             // `u` is fully computed (source-completeness) and not red: its
             // value was saved when it was evicted, so a blue copy exists.
             builder.ensure_red(u).expect("u has a blue copy");
-            insert_red(&mut red, &mut is_red, u);
+            red.insert(u);
         }
-        if !is_red[v.index()] {
+        if !red.contains(v) {
             if builder.game().pebble_state(v) == PebbleState::Blue {
                 // A partially aggregated value that was spilled: bring it
                 // back before aggregating into it (a blue-only target would
                 // lose its partial value).
                 builder.push(PrbpMove::Load(v)).expect("v has a blue copy");
             }
-            insert_red(&mut red, &mut is_red, v);
+            red.insert(v);
         }
         builder
             .push(PrbpMove::PartialCompute { from: u, to: v })
             .expect("edge aggregation is legal");
         last_use[u.index()] = t + 1;
         last_use[v.index()] = t + 1;
+        red.touch(u);
+        red.touch(v);
         // A fully consumed non-sink input dies immediately, freeing its slot.
         if builder.game().unmarked_out_degree(u) == 0 && !dag.is_sink(u) {
             builder.evict(u).expect("dead value evicts for free");
-            remove_red(&mut red, &mut is_red, u);
+            red.remove(u);
         }
         // A completed sink is saved and dropped on the spot.
         if dag.is_sink(v) && builder.game().unmarked_in_degree(v) == 0 {
             builder.push(PrbpMove::Save(v)).expect("sink is dark red");
             builder.push(PrbpMove::Delete(v)).expect("light red delete");
-            remove_red(&mut red, &mut is_red, v);
+            red.remove(v);
         }
     }
     let (trace, game) = builder.finish();
     debug_assert!(game.is_terminal());
     Some(trace)
-}
-
-fn insert_red(red: &mut Vec<NodeId>, is_red: &mut [bool], v: NodeId) {
-    if !is_red[v.index()] {
-        is_red[v.index()] = true;
-        red.push(v);
-    }
-}
-
-fn remove_red(red: &mut Vec<NodeId>, is_red: &mut [bool], v: NodeId) {
-    debug_assert!(is_red[v.index()]);
-    is_red[v.index()] = false;
-    let pos = red.iter().position(|&w| w == v).expect("red member");
-    red.swap_remove(pos);
 }
 
 /// A shared-input-affinity edge order for DAGs whose non-source nodes all

@@ -18,61 +18,22 @@
 //! non-topological or incomplete order returns `None` in release builds too,
 //! instead of tripping an assertion deep inside the trace builder.
 //!
-//! Complexity: `O(n + m)` for the order and liveness precomputation plus
-//! `O(r)` per eviction, so instances with 10⁴–10⁵ nodes schedule in
-//! milliseconds — far beyond the reach of the exact solvers.
+//! Complexity: `O(n + m)` for the order and liveness precomputation, plus
+//! `O(log r)` per touched node for the indexed eviction queue the executors
+//! share (the crate-private `eviction` module): `O((n + m) log r)` in total,
+//! so the million-node FFT schedules in about the same time at r = 2048 as
+//! at r = 16.
 
+use crate::eviction::EvictionIndex;
 use crate::policy::{Candidate, EvictionPolicy};
-use pebble_dag::liveness::NextUse;
+use pebble_dag::liveness::{NextUse, NEVER};
 use pebble_dag::{topo, Dag, NodeId};
 use pebble_game::moves::{PrbpMove, RbpMove};
-use pebble_game::prbp::PrbpConfig;
+use pebble_game::prbp::{PebbleState, PrbpConfig};
 use pebble_game::rbp::RbpConfig;
 use pebble_game::sink::MoveSink;
 use pebble_game::trace::{PrbpTrace, RbpTrace};
 use pebble_game::{PrbpBuilder, RbpBuilder};
-
-/// O(1) membership tracking of the currently red nodes, so eviction
-/// candidates are collected in `O(r)` instead of `O(n)`.
-struct RedSet {
-    members: Vec<NodeId>,
-    pos: Vec<u32>,
-}
-
-const NOT_RED: u32 = u32::MAX;
-
-impl RedSet {
-    fn new(n: usize) -> Self {
-        RedSet {
-            members: Vec::new(),
-            pos: vec![NOT_RED; n],
-        }
-    }
-
-    fn insert(&mut self, v: NodeId) {
-        if self.pos[v.index()] == NOT_RED {
-            self.pos[v.index()] = self.members.len() as u32;
-            self.members.push(v);
-        }
-    }
-
-    fn remove(&mut self, v: NodeId) {
-        let p = self.pos[v.index()];
-        debug_assert_ne!(p, NOT_RED);
-        let last = *self.members.last().expect("non-empty");
-        self.members.swap_remove(p as usize);
-        self.pos[last.index()] = p;
-        self.pos[v.index()] = NOT_RED;
-    }
-
-    fn contains(&self, v: NodeId) -> bool {
-        self.pos[v.index()] != NOT_RED
-    }
-
-    fn len(&self) -> usize {
-        self.members.len()
-    }
-}
 
 /// Schedule `dag` in PRBP with cache size `r`, processing the nodes of
 /// `order` (a topological order covering every node) and evicting through
@@ -102,6 +63,17 @@ pub fn greedy_prbp_into<S: MoveSink<PrbpMove>>(
     policy: &mut dyn EvictionPolicy,
     sink: S,
 ) -> Option<(S, usize)> {
+    run_prbp(dag, r, order, policy, sink).map(|(sink, io, _)| (sink, io))
+}
+
+/// [`greedy_prbp_into`], also returning the eviction queue's work count.
+fn run_prbp<S: MoveSink<PrbpMove>>(
+    dag: &Dag,
+    r: usize,
+    order: &[NodeId],
+    policy: &mut dyn EvictionPolicy,
+    sink: S,
+) -> Option<(S, usize, u64)> {
     if r < 2 {
         return None;
     }
@@ -114,53 +86,44 @@ pub fn greedy_prbp_into<S: MoveSink<PrbpMove>>(
     let n = dag.node_count();
     let mut next_use = NextUse::new(dag, order);
     let mut last_use = vec![0usize; n];
-    let mut red = RedSet::new(n);
+    let mut red = EvictionIndex::new(n);
     let mut builder = PrbpBuilder::with_sink(dag, PrbpConfig::new(r), sink);
     let mut clock = 0usize;
-    let mut candidates: Vec<Candidate> = Vec::with_capacity(r);
 
     for (t, &v) in order.iter().enumerate() {
         if dag.is_source(v) {
             continue;
         }
+        red.begin_position(t);
         for &(u, _) in dag.in_edges(v) {
             clock += 1;
-            let mut needed = 0;
-            if !red.contains(u) {
-                needed += 1;
-            }
-            if !red.contains(v) {
-                needed += 1;
-            }
+            let needed = usize::from(!red.contains(u)) + usize::from(!red.contains(v));
             while red.len() + needed > r {
-                candidates.clear();
-                for &w in &red.members {
-                    if w == u || w == v {
-                        continue;
-                    }
-                    let game = builder.game();
-                    let remaining = game.unmarked_out_degree(w);
-                    let dark = game.pebble_state(w) == pebble_game::PebbleState::DarkRed;
-                    let free = !dark || (remaining == 0 && !dag.is_sink(w));
-                    candidates.push(Candidate {
-                        node: w,
-                        // A value with no unmarked out-edge is dead even if
-                        // its last consumer sits at the current position, so
-                        // the cursor-based signal (which cannot look inside
-                        // position t) is overridden to NEVER.
-                        next_use: if remaining == 0 {
-                            pebble_dag::liveness::NEVER
-                        } else {
-                            next_use.next_use_at(w, t)
-                        },
-                        last_use: last_use[w.index()],
-                        remaining_consumers: remaining,
-                        free,
-                    });
-                }
-                let victim = candidates[policy.choose(&candidates)].node;
+                let victim = red.pop_victim(
+                    policy,
+                    |w| w == u || w == v,
+                    |w| {
+                        let game = builder.game();
+                        let remaining = game.unmarked_out_degree(w);
+                        let dark = game.pebble_state(w) == PebbleState::DarkRed;
+                        Candidate {
+                            node: w,
+                            // A value with no unmarked out-edge is dead even if
+                            // its last consumer sits at the current position,
+                            // so the cursor-based signal (which cannot look
+                            // inside position t) is overridden to NEVER.
+                            next_use: if remaining == 0 {
+                                NEVER
+                            } else {
+                                next_use.next_use_at(w, t)
+                            },
+                            last_use: last_use[w.index()],
+                            remaining_consumers: remaining,
+                            free: !dark || (remaining == 0 && !dag.is_sink(w)),
+                        }
+                    },
+                );
                 builder.evict(victim).expect("victim is evictable");
-                red.remove(victim);
             }
             if !red.contains(u) {
                 builder.ensure_red(u).expect("u has a blue copy");
@@ -174,6 +137,8 @@ pub fn greedy_prbp_into<S: MoveSink<PrbpMove>>(
                 .expect("edge aggregation is legal");
             last_use[u.index()] = clock;
             last_use[v.index()] = clock;
+            red.touch(u);
+            red.touch(v);
         }
         if dag.is_sink(v) {
             builder.push(PrbpMove::Save(v)).expect("sink is dark red");
@@ -181,9 +146,10 @@ pub fn greedy_prbp_into<S: MoveSink<PrbpMove>>(
             red.remove(v);
         }
     }
+    let work = red.work();
     let (sink, game) = builder.finish();
     debug_assert!(game.is_terminal());
-    Some((sink, game.io_cost()))
+    Some((sink, game.io_cost(), work))
 }
 
 /// Schedule `dag` in RBP with cache size `r`, processing the nodes of
@@ -220,18 +186,18 @@ pub fn greedy_rbp_into<S: MoveSink<RbpMove>>(
     let mut next_use = NextUse::new(dag, order);
     let mut last_use = vec![0usize; n];
     let mut pinned = vec![false; n];
-    let mut red = RedSet::new(n);
-    // Uncomputed successors per node, maintained incrementally so eviction
-    // candidates are scored in O(1) each (keeping evictions at O(r) total).
+    let mut red = EvictionIndex::new(n);
+    // Uncomputed successors per node, maintained incrementally so a
+    // candidate is described in O(1).
     let mut remaining: Vec<u32> = dag.nodes().map(|v| dag.out_degree(v) as u32).collect();
     let mut builder = RbpBuilder::with_sink(dag, RbpConfig::new(r), sink);
     let mut clock = 0usize;
-    let mut candidates: Vec<Candidate> = Vec::with_capacity(r);
 
     for (t, &v) in order.iter().enumerate() {
         if dag.is_source(v) {
             continue;
         }
+        red.begin_position(t);
         clock += 1;
         let mut needed = 1; // the slot for v itself
         for &(u, _) in dag.in_edges(v) {
@@ -241,31 +207,28 @@ pub fn greedy_rbp_into<S: MoveSink<RbpMove>>(
             }
         }
         while red.len() + needed > r {
-            candidates.clear();
-            for &w in &red.members {
-                if pinned[w.index()] || w == v {
-                    continue;
-                }
-                let rem = remaining[w.index()] as usize;
-                let free = rem == 0 || builder.game().has_blue(w);
-                candidates.push(Candidate {
-                    node: w,
-                    // Dead values report NEVER: the cursor-based signal
-                    // cannot see that a use at the current position t was
-                    // already consumed.
-                    next_use: if rem == 0 {
-                        pebble_dag::liveness::NEVER
-                    } else {
-                        next_use.next_use_at(w, t)
-                    },
-                    last_use: last_use[w.index()],
-                    remaining_consumers: rem,
-                    free,
-                });
-            }
-            let victim = candidates[policy.choose(&candidates)].node;
+            let victim = red.pop_victim(
+                policy,
+                |w| pinned[w.index()] || w == v,
+                |w| {
+                    let rem = remaining[w.index()] as usize;
+                    Candidate {
+                        node: w,
+                        // Dead values report NEVER: the cursor-based signal
+                        // cannot see that a use at the current position t was
+                        // already consumed.
+                        next_use: if rem == 0 {
+                            NEVER
+                        } else {
+                            next_use.next_use_at(w, t)
+                        },
+                        last_use: last_use[w.index()],
+                        remaining_consumers: rem,
+                        free: rem == 0 || builder.game().has_blue(w),
+                    }
+                },
+            );
             builder.evict(victim).expect("victim is evictable");
-            red.remove(victim);
         }
         for &(u, _) in dag.in_edges(v) {
             if !red.contains(u) {
@@ -280,6 +243,7 @@ pub fn greedy_rbp_into<S: MoveSink<RbpMove>>(
         for &(u, _) in dag.in_edges(v) {
             pinned[u.index()] = false;
             remaining[u.index()] -= 1;
+            red.touch(u);
         }
         if dag.is_sink(v) {
             builder.push(RbpMove::Save(v)).expect("sink is red");
@@ -423,6 +387,32 @@ mod tests {
         .unwrap();
         assert_eq!(rsink.moves, rtrace.len());
         assert_eq!(rio, rtrace.io_cost());
+    }
+
+    #[test]
+    fn eviction_work_does_not_grow_with_the_cache() {
+        // The eviction queue's work (key refreshes plus heap pops) is the
+        // hardware-independent form of "r = 2048 within 1.5x of r = 16": a
+        // full scan of the red set per eviction grew it 126x over that range
+        // on fft-16384.
+        use pebble_game::sink::CountingSink;
+        let dag = fft(4096).dag;
+        let ord = order::dfs_postorder(&dag);
+        let work = |r| {
+            let (_, _, work) =
+                run_prbp(&dag, r, &ord, &mut FurthestInFuture, CountingSink::new()).unwrap();
+            work
+        };
+        let (small, large) = (work(16), work(2048));
+        let size = (dag.node_count() + dag.edge_count()) as u64;
+        assert!(
+            2 * large <= 3 * small,
+            "r=2048 work {large} vs r=16 {small}"
+        );
+        assert!(
+            small.max(large) <= 3 * size,
+            "work {small}/{large} vs n + m = {size}"
+        );
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! * [`greedy`] — process the nodes in a fixed topological order
 //!   ([`order::natural`] or [`order::dfs_postorder`]), loading inputs on
 //!   demand and evicting through a pluggable [`policy::EvictionPolicy`]
-//!   (Belady / LRU / fewest-remaining-consumers). `O(n + m)` plus `O(r)` per
-//!   eviction.
+//!   (Belady / LRU / fewest-remaining-consumers). `O((n + m) log r)`: the
+//!   red nodes sit in one indexed eviction queue.
 //! * [`beam`] — beam search over partial schedules, deduplicated by the
 //!   packed-state encoding shared with the exact solvers
 //!   ([`pebble_game::packed`]); width 1 is the adaptive greedy that picks the
@@ -47,6 +47,7 @@
 pub mod beam;
 pub mod compose;
 pub mod edges;
+mod eviction;
 pub mod greedy;
 #[cfg(test)]
 mod heuristics;
@@ -64,7 +65,9 @@ pub use compose::{
 pub use edges::{cone_affinity_edges, greedy_prbp_edges};
 pub use greedy::{greedy_prbp, greedy_prbp_into, greedy_rbp, greedy_rbp_into};
 pub use local::{local_search_prbp, LocalConfig};
-pub use policy::{Candidate, EvictionPolicy, FewestRemainingConsumers, FurthestInFuture, Lru};
+pub use policy::{
+    Candidate, EvictionKey, EvictionPolicy, FewestRemainingConsumers, FurthestInFuture, Lru,
+};
 pub use report::{
     certify_greedy_prbp, certify_greedy_rbp, certify_prbp, certify_prbp_with,
     certify_prbp_with_bounds, certify_rbp, certify_rbp_with, prbp_bound_ladder, rbp_bound_ladder,

@@ -1,13 +1,22 @@
 //! Pluggable eviction policies for the greedy schedulers.
 //!
-//! When a scheduler needs a free fast-memory slot it collects every currently
-//! evictable red pebble into a list of [`Candidate`]s and asks an
-//! [`EvictionPolicy`] to pick the victim. The policy sees, per candidate, the
-//! next position in the compute order at which the value is consumed again
-//! (Belady's clairvoyant signal, precomputed by
+//! A policy is a key function: for every red pebble the scheduler may evict
+//! it builds a [`Candidate`] and asks the [`EvictionPolicy`] for an
+//! [`EvictionKey`]; the candidate with the largest key is evicted. The
+//! candidate carries the next position in the compute order at which the
+//! value is consumed again (Belady's clairvoyant signal, precomputed by
 //! [`pebble_dag::liveness::NextUse`]), the last step that touched it, the
-//! number of remaining consumers, and whether the eviction is free or costs a
-//! save.
+//! number of remaining consumers, and whether the eviction is free or costs
+//! a save.
+//!
+//! Every key ends in the same tie-break: among equal ranks a free eviction
+//! wins, then the lowest node id. Keys of distinct nodes therefore never
+//! tie, so the victim is unique and schedules replay bit-for-bit.
+//!
+//! Policies are pure functions of the candidate, which is what lets the
+//! executors keep keys in a heap instead of rescanning every red node (see
+//! `crate::eviction`): each candidate field changes only when the executor
+//! touches the node — loads it, aggregates from or into it, or computes it.
 
 use pebble_dag::NodeId;
 
@@ -31,25 +40,51 @@ pub struct Candidate {
     pub free: bool,
 }
 
+/// The eviction priority of one candidate: the scheduler evicts the largest.
+///
+/// Keys order lexicographically by `(rank, free, lowest node id)`, packed
+/// into one integer so that comparing two keys is one integer comparison.
+/// The node is part of the key, so two distinct nodes never share one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct EvictionKey(u128);
+
+impl EvictionKey {
+    /// A value no [`EvictionKey::new`] call produces (bits 33–63 are always
+    /// zero there); marks a red node without a current heap entry.
+    pub(crate) const UNKEYED: EvictionKey = EvictionKey(u128::MAX);
+
+    /// The key of `node`: a larger `rank` is evicted first, then a `free`
+    /// eviction, then the lower node id.
+    pub fn new(rank: u64, free: bool, node: NodeId) -> Self {
+        EvictionKey(
+            (u128::from(rank) << 64) | (u128::from(free) << 32) | u128::from(u32::MAX - node.0),
+        )
+    }
+
+    /// The node this key belongs to.
+    pub(crate) fn node(self) -> NodeId {
+        NodeId(u32::MAX - self.0 as u32)
+    }
+}
+
 /// How a greedy scheduler chooses which red pebble to evict.
 ///
 /// # Contract
 ///
-/// [`EvictionPolicy::choose`] is called with a non-empty candidate slice and
-/// must return the index of the victim within that slice. The scheduler
-/// guarantees every candidate is legally evictable at the moment of the call
-/// (pinned values — the inputs and target of the move being scheduled — are
-/// never offered). A policy never affects the *validity* of the schedule,
-/// only its cost: whatever it picks, the scheduler pays the required save and
-/// emits simulator-checked moves. Implementations must be deterministic for a
-/// given candidate slice (benchmark baselines replay schedules bit-for-bit);
-/// break ties on [`Candidate::node`].
+/// [`EvictionPolicy::key`] must be a pure function of the candidate, and the
+/// key must belong to `candidate.node` (build it with [`EvictionKey::new`]).
+/// The scheduler keeps computed keys and re-asks only after a candidate
+/// field changed, so a key that depended on anything else would go stale.
+/// Pinned values — the inputs and target of the move being scheduled — are
+/// never evicted, whatever their key. A policy never affects the *validity*
+/// of the schedule, only its cost: whatever it picks, the scheduler pays
+/// the required save and emits simulator-checked moves.
 pub trait EvictionPolicy {
     /// Short stable identifier used in experiment and benchmark output.
     fn name(&self) -> &'static str;
 
-    /// Index of the victim within `candidates` (non-empty).
-    fn choose(&mut self, candidates: &[Candidate]) -> usize;
+    /// The eviction priority of `candidate`; the largest key is evicted.
+    fn key(&self, candidate: &Candidate) -> EvictionKey;
 }
 
 /// Belady's rule: evict the value whose next use lies furthest in the future.
@@ -62,10 +97,8 @@ impl EvictionPolicy for FurthestInFuture {
         "belady"
     }
 
-    fn choose(&mut self, candidates: &[Candidate]) -> usize {
-        pick(candidates, |c| {
-            (c.next_use, c.free as usize, usize::MAX - c.node.index())
-        })
+    fn key(&self, c: &Candidate) -> EvictionKey {
+        EvictionKey::new(c.next_use as u64, c.free, c.node)
     }
 }
 
@@ -80,14 +113,8 @@ impl EvictionPolicy for Lru {
         "lru"
     }
 
-    fn choose(&mut self, candidates: &[Candidate]) -> usize {
-        pick(candidates, |c| {
-            (
-                usize::MAX - c.last_use,
-                c.free as usize,
-                usize::MAX - c.node.index(),
-            )
-        })
+    fn key(&self, c: &Candidate) -> EvictionKey {
+        EvictionKey::new(u64::MAX - c.last_use as u64, c.free, c.node)
     }
 }
 
@@ -101,32 +128,12 @@ impl EvictionPolicy for FewestRemainingConsumers {
         "fewest-consumers"
     }
 
-    fn choose(&mut self, candidates: &[Candidate]) -> usize {
-        pick(candidates, |c| {
-            (
-                usize::MAX - c.remaining_consumers,
-                c.free as usize,
-                usize::MAX - c.node.index(),
-            )
-        })
+    fn key(&self, c: &Candidate) -> EvictionKey {
+        EvictionKey::new(u64::MAX - c.remaining_consumers as u64, c.free, c.node)
     }
 }
 
-/// Index of the candidate maximising `key` (ties resolved by the key itself;
-/// all shipped keys end in a strict node-id component).
-fn pick<K: Ord>(candidates: &[Candidate], key: impl Fn(&Candidate) -> K) -> usize {
-    debug_assert!(!candidates.is_empty());
-    let mut best = 0;
-    for i in 1..candidates.len() {
-        if key(&candidates[i]) > key(&candidates[best]) {
-            best = i;
-        }
-    }
-    best
-}
-
-/// The shipped policies, in stable output order. Fresh boxes per call: the
-/// policies are stateless today, but the trait allows stateful ones.
+/// The shipped policies, in stable output order.
 pub fn all_policies() -> Vec<Box<dyn EvictionPolicy>> {
     vec![
         Box::new(FurthestInFuture),
@@ -150,37 +157,67 @@ mod tests {
         }
     }
 
+    /// Index of the candidate `policy` evicts.
+    fn victim(policy: &dyn EvictionPolicy, cs: &[Candidate]) -> usize {
+        (0..cs.len())
+            .max_by_key(|&i| policy.key(&cs[i]))
+            .expect("non-empty")
+    }
+
     #[test]
     fn belady_picks_furthest_next_use() {
         let cs = [cand(0, 5, 0, 1, false), cand(1, 9, 0, 1, false)];
-        assert_eq!(FurthestInFuture.choose(&cs), 1);
+        assert_eq!(victim(&FurthestInFuture, &cs), 1);
         // Dead values (NEVER) beat everything.
         let cs = [cand(0, NEVER, 0, 0, true), cand(1, 9, 0, 1, false)];
-        assert_eq!(FurthestInFuture.choose(&cs), 0);
+        assert_eq!(victim(&FurthestInFuture, &cs), 0);
     }
 
     #[test]
     fn belady_prefers_free_on_ties_and_low_ids_last() {
         let cs = [cand(3, 7, 0, 1, false), cand(1, 7, 0, 1, true)];
-        assert_eq!(FurthestInFuture.choose(&cs), 1);
+        assert_eq!(victim(&FurthestInFuture, &cs), 1);
         let cs = [cand(3, 7, 0, 1, true), cand(1, 7, 0, 1, true)];
         assert_eq!(
-            FurthestInFuture.choose(&cs),
+            victim(&FurthestInFuture, &cs),
             1,
             "smallest node id wins ties"
         );
+        // Several dead values tie on NEVER: free first, then the lowest id.
+        let cs = [
+            cand(2, NEVER, 0, 0, true),
+            cand(0, NEVER, 0, 0, false),
+            cand(5, NEVER, 0, 0, true),
+        ];
+        assert_eq!(victim(&FurthestInFuture, &cs), 0);
     }
 
     #[test]
     fn lru_picks_oldest() {
         let cs = [cand(0, 5, 10, 1, false), cand(1, 5, 3, 1, false)];
-        assert_eq!(Lru.choose(&cs), 1);
+        assert_eq!(victim(&Lru, &cs), 1);
     }
 
     #[test]
     fn fewest_consumers_picks_dead_first() {
         let cs = [cand(0, 5, 0, 2, false), cand(1, 5, 0, 0, true)];
-        assert_eq!(FewestRemainingConsumers.choose(&cs), 1);
+        assert_eq!(victim(&FewestRemainingConsumers, &cs), 1);
+    }
+
+    #[test]
+    fn keys_carry_their_node_and_never_collide_with_unkeyed() {
+        for node in [0usize, 1, 7, u32::MAX as usize - 1] {
+            for (rank, free) in [(0, false), (u64::MAX, true), (42, false)] {
+                let key = EvictionKey::new(rank, free, NodeId::from_index(node));
+                assert_eq!(key.node().index(), node);
+                assert_ne!(key, EvictionKey::UNKEYED);
+            }
+        }
+        // The packed order is the lexicographic (rank, free, lowest id) one.
+        let k = |rank, free, node| EvictionKey::new(rank, free, NodeId::from_index(node));
+        assert!(k(2, false, 9) > k(1, true, 0));
+        assert!(k(1, true, 9) > k(1, false, 0));
+        assert!(k(1, true, 0) > k(1, true, 9));
     }
 
     #[test]

@@ -1,0 +1,427 @@
+//! The greedy executors keep their red nodes in an indexed eviction queue
+//! and re-key only the nodes whose key can have changed. These properties
+//! check, move for move, that all three executors still emit exactly the
+//! traces of the original loops, which collected every red node into a
+//! candidate list and scanned it on every eviction with each policy's
+//! lexicographic key; the reference copies of those loops live here.
+
+use pebble_dag::generators::{fft, matmul, random_layered, RandomLayeredConfig};
+use pebble_dag::liveness::{NextUse, NEVER};
+use pebble_dag::{topo, Dag, DagBuilder, EdgeId, NodeId};
+use pebble_game::moves::{PrbpMove, RbpMove};
+use pebble_game::prbp::{PebbleState, PrbpConfig};
+use pebble_game::rbp::RbpConfig;
+use pebble_game::trace::{PrbpTrace, RbpTrace};
+use pebble_game::{PrbpBuilder, RbpBuilder};
+use pebble_sched::edges::by_target_edges;
+use pebble_sched::policy::all_policies;
+use pebble_sched::{
+    cone_affinity_edges, greedy_prbp, greedy_prbp_edges, greedy_rbp, order, Candidate,
+    EvictionPolicy,
+};
+use proptest::prelude::*;
+
+/// Index of the victim under the named policy's original tuple key: the
+/// first candidate with the largest key.
+fn choose(policy: &str, candidates: &[Candidate]) -> usize {
+    let key = |c: &Candidate| {
+        let rank = match policy {
+            "belady" => c.next_use,
+            "lru" => usize::MAX - c.last_use,
+            "fewest-consumers" => usize::MAX - c.remaining_consumers,
+            other => panic!("no reference key for policy `{other}`"),
+        };
+        (rank, c.free as usize, usize::MAX - c.node.index())
+    };
+    let mut best = 0;
+    for i in 1..candidates.len() {
+        if key(&candidates[i]) > key(&candidates[best]) {
+            best = i;
+        }
+    }
+    best
+}
+
+/// Membership of the red nodes, in insertion order with swap-removal.
+struct RedSet {
+    members: Vec<NodeId>,
+    pos: Vec<u32>,
+}
+
+const NOT_RED: u32 = u32::MAX;
+
+impl RedSet {
+    fn new(n: usize) -> Self {
+        RedSet {
+            members: Vec::new(),
+            pos: vec![NOT_RED; n],
+        }
+    }
+
+    fn insert(&mut self, v: NodeId) {
+        if self.pos[v.index()] == NOT_RED {
+            self.pos[v.index()] = self.members.len() as u32;
+            self.members.push(v);
+        }
+    }
+
+    fn remove(&mut self, v: NodeId) {
+        let p = self.pos[v.index()];
+        let last = *self.members.last().expect("non-empty");
+        self.members.swap_remove(p as usize);
+        self.pos[last.index()] = p;
+        self.pos[v.index()] = NOT_RED;
+    }
+
+    fn contains(&self, v: NodeId) -> bool {
+        self.pos[v.index()] != NOT_RED
+    }
+
+    fn len(&self) -> usize {
+        self.members.len()
+    }
+}
+
+/// The node-order PRBP executor with a candidate scan per eviction.
+fn prbp_scan(dag: &Dag, r: usize, order: &[NodeId], policy: &str) -> Option<PrbpTrace> {
+    if r < 2 || !topo::is_topological_order(dag, order) {
+        return None;
+    }
+    let n = dag.node_count();
+    let mut next_use = NextUse::new(dag, order);
+    let mut last_use = vec![0usize; n];
+    let mut red = RedSet::new(n);
+    let mut builder = PrbpBuilder::new(dag, PrbpConfig::new(r));
+    let mut clock = 0usize;
+    let mut candidates: Vec<Candidate> = Vec::with_capacity(r);
+
+    for (t, &v) in order.iter().enumerate() {
+        if dag.is_source(v) {
+            continue;
+        }
+        for &(u, _) in dag.in_edges(v) {
+            clock += 1;
+            let mut needed = 0;
+            if !red.contains(u) {
+                needed += 1;
+            }
+            if !red.contains(v) {
+                needed += 1;
+            }
+            while red.len() + needed > r {
+                candidates.clear();
+                for &w in &red.members {
+                    if w == u || w == v {
+                        continue;
+                    }
+                    let game = builder.game();
+                    let remaining = game.unmarked_out_degree(w);
+                    let dark = game.pebble_state(w) == PebbleState::DarkRed;
+                    let free = !dark || (remaining == 0 && !dag.is_sink(w));
+                    candidates.push(Candidate {
+                        node: w,
+                        next_use: if remaining == 0 {
+                            NEVER
+                        } else {
+                            next_use.next_use_at(w, t)
+                        },
+                        last_use: last_use[w.index()],
+                        remaining_consumers: remaining,
+                        free,
+                    });
+                }
+                let victim = candidates[choose(policy, &candidates)].node;
+                builder.evict(victim).expect("victim is evictable");
+                red.remove(victim);
+            }
+            if !red.contains(u) {
+                builder.ensure_red(u).expect("u has a blue copy");
+                red.insert(u);
+            }
+            if !red.contains(v) {
+                red.insert(v);
+            }
+            builder
+                .push(PrbpMove::PartialCompute { from: u, to: v })
+                .expect("edge aggregation is legal");
+            last_use[u.index()] = clock;
+            last_use[v.index()] = clock;
+        }
+        if dag.is_sink(v) {
+            builder.push(PrbpMove::Save(v)).expect("sink is dark red");
+            builder.push(PrbpMove::Delete(v)).expect("light red delete");
+            red.remove(v);
+        }
+    }
+    Some(builder.finish().0)
+}
+
+/// The node-order RBP executor with a candidate scan per eviction.
+fn rbp_scan(dag: &Dag, r: usize, order: &[NodeId], policy: &str) -> Option<RbpTrace> {
+    if r < dag.max_in_degree() + 1 || !topo::is_topological_order(dag, order) {
+        return None;
+    }
+    let n = dag.node_count();
+    let mut next_use = NextUse::new(dag, order);
+    let mut last_use = vec![0usize; n];
+    let mut pinned = vec![false; n];
+    let mut red = RedSet::new(n);
+    let mut remaining: Vec<u32> = dag.nodes().map(|v| dag.out_degree(v) as u32).collect();
+    let mut builder = RbpBuilder::new(dag, RbpConfig::new(r));
+    let mut clock = 0usize;
+    let mut candidates: Vec<Candidate> = Vec::with_capacity(r);
+
+    for (t, &v) in order.iter().enumerate() {
+        if dag.is_source(v) {
+            continue;
+        }
+        clock += 1;
+        let mut needed = 1;
+        for &(u, _) in dag.in_edges(v) {
+            pinned[u.index()] = true;
+            if !red.contains(u) {
+                needed += 1;
+            }
+        }
+        while red.len() + needed > r {
+            candidates.clear();
+            for &w in &red.members {
+                if pinned[w.index()] || w == v {
+                    continue;
+                }
+                let rem = remaining[w.index()] as usize;
+                let free = rem == 0 || builder.game().has_blue(w);
+                candidates.push(Candidate {
+                    node: w,
+                    next_use: if rem == 0 {
+                        NEVER
+                    } else {
+                        next_use.next_use_at(w, t)
+                    },
+                    last_use: last_use[w.index()],
+                    remaining_consumers: rem,
+                    free,
+                });
+            }
+            let victim = candidates[choose(policy, &candidates)].node;
+            builder.evict(victim).expect("victim is evictable");
+            red.remove(victim);
+        }
+        for &(u, _) in dag.in_edges(v) {
+            if !red.contains(u) {
+                builder.ensure_red(u).expect("u has a blue copy");
+                red.insert(u);
+            }
+            last_use[u.index()] = clock;
+        }
+        builder.push(RbpMove::Compute(v)).expect("inputs are red");
+        red.insert(v);
+        last_use[v.index()] = clock;
+        for &(u, _) in dag.in_edges(v) {
+            pinned[u.index()] = false;
+            remaining[u.index()] -= 1;
+        }
+        if dag.is_sink(v) {
+            builder.push(RbpMove::Save(v)).expect("sink is red");
+            builder.push(RbpMove::Delete(v)).expect("red delete");
+            red.remove(v);
+        }
+    }
+    Some(builder.finish().0)
+}
+
+/// The edge-order PRBP executor with a candidate scan per eviction. Only
+/// valid edge sequences reach it (the tests build them), so the up-front
+/// validation of the real executor is left out.
+fn prbp_edges_scan(dag: &Dag, r: usize, edges: &[EdgeId], policy: &str) -> PrbpTrace {
+    let n = dag.node_count();
+    let mut occurrences: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for (t, &e) in edges.iter().enumerate() {
+        let (u, v) = dag.edge_endpoints(e);
+        occurrences[u.index()].push(t as u32);
+        occurrences[v.index()].push(t as u32);
+    }
+    let mut cursor = vec![0u32; n];
+    let mut red = RedSet::new(n);
+    let mut last_use = vec![0usize; n];
+    let mut builder = PrbpBuilder::new(dag, PrbpConfig::new(r));
+    let mut candidates: Vec<Candidate> = Vec::with_capacity(r);
+
+    for (t, &e) in edges.iter().enumerate() {
+        let (u, v) = dag.edge_endpoints(e);
+        let mut needed = 0;
+        if !red.contains(u) {
+            needed += 1;
+        }
+        if !red.contains(v) {
+            needed += 1;
+        }
+        while red.len() + needed > r {
+            candidates.clear();
+            for &w in &red.members {
+                if w == u || w == v {
+                    continue;
+                }
+                let game = builder.game();
+                let remaining = game.unmarked_out_degree(w);
+                let dark = game.pebble_state(w) == PebbleState::DarkRed;
+                let free = !dark || (remaining == 0 && !dag.is_sink(w));
+                let next_use = if remaining == 0 {
+                    NEVER
+                } else {
+                    let occ = &occurrences[w.index()];
+                    let mut c = cursor[w.index()] as usize;
+                    while c < occ.len() && occ[c] as usize <= t {
+                        c += 1;
+                    }
+                    cursor[w.index()] = c as u32;
+                    occ.get(c).map(|&p| p as usize).unwrap_or(NEVER)
+                };
+                candidates.push(Candidate {
+                    node: w,
+                    next_use,
+                    last_use: last_use[w.index()],
+                    remaining_consumers: remaining,
+                    free,
+                });
+            }
+            let victim = candidates[choose(policy, &candidates)].node;
+            builder.evict(victim).expect("victim is evictable");
+            red.remove(victim);
+        }
+        if !red.contains(u) {
+            builder.ensure_red(u).expect("u has a blue copy");
+            red.insert(u);
+        }
+        if !red.contains(v) {
+            if builder.game().pebble_state(v) == PebbleState::Blue {
+                builder.push(PrbpMove::Load(v)).expect("v has a blue copy");
+            }
+            red.insert(v);
+        }
+        builder
+            .push(PrbpMove::PartialCompute { from: u, to: v })
+            .expect("edge aggregation is legal");
+        last_use[u.index()] = t + 1;
+        last_use[v.index()] = t + 1;
+        if builder.game().unmarked_out_degree(u) == 0 && !dag.is_sink(u) {
+            builder.evict(u).expect("dead value evicts for free");
+            red.remove(u);
+        }
+        if dag.is_sink(v) && builder.game().unmarked_in_degree(v) == 0 {
+            builder.push(PrbpMove::Save(v)).expect("sink is dark red");
+            builder.push(PrbpMove::Delete(v)).expect("light red delete");
+            red.remove(v);
+        }
+    }
+    builder.finish().0
+}
+
+/// Compare every executor against its reference on `dag`, for every shipped
+/// policy, the natural and DFS orders (plus the cone-affinity edge order
+/// where it applies) and r ∈ {minimum, minimum + 1, 8, n}.
+fn check_all(dag: &Dag) {
+    let n = dag.node_count();
+    let prbp_rs = [2, 3, 8, n];
+    let rbp_min = dag.max_in_degree() + 1;
+    let rbp_rs = [rbp_min, rbp_min + 1, 8, n.max(rbp_min)];
+    let orders = [order::natural(dag), order::dfs_postorder(dag)];
+    let mut edge_orders: Vec<Vec<EdgeId>> =
+        orders.iter().map(|o| by_target_edges(dag, o)).collect();
+    edge_orders.extend(cone_affinity_edges(dag));
+    for mut policy in all_policies() {
+        let policy: &mut dyn EvictionPolicy = policy.as_mut();
+        let name = policy.name();
+        for ord in &orders {
+            for r in prbp_rs {
+                assert_eq!(
+                    greedy_prbp(dag, r, ord, policy),
+                    prbp_scan(dag, r, ord, name),
+                    "greedy_prbp, policy {}, r {}",
+                    name,
+                    r
+                );
+            }
+            for r in rbp_rs {
+                assert_eq!(
+                    greedy_rbp(dag, r, ord, policy),
+                    rbp_scan(dag, r, ord, name),
+                    "greedy_rbp, policy {}, r {}",
+                    name,
+                    r
+                );
+            }
+        }
+        for edges in &edge_orders {
+            for r in prbp_rs {
+                assert_eq!(
+                    greedy_prbp_edges(dag, r, edges, policy),
+                    Some(prbp_edges_scan(dag, r, edges, name)),
+                    "greedy_prbp_edges, policy {}, r {}",
+                    name,
+                    r
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn fft_64_matches_the_candidate_scan() {
+    check_all(&fft(64).dag);
+}
+
+#[test]
+fn matmul_4_matches_the_candidate_scan() {
+    check_all(&matmul(4, 4, 4).dag);
+}
+
+#[test]
+fn ties_on_never_evict_the_lowest_id_first() {
+    // Sources 0–3 feed node 4; sources 5 and 6 join 4 in sink 7. At r = 3
+    // the aggregation into 4 leaves the fully consumed sources red, and
+    // every later eviction chooses among several dead values that all tie
+    // on NEVER (and on being free), so the node id alone decides.
+    let mut b = DagBuilder::new();
+    let v = b.add_nodes(8);
+    for i in 0..4 {
+        b.add_edge(v[i], v[4]);
+    }
+    for i in [4, 5, 6] {
+        b.add_edge(v[i], v[7]);
+    }
+    let dag = b.build().unwrap();
+    check_all(&dag);
+
+    let ord = order::natural(&dag);
+    let trace = greedy_prbp(&dag, 3, &ord, &mut pebble_sched::FurthestInFuture).unwrap();
+    let deleted: Vec<usize> = trace
+        .moves
+        .iter()
+        .filter_map(|mv| match *mv {
+            PrbpMove::Delete(w) => Some(w.index()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(&deleted[..3], &[0, 1, 2], "moves: {:?}", trace.moves);
+}
+
+fn dag_strategy() -> impl Strategy<Value = Dag> {
+    (2usize..7, 1usize..8, 1usize..5, any::<u64>()).prop_map(|(layers, width, deg, seed)| {
+        random_layered(RandomLayeredConfig {
+            layers,
+            width,
+            max_in_degree: deg,
+            seed,
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn random_layered_dags_match_the_candidate_scan(dag in dag_strategy()) {
+        check_all(&dag);
+    }
+}
