@@ -8,11 +8,16 @@
 //! table.
 //!
 //! Search structure: one level per non-source node. Every beam entry proposes
-//! its cheapest next nodes (fewest immediate loads among the ready nodes),
-//! the pooled proposals are ranked by projected cost, and the best `width`
-//! distinct successor configurations are materialised. Width 1 degenerates to
-//! an *adaptive* greedy scheduler that picks the globally cheapest next node
-//! online; larger widths buy schedule quality for more time and memory.
+//! its cheapest next nodes (fewest immediate loads among the ready nodes,
+//! selected rather than fully sorted), the pooled proposals are ranked by
+//! projected cost, and the best `width` distinct successor configurations
+//! are materialised. Width 1 degenerates to an *adaptive* greedy scheduler
+//! that picks the globally cheapest next node online; larger widths buy
+//! schedule quality for more time and memory.
+//!
+//! Every level rescores each entry's whole ready list, so a solve is
+//! superlinear in the DAG size: `pebble-sched`'s compose runs the beams only
+//! on components of at most 512 nodes.
 //!
 //! The engine adds the anytime contract on top of the classic level loop:
 //! deadline/cancel/budget stops are honoured between macro steps, and an
@@ -30,7 +35,6 @@ use crate::moves::PrbpMove;
 use crate::packed;
 use crate::prbp::PrbpConfig;
 use pebble_dag::{Dag, NodeId};
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -249,13 +253,11 @@ impl Entry {
     fn complete_greedily(&mut self, dag: &Dag, r: usize, wn: usize) {
         loop {
             self.ready.retain(|&v| !self.completed[v.index()]);
-            let Some(&(_, v)) = self
+            let Some(v) = self
                 .ready
                 .iter()
-                .map(|&v| (self.immediate_loads(dag, v), v))
-                .collect::<Vec<_>>()
-                .iter()
-                .min_by_key(|&&(c, v)| (c, v.index()))
+                .copied()
+                .min_by_key(|&v| (self.immediate_loads(dag, v), v.index()))
             else {
                 return;
             };
@@ -315,6 +317,7 @@ pub(crate) fn solve_beam(
     let mut stopped: Option<StopReason> = None;
 
     let mut beam = vec![Entry::initial(dag)];
+    let mut scored: Vec<(usize, NodeId)> = Vec::new();
     'levels: for _ in 0..levels {
         if let Some(reason) = stop_requested(deadline_at, engine) {
             stopped = Some(reason);
@@ -331,13 +334,23 @@ pub(crate) fn solve_beam(
         for (ei, entry) in beam.iter_mut().enumerate() {
             // Compact the lazily-filtered ready list in place.
             entry.ready.retain(|&v| !entry.completed[v.index()]);
-            let mut scored: Vec<(usize, NodeId)> = entry
-                .ready
-                .iter()
-                .map(|&v| (entry.immediate_loads(dag, v), v))
-                .collect();
-            scored.sort_unstable_by_key(|&(c, v)| (c, v.index()));
-            for &(c, v) in scored.iter().take(branch) {
+            scored.clear();
+            scored.extend(
+                entry
+                    .ready
+                    .iter()
+                    .map(|&v| (entry.immediate_loads(dag, v), v)),
+            );
+            // Keys are unique per entry (node ids are), so selecting the
+            // `branch` smallest and sorting only those yields exactly the
+            // prefix a full sort would.
+            let key = |&(c, v): &(usize, NodeId)| (c, v.index());
+            if scored.len() > branch {
+                scored.select_nth_unstable_by_key(branch, key);
+                scored.truncate(branch);
+            }
+            scored.sort_unstable_by_key(key);
+            for &(c, v) in &scored {
                 proposals.push((entry.io + c, ei, v));
             }
         }
@@ -347,7 +360,6 @@ pub(crate) fn solve_beam(
         // Materialise the best distinct successor configurations in rank
         // order, stopping once `width` of them survive the dedup.
         let mut next: Vec<Entry> = Vec::with_capacity(width);
-        let mut seen: HashMap<Vec<u64>, usize> = HashMap::new();
         for &(_, ei, v) in &proposals {
             if next.len() >= width {
                 break;
@@ -373,16 +385,15 @@ pub(crate) fn solve_beam(
             child.complete(dag, r, wn, v);
             stats.expanded += 1;
             stats.distinct += 1;
-            match seen.get(&child.packed) {
-                Some(&slot) => {
+            // At most `width` survivors: a linear scan of their packed
+            // words is the dedup.
+            match next.iter().position(|e| e.packed == child.packed) {
+                Some(slot) => {
                     if child.io < next[slot].io {
                         next[slot] = child;
                     }
                 }
-                None => {
-                    seen.insert(child.packed.clone(), next.len());
-                    next.push(child);
-                }
+                None => next.push(child),
             }
         }
         debug_assert!(!next.is_empty(), "every level has a ready node");

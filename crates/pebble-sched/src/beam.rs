@@ -12,11 +12,14 @@
 //! version of the solver's transposition table.
 //!
 //! Width 1 degenerates to an *adaptive* greedy scheduler that picks the
-//! globally cheapest next node online — the workhorse for instances where a
-//! fixed compute order wastes locality; larger widths buy schedule quality
-//! on mid-size instances for more time and memory. Callers that want
-//! deadlines or cancellation configure the same search through
-//! [`pebble_game::engine::solve_prbp`] with `EngineConfig::width`.
+//! globally cheapest next node online, which helps where a fixed compute
+//! order wastes locality; larger widths buy schedule quality for more time
+//! and memory. The search is superlinear, so neither width is a
+//! [`crate::default_suite`] member: compose runs `beam:1` and `beam:8` on
+//! its components of at most 512 nodes, where dropping either one raised
+//! some compose costs. Callers that want deadlines or cancellation
+//! configure the same search through [`pebble_game::engine::solve_prbp`]
+//! with `EngineConfig::width`.
 
 use pebble_dag::Dag;
 use pebble_game::engine::{solve_prbp, EngineConfig};

@@ -11,7 +11,8 @@
 //!    boundary inputs), dispatching components across scoped worker threads.
 //!    Each distinct sub-DAG is scheduled once per call: identical components
 //!    (the blocks of a blocked FFT, the tiles of a matmul) reuse its
-//!    schedule. The heuristic portfolio runs first, plus the
+//!    schedule. The heuristic portfolio runs first (the greedy members,
+//!    plus the beams on components of at most 512 nodes), then the
 //!    shared-input-affinity edge schedule ([`crate::edges`]) on cone-shaped
 //!    components; a schedule meeting the load-count bound is optimal and
 //!    ends the work. Otherwise components within
@@ -38,9 +39,9 @@
 //! [`ComposeConfig::deadline`] bounds the solve, measured from entry. It is
 //! checked before each candidate decomposition, before each distinct
 //! component, inside the portfolio's beam members (a cut beam
-//! greedy-completes its schedule) and in the exact phase (which keeps its
-//! validated seed). When it fires, the best candidate stitched so far is
-//! returned; with none, the solve fails with
+//! greedy-completes its component, of at most 512 nodes) and in the exact
+//! phase (which keeps its validated seed). When it fires, the best
+//! candidate stitched so far is returned; with none, the solve fails with
 //! [`ComposeError::DeadlineNoIncumbent`]. A deadline that never fires
 //! changes nothing: the answer is the one `deadline: None` gives. The
 //! certification after the solve is not covered by the deadline.
@@ -421,6 +422,29 @@ fn schedule_decomposition(
     })
 }
 
+/// Largest component, in nodes, on which the portfolio also runs the beams.
+const BEAM_MAX_NODES: usize = 512;
+
+/// The portfolio run on one component: [`default_suite`], plus the adaptive
+/// `beam:1` and then `beam:8` on components of at most [`BEAM_MAX_NODES`]
+/// nodes. The beams are superlinear. Running them only there changed no
+/// compose cost on the benchmark corpora, while dropping either one from the
+/// small components raised some.
+pub(crate) fn component_suite(dag: &Dag) -> Vec<Scheduler> {
+    let mut suite = default_suite();
+    if dag.node_count() <= BEAM_MAX_NODES {
+        suite.push(Scheduler::Beam {
+            width: 1,
+            branch: 1,
+        });
+        suite.push(Scheduler::Beam {
+            width: 8,
+            branch: 4,
+        });
+    }
+    suite
+}
+
 /// Schedule one extracted component.
 ///
 /// Heuristics run first: a heuristic schedule meeting the admissible
@@ -437,15 +461,8 @@ fn schedule_component(
     let dag = &sub.dag;
     let config_prbp = PrbpConfig::new(r);
     let lower = exact::prbp_initial_bound(dag, config_prbp, &LoadCountHeuristic);
-    let mut suite = default_suite();
-    if dag.node_count() <= 512 {
-        suite.push(Scheduler::Beam {
-            width: 8,
-            branch: 4,
-        });
-    }
     let mut best: Option<(PrbpTrace, usize)> =
-        best_prbp_until(dag, r, &suite, deadline).map(|(_, t, c)| (t, c));
+        best_prbp_until(dag, r, &component_suite(dag), deadline).map(|(_, t, c)| (t, c));
     // Cone-shaped components additionally get the streaming-accumulator
     // edge schedule, which the node-order portfolio cannot express. A
     // portfolio schedule at the bound cannot be beaten, so it is skipped then.
@@ -631,6 +648,30 @@ mod tests {
             None,
         );
         out.unwrap().cost
+    }
+
+    #[test]
+    fn beams_run_on_components_of_at_most_512_nodes() {
+        let chain = |n: usize| {
+            let mut b = DagBuilder::new();
+            let nodes = b.add_nodes(n);
+            for w in nodes.windows(2) {
+                b.add_edge(w[0], w[1]);
+            }
+            b.build().unwrap()
+        };
+        let beams = |dag: &Dag| {
+            component_suite(dag)
+                .into_iter()
+                .filter(|s| matches!(s, Scheduler::Beam { .. }))
+                .map(|s| s.to_string())
+                .collect::<Vec<_>>()
+        };
+        let small = component_suite(&chain(512));
+        assert_eq!(small[..small.len() - 2], default_suite()[..]);
+        assert_eq!(beams(&chain(512)), ["beam:1", "beam:8"]);
+        assert!(beams(&chain(513)).is_empty());
+        assert_eq!(component_suite(&chain(513)), default_suite());
     }
 
     #[test]

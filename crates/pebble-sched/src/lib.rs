@@ -24,7 +24,8 @@
 //! * [`beam`] — beam search over partial schedules, deduplicated by the
 //!   packed-state encoding shared with the exact solvers
 //!   ([`pebble_game::packed`]); width 1 is the adaptive greedy that picks the
-//!   cheapest next node online.
+//!   cheapest next node online. Superlinear, so compose runs it only on
+//!   components of at most 512 nodes.
 //! * [`local`] — seeded local-search refinement (eviction re-decisions +
 //!   topology-preserving segment re-ordering) that only ever accepts
 //!   strictly cheaper, simulator-validated schedules.
@@ -40,7 +41,8 @@
 //!   optional wall-clock deadline and certifies the result: the one solve
 //!   behind `prbp schedule --deadline-ms`, cold `serve` requests and
 //!   `prbp warm`.
-//! * [`suite`] — the named portfolio the experiments and benchmarks sweep.
+//! * [`suite`] — the named schedulers the experiments and benchmarks sweep;
+//!   [`default_suite`] is the four greedy configurations.
 
 #![deny(missing_docs)]
 

@@ -105,9 +105,10 @@ impl OrderKind {
 /// A fully-determined scheduler configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
-    /// The generic topological strategies of `pebble-game` — the portfolio's
-    /// fallback floor, kept so "best of suite" can never lose to the
-    /// pre-existing baseline.
+    /// The generic topological strategies of `pebble-game`: the reference
+    /// floor that the experiments and property tests compare the portfolio
+    /// against. Not a [`default_suite`] member, since it never changed a
+    /// best cost there.
     Baseline,
     /// Order-driven greedy with a pluggable policy.
     Greedy {
@@ -307,12 +308,12 @@ impl Scheduler {
     }
 }
 
-/// The default portfolio, cheap enough to sweep on every instance: the
-/// baseline floor, every eviction policy on the natural order, Belady on the
-/// DFS order, and the adaptive (width-1) beam.
+/// The default portfolio, cheap enough to sweep on every instance: every
+/// eviction policy on the natural order and Belady on the DFS order, each
+/// `O((n + m) log r)`. The beams are superlinear and only pay off on small
+/// DAGs, so compose adds them to components of at most 512 nodes.
 pub fn default_suite() -> Vec<Scheduler> {
     vec![
-        Scheduler::Baseline,
         Scheduler::Greedy {
             policy: PolicyKind::Belady,
             order: OrderKind::Natural,
@@ -328,10 +329,6 @@ pub fn default_suite() -> Vec<Scheduler> {
         Scheduler::Greedy {
             policy: PolicyKind::Belady,
             order: OrderKind::DfsPostorder,
-        },
-        Scheduler::Beam {
-            width: 1,
-            branch: 1,
         },
     ]
 }
@@ -524,13 +521,9 @@ mod tests {
         let dag = fft(16).dag;
         let r = 4;
         let suite = default_suite();
-        let skipped = |s: Scheduler| {
-            (s != Scheduler::Baseline)
-                .then(|| s.run_prbp(&dag, r))
-                .flatten()
-        };
+        let skipped = |s: Scheduler| (s != suite[0]).then(|| s.run_prbp(&dag, r)).flatten();
         let (s, trace, cost) = first_minimum(&dag, r, &suite, None, skipped).unwrap();
-        assert_ne!(s, Scheduler::Baseline);
+        assert_ne!(s, suite[0]);
         assert_eq!(Some(trace), s.run_prbp(&dag, r));
         let others = suite[1..]
             .iter()
@@ -547,12 +540,15 @@ mod tests {
         let dag = fft(16).dag;
         let r = 4;
         let suite = default_suite();
-        let broken = |s: Scheduler| match s {
-            Scheduler::Baseline => Some(PrbpTrace::new()),
-            s => s.run_prbp(&dag, r),
+        let broken = |s: Scheduler| {
+            if s == suite[0] {
+                Some(PrbpTrace::new())
+            } else {
+                s.run_prbp(&dag, r)
+            }
         };
         let (s, ..) = first_minimum(&dag, r, &suite, None, broken).unwrap();
-        assert_ne!(s, Scheduler::Baseline);
+        assert_ne!(s, suite[0]);
         assert_eq!(validated_cost(&dag, r, &PrbpTrace::new(), &"empty"), None);
     }
 

@@ -96,9 +96,14 @@ fn grow_sp(b: &mut DagBuilder, rng: &mut ChaCha8Rng, s: NodeId, t: NodeId, depth
     }
 }
 
-/// The engines quantified over, including compose.
+/// The engines quantified over: every scheduler family, including compose.
 fn engines() -> Vec<Scheduler> {
-    let mut suite = default_suite();
+    let mut suite = vec![Scheduler::Baseline];
+    suite.extend(default_suite());
+    suite.push(Scheduler::Beam {
+        width: 1,
+        branch: 1,
+    });
     suite.push(Scheduler::Beam {
         width: 8,
         branch: 4,

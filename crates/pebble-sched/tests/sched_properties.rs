@@ -9,7 +9,9 @@
 //!
 //! The portfolio sweep stops at the load-count bound and compose schedules
 //! each distinct component once; both shortcuts are checked here against
-//! references that do neither.
+//! references that do neither. The same reference, run with the portfolio
+//! from before the beams were confined to components of at most 512 nodes,
+//! pins that the confinement moved no compose cost.
 
 use pebble_dag::generators::{fft, matmul, random_layered, RandomLayeredConfig};
 use pebble_dag::Dag;
@@ -39,10 +41,15 @@ fn dag_strategy() -> impl Strategy<Value = (Dag, usize)> {
     })
 }
 
-/// The suite the properties quantify over: the default portfolio plus the
-/// heavier members exercised at small scale.
+/// The suite the properties quantify over: the members compose runs on a
+/// small component (the default portfolio and both beams) plus local
+/// search.
 fn full_suite() -> Vec<Scheduler> {
     let mut suite = default_suite();
+    suite.push(Scheduler::Beam {
+        width: 1,
+        branch: 1,
+    });
     suite.push(Scheduler::Beam {
         width: 8,
         branch: 4,
@@ -213,6 +220,7 @@ mod compose_reference {
     use super::*;
     use pebble_bounds::composed_prbp_bound;
     use pebble_dag::decompose::{decompose, extract_component, ExtractedComponent, Strategy};
+    use pebble_dag::generators::attention_full;
     use pebble_dag::{DagBuilder, NodeId};
     use pebble_game::exact;
     use pebble_game::moves::PrbpMove;
@@ -222,17 +230,35 @@ mod compose_reference {
         compose_prbp, cone_affinity_edges, greedy_prbp_edges, ComposeConfig, FurthestInFuture,
     };
 
-    fn component(dag: &Dag, r: usize) -> Option<(PrbpTrace, Option<usize>)> {
-        let config = PrbpConfig::new(r);
+    /// The members compose runs on a component: the default portfolio,
+    /// plus `beam:1` and then `beam:8` on components of at most 512 nodes.
+    fn component_suite(dag: &Dag) -> Vec<Scheduler> {
         let mut suite = default_suite();
         if dag.node_count() <= 512 {
-            suite.push(Scheduler::Beam {
-                width: 8,
-                branch: 4,
-            });
+            suite.extend([BEAM_1, BEAM_8]);
         }
-        let mut candidates: Vec<PrbpTrace> =
-            suite.iter().filter_map(|s| s.run_prbp(dag, r)).collect();
+        suite
+    }
+
+    const BEAM_1: Scheduler = Scheduler::Beam {
+        width: 1,
+        branch: 1,
+    };
+    const BEAM_8: Scheduler = Scheduler::Beam {
+        width: 8,
+        branch: 4,
+    };
+
+    fn component(
+        dag: &Dag,
+        r: usize,
+        suite_of: fn(&Dag) -> Vec<Scheduler>,
+    ) -> Option<(PrbpTrace, Option<usize>)> {
+        let config = PrbpConfig::new(r);
+        let mut candidates: Vec<PrbpTrace> = suite_of(dag)
+            .iter()
+            .filter_map(|s| s.run_prbp(dag, r))
+            .collect();
         if let Some(edges) = cone_affinity_edges(dag) {
             candidates.extend(greedy_prbp_edges(dag, r, &edges, &mut FurthestInFuture));
         }
@@ -302,7 +328,7 @@ mod compose_reference {
 
     type Reference = (usize, PrbpTrace, Strategy, usize, usize, Option<usize>);
 
-    fn reference(dag: &Dag, r: usize) -> Reference {
+    fn reference(dag: &Dag, r: usize, suite_of: fn(&Dag) -> Vec<Scheduler>) -> Reference {
         let budget = DEFAULT_EXACT_BUDGET;
         let mut caps = vec![(4 * r).max(2 * budget), (16 * r).max(4 * budget)];
         caps.dedup();
@@ -324,7 +350,7 @@ mod compose_reference {
             let mut exact_costs = Vec::new();
             for c in &d.components {
                 let sub = extract_component(dag, c);
-                let Some((trace, exact)) = component(&sub.dag, r) else {
+                let Some((trace, exact)) = component(&sub.dag, r, suite_of) else {
                     break;
                 };
                 parts.push((sub, trace));
@@ -389,7 +415,7 @@ mod compose_reference {
             ("forest", forest, 3),
         ] {
             let got = compose_prbp(&dag, r, &ComposeConfig::default()).unwrap();
-            let want = reference(&dag, r);
+            let want = reference(&dag, r, component_suite);
             assert_eq!(
                 (
                     got.cost,
@@ -400,6 +426,73 @@ mod compose_reference {
                     got.composed_bound
                 ),
                 (want.0, &want.1, want.2, want.3, want.4, want.5),
+                "{name} at r={r}"
+            );
+        }
+    }
+
+    /// The portfolio before the beams were confined to small components:
+    /// `baseline`, the default greedy members, the adaptive `beam:1` on
+    /// every component, and `beam:8` on components of at most 512 nodes.
+    fn old_component_suite(dag: &Dag) -> Vec<Scheduler> {
+        let mut suite = vec![Scheduler::Baseline];
+        suite.extend(default_suite());
+        suite.push(BEAM_1);
+        if dag.node_count() <= 512 {
+            suite.push(BEAM_8);
+        }
+        suite
+    }
+
+    fn without_beam_1(dag: &Dag) -> Vec<Scheduler> {
+        let mut suite = component_suite(dag);
+        suite.retain(|&s| s != BEAM_1);
+        suite
+    }
+
+    #[test]
+    fn confining_the_beams_to_small_components_changes_no_cost() {
+        // A 40-node DAG on which `beam:1` is the only cheapest member of
+        // the whole-DAG portfolio, and without it compose costs more.
+        let small = random_layered(RandomLayeredConfig {
+            layers: 4,
+            width: 10,
+            max_in_degree: 2,
+            seed: 37,
+        });
+        let costs: Vec<usize> = old_component_suite(&small)
+            .iter()
+            .map(|s| {
+                let trace = s.run_prbp(&small, 8).expect("r = 8 suffices");
+                trace.validate(&small, PrbpConfig::new(8)).expect("valid")
+            })
+            .collect();
+        let (beam, others): (Vec<_>, Vec<_>) = old_component_suite(&small)
+            .into_iter()
+            .zip(costs)
+            .partition(|&(s, _)| s == BEAM_1);
+        assert!(others.iter().all(|&(_, c)| c > beam[0].1), "{others:?}");
+        let got = compose_prbp(&small, 8, &ComposeConfig::default()).unwrap();
+        assert!(reference(&small, 8, without_beam_1).0 > got.cost);
+
+        let random = random_layered(RandomLayeredConfig {
+            layers: 40,
+            width: 30,
+            max_in_degree: 3,
+            seed: 5,
+        });
+        for (name, dag, r) in [
+            ("fft-128", fft(128).dag, 8),
+            ("matmul-8", matmul(8, 8, 8).dag, 24),
+            ("attention-16x4", attention_full(16, 4).dag, 68),
+            ("random-40x30", random, 8),
+            ("random-4x10", small, 8),
+        ] {
+            let got = compose_prbp(&dag, r, &ComposeConfig::default()).unwrap();
+            let old = reference(&dag, r, old_component_suite);
+            assert_eq!(
+                (got.cost, got.composed_bound),
+                (old.0, old.5),
                 "{name} at r={r}"
             );
         }

@@ -55,7 +55,8 @@ USAGE:
       S: greedy:<belady|lru|fewest>:<natural|dfs> (default greedy:belady:dfs,
          streaming), beam:<width>[:<branch>], local:<iterations>, baseline,
          compose[:<exact-budget>] (structure-aware decomposition; PRBP only),
-         or `suite` (best of the default portfolio; materialises traces)
+         or `suite` (best of the four greedy members of the default
+         portfolio; materialises traces)
       --deadline-ms runs the certified compose solve instead of
          --scheduler (PRBP only): the best stitched schedule found within
          the wall-clock budget, components scheduled on --workers threads
