@@ -10,27 +10,13 @@ use pebble_game::rbp::RbpConfig;
 
 fn rbp_opt(dag: &Dag, r: usize) -> usize {
     let engine = EngineConfig::default();
-    let out = solve_rbp(
-        dag,
-        RbpConfig::new(r),
-        &engine,
-        &LoadCountHeuristic,
-        None,
-        None,
-    );
+    let out = solve_rbp(dag, RbpConfig::new(r), &engine, &LoadCountHeuristic, None);
     out.unwrap().cost
 }
 
 fn prbp_opt(dag: &Dag, r: usize) -> usize {
     let engine = EngineConfig::default();
-    let out = solve_prbp(
-        dag,
-        PrbpConfig::new(r),
-        &engine,
-        &LoadCountHeuristic,
-        None,
-        None,
-    );
+    let out = solve_prbp(dag, PrbpConfig::new(r), &engine, &LoadCountHeuristic, None);
     out.unwrap().cost
 }
 

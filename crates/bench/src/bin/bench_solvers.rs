@@ -149,20 +149,6 @@ fn main() -> ExitCode {
         );
     }
 
-    for e in &current.engine {
-        eprintln!(
-            "  {:<18} {:<5} r={:<2} engine w={} ({} used): cost={} expanded={} {:.1}M exp/s",
-            e.id,
-            e.model,
-            e.r,
-            e.workers,
-            e.workers_used,
-            e.cost,
-            e.expanded,
-            e.throughput as f64 / 1e6
-        );
-    }
-
     let (Some(baseline), Some(check_path)) = (baseline, args.check) else {
         return ExitCode::SUCCESS;
     };

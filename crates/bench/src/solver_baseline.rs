@@ -62,33 +62,6 @@ pub struct InstanceResult {
     pub heuristics: Vec<HeuristicResult>,
 }
 
-/// One unified-engine measurement at a fixed worker count (schema 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EngineResult {
-    /// Stable instance id (matches [`InstanceResult::id`]).
-    pub id: String,
-    /// `"rbp"` or `"prbp"`.
-    pub model: String,
-    /// Cache size used.
-    pub r: usize,
-    /// Requested worker count; 0 means "all available cores", so the gate
-    /// key stays machine-independent.
-    pub workers: usize,
-    /// Workers the measuring machine actually ran.
-    pub workers_used: usize,
-    /// Proven optimal cost — identical at every worker count by the
-    /// engine's answer-determinism, and gated as such.
-    pub cost: usize,
-    /// States expanded, aggregated across workers. Deterministic (and
-    /// gated) only at `workers = 1`; informational above.
-    pub expanded: usize,
-    /// Median wall-clock nanoseconds across repetitions.
-    pub median_ns: u64,
-    /// Expansion throughput (expanded states per second at the median) —
-    /// how the sequential-vs-parallel engine comparison is read.
-    pub throughput: u64,
-}
-
 /// The complete baseline document.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SolverBaseline {
@@ -100,9 +73,6 @@ pub struct SolverBaseline {
     pub reps: usize,
     /// One entry per corpus instance.
     pub instances: Vec<InstanceResult>,
-    /// Unified-engine measurements at workers = 1 vs workers = all, on the
-    /// heavy end of the corpus (schema >= 2; refresh schema-1 baselines).
-    pub engine: Vec<EngineResult>,
 }
 
 /// One solvable workload of the corpus.
@@ -153,24 +123,10 @@ fn heuristics() -> [&'static dyn LowerBound; 2] {
 fn solve(spec: &InstanceSpec, heuristic: &dyn LowerBound) -> (usize, SearchStats) {
     let engine = EngineConfig::default();
     match spec.model {
-        "rbp" => engine::solve_rbp(
-            &spec.dag,
-            RbpConfig::new(spec.r),
-            &engine,
-            heuristic,
-            None,
-            None,
-        )
-        .map(|out| (out.cost, out.stats)),
-        "prbp" => engine::solve_prbp(
-            &spec.dag,
-            PrbpConfig::new(spec.r),
-            &engine,
-            heuristic,
-            None,
-            None,
-        )
-        .map(|out| (out.cost, out.stats)),
+        "rbp" => engine::solve_rbp(&spec.dag, RbpConfig::new(spec.r), &engine, heuristic, None)
+            .map(|out| (out.cost, out.stats)),
+        "prbp" => engine::solve_prbp(&spec.dag, PrbpConfig::new(spec.r), &engine, heuristic, None)
+            .map(|out| (out.cost, out.stats)),
         other => panic!("unknown model {other}"),
     }
     .expect("corpus instances must be solvable")
@@ -222,89 +178,6 @@ pub fn measure(spec: &InstanceSpec, reps: usize) -> InstanceResult {
     }
 }
 
-/// The heavy end of the corpus — the instances where the parallel engine
-/// has enough states to distribute for throughput to mean anything.
-pub fn engine_corpus() -> Vec<InstanceSpec> {
-    corpus()
-        .into_iter()
-        .filter(|s| {
-            matches!(
-                (s.id, s.model),
-                ("e02-matvec2", "prbp") | ("e04-tree-d3", "rbp") | ("e09-zipper-d3", "prbp")
-            )
-        })
-        .collect()
-}
-
-/// The worker counts swept by the engine section: sequential, and "all
-/// available cores" (recorded as 0 so the gate key is machine-independent).
-pub const ENGINE_WORKER_COUNTS: [usize; 2] = [1, 0];
-
-/// Measure one engine solve of `spec` at `workers` requested workers.
-pub fn measure_engine(spec: &InstanceSpec, reps: usize, workers: usize) -> EngineResult {
-    let engine_cfg = EngineConfig {
-        workers,
-        ..EngineConfig::default()
-    };
-    let run_once = || match spec.model {
-        "rbp" => engine::solve_rbp(
-            &spec.dag,
-            RbpConfig::new(spec.r),
-            &engine_cfg,
-            &LoadCountHeuristic,
-            None,
-            None,
-        )
-        .map(|o| (o.cost, o.proven_optimal, o.stats)),
-        "prbp" => engine::solve_prbp(
-            &spec.dag,
-            PrbpConfig::new(spec.r),
-            &engine_cfg,
-            &LoadCountHeuristic,
-            None,
-            None,
-        )
-        .map(|o| (o.cost, o.proven_optimal, o.stats)),
-        other => panic!("unknown model {other}"),
-    };
-    run_once().expect("warm-up solves"); // untimed warm-up
-    let mut last = None;
-    let mut times: Vec<u64> = (0..reps.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            let out = run_once().expect("corpus instances must be solvable");
-            let dt = t0.elapsed().as_nanos() as u64;
-            last = Some(out);
-            dt
-        })
-        .collect();
-    times.sort_unstable();
-    let (cost, proven, stats) = last.expect("at least one repetition");
-    assert!(
-        proven,
-        "{} ({}): engine failed to prove",
-        spec.id, spec.model
-    );
-    let median_ns = times[times.len() / 2];
-    let workers_used = match workers {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        w => w,
-    };
-    EngineResult {
-        id: spec.id.to_string(),
-        model: spec.model.to_string(),
-        r: spec.r,
-        workers,
-        workers_used,
-        cost,
-        expanded: stats.expanded,
-        median_ns,
-        throughput: (stats.expanded as u128 * 1_000_000_000 / median_ns.max(1) as u128) as u64,
-    }
-}
-
 /// Sweep the whole corpus across `threads` workers and assemble the
 /// baseline document.
 pub fn run(mode: &str, reps: usize, threads: usize) -> SolverBaseline {
@@ -313,20 +186,11 @@ pub fn run(mode: &str, reps: usize, threads: usize) -> SolverBaseline {
         |spec| measure(&spec, reps),
         threads,
     );
-    // The engine sweep runs serially: its parallel rows own the machine, so
-    // concurrent measurements would corrupt each other's wall clock.
-    let mut engine = Vec::new();
-    for spec in engine_corpus() {
-        for workers in ENGINE_WORKER_COUNTS {
-            engine.push(measure_engine(&spec, reps, workers));
-        }
-    }
     SolverBaseline {
-        schema: 2,
+        schema: 3,
         mode: mode.to_string(),
         reps,
         instances,
-        engine,
     }
 }
 
@@ -415,33 +279,6 @@ pub fn regressions(
             }
         }
     }
-    for base_e in &baseline.engine {
-        let Some(cur_e) = current
-            .engine
-            .iter()
-            .find(|e| e.id == base_e.id && e.model == base_e.model && e.workers == base_e.workers)
-        else {
-            out.push(format!(
-                "{} ({}) [engine w={}]: row missing from current run",
-                base_e.id, base_e.model, base_e.workers
-            ));
-            continue;
-        };
-        if cur_e.cost != base_e.cost {
-            out.push(format!(
-                "{} ({}) [engine w={}]: optimum changed {} -> {} (correctness!)",
-                base_e.id, base_e.model, base_e.workers, base_e.cost, cur_e.cost
-            ));
-        }
-        // Only the sequential engine's expansion count is deterministic;
-        // parallel rows are throughput telemetry, gated on cost alone.
-        if base_e.workers == 1 && cur_e.expanded as u64 > factor(base_e.expanded as u64) {
-            out.push(format!(
-                "{} ({}) [engine w=1]: expanded {} -> {} (> +{tolerance_pct}%)",
-                base_e.id, base_e.model, base_e.expanded, cur_e.expanded
-            ));
-        }
-    }
     out
 }
 
@@ -451,7 +288,7 @@ mod tests {
 
     fn tiny_baseline(expanded: usize, median_ns: u64) -> SolverBaseline {
         SolverBaseline {
-            schema: 2,
+            schema: 3,
             mode: "quick".into(),
             reps: 1,
             instances: vec![InstanceResult {
@@ -468,17 +305,6 @@ mod tests {
                     distinct: 0,
                     median_ns,
                 }],
-            }],
-            engine: vec![EngineResult {
-                id: "x".into(),
-                model: "rbp".into(),
-                r: 4,
-                workers: 1,
-                workers_used: 1,
-                cost: 3,
-                expanded: 1000,
-                median_ns: 10_000_000,
-                throughput: 1,
             }],
         }
     }
@@ -511,51 +337,6 @@ mod tests {
         assert!(regressions(&b, &tiny_baseline(1000, 19_000_000), 25, Some(100)).is_empty());
         // Disabled time gate (cross-machine checks) ignores any slowdown.
         assert!(regressions(&b, &tiny_baseline(1000, u64::MAX), 25, None).is_empty());
-    }
-
-    #[test]
-    fn engine_rows_gate_cost_everywhere_and_expanded_sequentially() {
-        let b = tiny_baseline(1000, 10_000_000);
-        // Cost change on the engine row is a correctness regression.
-        let mut c = b.clone();
-        c.engine[0].cost = 4;
-        let regs = regressions(&b, &c, 25, None);
-        assert_eq!(regs.len(), 1, "{regs:?}");
-        assert!(regs[0].contains("correctness"));
-        // Sequential expansion growth beyond tolerance is flagged...
-        let mut c = b.clone();
-        c.engine[0].expanded = 1300;
-        assert_eq!(regressions(&b, &c, 25, None).len(), 1);
-        // ...but the same growth on a parallel row is telemetry only.
-        let mut b2 = b.clone();
-        b2.engine[0].workers = 4;
-        let mut c = b2.clone();
-        c.engine[0].expanded = 5000;
-        assert!(regressions(&b2, &c, 25, None).is_empty());
-        // A vanished engine row is flagged like a vanished instance.
-        let mut c = b.clone();
-        c.engine.clear();
-        assert_eq!(regressions(&b, &c, 25, None).len(), 1);
-        // Schema-1 baselines (no engine section) gate nothing extra.
-        let mut b1 = b.clone();
-        b1.engine.clear();
-        assert!(regressions(&b1, &b, 25, None).is_empty());
-    }
-
-    #[test]
-    fn measure_engine_agrees_with_the_sequential_reference() {
-        let specs = corpus();
-        let fig1 = specs
-            .iter()
-            .find(|s| s.id == "e01-fig1" && s.model == "prbp")
-            .unwrap();
-        let seq = measure_engine(fig1, 1, 1);
-        let par = measure_engine(fig1, 1, 4);
-        assert_eq!(seq.cost, 2);
-        assert_eq!(par.cost, 2, "parallel engine must prove the same optimum");
-        assert_eq!(seq.workers_used, 1);
-        assert_eq!(par.workers_used, 4);
-        assert!(seq.throughput > 0 && par.throughput > 0);
     }
 
     #[test]

@@ -146,7 +146,7 @@ mod tests {
 
     fn prbp_opt(dag: &Dag, config: PrbpConfig) -> usize {
         let engine = EngineConfig::default();
-        let out = solve_prbp(dag, config, &engine, &LoadCountHeuristic, None, None);
+        let out = solve_prbp(dag, config, &engine, &LoadCountHeuristic, None);
         out.unwrap().cost
     }
 
@@ -218,7 +218,7 @@ mod tests {
         let config = RbpConfig::new(4);
         let composed = composed_rbp_bound(&t, config, &parts);
         let engine = EngineConfig::default();
-        let opt = solve_rbp(&t, config, &engine, &LoadCountHeuristic, None, None)
+        let opt = solve_rbp(&t, config, &engine, &LoadCountHeuristic, None)
             .unwrap()
             .cost;
         assert!(composed.total() <= opt);

@@ -16,10 +16,10 @@ pub fn run() -> Table {
     let r = fig1::FIG1_CACHE;
     let engine = EngineConfig::default();
     let h = &LoadCountHeuristic;
-    let rbp_opt = solve_rbp(&f.dag, RbpConfig::new(r), &engine, h, None, None)
+    let rbp_opt = solve_rbp(&f.dag, RbpConfig::new(r), &engine, h, None)
         .unwrap()
         .cost;
-    let prbp_opt = solve_prbp(&f.dag, PrbpConfig::new(r), &engine, h, None, None)
+    let prbp_opt = solve_prbp(&f.dag, PrbpConfig::new(r), &engine, h, None)
         .unwrap()
         .cost;
     let rbp_strategy = fig1::rbp_optimal_trace(&f)

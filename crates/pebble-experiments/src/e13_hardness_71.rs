@@ -40,16 +40,9 @@ pub fn run() -> Table {
                 ..EngineConfig::default()
             };
             let opt = |dag| {
-                solve_rbp(
-                    dag,
-                    RbpConfig::new(r),
-                    &engine,
-                    &LoadCountHeuristic,
-                    None,
-                    None,
-                )
-                .map(|out| out.cost.to_string())
-                .unwrap_or_else(|_| "-".into())
+                solve_rbp(dag, RbpConfig::new(r), &engine, &LoadCountHeuristic, None)
+                    .map(|out| out.cost.to_string())
+                    .unwrap_or_else(|_| "-".into())
             };
             (opt(&plain.dag), opt(&adjusted.dag))
         } else {

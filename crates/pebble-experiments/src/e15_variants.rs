@@ -18,7 +18,7 @@ pub fn run() -> Table {
     let r = 4;
     let engine = EngineConfig::default();
     let h = &LoadCountHeuristic;
-    let rbp = |dag, config| solve_rbp(dag, config, &engine, h, None, None).unwrap().cost;
+    let rbp = |dag, config| solve_rbp(dag, config, &engine, h, None).unwrap().cost;
     let mut t = Table::new(
         "E15 (App B): model variants on Figure 1 and its adjusted versions (r = 4)",
         &[
@@ -40,7 +40,7 @@ pub fn run() -> Table {
         let one_shot = rbp(dag, RbpConfig::new(r));
         let recompute = rbp(dag, RbpConfig::new(r).with_recompute());
         let sliding = rbp(dag, RbpConfig::new(r).with_sliding());
-        let prbp = solve_prbp(dag, PrbpConfig::new(r), &engine, h, None, None)
+        let prbp = solve_prbp(dag, PrbpConfig::new(r), &engine, h, None)
             .unwrap()
             .cost;
         // Appendix B: recompute/sliding never hurt, PRBP stays at 2, and the

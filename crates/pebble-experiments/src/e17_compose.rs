@@ -253,7 +253,7 @@ pub fn run_with_threads(threads: usize) -> Table {
                 // Within whole-instance A* reach: compare to the optimum.
                 let engine = EngineConfig::default();
                 let config = PrbpConfig::new(inst.r);
-                let opt = solve_prbp(&inst.dag, config, &engine, &LoadCountHeuristic, None, None)
+                let opt = solve_prbp(&inst.dag, config, &engine, &LoadCountHeuristic, None)
                     .expect("exact rows are solver-sized")
                     .cost;
                 t.check(row.outcome.cost == opt);

@@ -20,7 +20,7 @@
 //! on components of at most 512 nodes.
 //!
 //! The engine adds the anytime contract on top of the classic level loop:
-//! deadline/cancel/budget stops are honoured between macro steps, and an
+//! deadline and budget stops are honoured between macro steps, and an
 //! early stop *greedily completes* the best partial schedule so the caller
 //! still receives a full, simulator-validated incumbent. The search is
 //! sequential: each level materialises proposals in rank order and stops
@@ -29,7 +29,7 @@
 
 use super::astar::stop_requested;
 use super::domain::Domain;
-use super::{EngineConfig, Progress, RawOutcome, StopReason};
+use super::{EngineConfig, RawOutcome, StopReason};
 use crate::exact::{ExactError, LowerBound, SearchStats};
 use crate::moves::PrbpMove;
 use crate::packed;
@@ -289,7 +289,6 @@ pub(crate) fn solve_beam(
     engine: &EngineConfig,
     width: usize,
     heuristic: &dyn LowerBound,
-    progress: Option<&Progress<PrbpMove>>,
 ) -> Result<RawOutcome<PrbpMove>, ExactError> {
     assert!(
         !config.no_delete,
@@ -306,9 +305,6 @@ pub(crate) fn solve_beam(
     };
     let start = domain.start_words();
     let h0 = domain.h(heuristic, &start);
-    if let Some(p) = progress {
-        p.raise_bound(h0);
-    }
     let deadline_at = engine.deadline.map(|d| Instant::now() + d);
 
     let wn = packed::plane_words(dag.node_count());
@@ -319,7 +315,7 @@ pub(crate) fn solve_beam(
     let mut beam = vec![Entry::initial(dag)];
     let mut scored: Vec<(usize, NodeId)> = Vec::new();
     'levels: for _ in 0..levels {
-        if let Some(reason) = stop_requested(deadline_at, engine) {
+        if let Some(reason) = stop_requested(deadline_at) {
             stopped = Some(reason);
             break 'levels;
         }
@@ -364,7 +360,7 @@ pub(crate) fn solve_beam(
             if next.len() >= width {
                 break;
             }
-            if let Some(reason) = stop_requested(deadline_at, engine) {
+            if let Some(reason) = stop_requested(deadline_at) {
                 stopped = Some(reason);
                 if next.is_empty() {
                     // No child of this level survives yet; fall back to
@@ -417,12 +413,6 @@ pub(crate) fn solve_beam(
         .validate_moves(&moves)
         .expect("beam schedules replay as legal pebblings");
     debug_assert_eq!(cost, best.io, "incremental io diverged from simulator");
-    if let Some(p) = progress {
-        p.publish(cost, moves.clone());
-        if stopped.is_none() && cost == h0 {
-            p.raise_bound(cost);
-        }
-    }
     Ok(RawOutcome {
         cost,
         moves,

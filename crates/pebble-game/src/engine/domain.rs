@@ -22,9 +22,9 @@ use pebble_dag::{Dag, NodeId};
 pub(crate) type EmitFn<'a, M> = dyn FnMut(&[u64], M, usize) -> bool + 'a;
 
 /// One game model, seen through the eyes of the search engine.
-pub(crate) trait Domain: Sync {
+pub(crate) trait Domain {
     /// The move type of the model.
-    type Move: Copy + Send + Sync + 'static;
+    type Move: Copy;
     /// The trace type the engine hands back to callers.
     type Trace;
 
@@ -39,7 +39,7 @@ pub(crate) trait Domain: Sync {
     /// Generate every legal successor of `cur`, calling
     /// `emit(successor_words, move, io_cost)` for each in the model's
     /// canonical order. `emit` returning `false` aborts the expansion (used
-    /// for cooperative cancellation inside one large expansion); the
+    /// to honour a deadline inside one large expansion); the
     /// function returns `false` iff it was aborted.
     fn expand(&self, cur: &[u64], scratch: &mut [u64], emit: &mut EmitFn<'_, Self::Move>) -> bool;
     /// Wrap reconstructed moves into the model's trace type.

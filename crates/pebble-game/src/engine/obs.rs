@@ -1,27 +1,27 @@
 //! The engine's hook into the `pebble-obs` metrics registry.
 //!
 //! Handles are registered once per process and cached in a `OnceLock`;
-//! recording is a handful of relaxed atomic adds per *solve* (workers
-//! accumulate into locals and fold here at loop exit), so the expansion
-//! loop itself pays nothing beyond the counters it already kept.
+//! recording is a handful of relaxed atomic adds per *solve*, so the
+//! expansion loop itself pays nothing beyond the counters it already kept.
 
 use super::StopReason;
 use pebble_obs::metrics::{Counter, Gauge, Registry, ShardedCounter};
 use std::sync::OnceLock;
 
 pub(crate) struct EngineMetrics {
-    /// States expanded, sharded by worker index.
+    /// States expanded. The engine writes shard 0; the name stays a
+    /// sharded counter because other readers register it as one, and the
+    /// registry rejects a second registration with another type.
     pub expanded: ShardedCounter,
-    /// Successor states generated, sharded by worker index.
+    /// Successor states generated (sharded like `expanded`).
     pub generated: ShardedCounter,
     /// Distinct states interned across completed solves.
     pub distinct: Counter,
     /// Transposition-table occupancy (distinct states) of the most recent
     /// solve.
     pub tt_occupancy: Gauge,
-    /// Solves by stop reason, indexed as [completed, deadline, budget,
-    /// cancelled].
-    pub solves: [Counter; 4],
+    /// Solves by stop reason, indexed as [completed, deadline, budget].
+    pub solves: [Counter; 3],
 }
 
 pub(crate) fn metrics() -> &'static EngineMetrics {
@@ -60,18 +60,16 @@ pub(crate) fn metrics() -> &'static EngineMetrics {
                 solve_counter(&StopReason::Completed),
                 solve_counter(&StopReason::Deadline),
                 solve_counter(&StopReason::Budget),
-                solve_counter(&StopReason::Cancelled),
             ],
         }
     })
 }
 
-/// Fold one worker's expansion/generation counts into the per-worker shards.
-/// Sequential and beam solves report as worker 0.
-pub(crate) fn record_worker(worker: usize, expanded: usize, generated: usize) {
+/// Record one solve's expansion and generation counts.
+pub(crate) fn record_expansions(expanded: usize, generated: usize) {
     let m = metrics();
-    m.expanded.add(worker, expanded as u64);
-    m.generated.add(worker, generated as u64);
+    m.expanded.add(0, expanded as u64);
+    m.generated.add(0, generated as u64);
 }
 
 /// Record a finished solve: distinct-state total, transposition-table
@@ -84,7 +82,6 @@ pub(crate) fn record_solve(distinct: usize, stop: StopReason) {
         StopReason::Completed => 0,
         StopReason::Deadline => 1,
         StopReason::Budget => 2,
-        StopReason::Cancelled => 3,
     };
     m.solves[idx].inc();
 }

@@ -1,28 +1,18 @@
-//! Transposition tables over `Arc`-interned packed states.
+//! The transposition table over `Arc`-interned packed states.
 //!
 //! A search state is a fixed number of `u64` words: bit planes over the
 //! nodes (and, for PRBP, the edges) of the DAG. Equal configurations encode
 //! to identical words, so a single hash-map lookup on the word slice detects
 //! duplicates in O(words). Keys are interned as `Arc<[u64]>`: one heap
-//! allocation per *distinct* state, shared between the table index, the slot
-//! storage and (in the parallel table) the worker heaps.
-//!
-//! Two tables live here:
-//!
-//! * [`Transposition`] — the single-threaded table of the sequential loop,
-//!   slot-indexed exactly like the legacy solvers (so `distinct` counts and
-//!   tie-breaking stay bit-for-bit reproducible);
-//! * [`SharedTable`] — the mutex-striped map shared by the HDA* workers:
-//!   relaxations take one shard lock, parent pointers are `Arc` keys instead
-//!   of slot ids, and the distinct-state count is a shared atomic.
+//! allocation per *distinct* state, shared between the table index and the
+//! slot storage. [`Transposition`] is slot-indexed exactly like the legacy
+//! solvers, so `distinct` counts and tie-breaking stay bit-for-bit
+//! reproducible.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// One entry of the sequential transposition table: the interned state, its
+/// One entry of the transposition table: the interned state, its
 /// best known distance from the start, and the parent pointer for trace
 /// reconstruction.
 pub(crate) struct Slot<M> {
@@ -31,7 +21,7 @@ pub(crate) struct Slot<M> {
     pub parent: Option<(u32, M)>,
 }
 
-/// Sequential transposition table: interned packed states with O(1)
+/// The transposition table: interned packed states with O(1)
 /// duplicate detection.
 pub(crate) struct Transposition<M> {
     index: HashMap<Arc<[u64]>, u32>,
@@ -99,119 +89,6 @@ impl<M: Copy> Transposition<M> {
     }
 }
 
-/// Stable hash of a packed state, used for both shard selection and HDA*
-/// worker routing (disjoint bit ranges, so the two do not correlate).
-pub(crate) fn hash_words(words: &[u64]) -> u64 {
-    let mut h = DefaultHasher::new();
-    words.hash(&mut h);
-    h.finish()
-}
-
-/// One entry of the shared table. The parent pointer is the interned key of
-/// the predecessor plus the move that produced this state.
-pub(crate) struct SharedEntry<M> {
-    pub g: usize,
-    pub parent: Option<(Arc<[u64]>, M)>,
-}
-
-/// One mutex-striped shard of the shared table.
-type Shard<M> = Mutex<HashMap<Arc<[u64]>, SharedEntry<M>>>;
-
-/// The mutex-striped transposition table shared by the parallel workers.
-pub(crate) struct SharedTable<M> {
-    shards: Vec<Shard<M>>,
-    mask: u64,
-    distinct: AtomicUsize,
-}
-
-impl<M: Copy> SharedTable<M> {
-    /// A table with at least `min_shards` stripes (rounded up to a power of
-    /// two).
-    pub fn new(min_shards: usize) -> Self {
-        let n = min_shards.next_power_of_two().max(16);
-        SharedTable {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            mask: (n - 1) as u64,
-            distinct: AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of distinct states interned so far (exact; updated under the
-    /// shard lock that interned the state).
-    pub fn distinct(&self) -> usize {
-        self.distinct.load(Ordering::Relaxed)
-    }
-
-    fn shard(&self, hash: u64) -> &Mutex<HashMap<Arc<[u64]>, SharedEntry<M>>> {
-        &self.shards[(hash & self.mask) as usize]
-    }
-
-    /// Relax `words` to distance `g` with the given parent pointer. Interns
-    /// the state on first sight. Returns the interned key iff `g` improved
-    /// the entry (i.e. the state must be (re-)enqueued); `None` means an
-    /// equal-or-better distance is already recorded.
-    pub fn relax(
-        &self,
-        words: &[u64],
-        hash: u64,
-        g: usize,
-        parent: Option<(Arc<[u64]>, M)>,
-    ) -> Option<Arc<[u64]>> {
-        let mut shard = self.shard(hash).lock().expect("shard poisoned");
-        if let Some((key, entry)) = shard.get_key_value(words) {
-            if entry.g <= g {
-                return None;
-            }
-            let key = Arc::clone(key);
-            let entry = shard.get_mut(words).expect("entry just seen");
-            entry.g = g;
-            entry.parent = parent;
-            Some(key)
-        } else {
-            let key: Arc<[u64]> = Arc::from(words);
-            shard.insert(Arc::clone(&key), SharedEntry { g, parent });
-            self.distinct.fetch_add(1, Ordering::Relaxed);
-            Some(key)
-        }
-    }
-
-    /// The current best distance of an interned state (`usize::MAX` if the
-    /// state is unknown, which stale heap entries never are).
-    pub fn g_of(&self, key: &Arc<[u64]>) -> usize {
-        let shard = self.shard(hash_words(key)).lock().expect("shard poisoned");
-        shard.get(key.as_ref()).map_or(usize::MAX, |e| e.g)
-    }
-
-    /// The recorded parent pointer of an interned state.
-    pub fn parent_of(&self, key: &[u64]) -> Option<(Arc<[u64]>, M)> {
-        let shard = self.shard(hash_words(key)).lock().expect("shard poisoned");
-        shard
-            .get(key)
-            .and_then(|e| e.parent.as_ref().map(|(k, m)| (Arc::clone(k), *m)))
-    }
-
-    /// Walk the parent chain from `key` back to the start, returning the
-    /// moves in forward order. Mid-search the chain can be mutated
-    /// concurrently, so the walk carries a visited set; `None` means the
-    /// chain was transiently inconsistent (caller simply skips this
-    /// publication attempt). At quiescence the chain is provably acyclic and
-    /// the walk always succeeds.
-    pub fn reconstruct_moves(&self, key: &Arc<[u64]>) -> Option<Vec<M>> {
-        let mut moves = Vec::new();
-        let mut seen: std::collections::HashSet<Arc<[u64]>> = std::collections::HashSet::new();
-        let mut cur = Arc::clone(key);
-        while let Some((prev, mv)) = self.parent_of(&cur) {
-            if !seen.insert(Arc::clone(&cur)) {
-                return None;
-            }
-            moves.push(mv);
-            cur = prev;
-        }
-        moves.reverse();
-        Some(moves)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,29 +114,5 @@ mod tests {
         let b = tt.intern(&[2]);
         tt.slot_mut(b).parent = Some((a, 'y'));
         assert_eq!(tt.reconstruct_moves(b), vec!['x', 'y']);
-    }
-
-    #[test]
-    fn shared_relax_improves_and_rejects() {
-        let table: SharedTable<char> = SharedTable::new(4);
-        let start: &[u64] = &[0];
-        let h0 = hash_words(start);
-        let key0 = table.relax(start, h0, 0, None).expect("fresh state");
-        assert_eq!(table.distinct(), 1);
-        let child: &[u64] = &[1];
-        let hc = hash_words(child);
-        let kc = table
-            .relax(child, hc, 5, Some((Arc::clone(&key0), 'a')))
-            .expect("fresh state");
-        assert!(
-            table.relax(child, hc, 5, None).is_none(),
-            "equal g rejected"
-        );
-        assert!(table
-            .relax(child, hc, 3, Some((Arc::clone(&key0), 'b')))
-            .is_some());
-        assert_eq!(table.g_of(&kc), 3);
-        assert_eq!(table.distinct(), 2);
-        assert_eq!(table.reconstruct_moves(&kc), Some(vec!['b']));
     }
 }

@@ -17,8 +17,8 @@
 //!   model variant, and the heuristic every exact solve in the workspace
 //!   runs with.
 //!
-//! Both are stateless, so one instance is shared by every worker of a
-//! parallel solve (hence the `Sync` supertrait of [`LowerBound`]).
+//! Both are stateless, so one instance can be shared across threads (hence
+//! the `Sync` supertrait of [`LowerBound`]).
 
 use crate::prbp::{PebbleState, PrbpConfig};
 use crate::rbp::RbpConfig;
@@ -167,8 +167,8 @@ impl<'a> PrbpStateView<'a> {
 /// sound) and should degrade to weaker-but-sound bounds for variants whose
 /// stronger argument does not apply.
 ///
-/// A parallel solve shares one instance across its worker threads, so
-/// implementations must be `Sync`.
+/// Implementations must be `Sync` so that one instance can be shared across
+/// threads.
 pub trait LowerBound: Sync {
     /// Short stable identifier used in benchmark output (e.g. `"load-count"`).
     fn name(&self) -> &'static str;

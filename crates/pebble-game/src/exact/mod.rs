@@ -6,8 +6,8 @@
 //! are the I/O costs (compute and delete moves are free). The search itself
 //! lives in the unified anytime engine: call [`crate::engine::solve_rbp`] /
 //! [`crate::engine::solve_prbp`] and read the outcome's `cost`, `trace` and
-//! `stats`. An engine configuration with no deadline, budget or cancel token
-//! and one worker runs to the proven optimum with reproducible statistics.
+//! `stats`. An engine configuration with no deadline or budget runs to the
+//! proven optimum with reproducible statistics.
 //!
 //! This module keeps what those solves share:
 //!
@@ -58,9 +58,9 @@ pub enum ExactError {
         /// Number of states explored when the search stopped.
         explored: usize,
     },
-    /// An anytime solve was stopped (deadline or cancellation) before any
-    /// incumbent schedule was found. Only engine solves with a deadline or
-    /// cancel token can produce this.
+    /// An anytime solve was stopped by its deadline before any incumbent
+    /// schedule was found. Only engine solves with a deadline can produce
+    /// this.
     Interrupted {
         /// Number of states explored when the solve was stopped.
         explored: usize,
@@ -111,14 +111,14 @@ pub fn prbp_initial_bound(dag: &Dag, config: PrbpConfig, heuristic: &dyn LowerBo
 #[cfg(test)]
 pub(crate) fn rbp_opt(dag: &Dag, config: RbpConfig) -> Result<usize, ExactError> {
     let engine = engine::EngineConfig::default();
-    engine::solve_rbp(dag, config, &engine, &LoadCountHeuristic, None, None).map(|out| out.cost)
+    engine::solve_rbp(dag, config, &engine, &LoadCountHeuristic, None).map(|out| out.cost)
 }
 
 /// Proven optimal PRBP cost through a sequential load-count engine solve.
 #[cfg(test)]
 pub(crate) fn prbp_opt(dag: &Dag, config: PrbpConfig) -> Result<usize, ExactError> {
     let engine = engine::EngineConfig::default();
-    engine::solve_prbp(dag, config, &engine, &LoadCountHeuristic, None, None).map(|out| out.cost)
+    engine::solve_prbp(dag, config, &engine, &LoadCountHeuristic, None).map(|out| out.cost)
 }
 
 #[cfg(test)]
@@ -160,12 +160,12 @@ mod tests {
     fn with_variants_report_consistent_stats() {
         let g = fork();
         let engine = EngineConfig::default();
-        let solved = solve_rbp(&g, RbpConfig::new(3), &engine, &ZeroHeuristic, None, None).unwrap();
+        let solved = solve_rbp(&g, RbpConfig::new(3), &engine, &ZeroHeuristic, None).unwrap();
         assert_eq!(solved.cost, 3);
         assert!(solved.stats.distinct >= solved.stats.expanded);
         assert!(solved.stats.generated >= solved.stats.expanded);
         let config = PrbpConfig::new(2);
-        let solved = solve_prbp(&g, config, &engine, &LoadCountHeuristic, None, None).unwrap();
+        let solved = solve_prbp(&g, config, &engine, &LoadCountHeuristic, None).unwrap();
         assert_eq!(solved.cost, 3);
         assert_eq!(solved.trace.validate(&g, config).unwrap(), solved.cost);
     }
@@ -252,7 +252,7 @@ mod tests {
             let f = fig1_full();
             let config = RbpConfig::new(4);
             let engine = EngineConfig::default();
-            let out = solve_rbp(&f.dag, config, &engine, &LoadCountHeuristic, None, None).unwrap();
+            let out = solve_rbp(&f.dag, config, &engine, &LoadCountHeuristic, None).unwrap();
             assert_eq!(out.cost, 3);
             assert_eq!(out.trace.validate(&f.dag, config).unwrap(), 3);
         }
@@ -268,14 +268,7 @@ mod tests {
         fn state_limit_is_reported() {
             let f = fig1_full();
             let config = RbpConfig::new(4);
-            let result = solve_rbp(
-                &f.dag,
-                config,
-                &tiny_budget(),
-                &LoadCountHeuristic,
-                None,
-                None,
-            );
+            let result = solve_rbp(&f.dag, config, &tiny_budget(), &LoadCountHeuristic, None);
             assert!(matches!(result, Err(ExactError::StateLimitExceeded { .. })));
         }
 
@@ -284,8 +277,8 @@ mod tests {
             let f = fig1_full();
             let config = RbpConfig::new(4);
             let engine = EngineConfig::default();
-            let zero = solve_rbp(&f.dag, config, &engine, &ZeroHeuristic, None, None).unwrap();
-            let load = solve_rbp(&f.dag, config, &engine, &LoadCountHeuristic, None, None).unwrap();
+            let zero = solve_rbp(&f.dag, config, &engine, &ZeroHeuristic, None).unwrap();
+            let load = solve_rbp(&f.dag, config, &engine, &LoadCountHeuristic, None).unwrap();
             assert_eq!(zero.cost, load.cost);
             assert!(zero.stats.expanded > 0 && load.stats.expanded > 0);
             assert!(load.stats.expanded <= zero.stats.expanded);
@@ -356,7 +349,7 @@ mod tests {
             let f = fig1_full();
             let config = PrbpConfig::new(4);
             let engine = EngineConfig::default();
-            let out = solve_prbp(&f.dag, config, &engine, &LoadCountHeuristic, None, None).unwrap();
+            let out = solve_prbp(&f.dag, config, &engine, &LoadCountHeuristic, None).unwrap();
             assert_eq!(out.cost, 2);
             assert_eq!(out.trace.validate(&f.dag, config).unwrap(), 2);
         }
@@ -374,14 +367,7 @@ mod tests {
         fn state_limit_is_reported() {
             let f = fig1_full();
             let config = PrbpConfig::new(4);
-            let result = solve_prbp(
-                &f.dag,
-                config,
-                &tiny_budget(),
-                &LoadCountHeuristic,
-                None,
-                None,
-            );
+            let result = solve_prbp(&f.dag, config, &tiny_budget(), &LoadCountHeuristic, None);
             assert!(matches!(result, Err(ExactError::StateLimitExceeded { .. })));
         }
 
@@ -390,9 +376,8 @@ mod tests {
             let f = fig1_full();
             let config = PrbpConfig::new(4);
             let engine = EngineConfig::default();
-            let zero = solve_prbp(&f.dag, config, &engine, &ZeroHeuristic, None, None).unwrap();
-            let load =
-                solve_prbp(&f.dag, config, &engine, &LoadCountHeuristic, None, None).unwrap();
+            let zero = solve_prbp(&f.dag, config, &engine, &ZeroHeuristic, None).unwrap();
+            let load = solve_prbp(&f.dag, config, &engine, &LoadCountHeuristic, None).unwrap();
             assert_eq!(zero.cost, load.cost);
             assert!(load.stats.expanded <= zero.stats.expanded);
         }

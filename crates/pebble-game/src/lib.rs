@@ -26,10 +26,10 @@
 //!
 //! ## Tooling
 //!
-//! * [`engine`] — the unified anytime search engine: cancellable,
-//!   deadline-bounded, optionally parallel A* and beam search with a
-//!   validated-incumbent channel. `engine::solve_rbp` / `engine::solve_prbp`
-//!   are the exact solvers used to reproduce the paper's propositions.
+//! * [`engine`] — the unified anytime search engine: deadline-bounded
+//!   sequential A* and beam search that return a validated incumbent.
+//!   `engine::solve_rbp` / `engine::solve_prbp` are the exact solvers used
+//!   to reproduce the paper's propositions.
 //! * [`exact`] — what those solves share: the admissible A* heuristics,
 //!   search statistics, errors and initial-state bounds.
 //! * [`strategies`] — constructive pebbling strategies for every structured

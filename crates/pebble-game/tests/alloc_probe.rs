@@ -56,11 +56,11 @@ fn solve_allocations_scale_with_distinct_states_not_generated() {
 
     // Warm-up run: pays for lazy one-time initialisation (thread-locals,
     // the DAG's own caches) so the measured run is the steady state.
-    let warm = solve_prbp(&f.dag, config, &engine, &LoadCountHeuristic, None, None)
+    let warm = solve_prbp(&f.dag, config, &engine, &LoadCountHeuristic, None)
         .expect("fig1 solves at r = 2");
 
     let before = ALLOCATIONS.load(Relaxed);
-    let solved = solve_prbp(&f.dag, config, &engine, &LoadCountHeuristic, None, None)
+    let solved = solve_prbp(&f.dag, config, &engine, &LoadCountHeuristic, None)
         .expect("fig1 solves at r = 2");
     let during = ALLOCATIONS.load(Relaxed) - before;
 

@@ -230,14 +230,7 @@ mod tests {
         let r = 3;
         let engine = EngineConfig::default();
         let opt = |dag| {
-            let out = solve_rbp(
-                dag,
-                RbpConfig::new(r),
-                &engine,
-                &LoadCountHeuristic,
-                None,
-                None,
-            );
+            let out = solve_rbp(dag, RbpConfig::new(r), &engine, &LoadCountHeuristic, None);
             out.unwrap().cost
         };
         assert_eq!(opt(&plain.dag), opt(&adjusted.dag));

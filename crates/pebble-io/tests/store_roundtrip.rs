@@ -1,12 +1,15 @@
 //! Binary schedule store: `read ∘ write = id` on random entries (in memory
 //! and through the filesystem), plus rejection of every corruption mode the
 //! format is designed to detect — flipped bytes, truncation, bad magic,
-//! unknown version/opcode/model and trailing garbage.
+//! unknown version/opcode/model and trailing garbage — and a ChaCha8-seeded
+//! fuzz of the structural decoder behind the checksum.
 
 use pebble_dag::NodeId;
 use pebble_game::moves::{Model, PrbpMove};
 use pebble_io::store::{decode, encode, read_file, write_file, StoreEntry, StoreError, MAGIC};
 use proptest::prelude::*;
+use rand::{Rng, RngCore, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use std::path::PathBuf;
 
 fn scratch_dir(name: &str) -> PathBuf {
@@ -167,6 +170,104 @@ fn structural_rejections() {
 
     // Truncation below the minimum header.
     assert!(matches!(decode(&good[..4]), Err(StoreError::Truncated)));
+}
+
+/// Mutation rounds of the decoder fuzz. Debug builds stay quick; release
+/// runs turn the screws.
+const FUZZ_ROUNDS: usize = if cfg!(debug_assertions) {
+    20_000
+} else {
+    200_000
+};
+
+/// A random entry drawn from `rng`: every opcode, a few bounds, short
+/// strings.
+fn random_entry(rng: &mut ChaCha8Rng) -> StoreEntry {
+    let moves = (0..rng.gen_range(0usize..12))
+        .map(|_| {
+            let (a, b) = (
+                NodeId(rng.gen_range(0u32..64)),
+                NodeId(rng.gen_range(0u32..64)),
+            );
+            match rng.gen_range(0u8..5) {
+                0 => PrbpMove::Save(a),
+                1 => PrbpMove::Load(a),
+                2 => PrbpMove::PartialCompute { from: a, to: b },
+                3 => PrbpMove::Delete(a),
+                _ => PrbpMove::Clear(a),
+            }
+        })
+        .collect();
+    let cost = rng.gen_range(0u64..1000);
+    StoreEntry {
+        key: [
+            rng.next_u64(),
+            rng.next_u64(),
+            rng.next_u64(),
+            rng.next_u64(),
+        ],
+        model: if rng.gen_bool(0.5) {
+            Model::Rbp
+        } else {
+            Model::Prbp
+        },
+        r: rng.gen_range(2u64..64),
+        nodes: rng.gen_range(0u64..100),
+        edges: rng.gen_range(0u64..100),
+        cost,
+        best_bound: cost / 2,
+        scheduler: "compose".into(),
+        bounds: (0..rng.gen_range(0usize..3))
+            .map(|i| (format!("b{i}"), cost))
+            .collect(),
+        moves,
+    }
+}
+
+/// Random corruptions that carry a valid checksum reach the structural
+/// decoder: flip, insert, delete and truncate edits to an encoded entry,
+/// then a re-stamped checksum. `decode` must never panic, and every entry
+/// it accepts must re-encode to exactly the bytes it came from (the
+/// encoding is canonical, so nothing malformed decodes "successfully").
+#[test]
+fn restamped_corruptions_never_panic_and_accepted_bytes_are_canonical() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5eed_0100);
+    for round in 0..FUZZ_ROUNDS {
+        let mut bytes = encode(&random_entry(&mut rng));
+        for _ in 0..rng.gen_range(1usize..=3) {
+            match rng.gen_range(0usize..4) {
+                0 => {
+                    let i = rng.gen_range(0..bytes.len());
+                    bytes[i] ^= 1 << rng.gen_range(0u32..8);
+                }
+                1 => {
+                    let i = rng.gen_range(0..=bytes.len());
+                    bytes.insert(i, rng.next_u32() as u8);
+                }
+                2 => {
+                    let i = rng.gen_range(0..bytes.len());
+                    bytes.remove(i);
+                }
+                _ => {
+                    let keep = rng.gen_range(0..bytes.len());
+                    bytes.truncate(keep);
+                }
+            }
+            if bytes.is_empty() {
+                break;
+            }
+        }
+        if bytes.len() >= 8 {
+            restamp(&mut bytes);
+        }
+        if let Ok(entry) = decode(&bytes) {
+            assert_eq!(
+                encode(&entry),
+                bytes,
+                "round {round}: accepted bytes are not the canonical encoding"
+            );
+        }
+    }
 }
 
 /// Recompute and overwrite the trailing checksum after a deliberate edit.

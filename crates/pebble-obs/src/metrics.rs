@@ -5,7 +5,7 @@
 //!
 //! 1. **Hot-path cost.** Updating a metric is one relaxed atomic RMW on a
 //!    handle the caller obtained once — no name lookup, no lock, no
-//!    allocation. The engine's expansion loop additionally gets
+//!    allocation. Counters written from many threads can use
 //!    [`ShardedCounter`]: per-worker cache-padded shards written with
 //!    relaxed ordering and folded only when a snapshot is rendered, so
 //!    workers never contend on one cache line.
@@ -90,7 +90,7 @@ struct PaddedCell(AtomicU64);
 
 /// A counter split into [`SHARDS`] per-worker cells, folded on snapshot.
 ///
-/// The engine's workers each own `worker % SHARDS` and add with relaxed
+/// Each writer thread owns shard `worker % SHARDS` and adds with relaxed
 /// ordering; [`ShardedCounter::total`] sums the shards. The registry renders
 /// the folded total as a plain Prometheus counter.
 #[derive(Clone, Debug)]

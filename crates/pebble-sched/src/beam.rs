@@ -80,16 +80,9 @@ pub(crate) fn beam_prbp_until(
         deadline: deadline.map(|at| at.saturating_duration_since(Instant::now())),
         ..EngineConfig::default()
     };
-    solve_prbp(
-        dag,
-        PrbpConfig::new(r),
-        &engine,
-        &LoadCountHeuristic,
-        None,
-        None,
-    )
-    .ok()
-    .map(|out| out.trace)
+    solve_prbp(dag, PrbpConfig::new(r), &engine, &LoadCountHeuristic, None)
+        .ok()
+        .map(|out| out.trace)
 }
 
 #[cfg(test)]

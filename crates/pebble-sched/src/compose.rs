@@ -496,7 +496,6 @@ fn schedule_component(
             &engine_cfg,
             &LoadCountHeuristic,
             Some(&trace),
-            None,
         ) {
             return Some(ComponentSchedule {
                 exact: out.proven_optimal.then_some(out.cost),
@@ -639,14 +638,7 @@ mod tests {
 
     fn optimum(dag: &Dag, r: usize) -> usize {
         let engine = EngineConfig::default();
-        let out = engine::solve_prbp(
-            dag,
-            PrbpConfig::new(r),
-            &engine,
-            &LoadCountHeuristic,
-            None,
-            None,
-        );
+        let out = engine::solve_prbp(dag, PrbpConfig::new(r), &engine, &LoadCountHeuristic, None);
         out.unwrap().cost
     }
 

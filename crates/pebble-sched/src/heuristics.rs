@@ -30,7 +30,6 @@ mod tests {
             &EngineConfig::default(),
             &LoadCountHeuristic,
             None,
-            None,
         )
         .expect("solvable")
         .cost;
@@ -46,7 +45,6 @@ mod tests {
             RbpConfig::new(4),
             &EngineConfig::default(),
             &LoadCountHeuristic,
-            None,
             None,
         )
         .unwrap()

@@ -407,7 +407,7 @@ mod tests {
         let report = certify_prbp(&dag, r, &trace, "beam:8").unwrap();
         let engine = EngineConfig::default();
         let config = PrbpConfig::new(r);
-        let opt = solve_prbp(&dag, config, &engine, &LoadCountHeuristic, None, None)
+        let opt = solve_prbp(&dag, config, &engine, &LoadCountHeuristic, None)
             .unwrap()
             .cost;
         assert!(report.best_bound <= opt, "lower bound must be admissible");
@@ -426,7 +426,7 @@ mod tests {
         let report = certify_rbp(&dag, r, &trace, "greedy:belady:natural").unwrap();
         let engine = EngineConfig::default();
         let config = RbpConfig::new(r);
-        let opt = solve_rbp(&dag, config, &engine, &LoadCountHeuristic, None, None)
+        let opt = solve_rbp(&dag, config, &engine, &LoadCountHeuristic, None)
             .unwrap()
             .cost;
         assert!(report.best_bound <= opt);

@@ -121,16 +121,9 @@ fn optimum(dag: &Dag, r: usize) -> usize {
         node_budget: Some(MAX_STATES),
         ..EngineConfig::default()
     };
-    solve_prbp(
-        dag,
-        PrbpConfig::new(r),
-        &engine,
-        &LoadCountHeuristic,
-        None,
-        None,
-    )
-    .expect("differential instances are solver-sized")
-    .cost
+    solve_prbp(dag, PrbpConfig::new(r), &engine, &LoadCountHeuristic, None)
+        .expect("differential instances are solver-sized")
+        .cost
 }
 
 /// Compose configured with the same state headroom as the reference

@@ -142,7 +142,7 @@ fn portfolio_is_near_optimal_where_the_exact_solver_can_check() {
         let r = 3;
         let engine = EngineConfig::default();
         let config = PrbpConfig::new(r);
-        let opt = engine::solve_prbp(&dag, config, &engine, &LoadCountHeuristic, None, None)
+        let opt = engine::solve_prbp(&dag, config, &engine, &LoadCountHeuristic, None)
             .expect("solvable")
             .cost;
         let (s, _, best) = best_prbp(&dag, r, &full_suite()).expect("schedulable");
@@ -278,14 +278,9 @@ mod compose_reference {
                 node_budget: Some(ComposeConfig::default().exact_max_states),
                 ..EngineConfig::default()
             };
-            if let Ok(out) = engine::solve_prbp(
-                dag,
-                config,
-                &engine_cfg,
-                &LoadCountHeuristic,
-                Some(&trace),
-                None,
-            ) {
+            if let Ok(out) =
+                engine::solve_prbp(dag, config, &engine_cfg, &LoadCountHeuristic, Some(&trace))
+            {
                 return Some((out.trace, out.proven_optimal.then_some(out.cost)));
             }
         }

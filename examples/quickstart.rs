@@ -21,10 +21,10 @@ fn main() {
     // Exact optima for both models.
     let engine = EngineConfig::default();
     let h = &LoadCountHeuristic;
-    let rbp_opt = solve_rbp(&f.dag, RbpConfig::new(r), &engine, h, None, None)
+    let rbp_opt = solve_rbp(&f.dag, RbpConfig::new(r), &engine, h, None)
         .unwrap()
         .cost;
-    let prbp_opt = solve_prbp(&f.dag, PrbpConfig::new(r), &engine, h, None, None)
+    let prbp_opt = solve_prbp(&f.dag, PrbpConfig::new(r), &engine, h, None)
         .unwrap()
         .cost;
     println!("cache size r = {r}");

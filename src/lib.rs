@@ -44,8 +44,8 @@
 //! let dag = binary_tree(3);
 //! let engine = EngineConfig::default();
 //! let h = &LoadCountHeuristic;
-//! let rbp = solve_rbp(&dag, RbpConfig::new(3), &engine, h, None, None).unwrap();
-//! let prbp = solve_prbp(&dag, PrbpConfig::new(3), &engine, h, None, None).unwrap();
+//! let rbp = solve_rbp(&dag, RbpConfig::new(3), &engine, h, None).unwrap();
+//! let prbp = solve_prbp(&dag, PrbpConfig::new(3), &engine, h, None).unwrap();
 //! assert!(prbp.cost < rbp.cost); // Proposition 4.5
 //! ```
 //!
@@ -67,10 +67,10 @@
 //! let f = fig1_full();
 //! let engine = EngineConfig::default();
 //! let h = &LoadCountHeuristic;
-//! let rbp_opt = solve_rbp(&f.dag, RbpConfig::new(4), &engine, h, None, None)
+//! let rbp_opt = solve_rbp(&f.dag, RbpConfig::new(4), &engine, h, None)
 //!     .unwrap()
 //!     .cost;
-//! let prbp_opt = solve_prbp(&f.dag, PrbpConfig::new(4), &engine, h, None, None)
+//! let prbp_opt = solve_prbp(&f.dag, PrbpConfig::new(4), &engine, h, None)
 //!     .unwrap()
 //!     .cost;
 //! assert_eq!((rbp_opt, prbp_opt), (3, 2));

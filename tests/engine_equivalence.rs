@@ -1,15 +1,14 @@
-//! The engine's optimum must be the true optimum, at every worker count.
+//! The engine's optimum must be the true optimum.
 //!
-//! The reference is the sequential uniform-cost search (`ZeroHeuristic`,
-//! `workers = 1`): with no heuristic it can only return the optimum if the
-//! search loop and move generation are right. Over the same corpus as
-//! `solver_equivalence` — random layered DAGs (property test), every
-//! structured generator family, and the model variants (re-computation,
-//! sliding, `clear`, no-deletion) — this suite checks:
+//! The reference is the uniform-cost search (`ZeroHeuristic`): with no
+//! heuristic it can only return the optimum if the search loop and move
+//! generation are right. Over the same corpus as `solver_equivalence` —
+//! random layered DAGs (property test), every structured generator family,
+//! and the model variants (re-computation, sliding, `clear`, no-deletion) —
+//! this suite checks:
 //!
-//! * the `LoadCountHeuristic` engine at `workers = 1` and `workers = 4`, and
-//!   the uniform-cost engine at `workers = 4`, return exactly the reference
-//!   optimum, proven, with a simulator-validated trace;
+//! * the `LoadCountHeuristic` engine returns exactly the reference optimum,
+//!   proven, with a simulator-validated trace;
 //! * the beam-mode engine returns a validated schedule bracketed between
 //!   the exact optimum and the adaptive (width-1) greedy.
 //!
@@ -33,12 +32,8 @@ use pebble_game::rbp::RbpConfig;
 use pebble_game::trace::{PrbpTrace, RbpTrace};
 use proptest::prelude::*;
 
-/// The solves checked against the reference: `(heuristic, workers)`.
-const CHECKED: [(&dyn LowerBound, usize); 3] = [
-    (&LoadCountHeuristic, 1),
-    (&LoadCountHeuristic, 4),
-    (&ZeroHeuristic, 4),
-];
+/// The solve checked against the reference.
+const CHECKED: &dyn LowerBound = &LoadCountHeuristic;
 
 fn assert_proven<T>(out: &EngineOutcome<T>, reference: usize, replayed: usize, what: &str) {
     assert_eq!(
@@ -56,52 +51,34 @@ fn assert_proven<T>(out: &EngineOutcome<T>, reference: usize, replayed: usize, w
 
 /// The engine matches the uniform-cost reference on an RBP instance.
 fn assert_rbp_engine_matches(dag: &Dag, config: RbpConfig) {
-    let solve = |h: &dyn LowerBound, workers: usize| {
-        engine::solve_rbp(
-            dag,
-            config,
-            &EngineConfig::with_workers(workers),
-            h,
-            None,
-            None,
-        )
-        .expect("corpus instances solve")
+    let solve = |h: &dyn LowerBound| {
+        engine::solve_rbp(dag, config, &EngineConfig::default(), h, None)
+            .expect("corpus instances solve")
     };
-    let reference = solve(&ZeroHeuristic, 1).cost;
-    for (h, workers) in CHECKED {
-        let out = solve(h, workers);
-        let replayed = out
-            .trace
-            .validate(dag, config)
-            .expect("engine trace must replay");
-        let what = format!("{} (workers={workers}, RBP r={})", h.name(), config.r);
-        assert_proven(&out, reference, replayed, &what);
-    }
+    let reference = solve(&ZeroHeuristic).cost;
+    let out = solve(CHECKED);
+    let replayed = out
+        .trace
+        .validate(dag, config)
+        .expect("engine trace must replay");
+    let what = format!("{} (RBP r={})", CHECKED.name(), config.r);
+    assert_proven(&out, reference, replayed, &what);
 }
 
 /// The engine matches the uniform-cost reference on a PRBP instance.
 fn assert_prbp_engine_matches(dag: &Dag, config: PrbpConfig) {
-    let solve = |h: &dyn LowerBound, workers: usize| {
-        engine::solve_prbp(
-            dag,
-            config,
-            &EngineConfig::with_workers(workers),
-            h,
-            None,
-            None,
-        )
-        .expect("corpus instances solve")
+    let solve = |h: &dyn LowerBound| {
+        engine::solve_prbp(dag, config, &EngineConfig::default(), h, None)
+            .expect("corpus instances solve")
     };
-    let reference = solve(&ZeroHeuristic, 1).cost;
-    for (h, workers) in CHECKED {
-        let out = solve(h, workers);
-        let replayed = out
-            .trace
-            .validate(dag, config)
-            .expect("engine trace must replay");
-        let what = format!("{} (workers={workers}, PRBP r={})", h.name(), config.r);
-        assert_proven(&out, reference, replayed, &what);
-    }
+    let reference = solve(&ZeroHeuristic).cost;
+    let out = solve(CHECKED);
+    let replayed = out
+        .trace
+        .validate(dag, config)
+        .expect("engine trace must replay");
+    let what = format!("{} (PRBP r={})", CHECKED.name(), config.r);
+    assert_proven(&out, reference, replayed, &what);
 }
 
 /// Beam-mode engine: validated, bracketed between the optimum and the
@@ -113,15 +90,8 @@ fn assert_beam_bracketed(dag: &Dag, r: usize, optimum: usize) {
             branch: 4,
             ..EngineConfig::default()
         };
-        engine::solve_prbp(
-            dag,
-            PrbpConfig::new(r),
-            &engine,
-            &LoadCountHeuristic,
-            None,
-            None,
-        )
-        .expect("beam schedules any r >= 2 instance")
+        engine::solve_prbp(dag, PrbpConfig::new(r), &engine, &LoadCountHeuristic, None)
+            .expect("beam schedules any r >= 2 instance")
     };
     let adaptive = beam(1);
     let wide = beam(8);
@@ -216,16 +186,9 @@ fn beam_mode_engine_is_bracketed_on_the_structured_corpus() {
     ];
     for (dag, r) in &cases {
         let engine = EngineConfig::default();
-        let optimum = engine::solve_prbp(
-            dag,
-            PrbpConfig::new(*r),
-            &engine,
-            &ZeroHeuristic,
-            None,
-            None,
-        )
-        .expect("corpus instances solve")
-        .cost;
+        let optimum = engine::solve_prbp(dag, PrbpConfig::new(*r), &engine, &ZeroHeuristic, None)
+            .expect("corpus instances solve")
+            .cost;
         assert_beam_bracketed(dag, *r, optimum);
     }
 }

@@ -83,7 +83,7 @@ fn ladder_and_reference(dag: &Dag, r: usize, model: Model) -> (Vec<usize>, Vec<u
 fn assert_admissible(name: &str, dag: &Dag, r_rbp: Option<usize>, r_prbp: usize) {
     let engine = EngineConfig::default();
     if let Some(r) = r_rbp {
-        let opt = solve_rbp(dag, RbpConfig::new(r), &engine, &ZeroHeuristic, None, None)
+        let opt = solve_rbp(dag, RbpConfig::new(r), &engine, &ZeroHeuristic, None)
             .unwrap_or_else(|e| panic!("{name}: RBP unsolvable with r={r}: {e}"))
             .cost;
         for h in heuristics() {
@@ -101,7 +101,7 @@ fn assert_admissible(name: &str, dag: &Dag, r_rbp: Option<usize>, r_prbp: usize)
         );
     }
     let config = PrbpConfig::new(r_prbp);
-    let opt = solve_prbp(dag, config, &engine, &ZeroHeuristic, None, None)
+    let opt = solve_prbp(dag, config, &engine, &ZeroHeuristic, None)
         .unwrap_or_else(|e| panic!("{name}: PRBP unsolvable with r={r_prbp}: {e}"))
         .cost;
     for h in heuristics() {

@@ -18,8 +18,8 @@ fn opt(dag: &Dag, r: usize, model: Model) -> Result<usize, ExactError> {
     let engine = EngineConfig::default();
     let h = &LoadCountHeuristic;
     match model {
-        Model::Rbp => solve_rbp(dag, RbpConfig::new(r), &engine, h, None, None).map(|o| o.cost),
-        Model::Prbp => solve_prbp(dag, PrbpConfig::new(r), &engine, h, None, None).map(|o| o.cost),
+        Model::Rbp => solve_rbp(dag, RbpConfig::new(r), &engine, h, None).map(|o| o.cost),
+        Model::Prbp => solve_prbp(dag, PrbpConfig::new(r), &engine, h, None).map(|o| o.cost),
     }
 }
 
@@ -144,6 +144,6 @@ fn search_limit_is_honoured() {
         ..EngineConfig::default()
     };
     let config = PrbpConfig::new(4);
-    let result = solve_prbp(&f.dag, config, &engine, &LoadCountHeuristic, None, None);
+    let result = solve_prbp(&f.dag, config, &engine, &LoadCountHeuristic, None);
     assert!(matches!(result, Err(ExactError::StateLimitExceeded { .. })));
 }

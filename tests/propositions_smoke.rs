@@ -23,8 +23,8 @@ fn opt(dag: &Dag, r: usize, model: Model) -> Result<usize, ExactError> {
     let engine = EngineConfig::default();
     let h = &LoadCountHeuristic;
     match model {
-        Model::Rbp => solve_rbp(dag, RbpConfig::new(r), &engine, h, None, None).map(|o| o.cost),
-        Model::Prbp => solve_prbp(dag, PrbpConfig::new(r), &engine, h, None, None).map(|o| o.cost),
+        Model::Rbp => solve_rbp(dag, RbpConfig::new(r), &engine, h, None).map(|o| o.cost),
+        Model::Prbp => solve_prbp(dag, PrbpConfig::new(r), &engine, h, None).map(|o| o.cost),
     }
 }
 

@@ -19,9 +19,9 @@ use proptest::prelude::*;
 /// Assert load-count agrees with the Zero (uniform-cost) optimum.
 fn assert_rbp_equivalent(dag: &Dag, config: RbpConfig) {
     let engine = EngineConfig::default();
-    let zero = solve_rbp(dag, config, &engine, &ZeroHeuristic, None, None)
+    let zero = solve_rbp(dag, config, &engine, &ZeroHeuristic, None)
         .expect("reference search must solve the instance");
-    let solved = solve_rbp(dag, config, &engine, &LoadCountHeuristic, None, None)
+    let solved = solve_rbp(dag, config, &engine, &LoadCountHeuristic, None)
         .unwrap_or_else(|e| panic!("load-count: {e}"));
     assert_eq!(
         solved.cost, zero.cost,
@@ -36,9 +36,9 @@ fn assert_rbp_equivalent(dag: &Dag, config: RbpConfig) {
 
 fn assert_prbp_equivalent(dag: &Dag, config: PrbpConfig) {
     let engine = EngineConfig::default();
-    let zero = solve_prbp(dag, config, &engine, &ZeroHeuristic, None, None)
+    let zero = solve_prbp(dag, config, &engine, &ZeroHeuristic, None)
         .expect("reference search must solve the instance");
-    let solved = solve_prbp(dag, config, &engine, &LoadCountHeuristic, None, None)
+    let solved = solve_prbp(dag, config, &engine, &LoadCountHeuristic, None)
         .unwrap_or_else(|e| panic!("load-count: {e}"));
     assert_eq!(
         solved.cost, zero.cost,
