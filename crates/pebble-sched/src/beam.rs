@@ -2,7 +2,7 @@
 //! anytime engine.
 //!
 //! The search itself (macro-step node completions, packed-state dedup, the
-//! move-chain sharing and the eviction policy) lives in
+//! move arena and the eviction policy) lives in
 //! `pebble_game::engine`; this module keeps the historical `beam_prbp` entry
 //! point and its [`BeamConfig`] knobs. A partial schedule is identified with
 //! its pebbling configuration in the canonical packed encoding of
@@ -14,12 +14,12 @@
 //! Width 1 degenerates to an *adaptive* greedy scheduler that picks the
 //! globally cheapest next node online, which helps where a fixed compute
 //! order wastes locality; larger widths buy schedule quality for more time
-//! and memory. The search is superlinear, so neither width is a
-//! [`crate::default_suite`] member: compose runs `beam:1` and `beam:8` on
-//! its components of at most 512 nodes, where dropping either one raised
-//! some compose costs. Callers that want deadlines or cancellation
-//! configure the same search through [`pebble_game::engine::solve_prbp`]
-//! with `EngineConfig::width`.
+//! and memory. Each level copies an `O(n)` entry per child, so a solve is
+//! quadratic and neither width is a [`crate::default_suite`] member:
+//! compose runs `beam:1` and `beam:8` on its components of at most 512
+//! nodes, where dropping either one raised some compose costs. Callers that
+//! want deadlines configure the same search through
+//! [`pebble_game::engine::solve_prbp`] with `EngineConfig::width`.
 
 use pebble_dag::Dag;
 use pebble_game::engine::{solve_prbp, EngineConfig};

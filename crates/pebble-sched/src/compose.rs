@@ -5,8 +5,9 @@
 //! ## Pipeline
 //!
 //! 1. **Decompose** ([`pebble_dag::decompose`]): candidate decompositions
-//!    are generated — the whole DAG, its weakly connected components, level
-//!    bands at a few size caps, and sink-cone tiles where applicable.
+//!    are tried in turn — the whole DAG, its weakly connected components,
+//!    then sink-cone tiles (where applicable) and level bands at a few size
+//!    caps. Each is built only when its turn comes.
 //! 2. **Schedule** each component on its extracted sub-DAG (members +
 //!    boundary inputs), dispatching components across scoped worker threads.
 //!    Each distinct sub-DAG is scheduled once per call: identical components
@@ -37,7 +38,7 @@
 //! ## Deadline contract
 //!
 //! [`ComposeConfig::deadline`] bounds the solve, measured from entry. It is
-//! checked before each candidate decomposition, before each distinct
+//! checked before each candidate decomposition is built, before each distinct
 //! component, inside the portfolio's beam members (a cut beam
 //! greedy-completes its component, of at most 512 nodes) and in the exact
 //! phase (which keeps its validated seed). When it fires, the best
@@ -215,32 +216,16 @@ fn compose(dag: &Dag, r: usize, config: &ComposeConfig) -> Result<ComposeOutcome
     // capping them at ~3r/4 leaves room for the streaming inputs.
     let max_sinks = (3 * r / 4).max(1);
 
-    let decompose_span = pebble_obs::trace::span("compose:decompose");
-    let mut candidates: Vec<Decomposition> =
-        vec![decompose(dag, Strategy::Whole).expect("whole always applies")];
-    let wcc = decompose(dag, Strategy::Wcc).expect("wcc always applies");
-    if wcc.components.len() > 1 {
-        candidates.push(wcc);
+    // The candidate decompositions, in the order they are tried. Each is
+    // built only when its turn comes, after a deadline check.
+    let mut strategies = vec![Strategy::Whole, Strategy::Wcc];
+    for &max_nodes in &caps {
+        strategies.push(Strategy::SinkCones {
+            max_nodes,
+            max_sinks,
+        });
+        strategies.push(Strategy::LevelBands { max_nodes });
     }
-    for &cap in &caps {
-        if let Some(d) = decompose(
-            dag,
-            Strategy::SinkCones {
-                max_nodes: cap,
-                max_sinks,
-            },
-        ) {
-            if d.components.len() > 1 {
-                candidates.push(d);
-            }
-        }
-        let d = decompose(dag, Strategy::LevelBands { max_nodes: cap }).expect("bands total");
-        if d.components.len() > 1 {
-            candidates.push(d);
-        }
-    }
-
-    drop(decompose_span);
 
     let threads = if config.threads == 0 {
         std::thread::available_parallelism()
@@ -254,12 +239,22 @@ fn compose(dag: &Dag, r: usize, config: &ComposeConfig) -> Result<ComposeOutcome
     let mut best: Option<(usize, PrbpTrace, Strategy, usize, usize)> = None;
     let mut composed_bound: Option<usize> = None;
     let mut memo = ScheduleMemo::new();
-    for decomposition in &candidates {
+    for strategy in strategies {
         if expired(deadline) {
             break;
         }
+        let decompose_span = pebble_obs::trace::span("compose:decompose");
+        let decomposition = decompose(dag, strategy);
+        drop(decompose_span);
+        // The whole DAG is always a candidate; the others only when they
+        // apply and split it.
+        let Some(decomposition) =
+            decomposition.filter(|d| strategy == Strategy::Whole || d.components.len() > 1)
+        else {
+            continue;
+        };
         let Some(scheduled) =
-            schedule_decomposition(dag, r, decomposition, config, threads, deadline, &mut memo)
+            schedule_decomposition(dag, r, &decomposition, config, threads, deadline, &mut memo)
         else {
             continue;
         };
@@ -363,6 +358,11 @@ fn schedule_decomposition(
     deadline: Option<Instant>,
     memo: &mut ScheduleMemo,
 ) -> Option<ScheduledDecomposition> {
+    // Extracting and keying the components is linear in the DAG, so a
+    // deadline that fired while the decomposition was built stops here.
+    if expired(deadline) {
+        return None;
+    }
     let extracted: Vec<ExtractedComponent> = decomposition
         .components
         .iter()
@@ -427,9 +427,9 @@ const BEAM_MAX_NODES: usize = 512;
 
 /// The portfolio run on one component: [`default_suite`], plus the adaptive
 /// `beam:1` and then `beam:8` on components of at most [`BEAM_MAX_NODES`]
-/// nodes. The beams are superlinear. Running them only there changed no
-/// compose cost on the benchmark corpora, while dropping either one from the
-/// small components raised some.
+/// nodes. A beam solve is quadratic: each level copies an `O(n)` entry per
+/// child. Running them only there changed no compose cost on the benchmark
+/// corpora, while dropping either one from the small components raised some.
 pub(crate) fn component_suite(dag: &Dag) -> Vec<Scheduler> {
     let mut suite = default_suite();
     if dag.node_count() <= BEAM_MAX_NODES {
@@ -854,5 +854,19 @@ mod tests {
         let err = compose_certified(&dag, 8, &config, BoundSet::Fast).unwrap_err();
         assert_eq!(err, ComposeError::DeadlineNoIncumbent);
         assert!(compose_prbp(&dag, 8, &config).is_none());
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn a_zero_deadline_fires_before_any_decomposition_is_built() {
+        // Building the candidate decompositions of the 53,248-node FFT
+        // takes over 100 ms; the deadline check comes before each one.
+        let dag = fft(4096).dag;
+        let config = with_deadline(Duration::ZERO);
+        let started = Instant::now();
+        let err = compose_certified(&dag, 16, &config, BoundSet::Fast).unwrap_err();
+        let elapsed = started.elapsed();
+        assert_eq!(err, ComposeError::DeadlineNoIncumbent);
+        assert!(elapsed < Duration::from_millis(20), "took {elapsed:?}");
     }
 }

@@ -24,8 +24,9 @@
 //! * [`beam`] — beam search over partial schedules, deduplicated by the
 //!   packed-state encoding shared with the exact solvers
 //!   ([`pebble_game::packed`]); width 1 is the adaptive greedy that picks the
-//!   cheapest next node online. Superlinear, so compose runs it only on
-//!   components of at most 512 nodes.
+//!   cheapest next node online. A level copies an `O(n)` entry per child,
+//!   so a solve is quadratic and compose runs it only on components of at
+//!   most 512 nodes.
 //! * [`local`] — seeded local-search refinement (eviction re-decisions +
 //!   topology-preserving segment re-ordering) that only ever accepts
 //!   strictly cheaper, simulator-validated schedules.

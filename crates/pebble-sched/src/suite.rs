@@ -310,8 +310,9 @@ impl Scheduler {
 
 /// The default portfolio, cheap enough to sweep on every instance: every
 /// eviction policy on the natural order and Belady on the DFS order, each
-/// `O((n + m) log r)`. The beams are superlinear and only pay off on small
-/// DAGs, so compose adds them to components of at most 512 nodes.
+/// `O((n + m) log r)`. A beam level copies an `O(n)` entry per child, so the
+/// beams are quadratic and only pay off on small DAGs: compose adds them to
+/// components of at most 512 nodes.
 pub fn default_suite() -> Vec<Scheduler> {
     vec![
         Scheduler::Greedy {
