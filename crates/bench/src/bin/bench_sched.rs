@@ -8,7 +8,7 @@
 //! portfolio, writes the results as JSON to `--out` (default
 //! `BENCH_sched.json` in the current directory) and, when `--check` names a
 //! committed baseline, exits nonzero on *any* difference: scheduler costs
-//! are deterministic — seeded local search, id-ordered tie-breaks, no
+//! are deterministic — id-ordered tie-breaks, no randomness, no
 //! wall-clock in the document — so the gate is exact and machine
 //! independent. Refresh the committed baseline by re-running this binary and
 //! committing the file whenever scheduler behaviour changes intentionally.

@@ -5,8 +5,8 @@
 //! simulator-replayed cost and move count are recorded, together with the
 //! per-instance admissible lower bounds and the resulting best certified
 //! gap. Unlike the solver baseline there is no wall-clock in the document at
-//! all: every scheduler is deterministic (seeded local search, id-ordered
-//! tie-breaks), so the committed baseline is gated *exactly* — any cost
+//! all: every scheduler is deterministic (id-ordered tie-breaks, no
+//! randomness), so the committed baseline is gated *exactly* — any cost
 //! change is a real behaviour change that must be committed consciously.
 //! Wall-clock per instance goes to stderr for eyeballing only.
 

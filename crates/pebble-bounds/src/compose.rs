@@ -194,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn cone_partition_counts_shared_sources() {
+    fn cone_partition_counts_unassigned_source_loads() {
         let mm = matmul(2, 1, 2).dag; // 12 nodes: within exact-solver reach
         let parts = parts_of(
             &mm,
@@ -205,7 +205,7 @@ mod tests {
         );
         let config = PrbpConfig::new(3);
         let composed = composed_prbp_bound(&mm, config, &parts).unwrap();
-        // All 4 matrix entries are shared sources.
+        // All 4 matrix entries are sources no tile owns.
         assert_eq!(composed.unassigned_source_loads, 4);
         let opt = prbp_opt(&mm, config);
         assert!(composed.total() <= opt);

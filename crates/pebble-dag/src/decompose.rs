@@ -22,65 +22,27 @@
 //!
 //! Every decomposition is a *partition* of (a subset of) the nodes into
 //! [`Component`]s listed in a topological order of the component quotient,
-//! with explicit boundary sets (`inputs` / `outputs`) and the [`cut
-//! edges`](Decomposition::cut_edges) crossing between parts. Global sources
-//! that serve several components (the shared matrices of a tiling) may stay
-//! unassigned ([`Decomposition::shared_sources`]); they need no schedule of
-//! their own — each consumer loads them on demand.
+//! with explicit boundary sets (`inputs` / `outputs`): every edge crossing
+//! between parts goes from an earlier component to a later one. Global
+//! sources that serve several components (the shared matrices of a tiling)
+//! may stay unassigned; they need no schedule of their own — each consumer
+//! loads them on demand.
 //!
-//! [`classify`] names the shape of a sub-DAG (chain, in-/out-tree,
-//! two-terminal series-parallel via the standard reduction recognition,
-//! …), and [`extract_component`] materialises a component plus its boundary
-//! inputs as a standalone [`Dag`] for scheduling.
+//! [`extract_component`] materialises a component plus its boundary inputs
+//! as a standalone [`Dag`] for scheduling, and [`is_series_parallel`]
+//! recognises two-terminal series-parallel DAGs.
 
 use crate::bitset::BitSet;
 use crate::graph::{Dag, DagBuilder};
-use crate::ids::{EdgeId, NodeId};
+use crate::ids::NodeId;
 use crate::topo;
 use std::collections::HashMap;
-
-/// The recognised shape of a component's node-induced sub-DAG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ComponentKind {
-    /// A simple directed path.
-    Chain,
-    /// Every node has in-degree ≤ 1 (a rooted forest fanning out).
-    OutTree,
-    /// Every node has out-degree ≤ 1 (a reduction forest fanning in).
-    InTree,
-    /// A two-terminal series-parallel DAG (single source, single sink,
-    /// reducible to one edge by series/parallel reductions).
-    SeriesParallel,
-    /// A union of sink cones glued by shared inputs (a tile).
-    Cone,
-    /// A weakly connected slice of a level band.
-    Band,
-    /// No special structure detected.
-    General,
-}
-
-impl ComponentKind {
-    /// Stable lowercase name for tables and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ComponentKind::Chain => "chain",
-            ComponentKind::OutTree => "out-tree",
-            ComponentKind::InTree => "in-tree",
-            ComponentKind::SeriesParallel => "series-parallel",
-            ComponentKind::Cone => "cone",
-            ComponentKind::Band => "band",
-            ComponentKind::General => "general",
-        }
-    }
-}
 
 /// One part of a [`Decomposition`]: a set of member nodes plus its boundary.
 #[derive(Debug, Clone)]
 pub struct Component {
     /// Member nodes, ascending.
     pub nodes: Vec<NodeId>,
-    /// Shape of the member-induced sub-DAG.
-    pub kind: ComponentKind,
     /// Boundary inputs: non-member nodes with an edge into a member,
     /// ascending. When the component is scheduled on its own these become
     /// sources of the extracted sub-DAG.
@@ -133,49 +95,17 @@ impl std::fmt::Display for Strategy {
     }
 }
 
-/// The recursive structure of a decomposition: which split produced which
-/// leaf components.
-#[derive(Debug, Clone)]
-pub enum DecompTree {
-    /// A leaf: index into [`Decomposition::components`].
-    Leaf(usize),
-    /// An internal split node.
-    Split {
-        /// What kind of split this node performed.
-        kind: SplitKind,
-        /// The parts, in the same order as the components they contain.
-        parts: Vec<DecompTree>,
-    },
-}
-
-/// The kind of split performed by a [`DecompTree::Split`] node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SplitKind {
-    /// Split into weakly connected components.
-    Connectivity,
-    /// Split into bands of consecutive levels.
-    Bands,
-    /// Split into tiles of merged sink cones.
-    Tiles,
-}
-
 /// A decomposition of the DAG into independently schedulable components.
 #[derive(Debug, Clone)]
 pub struct Decomposition {
     /// The strategy that produced this decomposition.
     pub strategy: Strategy,
     /// The components, in a topological order of the component quotient:
-    /// every cut edge goes from an earlier component (or a shared source) to
-    /// a later one, so the components can be scheduled in listed order.
+    /// every edge between two components goes from the earlier to the later
+    /// one, so the components can be scheduled in listed order. Nodes in no
+    /// component are global sources shared between several components
+    /// (e.g. the matrices of a tiling).
     pub components: Vec<Component>,
-    /// Edges whose endpoints do not belong to the same component (including
-    /// edges out of [`Decomposition::shared_sources`]), ascending.
-    pub cut_edges: Vec<EdgeId>,
-    /// Source nodes assigned to no component (inputs shared between several
-    /// components, e.g. the matrices of a tiling). Always global sources.
-    pub shared_sources: Vec<NodeId>,
-    /// The split structure that produced the components.
-    pub tree: DecompTree,
 }
 
 impl Decomposition {
@@ -209,57 +139,6 @@ pub fn decompose(dag: &Dag, strategy: Strategy) -> Option<Decomposition> {
     }
 }
 
-/// Classify the shape of the sub-DAG induced by `members` (which must be
-/// sorted ascending). Degree tests (chain / trees) are exact; the
-/// series-parallel reduction is attempted on connected single-source,
-/// single-sink shapes up to a few thousand nodes.
-pub fn classify(dag: &Dag, members: &[NodeId]) -> ComponentKind {
-    let mut in_set = dag.node_set();
-    for &v in members {
-        in_set.insert(v.index());
-    }
-    let ind = |v: NodeId| {
-        dag.predecessors(v)
-            .filter(|u| in_set.contains(u.index()))
-            .count()
-    };
-    let outd = |v: NodeId| {
-        dag.successors(v)
-            .filter(|w| in_set.contains(w.index()))
-            .count()
-    };
-    let max_in = members.iter().map(|&v| ind(v)).max().unwrap_or(0);
-    let max_out = members.iter().map(|&v| outd(v)).max().unwrap_or(0);
-    if max_in <= 1 && max_out <= 1 {
-        return ComponentKind::Chain;
-    }
-    if max_in <= 1 {
-        return ComponentKind::OutTree;
-    }
-    if max_out <= 1 {
-        return ComponentKind::InTree;
-    }
-    let srcs = members.iter().filter(|&&v| ind(v) == 0).count();
-    let sinks = members.iter().filter(|&&v| outd(v) == 0).count();
-    if srcs == 1 && sinks == 1 && members.len() <= 4096 {
-        // Build the induced sub-DAG and run the reduction recognition.
-        let local: HashMap<NodeId, usize> =
-            members.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        let mut edges = Vec::new();
-        for &v in members {
-            for w in dag.successors(v) {
-                if let Some(&wl) = local.get(&w) {
-                    edges.push((local[&v], wl));
-                }
-            }
-        }
-        if is_series_parallel_edges(members.len(), &edges) {
-            return ComponentKind::SeriesParallel;
-        }
-    }
-    ComponentKind::General
-}
-
 /// Returns `true` if `dag` is a two-terminal series-parallel DAG: a single
 /// source, a single sink, and reducible to one edge by exhaustively applying
 /// *series* reductions (bypass a vertex with exactly one in- and one
@@ -269,29 +148,16 @@ pub fn is_series_parallel(dag: &Dag) -> bool {
     if dag.sources().len() != 1 || dag.sinks().len() != 1 {
         return false;
     }
-    let edges: Vec<(usize, usize)> = dag
-        .edges()
-        .map(|e| {
-            let (u, v) = dag.edge_endpoints(e);
-            (u.index(), v.index())
-        })
-        .collect();
-    is_series_parallel_edges(dag.node_count(), &edges)
-}
-
-/// Reduction recognition over an explicit edge list on nodes `0..n`.
-/// Parallel edges produced by series reductions merge immediately (set
-/// adjacency), so a vertex is series-reducible exactly when it has one
-/// distinct in-neighbour and one distinct out-neighbour.
-fn is_series_parallel_edges(n: usize, edges: &[(usize, usize)]) -> bool {
-    if n == 1 {
-        return edges.is_empty();
-    }
+    // Parallel edges produced by series reductions merge immediately (set
+    // adjacency), so a vertex is series-reducible exactly when it has one
+    // distinct in-neighbour and one distinct out-neighbour.
+    let n = dag.node_count();
     let mut out: Vec<std::collections::BTreeSet<usize>> = vec![Default::default(); n];
     let mut inn: Vec<std::collections::BTreeSet<usize>> = vec![Default::default(); n];
-    for &(u, v) in edges {
-        out[u].insert(v);
-        inn[v].insert(u);
+    for e in dag.edges() {
+        let (u, v) = dag.edge_endpoints(e);
+        out[u.index()].insert(v.index());
+        inn[v.index()].insert(u.index());
     }
     let mut alive = n;
     let mut queue: Vec<usize> = (0..n)
@@ -334,18 +200,10 @@ fn is_series_parallel_edges(n: usize, edges: &[(usize, usize)]) -> bool {
         || (out[t].len() == 1 && out[t].contains(&s) && inn[t].is_empty() && out[s].is_empty())
 }
 
-/// Assemble a `Decomposition` from a member partition: computes boundaries,
-/// cut edges and per-component kinds. `parts` must be disjoint, each sorted
-/// ascending, and listed in quotient-topological order. `kind_hint`
-/// overrides classification for non-tree shapes (bands stay "band", tiles
-/// stay "cone") while genuinely recognised shapes keep their name.
-fn assemble(
-    dag: &Dag,
-    strategy: Strategy,
-    parts: Vec<Vec<NodeId>>,
-    kind_hint: Option<ComponentKind>,
-    tree: impl FnOnce(&[Component]) -> DecompTree,
-) -> Decomposition {
+/// Assemble a `Decomposition` from a member partition by computing each
+/// part's boundary. `parts` must be disjoint, each sorted ascending, and
+/// listed in quotient-topological order.
+fn assemble(dag: &Dag, strategy: Strategy, parts: Vec<Vec<NodeId>>) -> Decomposition {
     let n = dag.node_count();
     let mut owner: Vec<u32> = vec![u32::MAX; n];
     for (i, part) in parts.iter().enumerate() {
@@ -354,12 +212,12 @@ fn assemble(
         }
     }
     let mut components = Vec::with_capacity(parts.len());
-    for part in &parts {
-        let idx = owner[part[0].index()];
+    for nodes in parts {
+        let idx = owner[nodes[0].index()];
         let mut inputs = Vec::new();
         let mut outputs = Vec::new();
         let mut seen_inputs = BitSet::new(n);
-        for &v in part {
+        for &v in &nodes {
             for u in dag.predecessors(v) {
                 if owner[u.index()] != idx && !seen_inputs.contains(u.index()) {
                     seen_inputs.insert(u.index());
@@ -371,51 +229,21 @@ fn assemble(
             }
         }
         inputs.sort();
-        let kind = match kind_hint {
-            Some(hint) => {
-                let detected = classify(dag, part);
-                if detected == ComponentKind::General {
-                    hint
-                } else {
-                    detected
-                }
-            }
-            None => classify(dag, part),
-        };
         components.push(Component {
-            nodes: part.clone(),
-            kind,
+            nodes,
             inputs,
             outputs,
         });
     }
-    let cut_edges: Vec<EdgeId> = dag
-        .edges()
-        .filter(|&e| {
-            let (u, v) = dag.edge_endpoints(e);
-            owner[u.index()] == u32::MAX || owner[u.index()] != owner[v.index()]
-        })
-        .collect();
-    let shared_sources: Vec<NodeId> = dag
-        .nodes()
-        .filter(|&v| owner[v.index()] == u32::MAX)
-        .collect();
-    debug_assert!(shared_sources.iter().all(|&v| dag.is_source(v)));
-    let tree = tree(&components);
     Decomposition {
         strategy,
         components,
-        cut_edges,
-        shared_sources,
-        tree,
     }
 }
 
 fn whole(dag: &Dag) -> Decomposition {
     let all: Vec<NodeId> = dag.nodes().collect();
-    assemble(dag, Strategy::Whole, vec![all], None, |_| {
-        DecompTree::Leaf(0)
-    })
+    assemble(dag, Strategy::Whole, vec![all])
 }
 
 /// Weakly connected components via union-find, listed by smallest member id.
@@ -427,10 +255,7 @@ fn wcc(dag: &Dag) -> Decomposition {
         uf.union(u.index(), v.index());
     }
     let parts = uf.groups(dag.nodes());
-    assemble(dag, Strategy::Wcc, parts, None, |comps| DecompTree::Split {
-        kind: SplitKind::Connectivity,
-        parts: (0..comps.len()).map(DecompTree::Leaf).collect(),
-    })
+    assemble(dag, Strategy::Wcc, parts)
 }
 
 /// Band the level structure: grow each band level by level while every
@@ -495,32 +320,11 @@ fn level_bands(dag: &Dag, max_nodes: usize) -> Decomposition {
     // so every crossing value is loaded by exactly one piece. (On the FFT
     // this is what re-aligns each band's blocks with the stage crossing the
     // cut — the structure the paper's blocked strategy exploits.)
-    let mut parts: Vec<Vec<NodeId>> = Vec::new();
-    let mut band_part_counts = Vec::with_capacity(bands.len());
-    for band in &bands {
-        let groups = band_pieces(dag, band).0;
-        band_part_counts.push(groups.len());
-        parts.extend(groups);
-    }
-    let strategy = Strategy::LevelBands { max_nodes };
-    assemble(dag, strategy, parts, Some(ComponentKind::Band), |_| {
-        let mut next = 0usize;
-        let band_parts: Vec<DecompTree> = band_part_counts
-            .iter()
-            .map(|&count| {
-                let leaves: Vec<DecompTree> = (next..next + count).map(DecompTree::Leaf).collect();
-                next += count;
-                DecompTree::Split {
-                    kind: SplitKind::Connectivity,
-                    parts: leaves,
-                }
-            })
-            .collect();
-        DecompTree::Split {
-            kind: SplitKind::Bands,
-            parts: band_parts,
-        }
-    })
+    let parts = bands
+        .iter()
+        .flat_map(|band| band_pieces(dag, band).0)
+        .collect();
+    assemble(dag, Strategy::LevelBands { max_nodes }, parts)
 }
 
 /// The pieces of one band: groups of band nodes connected directly or
@@ -774,16 +578,7 @@ fn sink_cones(dag: &Dag, max_nodes: usize, max_sinks: usize) -> Option<Decomposi
         max_nodes,
         max_sinks,
     };
-    Some(assemble(
-        dag,
-        strategy,
-        parts,
-        Some(ComponentKind::Cone),
-        |comps| DecompTree::Split {
-            kind: SplitKind::Tiles,
-            parts: (0..comps.len()).map(DecompTree::Leaf).collect(),
-        },
-    ))
+    Some(assemble(dag, strategy, parts))
 }
 
 /// A component materialised as a standalone [`Dag`]: the members plus their
@@ -794,11 +589,8 @@ pub struct ExtractedComponent {
     /// The extracted sub-DAG; local node ids are dense.
     pub dag: Dag,
     /// Global id of each local node, ascending (local order preserves global
-    /// order).
+    /// order). Boundary inputs are sources of the sub-DAG.
     pub to_global: Vec<NodeId>,
-    /// `true` at local positions that are boundary inputs (sub-DAG sources
-    /// that the surrounding schedule must have saved).
-    pub is_input: Vec<bool>,
 }
 
 /// Extract `component` (members + boundary inputs) from `dag`.
@@ -817,10 +609,6 @@ pub fn extract_component(dag: &Dag, component: &Component) -> ExtractedComponent
     to_global.sort();
     let local: HashMap<NodeId, usize> =
         to_global.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    let mut member = vec![false; to_global.len()];
-    for &v in &component.nodes {
-        member[local[&v]] = true;
-    }
     let mut b = DagBuilder::new();
     for &g in &to_global {
         b.add_labeled_node(dag.label(g));
@@ -831,11 +619,9 @@ pub fn extract_component(dag: &Dag, component: &Component) -> ExtractedComponent
         }
     }
     let sub = b.build().expect("component extraction preserves validity");
-    let is_input = member.iter().map(|&m| !m).collect();
     ExtractedComponent {
         dag: sub,
         to_global,
-        is_input,
     }
 }
 
@@ -970,7 +756,9 @@ impl UnionFind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{binary_tree, fft, matmul};
+    use crate::generators::{
+        attention_full, attention_qk, fft, matmul, random_layered, RandomLayeredConfig,
+    };
 
     fn chain(n: usize) -> Dag {
         let mut b = DagBuilder::new();
@@ -1002,30 +790,6 @@ mod tests {
     }
 
     #[test]
-    fn classification_recognises_shapes() {
-        let c = chain(5);
-        assert_eq!(
-            classify(&c, &c.nodes().collect::<Vec<_>>()),
-            ComponentKind::Chain
-        );
-        let t = binary_tree(3);
-        assert_eq!(
-            classify(&t, &t.nodes().collect::<Vec<_>>()),
-            ComponentKind::InTree
-        );
-        let d = diamond();
-        assert_eq!(
-            classify(&d, &d.nodes().collect::<Vec<_>>()),
-            ComponentKind::SeriesParallel
-        );
-        let f = fft(8).dag;
-        assert_eq!(
-            classify(&f, &f.nodes().collect::<Vec<_>>()),
-            ComponentKind::General
-        );
-    }
-
-    #[test]
     fn series_parallel_recognition() {
         assert!(is_series_parallel(&chain(4)));
         assert!(is_series_parallel(&diamond()));
@@ -1054,10 +818,10 @@ mod tests {
     fn wcc_splits_disconnected_dags() {
         let d = wcc(&two_chains());
         assert_eq!(d.components.len(), 2);
-        assert!(d.cut_edges.is_empty());
-        assert!(d.shared_sources.is_empty());
-        assert_eq!(d.components[0].kind, ComponentKind::Chain);
-        assert!(d.components.iter().all(|c| c.inputs.is_empty()));
+        assert!(d
+            .components
+            .iter()
+            .all(|c| c.inputs.is_empty() && c.outputs.is_empty()));
         assert_eq!(d.assigned_nodes(), 6);
     }
 
@@ -1069,17 +833,6 @@ mod tests {
         assert!(d.components.len() > 1);
         assert!(d.max_component_size() <= 24);
         assert_eq!(d.assigned_nodes(), f.node_count());
-        // Every cut edge goes from an earlier component to a later one.
-        let mut owner = vec![usize::MAX; f.node_count()];
-        for (i, c) in d.components.iter().enumerate() {
-            for &v in &c.nodes {
-                owner[v.index()] = i;
-            }
-        }
-        for &e in &d.cut_edges {
-            let (u, v) = f.edge_endpoints(e);
-            assert!(owner[u.index()] < owner[v.index()]);
-        }
         // Boundary sets are consistent.
         for c in &d.components {
             for &inp in &c.inputs {
@@ -1103,8 +856,7 @@ mod tests {
         )
         .unwrap();
         // Every non-source node is assigned; sources stay shared.
-        assert_eq!(d.assigned_nodes() + d.shared_sources.len(), mm.node_count());
-        assert!(d.shared_sources.iter().all(|&v| mm.is_source(v)));
+        assert_eq!(d.assigned_nodes(), mm.node_count() - mm.sources().len());
         assert!(d.components.len() > 1);
         assert!(d.max_component_size() <= 60);
         // Tiles only interact through shared sources: no member outputs.
@@ -1164,10 +916,9 @@ mod tests {
             assert_eq!(ex.dag.edge_count(), in_edges);
             member_edges += in_edges;
             // Boundary inputs are sub-sources.
-            for (i, &inp) in ex.is_input.iter().enumerate() {
-                if inp {
-                    assert!(ex.dag.is_source(NodeId::from_index(i)));
-                }
+            for inp in &c.inputs {
+                let i = ex.to_global.binary_search(inp).unwrap();
+                assert!(ex.dag.is_source(NodeId::from_index(i)));
             }
             // Local order preserves global order.
             assert!(ex.to_global.windows(2).all(|w| w[0] < w[1]));
@@ -1198,8 +949,76 @@ mod tests {
         let d = decompose(&f, Strategy::Whole).unwrap();
         assert_eq!(d.components.len(), 1);
         assert_eq!(d.assigned_nodes(), f.node_count());
-        assert!(d.cut_edges.is_empty());
-        assert!(matches!(d.tree, DecompTree::Leaf(0)));
+        assert!(d.components[0].inputs.is_empty() && d.components[0].outputs.is_empty());
+    }
+
+    /// What stitching relies on, derived from the member lists alone: the
+    /// components are disjoint, every edge between two parts runs from an
+    /// earlier component (or an unassigned node) to a later one, and every
+    /// unassigned node is a source.
+    #[test]
+    fn partitions_are_disjoint_ordered_and_leave_only_sources_unassigned() {
+        let dags = [
+            fft(16).dag,
+            fft(64).dag,
+            matmul(4, 4, 4).dag,
+            attention_qk(6, 3).dag,
+            attention_full(6, 2).dag,
+            random_layered(RandomLayeredConfig {
+                layers: 12,
+                width: 10,
+                max_in_degree: 3,
+                seed: 7,
+            }),
+        ];
+        let mut checked_cones = 0;
+        for dag in &dags {
+            for r in [4usize, 16] {
+                let (small, large, max_sinks) = (4 * r, 16 * r, (3 * r / 4).max(1));
+                let strategies = [
+                    Strategy::Whole,
+                    Strategy::Wcc,
+                    Strategy::LevelBands { max_nodes: small },
+                    Strategy::LevelBands { max_nodes: large },
+                    Strategy::SinkCones {
+                        max_nodes: small,
+                        max_sinks,
+                    },
+                    Strategy::SinkCones {
+                        max_nodes: large,
+                        max_sinks,
+                    },
+                ];
+                for strategy in strategies {
+                    let Some(d) = decompose(dag, strategy) else {
+                        continue;
+                    };
+                    if matches!(strategy, Strategy::SinkCones { .. }) {
+                        checked_cones += 1;
+                    }
+                    let mut owner: Vec<Option<usize>> = vec![None; dag.node_count()];
+                    for (i, c) in d.components.iter().enumerate() {
+                        for &v in &c.nodes {
+                            assert!(owner[v.index()].is_none(), "{strategy}: {v:?} twice");
+                            owner[v.index()] = Some(i);
+                        }
+                    }
+                    for e in dag.edges() {
+                        let (u, v) = dag.edge_endpoints(e);
+                        let (ou, ov) = (owner[u.index()], owner[v.index()]);
+                        // Within one part, or forward: `None` (unassigned)
+                        // orders before every component.
+                        assert!(ou <= ov, "{strategy}: {u:?} -> {v:?}");
+                    }
+                    for v in dag.nodes() {
+                        if owner[v.index()].is_none() {
+                            assert!(dag.is_source(v), "{strategy}: {v:?} unassigned");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked_cones > 0, "sink cones applied nowhere");
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //! * [`liveness`] — next-use / consumer-position precomputation for a compute
 //!   order, the substrate of Belady-style eviction in the heuristic
 //!   schedulers.
-//! * [`decompose`] — structure detection (trees, chains, series-parallel via
-//!   reduction recognition, level bands, sink-cone tiles) and decomposition
-//!   of a DAG into independently schedulable components with explicit
-//!   cut/boundary sets, the substrate of divide-and-conquer scheduling.
+//! * [`decompose`] — decomposition of a DAG into independently schedulable
+//!   components (weak components, level bands, sink-cone tiles) with
+//!   explicit boundary sets, the substrate of divide-and-conquer
+//!   scheduling, plus series-parallel recognition.
 //! * [`generators`] — every DAG family used in the paper: Figure 1 gadget and
 //!   its chained version, zipper gadget, binary / k-ary trees, pyramid and
 //!   pebble-collection gadgets, matrix–vector and matrix–matrix multiplication,

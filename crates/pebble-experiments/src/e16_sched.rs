@@ -73,10 +73,6 @@ fn wide_beam() -> Scheduler {
     }
 }
 
-fn local_refine() -> Scheduler {
-    Scheduler::Local { iterations: 120 }
-}
-
 /// Structure-aware divide-and-conquer (E17's engine), swept as a portfolio
 /// member on the small and mid-size PRBP instances so the committed
 /// benchmark baseline tracks its costs.
@@ -93,16 +89,15 @@ pub fn corpus() -> Vec<SchedInstance> {
 
     // FFT family (Theorem 6.9): the blocked strategy certifies the gap.
     let f64_ = fft(64);
-    let mut small_suite = core_suite();
-    small_suite.push(wide_beam());
-    small_suite.push(local_refine());
-    small_suite.push(compose());
+    let mut beam_suite = core_suite();
+    beam_suite.push(wide_beam());
+    beam_suite.push(compose());
     out.push(SchedInstance {
         id: "fft-64",
         model: Model::Prbp,
         r: 16,
         dag: f64_.dag.clone(),
-        schedulers: small_suite.clone(),
+        schedulers: beam_suite.clone(),
         structured: Some((
             "blocked",
             StructuredTrace::Prbp(strategies::fft::prbp_blocked(&f64_, 16).expect("r >= 4")),
@@ -122,15 +117,12 @@ pub fn corpus() -> Vec<SchedInstance> {
         gap_gated: true,
     });
     let f256 = fft(256);
-    let mut mid_suite = core_suite();
-    mid_suite.push(wide_beam());
-    mid_suite.push(compose());
     out.push(SchedInstance {
         id: "fft-256",
         model: Model::Prbp,
         r: 64,
         dag: f256.dag.clone(),
-        schedulers: mid_suite.clone(),
+        schedulers: beam_suite.clone(),
         structured: Some((
             "blocked",
             StructuredTrace::Prbp(strategies::fft::prbp_blocked(&f256, 64).expect("r >= 4")),
@@ -160,7 +152,7 @@ pub fn corpus() -> Vec<SchedInstance> {
         model: Model::Prbp,
         r: 24,
         dag: mm8.dag.clone(),
-        schedulers: small_suite.clone(),
+        schedulers: beam_suite.clone(),
         structured: Some((
             "tiled",
             StructuredTrace::Prbp(strategies::matmul::prbp_tiled(&mm8, 24).expect("r >= 4")),
@@ -191,7 +183,7 @@ pub fn corpus() -> Vec<SchedInstance> {
         model: Model::Prbp,
         r: 68,
         dag: att16.dag.clone(),
-        schedulers: mid_suite.clone(),
+        schedulers: beam_suite.clone(),
         structured: Some((
             "streaming",
             StructuredTrace::Prbp(

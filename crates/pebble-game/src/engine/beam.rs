@@ -36,7 +36,6 @@ use crate::packed::{clear, get, plane_words, set};
 use crate::prbp::PrbpConfig;
 use pebble_dag::{Dag, NodeId};
 use std::ops::Range;
-use std::time::Instant;
 
 /// Most load buckets an entry keeps. Ready nodes with more immediate loads
 /// share the last bucket, which is ranked by a sort.
@@ -313,7 +312,7 @@ pub(crate) fn solve_beam(
     let width = width.max(1);
     let branch = if engine.branch == 0 { 4 } else { engine.branch };
     let h0 = domain.h(heuristic, &domain.start_words());
-    let deadline_at = engine.deadline.map(|d| Instant::now() + d);
+    let deadline_at = super::deadline_at(engine);
 
     let s = Shape {
         dag,
@@ -331,9 +330,10 @@ pub(crate) fn solve_beam(
 
     let mut beam = vec![Entry::initial(&s)];
     // Reused across levels: the pooled proposals, the next beam, and the
-    // buffers of dropped entries.
+    // buffers of dropped entries. `next` grows on demand: `width` may be far
+    // larger than any level's proposals.
     let mut proposals: Vec<Proposal> = Vec::new();
-    let mut next: Vec<Entry> = Vec::with_capacity(width);
+    let mut next: Vec<Entry> = Vec::new();
     let mut spare: Vec<Entry> = Vec::new();
     'levels: for _ in 0..levels {
         let over_budget = engine.node_budget.is_some_and(|b| stats.distinct > b);
@@ -427,7 +427,7 @@ mod tests {
     use super::*;
     use crate::exact::LoadCountHeuristic;
     use crate::prbp::PrbpGame;
-    use pebble_dag::generators::fft;
+    use pebble_dag::generators::{binary_tree, fft};
 
     /// The shape and an empty arena, as [`solve_beam`] builds them.
     fn setup(dag: &Dag, r: usize) -> (Shape<'_>, Arena) {
@@ -613,6 +613,15 @@ mod tests {
         // Each level keeps at least one configuration.
         let levels = fft(16).dag.nodes().count() - 16;
         assert!(out.stats.distinct >= levels);
+    }
+
+    #[test]
+    fn the_widest_beam_allocates_on_demand() {
+        // No level of the 7-node tree has 64 distinct children, so the
+        // widest beam keeps exactly what width 64 keeps.
+        let dag = binary_tree(2);
+        let (widest, wide) = (beam(&dag, 3, usize::MAX), beam(&dag, 3, 64));
+        assert_eq!((widest.cost, widest.trace), (wide.cost, wide.trace));
     }
 
     #[test]

@@ -169,6 +169,12 @@ pub(crate) struct RawOutcome<M> {
     pub stop: StopReason,
 }
 
+/// The instant `engine.deadline` expires. A deadline too far out to
+/// represent is no deadline.
+fn deadline_at(engine: &EngineConfig) -> Option<Instant> {
+    engine.deadline.and_then(|d| Instant::now().checked_add(d))
+}
+
 fn finish<D: Domain>(domain: &D, raw: RawOutcome<D::Move>) -> EngineOutcome<D::Trace> {
     EngineOutcome {
         cost: raw.cost,
@@ -186,7 +192,7 @@ fn run_astar<D: Domain>(
     heuristic: &dyn LowerBound,
     seed_moves: Option<Vec<D::Move>>,
 ) -> Result<RawOutcome<D::Move>, ExactError> {
-    let deadline_at = engine.deadline.map(|d| Instant::now() + d);
+    let deadline_at = deadline_at(engine);
     if !domain.feasible() {
         return Err(ExactError::Unsolvable);
     }
@@ -260,6 +266,32 @@ mod tests {
         .unwrap();
         assert!(seeded.proven_optimal);
         assert_eq!(seeded.cost, cost);
+    }
+
+    #[test]
+    fn an_unrepresentable_deadline_is_no_deadline() {
+        let f = fig1_full();
+        let solve = |deadline, width| {
+            let engine = EngineConfig {
+                deadline,
+                width,
+                ..EngineConfig::default()
+            };
+            solve_prbp(
+                &f.dag,
+                PrbpConfig::new(4),
+                &engine,
+                &LoadCountHeuristic,
+                None,
+            )
+            .unwrap()
+        };
+        // Exact A* and the beam both run to completion.
+        let exact = solve(Some(Duration::MAX), None);
+        assert_eq!((exact.cost, exact.stop), (2, StopReason::Completed));
+        let beam = solve(Some(Duration::MAX), Some(4));
+        assert_eq!(beam.stop, StopReason::Completed);
+        assert_eq!(beam.trace, solve(None, Some(4)).trace);
     }
 
     #[test]

@@ -202,19 +202,19 @@ fn compose(dag: &Dag, r: usize, config: &ComposeConfig) -> Result<ComposeOutcome
     if r < 2 {
         return Err(ComposeError::SmallR { r });
     }
+    // Saturating: a cache or budget too large for the caps leaves no cap.
     let caps: Vec<usize> = if config.caps.is_empty() {
+        let budget = config.exact_budget;
         let mut caps = vec![
-            (4 * r).max(2 * config.exact_budget),
-            (16 * r).max(4 * config.exact_budget),
+            r.saturating_mul(4).max(budget.saturating_mul(2)),
+            r.saturating_mul(16).max(budget.saturating_mul(4)),
         ];
         caps.dedup();
         caps
     } else {
         config.caps.clone()
     };
-    // A tile's unsaved sinks are live accumulators throughout its schedule;
-    // capping them at ~3r/4 leaves room for the streaming inputs.
-    let max_sinks = (3 * r / 4).max(1);
+    let max_sinks = sink_cap(r);
 
     // The candidate decompositions, in the order they are tried. Each is
     // built only when its turn comes, after a deadline check.
@@ -307,6 +307,14 @@ fn compose(dag: &Dag, r: usize, config: &ComposeConfig) -> Result<ComposeOutcome
         exact_components,
         composed_bound,
     })
+}
+
+/// The sinks a tile may hold at cache size `r`. A tile's unsaved sinks are
+/// live accumulators throughout its schedule; capping them at `⌊3r/4⌋`
+/// (computed without the overflow of `3 * r`) leaves room for the
+/// streaming inputs.
+fn sink_cap(r: usize) -> usize {
+    (r - r.div_ceil(4)).max(1)
 }
 
 /// Whether `deadline` has passed (never, without one).
@@ -854,6 +862,32 @@ mod tests {
         let err = compose_certified(&dag, 8, &config, BoundSet::Fast).unwrap_err();
         assert_eq!(err, ComposeError::DeadlineNoIncumbent);
         assert!(compose_prbp(&dag, 8, &config).is_none());
+    }
+
+    #[test]
+    fn the_largest_cache_is_certified_optimal() {
+        let dag = fft(8).dag;
+        let certified =
+            compose_certified(&dag, usize::MAX, &ComposeConfig::default(), BoundSet::Full).unwrap();
+        assert_eq!(certified.report.cost, certified.report.best_bound);
+    }
+
+    #[test]
+    fn the_largest_exact_budget_proves_fig1_optimal() {
+        let config = ComposeConfig {
+            exact_budget: usize::MAX,
+            ..ComposeConfig::default()
+        };
+        let outcome = compose_prbp(&fig1_full().dag, 4, &config).unwrap();
+        assert_eq!(outcome.cost, 2);
+    }
+
+    #[test]
+    fn sink_caps_are_three_quarters_of_the_cache() {
+        for r in [2usize, 3, 4, 5, 6, 7, 8, 17, 1 << 20] {
+            assert_eq!(sink_cap(r), 3 * r / 4, "r = {r}");
+        }
+        assert_eq!(sink_cap(usize::MAX), (usize::MAX as u128 * 3 / 4) as usize);
     }
 
     #[cfg(not(debug_assertions))]

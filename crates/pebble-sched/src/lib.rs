@@ -27,9 +27,6 @@
 //!   cheapest next node online. A level copies an `O(n)` entry per child,
 //!   so a solve is quadratic and compose runs it only on components of at
 //!   most 512 nodes.
-//! * [`local`] — seeded local-search refinement (eviction re-decisions +
-//!   topology-preserving segment re-ordering) that only ever accepts
-//!   strictly cheaper, simulator-validated schedules.
 //! * [`edges`] — the edge-order greedy executor: PRBP partial computes
 //!   scheduled one edge at a time, which makes streaming-accumulator
 //!   (tiled matmul / attention) access patterns expressible generically.
@@ -54,7 +51,6 @@ mod eviction;
 pub mod greedy;
 #[cfg(test)]
 mod heuristics;
-pub mod local;
 mod obs;
 pub mod order;
 pub mod policy;
@@ -67,7 +63,6 @@ pub use compose::{
 };
 pub use edges::{cone_affinity_edges, greedy_prbp_edges};
 pub use greedy::{greedy_prbp, greedy_prbp_into, greedy_rbp, greedy_rbp_into};
-pub use local::{local_search_prbp, LocalConfig};
 pub use policy::{
     Candidate, EvictionKey, EvictionPolicy, FewestRemainingConsumers, FurthestInFuture, Lru,
 };

@@ -6,7 +6,6 @@
 
 use crate::beam::{beam_prbp, beam_prbp_until, BeamConfig};
 use crate::greedy::{greedy_prbp, greedy_rbp};
-use crate::local::{local_search_prbp, LocalConfig};
 use crate::order;
 use crate::policy::{EvictionPolicy, FewestRemainingConsumers, FurthestInFuture, Lru};
 use pebble_dag::{Dag, NodeId};
@@ -124,12 +123,6 @@ pub enum Scheduler {
         /// Candidates proposed per entry per level.
         branch: usize,
     },
-    /// Local-search refinement (policy re-decision + segment re-ordering)
-    /// starting from the natural order.
-    Local {
-        /// Segment-move proposals.
-        iterations: usize,
-    },
     /// Structure-aware divide-and-conquer: decompose (weak components /
     /// level bands / sink-cone tiles), schedule each component independently
     /// (exact A* below the node budget), stitch with boundary-aware
@@ -149,7 +142,6 @@ impl fmt::Display for Scheduler {
                 write!(f, "greedy:{}:{}", policy.name(), order.name())
             }
             Scheduler::Beam { width, .. } => write!(f, "beam:{width}"),
-            Scheduler::Local { iterations } => write!(f, "local:{iterations}"),
             Scheduler::Compose { exact_budget } => {
                 if exact_budget == crate::compose::DEFAULT_EXACT_BUDGET {
                     write!(f, "compose")
@@ -167,7 +159,7 @@ impl std::str::FromStr for Scheduler {
     /// Parse the display form back into a configuration: `baseline`,
     /// `greedy:<policy>:<order>`, `beam:<width>[:<branch>]` (branch defaults
     /// to 4, the [`crate::beam::BeamConfig::default`] value) or
-    /// `local:<iterations>`.
+    /// `compose[:<budget>]`.
     fn from_str(s: &str) -> Result<Self, String> {
         if s == "baseline" {
             return Ok(Scheduler::Baseline);
@@ -206,17 +198,6 @@ impl std::str::FromStr for Scheduler {
                 }
                 Ok(Scheduler::Beam { width, branch })
             }
-            "local" => {
-                let iterations: usize = parts
-                    .next()
-                    .ok_or_else(|| "local needs a proposal count: local:<iterations>".to_string())?
-                    .parse()
-                    .map_err(|_| format!("invalid iteration count in `{s}`"))?;
-                if parts.next().is_some() {
-                    return Err(format!("trailing components in scheduler `{s}`"));
-                }
-                Ok(Scheduler::Local { iterations })
-            }
             "compose" => {
                 let exact_budget: usize = match parts.next() {
                     Some(b) => b
@@ -231,7 +212,7 @@ impl std::str::FromStr for Scheduler {
             }
             other => Err(format!(
                 "unknown scheduler `{other}` (expected baseline, greedy:<policy>:<order>, \
-                 beam:<width>[:<branch>], local:<iterations> or compose[:<budget>])"
+                 beam:<width>[:<branch>] or compose[:<budget>])"
             )),
         }
     }
@@ -246,7 +227,6 @@ impl Scheduler {
             Scheduler::Baseline => "baseline",
             Scheduler::Greedy { .. } => "greedy",
             Scheduler::Beam { .. } => "beam",
-            Scheduler::Local { .. } => "local",
             Scheduler::Compose { .. } => "compose",
         }
     }
@@ -258,7 +238,6 @@ impl Scheduler {
             Scheduler::Baseline => "portfolio:baseline",
             Scheduler::Greedy { .. } => "portfolio:greedy",
             Scheduler::Beam { .. } => "portfolio:beam",
-            Scheduler::Local { .. } => "portfolio:local",
             Scheduler::Compose { .. } => "portfolio:compose",
         }
     }
@@ -273,16 +252,6 @@ impl Scheduler {
                 greedy_prbp(dag, r, &ord, policy.build().as_mut())
             }
             Scheduler::Beam { width, branch } => beam_prbp(dag, r, BeamConfig { width, branch }),
-            Scheduler::Local { iterations } => local_search_prbp(
-                dag,
-                r,
-                None,
-                LocalConfig {
-                    iterations,
-                    ..Default::default()
-                },
-            )
-            .map(|(trace, _)| trace),
             Scheduler::Compose { exact_budget } => {
                 let config = crate::compose::ComposeConfig {
                     exact_budget,
@@ -293,7 +262,7 @@ impl Scheduler {
         }
     }
 
-    /// Run this scheduler in RBP. Beam, local search and compose are
+    /// Run this scheduler in RBP. Beam and compose are
     /// PRBP-only and return `None`; the others return `None` when
     /// `r < Δ_in + 1`.
     pub fn run_rbp(self, dag: &Dag, r: usize) -> Option<RbpTrace> {
@@ -303,7 +272,7 @@ impl Scheduler {
                 let ord = order.build(dag);
                 greedy_rbp(dag, r, &ord, policy.build().as_mut())
             }
-            Scheduler::Beam { .. } | Scheduler::Local { .. } | Scheduler::Compose { .. } => None,
+            Scheduler::Beam { .. } | Scheduler::Compose { .. } => None,
         }
     }
 }
@@ -446,10 +415,6 @@ mod tests {
             .to_string(),
             "beam:8"
         );
-        assert_eq!(
-            Scheduler::Local { iterations: 200 }.to_string(),
-            "local:200"
-        );
     }
 
     #[test]
@@ -472,10 +437,6 @@ mod tests {
                 branch: 4
             }
         );
-        assert_eq!(
-            "local:120".parse::<Scheduler>().unwrap(),
-            Scheduler::Local { iterations: 120 }
-        );
         for bad in [
             "",
             "greedy",
@@ -483,7 +444,7 @@ mod tests {
             "greedy:belady:dfs:extra",
             "beam:0",
             "beam:x",
-            "local:y",
+            "local:120",
             "annealing:3",
         ] {
             assert!(bad.parse::<Scheduler>().is_err(), "{bad} should not parse");

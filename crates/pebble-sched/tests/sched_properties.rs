@@ -42,8 +42,7 @@ fn dag_strategy() -> impl Strategy<Value = (Dag, usize)> {
 }
 
 /// The suite the properties quantify over: the members compose runs on a
-/// small component (the default portfolio and both beams) plus local
-/// search.
+/// small component (the default portfolio and both beams).
 fn full_suite() -> Vec<Scheduler> {
     let mut suite = default_suite();
     suite.push(Scheduler::Beam {
@@ -54,7 +53,6 @@ fn full_suite() -> Vec<Scheduler> {
         width: 8,
         branch: 4,
     });
-    suite.push(Scheduler::Local { iterations: 30 });
     suite
 }
 

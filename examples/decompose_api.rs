@@ -1,11 +1,11 @@
-//! Structure-aware scheduling end to end: detect the structure of a DAG,
-//! decompose it, and let `compose` schedule each component independently —
-//! then compare the certified gap against the generic portfolio.
+//! Structure-aware scheduling end to end: decompose a DAG, and let
+//! `compose` schedule each component independently — then compare the
+//! certified gap against the generic portfolio.
 //!
 //! Run with: `cargo run --release --example decompose_api -- [m] [r]`
 //! (defaults: 64-point FFT, r = 16).
 
-use prbp::dag::decompose::{classify, decompose, is_series_parallel, Strategy};
+use prbp::dag::decompose::{decompose, is_series_parallel, Strategy};
 use prbp::dag::generators::{fft, matmul};
 use prbp::sched::{best_prbp, compose_prbp, default_suite, ComposeConfig};
 
@@ -14,13 +14,10 @@ fn main() {
     let m: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(64);
     let r: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(16);
 
-    // --- Structure detection -------------------------------------------
     let f = fft(m);
-    let all: Vec<_> = f.dag.nodes().collect();
     println!(
-        "{m}-point FFT: {} nodes, shape = {:?}, series-parallel = {}",
+        "{m}-point FFT: {} nodes, series-parallel = {}",
         f.dag.node_count(),
-        classify(&f.dag, &all),
         is_series_parallel(&f.dag),
     );
 
@@ -30,17 +27,15 @@ fn main() {
     let bands = decompose(&f.dag, Strategy::LevelBands { max_nodes: 4 * r })
         .expect("level bands always apply");
     println!(
-        "level bands (cap {}): {} components, largest {} nodes, {} cut edges",
+        "level bands (cap {}): {} components, largest {} nodes",
         4 * r,
         bands.components.len(),
         bands.max_component_size(),
-        bands.cut_edges.len(),
     );
     for (i, c) in bands.components.iter().enumerate().take(3) {
         println!(
-            "  component {i}: {} members ({}), {} boundary inputs, {} outputs",
+            "  component {i}: {} members, {} boundary inputs, {} outputs",
             c.nodes.len(),
-            c.kind.name(),
             c.inputs.len(),
             c.outputs.len(),
         );
@@ -59,7 +54,7 @@ fn main() {
     println!(
         "matmul-8 sink cones: {} tiles, {} shared source inputs stay unassigned",
         tiles.components.len(),
-        tiles.shared_sources.len(),
+        mm.dag.node_count() - tiles.assigned_nodes(),
     );
 
     // --- Divide-and-conquer scheduling ---------------------------------

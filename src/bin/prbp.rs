@@ -53,7 +53,7 @@ USAGE:
                 [--scheduler S] [--bounds fast|full|auto] [--out PATH]
                 [--deadline-ms MS [--workers N]] [--trace FILE.jsonl]
       S: greedy:<belady|lru|fewest>:<natural|dfs> (default greedy:belady:dfs,
-         streaming), beam:<width>[:<branch>], local:<iterations>, baseline,
+         streaming), beam:<width>[:<branch>], baseline,
          compose[:<exact-budget>] (structure-aware decomposition; PRBP only),
          or `suite` (best of the four greedy members of the default
          portfolio; materialises traces)
