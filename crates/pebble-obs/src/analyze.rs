@@ -1,7 +1,7 @@
 //! Offline analysis of JSONL trace streams: parse the events written by
 //! [`crate::trace::JsonlSink`] back into [`Stamped`] values and summarize
-//! them into a phase-timing breakdown plus the anytime convergence curve
-//! (`prbp trace <file.jsonl>` prints the [`std::fmt::Display`] form).
+//! them into a phase-timing breakdown (`prbp trace <file.jsonl>` prints the
+//! [`std::fmt::Display`] form).
 //!
 //! The parser is deliberately minimal: it accepts exactly the flat,
 //! string/integer-valued objects our own writer produces, which keeps this
@@ -123,12 +123,6 @@ fn parse_line(line: &str) -> Result<Option<Stamped>, String> {
             name: field_str(&fields, "name")?,
             dur_us: field_u64(&fields, "dur_us")?,
         },
-        "incumbent" => TraceEvent::Incumbent {
-            cost: field_u64(&fields, "cost")?,
-        },
-        "bound" => TraceEvent::Bound {
-            value: field_u64(&fields, "value")?,
-        },
         "cache_lookup" => TraceEvent::CacheLookup {
             outcome: field_str(&fields, "outcome")?,
         },
@@ -170,28 +164,6 @@ pub struct PhaseRow {
     pub total_us: u64,
 }
 
-/// One step of the anytime convergence curve: the state of the
-/// incumbent/bound pair after an event at `t_us`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConvergenceRow {
-    /// Event timestamp (microseconds since trace epoch).
-    pub t_us: u64,
-    /// Best incumbent cost known at this time, if any.
-    pub cost: Option<u64>,
-    /// Best lower bound known at this time, if any.
-    pub bound: Option<u64>,
-}
-
-impl ConvergenceRow {
-    /// `cost / bound` when both sides are known and the bound is positive.
-    pub fn gap(&self) -> Option<f64> {
-        match (self.cost, self.bound) {
-            (Some(c), Some(b)) if b > 0 => Some(c as f64 / b as f64),
-            _ => None,
-        }
-    }
-}
-
 /// Everything `prbp trace` reports about a JSONL stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSummary {
@@ -199,50 +171,16 @@ pub struct TraceSummary {
     pub events: usize,
     /// Per-span-name timing rows, sorted by descending total time.
     pub phases: Vec<PhaseRow>,
-    /// Incumbent/bound updates in event order.
-    pub convergence: Vec<ConvergenceRow>,
-    /// Timestamp of the first incumbent, if the search found one.
-    pub time_to_first_incumbent_us: Option<u64>,
-    /// Timestamp of the last bound improvement, if any bound was reported.
-    pub time_to_final_bound_us: Option<u64>,
 }
 
 /// Fold a parsed event stream into a [`TraceSummary`].
 pub fn summarize(events: &[Stamped]) -> TraceSummary {
     let mut phases: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    let mut convergence = Vec::new();
-    let mut cost: Option<u64> = None;
-    let mut bound: Option<u64> = None;
-    let mut first_incumbent = None;
-    let mut final_bound = None;
     for e in events {
-        match &e.event {
-            TraceEvent::SpanEnd { name, dur_us } => {
-                let entry = phases.entry(name.clone()).or_insert((0, 0));
-                entry.0 += 1;
-                entry.1 += dur_us;
-            }
-            TraceEvent::Incumbent { cost: c } => {
-                if cost.is_none() {
-                    first_incumbent = Some(e.t_us);
-                }
-                cost = Some(cost.map_or(*c, |prev: u64| prev.min(*c)));
-                convergence.push(ConvergenceRow {
-                    t_us: e.t_us,
-                    cost,
-                    bound,
-                });
-            }
-            TraceEvent::Bound { value } => {
-                bound = Some(bound.map_or(*value, |prev: u64| prev.max(*value)));
-                final_bound = Some(e.t_us);
-                convergence.push(ConvergenceRow {
-                    t_us: e.t_us,
-                    cost,
-                    bound,
-                });
-            }
-            _ => {}
+        if let TraceEvent::SpanEnd { name, dur_us } = &e.event {
+            let entry = phases.entry(name.clone()).or_insert((0, 0));
+            entry.0 += 1;
+            entry.1 += dur_us;
         }
     }
     let mut phases: Vec<PhaseRow> = phases
@@ -257,9 +195,6 @@ pub fn summarize(events: &[Stamped]) -> TraceSummary {
     TraceSummary {
         events: events.len(),
         phases,
-        convergence,
-        time_to_first_incumbent_us: first_incumbent,
-        time_to_final_bound_us: final_bound,
     }
 }
 
@@ -290,37 +225,6 @@ impl fmt::Display for TraceSummary {
                 )?;
             }
         }
-        if !self.convergence.is_empty() {
-            writeln!(f)?;
-            writeln!(f, "anytime convergence:")?;
-            writeln!(
-                f,
-                "  {:>12} {:>12} {:>12} {:>8}",
-                "t", "incumbent", "bound", "gap"
-            )?;
-            for row in &self.convergence {
-                let cost = row.cost.map_or("-".to_string(), |c| c.to_string());
-                let bound = row.bound.map_or("-".to_string(), |b| b.to_string());
-                let gap = row.gap().map_or("-".to_string(), |g| format!("{g:.3}"));
-                writeln!(
-                    f,
-                    "  {:>12} {:>12} {:>12} {:>8}",
-                    fmt_us(row.t_us),
-                    cost,
-                    bound,
-                    gap
-                )?;
-            }
-            writeln!(f)?;
-            match self.time_to_first_incumbent_us {
-                Some(t) => writeln!(f, "time to first incumbent: {}", fmt_us(t))?,
-                None => writeln!(f, "time to first incumbent: (none found)")?,
-            }
-            match self.time_to_final_bound_us {
-                Some(t) => writeln!(f, "time to final bound:     {}", fmt_us(t))?,
-                None => writeln!(f, "time to final bound:     (no bound reported)")?,
-            }
-        }
         Ok(())
     }
 }
@@ -335,27 +239,15 @@ mod tests {
             Stamped {
                 t_us: 10,
                 event: TraceEvent::SpanStart {
-                    name: "anytime:seed".to_string(),
+                    name: "compose:schedule".to_string(),
                 },
-            },
-            Stamped {
-                t_us: 500,
-                event: TraceEvent::Incumbent { cost: 1200 },
-            },
-            Stamped {
-                t_us: 700,
-                event: TraceEvent::Bound { value: 512 },
             },
             Stamped {
                 t_us: 900,
                 event: TraceEvent::SpanEnd {
-                    name: "anytime:seed".to_string(),
+                    name: "compose:schedule".to_string(),
                     dur_us: 890,
                 },
-            },
-            Stamped {
-                t_us: 1500,
-                event: TraceEvent::Incumbent { cost: 1024 },
             },
             Stamped {
                 t_us: 2000,
@@ -379,31 +271,31 @@ mod tests {
 
     #[test]
     fn unknown_event_types_are_skipped_and_bad_lines_are_named() {
-        let text = "{\"t_us\":1,\"type\":\"future_thing\",\"x\":2}\n\n{\"t_us\":2,\"type\":\"bound\",\"value\":3}\n";
+        // Retired event types (`incumbent`, `bound`) are unknown types too.
+        let text = "\
+{\"t_us\":1,\"type\":\"future_thing\",\"x\":2}
+
+{\"t_us\":2,\"type\":\"incumbent\",\"cost\":9}
+{\"t_us\":3,\"type\":\"bound\",\"value\":3}
+{\"t_us\":4,\"type\":\"span_start\",\"name\":\"cli:solve\"}
+";
         let parsed = parse_jsonl(text).unwrap();
         assert_eq!(parsed.len(), 1);
+        assert_eq!(parsed[0].t_us, 4);
         let err = parse_jsonl("{\"t_us\":oops}").unwrap_err();
         assert!(err.starts_with("line 1:"), "{err}");
     }
 
     #[test]
-    fn summary_tracks_convergence_and_phase_totals() {
+    fn summary_tracks_phase_totals() {
         let text = "\
-{\"t_us\":100,\"type\":\"incumbent\",\"cost\":2048}
-{\"t_us\":200,\"type\":\"bound\",\"value\":512}
-{\"t_us\":300,\"type\":\"incumbent\",\"cost\":1024}
-{\"t_us\":400,\"type\":\"bound\",\"value\":1024}
+{\"t_us\":100,\"type\":\"span_start\",\"name\":\"exact\"}
 {\"t_us\":500,\"type\":\"span_end\",\"name\":\"exact\",\"dur_us\":450}
 {\"t_us\":510,\"type\":\"span_end\",\"name\":\"seed\",\"dur_us\":90}
 {\"t_us\":520,\"type\":\"span_end\",\"name\":\"seed\",\"dur_us\":10}
 ";
         let s = summarize(&parse_jsonl(text).unwrap());
-        assert_eq!(s.time_to_first_incumbent_us, Some(100));
-        assert_eq!(s.time_to_final_bound_us, Some(400));
-        assert_eq!(s.convergence.len(), 4);
-        let last = s.convergence.last().unwrap();
-        assert_eq!((last.cost, last.bound), (Some(1024), Some(1024)));
-        assert_eq!(last.gap(), Some(1.0));
+        assert_eq!(s.events, 4);
         // Phases sorted by descending total time.
         assert_eq!(s.phases[0].name, "exact");
         assert_eq!(
@@ -414,9 +306,9 @@ mod tests {
                 total_us: 100,
             }
         );
-        // Display renders without panicking and mentions the key numbers.
+        // Display renders the table with the totals.
         let text = s.to_string();
-        assert!(text.contains("time to first incumbent: 100us"), "{text}");
-        assert!(text.contains("1.000"), "{text}");
+        assert!(text.contains("events: 4"), "{text}");
+        assert!(text.contains("450us"), "{text}");
     }
 }

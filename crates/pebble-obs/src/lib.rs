@@ -13,8 +13,7 @@
 //!   installed the emit path is one relaxed atomic load, so instrumentation
 //!   stays compiled into hot loops.
 //! - [`analyze`] — the offline half: parse a JSONL stream back into events
-//!   and summarize phase timings plus the anytime convergence curve
-//!   (`prbp trace <file.jsonl>`).
+//!   and summarize phase timings (`prbp trace <file.jsonl>`).
 //!
 //! The overhead contract instrumented crates rely on: metric updates are
 //! single relaxed RMWs on pre-registered handles; trace emission is gated on

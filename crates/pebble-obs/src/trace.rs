@@ -20,7 +20,7 @@ use std::time::Instant;
 pub enum TraceEvent {
     /// A named phase began.
     SpanStart {
-        /// Phase name, e.g. `"anytime:seed"` or `"compose:stitch"`.
+        /// Phase name, e.g. `"cli:solve"` or `"compose:stitch"`.
         name: String,
     },
     /// A named phase ended.
@@ -29,16 +29,6 @@ pub enum TraceEvent {
         name: String,
         /// Wall-clock duration of the span in microseconds.
         dur_us: u64,
-    },
-    /// The search adopted a new best schedule.
-    Incumbent {
-        /// Cost of the new incumbent.
-        cost: u64,
-    },
-    /// The certified lower bound rose.
-    Bound {
-        /// The new bound value.
-        value: u64,
     },
     /// A schedule-cache lookup resolved.
     CacheLookup {
@@ -117,12 +107,6 @@ impl Stamped {
                     "{{\"t_us\":{t},\"type\":\"span_end\",\"name\":\"{}\",\"dur_us\":{dur_us}}}",
                     escape_json(name)
                 )
-            }
-            TraceEvent::Incumbent { cost } => {
-                format!("{{\"t_us\":{t},\"type\":\"incumbent\",\"cost\":{cost}}}")
-            }
-            TraceEvent::Bound { value } => {
-                format!("{{\"t_us\":{t},\"type\":\"bound\",\"value\":{value}}}")
             }
             TraceEvent::CacheLookup { outcome } => {
                 format!(
@@ -335,12 +319,15 @@ mod tests {
     fn global_sink_receives_events_and_clear_disables() {
         let sink = Arc::new(VecSink::default());
         set_sink(sink.clone());
-        emit(TraceEvent::Incumbent { cost: 9 });
+        let hit = || TraceEvent::CacheLookup {
+            outcome: "hit".to_string(),
+        };
+        emit(hit());
         clear_sink();
-        emit(TraceEvent::Incumbent { cost: 10 }); // dropped: no sink
+        emit(hit()); // dropped: no sink
         let events = sink.0.lock().unwrap();
         assert_eq!(events.len(), 1);
-        assert_eq!(events[0].event, TraceEvent::Incumbent { cost: 9 });
+        assert_eq!(events[0].event, hit());
     }
 
     #[test]
@@ -359,17 +346,21 @@ mod tests {
         let sink = JsonlSink::new(Box::new(Shared(buf.clone())));
         sink.emit(&Stamped {
             t_us: 1,
-            event: TraceEvent::Bound { value: 3 },
+            event: TraceEvent::SpanStart {
+                name: "cli:solve".to_string(),
+            },
         });
         sink.emit(&Stamped {
             t_us: 2,
-            event: TraceEvent::Incumbent { cost: 5 },
+            event: TraceEvent::CacheLookup {
+                outcome: "miss_absent".to_string(),
+            },
         });
         sink.flush();
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"type\":\"bound\""));
-        assert!(lines[1].contains("\"type\":\"incumbent\""));
+        assert!(lines[0].contains("\"type\":\"span_start\""));
+        assert!(lines[1].contains("\"type\":\"cache_lookup\""));
     }
 }

@@ -33,7 +33,8 @@
 //! components are boundary-free), so structure-aware runs certify *tighter*
 //! gaps, not just lower costs. [`compose_certified`] is that whole path in
 //! one call: the single certified solve behind `prbp schedule
-//! --deadline-ms`, cold `serve` requests and `prbp warm`.
+//! --deadline-ms` and `--scheduler compose`, cold `serve` requests and
+//! `prbp warm`.
 //!
 //! ## Deadline contract
 //!
@@ -83,10 +84,6 @@ pub struct ComposeConfig {
     /// Worker threads for per-component scheduling; 0 uses the available
     /// hardware parallelism.
     pub threads: usize,
-    /// Component size caps (members + boundary inputs) tried for the banded
-    /// and tiled decompositions; empty derives `{4r, 16r}` from the cache
-    /// size.
-    pub caps: Vec<usize>,
     /// Wall-clock budget of the solve, measured from entry; `None` runs to
     /// completion. See the module's deadline contract.
     pub deadline: Option<Duration>,
@@ -98,7 +95,6 @@ impl Default for ComposeConfig {
             exact_budget: DEFAULT_EXACT_BUDGET,
             exact_max_states: 2_000_000,
             threads: 0,
-            caps: Vec::new(),
             deadline: None,
         }
     }
@@ -179,7 +175,8 @@ pub fn compose_prbp(dag: &Dag, r: usize, config: &ComposeConfig) -> Option<Compo
 /// [`compose_prbp`] followed by certification: the stitched trace is
 /// re-validated from scratch and its report carries the `set` ladder plus
 /// the composable `compose` bound. The one certified solve of the CLI's
-/// `--deadline-ms`, of cold `serve` requests and of `warm`.
+/// `--deadline-ms` and `--scheduler compose`, of cold `serve` requests and
+/// of `warm`.
 pub fn compose_certified(
     dag: &Dag,
     r: usize,
@@ -202,18 +199,15 @@ fn compose(dag: &Dag, r: usize, config: &ComposeConfig) -> Result<ComposeOutcome
     if r < 2 {
         return Err(ComposeError::SmallR { r });
     }
+    // Component size caps (members + boundary inputs) for the banded and
+    // tiled decompositions: 4r and 16r, floored by the exact budget.
     // Saturating: a cache or budget too large for the caps leaves no cap.
-    let caps: Vec<usize> = if config.caps.is_empty() {
-        let budget = config.exact_budget;
-        let mut caps = vec![
-            r.saturating_mul(4).max(budget.saturating_mul(2)),
-            r.saturating_mul(16).max(budget.saturating_mul(4)),
-        ];
-        caps.dedup();
-        caps
-    } else {
-        config.caps.clone()
-    };
+    let budget = config.exact_budget;
+    let mut caps = vec![
+        r.saturating_mul(4).max(budget.saturating_mul(2)),
+        r.saturating_mul(16).max(budget.saturating_mul(4)),
+    ];
+    caps.dedup();
     let max_sinks = sink_cap(r);
 
     // The candidate decompositions, in the order they are tried. Each is

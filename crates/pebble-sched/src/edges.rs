@@ -14,15 +14,14 @@
 //! The edge sequence must be *complete* (every edge exactly once) and
 //! *source-complete* (all in-edges of `u` appear before any edge `(u, v)`),
 //! which is verified up-front in `O(n + m)`; invalid sequences return
-//! `None`. Eviction decisions go through the usual pluggable
-//! [`EvictionPolicy`], with Belady next-use distances measured in edge
-//! positions. Victims come from the indexed eviction queue the node
+//! `None`. Evictions follow Belady's rule, with next-use distances measured
+//! in edge positions. Victims come from the indexed eviction queue the node
 //! executors use: a node's next occurrence changes only when the sequence
 //! reaches an edge it is an endpoint of, so each edge costs `O(log r)` in
 //! the queue instead of a scan over the red nodes.
 
 use crate::eviction::EvictionIndex;
-use crate::policy::{Candidate, EvictionPolicy};
+use crate::policy::{Candidate, FurthestInFuture};
 use pebble_dag::liveness::NEVER;
 use pebble_dag::{Dag, EdgeId, NodeId};
 use pebble_game::moves::PrbpMove;
@@ -31,14 +30,14 @@ use pebble_game::trace::PrbpTrace;
 use pebble_game::PrbpBuilder;
 
 /// Schedule `dag` in PRBP with cache size `r` by processing `edges` in the
-/// given order, evicting through `policy`. Works for any `r ≥ 2`; returns
+/// given order, evicting by Belady's rule. Works for any `r ≥ 2`; returns
 /// `None` below that, or when `edges` is not a complete, source-complete
 /// edge sequence.
 pub fn greedy_prbp_edges(
     dag: &Dag,
     r: usize,
     edges: &[EdgeId],
-    policy: &mut dyn EvictionPolicy,
+    _policy: &mut FurthestInFuture,
 ) -> Option<PrbpTrace> {
     if r < 2 || edges.len() != dag.edge_count() {
         return None;
@@ -70,7 +69,6 @@ pub fn greedy_prbp_edges(
     let mut cursor = vec![0u32; n];
 
     let mut red = EvictionIndex::new(n);
-    let mut last_use = vec![0usize; n];
     let mut builder = PrbpBuilder::new(dag, PrbpConfig::new(r));
 
     for (t, &e) in edges.iter().enumerate() {
@@ -79,7 +77,6 @@ pub fn greedy_prbp_edges(
         let needed = usize::from(!red.contains(u)) + usize::from(!red.contains(v));
         while red.len() + needed > r {
             let victim = red.pop_victim(
-                policy,
                 |w| w == u || w == v,
                 |w| {
                     let game = builder.game();
@@ -99,8 +96,6 @@ pub fn greedy_prbp_edges(
                     Candidate {
                         node: w,
                         next_use,
-                        last_use: last_use[w.index()],
-                        remaining_consumers: remaining,
                         free: !dark || (remaining == 0 && !dag.is_sink(w)),
                     }
                 },
@@ -125,8 +120,6 @@ pub fn greedy_prbp_edges(
         builder
             .push(PrbpMove::PartialCompute { from: u, to: v })
             .expect("edge aggregation is legal");
-        last_use[u.index()] = t + 1;
-        last_use[v.index()] = t + 1;
         red.touch(u);
         red.touch(v);
         // A fully consumed non-sink input dies immediately, freeing its slot.
@@ -212,7 +205,6 @@ pub fn by_target_edges(dag: &Dag, order: &[NodeId]) -> Vec<EdgeId> {
 mod tests {
     use super::*;
     use crate::order;
-    use crate::policy::FurthestInFuture;
     use pebble_dag::generators::{attention_qk, fft, matmul};
 
     #[test]

@@ -11,11 +11,11 @@
 //! # The touch invariant
 //!
 //! The laziness rests on one invariant: every input of a key — the
-//! `next_use`, `last_use`, `remaining_consumers` and `free` fields of a
-//! [`Candidate`] — changes only when the executor *touches* the node: loads
-//! it, aggregates from or into it, or computes it. A node's next use is, by
-//! definition, a position where it gets touched, so an untouched node's next
-//! use cannot fall behind the clock. Two rules follow:
+//! `next_use` and `free` fields of a [`Candidate`] — changes only when the
+//! executor *touches* the node: loads it, aggregates from or into it, or
+//! computes it. A node's next use is, by definition, a position where it
+//! gets touched, so an untouched node's next use cannot fall behind the
+//! clock. Two rules follow:
 //!
 //! * before an eviction, the nodes touched since they were last keyed are
 //!   re-keyed (executors report touches through [`EvictionIndex::touch`]);
@@ -41,7 +41,7 @@
 //! push), drops a pinned entry (at most one per re-key), or returns the
 //! victim. A whole schedule therefore costs `O((n + m) log r)`.
 
-use crate::policy::{Candidate, EvictionKey, EvictionPolicy};
+use crate::policy::{Candidate, EvictionKey, FurthestInFuture};
 use pebble_dag::NodeId;
 use std::collections::BinaryHeap;
 
@@ -133,15 +133,15 @@ impl EvictionIndex {
         }
     }
 
-    /// Remove and return the red node with the largest key that is not
-    /// `pinned`. `candidate` describes a red node at the current position;
-    /// it is called only for nodes touched since they were last keyed.
+    /// Remove and return the red node with the largest Belady key that is
+    /// not `pinned`. `candidate` describes a red node at the current
+    /// position; it is called only for nodes touched since they were last
+    /// keyed.
     ///
     /// Panics if every red node is pinned, which the executors' capacity
     /// checks rule out.
     pub(crate) fn pop_victim(
         &mut self,
-        policy: &dyn EvictionPolicy,
         pinned: impl Fn(NodeId) -> bool,
         mut candidate: impl FnMut(NodeId) -> Candidate,
     ) -> NodeId {
@@ -164,8 +164,7 @@ impl EvictionIndex {
             if c.next_use == self.position {
                 self.expiring.push(v);
             }
-            let key = policy.key(&c);
-            debug_assert_eq!(key.node(), v, "a policy keyed the wrong node");
+            let key = FurthestInFuture.key(&c);
             if key != self.key[v.index()] {
                 self.key[v.index()] = key;
                 self.heap.push(key);
@@ -216,7 +215,6 @@ impl EvictionIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::FurthestInFuture;
 
     fn id(i: usize) -> NodeId {
         NodeId::from_index(i)
@@ -228,11 +226,9 @@ mod tests {
         next_use: &[usize],
         pinned: impl Fn(NodeId) -> bool,
     ) -> NodeId {
-        index.pop_victim(&FurthestInFuture, pinned, |v| Candidate {
+        index.pop_victim(pinned, |v| Candidate {
             node: v,
             next_use: next_use[v.index()],
-            last_use: 0,
-            remaining_consumers: 1,
             free: false,
         })
     }

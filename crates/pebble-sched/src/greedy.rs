@@ -1,6 +1,6 @@
 //! Greedy topological schedulers: process the nodes in a fixed compute
-//! order, loading inputs on demand and evicting through a pluggable
-//! [`EvictionPolicy`].
+//! order, loading inputs on demand and evicting by Belady's rule
+//! ([`FurthestInFuture`]).
 //!
 //! Every move is pushed through the validated trace builders of
 //! `pebble-game`, so an internal inconsistency fails at the offending move;
@@ -25,7 +25,7 @@
 //! at r = 16.
 
 use crate::eviction::EvictionIndex;
-use crate::policy::{Candidate, EvictionPolicy};
+use crate::policy::{Candidate, FurthestInFuture};
 use pebble_dag::liveness::{NextUse, NEVER};
 use pebble_dag::{topo, Dag, NodeId};
 use pebble_game::moves::{PrbpMove, RbpMove};
@@ -36,9 +36,10 @@ use pebble_game::trace::{PrbpTrace, RbpTrace};
 use pebble_game::{PrbpBuilder, RbpBuilder};
 
 /// Schedule `dag` in PRBP with cache size `r`, processing the nodes of
-/// `order` (a topological order covering every node) and evicting through
-/// `policy`. Works for any `r ≥ 2`; returns `None` below that, and `None`
-/// when `order` is not a topological order covering every node exactly once.
+/// `order` (a topological order covering every node) and evicting by
+/// Belady's rule. Works for any `r ≥ 2`; returns `None` below that, and
+/// `None` when `order` is not a topological order covering every node
+/// exactly once.
 ///
 /// The in-edges of each node are aggregated one at a time, so at most two
 /// pebbles (the current input and the accumulator) are ever pinned.
@@ -46,7 +47,7 @@ pub fn greedy_prbp(
     dag: &Dag,
     r: usize,
     order: &[NodeId],
-    policy: &mut dyn EvictionPolicy,
+    policy: &mut FurthestInFuture,
 ) -> Option<PrbpTrace> {
     greedy_prbp_into(dag, r, order, policy, PrbpTrace::new()).map(|(trace, _)| trace)
 }
@@ -60,10 +61,10 @@ pub fn greedy_prbp_into<S: MoveSink<PrbpMove>>(
     dag: &Dag,
     r: usize,
     order: &[NodeId],
-    policy: &mut dyn EvictionPolicy,
+    _policy: &mut FurthestInFuture,
     sink: S,
 ) -> Option<(S, usize)> {
-    run_prbp(dag, r, order, policy, sink).map(|(sink, io, _)| (sink, io))
+    run_prbp(dag, r, order, sink).map(|(sink, io, _)| (sink, io))
 }
 
 /// [`greedy_prbp_into`], also returning the eviction queue's work count.
@@ -71,7 +72,6 @@ fn run_prbp<S: MoveSink<PrbpMove>>(
     dag: &Dag,
     r: usize,
     order: &[NodeId],
-    policy: &mut dyn EvictionPolicy,
     sink: S,
 ) -> Option<(S, usize, u64)> {
     if r < 2 {
@@ -85,10 +85,8 @@ fn run_prbp<S: MoveSink<PrbpMove>>(
     }
     let n = dag.node_count();
     let mut next_use = NextUse::new(dag, order);
-    let mut last_use = vec![0usize; n];
     let mut red = EvictionIndex::new(n);
     let mut builder = PrbpBuilder::with_sink(dag, PrbpConfig::new(r), sink);
-    let mut clock = 0usize;
 
     for (t, &v) in order.iter().enumerate() {
         if dag.is_source(v) {
@@ -96,11 +94,9 @@ fn run_prbp<S: MoveSink<PrbpMove>>(
         }
         red.begin_position(t);
         for &(u, _) in dag.in_edges(v) {
-            clock += 1;
             let needed = usize::from(!red.contains(u)) + usize::from(!red.contains(v));
             while red.len() + needed > r {
                 let victim = red.pop_victim(
-                    policy,
                     |w| w == u || w == v,
                     |w| {
                         let game = builder.game();
@@ -117,8 +113,6 @@ fn run_prbp<S: MoveSink<PrbpMove>>(
                             } else {
                                 next_use.next_use_at(w, t)
                             },
-                            last_use: last_use[w.index()],
-                            remaining_consumers: remaining,
                             free: !dark || (remaining == 0 && !dag.is_sink(w)),
                         }
                     },
@@ -135,8 +129,6 @@ fn run_prbp<S: MoveSink<PrbpMove>>(
             builder
                 .push(PrbpMove::PartialCompute { from: u, to: v })
                 .expect("edge aggregation is legal");
-            last_use[u.index()] = clock;
-            last_use[v.index()] = clock;
             red.touch(u);
             red.touch(v);
         }
@@ -153,7 +145,7 @@ fn run_prbp<S: MoveSink<PrbpMove>>(
 }
 
 /// Schedule `dag` in RBP with cache size `r`, processing the nodes of
-/// `order` and evicting through `policy`. RBP requires all inputs of a node
+/// `order` and evicting by Belady's rule. RBP requires all inputs of a node
 /// to be red simultaneously, so this needs `r ≥ Δ_in + 1`; returns `None`
 /// below that, and `None` when `order` is not a topological order covering
 /// every node exactly once.
@@ -161,7 +153,7 @@ pub fn greedy_rbp(
     dag: &Dag,
     r: usize,
     order: &[NodeId],
-    policy: &mut dyn EvictionPolicy,
+    policy: &mut FurthestInFuture,
 ) -> Option<RbpTrace> {
     greedy_rbp_into(dag, r, order, policy, RbpTrace::new()).map(|(trace, _)| trace)
 }
@@ -173,7 +165,7 @@ pub fn greedy_rbp_into<S: MoveSink<RbpMove>>(
     dag: &Dag,
     r: usize,
     order: &[NodeId],
-    policy: &mut dyn EvictionPolicy,
+    _policy: &mut FurthestInFuture,
     sink: S,
 ) -> Option<(S, usize)> {
     if r < dag.max_in_degree() + 1 {
@@ -184,21 +176,18 @@ pub fn greedy_rbp_into<S: MoveSink<RbpMove>>(
     }
     let n = dag.node_count();
     let mut next_use = NextUse::new(dag, order);
-    let mut last_use = vec![0usize; n];
     let mut pinned = vec![false; n];
     let mut red = EvictionIndex::new(n);
     // Uncomputed successors per node, maintained incrementally so a
     // candidate is described in O(1).
     let mut remaining: Vec<u32> = dag.nodes().map(|v| dag.out_degree(v) as u32).collect();
     let mut builder = RbpBuilder::with_sink(dag, RbpConfig::new(r), sink);
-    let mut clock = 0usize;
 
     for (t, &v) in order.iter().enumerate() {
         if dag.is_source(v) {
             continue;
         }
         red.begin_position(t);
-        clock += 1;
         let mut needed = 1; // the slot for v itself
         for &(u, _) in dag.in_edges(v) {
             pinned[u.index()] = true;
@@ -208,7 +197,6 @@ pub fn greedy_rbp_into<S: MoveSink<RbpMove>>(
         }
         while red.len() + needed > r {
             let victim = red.pop_victim(
-                policy,
                 |w| pinned[w.index()] || w == v,
                 |w| {
                     let rem = remaining[w.index()] as usize;
@@ -222,8 +210,6 @@ pub fn greedy_rbp_into<S: MoveSink<RbpMove>>(
                         } else {
                             next_use.next_use_at(w, t)
                         },
-                        last_use: last_use[w.index()],
-                        remaining_consumers: rem,
                         free: rem == 0 || builder.game().has_blue(w),
                     }
                 },
@@ -235,11 +221,9 @@ pub fn greedy_rbp_into<S: MoveSink<RbpMove>>(
                 builder.ensure_red(u).expect("u has a blue copy");
                 red.insert(u);
             }
-            last_use[u.index()] = clock;
         }
         builder.push(RbpMove::Compute(v)).expect("inputs are red");
         red.insert(v);
-        last_use[v.index()] = clock;
         for &(u, _) in dag.in_edges(v) {
             pinned[u.index()] = false;
             remaining[u.index()] -= 1;
@@ -260,31 +244,25 @@ pub fn greedy_rbp_into<S: MoveSink<RbpMove>>(
 mod tests {
     use super::*;
     use crate::order;
-    use crate::policy::{all_policies, FurthestInFuture};
-    use pebble_dag::generators::{
-        binary_tree, fft, fig1_full, matmul, random_layered, RandomLayeredConfig,
-    };
+    use pebble_dag::generators::{binary_tree, fft, fig1_full, matmul};
 
-    fn prbp_cost(dag: &Dag, r: usize, ord: &[NodeId], policy: &mut dyn EvictionPolicy) -> usize {
-        let trace = greedy_prbp(dag, r, ord, policy).expect("schedulable");
+    fn prbp_cost(dag: &Dag, r: usize, ord: &[NodeId]) -> usize {
+        let trace = greedy_prbp(dag, r, ord, &mut FurthestInFuture).expect("schedulable");
         trace
             .validate(dag, PrbpConfig::new(r))
             .expect("valid trace")
     }
 
     #[test]
-    fn prbp_greedy_valid_on_structured_dags_for_all_policies() {
+    fn prbp_greedy_valid_on_structured_dags() {
         for dag in [
             fig1_full().dag,
             binary_tree(4),
             fft(16).dag,
             matmul(3, 3, 3).dag,
         ] {
-            let ord = order::natural(&dag);
-            for mut p in all_policies() {
-                let cost = prbp_cost(&dag, 3, &ord, p.as_mut());
-                assert!(cost >= dag.trivial_cost());
-            }
+            let cost = prbp_cost(&dag, 3, &order::natural(&dag));
+            assert!(cost >= dag.trivial_cost());
         }
     }
 
@@ -311,35 +289,15 @@ mod tests {
         let dag = fft(8).dag;
         let ord = order::natural(&dag);
         assert!(greedy_prbp(&dag, 1, &ord, &mut FurthestInFuture).is_none());
-        let cost = prbp_cost(&dag, 2, &ord, &mut FurthestInFuture);
+        let cost = prbp_cost(&dag, 2, &ord);
         assert!(cost >= dag.trivial_cost());
-    }
-
-    #[test]
-    fn belady_beats_or_matches_lru_on_random_layered() {
-        // Not a theorem, but a strong regression signal on this fixed seed
-        // set: the clairvoyant policy should not lose to LRU.
-        let mut belady_total = 0usize;
-        let mut lru_total = 0usize;
-        for seed in 0..4 {
-            let dag = random_layered(RandomLayeredConfig {
-                layers: 6,
-                width: 12,
-                max_in_degree: 3,
-                seed,
-            });
-            let ord = order::natural(&dag);
-            belady_total += prbp_cost(&dag, 6, &ord, &mut FurthestInFuture);
-            lru_total += prbp_cost(&dag, 6, &ord, &mut crate::policy::Lru);
-        }
-        assert!(belady_total <= lru_total, "{belady_total} > {lru_total}");
     }
 
     #[test]
     fn ample_cache_reaches_trivial_cost() {
         let dag = binary_tree(4);
         let ord = order::natural(&dag);
-        let cost = prbp_cost(&dag, 64, &ord, &mut FurthestInFuture);
+        let cost = prbp_cost(&dag, 64, &ord);
         assert_eq!(cost, dag.trivial_cost());
     }
 
@@ -399,8 +357,7 @@ mod tests {
         let dag = fft(4096).dag;
         let ord = order::dfs_postorder(&dag);
         let work = |r| {
-            let (_, _, work) =
-                run_prbp(&dag, r, &ord, &mut FurthestInFuture, CountingSink::new()).unwrap();
+            let (_, _, work) = run_prbp(&dag, r, &ord, CountingSink::new()).unwrap();
             work
         };
         let (small, large) = (work(16), work(2048));
@@ -424,13 +381,8 @@ mod tests {
         // part of the default portfolio.
         let mm = matmul(8, 8, 8);
         let r = 24;
-        let nat = prbp_cost(&mm.dag, r, &order::natural(&mm.dag), &mut FurthestInFuture);
-        let dfs = prbp_cost(
-            &mm.dag,
-            r,
-            &order::dfs_postorder(&mm.dag),
-            &mut FurthestInFuture,
-        );
+        let nat = prbp_cost(&mm.dag, r, &order::natural(&mm.dag));
+        let dfs = prbp_cost(&mm.dag, r, &order::dfs_postorder(&mm.dag));
         assert!(dfs < nat, "dfs {dfs} >= natural {nat}");
     }
 }

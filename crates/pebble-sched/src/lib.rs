@@ -18,9 +18,9 @@
 //!
 //! * [`greedy`] — process the nodes in a fixed topological order
 //!   ([`order::natural`] or [`order::dfs_postorder`]), loading inputs on
-//!   demand and evicting through a pluggable [`policy::EvictionPolicy`]
-//!   (Belady / LRU / fewest-remaining-consumers). `O((n + m) log r)`: the
-//!   red nodes sit in one indexed eviction queue.
+//!   demand and evicting by Belady's furthest-in-future rule
+//!   ([`policy::FurthestInFuture`]). `O((n + m) log r)`: the red nodes sit
+//!   in one indexed eviction queue.
 //! * [`beam`] — beam search over partial schedules, deduplicated by the
 //!   packed-state encoding shared with the exact solvers
 //!   ([`pebble_game::packed`]); width 1 is the adaptive greedy that picks the
@@ -37,10 +37,10 @@
 //!   boundary-aware eviction, and certify against the composable lower
 //!   bounds of `pebble-bounds`. [`compose_certified`] runs it under an
 //!   optional wall-clock deadline and certifies the result: the one solve
-//!   behind `prbp schedule --deadline-ms`, cold `serve` requests and
-//!   `prbp warm`.
+//!   behind `prbp schedule --deadline-ms` and `--scheduler compose`, cold
+//!   `serve` requests and `prbp warm`.
 //! * [`suite`] — the named schedulers the experiments and benchmarks sweep;
-//!   [`default_suite`] is the four greedy configurations.
+//!   [`default_suite`] is Belady greedy on the natural and the DFS order.
 
 #![deny(missing_docs)]
 
@@ -63,12 +63,10 @@ pub use compose::{
 };
 pub use edges::{cone_affinity_edges, greedy_prbp_edges};
 pub use greedy::{greedy_prbp, greedy_prbp_into, greedy_rbp, greedy_rbp_into};
-pub use policy::{
-    Candidate, EvictionKey, EvictionPolicy, FewestRemainingConsumers, FurthestInFuture, Lru,
-};
+pub use policy::{Candidate, EvictionKey, FurthestInFuture};
 pub use report::{
     certify_greedy_prbp, certify_greedy_rbp, certify_prbp, certify_prbp_with,
     certify_prbp_with_bounds, certify_rbp, certify_rbp_with, prbp_bound_ladder, rbp_bound_ladder,
     BoundSet, BoundValue, ScheduleReport,
 };
-pub use suite::{best_prbp, default_suite, OrderKind, PolicyKind, Scheduler};
+pub use suite::{best_prbp, default_suite, OrderKind, Scheduler};

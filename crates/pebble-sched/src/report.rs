@@ -27,7 +27,7 @@
 //! memory without ever materialising a move vector.
 
 use crate::greedy::{greedy_prbp_into, greedy_rbp_into};
-use crate::policy::EvictionPolicy;
+use crate::policy::FurthestInFuture;
 use pebble_dag::{Dag, NodeId};
 use pebble_game::exact::{self, LoadCountHeuristic};
 use pebble_game::prbp::{PrbpConfig, PrbpError, PrbpGame};
@@ -316,7 +316,7 @@ impl<G, M: std::fmt::Display + Copy, E> MoveSink<M> for ReplaySink<G, M, E> {
     }
 }
 
-/// Run the greedy PRBP executor on `order`/`policy` and certify the result
+/// Run the greedy PRBP executor on `order` and certify the result
 /// through the streaming pipeline: every move is validated twice (by the
 /// executor's own builder and by an independent replay simulator inside the
 /// sink) and never stored. Returns `None` under the same conditions as
@@ -326,7 +326,7 @@ pub fn certify_greedy_prbp(
     dag: &Dag,
     r: usize,
     order: &[NodeId],
-    policy: &mut dyn EvictionPolicy,
+    policy: &mut FurthestInFuture,
     scheduler: impl Into<String>,
     set: BoundSet,
 ) -> Option<Result<ScheduleReport, TraceError<PrbpError>>> {
@@ -354,14 +354,14 @@ pub fn certify_greedy_prbp(
     )))
 }
 
-/// Run the greedy RBP executor on `order`/`policy` and certify the result
+/// Run the greedy RBP executor on `order` and certify the result
 /// through the streaming pipeline. Returns `None` under the same conditions
 /// as [`crate::greedy_rbp`] (`r < Δ_in + 1`, invalid order).
 pub fn certify_greedy_rbp(
     dag: &Dag,
     r: usize,
     order: &[NodeId],
-    policy: &mut dyn EvictionPolicy,
+    policy: &mut FurthestInFuture,
     scheduler: impl Into<String>,
     set: BoundSet,
 ) -> Option<Result<ScheduleReport, TraceError<RbpError>>> {
@@ -395,7 +395,6 @@ mod tests {
     use crate::beam::{beam_prbp, BeamConfig};
     use crate::greedy::{greedy_prbp, greedy_rbp};
     use crate::order;
-    use crate::policy::FurthestInFuture;
     use pebble_dag::generators::{fft, fig1_full};
     use pebble_game::engine::{solve_prbp, solve_rbp, EngineConfig};
 

@@ -7,7 +7,7 @@
 use crate::beam::{beam_prbp, beam_prbp_until, BeamConfig};
 use crate::greedy::{greedy_prbp, greedy_rbp};
 use crate::order;
-use crate::policy::{EvictionPolicy, FewestRemainingConsumers, FurthestInFuture, Lru};
+use crate::policy::FurthestInFuture;
 use pebble_dag::{Dag, NodeId};
 use pebble_game::exact::{self, LoadCountHeuristic};
 use pebble_game::prbp::PrbpConfig;
@@ -15,51 +15,6 @@ use pebble_game::strategies::topological;
 use pebble_game::trace::{PrbpTrace, RbpTrace};
 use std::fmt;
 use std::time::Instant;
-
-/// Eviction policy selector (the shipped [`crate::policy`] implementations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyKind {
-    /// Belady / furthest-in-future.
-    Belady,
-    /// Least-recently-used.
-    Lru,
-    /// Fewest remaining consumers.
-    FewestConsumers,
-}
-
-impl std::str::FromStr for PolicyKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "belady" => Ok(PolicyKind::Belady),
-            "lru" => Ok(PolicyKind::Lru),
-            "fewest" => Ok(PolicyKind::FewestConsumers),
-            other => Err(format!(
-                "unknown eviction policy `{other}` (expected belady, lru or fewest)"
-            )),
-        }
-    }
-}
-
-impl PolicyKind {
-    /// Instantiate the shipped implementation of this policy.
-    pub fn build(self) -> Box<dyn EvictionPolicy> {
-        match self {
-            PolicyKind::Belady => Box::new(FurthestInFuture),
-            PolicyKind::Lru => Box::new(Lru),
-            PolicyKind::FewestConsumers => Box::new(FewestRemainingConsumers),
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            PolicyKind::Belady => "belady",
-            PolicyKind::Lru => "lru",
-            PolicyKind::FewestConsumers => "fewest",
-        }
-    }
-}
 
 /// Compute-order selector for the greedy schedulers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,10 +64,8 @@ pub enum Scheduler {
     /// against. Not a [`default_suite`] member, since it never changed a
     /// best cost there.
     Baseline,
-    /// Order-driven greedy with a pluggable policy.
+    /// Order-driven greedy with Belady eviction.
     Greedy {
-        /// Eviction policy.
-        policy: PolicyKind,
         /// Compute order.
         order: OrderKind,
     },
@@ -138,9 +91,7 @@ impl fmt::Display for Scheduler {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             Scheduler::Baseline => write!(f, "baseline"),
-            Scheduler::Greedy { policy, order } => {
-                write!(f, "greedy:{}:{}", policy.name(), order.name())
-            }
+            Scheduler::Greedy { order } => write!(f, "greedy:belady:{}", order.name()),
             Scheduler::Beam { width, .. } => write!(f, "beam:{width}"),
             Scheduler::Compose { exact_budget } => {
                 if exact_budget == crate::compose::DEFAULT_EXACT_BUDGET {
@@ -157,7 +108,7 @@ impl std::str::FromStr for Scheduler {
     type Err = String;
 
     /// Parse the display form back into a configuration: `baseline`,
-    /// `greedy:<policy>:<order>`, `beam:<width>[:<branch>]` (branch defaults
+    /// `greedy:belady:<order>`, `beam:<width>[:<branch>]` (branch defaults
     /// to 4, the [`crate::beam::BeamConfig::default`] value) or
     /// `compose[:<budget>]`.
     fn from_str(s: &str) -> Result<Self, String> {
@@ -170,16 +121,20 @@ impl std::str::FromStr for Scheduler {
             "greedy" => {
                 let policy = parts
                     .next()
-                    .ok_or_else(|| "greedy needs a policy: greedy:<policy>:<order>".to_string())?
-                    .parse()?;
+                    .ok_or_else(|| "greedy needs a policy: greedy:belady:<order>".to_string())?;
+                if policy != "belady" {
+                    return Err(format!(
+                        "unknown eviction policy `{policy}` (expected belady)"
+                    ));
+                }
                 let order = parts
                     .next()
-                    .ok_or_else(|| "greedy needs an order: greedy:<policy>:<order>".to_string())?
+                    .ok_or_else(|| "greedy needs an order: greedy:belady:<order>".to_string())?
                     .parse()?;
                 if parts.next().is_some() {
                     return Err(format!("trailing components in scheduler `{s}`"));
                 }
-                Ok(Scheduler::Greedy { policy, order })
+                Ok(Scheduler::Greedy { order })
             }
             "beam" => {
                 let width: usize = parts
@@ -211,7 +166,7 @@ impl std::str::FromStr for Scheduler {
                 Ok(Scheduler::Compose { exact_budget })
             }
             other => Err(format!(
-                "unknown scheduler `{other}` (expected baseline, greedy:<policy>:<order>, \
+                "unknown scheduler `{other}` (expected baseline, greedy:belady:<order>, \
                  beam:<width>[:<branch>] or compose[:<budget>])"
             )),
         }
@@ -247,9 +202,8 @@ impl Scheduler {
     pub fn run_prbp(self, dag: &Dag, r: usize) -> Option<PrbpTrace> {
         match self {
             Scheduler::Baseline => topological::prbp_topological(dag, r),
-            Scheduler::Greedy { policy, order } => {
-                let ord = order.build(dag);
-                greedy_prbp(dag, r, &ord, policy.build().as_mut())
+            Scheduler::Greedy { order } => {
+                greedy_prbp(dag, r, &order.build(dag), &mut FurthestInFuture)
             }
             Scheduler::Beam { width, branch } => beam_prbp(dag, r, BeamConfig { width, branch }),
             Scheduler::Compose { exact_budget } => {
@@ -268,36 +222,24 @@ impl Scheduler {
     pub fn run_rbp(self, dag: &Dag, r: usize) -> Option<RbpTrace> {
         match self {
             Scheduler::Baseline => topological::rbp_topological(dag, r),
-            Scheduler::Greedy { policy, order } => {
-                let ord = order.build(dag);
-                greedy_rbp(dag, r, &ord, policy.build().as_mut())
+            Scheduler::Greedy { order } => {
+                greedy_rbp(dag, r, &order.build(dag), &mut FurthestInFuture)
             }
             Scheduler::Beam { .. } | Scheduler::Compose { .. } => None,
         }
     }
 }
 
-/// The default portfolio, cheap enough to sweep on every instance: every
-/// eviction policy on the natural order and Belady on the DFS order, each
-/// `O((n + m) log r)`. A beam level copies an `O(n)` entry per child, so the
+/// The default portfolio, cheap enough to sweep on every instance: Belady
+/// greedy on the natural and on the DFS order, each `O((n + m) log r)`. A beam level copies an `O(n)` entry per child, so the
 /// beams are quadratic and only pay off on small DAGs: compose adds them to
 /// components of at most 512 nodes.
 pub fn default_suite() -> Vec<Scheduler> {
     vec![
         Scheduler::Greedy {
-            policy: PolicyKind::Belady,
             order: OrderKind::Natural,
         },
         Scheduler::Greedy {
-            policy: PolicyKind::Lru,
-            order: OrderKind::Natural,
-        },
-        Scheduler::Greedy {
-            policy: PolicyKind::FewestConsumers,
-            order: OrderKind::Natural,
-        },
-        Scheduler::Greedy {
-            policy: PolicyKind::Belady,
             order: OrderKind::DfsPostorder,
         },
     ]
@@ -401,7 +343,6 @@ mod tests {
         assert_eq!(Scheduler::Baseline.to_string(), "baseline");
         assert_eq!(
             Scheduler::Greedy {
-                policy: PolicyKind::Belady,
                 order: OrderKind::Natural
             }
             .to_string(),
@@ -442,6 +383,8 @@ mod tests {
             "greedy",
             "greedy:belady",
             "greedy:belady:dfs:extra",
+            "greedy:lru:natural",
+            "greedy:fewest:dfs",
             "beam:0",
             "beam:x",
             "local:120",
@@ -525,7 +468,6 @@ mod tests {
         .run_rbp(&dag, 8)
         .is_none());
         let t = Scheduler::Greedy {
-            policy: PolicyKind::Lru,
             order: OrderKind::Natural,
         }
         .run_rbp(&dag, 4)

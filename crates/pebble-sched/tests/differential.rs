@@ -11,7 +11,7 @@
 //! * the composable decomposition bound of `pebble-bounds` is admissible for
 //!   *arbitrary* node partitions — including disconnected, non-convex ones —
 //!   exercising the boundary-credit accounting adversarially;
-//! * `Scheduler`/`PolicyKind`/`OrderKind` display names round-trip through
+//! * `Scheduler`/`OrderKind` display names round-trip through
 //!   `FromStr` (including the `compose` variants) and unknown names are
 //!   rejected instead of misparsed.
 //!
@@ -28,7 +28,7 @@ use pebble_game::engine::{solve_prbp, EngineConfig};
 use pebble_game::exact::LoadCountHeuristic;
 use pebble_game::prbp::PrbpConfig;
 use pebble_sched::{
-    certify_prbp, compose_prbp, default_suite, ComposeConfig, OrderKind, PolicyKind, Scheduler,
+    certify_prbp, compose_prbp, default_suite, ComposeConfig, OrderKind, Scheduler,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -224,14 +224,12 @@ proptest! {
         which in 0usize..4,
         a in 1usize..200,
         b in 1usize..10,
-        policy in 0usize..3,
         order in 0usize..2,
     ) {
-        let policy = [PolicyKind::Belady, PolicyKind::Lru, PolicyKind::FewestConsumers][policy];
         let order = [OrderKind::Natural, OrderKind::DfsPostorder][order];
         let s = match which {
             0 => Scheduler::Baseline,
-            1 => Scheduler::Greedy { policy, order },
+            1 => Scheduler::Greedy { order },
             2 => Scheduler::Beam { width: a, branch: b },
             _ => Scheduler::Compose { exact_budget: a },
         };

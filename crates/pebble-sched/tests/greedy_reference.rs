@@ -2,7 +2,7 @@
 //! and re-key only the nodes whose key can have changed. These properties
 //! check, move for move, that all three executors still emit exactly the
 //! traces of the original loops, which collected every red node into a
-//! candidate list and scanned it on every eviction with each policy's
+//! candidate list and scanned it on every eviction with Belady's
 //! lexicographic key; the reference copies of those loops live here.
 
 use pebble_dag::generators::{fft, matmul, random_layered, RandomLayeredConfig};
@@ -14,25 +14,16 @@ use pebble_game::rbp::RbpConfig;
 use pebble_game::trace::{PrbpTrace, RbpTrace};
 use pebble_game::{PrbpBuilder, RbpBuilder};
 use pebble_sched::edges::by_target_edges;
-use pebble_sched::policy::all_policies;
 use pebble_sched::{
     cone_affinity_edges, greedy_prbp, greedy_prbp_edges, greedy_rbp, order, Candidate,
-    EvictionPolicy,
+    FurthestInFuture,
 };
 use proptest::prelude::*;
 
-/// Index of the victim under the named policy's original tuple key: the
-/// first candidate with the largest key.
-fn choose(policy: &str, candidates: &[Candidate]) -> usize {
-    let key = |c: &Candidate| {
-        let rank = match policy {
-            "belady" => c.next_use,
-            "lru" => usize::MAX - c.last_use,
-            "fewest-consumers" => usize::MAX - c.remaining_consumers,
-            other => panic!("no reference key for policy `{other}`"),
-        };
-        (rank, c.free as usize, usize::MAX - c.node.index())
-    };
+/// Index of the victim under Belady's original tuple key: the first
+/// candidate with the largest key.
+fn choose(candidates: &[Candidate]) -> usize {
+    let key = |c: &Candidate| (c.next_use, c.free as usize, usize::MAX - c.node.index());
     let mut best = 0;
     for i in 1..candidates.len() {
         if key(&candidates[i]) > key(&candidates[best]) {
@@ -83,16 +74,14 @@ impl RedSet {
 }
 
 /// The node-order PRBP executor with a candidate scan per eviction.
-fn prbp_scan(dag: &Dag, r: usize, order: &[NodeId], policy: &str) -> Option<PrbpTrace> {
+fn prbp_scan(dag: &Dag, r: usize, order: &[NodeId]) -> Option<PrbpTrace> {
     if r < 2 || !topo::is_topological_order(dag, order) {
         return None;
     }
     let n = dag.node_count();
     let mut next_use = NextUse::new(dag, order);
-    let mut last_use = vec![0usize; n];
     let mut red = RedSet::new(n);
     let mut builder = PrbpBuilder::new(dag, PrbpConfig::new(r));
-    let mut clock = 0usize;
     let mut candidates: Vec<Candidate> = Vec::with_capacity(r);
 
     for (t, &v) in order.iter().enumerate() {
@@ -100,7 +89,6 @@ fn prbp_scan(dag: &Dag, r: usize, order: &[NodeId], policy: &str) -> Option<Prbp
             continue;
         }
         for &(u, _) in dag.in_edges(v) {
-            clock += 1;
             let mut needed = 0;
             if !red.contains(u) {
                 needed += 1;
@@ -125,12 +113,10 @@ fn prbp_scan(dag: &Dag, r: usize, order: &[NodeId], policy: &str) -> Option<Prbp
                         } else {
                             next_use.next_use_at(w, t)
                         },
-                        last_use: last_use[w.index()],
-                        remaining_consumers: remaining,
                         free,
                     });
                 }
-                let victim = candidates[choose(policy, &candidates)].node;
+                let victim = candidates[choose(&candidates)].node;
                 builder.evict(victim).expect("victim is evictable");
                 red.remove(victim);
             }
@@ -144,8 +130,6 @@ fn prbp_scan(dag: &Dag, r: usize, order: &[NodeId], policy: &str) -> Option<Prbp
             builder
                 .push(PrbpMove::PartialCompute { from: u, to: v })
                 .expect("edge aggregation is legal");
-            last_use[u.index()] = clock;
-            last_use[v.index()] = clock;
         }
         if dag.is_sink(v) {
             builder.push(PrbpMove::Save(v)).expect("sink is dark red");
@@ -157,25 +141,22 @@ fn prbp_scan(dag: &Dag, r: usize, order: &[NodeId], policy: &str) -> Option<Prbp
 }
 
 /// The node-order RBP executor with a candidate scan per eviction.
-fn rbp_scan(dag: &Dag, r: usize, order: &[NodeId], policy: &str) -> Option<RbpTrace> {
+fn rbp_scan(dag: &Dag, r: usize, order: &[NodeId]) -> Option<RbpTrace> {
     if r < dag.max_in_degree() + 1 || !topo::is_topological_order(dag, order) {
         return None;
     }
     let n = dag.node_count();
     let mut next_use = NextUse::new(dag, order);
-    let mut last_use = vec![0usize; n];
     let mut pinned = vec![false; n];
     let mut red = RedSet::new(n);
     let mut remaining: Vec<u32> = dag.nodes().map(|v| dag.out_degree(v) as u32).collect();
     let mut builder = RbpBuilder::new(dag, RbpConfig::new(r));
-    let mut clock = 0usize;
     let mut candidates: Vec<Candidate> = Vec::with_capacity(r);
 
     for (t, &v) in order.iter().enumerate() {
         if dag.is_source(v) {
             continue;
         }
-        clock += 1;
         let mut needed = 1;
         for &(u, _) in dag.in_edges(v) {
             pinned[u.index()] = true;
@@ -198,12 +179,10 @@ fn rbp_scan(dag: &Dag, r: usize, order: &[NodeId], policy: &str) -> Option<RbpTr
                     } else {
                         next_use.next_use_at(w, t)
                     },
-                    last_use: last_use[w.index()],
-                    remaining_consumers: rem,
                     free,
                 });
             }
-            let victim = candidates[choose(policy, &candidates)].node;
+            let victim = candidates[choose(&candidates)].node;
             builder.evict(victim).expect("victim is evictable");
             red.remove(victim);
         }
@@ -212,11 +191,9 @@ fn rbp_scan(dag: &Dag, r: usize, order: &[NodeId], policy: &str) -> Option<RbpTr
                 builder.ensure_red(u).expect("u has a blue copy");
                 red.insert(u);
             }
-            last_use[u.index()] = clock;
         }
         builder.push(RbpMove::Compute(v)).expect("inputs are red");
         red.insert(v);
-        last_use[v.index()] = clock;
         for &(u, _) in dag.in_edges(v) {
             pinned[u.index()] = false;
             remaining[u.index()] -= 1;
@@ -233,7 +210,7 @@ fn rbp_scan(dag: &Dag, r: usize, order: &[NodeId], policy: &str) -> Option<RbpTr
 /// The edge-order PRBP executor with a candidate scan per eviction. Only
 /// valid edge sequences reach it (the tests build them), so the up-front
 /// validation of the real executor is left out.
-fn prbp_edges_scan(dag: &Dag, r: usize, edges: &[EdgeId], policy: &str) -> PrbpTrace {
+fn prbp_edges_scan(dag: &Dag, r: usize, edges: &[EdgeId]) -> PrbpTrace {
     let n = dag.node_count();
     let mut occurrences: Vec<Vec<u32>> = vec![Vec::new(); n];
     for (t, &e) in edges.iter().enumerate() {
@@ -243,7 +220,6 @@ fn prbp_edges_scan(dag: &Dag, r: usize, edges: &[EdgeId], policy: &str) -> PrbpT
     }
     let mut cursor = vec![0u32; n];
     let mut red = RedSet::new(n);
-    let mut last_use = vec![0usize; n];
     let mut builder = PrbpBuilder::new(dag, PrbpConfig::new(r));
     let mut candidates: Vec<Candidate> = Vec::with_capacity(r);
 
@@ -280,12 +256,10 @@ fn prbp_edges_scan(dag: &Dag, r: usize, edges: &[EdgeId], policy: &str) -> PrbpT
                 candidates.push(Candidate {
                     node: w,
                     next_use,
-                    last_use: last_use[w.index()],
-                    remaining_consumers: remaining,
                     free,
                 });
             }
-            let victim = candidates[choose(policy, &candidates)].node;
+            let victim = candidates[choose(&candidates)].node;
             builder.evict(victim).expect("victim is evictable");
             red.remove(victim);
         }
@@ -302,8 +276,6 @@ fn prbp_edges_scan(dag: &Dag, r: usize, edges: &[EdgeId], policy: &str) -> PrbpT
         builder
             .push(PrbpMove::PartialCompute { from: u, to: v })
             .expect("edge aggregation is legal");
-        last_use[u.index()] = t + 1;
-        last_use[v.index()] = t + 1;
         if builder.game().unmarked_out_degree(u) == 0 && !dag.is_sink(u) {
             builder.evict(u).expect("dead value evicts for free");
             red.remove(u);
@@ -317,9 +289,9 @@ fn prbp_edges_scan(dag: &Dag, r: usize, edges: &[EdgeId], policy: &str) -> PrbpT
     builder.finish().0
 }
 
-/// Compare every executor against its reference on `dag`, for every shipped
-/// policy, the natural and DFS orders (plus the cone-affinity edge order
-/// where it applies) and r ∈ {minimum, minimum + 1, 8, n}.
+/// Compare every executor against its reference on `dag`, for the natural
+/// and DFS orders (plus the cone-affinity edge order where it applies) and
+/// r ∈ {minimum, minimum + 1, 8, n}.
 fn check_all(dag: &Dag) {
     let n = dag.node_count();
     let prbp_rs = [2, 3, 8, n];
@@ -329,39 +301,30 @@ fn check_all(dag: &Dag) {
     let mut edge_orders: Vec<Vec<EdgeId>> =
         orders.iter().map(|o| by_target_edges(dag, o)).collect();
     edge_orders.extend(cone_affinity_edges(dag));
-    for mut policy in all_policies() {
-        let policy: &mut dyn EvictionPolicy = policy.as_mut();
-        let name = policy.name();
-        for ord in &orders {
-            for r in prbp_rs {
-                assert_eq!(
-                    greedy_prbp(dag, r, ord, policy),
-                    prbp_scan(dag, r, ord, name),
-                    "greedy_prbp, policy {}, r {}",
-                    name,
-                    r
-                );
-            }
-            for r in rbp_rs {
-                assert_eq!(
-                    greedy_rbp(dag, r, ord, policy),
-                    rbp_scan(dag, r, ord, name),
-                    "greedy_rbp, policy {}, r {}",
-                    name,
-                    r
-                );
-            }
+    let belady = &mut FurthestInFuture;
+    for ord in &orders {
+        for r in prbp_rs {
+            assert_eq!(
+                greedy_prbp(dag, r, ord, belady),
+                prbp_scan(dag, r, ord),
+                "greedy_prbp, r {r}"
+            );
         }
-        for edges in &edge_orders {
-            for r in prbp_rs {
-                assert_eq!(
-                    greedy_prbp_edges(dag, r, edges, policy),
-                    Some(prbp_edges_scan(dag, r, edges, name)),
-                    "greedy_prbp_edges, policy {}, r {}",
-                    name,
-                    r
-                );
-            }
+        for r in rbp_rs {
+            assert_eq!(
+                greedy_rbp(dag, r, ord, belady),
+                rbp_scan(dag, r, ord),
+                "greedy_rbp, r {r}"
+            );
+        }
+    }
+    for edges in &edge_orders {
+        for r in prbp_rs {
+            assert_eq!(
+                greedy_prbp_edges(dag, r, edges, belady),
+                Some(prbp_edges_scan(dag, r, edges)),
+                "greedy_prbp_edges, r {r}"
+            );
         }
     }
 }
@@ -394,7 +357,7 @@ fn ties_on_never_evict_the_lowest_id_first() {
     check_all(&dag);
 
     let ord = order::natural(&dag);
-    let trace = greedy_prbp(&dag, 3, &ord, &mut pebble_sched::FurthestInFuture).unwrap();
+    let trace = greedy_prbp(&dag, 3, &ord, &mut FurthestInFuture).unwrap();
     let deleted: Vec<usize> = trace
         .moves
         .iter()

@@ -23,7 +23,7 @@ use pebble_game::strategies::topological;
 use pebble_game::trace::PrbpTrace;
 use pebble_sched::{
     best_prbp, certify_prbp, certify_rbp, compose_certified, default_suite, BoundSet,
-    ComposeConfig, OrderKind, PolicyKind, Scheduler,
+    ComposeConfig, OrderKind, Scheduler,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -185,8 +185,8 @@ fn a_deadline_that_never_fires_changes_no_structured_answer() {
     }
 }
 
-/// The greedy schedulers handle every policy/order combination at the PRBP
-/// capacity floor (`r = 2`), where eviction pressure is maximal.
+/// The greedy schedulers handle every compute order at the PRBP capacity
+/// floor (`r = 2`), where eviction pressure is maximal.
 #[test]
 fn greedy_grid_is_exhaustive_at_minimum_cache() {
     let dag = random_layered(RandomLayeredConfig {
@@ -195,16 +195,10 @@ fn greedy_grid_is_exhaustive_at_minimum_cache() {
         max_in_degree: 3,
         seed: 5,
     });
-    for policy in [
-        PolicyKind::Belady,
-        PolicyKind::Lru,
-        PolicyKind::FewestConsumers,
-    ] {
-        for order in [OrderKind::Natural, OrderKind::DfsPostorder] {
-            let s = Scheduler::Greedy { policy, order };
-            let trace = s.run_prbp(&dag, 2).expect("r = 2 suffices for PRBP");
-            assert!(trace.validate(&dag, PrbpConfig::new(2)).is_ok(), "{s}");
-        }
+    for order in [OrderKind::Natural, OrderKind::DfsPostorder] {
+        let s = Scheduler::Greedy { order };
+        let trace = s.run_prbp(&dag, 2).expect("r = 2 suffices for PRBP");
+        assert!(trace.validate(&dag, PrbpConfig::new(2)).is_ok(), "{s}");
     }
 }
 

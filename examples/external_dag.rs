@@ -6,7 +6,7 @@
 //! (with no path, a small built-in DOT document is used).
 
 use prbp::io::{self, Format};
-use prbp::sched::{certify_greedy_prbp, BoundSet, OrderKind, PolicyKind};
+use prbp::sched::{certify_greedy_prbp, BoundSet, FurthestInFuture, OrderKind};
 
 /// A hand-written workload: two independent chains joined by a reduction.
 const BUILTIN: &str = r#"
@@ -56,7 +56,7 @@ fn main() {
         &dag,
         r,
         &order,
-        PolicyKind::Belady.build().as_mut(),
+        &mut FurthestInFuture,
         "greedy:belady:dfs",
         BoundSet::auto_for(&dag),
     )

@@ -8,7 +8,7 @@
 use prbp::bounds::analytic::fft_prbp_lower_bound;
 use prbp::dag::generators::fft;
 use prbp::game::strategies::fft as fft_strategies;
-use prbp::sched::{certify_prbp, OrderKind, PolicyKind, ScheduleReport, Scheduler};
+use prbp::sched::{certify_prbp, OrderKind, ScheduleReport, Scheduler};
 use std::time::Instant;
 
 fn main() {
@@ -30,7 +30,6 @@ fn main() {
     let mut reports: Vec<ScheduleReport> = Vec::new();
     for scheduler in [
         Scheduler::Greedy {
-            policy: PolicyKind::Belady,
             order: OrderKind::Natural,
         },
         Scheduler::Beam {

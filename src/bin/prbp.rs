@@ -16,8 +16,8 @@
 //! * `prbp warm` — precompute that cache from a directory of instances;
 //! * `prbp submit` — client for a running `prbp serve` (deterministic
 //!   exponential-backoff retries on transient connection failures);
-//! * `prbp trace` — analyse a `--trace` JSONL capture: phase timings and
-//!   the engine's convergence curve.
+//! * `prbp trace` — analyse a `--trace` JSONL capture: per-phase span
+//!   counts and total times.
 //!
 //! Exit codes: 0 success, 1 runtime/parse error, 2 usage error, 3 deadline
 //! expired before any incumbent schedule existed (`--deadline-ms` solves and
@@ -29,7 +29,7 @@ use pebble_obs::trace::JsonlSink;
 use pebble_sched::{
     best_prbp, certify_greedy_prbp, certify_greedy_rbp, certify_prbp_with, certify_rbp_with,
     compose_certified, default_suite, prbp_bound_ladder, rbp_bound_ladder, BoundSet, BoundValue,
-    ComposeConfig, ComposeError, ScheduleReport, Scheduler,
+    ComposeConfig, ComposeError, FurthestInFuture, ScheduleReport, Scheduler,
 };
 use pebble_serve::http::{client_request_with_retries, Backoff};
 use pebble_serve::{warm_from_dir, ScheduleCache, ServeConfig, Server};
@@ -52,18 +52,19 @@ USAGE:
   prbp schedule --input PATH --r <cache> [--model prbp|rbp] [--format F]
                 [--scheduler S] [--bounds fast|full|auto] [--out PATH]
                 [--deadline-ms MS [--workers N]] [--trace FILE.jsonl]
-      S: greedy:<belady|lru|fewest>:<natural|dfs> (default greedy:belady:dfs,
+      S: greedy:belady:<natural|dfs> (default greedy:belady:dfs,
          streaming), beam:<width>[:<branch>], baseline,
-         compose[:<exact-budget>] (structure-aware decomposition; PRBP only),
-         or `suite` (best of the four greedy members of the default
-         portfolio; materialises traces)
+         compose[:<exact-budget>] (structure-aware decomposition, certified
+         with the composable `compose` bound; PRBP only), or `suite` (best
+         of the two greedy members of the default portfolio; materialises
+         traces)
       --deadline-ms runs the certified compose solve instead of
          --scheduler (PRBP only): the best stitched schedule found within
          the wall-clock budget, components scheduled on --workers threads
          (0 = all cores), certified with the bound ladder plus the
          composable `compose` bound
-      --trace FILE.jsonl streams typed observability events (phase spans,
-         incumbent/bound improvements) to FILE; analyse with `prbp trace`
+      --trace FILE.jsonl streams typed observability events (phase spans)
+         to FILE; analyse with `prbp trace`
   prbp bound --input PATH --r <cache> [--model prbp|rbp] [--format F]
              [--bounds fast|full|auto] [--out PATH]
   prbp convert --input PATH --out PATH [--from F] [--to F]
@@ -82,9 +83,8 @@ USAGE:
       deadline-no-incumbent. Transient connection failures retry under
       deterministic exponential backoff (250 ms doubling, capped at 4 s)
   prbp trace FILE.jsonl
-      analyse a --trace capture: phase-timing breakdown and the engine's
-      convergence curve (time-to-first-incumbent, time-to-final-bound,
-      gap over time); `-` reads stdin
+      analyse a --trace capture: per-phase span counts and total times;
+      `-` reads stdin
 
   F: edgelist | dot | json (default: by file extension, else sniffed;
      `--input -` reads stdin)
@@ -512,15 +512,15 @@ fn schedule_run(args: &Args) -> Result<(), CliError> {
         match (scheduler, model) {
             // Greedy schedulers go through the streaming pipeline: moves are
             // certified as they are emitted and never materialised.
-            (Scheduler::Greedy { policy, order }, "prbp") => {
+            (Scheduler::Greedy { order }, "prbp") => {
                 let ord = order.build(&dag);
-                certify_greedy_prbp(&dag, r, &ord, policy.build().as_mut(), sched_name, set)
+                certify_greedy_prbp(&dag, r, &ord, &mut FurthestInFuture, sched_name, set)
                     .ok_or_else(|| runtime(format!("r = {r} is too small (PRBP needs r >= 2)")))?
                     .map_err(|e| runtime(format!("certification failed: {e}")))?
             }
-            (Scheduler::Greedy { policy, order }, "rbp") => {
+            (Scheduler::Greedy { order }, "rbp") => {
                 let ord = order.build(&dag);
-                certify_greedy_rbp(&dag, r, &ord, policy.build().as_mut(), sched_name, set)
+                certify_greedy_rbp(&dag, r, &ord, &mut FurthestInFuture, sched_name, set)
                     .ok_or_else(|| {
                         runtime(format!(
                             "r = {r} is too small (RBP needs r >= max in-degree + 1 = {})",
@@ -528,6 +528,18 @@ fn schedule_run(args: &Args) -> Result<(), CliError> {
                         ))
                     })?
                     .map_err(|e| runtime(format!("certification failed: {e}")))?
+            }
+            // The same certified solve as `--deadline-ms`, `serve` and `warm`,
+            // so the ladder carries the composable `compose` bound.
+            (Scheduler::Compose { exact_budget }, "prbp") => {
+                let config = ComposeConfig {
+                    exact_budget,
+                    ..ComposeConfig::default()
+                };
+                let mut certified =
+                    compose_certified(&dag, r, &config, set).map_err(|e| runtime(e.to_string()))?;
+                certified.report.scheduler = sched_name.to_string();
+                certified.report
             }
             (s, "prbp") => {
                 let trace = s.run_prbp(&dag, r).ok_or_else(|| {

@@ -12,8 +12,8 @@
 //!   trace-to-partition conversions and the analytic I/O lower bounds.
 //! * [`hardness`] — the NP-hardness reduction constructions of Theorems 4.8
 //!   and 7.1 together with brute-force independent-set oracles.
-//! * [`sched`] — scalable heuristic schedulers (greedy with pluggable
-//!   eviction policies, packed-state beam search, structure-aware compose)
+//! * [`sched`] — scalable heuristic schedulers (greedy with Belady
+//!   eviction, packed-state beam search, structure-aware compose)
 //!   that pebble DAGs far beyond exact reach and certify an optimality gap
 //!   against the admissible lower bounds.
 //! * [`io`] — DAG interchange (whitespace edge-list, DOT digraph subset,

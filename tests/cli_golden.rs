@@ -127,10 +127,58 @@ fn schedule_document_rbp_model() {
             "--model",
             "rbp",
             "--scheduler",
-            "greedy:lru:natural",
+            "greedy:belady:natural",
         ],
     );
     check_golden("schedule_fig1_rbp.json", &doc);
+}
+
+#[test]
+fn schedule_compose_certifies_the_composable_bound() {
+    // `--scheduler compose` runs the same certified solve as `--deadline-ms`,
+    // `serve` and `warm`: on fig1 at r = 2 the composable bound proves the
+    // cost-12 schedule optimal, where the initial-state ladder alone says 2.
+    let dir = scratch_dir("compose-r2");
+    gen_fig1(&dir);
+    let doc = run(
+        &dir,
+        &[
+            "schedule",
+            "--input",
+            "fig1.el",
+            "--r",
+            "2",
+            "--scheduler",
+            "compose",
+        ],
+    );
+    assert!(doc.contains("\"cost\":12,"), "{doc}");
+    assert!(doc.contains("{\"name\":\"compose\",\"value\":12}"), "{doc}");
+    assert!(doc.contains("\"best_bound\":12}"), "{doc}");
+}
+
+#[test]
+fn retired_eviction_policies_are_usage_errors() {
+    let dir = scratch_dir("policies");
+    gen_fig1(&dir);
+    for scheduler in ["greedy:lru:natural", "greedy:fewest:dfs"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_prbp"))
+            .args([
+                "schedule",
+                "--input",
+                "fig1.el",
+                "--r",
+                "4",
+                "--scheduler",
+                scheduler,
+            ])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn prbp");
+        assert_eq!(out.status.code(), Some(2), "{scheduler}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown eviction policy"), "{stderr}");
+    }
 }
 
 #[test]
