@@ -12,7 +12,7 @@
 //!   consecutive levels and split each band into its weakly connected
 //!   pieces. On the FFT butterfly, bands of `h` levels shatter into
 //!   independent `2^h`-wide sub-butterflies — exactly the paper's blocked
-//!   strategy.
+//!   strategy. Bands grow on one union-find, in time linear in the DAG.
 //! * [`Strategy::SinkCones`] — when every internal (non-source, non-sink)
 //!   node has out-degree 1, every non-source node belongs to the *cone* of a
 //!   unique sink; cones are pairwise edge-disjoint and interact only through
@@ -64,7 +64,8 @@ pub enum Strategy {
     /// directly or through a shared boundary input (so every value crossing
     /// the cut is loaded by exactly one piece); bands grow level by level
     /// while every piece (including its boundary inputs) stays within
-    /// `max_nodes`.
+    /// `max_nodes`. The bands grow on one union-find, in time linear in the
+    /// DAG.
     LevelBands {
         /// Size cap per component (members + boundary inputs).
         max_nodes: usize,
@@ -248,29 +249,40 @@ fn whole(dag: &Dag) -> Decomposition {
 
 /// Weakly connected components via union-find, listed by smallest member id.
 fn wcc(dag: &Dag) -> Decomposition {
-    let n = dag.node_count();
-    let mut uf = UnionFind::new(n);
+    let mut uf = UnionFind::new(dag.node_count());
     for e in dag.edges() {
         let (u, v) = dag.edge_endpoints(e);
         uf.union(u.index(), v.index());
     }
-    let parts = uf.groups(dag.nodes());
+    let parts = uf.pieces(dag.nodes());
     assemble(dag, Strategy::Wcc, parts)
 }
 
 /// Band the level structure: grow each band level by level while every
-/// weakly connected piece of the band (counting the band's boundary inputs)
-/// stays within `max_nodes`; a band always contains at least one level.
-/// Sources (level 0) join the band of their earliest consumer, so every
-/// component's extracted sub-DAG has at least one edge per member.
+/// piece of the band (counting the band's boundary inputs) stays within
+/// `max_nodes`; a band always contains at least one level. Sources join the
+/// band of their earliest consumer, so every component's extracted sub-DAG
+/// has at least one edge per member.
+///
+/// A piece is a group of band nodes connected directly or through a shared
+/// boundary input: two band nodes consuming the same earlier-band value
+/// belong together, so every crossing value is loaded by exactly one piece.
+/// (On the FFT this is what re-aligns each band's blocks with the stage
+/// crossing the cut — the structure the paper's blocked strategy exploits.)
+///
+/// Bands grow on one union-find over node ids. Within a band every touched
+/// node is either a member or a boundary input, so a set's size is exactly
+/// its piece's capped size. An extension that breaks the cap cannot be
+/// undone, so the band is cleared and its levels added again: every level
+/// is added at most three times, and banding takes linear time.
 fn level_bands(dag: &Dag, max_nodes: usize) -> Decomposition {
     let levels = topo::levels(dag);
     let depth = levels.iter().copied().max().unwrap_or(0);
-    let n = dag.node_count();
-    // Nodes by level, sources remapped to their earliest consumer's level.
-    let mut effective = vec![0usize; n];
+    // Nodes by level, sources moved to their earliest consumer's level, so
+    // level 0 stays empty.
+    let mut by_level: Vec<Vec<NodeId>> = vec![Vec::new(); depth + 1];
     for v in dag.nodes() {
-        effective[v.index()] = if dag.is_source(v) {
+        let level = if dag.is_source(v) {
             dag.successors(v)
                 .map(|w| levels[w.index()])
                 .min()
@@ -278,111 +290,47 @@ fn level_bands(dag: &Dag, max_nodes: usize) -> Decomposition {
         } else {
             levels[v.index()]
         };
-    }
-    let mut by_level: Vec<Vec<NodeId>> = vec![Vec::new(); depth + 1];
-    for v in dag.nodes() {
-        by_level[effective[v.index()]].push(v);
+        by_level[level].push(v);
     }
 
-    // Greedy band growth. Piece sizes are re-derived per tentative
-    // extension; boundary inputs (predecessors in earlier bands) count
-    // toward the cap because they are part of the extracted sub-DAG a
-    // scheduler must handle.
-    let mut bands: Vec<Vec<NodeId>> = Vec::new();
-    let mut start = 1usize.min(depth); // level 0 holds only remapped sources
+    let mut uf = UnionFind::new(dag.node_count());
+    let mut parts = Vec::new();
+    let mut start = 1;
     while start <= depth {
-        let mut end = start; // inclusive
-        loop {
-            if end + 1 > depth {
+        // The band is levels `start..=end`; `largest` is its largest piece.
+        let mut end = start;
+        let mut largest = add_level(dag, &mut uf, &by_level[start]);
+        while end < depth {
+            let grown = largest.max(add_level(dag, &mut uf, &by_level[end + 1]));
+            if grown > max_nodes {
+                uf.clear();
+                for level in &by_level[start..=end] {
+                    add_level(dag, &mut uf, level);
+                }
                 break;
             }
-            if max_piece_size(dag, &by_level, start, end + 1) > max_nodes {
-                break;
-            }
+            largest = grown;
             end += 1;
         }
-        let mut band: Vec<NodeId> = Vec::new();
-        for level in &by_level[(if start == 1 { 0 } else { start })..=end] {
-            band.extend(level.iter().copied());
-        }
-        band.sort();
-        bands.push(band);
+        let mut band = by_level[start..=end].concat();
+        band.sort_unstable();
+        parts.extend(uf.pieces(band));
+        uf.clear();
         start = end + 1;
     }
-    if bands.is_empty() {
-        // depth == 0 is impossible for a valid Dag (it has at least one
-        // edge), but stay total.
-        return whole(dag);
-    }
-
-    // Split each band into pieces, gluing through shared boundary inputs:
-    // two band nodes consuming the same earlier-band value belong together,
-    // so every crossing value is loaded by exactly one piece. (On the FFT
-    // this is what re-aligns each band's blocks with the stage crossing the
-    // cut — the structure the paper's blocked strategy exploits.)
-    let parts = bands
-        .iter()
-        .flat_map(|band| band_pieces(dag, band).0)
-        .collect();
     assemble(dag, Strategy::LevelBands { max_nodes }, parts)
 }
 
-/// The pieces of one band: groups of band nodes connected directly or
-/// through a shared boundary input, together with the piece sizes counting
-/// members plus *distinct* boundary inputs.
-fn band_pieces(dag: &Dag, band: &[NodeId]) -> (Vec<Vec<NodeId>>, Vec<usize>) {
-    let local: HashMap<NodeId, usize> = band.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    // Boundary inputs get union-find slots after the band members.
-    let mut input_slot: HashMap<NodeId, usize> = HashMap::new();
-    let mut slots = band.len();
-    for &v in band {
+/// Join every node of `level` with its predecessors; returns the size of
+/// the largest set this touched.
+fn add_level(dag: &Dag, uf: &mut UnionFind, level: &[NodeId]) -> usize {
+    let mut largest = 0;
+    for &v in level {
         for u in dag.predecessors(v) {
-            if !local.contains_key(&u) && !input_slot.contains_key(&u) {
-                input_slot.insert(u, slots);
-                slots += 1;
-            }
+            largest = largest.max(uf.union(v.index(), u.index()));
         }
     }
-    let mut uf = UnionFind::new(slots);
-    for (i, &v) in band.iter().enumerate() {
-        for u in dag.predecessors(v) {
-            let us = local.get(&u).copied().unwrap_or_else(|| input_slot[&u]);
-            uf.union(i, us);
-        }
-    }
-    let mut groups: HashMap<usize, (Vec<NodeId>, usize)> = HashMap::new();
-    for (i, &v) in band.iter().enumerate() {
-        let root = uf.find(i);
-        let entry = groups.entry(root).or_default();
-        entry.0.push(v);
-        entry.1 += 1;
-    }
-    for &slot in input_slot.values() {
-        let root = uf.find(slot);
-        // Inputs whose consumers all left the band cannot occur (slots are
-        // created from band members' predecessors), so the root is present.
-        if let Some(entry) = groups.get_mut(&root) {
-            entry.1 += 1;
-        }
-    }
-    let mut list: Vec<(Vec<NodeId>, usize)> = groups.into_values().collect();
-    for (g, _) in &mut list {
-        g.sort();
-    }
-    list.sort_by_key(|(g, _)| g[0]);
-    list.into_iter().unzip()
-}
-
-/// Largest piece (members + distinct boundary inputs) of the band covering
-/// `levels[start..=end]`, with level-0 sources pulled in.
-fn max_piece_size(dag: &Dag, by_level: &[Vec<NodeId>], start: usize, end: usize) -> usize {
-    let mut band: Vec<NodeId> = Vec::new();
-    for level in &by_level[(if start == 1 { 0 } else { start })..=end] {
-        band.extend(level.iter().copied());
-    }
-    band.sort();
-    let (_, sizes) = band_pieces(dag, &band);
-    sizes.into_iter().max().unwrap_or(0)
+    largest
 }
 
 /// Sink-cone tiling. Applicable only when every non-source, non-sink node
@@ -697,10 +645,16 @@ pub fn extract_internal(dag: &Dag, members: &[NodeId]) -> Option<InternalSubDag>
     })
 }
 
-/// Union-find with path halving and union by size.
+/// Union-find with path halving and union by size. Slots carry the epoch
+/// they were last touched in, so [`UnionFind::clear`] resets every set in
+/// O(1): a slot from an older epoch reads as a fresh singleton.
 struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
+    epoch: Vec<u32>,
+    current: u32,
+    /// Piece index per root while [`UnionFind::pieces`] runs, else `u32::MAX`.
+    piece: Vec<u32>,
 }
 
 impl UnionFind {
@@ -708,10 +662,29 @@ impl UnionFind {
         UnionFind {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
+            epoch: vec![0; n],
+            current: 0,
+            piece: vec![u32::MAX; n],
+        }
+    }
+
+    /// Make every slot a singleton again.
+    fn clear(&mut self) {
+        self.current = self.current.wrapping_add(1);
+        if self.current == 0 {
+            // After 2^32 clears an old stamp could read as current.
+            self.epoch.fill(0);
+            self.current = 1;
         }
     }
 
     fn find(&mut self, mut v: usize) -> usize {
+        if self.epoch[v] != self.current {
+            self.epoch[v] = self.current;
+            self.parent[v] = v as u32;
+            self.size[v] = 1;
+            return v;
+        }
         while self.parent[v] as usize != v {
             self.parent[v] = self.parent[self.parent[v] as usize];
             v = self.parent[v] as usize;
@@ -719,37 +692,39 @@ impl UnionFind {
         v
     }
 
-    fn union(&mut self, a: usize, b: usize) {
+    /// Join the sets of `a` and `b`; returns the size of the joined set.
+    fn union(&mut self, a: usize, b: usize) -> usize {
         let (mut ra, mut rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return;
+        if ra != rb {
+            if self.size[ra] < self.size[rb] {
+                std::mem::swap(&mut ra, &mut rb);
+            }
+            self.parent[rb] = ra as u32;
+            self.size[ra] += self.size[rb];
         }
-        if self.size[ra] < self.size[rb] {
-            std::mem::swap(&mut ra, &mut rb);
-        }
-        self.parent[rb] = ra as u32;
-        self.size[ra] += self.size[rb];
+        self.size[ra] as usize
     }
 
-    /// Groups over dense ids `0..n` named by the given node iterator, listed
-    /// by smallest member, each sorted ascending.
-    fn groups(&mut self, nodes: impl Iterator<Item = NodeId>) -> Vec<Vec<NodeId>> {
-        let all: Vec<NodeId> = nodes.collect();
-        self.groups_mapped(&all)
-    }
-
-    /// Groups where dense id `i` stands for `names[i]`.
-    fn groups_mapped(&mut self, names: &[NodeId]) -> Vec<Vec<NodeId>> {
-        let mut by_root: HashMap<usize, Vec<NodeId>> = HashMap::new();
-        for (i, &v) in names.iter().enumerate() {
-            by_root.entry(self.find(i)).or_default().push(v);
+    /// The sets of `members` (ascending), listed by smallest member, each
+    /// ascending: visiting members in order opens every set at its smallest.
+    fn pieces(&mut self, members: impl IntoIterator<Item = NodeId>) -> Vec<Vec<NodeId>> {
+        let mut pieces: Vec<Vec<NodeId>> = Vec::new();
+        let mut roots = Vec::new();
+        for v in members {
+            let root = self.find(v.index());
+            match self.piece[root] {
+                u32::MAX => {
+                    self.piece[root] = pieces.len() as u32;
+                    roots.push(root);
+                    pieces.push(vec![v]);
+                }
+                p => pieces[p as usize].push(v),
+            }
         }
-        let mut groups: Vec<Vec<NodeId>> = by_root.into_values().collect();
-        for g in &mut groups {
-            g.sort();
+        for root in roots {
+            self.piece[root] = u32::MAX;
         }
-        groups.sort_by_key(|g| g[0]);
-        groups
+        pieces
     }
 }
 
@@ -1019,6 +994,203 @@ mod tests {
             }
         }
         assert!(checked_cones > 0, "sink cones applied nowhere");
+    }
+
+    /// Banding as it was before bands grew on one union-find: every
+    /// tentative extension re-derives the band's pieces with fresh maps.
+    /// The reference `level_bands` and `wcc` must match.
+    mod reference {
+        use super::*;
+        use std::collections::HashMap;
+
+        fn find(parent: &mut [usize], mut v: usize) -> usize {
+            while parent[v] != v {
+                parent[v] = parent[parent[v]];
+                v = parent[v];
+            }
+            v
+        }
+
+        fn union(parent: &mut [usize], a: usize, b: usize) {
+            let (ra, rb) = (find(parent, a), find(parent, b));
+            parent[rb] = ra;
+        }
+
+        /// Groups of `0..names.len()` by root, each sorted, listed by first.
+        fn groups(parent: &mut [usize], names: &[NodeId]) -> Vec<Vec<NodeId>> {
+            let mut by_root: HashMap<usize, Vec<NodeId>> = HashMap::new();
+            for (i, &v) in names.iter().enumerate() {
+                by_root.entry(find(parent, i)).or_default().push(v);
+            }
+            let mut groups: Vec<Vec<NodeId>> = by_root.into_values().collect();
+            for g in &mut groups {
+                g.sort();
+            }
+            groups.sort_by_key(|g| g[0]);
+            groups
+        }
+
+        pub fn wcc(dag: &Dag) -> Decomposition {
+            let mut parent: Vec<usize> = (0..dag.node_count()).collect();
+            for e in dag.edges() {
+                let (u, v) = dag.edge_endpoints(e);
+                union(&mut parent, u.index(), v.index());
+            }
+            let all: Vec<NodeId> = dag.nodes().collect();
+            assemble(dag, Strategy::Wcc, groups(&mut parent, &all))
+        }
+
+        /// The pieces of one band and their sizes (members plus distinct
+        /// boundary inputs).
+        fn band_pieces(dag: &Dag, band: &[NodeId]) -> (Vec<Vec<NodeId>>, Vec<usize>) {
+            let local: HashMap<NodeId, usize> =
+                band.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+            let mut input_slot: HashMap<NodeId, usize> = HashMap::new();
+            let mut slots = band.len();
+            for &v in band {
+                for u in dag.predecessors(v) {
+                    if !local.contains_key(&u) && !input_slot.contains_key(&u) {
+                        input_slot.insert(u, slots);
+                        slots += 1;
+                    }
+                }
+            }
+            let mut parent: Vec<usize> = (0..slots).collect();
+            for (i, &v) in band.iter().enumerate() {
+                for u in dag.predecessors(v) {
+                    let us = local.get(&u).copied().unwrap_or_else(|| input_slot[&u]);
+                    union(&mut parent, i, us);
+                }
+            }
+            let pieces = groups(&mut parent, band);
+            let mut size: HashMap<usize, usize> = HashMap::new();
+            for slot in 0..slots {
+                *size.entry(find(&mut parent, slot)).or_default() += 1;
+            }
+            let sizes = pieces
+                .iter()
+                .map(|p| size[&find(&mut parent, local[&p[0]])])
+                .collect();
+            (pieces, sizes)
+        }
+
+        fn band(by_level: &[Vec<NodeId>], start: usize, end: usize) -> Vec<NodeId> {
+            let from = if start == 1 { 0 } else { start };
+            let mut band: Vec<NodeId> = by_level[from..=end].concat();
+            band.sort();
+            band
+        }
+
+        pub fn level_bands(dag: &Dag, max_nodes: usize) -> Decomposition {
+            let levels = topo::levels(dag);
+            let depth = levels.iter().copied().max().unwrap_or(0);
+            let mut by_level: Vec<Vec<NodeId>> = vec![Vec::new(); depth + 1];
+            for v in dag.nodes() {
+                let level = if dag.is_source(v) {
+                    dag.successors(v).map(|w| levels[w.index()]).min().unwrap()
+                } else {
+                    levels[v.index()]
+                };
+                by_level[level].push(v);
+            }
+            let max_piece_size = |start, end| {
+                let (_, sizes) = band_pieces(dag, &band(&by_level, start, end));
+                sizes.into_iter().max().unwrap_or(0)
+            };
+            let mut parts = Vec::new();
+            let mut start = 1usize.min(depth);
+            while start <= depth {
+                let mut end = start;
+                while end < depth && max_piece_size(start, end + 1) <= max_nodes {
+                    end += 1;
+                }
+                parts.extend(band_pieces(dag, &band(&by_level, start, end)).0);
+                start = end + 1;
+            }
+            assemble(dag, Strategy::LevelBands { max_nodes }, parts)
+        }
+    }
+
+    fn components(d: &Decomposition) -> Vec<(&[NodeId], &[NodeId], &[NodeId])> {
+        d.components
+            .iter()
+            .map(|c| (&c.nodes[..], &c.inputs[..], &c.outputs[..]))
+            .collect()
+    }
+
+    /// Banding on one union-find yields exactly the reference bands: the
+    /// same components in the same order, with the same boundaries, at every
+    /// cap from "every level alone" (0, 1) to "one band" (`usize::MAX`).
+    #[test]
+    fn level_bands_and_wcc_match_the_reference() {
+        let mut dags = vec![
+            two_chains(),
+            diamond(),
+            chain(5),
+            fft(16).dag,
+            fft(32).dag,
+            fft(64).dag,
+            fft(128).dag,
+            fft(256).dag,
+            matmul(4, 4, 4).dag,
+            matmul(8, 8, 8).dag,
+            attention_qk(6, 3).dag,
+            attention_qk(8, 4).dag,
+            attention_full(6, 2).dag,
+            attention_full(16, 4).dag,
+        ];
+        // Optimised builds only: the reference re-derives every tentative band.
+        #[cfg(not(debug_assertions))]
+        dags.extend([
+            fft(512).dag,
+            fft(1024).dag,
+            matmul(16, 16, 16).dag,
+            attention_full(24, 8).dag,
+        ]);
+        dags.push(random_layered(RandomLayeredConfig {
+            layers: 12,
+            width: 10,
+            max_in_degree: 3,
+            seed: 7,
+        }));
+        for seed in 1..=20u64 {
+            dags.push(random_layered(RandomLayeredConfig {
+                layers: 2 + seed as usize % 9,
+                width: 1 + (seed as usize * 7) % 13,
+                max_in_degree: 1 + seed as usize % 4,
+                seed,
+            }));
+        }
+        let caps = [
+            0,
+            1,
+            2,
+            3,
+            5,
+            8,
+            16,
+            32,
+            48,
+            64,
+            96,
+            256,
+            1024,
+            4096,
+            usize::MAX,
+        ];
+        for (i, dag) in dags.iter().enumerate() {
+            let (got, want) = (wcc(dag), reference::wcc(dag));
+            assert_eq!(components(&got), components(&want), "dag {i}: wcc");
+            for max_nodes in caps {
+                let got = level_bands(dag, max_nodes);
+                let want = reference::level_bands(dag, max_nodes);
+                assert_eq!(
+                    components(&got),
+                    components(&want),
+                    "dag {i}: bands:{max_nodes}"
+                );
+            }
+        }
     }
 
     #[test]

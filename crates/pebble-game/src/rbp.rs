@@ -114,6 +114,8 @@ pub struct RbpGame<'a> {
     dag: &'a Dag,
     config: RbpConfig,
     red: BitSet,
+    /// `red.count()`, maintained per move.
+    red_count: usize,
     blue: BitSet,
     computed: BitSet,
     io_cost: usize,
@@ -134,6 +136,7 @@ impl<'a> RbpGame<'a> {
             dag,
             config,
             red: dag.node_set(),
+            red_count: 0,
             blue,
             computed: dag.node_set(),
             io_cost: 0,
@@ -163,7 +166,7 @@ impl<'a> RbpGame<'a> {
 
     /// Number of red pebbles currently on the DAG.
     pub fn red_count(&self) -> usize {
-        self.red.count()
+        self.red_count
     }
 
     /// Returns `true` if `v` currently holds a red pebble.
@@ -221,7 +224,7 @@ impl<'a> RbpGame<'a> {
     }
 
     fn check_capacity_after_adding(&self, extra: usize) -> Result<(), RbpError> {
-        if self.red.count() + extra > self.config.r {
+        if self.red_count + extra > self.config.r {
             Err(RbpError::CapacityExceeded { r: self.config.r })
         } else {
             Ok(())
@@ -239,6 +242,7 @@ impl<'a> RbpGame<'a> {
                 if !self.red.contains(v.index()) {
                     self.check_capacity_after_adding(1)?;
                     self.red.insert(v.index());
+                    self.red_count += 1;
                 }
                 self.io_cost += 1;
                 Ok(())
@@ -256,6 +260,7 @@ impl<'a> RbpGame<'a> {
                 if !self.red.contains(v.index()) {
                     self.check_capacity_after_adding(1)?;
                     self.red.insert(v.index());
+                    self.red_count += 1;
                 }
                 self.computed.insert(v.index());
                 self.compute_steps += 1;
@@ -269,9 +274,15 @@ impl<'a> RbpGame<'a> {
                     return Err(RbpError::SlideFromNotPredecessor { node, from });
                 }
                 self.check_compute_preconditions(node)?;
-                // `from` holds a red pebble (checked as an in-neighbour); move it.
+                // `from` holds a red pebble (checked as an in-neighbour); move
+                // it. With recomputation `node` may already be red: then the
+                // slide only frees `from`.
                 self.red.remove(from.index());
-                self.red.insert(node.index());
+                self.red_count -= 1;
+                if !self.red.contains(node.index()) {
+                    self.red.insert(node.index());
+                    self.red_count += 1;
+                }
                 self.computed.insert(node.index());
                 self.compute_steps += 1;
                 Ok(())
@@ -284,6 +295,7 @@ impl<'a> RbpGame<'a> {
                     return Err(RbpError::DeleteWithoutRed(v));
                 }
                 self.red.remove(v.index());
+                self.red_count -= 1;
                 Ok(())
             }
         }
@@ -474,6 +486,29 @@ mod tests {
         game.apply(RbpMove::Save(NodeId(2))).unwrap();
         assert!(game.is_terminal());
         assert_eq!(game.io_cost(), 2);
+    }
+
+    #[test]
+    fn red_count_follows_a_sliding_trace() {
+        let g = chain3();
+        let config = RbpConfig::new(2).with_sliding().with_recompute();
+        let mut game = RbpGame::new(&g, config);
+        let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
+        // The first slide recomputes `b` while it is red: only `a` is freed.
+        for mv in [
+            RbpMove::Load(a),
+            RbpMove::Compute(b),
+            RbpMove::ComputeSlide { node: b, from: a },
+            RbpMove::ComputeSlide { node: c, from: b },
+            RbpMove::Save(c),
+            RbpMove::Load(c),
+            RbpMove::Delete(c),
+        ] {
+            game.apply(mv).unwrap();
+            assert_eq!(game.red_count(), game.red_set().count(), "after {mv:?}");
+        }
+        assert!(game.is_terminal());
+        assert_eq!(game.red_count(), 0);
     }
 
     #[test]

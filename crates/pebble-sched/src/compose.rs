@@ -259,7 +259,10 @@ fn compose(dag: &Dag, r: usize, config: &ComposeConfig) -> Result<ComposeOutcome
         // global ladder the certification evaluates anyway, so only the
         // exact case is taken from it.
         let candidate_bound = if decomposition.components.len() > 1 {
-            composed_prbp_bound(dag, PrbpConfig::new(r), &scheduled.partition).map(|mut bound| {
+            let bound_span = pebble_obs::trace::span("compose:bound");
+            let bound = composed_prbp_bound(dag, PrbpConfig::new(r), &scheduled.partition);
+            drop(bound_span);
+            bound.map(|mut bound| {
                 for (i, comp) in decomposition.components.iter().enumerate() {
                     if comp.inputs.is_empty() && comp.outputs.is_empty() {
                         if let Some(exact) = scheduled.exact[i] {
@@ -365,12 +368,16 @@ fn schedule_decomposition(
     if expired(deadline) {
         return None;
     }
+    let extract_span = pebble_obs::trace::span("compose:extract");
     let extracted: Vec<ExtractedComponent> = decomposition
         .components
         .iter()
         .map(|c| pebble_dag::decompose::extract_component(dag, c))
         .collect();
+    drop(extract_span);
+    let key_span = pebble_obs::trace::span("compose:key");
     let keys: Vec<ComponentKey> = extracted.iter().map(|c| component_key(&c.dag)).collect();
+    drop(key_span);
     // Schedule only the first copy of each sub-DAG not seen earlier in this
     // call; every other copy reuses its schedule.
     let mut fresh = vec![false; keys.len()];

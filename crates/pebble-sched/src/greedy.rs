@@ -285,6 +285,19 @@ mod tests {
     }
 
     #[test]
+    fn rbp_simulator_red_count_follows_a_greedy_trace() {
+        let dag = fft(64).dag;
+        let r = 8;
+        let trace = greedy_rbp(&dag, r, &order::natural(&dag), &mut FurthestInFuture).unwrap();
+        let mut game = pebble_game::rbp::RbpGame::new(&dag, RbpConfig::new(r));
+        for &mv in &trace.moves {
+            game.apply(mv).unwrap();
+            assert_eq!(game.red_count(), game.red_set().count(), "after {mv:?}");
+        }
+        assert!(game.is_terminal());
+    }
+
+    #[test]
     fn prbp_greedy_works_at_minimum_cache() {
         let dag = fft(8).dag;
         let ord = order::natural(&dag);

@@ -1,6 +1,7 @@
 //! End-to-end test of `prbp trace` on a real capture: a `--deadline-ms`
 //! compose solve writes a JSONL trace, and the analyzer turns it into a
-//! phase table naming the CLI, compose and portfolio phases.
+//! phase table naming the CLI, compose and portfolio phases, down to
+//! compose's decompose, extract, key and bound stages.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -57,7 +58,15 @@ fn trace_summarizes_a_deadline_solve_capture() {
         .filter_map(|line| line.strip_prefix("  "))
         .filter_map(|row| row.split_whitespace().next())
         .collect();
-    for phase in ["cli:solve", "compose:schedule", "portfolio:greedy"] {
+    for phase in [
+        "cli:solve",
+        "compose:schedule",
+        "compose:decompose",
+        "compose:extract",
+        "compose:key",
+        "compose:bound",
+        "portfolio:greedy",
+    ] {
         assert!(phases.contains(&phase), "no `{phase}` row in\n{table}");
     }
 }
