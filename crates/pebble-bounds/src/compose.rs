@@ -151,7 +151,7 @@ mod tests {
     }
 
     fn parts_of(dag: &Dag, strategy: Strategy) -> Vec<Vec<NodeId>> {
-        decompose(dag, strategy)
+        decompose(dag, strategy, None)
             .unwrap()
             .components
             .into_iter()

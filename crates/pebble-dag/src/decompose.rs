@@ -37,6 +37,7 @@ use crate::graph::{Dag, DagBuilder};
 use crate::ids::NodeId;
 use crate::topo;
 use std::collections::HashMap;
+use std::time::Instant;
 
 /// One part of a [`Decomposition`]: a set of member nodes plus its boundary.
 #[derive(Debug, Clone)]
@@ -127,16 +128,21 @@ impl Decomposition {
 
 /// Decompose `dag` with `strategy`. Returns `None` when the strategy does
 /// not apply ([`Strategy::SinkCones`] on a DAG with an internal node of
-/// out-degree ≥ 2).
-pub fn decompose(dag: &Dag, strategy: Strategy) -> Option<Decomposition> {
+/// out-degree ≥ 2), or when `deadline` passes while level bands or sink
+/// cones are built: both check it between bands or merge rounds.
+pub fn decompose(
+    dag: &Dag,
+    strategy: Strategy,
+    deadline: Option<Instant>,
+) -> Option<Decomposition> {
     match strategy {
         Strategy::Whole => Some(whole(dag)),
         Strategy::Wcc => Some(wcc(dag)),
-        Strategy::LevelBands { max_nodes } => Some(level_bands(dag, max_nodes)),
+        Strategy::LevelBands { max_nodes } => level_bands(dag, max_nodes, deadline),
         Strategy::SinkCones {
             max_nodes,
             max_sinks,
-        } => sink_cones(dag, max_nodes, max_sinks),
+        } => sink_cones(dag, max_nodes, max_sinks, deadline),
     }
 }
 
@@ -275,7 +281,7 @@ fn wcc(dag: &Dag) -> Decomposition {
 /// its piece's capped size. An extension that breaks the cap cannot be
 /// undone, so the band is cleared and its levels added again: every level
 /// is added at most three times, and banding takes linear time.
-fn level_bands(dag: &Dag, max_nodes: usize) -> Decomposition {
+fn level_bands(dag: &Dag, max_nodes: usize, deadline: Option<Instant>) -> Option<Decomposition> {
     let levels = topo::levels(dag);
     let depth = levels.iter().copied().max().unwrap_or(0);
     // Nodes by level, sources moved to their earliest consumer's level, so
@@ -297,6 +303,9 @@ fn level_bands(dag: &Dag, max_nodes: usize) -> Decomposition {
     let mut parts = Vec::new();
     let mut start = 1;
     while start <= depth {
+        if deadline.is_some_and(|at| Instant::now() >= at) {
+            return None;
+        }
         // The band is levels `start..=end`; `largest` is its largest piece.
         let mut end = start;
         let mut largest = add_level(dag, &mut uf, &by_level[start]);
@@ -318,7 +327,7 @@ fn level_bands(dag: &Dag, max_nodes: usize) -> Decomposition {
         uf.clear();
         start = end + 1;
     }
-    assemble(dag, Strategy::LevelBands { max_nodes }, parts)
+    Some(assemble(dag, Strategy::LevelBands { max_nodes }, parts))
 }
 
 /// Join every node of `level` with its predecessors; returns the size of
@@ -341,7 +350,12 @@ fn add_level(dag: &Dag, uf: &mut UnionFind, level: &[NodeId]) -> usize {
 /// shared-input set (ties: smaller merged input set, then smaller id), while
 /// members + distinct inputs stay within `max_nodes` and the tile keeps at
 /// most `max_sinks` sinks (live accumulators during its schedule).
-fn sink_cones(dag: &Dag, max_nodes: usize, max_sinks: usize) -> Option<Decomposition> {
+fn sink_cones(
+    dag: &Dag,
+    max_nodes: usize,
+    max_sinks: usize,
+    deadline: Option<Instant>,
+) -> Option<Decomposition> {
     for v in dag.nodes() {
         if !dag.is_source(v) && !dag.is_sink(v) && dag.out_degree(v) != 1 {
             return None;
@@ -416,6 +430,9 @@ fn sink_cones(dag: &Dag, max_nodes: usize, max_sinks: usize) -> Option<Decomposi
     // (tie-broken) round, the orthogonal direction shares strictly more
     // inputs, so tiles stay near-square.
     loop {
+        if deadline.is_some_and(|at| Instant::now() >= at) {
+            return None;
+        }
         let k = tiles.len();
         if k <= 1 {
             break;
@@ -555,15 +572,14 @@ pub fn extract_component(dag: &Dag, component: &Component) -> ExtractedComponent
         .copied()
         .collect();
     to_global.sort();
-    let local: HashMap<NodeId, usize> =
-        to_global.iter().enumerate().map(|(i, &v)| (v, i)).collect();
     let mut b = DagBuilder::new();
     for &g in &to_global {
         b.add_labeled_node(dag.label(g));
     }
     for &v in &component.nodes {
+        let lv = local(&to_global, v);
         for &(u, _) in dag.in_edges(v) {
-            b.add_edge(NodeId::from_index(local[&u]), NodeId::from_index(local[&v]));
+            b.add_edge(local(&to_global, u), lv);
         }
     }
     let sub = b.build().expect("component extraction preserves validity");
@@ -610,18 +626,17 @@ pub fn extract_internal(dag: &Dag, members: &[NodeId]) -> Option<InternalSubDag>
     if keep.is_empty() {
         return None;
     }
-    let local: HashMap<NodeId, usize> = keep.iter().enumerate().map(|(i, &v)| (v, i)).collect();
     let mut b = DagBuilder::new();
     for &g in &keep {
         b.add_labeled_node(dag.label(g));
     }
     let mut fake_sources = 0;
     let mut fake_sinks = 0;
-    for &v in &keep {
+    for (lv, &v) in keep.iter().enumerate() {
         let mut internal_in = 0;
         for &(u, _) in dag.in_edges(v) {
             if in_set.contains(u.index()) {
-                b.add_edge(NodeId::from_index(local[&u]), NodeId::from_index(local[&v]));
+                b.add_edge(local(&keep, u), NodeId::from_index(lv));
                 internal_in += 1;
             }
         }
@@ -643,6 +658,12 @@ pub fn extract_internal(dag: &Dag, members: &[NodeId]) -> Option<InternalSubDag>
         fake_sources,
         fake_sinks,
     })
+}
+
+/// The local id of `v` in an extraction whose ascending `to_global` lists
+/// it.
+fn local(to_global: &[NodeId], v: NodeId) -> NodeId {
+    NodeId::from_index(to_global.binary_search(&v).expect("extracted node"))
 }
 
 /// Union-find with path halving and union by size. Slots carry the epoch
@@ -803,7 +824,7 @@ mod tests {
     #[test]
     fn level_bands_shatter_the_fft_into_blocks() {
         let f = fft(16).dag; // 5 levels of 16 nodes
-        let d = decompose(&f, Strategy::LevelBands { max_nodes: 24 }).unwrap();
+        let d = decompose(&f, Strategy::LevelBands { max_nodes: 24 }, None).unwrap();
         // Bands of 2 compute levels split into 4-wide sub-butterflies.
         assert!(d.components.len() > 1);
         assert!(d.max_component_size() <= 24);
@@ -820,6 +841,21 @@ mod tests {
     }
 
     #[test]
+    fn a_passed_deadline_stops_bands_and_cones() {
+        let past = Some(Instant::now());
+        let f = fft(16384).dag;
+        let bands = Strategy::LevelBands { max_nodes: 1024 };
+        assert!(decompose(&f, bands, past).is_none());
+        let cones = Strategy::SinkCones {
+            max_nodes: 60,
+            max_sinks: 4,
+        };
+        assert!(decompose(&matmul(4, 4, 4).dag, cones, past).is_none());
+        // The cheap strategies take no deadline.
+        assert!(decompose(&f, Strategy::Wcc, past).is_some());
+    }
+
+    #[test]
     fn sink_cones_tile_matmul() {
         let mm = matmul(4, 4, 4).dag;
         let d = decompose(
@@ -828,6 +864,7 @@ mod tests {
                 max_nodes: 60,
                 max_sinks: 4,
             },
+            None,
         )
         .unwrap();
         // Every non-source node is assigned; sources stay shared.
@@ -854,7 +891,8 @@ mod tests {
             Strategy::SinkCones {
                 max_nodes: 100,
                 max_sinks: 16,
-            }
+            },
+            None
         )
         .is_none());
     }
@@ -869,6 +907,7 @@ mod tests {
                     max_nodes: 10_000,
                     max_sinks,
                 },
+                None,
             )
             .unwrap();
             for c in &d.components {
@@ -881,7 +920,7 @@ mod tests {
     #[test]
     fn extraction_roundtrips_structure() {
         let f = fft(16).dag;
-        let d = decompose(&f, Strategy::LevelBands { max_nodes: 24 }).unwrap();
+        let d = decompose(&f, Strategy::LevelBands { max_nodes: 24 }, None).unwrap();
         let mut member_edges = 0;
         for c in &d.components {
             let ex = extract_component(&f, c);
@@ -905,7 +944,7 @@ mod tests {
     #[test]
     fn internal_extraction_counts_fakes() {
         let f = fft(16).dag;
-        let d = decompose(&f, Strategy::LevelBands { max_nodes: 24 }).unwrap();
+        let d = decompose(&f, Strategy::LevelBands { max_nodes: 24 }, None).unwrap();
         // A non-first band's pieces are computed from boundary values: every
         // kept node with no internal in-edge is a fake source.
         let later = d
@@ -921,7 +960,7 @@ mod tests {
     #[test]
     fn whole_is_total() {
         let f = fft(8).dag;
-        let d = decompose(&f, Strategy::Whole).unwrap();
+        let d = decompose(&f, Strategy::Whole, None).unwrap();
         assert_eq!(d.components.len(), 1);
         assert_eq!(d.assigned_nodes(), f.node_count());
         assert!(d.components[0].inputs.is_empty() && d.components[0].outputs.is_empty());
@@ -965,7 +1004,7 @@ mod tests {
                     },
                 ];
                 for strategy in strategies {
-                    let Some(d) = decompose(dag, strategy) else {
+                    let Some(d) = decompose(dag, strategy, None) else {
                         continue;
                     };
                     if matches!(strategy, Strategy::SinkCones { .. }) {
@@ -1182,7 +1221,7 @@ mod tests {
             let (got, want) = (wcc(dag), reference::wcc(dag));
             assert_eq!(components(&got), components(&want), "dag {i}: wcc");
             for max_nodes in caps {
-                let got = level_bands(dag, max_nodes);
+                let got = level_bands(dag, max_nodes, None).unwrap();
                 let want = reference::level_bands(dag, max_nodes);
                 assert_eq!(
                     components(&got),

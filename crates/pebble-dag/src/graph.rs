@@ -9,7 +9,6 @@
 use crate::bitset::BitSet;
 use crate::ids::{EdgeId, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::fmt;
 
 /// Errors reported by [`DagBuilder::build`].
@@ -52,6 +51,8 @@ impl std::error::Error for DagError {}
 /// (the paper assumes DAGs without isolated nodes).
 #[derive(Debug, Default, Clone)]
 pub struct DagBuilder {
+    nodes: usize,
+    /// One label per node, or none while every label is empty.
     labels: Vec<String>,
     edges: Vec<(NodeId, NodeId)>,
 }
@@ -69,8 +70,13 @@ impl DagBuilder {
 
     /// Add a node carrying a human-readable label; returns its id.
     pub fn add_labeled_node(&mut self, label: impl Into<String>) -> NodeId {
-        let id = NodeId::from_index(self.labels.len());
-        self.labels.push(label.into());
+        let label = label.into();
+        if !label.is_empty() || !self.labels.is_empty() {
+            self.labels.resize(self.nodes, String::new());
+            self.labels.push(label);
+        }
+        let id = NodeId::from_index(self.nodes);
+        self.nodes += 1;
         id
     }
 
@@ -86,7 +92,7 @@ impl DagBuilder {
 
     /// Number of nodes added so far.
     pub fn node_count(&self) -> usize {
-        self.labels.len()
+        self.nodes
     }
 
     /// Number of edges added so far.
@@ -95,75 +101,68 @@ impl DagBuilder {
     }
 
     /// Validate and freeze into a [`Dag`].
+    ///
+    /// The first bad edge in insertion order is reported: an unknown
+    /// endpoint or a self-loop on the edge itself, else a duplicate of an
+    /// earlier edge. Duplicates are found on the out-CSR, whose runs list
+    /// each source's edges in insertion order, with one stamp per target:
+    /// O(n + m) and no hashing.
     pub fn build(self) -> Result<Dag, DagError> {
-        let n = self.labels.len();
+        let n = self.nodes;
         if n == 0 {
             return Err(DagError::Empty);
         }
-        let mut seen = HashSet::with_capacity(self.edges.len());
-        for &(u, v) in &self.edges {
-            if u.index() >= n {
-                return Err(DagError::UnknownNode(u));
+        let bad = self
+            .edges
+            .iter()
+            .position(|&(u, v)| u.index() >= n || v.index() >= n || u == v);
+        let valid = &self.edges[..bad.unwrap_or(self.edges.len())];
+
+        // CSR offsets and (neighbour, edge id) entries, so the PRBP engine
+        // can translate between node pairs and edge ids without a hash
+        // lookup.
+        let (out_off, out_adj) = csr(n, valid, |(u, v)| (u, v));
+        let mut stamp = vec![u32::MAX; n];
+        let mut duplicate: Option<EdgeId> = None;
+        for u in 0..n {
+            for &(v, e) in &out_adj[out_off[u]..out_off[u + 1]] {
+                if stamp[v.index()] == u as u32 {
+                    duplicate = Some(duplicate.map_or(e, |d| d.min(e)));
+                    break;
+                }
+                stamp[v.index()] = u as u32;
             }
-            if v.index() >= n {
-                return Err(DagError::UnknownNode(v));
-            }
-            if u == v {
-                return Err(DagError::SelfLoop(u));
-            }
-            if !seen.insert((u, v)) {
-                return Err(DagError::DuplicateEdge(u, v));
-            }
+        }
+        drop(stamp);
+        if let Some(e) = duplicate {
+            let (u, v) = self.edges[e.index()];
+            return Err(DagError::DuplicateEdge(u, v));
+        }
+        if let Some(i) = bad {
+            let (u, v) = self.edges[i];
+            return Err(if u.index() >= n {
+                DagError::UnknownNode(u)
+            } else if v.index() >= n {
+                DagError::UnknownNode(v)
+            } else {
+                DagError::SelfLoop(u)
+            });
         }
 
-        // Degree counts.
-        let mut out_deg = vec![0u32; n];
-        let mut in_deg = vec![0u32; n];
-        for &(u, v) in &self.edges {
-            out_deg[u.index()] += 1;
-            in_deg[v.index()] += 1;
-        }
+        let (in_off, in_adj) = csr(n, &self.edges, |(u, v)| (v, u));
         for i in 0..n {
-            if out_deg[i] == 0 && in_deg[i] == 0 {
+            if out_off[i] == out_off[i + 1] && in_off[i] == in_off[i + 1] {
                 return Err(DagError::IsolatedNode(NodeId::from_index(i)));
             }
         }
-
-        // CSR offsets for out- and in-adjacency. The adjacency entries store
-        // (neighbour, edge id) pairs so the PRBP engine can translate between
-        // node pairs and edge ids without a hash lookup.
-        let m = self.edges.len();
-        let mut out_off = vec![0usize; n + 1];
-        let mut in_off = vec![0usize; n + 1];
-        for &(u, v) in &self.edges {
-            out_off[u.index() + 1] += 1;
-            in_off[v.index() + 1] += 1;
-        }
-        for i in 0..n {
-            out_off[i + 1] += out_off[i];
-            in_off[i + 1] += in_off[i];
-        }
-        let mut out_adj = vec![(NodeId(0), EdgeId(0)); m];
-        let mut in_adj = vec![(NodeId(0), EdgeId(0)); m];
-        let mut out_cursor = out_off.clone();
-        let mut in_cursor = in_off.clone();
-        let mut edge_endpoints = Vec::with_capacity(m);
-        for (ei, &(u, v)) in self.edges.iter().enumerate() {
-            let e = EdgeId::from_index(ei);
-            out_adj[out_cursor[u.index()]] = (v, e);
-            out_cursor[u.index()] += 1;
-            in_adj[in_cursor[v.index()]] = (u, e);
-            in_cursor[v.index()] += 1;
-            edge_endpoints.push((u, v));
-        }
-
         let dag = Dag {
+            nodes: n,
             labels: self.labels,
             out_off,
             out_adj,
             in_off,
             in_adj,
-            edge_endpoints,
+            edge_endpoints: self.edges,
         };
 
         // Cycle check via Kahn's algorithm.
@@ -174,6 +173,33 @@ impl DagBuilder {
     }
 }
 
+/// One CSR over `edges`, keyed by `ends(edge).0` with entries
+/// `(ends(edge).1, edge id)`, each run in edge-id order.
+fn csr(
+    n: usize,
+    edges: &[(NodeId, NodeId)],
+    ends: impl Fn((NodeId, NodeId)) -> (NodeId, NodeId),
+) -> (Vec<usize>, Vec<(NodeId, EdgeId)>) {
+    let mut off = vec![0usize; n + 1];
+    for &edge in edges {
+        off[ends(edge).0.index() + 1] += 1;
+    }
+    for i in 0..n {
+        off[i + 1] += off[i];
+    }
+    // Fill with `off[key]` as the cursor, which leaves it at the run's end:
+    // the old `off[key + 1]`. One shift restores the offsets.
+    let mut adj = vec![(NodeId(0), EdgeId(0)); edges.len()];
+    for (ei, &edge) in edges.iter().enumerate() {
+        let (key, other) = ends(edge);
+        adj[off[key.index()]] = (other, EdgeId::from_index(ei));
+        off[key.index()] += 1;
+    }
+    off.copy_within(0..n, 1);
+    off[0] = 0;
+    (off, adj)
+}
+
 /// An immutable computational DAG.
 ///
 /// Nodes are `NodeId(0) .. NodeId(n-1)`; edges are `EdgeId(0) .. EdgeId(m-1)`
@@ -181,6 +207,8 @@ impl DagBuilder {
 /// computation; sink nodes (out-degree 0) are its outputs.
 #[derive(Clone, Serialize, Deserialize)]
 pub struct Dag {
+    nodes: usize,
+    /// One label per node, or none when every label is empty.
     labels: Vec<String>,
     out_off: Vec<usize>,
     out_adj: Vec<(NodeId, EdgeId)>,
@@ -193,7 +221,7 @@ impl Dag {
     /// Number of nodes `n`.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.labels.len()
+        self.nodes
     }
 
     /// Number of edges `m`.
@@ -220,7 +248,7 @@ impl Dag {
 
     /// The label attached to a node (may be empty).
     pub fn label(&self, v: NodeId) -> &str {
-        &self.labels[v.index()]
+        self.labels.get(v.index()).map_or("", String::as_str)
     }
 
     /// Out-neighbours of `v` together with the connecting edge ids.
@@ -458,6 +486,229 @@ mod tests {
     #[test]
     fn rejects_empty_graph() {
         assert_eq!(DagBuilder::new().build().unwrap_err(), DagError::Empty);
+    }
+
+    #[test]
+    fn labels_are_kept_only_when_some_label_is_set() {
+        let mut b = DagBuilder::new();
+        let n = b.add_nodes(3);
+        b.add_edge(n[0], n[1]);
+        b.add_edge(n[1], n[2]);
+        let plain = b.clone().build().unwrap();
+        assert!(plain.labels.is_empty());
+        assert_eq!(plain.label(n[2]), "");
+        let x = b.add_labeled_node("x");
+        let y = b.add_node();
+        b.add_edge(n[2], x);
+        b.add_edge(x, y);
+        let g = b.build().unwrap();
+        assert_eq!(g.labels.len(), 5);
+        let labels: Vec<&str> = g.nodes().map(|v| g.label(v)).collect();
+        assert_eq!(labels, ["", "", "", "x", ""]);
+    }
+
+    /// `DagBuilder::build` as it was before the CSR duplicate check: a
+    /// `HashSet` of edges, checked in insertion order.
+    mod reference {
+        use super::super::*;
+        use std::collections::HashSet;
+
+        pub fn build(n: usize, edges: Vec<(NodeId, NodeId)>) -> Result<Dag, DagError> {
+            if n == 0 {
+                return Err(DagError::Empty);
+            }
+            let mut seen = HashSet::with_capacity(edges.len());
+            for &(u, v) in &edges {
+                if u.index() >= n {
+                    return Err(DagError::UnknownNode(u));
+                }
+                if v.index() >= n {
+                    return Err(DagError::UnknownNode(v));
+                }
+                if u == v {
+                    return Err(DagError::SelfLoop(u));
+                }
+                if !seen.insert((u, v)) {
+                    return Err(DagError::DuplicateEdge(u, v));
+                }
+            }
+            let mut out_deg = vec![0u32; n];
+            let mut in_deg = vec![0u32; n];
+            for &(u, v) in &edges {
+                out_deg[u.index()] += 1;
+                in_deg[v.index()] += 1;
+            }
+            for i in 0..n {
+                if out_deg[i] == 0 && in_deg[i] == 0 {
+                    return Err(DagError::IsolatedNode(NodeId::from_index(i)));
+                }
+            }
+            let m = edges.len();
+            let mut out_off = vec![0usize; n + 1];
+            let mut in_off = vec![0usize; n + 1];
+            for &(u, v) in &edges {
+                out_off[u.index() + 1] += 1;
+                in_off[v.index() + 1] += 1;
+            }
+            for i in 0..n {
+                out_off[i + 1] += out_off[i];
+                in_off[i + 1] += in_off[i];
+            }
+            let mut out_adj = vec![(NodeId(0), EdgeId(0)); m];
+            let mut in_adj = vec![(NodeId(0), EdgeId(0)); m];
+            let mut out_cursor = out_off.clone();
+            let mut in_cursor = in_off.clone();
+            let mut edge_endpoints = Vec::with_capacity(m);
+            for (ei, &(u, v)) in edges.iter().enumerate() {
+                let e = EdgeId::from_index(ei);
+                out_adj[out_cursor[u.index()]] = (v, e);
+                out_cursor[u.index()] += 1;
+                in_adj[in_cursor[v.index()]] = (u, e);
+                in_cursor[v.index()] += 1;
+                edge_endpoints.push((u, v));
+            }
+            let dag = Dag {
+                nodes: n,
+                labels: Vec::new(),
+                out_off,
+                out_adj,
+                in_off,
+                in_adj,
+                edge_endpoints,
+            };
+            if dag.topological_order_internal().is_none() {
+                return Err(DagError::Cycle);
+            }
+            Ok(dag)
+        }
+    }
+
+    /// Build `edges` on `n` nodes both ways; the results must be equal.
+    fn assert_builds_like_the_reference(n: usize, edges: &[(u32, u32)]) -> Result<(), DagError> {
+        let edges: Vec<(NodeId, NodeId)> =
+            edges.iter().map(|&(u, v)| (NodeId(u), NodeId(v))).collect();
+        let mut b = DagBuilder::new();
+        b.add_nodes(n);
+        for &(u, v) in &edges {
+            b.add_edge(u, v);
+        }
+        match (b.build(), reference::build(n, edges.clone())) {
+            (Ok(got), Ok(want)) => {
+                assert_eq!(got.node_count(), want.node_count());
+                assert_eq!(got.out_off, want.out_off, "{edges:?}");
+                assert_eq!(got.out_adj, want.out_adj, "{edges:?}");
+                assert_eq!(got.in_off, want.in_off, "{edges:?}");
+                assert_eq!(got.in_adj, want.in_adj, "{edges:?}");
+                assert_eq!(got.edge_endpoints, want.edge_endpoints, "{edges:?}");
+                Ok(())
+            }
+            (Err(got), Err(want)) => {
+                assert_eq!(got, want, "n = {n}, {edges:?}");
+                Err(got)
+            }
+            (got, want) => panic!("n = {n}, {edges:?}: build {got:?}, reference {want:?}"),
+        }
+    }
+
+    #[test]
+    fn build_matches_the_hashing_reference_on_random_edge_lists() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(22);
+        let mut outcomes = std::collections::BTreeMap::<String, usize>::new();
+        for _ in 0..20_000 {
+            let n = rng.gen_range(0..9u32);
+            let mut edges: Vec<(u32, u32)> = Vec::new();
+            for _ in 0..rng.gen_range(0..3 * n as usize + 2) {
+                let edge = match rng.gen_range(0..16u32) {
+                    0 if !edges.is_empty() => edges[rng.gen_range(0..edges.len())],
+                    1 => {
+                        let v = rng.gen_range(0..n + 2);
+                        (v, v)
+                    }
+                    2 => (rng.gen_range(0..n + 3), rng.gen_range(0..n + 3)),
+                    3 | 4 if n >= 2 => {
+                        let u = rng.gen_range(1..n);
+                        (u, rng.gen_range(0..u))
+                    }
+                    _ if n >= 2 => {
+                        let u = rng.gen_range(0..n - 1);
+                        (u, rng.gen_range(u + 1..n))
+                    }
+                    _ => (0, 1),
+                };
+                edges.push(edge);
+            }
+            let kind = match assert_builds_like_the_reference(n as usize, &edges) {
+                Ok(()) => "Ok".to_string(),
+                Err(e) => format!("{e:?}").split('(').next().unwrap().to_string(),
+            };
+            *outcomes.entry(kind).or_default() += 1;
+        }
+        for kind in [
+            "Ok",
+            "UnknownNode",
+            "SelfLoop",
+            "DuplicateEdge",
+            "Cycle",
+            "IsolatedNode",
+            "Empty",
+        ] {
+            assert!(
+                outcomes.get(kind).copied().unwrap_or(0) >= 100,
+                "{outcomes:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn build_reports_the_first_bad_edge_in_every_order() {
+        // A valid chain 0 -> 1 -> ... -> 5 with one unknown-node edge, one
+        // self-loop and one duplicate (of an edge from source 0, 3 or 4, so
+        // stamps of several runs matter) planted in every relative order.
+        let chain: Vec<(u32, u32)> = (0..5).map(|i| (i, i + 1)).collect();
+        let faults = [(2, 9), (3, 3), (0, 1), (4, 5), (3, 4)];
+        for (a, b, c) in [(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 4)] {
+            for order in [
+                [a, b, c],
+                [a, c, b],
+                [b, a, c],
+                [b, c, a],
+                [c, a, b],
+                [c, b, a],
+            ] {
+                for gap in 0..=2 {
+                    let mut edges = chain.clone();
+                    for (k, &f) in order.iter().enumerate() {
+                        edges.insert((k * gap).min(edges.len()), faults[f]);
+                    }
+                    let _ = assert_builds_like_the_reference(6, &edges);
+                    edges.reverse();
+                    let _ = assert_builds_like_the_reference(6, &edges);
+                }
+            }
+        }
+    }
+
+    /// A large edge list whose only fault is its last edge.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn build_matches_the_reference_on_fft_16384_with_a_last_fault() {
+        let f = crate::generators::fft(16384).dag;
+        let edges: Vec<(u32, u32)> = f
+            .edges()
+            .map(|e| {
+                let (u, v) = f.edge_endpoints(e);
+                (u.0, v.0)
+            })
+            .collect();
+        let n = f.node_count();
+        assert!(assert_builds_like_the_reference(n, &edges).is_ok());
+        let (u, v) = edges[0];
+        for last in [(u, v), (v, u), (u, u), (u, n as u32)] {
+            let mut faulty = edges.clone();
+            faulty.push(last);
+            assert!(assert_builds_like_the_reference(n, &faulty).is_err());
+        }
     }
 
     #[test]

@@ -311,7 +311,8 @@ mod tests {
     fn forest_has_solver_sized_components() {
         let f = tree_forest(6);
         assert_eq!(f.node_count(), 42);
-        let d = pebble_dag::decompose::decompose(&f, pebble_dag::decompose::Strategy::Wcc).unwrap();
+        let d = pebble_dag::decompose::decompose(&f, pebble_dag::decompose::Strategy::Wcc, None)
+            .unwrap();
         assert_eq!(d.components.len(), 6);
         assert!(d.components.iter().all(|c| c.nodes.len() == 7));
     }

@@ -25,7 +25,7 @@
 //! identity, labels included.
 
 use crate::error::{ParseError, ParseErrorKind};
-use pebble_dag::{Dag, DagBuilder, NodeId};
+use pebble_dag::{Dag, DagBuilder, DagError, NodeId};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -283,13 +283,13 @@ impl Parser {
 }
 
 /// Incrementally built graph: interns node names in order of first
-/// appearance and checks edges as they arrive.
+/// appearance and keeps each edge with the position of its target token.
 #[derive(Default)]
 struct GraphAcc {
     ids: HashMap<String, usize>,
     labels: Vec<String>,
-    edges: Vec<(usize, usize)>,
-    seen: std::collections::HashSet<(usize, usize)>,
+    /// `(line, col, u, v)` per edge, in document order.
+    edges: Vec<(usize, usize, usize, usize)>,
 }
 
 impl GraphAcc {
@@ -321,29 +321,44 @@ impl GraphAcc {
                 },
             ));
         }
-        if !self.seen.insert((u, v)) {
-            return Err(ParseError::at(
-                line,
-                col,
-                ParseErrorKind::DuplicateEdge {
-                    from: from.to_string(),
-                    to: to.to_string(),
-                },
-            ));
-        }
-        self.edges.push((u, v));
+        self.edges.push((line, col, u, v));
         Ok(())
     }
 
+    /// Build the DAG; the builder's duplicate check is the only one, and a
+    /// duplicate it finds is reported at its second occurrence.
     fn build(self) -> Result<Dag, ParseError> {
         let mut b = DagBuilder::new();
         for label in self.labels {
             b.add_labeled_node(label);
         }
-        for (u, v) in self.edges {
+        for &(_, _, u, v) in &self.edges {
             b.add_edge(NodeId::from_index(u), NodeId::from_index(v));
         }
-        b.build().map_err(ParseError::graph)
+        b.build().map_err(|err| match err {
+            DagError::DuplicateEdge(u, v) => {
+                let (u, v) = (u.index(), v.index());
+                let (line, col, _, _) = self
+                    .edges
+                    .iter()
+                    .filter(|e| (e.2, e.3) == (u, v))
+                    .nth(1)
+                    .expect("the builder found this edge twice");
+                let name = |id| {
+                    let (name, _) = self.ids.iter().find(|&(_, &i)| i == id).expect("interned");
+                    name.clone()
+                };
+                ParseError::at(
+                    *line,
+                    *col,
+                    ParseErrorKind::DuplicateEdge {
+                        from: name(u),
+                        to: name(v),
+                    },
+                )
+            }
+            err => ParseError::graph(err),
+        })
     }
 }
 
@@ -352,7 +367,24 @@ pub fn parse(input: &str) -> Result<Dag, ParseError> {
     let toks = Lexer::new(input).tokenize()?;
     let eof = toks.last().map(|&(l, c, _)| (l, c + 1)).unwrap_or((1, 1));
     let mut p = Parser { toks, pos: 0, eof };
+    let mut acc = GraphAcc::default();
+    match statements(&mut p, &mut acc) {
+        Ok(()) => acc.build(),
+        // A duplicate among the edges read so far comes first.
+        Err(err) => Err(match acc.build() {
+            Err(
+                dup @ ParseError {
+                    kind: ParseErrorKind::DuplicateEdge { .. },
+                    ..
+                },
+            ) => dup,
+            _ => err,
+        }),
+    }
+}
 
+/// The header and statements of the document, edges and nodes into `acc`.
+fn statements(p: &mut Parser, acc: &mut GraphAcc) -> Result<(), ParseError> {
     // Header: ['strict'] 'digraph' [name] '{'
     let (line, col, head) = p.name("`digraph`")?;
     let head = if head == "strict" {
@@ -380,7 +412,6 @@ pub fn parse(input: &str) -> Result<Dag, ParseError> {
     }
     p.expect(&Tok::LBrace, "`{`")?;
 
-    let mut acc = GraphAcc::default();
     loop {
         match p.peek() {
             None => {
@@ -447,7 +478,7 @@ pub fn parse(input: &str) -> Result<Dag, ParseError> {
         let (l, c) = p.here();
         return Err(ParseError::syntax(l, c, "unexpected text after `}`"));
     }
-    acc.build()
+    Ok(())
 }
 
 use pebble_dag::export::dot_escape as escape;
@@ -473,6 +504,9 @@ pub fn write(dag: &Dag, graph_name: &str) -> String {
     out.push_str("}\n");
     out
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

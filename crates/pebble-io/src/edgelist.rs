@@ -11,47 +11,66 @@
 //!
 //! Node ids must be dense: the graph has nodes `0 ..= max id`, and since a
 //! computational DAG has no isolated nodes, every id in that range must
-//! appear in some edge. Labels are not representable. Duplicate edges and
-//! self-loops are rejected at their source line; cycles are rejected after
-//! parsing.
+//! appear in some edge. Labels are not representable. Self-loops are
+//! rejected at their source line; cycles are rejected after parsing.
+//!
+//! Each line is split into at most three tokens without allocating, and its
+//! edge goes straight into the [`DagBuilder`]. Duplicate edges are found by
+//! the builder's one O(n + m) check. Only on that error path is the document
+//! read again, to report the duplicate at its second `u v` line. Before a
+//! located error on a later line is returned, the edges read so far are
+//! checked the same way, so the first error in the document is the one
+//! reported.
 
 use crate::error::{ParseError, ParseErrorKind};
 use pebble_dag::export;
-use pebble_dag::{Dag, DagBuilder, NodeId};
-use std::collections::HashSet;
+use pebble_dag::{Dag, DagBuilder, DagError, NodeId};
 
 /// The largest node id the parsers accept. Guards against a single malformed
 /// line (`0 99999999999999`) allocating an absurd node table.
 pub const MAX_NODE_ID: usize = 99_999_999;
 
-/// Split a line into `(1-based char column, token)` pairs, stopping at an
-/// unquoted `#` comment.
-fn tokens(line: &str) -> Vec<(usize, &str)> {
-    let mut out = Vec::new();
+/// The first three tokens of a line as `(1-based char column, token)`,
+/// stopping at a `#` comment. A valid line has at most two, so a third is
+/// all an error needs.
+fn tokens(line: &str) -> [Option<(usize, &str)>; 3] {
+    let bytes = line.as_bytes();
+    let mut out = [None; 3];
+    let mut found = 0;
     let mut start: Option<(usize, usize)> = None; // (col, byte offset)
-    for (col0, (bytes, c)) in line.char_indices().enumerate() {
-        if c == '#' {
-            if let Some((col, b)) = start.take() {
-                out.push((col + 1, &line[b..bytes]));
+    let (mut i, mut col) = (0, 1);
+    while i < bytes.len() && found < 3 {
+        let (space, len) = match bytes[i] {
+            b'#' => break,
+            b @ 0..=0x7f => (matches!(b, b'\t'..=b'\r' | b' '), 1),
+            _ => {
+                let c = line[i..].chars().next().expect("a char starts here");
+                (c.is_whitespace(), c.len_utf8())
             }
-            return out;
-        }
-        if c.is_whitespace() {
-            if let Some((col, b)) = start.take() {
-                out.push((col + 1, &line[b..bytes]));
+        };
+        if space {
+            if let Some((c, b)) = start.take() {
+                out[found] = Some((c, &line[b..i]));
+                found += 1;
             }
         } else if start.is_none() {
-            start = Some((col0, bytes));
+            start = Some((col, i));
         }
+        i += len;
+        col += 1;
     }
-    if let Some((col, b)) = start.take() {
-        out.push((col + 1, &line[b..]));
+    if let Some((c, b)) = start {
+        out[found] = Some((c, &line[b..i]));
     }
     out
 }
 
 /// Parse a node id token, with a precise error on anything else.
 pub(crate) fn parse_id(line: usize, col: usize, tok: &str) -> Result<usize, ParseError> {
+    // Up to eight digits never exceed the maximum.
+    if tok.len() <= 8 && tok.bytes().all(|b| b.is_ascii_digit()) {
+        return Ok(tok.bytes().fold(0, |id, b| id * 10 + usize::from(b - b'0')));
+    }
     match tok.parse::<usize>() {
         Ok(id) if id <= MAX_NODE_ID => Ok(id),
         Ok(id) => Err(ParseError::syntax(
@@ -67,69 +86,100 @@ pub(crate) fn parse_id(line: usize, col: usize, tok: &str) -> Result<usize, Pars
     }
 }
 
+/// The edge on line `lno`, if the line holds one.
+fn edge(lno: usize, line: &str) -> Result<Option<(usize, usize)>, ParseError> {
+    match tokens(line) {
+        [None, ..] => Ok(None),
+        [Some((ucol, utok)), Some((vcol, vtok)), None] => {
+            let u = parse_id(lno, ucol, utok)?;
+            let v = parse_id(lno, vcol, vtok)?;
+            if u == v {
+                return Err(ParseError::at(
+                    lno,
+                    ucol,
+                    ParseErrorKind::SelfLoop {
+                        node: u.to_string(),
+                    },
+                ));
+            }
+            Ok(Some((u, v)))
+        }
+        [Some(_), None, _] => Err(ParseError::syntax(
+            lno,
+            line.chars().count() + 1,
+            "edge line needs two node ids, found one",
+        )),
+        [_, _, Some((col, tok))] => Err(ParseError::syntax(
+            lno,
+            col,
+            format!("unexpected token `{tok}` after edge"),
+        )),
+    }
+}
+
 /// Parse a whitespace edge-list document into a [`Dag`].
 pub fn parse(input: &str) -> Result<Dag, ParseError> {
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    let mut seen: HashSet<(usize, usize)> = HashSet::new();
+    let mut b = DagBuilder::new();
     let mut max_id = 0usize;
-    let mut any = false;
     for (lno0, line) in input.lines().enumerate() {
-        let lno = lno0 + 1;
-        let toks = tokens(line);
-        match toks.as_slice() {
-            [] => continue,
-            [(ucol, utok), (vcol, vtok)] => {
-                let u = parse_id(lno, *ucol, utok)?;
-                let v = parse_id(lno, *vcol, vtok)?;
-                if u == v {
-                    return Err(ParseError::at(
-                        lno,
-                        *ucol,
-                        ParseErrorKind::SelfLoop {
-                            node: u.to_string(),
-                        },
-                    ));
-                }
-                if !seen.insert((u, v)) {
-                    return Err(ParseError::at(
-                        lno,
-                        *ucol,
-                        ParseErrorKind::DuplicateEdge {
-                            from: u.to_string(),
-                            to: v.to_string(),
-                        },
-                    ));
-                }
+        match edge(lno0 + 1, line) {
+            Ok(None) => {}
+            Ok(Some((u, v))) => {
                 max_id = max_id.max(u).max(v);
-                any = true;
-                edges.push((u, v));
+                b.add_edge(NodeId::from_index(u), NodeId::from_index(v));
             }
-            [(_, _)] => {
-                let end = line.chars().count() + 1;
-                return Err(ParseError::syntax(
-                    lno,
-                    end,
-                    "edge line needs two node ids, found one",
-                ));
-            }
-            [_, _, (col, tok), ..] => {
-                return Err(ParseError::syntax(
-                    lno,
-                    *col,
-                    format!("unexpected token `{tok}` after edge"),
-                ));
+            Err(err) => {
+                // A duplicate on an earlier line comes first.
+                return Err(match build(input, b, max_id) {
+                    Err(
+                        dup @ ParseError {
+                            kind: ParseErrorKind::DuplicateEdge { .. },
+                            ..
+                        },
+                    ) => dup,
+                    _ => err,
+                });
             }
         }
     }
-    if !any {
-        return Err(ParseError::graph(pebble_dag::DagError::Empty));
+    if b.edge_count() == 0 {
+        return Err(ParseError::graph(DagError::Empty));
     }
-    let mut b = DagBuilder::new();
+    build(input, b, max_id)
+}
+
+/// Build the DAG on nodes `0 ..= max_id`, locating a duplicate edge in
+/// `input`.
+fn build(input: &str, mut b: DagBuilder, max_id: usize) -> Result<Dag, ParseError> {
     b.add_nodes(max_id + 1);
-    for (u, v) in edges {
-        b.add_edge(NodeId::from_index(u), NodeId::from_index(v));
-    }
-    b.build().map_err(ParseError::graph)
+    b.build().map_err(|err| match err {
+        DagError::DuplicateEdge(u, v) => locate_duplicate(input, u.index(), v.index()),
+        err => ParseError::graph(err),
+    })
+}
+
+/// The duplicate-edge error for `u v`, at its second line. Every line up to
+/// there holds a valid edge.
+fn locate_duplicate(input: &str, u: usize, v: usize) -> ParseError {
+    let id = |tok: &str| tok.parse::<usize>().ok();
+    let mut lines = input
+        .lines()
+        .enumerate()
+        .filter_map(|(lno0, line)| match tokens(line) {
+            [Some((col, a)), Some((_, b)), None] if id(a) == Some(u) && id(b) == Some(v) => {
+                Some((lno0 + 1, col))
+            }
+            _ => None,
+        });
+    let (line, col) = lines.nth(1).expect("the builder found this edge twice");
+    ParseError::at(
+        line,
+        col,
+        ParseErrorKind::DuplicateEdge {
+            from: u.to_string(),
+            to: v.to_string(),
+        },
+    )
 }
 
 /// Render `dag` as a whitespace edge-list (delegates to
@@ -137,6 +187,9 @@ pub fn parse(input: &str) -> Result<Dag, ParseError> {
 pub fn write(dag: &Dag) -> String {
     export::to_edge_list(dag)
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -26,8 +26,7 @@
 //! line/column-precise errors on malformed input.
 
 use crate::error::{ParseError, ParseErrorKind};
-use pebble_dag::{Dag, DagBuilder, NodeId};
-use std::collections::HashSet;
+use pebble_dag::{Dag, DagBuilder, DagError, NodeId};
 use std::fmt::Write as _;
 
 /// A JSON lexer over characters with 1-based line/col tracking.
@@ -413,45 +412,51 @@ pub fn parse(input: &str) -> Result<Dag, ParseError> {
         ParseError::syntax(1, 1, "document is missing the required `edges` array")
     })?;
 
+    // The builder takes the edges before the first unknown endpoint or
+    // self-loop; a duplicate it finds among them comes first.
     let n = labels.len();
-    let mut seen: HashSet<(usize, usize)> = HashSet::new();
+    let bad = edges
+        .iter()
+        .position(|&(_, _, u, v)| u >= n || v >= n || u == v);
     let mut b = DagBuilder::new();
     for label in labels {
         b.add_labeled_node(label);
     }
-    for (line, col, u, v) in edges {
-        if u >= n || v >= n {
-            let bad = if u >= n { u } else { v };
-            return Err(ParseError::at(
-                line,
-                col,
-                ParseErrorKind::UnknownNode {
-                    name: bad.to_string(),
-                },
-            ));
-        }
-        if u == v {
-            return Err(ParseError::at(
-                line,
-                col,
-                ParseErrorKind::SelfLoop {
-                    node: u.to_string(),
-                },
-            ));
-        }
-        if !seen.insert((u, v)) {
-            return Err(ParseError::at(
-                line,
-                col,
+    for &(_, _, u, v) in &edges[..bad.unwrap_or(edges.len())] {
+        b.add_edge(NodeId::from_index(u), NodeId::from_index(v));
+    }
+    match (b.build(), bad) {
+        (Err(DagError::DuplicateEdge(u, v)), _) => {
+            let (u, v) = (u.index(), v.index());
+            let (line, col, _, _) = edges
+                .iter()
+                .filter(|e| (e.2, e.3) == (u, v))
+                .nth(1)
+                .expect("the builder found this edge twice");
+            Err(ParseError::at(
+                *line,
+                *col,
                 ParseErrorKind::DuplicateEdge {
                     from: u.to_string(),
                     to: v.to_string(),
                 },
-            ));
+            ))
         }
-        b.add_edge(NodeId::from_index(u), NodeId::from_index(v));
+        (_, Some(i)) => {
+            let (line, col, u, v) = edges[i];
+            let kind = if u < n && v < n {
+                ParseErrorKind::SelfLoop {
+                    node: u.to_string(),
+                }
+            } else {
+                ParseErrorKind::UnknownNode {
+                    name: if u >= n { u } else { v }.to_string(),
+                }
+            };
+            Err(ParseError::at(line, col, kind))
+        }
+        (dag, None) => dag.map_err(ParseError::graph),
     }
-    b.build().map_err(ParseError::graph)
 }
 
 /// Parse the `nodes` array; returns the labels in id order.
@@ -599,6 +604,9 @@ pub fn write(dag: &Dag) -> String {
     out.push_str("  ]\n}\n");
     out
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

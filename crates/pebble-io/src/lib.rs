@@ -15,7 +15,12 @@
 //! All three parsers report **line/column-precise errors**
 //! ([`ParseError`]), reject duplicate edges and self-loops at the offending
 //! token, and reject cycles / isolated nodes / empty graphs after parsing
-//! (the structural invariants of [`pebble_dag::Dag`]). All three writers are
+//! (the structural invariants of [`pebble_dag::Dag`]). No parser hashes
+//! edges: duplicates are found by one O(n + m) check in
+//! [`pebble_dag::DagBuilder::build`] and located at the offending token only
+//! on that error path. Before a parser reports a later located error, it
+//! runs the same check on the edges read so far, so the first error in the
+//! document is the one reported. All three writers are
 //! exact round-trips: `parse(write(dag))` reproduces node ids, edge order
 //! and — for DOT and JSON — labels. The edge-list writer is
 //! [`pebble_dag::export::to_edge_list`]; the DOT parser also accepts the

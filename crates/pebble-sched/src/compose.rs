@@ -39,8 +39,9 @@
 //! ## Deadline contract
 //!
 //! [`ComposeConfig::deadline`] bounds the solve, measured from entry. It is
-//! checked before each candidate decomposition is built, before each distinct
-//! component, inside the portfolio's beam members (a cut beam
+//! checked before each candidate decomposition is built, between the bands
+//! and merge rounds of a level-band or sink-cone build (a build the deadline
+//! cuts off is skipped), before each distinct component, inside the portfolio's beam members (a cut beam
 //! greedy-completes its component, of at most 512 nodes) and in the exact
 //! phase (which keeps its validated seed). When it fires, the best
 //! candidate stitched so far is returned; with none, the solve fails with
@@ -238,10 +239,10 @@ fn compose(dag: &Dag, r: usize, config: &ComposeConfig) -> Result<ComposeOutcome
             break;
         }
         let decompose_span = pebble_obs::trace::span("compose:decompose");
-        let decomposition = decompose(dag, strategy);
+        let decomposition = decompose(dag, strategy, deadline);
         drop(decompose_span);
         // The whole DAG is always a candidate; the others only when they
-        // apply and split it.
+        // apply, split it and were built before the deadline.
         let Some(decomposition) =
             decomposition.filter(|d| strategy == Strategy::Whole || d.components.len() > 1)
         else {

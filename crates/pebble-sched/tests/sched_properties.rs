@@ -319,16 +319,16 @@ mod compose_reference {
         let budget = DEFAULT_EXACT_BUDGET;
         let mut caps = vec![(4 * r).max(2 * budget), (16 * r).max(4 * budget)];
         caps.dedup();
-        let mut candidates = vec![decompose(dag, Strategy::Whole).unwrap()];
-        candidates.extend(decompose(dag, Strategy::Wcc).filter(|d| d.components.len() > 1));
+        let mut candidates = vec![decompose(dag, Strategy::Whole, None).unwrap()];
+        candidates.extend(decompose(dag, Strategy::Wcc, None).filter(|d| d.components.len() > 1));
         for &cap in &caps {
             let cones = Strategy::SinkCones {
                 max_nodes: cap,
                 max_sinks: (3 * r / 4).max(1),
             };
-            candidates.extend(decompose(dag, cones).filter(|d| d.components.len() > 1));
+            candidates.extend(decompose(dag, cones, None).filter(|d| d.components.len() > 1));
             let bands = Strategy::LevelBands { max_nodes: cap };
-            candidates.extend(decompose(dag, bands).filter(|d| d.components.len() > 1));
+            candidates.extend(decompose(dag, bands, None).filter(|d| d.components.len() > 1));
         }
         let mut best: Option<Reference> = None;
         let mut composed: Option<usize> = None;

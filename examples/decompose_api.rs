@@ -24,7 +24,7 @@ fn main() {
     // --- Decomposition -------------------------------------------------
     // Bands of consecutive levels shatter the butterfly into independent
     // sub-FFT blocks — the structure the paper's blocked strategy uses.
-    let bands = decompose(&f.dag, Strategy::LevelBands { max_nodes: 4 * r })
+    let bands = decompose(&f.dag, Strategy::LevelBands { max_nodes: 4 * r }, None)
         .expect("level bands always apply");
     println!(
         "level bands (cap {}): {} components, largest {} nodes",
@@ -49,6 +49,7 @@ fn main() {
             max_nodes: 16 * r,
             max_sinks: 3 * r / 4,
         },
+        None,
     )
     .expect("matmul cones apply: every product feeds exactly one output");
     println!(
