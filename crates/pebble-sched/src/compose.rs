@@ -8,8 +8,14 @@
 //!    are tried in turn — the whole DAG, its weakly connected components,
 //!    then sink-cone tiles (where applicable) and level bands at a few size
 //!    caps. Each is built only when its turn comes.
-//! 2. **Schedule** each component on its extracted sub-DAG (members +
-//!    boundary inputs), dispatching components across scoped worker threads.
+//! 2. **Prune, then schedule.** A candidate is skipped before extraction
+//!    when none of its components is boundary-free and a linear count
+//!    (`stitch_lower_bound`: the loads and saves every stitch of it must
+//!    make) reaches the incumbent's cost: it could not be strictly cheaper.
+//!    Its composable bound is still evaluated. Otherwise each component is
+//!    scheduled on its extracted sub-DAG (members + boundary inputs), and
+//!    the components are dispatched across scoped worker threads; the
+//!    whole-DAG candidate is scheduled on the DAG itself, without a copy.
 //!    Each distinct sub-DAG is scheduled once per call: identical components
 //!    (the blocks of a blocked FFT, the tiles of a matmul) reuse its
 //!    schedule. The heuristic portfolio runs first (the greedy members,
@@ -24,7 +30,9 @@
 //!    eviction keeps the stitched trace valid: a deletion whose value still
 //!    has unmarked cross edges is upgraded to save-then-delete, and the
 //!    cache is flushed between components so every component starts from
-//!    the empty fast memory its sub-schedule assumed. The cheapest stitched
+//!    the empty fast memory its sub-schedule assumed. The whole-DAG
+//!    candidate needs no replay: its stitch is its trace followed by a
+//!    deletion of every node still red, in id order. The cheapest stitched
 //!    candidate wins.
 //!
 //! Every stitched trace is re-validated from scratch by the caller's
@@ -41,10 +49,13 @@
 //! [`ComposeConfig::deadline`] bounds the solve, measured from entry. It is
 //! checked before each candidate decomposition is built, between the bands
 //! and merge rounds of a level-band or sink-cone build (a build the deadline
-//! cuts off is skipped), before each distinct component, inside the portfolio's beam members (a cut beam
-//! greedy-completes its component, of at most 512 nodes) and in the exact
-//! phase (which keeps its validated seed). When it fires, the best
-//! candidate stitched so far is returned; with none, the solve fails with
+//! cuts off is skipped), between component extractions, before each
+//! distinct component, inside the portfolio's beam members (a cut beam
+//! greedy-completes its component, of at most 512 nodes), in the exact
+//! phase (which keeps its validated seed) and before each candidate's
+//! composable bound (a candidate stitched after the deadline still competes
+//! on cost, without a bound). When it fires, the best candidate stitched so
+//! far is returned; with none, the solve fails with
 //! [`ComposeError::DeadlineNoIncumbent`]. A deadline that never fires
 //! changes nothing: the answer is the one `deadline: None` gives. The
 //! certification after the solve is not covered by the deadline.
@@ -56,7 +67,7 @@ use crate::report::{certify_prbp_with_bounds, BoundSet, BoundValue, ScheduleRepo
 use crate::suite::{best_prbp_until, default_suite, validated_cost, Scheduler};
 use pebble_bounds::composed_prbp_bound;
 use pebble_dag::decompose::{decompose, Decomposition, ExtractedComponent, Strategy};
-use pebble_dag::{Dag, NodeId};
+use pebble_dag::{BitSet, Dag, NodeId};
 use pebble_game::engine::{self, EngineConfig};
 use pebble_game::exact::{self, LoadCountHeuristic};
 use pebble_game::moves::PrbpMove;
@@ -200,28 +211,6 @@ fn compose(dag: &Dag, r: usize, config: &ComposeConfig) -> Result<ComposeOutcome
     if r < 2 {
         return Err(ComposeError::SmallR { r });
     }
-    // Component size caps (members + boundary inputs) for the banded and
-    // tiled decompositions: 4r and 16r, floored by the exact budget.
-    // Saturating: a cache or budget too large for the caps leaves no cap.
-    let budget = config.exact_budget;
-    let mut caps = vec![
-        r.saturating_mul(4).max(budget.saturating_mul(2)),
-        r.saturating_mul(16).max(budget.saturating_mul(4)),
-    ];
-    caps.dedup();
-    let max_sinks = sink_cap(r);
-
-    // The candidate decompositions, in the order they are tried. Each is
-    // built only when its turn comes, after a deadline check.
-    let mut strategies = vec![Strategy::Whole, Strategy::Wcc];
-    for &max_nodes in &caps {
-        strategies.push(Strategy::SinkCones {
-            max_nodes,
-            max_sinks,
-        });
-        strategies.push(Strategy::LevelBands { max_nodes });
-    }
-
     let threads = if config.threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -234,7 +223,7 @@ fn compose(dag: &Dag, r: usize, config: &ComposeConfig) -> Result<ComposeOutcome
     let mut best: Option<(usize, PrbpTrace, Strategy, usize, usize)> = None;
     let mut composed_bound: Option<usize> = None;
     let mut memo = ScheduleMemo::new();
-    for strategy in strategies {
+    for strategy in candidates(r, config.exact_budget) {
         if expired(deadline) {
             break;
         }
@@ -248,39 +237,37 @@ fn compose(dag: &Dag, r: usize, config: &ComposeConfig) -> Result<ComposeOutcome
         else {
             continue;
         };
-        let Some(scheduled) =
+        let pruned = best
+            .as_ref()
+            .is_some_and(|&(cost, ..)| dominated(dag, &decomposition, cost));
+        if pruned {
+            obs::compose_candidate("pruned");
+            raise(
+                &mut composed_bound,
+                candidate_bound(dag, r, &decomposition, &[], deadline),
+            );
+            continue;
+        }
+        let scheduled = if strategy == Strategy::Whole {
+            schedule_whole(dag, r, config, deadline)
+        } else {
             schedule_decomposition(dag, r, &decomposition, config, threads, deadline, &mut memo)
-        else {
+        };
+        let Some(scheduled) = scheduled else {
             continue;
         };
+        obs::compose_candidate("scheduled");
         // The composable bound is admissible for every candidate partition,
-        // so the maximum over candidates is too. Components without any
-        // boundary contribute their exact optimum when one was proved. For
-        // the single-component candidate the formula degenerates to the
-        // global ladder the certification evaluates anyway, so only the
-        // exact case is taken from it.
-        let candidate_bound = if decomposition.components.len() > 1 {
-            let bound_span = pebble_obs::trace::span("compose:bound");
-            let bound = composed_prbp_bound(dag, PrbpConfig::new(r), &scheduled.partition);
-            drop(bound_span);
-            bound.map(|mut bound| {
-                for (i, comp) in decomposition.components.iter().enumerate() {
-                    if comp.inputs.is_empty() && comp.outputs.is_empty() {
-                        if let Some(exact) = scheduled.exact[i] {
-                            bound.per_component[i] = bound.per_component[i].max(exact);
-                        }
-                    }
-                }
-                bound.total()
-            })
+        // so the maximum over candidates is too. For the single-component
+        // candidate the formula degenerates to the global ladder the
+        // certification evaluates anyway, so only the exact case is taken
+        // from it.
+        let bound = if decomposition.components.len() > 1 {
+            candidate_bound(dag, r, &decomposition, &scheduled.exact, deadline)
         } else {
             scheduled.exact[0]
         };
-        if let Some(total) = candidate_bound {
-            if composed_bound.map_or(true, |b| total > b) {
-                composed_bound = Some(total);
-            }
-        }
+        raise(&mut composed_bound, bound);
         let exact_count = scheduled.exact.iter().filter(|e| e.is_some()).count();
         let better = best
             .as_ref()
@@ -305,6 +292,118 @@ fn compose(dag: &Dag, r: usize, config: &ComposeConfig) -> Result<ComposeOutcome
         exact_components,
         composed_bound,
     })
+}
+
+/// The candidate decompositions at cache size `r`, in the order they are
+/// tried: the whole DAG, its weak components, then sink-cone tiles and level
+/// bands at two size caps (members + boundary inputs), 4r and 16r, floored
+/// by the exact budget. Saturating: a cache or budget too large for the
+/// caps leaves no cap.
+fn candidates(r: usize, exact_budget: usize) -> Vec<Strategy> {
+    let mut caps = vec![
+        r.saturating_mul(4).max(exact_budget.saturating_mul(2)),
+        r.saturating_mul(16).max(exact_budget.saturating_mul(4)),
+    ];
+    caps.dedup();
+    let max_sinks = sink_cap(r);
+    let mut strategies = vec![Strategy::Whole, Strategy::Wcc];
+    for &max_nodes in &caps {
+        strategies.push(Strategy::SinkCones {
+            max_nodes,
+            max_sinks,
+        });
+        strategies.push(Strategy::LevelBands { max_nodes });
+    }
+    strategies
+}
+
+/// Whether `decomposition` cannot beat an incumbent of cost `incumbent`. Its
+/// stitched cost is at least [`stitch_lower_bound`], and only a strictly
+/// cheaper candidate replaces the incumbent, so one whose bound reaches the
+/// incumbent's cost cannot win. A decomposition with a boundary-free
+/// component is never dominated: that component's exact optimum may raise
+/// the composable bound.
+fn dominated(dag: &Dag, decomposition: &Decomposition, incumbent: usize) -> bool {
+    decomposition
+        .components
+        .iter()
+        .all(|c| !c.inputs.is_empty() || !c.outputs.is_empty())
+        && stitch_lower_bound(dag, decomposition) >= incumbent
+}
+
+/// Raise `bound` to `candidate` when that is higher.
+fn raise(bound: &mut Option<usize>, candidate: Option<usize>) {
+    if let Some(total) = candidate {
+        if bound.map_or(true, |b| total > b) {
+            *bound = Some(total);
+        }
+    }
+}
+
+/// The composable bound of a multi-component candidate. Components without
+/// any boundary contribute their exact optimum when `exact` (per component,
+/// empty for a candidate that was not scheduled) holds one. `None` once the
+/// deadline has passed: the bound is linear in the DAG and is not started
+/// then.
+fn candidate_bound(
+    dag: &Dag,
+    r: usize,
+    decomposition: &Decomposition,
+    exact: &[Option<usize>],
+    deadline: Option<Instant>,
+) -> Option<usize> {
+    if expired(deadline) {
+        return None;
+    }
+    let _span = pebble_obs::trace::span("compose:bound");
+    let partition: Vec<Vec<NodeId>> = decomposition
+        .components
+        .iter()
+        .map(|c| c.nodes.clone())
+        .collect();
+    let mut bound = composed_prbp_bound(dag, PrbpConfig::new(r), &partition)?;
+    for (i, comp) in decomposition.components.iter().enumerate() {
+        if comp.inputs.is_empty() && comp.outputs.is_empty() {
+            if let Some(&Some(exact)) = exact.get(i) {
+                bound.per_component[i] = bound.per_component[i].max(exact);
+            }
+        }
+    }
+    Some(bound.total())
+}
+
+/// A lower bound on the stitched cost of `decomposition`, in O(n + m). The
+/// stitch flushes the cache between components, so within a component's
+/// segment
+/// - every boundary input is loaded;
+/// - every member source with a successor in the same component is loaded
+///   (a member source whose successors all lie elsewhere is a boundary
+///   input of those components and is counted there);
+/// - every computed member that is a sink or has a cross out-edge is saved:
+///   no later segment starts with it red.
+///
+/// These are distinct I/Os, so their count bounds the stitched cost.
+fn stitch_lower_bound(dag: &Dag, decomposition: &Decomposition) -> usize {
+    let mut owner = vec![usize::MAX; dag.node_count()];
+    for (i, comp) in decomposition.components.iter().enumerate() {
+        for &v in &comp.nodes {
+            owner[v.index()] = i;
+        }
+    }
+    let mut bound = 0;
+    for (i, comp) in decomposition.components.iter().enumerate() {
+        bound += comp.inputs.len();
+        for &v in &comp.nodes {
+            let mut succ = dag.successors(v);
+            let charged = if dag.is_source(v) {
+                succ.any(|w| owner[w.index()] == i)
+            } else {
+                dag.is_sink(v) || succ.any(|w| owner[w.index()] != i)
+            };
+            bound += usize::from(charged);
+        }
+    }
+    bound
 }
 
 /// The sinks a tile may hold at cache size `r`. A tile's unsaved sinks are
@@ -351,8 +450,6 @@ struct ScheduledDecomposition {
     cost: usize,
     /// Per-component exact optimum, when the component was solved optimally.
     exact: Vec<Option<usize>>,
-    /// Member lists, for the composable bound.
-    partition: Vec<Vec<NodeId>>,
 }
 
 fn schedule_decomposition(
@@ -365,16 +462,15 @@ fn schedule_decomposition(
     memo: &mut ScheduleMemo,
 ) -> Option<ScheduledDecomposition> {
     // Extracting and keying the components is linear in the DAG, so a
-    // deadline that fired while the decomposition was built stops here.
-    if expired(deadline) {
-        return None;
-    }
+    // deadline that fires before or during the extractions stops here.
     let extract_span = pebble_obs::trace::span("compose:extract");
-    let extracted: Vec<ExtractedComponent> = decomposition
-        .components
-        .iter()
-        .map(|c| pebble_dag::decompose::extract_component(dag, c))
-        .collect();
+    let mut extracted = Vec::with_capacity(decomposition.components.len());
+    for component in &decomposition.components {
+        if expired(deadline) {
+            return None;
+        }
+        extracted.push(pebble_dag::decompose::extract_component(dag, component));
+    }
     drop(extract_span);
     let key_span = pebble_obs::trace::span("compose:key");
     let keys: Vec<ComponentKey> = extracted.iter().map(|c| component_key(&c.dag)).collect();
@@ -398,7 +494,7 @@ fn schedule_decomposition(
                 return None;
             }
             let _span = pebble_obs::trace::span("compose:component");
-            schedule_component(sub, r, config, deadline)
+            schedule_component(&sub.dag, r, config, deadline)
         },
     );
     drop(components_span);
@@ -424,12 +520,66 @@ fn schedule_decomposition(
         trace,
         cost,
         exact: schedules.iter().map(|s| s.exact).collect(),
-        partition: decomposition
-            .components
-            .iter()
-            .map(|c| c.nodes.clone())
-            .collect(),
     })
+}
+
+/// The `Whole` candidate, scheduled on `dag` itself: no extracted copy, no
+/// key and no memo entry, since no other candidate holds the whole DAG.
+fn schedule_whole(
+    dag: &Dag,
+    r: usize,
+    config: &ComposeConfig,
+    deadline: Option<Instant>,
+) -> Option<ScheduledDecomposition> {
+    if expired(deadline) {
+        return None;
+    }
+    let schedule = {
+        let _components_span = pebble_obs::trace::span("compose:components");
+        let _component_span = pebble_obs::trace::span("compose:component");
+        schedule_component(dag, r, config, deadline)?
+    };
+    obs::compose_components([schedule.outcome]);
+    let _stitch_span = pebble_obs::trace::span("compose:stitch");
+    let (trace, cost) = stitch_whole(dag, schedule.trace);
+    Some(ScheduledDecomposition {
+        trace,
+        cost,
+        exact: vec![schedule.exact],
+    })
+}
+
+/// [`stitch`] of a single component holding the whole DAG: its validated,
+/// terminal trace followed by a `Delete` of every node still red, in id
+/// order, and the trace's I/O cost. A terminal state has every edge marked
+/// and every sink blue, so each such pebble is light red or a dead dark red
+/// and the stitch's eviction would delete it without a save; no move of a
+/// valid trace is rewritten either, so the result equals the replay's.
+fn stitch_whole(dag: &Dag, mut trace: PrbpTrace) -> (PrbpTrace, usize) {
+    let mut red = BitSet::new(dag.node_count());
+    let mut cost = 0;
+    for &mv in &trace.moves {
+        match mv {
+            PrbpMove::Load(v) => {
+                red.insert(v.index());
+                cost += 1;
+            }
+            PrbpMove::Save(_) => cost += 1,
+            PrbpMove::PartialCompute { to, .. } => {
+                red.insert(to.index());
+            }
+            PrbpMove::Delete(v) => {
+                red.remove(v.index());
+            }
+            PrbpMove::Clear(_) => {
+                unreachable!("compose schedules the standard one-shot game")
+            }
+        }
+    }
+    for v in red.iter() {
+        trace.push(PrbpMove::Delete(NodeId::from_index(v)));
+    }
+    (trace, cost)
 }
 
 /// Largest component, in nodes, on which the portfolio also runs the beams.
@@ -455,7 +605,7 @@ pub(crate) fn component_suite(dag: &Dag) -> Vec<Scheduler> {
     suite
 }
 
-/// Schedule one extracted component.
+/// Schedule one component: an extracted sub-DAG, or the whole DAG.
 ///
 /// Heuristics run first: a heuristic schedule meeting the admissible
 /// load-count bound is already provably optimal, which skips the exponential
@@ -463,12 +613,11 @@ pub(crate) fn component_suite(dag: &Dag) -> Vec<Scheduler> {
 /// a decomposition with hundreds of tiny star-shaped pieces would otherwise
 /// burn a capped A* search per piece just to reconfirm the greedy result.
 fn schedule_component(
-    sub: &ExtractedComponent,
+    dag: &Dag,
     r: usize,
     config: &ComposeConfig,
     deadline: Option<Instant>,
 ) -> Option<ComponentSchedule> {
-    let dag = &sub.dag;
     let config_prbp = PrbpConfig::new(r);
     let lower = exact::prbp_initial_bound(dag, config_prbp, &LoadCountHeuristic);
     let mut best: Option<(PrbpTrace, usize)> =
@@ -643,7 +792,11 @@ fn par_map<I: Send, T: Send>(
 mod tests {
     use super::*;
     use crate::suite::best_prbp;
-    use pebble_dag::generators::{binary_tree, fft, fig1_full, matmul};
+    use pebble_dag::decompose::{extract_component, Component};
+    use pebble_dag::generators::{
+        attention_full, attention_qk, binary_tree, fft, fig1_full, kary_tree, matmul,
+        random_layered, RandomLayeredConfig,
+    };
     use pebble_dag::DagBuilder;
 
     fn optimum(dag: &Dag, r: usize) -> usize {
@@ -694,6 +847,211 @@ mod tests {
         }
     }
 
+    fn counter(name: &str, outcome: &str) -> u64 {
+        pebble_obs::metrics::Registry::global()
+            .counter(name, "", &[("outcome", outcome)])
+            .get()
+    }
+
+    /// The soundness corpus: fft 4–256, matmul 2³–8³, attention, trees and
+    /// 40 seeded random layered DAGs. Debug builds keep the rows of at most
+    /// fft-64's size.
+    fn bound_corpus() -> Vec<(String, Dag)> {
+        let mut rows: Vec<(String, Dag)> = Vec::new();
+        for m in [4usize, 8, 16, 32, 64, 128, 256] {
+            rows.push((format!("fft-{m}"), fft(m).dag));
+        }
+        for m in 2..=8 {
+            rows.push((format!("matmul-{m}"), matmul(m, m, m).dag));
+        }
+        for (m, d) in [(4usize, 4usize), (8, 4), (8, 8)] {
+            rows.push((format!("attention-qk-{m}x{d}"), attention_qk(m, d).dag));
+        }
+        for (m, d) in [(4usize, 2usize), (8, 4), (24, 8)] {
+            rows.push((format!("attention-full-{m}x{d}"), attention_full(m, d).dag));
+        }
+        for depth in 2..=6 {
+            rows.push((format!("binary-tree-{depth}"), binary_tree(depth)));
+        }
+        rows.push(("ternary-tree-4".to_string(), kary_tree(3, 4).dag));
+        for seed in 0..40u64 {
+            let dag = random_layered(RandomLayeredConfig {
+                layers: 3 + seed as usize % 6,
+                width: 4 + seed as usize % 9,
+                max_in_degree: 1 + seed as usize % 4,
+                seed,
+            });
+            rows.push((format!("random-{seed}"), dag));
+        }
+        let largest = fft(64).dag.node_count();
+        rows.retain(|(_, dag)| !cfg!(debug_assertions) || dag.node_count() <= largest);
+        rows
+    }
+
+    #[test]
+    fn the_stitch_bound_never_exceeds_a_stitched_cost() {
+        // The bound holds for any stitched schedule, so a small exact search
+        // keeps the sweep short.
+        let config = ComposeConfig {
+            exact_max_states: 2_000,
+            threads: 1,
+            ..ComposeConfig::default()
+        };
+        for (name, dag) in bound_corpus() {
+            for r in [2usize, 3, 4, 8, 16, 64] {
+                let mut memo = ScheduleMemo::new();
+                for strategy in candidates(r, config.exact_budget) {
+                    let Some(decomposition) = decompose(&dag, strategy, None) else {
+                        continue;
+                    };
+                    let scheduled = if strategy == Strategy::Whole {
+                        schedule_whole(&dag, r, &config, None)
+                    } else {
+                        schedule_decomposition(&dag, r, &decomposition, &config, 1, None, &mut memo)
+                    };
+                    let cost = scheduled.unwrap().cost;
+                    let bound = stitch_lower_bound(&dag, &decomposition);
+                    assert!(bound <= cost, "{name} r={r} {strategy}: {bound} > {cost}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_stitch_bound_is_tight_on_a_hand_built_cut() {
+        // Component A holds x -> y -> z and the source s; s and y feed b in
+        // component B. The stitch loads x, saves z and y in A, then loads y
+        // and s and saves b in B: 6 I/Os. The source s is loaded only in B,
+        // and y, read in both components, is saved once.
+        let mut b = DagBuilder::new();
+        let [x, y, z, s, sink] = [0, 1, 2, 3, 4].map(|_| b.add_node());
+        for (u, v) in [(x, y), (y, z), (y, sink), (s, sink)] {
+            b.add_edge(u, v);
+        }
+        let dag = b.build().unwrap();
+        let a = Component {
+            nodes: vec![x, y, z, s],
+            inputs: vec![],
+            outputs: vec![y, s],
+        };
+        let bb = Component {
+            nodes: vec![sink],
+            inputs: vec![y, s],
+            outputs: vec![],
+        };
+        let decomposition = Decomposition {
+            strategy: Strategy::LevelBands { max_nodes: 4 },
+            components: vec![a, bb.clone()],
+        };
+        // Component A as scheduled: s has no edge inside it, so its sub-DAG
+        // is the chain x -> y -> z alone.
+        let mut sub = DagBuilder::new();
+        let local = sub.add_nodes(3);
+        sub.add_edge(local[0], local[1]);
+        sub.add_edge(local[1], local[2]);
+        let extracted = [
+            ExtractedComponent {
+                dag: sub.build().unwrap(),
+                to_global: vec![x, y, z],
+            },
+            extract_component(&dag, &bb),
+        ];
+        let r = 3;
+        let traces: Vec<PrbpTrace> = extracted
+            .iter()
+            .map(|c| best_prbp(&c.dag, r, &default_suite()).unwrap().1)
+            .collect();
+        let (trace, cost) = stitch(&dag, r, &extracted, &traces.iter().collect::<Vec<_>>());
+        assert_eq!(trace.validate(&dag, PrbpConfig::new(r)), Ok(6));
+        assert_eq!(cost, 6);
+        assert_eq!(stitch_lower_bound(&dag, &decomposition), 6);
+    }
+
+    #[test]
+    fn whole_in_place_equals_the_stitch_of_its_extracted_copy() {
+        let config = ComposeConfig::default();
+        let whole_copy = |dag: &Dag| {
+            extract_component(
+                dag,
+                &decompose(dag, Strategy::Whole, None).unwrap().components[0],
+            )
+        };
+        let mut rows: Vec<(Dag, usize)> = vec![
+            (fig1_full().dag, 3),
+            (fig1_full().dag, 4),
+            (fft(8).dag, 3),
+            (fft(32).dag, 8),
+            (matmul(3, 3, 3).dag, 4),
+            (attention_qk(4, 4).dag, 6),
+            (binary_tree(4), 3),
+        ];
+        for seed in 0..6 {
+            let dag = random_layered(RandomLayeredConfig {
+                seed,
+                ..RandomLayeredConfig::default()
+            });
+            rows.push((dag, 2 + seed as usize));
+        }
+        let mut exact_rows = 0;
+        for (dag, r) in rows {
+            // The copy lists the edges grouped by target, as fft, trees and
+            // attention-qk already do; then it is the DAG itself, and the
+            // in-place schedule is the one the copy gets. Other edge orders
+            // are taken as given, so each row starts from its copy.
+            let dag = whole_copy(&dag).dag;
+            let copy = whole_copy(&dag);
+            assert!(dag
+                .edges()
+                .all(|e| dag.edge_endpoints(e) == copy.dag.edge_endpoints(e)));
+            let schedule = schedule_component(&copy.dag, r, &config, None).unwrap();
+            exact_rows += usize::from(schedule.outcome == ComponentOutcome::Exact);
+            let stitched = stitch(&dag, r, &[copy], &[&schedule.trace]);
+            let in_place = schedule_whole(&dag, r, &config, None).unwrap();
+            assert_eq!((in_place.trace, in_place.cost), stitched, "r = {r}");
+            assert_eq!(in_place.exact, [schedule.exact]);
+        }
+        // At least one row went through the exact engine.
+        assert!(exact_rows >= 1);
+    }
+
+    #[test]
+    fn a_candidate_at_the_incumbents_cost_is_dominated() {
+        let dag = fft(16).dag;
+        let bands = decompose(&dag, Strategy::LevelBands { max_nodes: 16 }, None).unwrap();
+        assert!(bands.components.len() > 1);
+        let bound = stitch_lower_bound(&dag, &bands);
+        assert!(dominated(&dag, &bands, bound));
+        assert!(!dominated(&dag, &bands, bound + 1));
+        // A boundary-free component is never pruned: two disjoint chains.
+        let mut b = DagBuilder::new();
+        let n = b.add_nodes(4);
+        b.add_edge(n[0], n[1]);
+        b.add_edge(n[2], n[3]);
+        let forest = b.build().unwrap();
+        let wcc = decompose(&forest, Strategy::Wcc, None).unwrap();
+        assert_eq!(stitch_lower_bound(&forest, &wcc), 4);
+        assert!(!dominated(&forest, &wcc, 0));
+    }
+
+    #[test]
+    fn compose_prunes_dominated_candidates_on_attention() {
+        let pruned_before = counter("compose_candidates_total", "pruned");
+        let scheduled_before = counter("compose_candidates_total", "scheduled");
+        let outcome = compose_prbp(&attention_full(24, 8).dag, 16, &ComposeConfig::default());
+        assert!(outcome.is_some());
+        assert!(counter("compose_candidates_total", "pruned") >= pruned_before + 2);
+        assert!(counter("compose_candidates_total", "scheduled") > scheduled_before);
+    }
+
+    #[test]
+    fn a_passed_deadline_starts_no_composed_bound() {
+        let dag = fft(16).dag;
+        let bands = decompose(&dag, Strategy::LevelBands { max_nodes: 16 }, None).unwrap();
+        assert!(candidate_bound(&dag, 4, &bands, &[], None).is_some());
+        let passed = Some(Instant::now());
+        assert_eq!(candidate_bound(&dag, 4, &bands, &[], passed), None);
+    }
+
     #[test]
     fn compose_solves_disconnected_instances_per_component() {
         // Two disjoint copies of a small tree: each weak component is
@@ -709,11 +1067,7 @@ mod tests {
         }
         let dag = b.build().unwrap();
         let r = 3;
-        let reused = || {
-            pebble_obs::metrics::Registry::global()
-                .counter("compose_components_total", "", &[("outcome", "reused")])
-                .get()
-        };
+        let reused = || counter("compose_components_total", "reused");
         let reused_before = reused();
         let outcome = compose_prbp(&dag, r, &ComposeConfig::default()).unwrap();
         let opt = optimum(&dag, r);

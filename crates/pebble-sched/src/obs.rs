@@ -1,8 +1,9 @@
 //! The scheduler's hook into the `pebble-obs` metrics registry: which
-//! portfolio family wins, and how compose obtained each component's
-//! schedule. Both are labelled by small fixed sets, so cardinality stays
-//! bounded; both are recorded once per portfolio sweep or per decomposition,
-//! never inside a scheduler's loop.
+//! portfolio family wins, how compose obtained each component's schedule,
+//! and which compose candidates were scheduled or pruned. All are labelled
+//! by small fixed sets, so cardinality stays bounded; all are recorded once
+//! per portfolio sweep, decomposition or candidate, never inside a
+//! scheduler's loop.
 
 use pebble_obs::metrics::Registry;
 
@@ -65,4 +66,16 @@ pub(crate) fn compose_components(outcomes: impl IntoIterator<Item = ComponentOut
                 .add(n);
         }
     }
+}
+
+/// Count one compose candidate decomposition: `scheduled` and stitched, or
+/// `pruned` because its stitched-cost bound reached the incumbent's cost.
+pub(crate) fn compose_candidate(outcome: &'static str) {
+    Registry::global()
+        .counter(
+            "compose_candidates_total",
+            "Compose candidate decompositions, scheduled or pruned by the stitched-cost bound",
+            &[("outcome", outcome)],
+        )
+        .inc();
 }
