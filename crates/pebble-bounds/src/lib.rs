@@ -12,10 +12,11 @@
 //!   corresponding partitions: Hong–Kung for RBP, Lemma 6.4 (edge partition)
 //!   and Lemma 6.8 (dominator partition) for PRBP, together with the
 //!   `OPT ≥ r·(MIN(2r) − 1)` bounds (Theorems 6.5 and 6.7).
-//! * [`compose`] — composable lower bounds: per-component admissible bounds
-//!   summed with boundary-credit corrections, admissible for *any* node
-//!   partition; the certification counterpart of decomposition-based
-//!   scheduling.
+//! * [`compose`] — the composable lower bound: per-component load-count
+//!   bounds summed with boundary-credit corrections, admissible for *any*
+//!   node partition. It reduces to a linear count of each part's sources
+//!   and sinks, so it never exceeds the whole DAG's load-count; it is the
+//!   certification counterpart of decomposition-based scheduling.
 //! * [`counterexample`] — the Lemma 5.4 analysis showing that the classic
 //!   S-partition bound fails for PRBP.
 //! * [`analytic`] — closed-form lower bounds for FFT (Theorem 6.9), matrix
@@ -36,6 +37,6 @@ pub mod s_edge_partition;
 pub mod s_partition;
 pub mod terminal;
 
-pub use compose::{composed_prbp_bound, composed_rbp_bound, ComposedBound};
+pub use compose::{composed_prbp_bound, ComposedBound};
 pub use s_edge_partition::SEdgePartition;
 pub use s_partition::{SDominatorPartition, SPartition};

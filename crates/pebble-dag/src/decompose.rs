@@ -564,6 +564,7 @@ pub struct ExtractedComponent {
 /// cross edges from boundary inputs alike — so a valid pebbling of the
 /// sub-DAG marks exactly the member in-edges of the original DAG. Edges are
 /// inserted grouped by target member in ascending order (deterministic).
+/// Labels are not copied: the sub-DAG's nodes are unlabelled.
 pub fn extract_component(dag: &Dag, component: &Component) -> ExtractedComponent {
     let mut to_global: Vec<NodeId> = component
         .inputs
@@ -573,8 +574,8 @@ pub fn extract_component(dag: &Dag, component: &Component) -> ExtractedComponent
         .collect();
     to_global.sort();
     let mut b = DagBuilder::new();
-    for &g in &to_global {
-        b.add_labeled_node(dag.label(g));
+    for _ in &to_global {
+        b.add_node();
     }
     for &v in &component.nodes {
         let lv = local(&to_global, v);
@@ -587,77 +588,6 @@ pub fn extract_component(dag: &Dag, component: &Component) -> ExtractedComponent
         dag: sub,
         to_global,
     }
-}
-
-/// The member-induced *internal* sub-DAG of a component: members only,
-/// edges with both endpoints inside, nodes left isolated by the restriction
-/// dropped. Returns `None` when no internal edge survives. Used by the
-/// composable lower bounds of `pebble-bounds`.
-#[derive(Debug, Clone)]
-pub struct InternalSubDag {
-    /// The internal sub-DAG.
-    pub dag: Dag,
-    /// Global id of each local node, ascending.
-    pub to_global: Vec<NodeId>,
-    /// Members kept that have no internal in-edge but at least one global
-    /// in-edge ("fake sources": really computed from values outside the
-    /// component).
-    pub fake_sources: usize,
-    /// Members kept that have no internal out-edge but at least one global
-    /// out-edge ("fake sinks": their value crosses the boundary and the
-    /// surrounding schedule need not save it).
-    pub fake_sinks: usize,
-}
-
-/// Build the internal sub-DAG of `members` (sorted ascending).
-pub fn extract_internal(dag: &Dag, members: &[NodeId]) -> Option<InternalSubDag> {
-    let mut in_set = dag.node_set();
-    for &v in members {
-        in_set.insert(v.index());
-    }
-    let keep: Vec<NodeId> = members
-        .iter()
-        .copied()
-        .filter(|&v| {
-            dag.predecessors(v).any(|u| in_set.contains(u.index()))
-                || dag.successors(v).any(|w| in_set.contains(w.index()))
-        })
-        .collect();
-    if keep.is_empty() {
-        return None;
-    }
-    let mut b = DagBuilder::new();
-    for &g in &keep {
-        b.add_labeled_node(dag.label(g));
-    }
-    let mut fake_sources = 0;
-    let mut fake_sinks = 0;
-    for (lv, &v) in keep.iter().enumerate() {
-        let mut internal_in = 0;
-        for &(u, _) in dag.in_edges(v) {
-            if in_set.contains(u.index()) {
-                b.add_edge(local(&keep, u), NodeId::from_index(lv));
-                internal_in += 1;
-            }
-        }
-        if internal_in == 0 && dag.in_degree(v) > 0 {
-            fake_sources += 1;
-        }
-        let internal_out = dag
-            .successors(v)
-            .filter(|w| in_set.contains(w.index()))
-            .count();
-        if internal_out == 0 && dag.out_degree(v) > 0 {
-            fake_sinks += 1;
-        }
-    }
-    let sub = b.build().expect("internal extraction preserves validity");
-    Some(InternalSubDag {
-        dag: sub,
-        to_global: keep,
-        fake_sources,
-        fake_sinks,
-    })
 }
 
 /// The local id of `v` in an extraction whose ascending `to_global` lists
@@ -920,6 +850,7 @@ mod tests {
     #[test]
     fn extraction_roundtrips_structure() {
         let f = fft(16).dag;
+        assert!(f.nodes().all(|v| !f.label(v).is_empty()));
         let d = decompose(&f, Strategy::LevelBands { max_nodes: 24 }, None).unwrap();
         let mut member_edges = 0;
         for c in &d.components {
@@ -936,25 +867,11 @@ mod tests {
             }
             // Local order preserves global order.
             assert!(ex.to_global.windows(2).all(|w| w[0] < w[1]));
+            // Labels are not copied.
+            assert!(ex.dag.nodes().all(|v| ex.dag.label(v).is_empty()));
         }
         // Sources have no in-edges, so member in-edges cover every edge.
         assert_eq!(member_edges, f.edge_count());
-    }
-
-    #[test]
-    fn internal_extraction_counts_fakes() {
-        let f = fft(16).dag;
-        let d = decompose(&f, Strategy::LevelBands { max_nodes: 24 }, None).unwrap();
-        // A non-first band's pieces are computed from boundary values: every
-        // kept node with no internal in-edge is a fake source.
-        let later = d
-            .components
-            .iter()
-            .find(|c| !c.inputs.is_empty())
-            .expect("fft bands have boundaries");
-        let internal = extract_internal(&f, &later.nodes).unwrap();
-        assert!(internal.fake_sources > 0);
-        assert!(internal.dag.node_count() <= later.nodes.len());
     }
 
     #[test]

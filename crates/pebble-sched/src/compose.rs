@@ -37,12 +37,13 @@
 //!
 //! Every stitched trace is re-validated from scratch by the caller's
 //! certification, and the winning cost is paired with the composable lower
-//! bound of `pebble-bounds` (plus per-component exact optima where
-//! components are boundary-free), so structure-aware runs certify *tighter*
-//! gaps, not just lower costs. [`compose_certified`] is that whole path in
-//! one call: the single certified solve behind `prbp schedule
-//! --deadline-ms` and `--scheduler compose`, cold `serve` requests and
-//! `prbp warm`.
+//! bound of `pebble-bounds`, with per-component exact optima where
+//! components are boundary-free. That bound is a linear count that never
+//! exceeds load-count, so the `compose` ladder entry rises above load-count
+//! only through the exact optima of boundary-free components.
+//! [`compose_certified`] is that whole path in one call: the single
+//! certified solve behind `prbp schedule --deadline-ms` and `--scheduler
+//! compose`, cold `serve` requests and `prbp warm`.
 //!
 //! ## Deadline contract
 //!

@@ -10,7 +10,7 @@
 //!   instances (whole-instance exact scheduling below the node budget);
 //! * the composable decomposition bound of `pebble-bounds` is admissible for
 //!   *arbitrary* node partitions — including disconnected, non-convex ones —
-//!   exercising the boundary-credit accounting adversarially;
+//!   and never exceeds the whole DAG's load-count bound;
 //! * `Scheduler`/`OrderKind` display names round-trip through
 //!   `FromStr` (including the `compose` variants) and unknown names are
 //!   rejected instead of misparsed.
@@ -25,7 +25,7 @@ use pebble_bounds::composed_prbp_bound;
 use pebble_dag::generators::{random_layered, RandomLayeredConfig};
 use pebble_dag::{Dag, DagBuilder, NodeId};
 use pebble_game::engine::{solve_prbp, EngineConfig};
-use pebble_game::exact::LoadCountHeuristic;
+use pebble_game::exact::{prbp_initial_bound, LoadCountHeuristic};
 use pebble_game::prbp::PrbpConfig;
 use pebble_sched::{
     certify_prbp, compose_prbp, default_suite, ComposeConfig, OrderKind, Scheduler,
@@ -189,7 +189,8 @@ proptest! {
     }
 
     /// The composable bound is admissible for arbitrary node partitions —
-    /// the adversarial check on the fake-source/fake-sink credit accounting.
+    /// the adversarial check on the fake-source/fake-sink credit accounting —
+    /// and never exceeds load-count.
     #[test]
     fn composed_bound_is_admissible_for_any_partition(
         dag in small_layered(),
@@ -213,6 +214,14 @@ proptest! {
             prop_assert!(
                 bound.total() <= opt,
                 "composed bound {} exceeds optimum {opt} (parts {:?})",
+                bound.total(), parts
+            );
+            // Without raised entries it is a count of sources and sinks,
+            // each at most once: never above the whole DAG's load-count.
+            let load_count = prbp_initial_bound(&dag, PrbpConfig::new(r), &LoadCountHeuristic);
+            prop_assert!(
+                bound.total() <= load_count,
+                "composed bound {} exceeds load-count {load_count} (parts {:?})",
                 bound.total(), parts
             );
         }
