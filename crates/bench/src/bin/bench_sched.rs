@@ -5,27 +5,29 @@
 //! ```
 //!
 //! Sweeps the E16 scheduling corpus through the full `pebble-sched`
-//! portfolio, writes the results as JSON to `--out` (default
-//! `BENCH_sched.json` in the current directory) and, when `--check` names a
-//! committed baseline, exits nonzero on *any* difference: scheduler costs
-//! are deterministic — id-ordered tie-breaks, no randomness, no
-//! wall-clock in the document — so the gate is exact and machine
-//! independent. Refresh the committed baseline by re-running this binary and
-//! committing the file whenever scheduler behaviour changes intentionally.
+//! portfolio and writes the results as JSON to `--out` (default
+//! `BENCH_sched.json` in the current directory). When `--check` names a
+//! committed baseline, the results are written only to an explicit `--out`
+//! (which must not be the baseline itself), and the run exits nonzero on
+//! *any* difference: scheduler costs are deterministic — id-ordered
+//! tie-breaks, no randomness, no wall-clock in the document — so the gate
+//! is exact and machine independent. Refresh the committed baseline by
+//! re-running this binary without `--check` and committing the file
+//! whenever scheduler behaviour changes intentionally.
 
 use bench::sched_baseline::{self, SchedBaseline};
 use std::process::ExitCode;
 
 struct Args {
     threads: usize,
-    out: String,
+    out: Option<String>,
     check: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         threads: pebble_experiments::runner::default_threads(),
-        out: "BENCH_sched.json".to_string(),
+        out: None,
         check: None,
     };
     let mut it = std::env::args().skip(1);
@@ -37,7 +39,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--threads: {e}"))?
             }
-            "--out" => args.out = value("--out")?,
+            "--out" => args.out = Some(value("--out")?),
             "--check" => args.check = Some(value("--check")?),
             other => return Err(format!("unknown flag {other}")),
         }
@@ -53,8 +55,17 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Read the gate baseline before any measurement is written (see
-    // `bench::load_baseline`).
+    let out = match bench::output_path(
+        args.out.as_deref(),
+        args.check.as_deref(),
+        "BENCH_sched.json",
+    ) {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("bench_sched: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let baseline: Option<SchedBaseline> = match &args.check {
         None => None,
         Some(check_path) => match bench::load_baseline("bench_sched", check_path) {
@@ -72,12 +83,10 @@ fn main() -> ExitCode {
     );
     let current = sched_baseline::run(args.threads);
 
-    let json = serde_json::to_string(&current).expect("baseline serialises");
-    if let Err(e) = std::fs::write(&args.out, json + "\n") {
-        eprintln!("bench_sched: cannot write {}: {e}", args.out);
+    if let Err(e) = bench::write_measurement("bench_sched", out.as_deref(), &current) {
+        eprintln!("{e}");
         return ExitCode::FAILURE;
     }
-    eprintln!("bench_sched: wrote {}", args.out);
 
     let (Some(baseline), Some(check_path)) = (baseline, args.check) else {
         return ExitCode::SUCCESS;

@@ -6,17 +6,19 @@
 //!               [--no-time-gate]
 //! ```
 //!
-//! Runs the E1–E9 solver corpus with every heuristic, writes the results as
-//! JSON to `--out` (default `BENCH_solvers.json` in the current directory),
-//! and, when `--check` names a committed baseline, exits nonzero if the
-//! expanded-state count of any (instance, heuristic) pair regressed by more
-//! than `--tolerance` percent (default 25) or its median solver time by more
-//! than `--time-tolerance` percent (default 100). Expanded-state counts are
-//! deterministic and hardware-independent — the precise gate; wall-clock is
-//! a loose backstop, only gated above a 5 ms noise floor, and only
-//! meaningful when the baseline was produced on comparable hardware — pass
-//! `--no-time-gate` to skip it entirely (what CI does: its runners are a
-//! different machine class than whoever committed the baseline).
+//! Runs the E1–E9 solver corpus with every heuristic and writes the results
+//! as JSON to `--out` (default `BENCH_solvers.json` in the current
+//! directory). When `--check` names a committed baseline, the results are
+//! written only to an explicit `--out` (which must not be the baseline
+//! itself), and the run exits nonzero if the expanded-state count of any
+//! (instance, heuristic) pair regressed by more than `--tolerance` percent
+//! (default 25) or its median solver time by more than `--time-tolerance`
+//! percent (default 100). Expanded-state counts are deterministic and
+//! hardware-independent — the precise gate; wall-clock is a loose backstop,
+//! only gated above a 5 ms noise floor, and only meaningful when the
+//! baseline was produced on comparable hardware — pass `--no-time-gate` to
+//! skip it entirely (what CI does: its runners are a different machine class
+//! than whoever committed the baseline).
 
 use bench::solver_baseline::{self, SolverBaseline};
 use std::process::ExitCode;
@@ -25,7 +27,7 @@ struct Args {
     quick: bool,
     reps: Option<usize>,
     threads: usize,
-    out: String,
+    out: Option<String>,
     check: Option<String>,
     tolerance: u64,
     time_tolerance: Option<u64>,
@@ -36,7 +38,7 @@ fn parse_args() -> Result<Args, String> {
         quick: false,
         reps: None,
         threads: pebble_experiments::runner::default_threads(),
-        out: "BENCH_solvers.json".to_string(),
+        out: None,
         check: None,
         tolerance: 25,
         time_tolerance: Some(100),
@@ -58,7 +60,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--threads: {e}"))?
             }
-            "--out" => args.out = value("--out")?,
+            "--out" => args.out = Some(value("--out")?),
             "--check" => args.check = Some(value("--check")?),
             "--tolerance" => {
                 args.tolerance = value("--tolerance")?
@@ -93,8 +95,17 @@ fn main() -> ExitCode {
         ("full", args.reps.unwrap_or(9))
     };
 
-    // Read the gate baseline before any measurement is written (see
-    // `bench::load_baseline`).
+    let out = match bench::output_path(
+        args.out.as_deref(),
+        args.check.as_deref(),
+        "BENCH_solvers.json",
+    ) {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("bench_solvers: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let baseline: Option<SolverBaseline> = match &args.check {
         None => None,
         Some(check_path) => match bench::load_baseline("bench_solvers", check_path) {
@@ -114,12 +125,10 @@ fn main() -> ExitCode {
     );
     let current = solver_baseline::run(mode, reps, args.threads);
 
-    let json = serde_json::to_string(&current).expect("baseline serialises");
-    if let Err(e) = std::fs::write(&args.out, json + "\n") {
-        eprintln!("bench_solvers: cannot write {}: {e}", args.out);
+    if let Err(e) = bench::write_measurement("bench_solvers", out.as_deref(), &current) {
+        eprintln!("{e}");
         return ExitCode::FAILURE;
     }
-    eprintln!("bench_solvers: wrote {}", args.out);
 
     for inst in &current.instances {
         let zero = inst

@@ -90,25 +90,21 @@ pub fn measure(inst: &SchedInstance) -> InstanceResult {
 /// Sweep the whole corpus across `threads` workers and assemble the baseline.
 pub fn run(threads: usize) -> SchedBaseline {
     let corpus = e16_sched::corpus();
-    let instances = pebble_experiments::runner::run_parallel_with_threads(
-        corpus.iter().collect::<Vec<_>>(),
-        |inst| {
-            let t0 = std::time::Instant::now();
-            let result = measure(inst);
-            eprintln!(
-                "  {:<16} {:<5} r={:<4} best {:>8} / lb {:>6} (gap {:.2}) [{} ms]",
-                result.id,
-                result.model,
-                result.r,
-                result.best_cost,
-                result.best_bound,
-                result.gap,
-                t0.elapsed().as_millis()
-            );
-            result
-        },
-        threads,
-    );
+    let instances = pebble_sched::par_map(corpus.iter().collect(), threads, |inst| {
+        let t0 = std::time::Instant::now();
+        let result = measure(inst);
+        eprintln!(
+            "  {:<16} {:<5} r={:<4} best {:>8} / lb {:>6} (gap {:.2}) [{} ms]",
+            result.id,
+            result.model,
+            result.r,
+            result.best_cost,
+            result.best_bound,
+            result.gap,
+            t0.elapsed().as_millis()
+        );
+        result
+    });
     SchedBaseline {
         schema: 1,
         instances,

@@ -181,11 +181,7 @@ pub fn measure(spec: &InstanceSpec, reps: usize) -> InstanceResult {
 /// Sweep the whole corpus across `threads` workers and assemble the
 /// baseline document.
 pub fn run(mode: &str, reps: usize, threads: usize) -> SolverBaseline {
-    let instances = pebble_experiments::runner::run_parallel_with_threads(
-        corpus(),
-        |spec| measure(&spec, reps),
-        threads,
-    );
+    let instances = pebble_sched::par_map(corpus(), threads, |spec| measure(&spec, reps));
     SolverBaseline {
         schema: 3,
         mode: mode.to_string(),

@@ -17,6 +17,7 @@ use crate::s_partition::{SDominatorPartition, SPartition};
 use pebble_dag::{BitSet, Dag};
 use pebble_game::moves::{PrbpMove, RbpMove};
 use pebble_game::trace::{PrbpTrace, RbpTrace};
+use pebble_game::GameMove;
 
 /// The `OPT ≥ r·(k − 1)` bound shared by Hong–Kung, Theorem 6.5 and
 /// Theorem 6.7, instantiated with a class count `k`.

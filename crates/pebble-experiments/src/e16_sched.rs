@@ -3,7 +3,7 @@
 //! reach (10³–10⁵ nodes), swept through the scheduler portfolio.
 //!
 //! Every reported cost is a simulator-replayed trace cost
-//! ([`pebble_sched::certify_prbp`] / [`pebble_sched::certify_rbp`]), paired
+//! ([`pebble_sched::certify_prbp_with`] / [`pebble_sched::certify_rbp_with`]), paired
 //! with the best admissible lower bound, so each row carries a *certified*
 //! optimality gap. The registered checks pin:
 //!
@@ -26,7 +26,7 @@ use pebble_dag::generators::{attention_full, fft, matmul, random_layered, Random
 use pebble_dag::Dag;
 use pebble_game::strategies;
 use pebble_game::{Model, PrbpConfig, RbpConfig};
-use pebble_sched::{certify_prbp, certify_rbp, ScheduleReport, Scheduler};
+use pebble_sched::{certify_prbp_with, certify_rbp_with, BoundSet, ScheduleReport, Scheduler};
 
 /// One corpus instance: a DAG, a model, a cache size, the generic schedulers
 /// to sweep and (for the structured families) the paper's near-optimal
@@ -248,12 +248,14 @@ pub fn sweep_instance(inst: &SchedInstance) -> Vec<ScheduleReport> {
     let mut reports = Vec::new();
     for &s in &inst.schedulers {
         let report = match inst.model {
-            Model::Prbp => s
-                .run_prbp(&inst.dag, inst.r)
-                .map(|t| certify_prbp(&inst.dag, inst.r, &t, s.to_string()).expect("valid trace")),
-            Model::Rbp => s
-                .run_rbp(&inst.dag, inst.r)
-                .map(|t| certify_rbp(&inst.dag, inst.r, &t, s.to_string()).expect("valid trace")),
+            Model::Prbp => s.run_prbp(&inst.dag, inst.r).map(|t| {
+                certify_prbp_with(&inst.dag, inst.r, &t, s.to_string(), BoundSet::Full)
+                    .expect("valid trace")
+            }),
+            Model::Rbp => s.run_rbp(&inst.dag, inst.r).map(|t| {
+                certify_rbp_with(&inst.dag, inst.r, &t, s.to_string(), BoundSet::Full)
+                    .expect("valid trace")
+            }),
         };
         if let Some(report) = report {
             reports.push(report);
@@ -262,10 +264,12 @@ pub fn sweep_instance(inst: &SchedInstance) -> Vec<ScheduleReport> {
     if let Some((name, structured)) = &inst.structured {
         let report = match structured {
             StructuredTrace::Rbp(t) => {
-                certify_rbp(&inst.dag, inst.r, t, *name).expect("valid structured trace")
+                certify_rbp_with(&inst.dag, inst.r, t, *name, BoundSet::Full)
+                    .expect("valid structured trace")
             }
             StructuredTrace::Prbp(t) => {
-                certify_prbp(&inst.dag, inst.r, t, *name).expect("valid structured trace")
+                certify_prbp_with(&inst.dag, inst.r, t, *name, BoundSet::Full)
+                    .expect("valid structured trace")
             }
         };
         reports.push(report);
@@ -295,11 +299,7 @@ pub fn run_with_threads(threads: usize) -> Table {
         ],
     );
     let instances = corpus();
-    let swept = runner::run_parallel_with_threads(
-        instances.iter().collect::<Vec<_>>(),
-        sweep_instance,
-        threads,
-    );
+    let swept = pebble_sched::par_map(instances.iter().collect(), threads, sweep_instance);
 
     let mut has_large_fft = false;
     for (inst, reports) in instances.iter().zip(&swept) {

@@ -233,8 +233,7 @@ pub fn run_with_threads(threads: usize) -> Table {
         ],
     );
     let instances = corpus();
-    let rows =
-        runner::run_parallel_with_threads(instances.iter().collect::<Vec<_>>(), measure, threads);
+    let rows = pebble_sched::par_map(instances.iter().collect(), threads, measure);
     for (inst, row) in instances.iter().zip(&rows) {
         // The replayed cost brackets every admissible bound.
         t.check(row.report.cost == row.outcome.cost);

@@ -118,7 +118,7 @@ pub fn all_tables() -> Vec<Table> {
 /// Each experiment is independent, so the sweep scales with the core count;
 /// results come back in the canonical E1..E15 order regardless.
 pub fn all_tables_parallel(threads: usize) -> Vec<Table> {
-    runner::run_parallel_with_threads(EXPERIMENTS.to_vec(), |(_, run)| run(), threads)
+    pebble_sched::par_map(EXPERIMENTS.to_vec(), threads, |(_, run)| run())
 }
 
 #[cfg(test)]
@@ -129,7 +129,7 @@ mod tests {
     fn every_experiment_produces_a_nonempty_passing_table() {
         // This is the cheap smoke test; the individual experiment modules
         // assert their paper-specific invariants. Built in parallel, which
-        // also exercises the runner on the real workload. E16 sweeps the
+        // also exercises the work queue on the real workload. E16 sweeps the
         // at-scale scheduling corpus (10⁴-node instances) and E17 runs
         // several full portfolio passes per instance; both take minutes
         // unoptimised, so they are exercised in release builds only —
@@ -142,11 +142,8 @@ mod tests {
             .filter(|&(id, _)| !cfg!(debug_assertions) || (id != "e16" && id != "e17"))
             .collect();
         let count = experiments.len();
-        let tables = runner::run_parallel_with_threads(
-            experiments,
-            |(_, run)| run(),
-            runner::default_threads(),
-        );
+        let tables =
+            pebble_sched::par_map(experiments, runner::default_threads(), |(_, run)| run());
         assert_eq!(tables.len(), count);
         for table in tables {
             assert!(!table.rows.is_empty(), "{} has no rows", table.title);

@@ -1,14 +1,10 @@
-//! A dependency-free parallel work-queue runner.
+//! How many workers the experiment suite and the benchmark harness use.
 //!
-//! The experiment suite and the benchmark harness both sweep independent DAG
-//! workloads; this runner fans a `Vec` of work items over scoped
-//! `std::thread` workers pulling from an atomic queue, and returns the
-//! results *in input order*. No external thread-pool crate is required, and
-//! a worker panic propagates to the caller (so a failing experiment still
-//! fails the process).
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! Both sweep independent DAG workloads on [`pebble_sched::par_map`], the
+//! one scoped-thread work queue of the workspace: results come back *in
+//! input order*, and a worker panic propagates to the caller (so a failing
+//! experiment still fails the process). This module picks its thread count,
+//! honouring the `PRBP_THREADS` override.
 
 /// Parse a `PRBP_THREADS`-style override. Returns `Some(n)` for a parseable
 /// value, clamped to at least 1 worker (`"0"` means "run sequentially", not
@@ -35,91 +31,32 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Run `worker` over every item on `threads` scoped threads, returning the
-/// results in input order. `threads` is clamped to `1..=items.len()`; with a
-/// single thread (or a single item) everything runs inline on the caller's
-/// thread.
-pub fn run_parallel_with_threads<I, T, F>(items: Vec<I>, worker: F, threads: usize) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(I) -> T + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        return items.into_iter().map(worker).collect();
-    }
-
-    let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("work slot poisoned")
-                    .take()
-                    .expect("work item taken twice");
-                let out = worker(item);
-                *results[i].lock().expect("result slot poisoned") = Some(out);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker finished without a result")
-        })
-        .collect()
-}
-
-/// [`run_parallel_with_threads`] with [`default_threads`] workers.
-pub fn run_parallel<I, T, F>(items: Vec<I>, worker: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(I) -> T + Sync,
-{
-    let threads = default_threads();
-    run_parallel_with_threads(items, worker, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pebble_sched::par_map;
 
     #[test]
     fn preserves_input_order() {
-        let out = run_parallel_with_threads((0..100).collect(), |i| i * 2, 8);
+        let out = par_map((0..100).collect(), 8, |i| i * 2);
         assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn single_thread_runs_inline() {
-        let out = run_parallel_with_threads(vec!["a", "b"], |s| s.to_uppercase(), 1);
+        let out = par_map(vec!["a", "b"], 1, |s| s.to_uppercase());
         assert_eq!(out, vec!["A", "B"]);
     }
 
     #[test]
     fn empty_input_is_fine() {
-        let out: Vec<usize> = run_parallel_with_threads(Vec::<usize>::new(), |i| i, 4);
+        let out: Vec<usize> = par_map(Vec::<usize>::new(), 4, |i| i);
         assert!(out.is_empty());
     }
 
     #[test]
     fn oversubscribed_thread_count_is_clamped() {
-        let out = run_parallel_with_threads(vec![1, 2, 3], |i| i + 1, 64);
+        let out = par_map(vec![1, 2, 3], 64, |i| i + 1);
         assert_eq!(out, vec![2, 3, 4]);
     }
 

@@ -2,55 +2,66 @@
 //! simulator.
 //!
 //! The heuristic schedulers of `pebble-sched` assemble long traces
-//! programmatically. Pushing moves through a [`RbpBuilder`] / [`PrbpBuilder`]
-//! means every move is checked by the game simulator *at construction time*
-//! (a scheduling bug fails at the offending move, with full context, instead
-//! of at a later wholesale validation), while the finished trace can still be
-//! re-validated from scratch via [`crate::RbpTrace::validate`] /
-//! [`crate::PrbpTrace::validate`] — which is what every experiment and
-//! benchmark does before reporting a cost.
+//! programmatically. Pushing moves through a [`TraceBuilder`] means every
+//! move is checked by the game simulator *at construction time* (a
+//! scheduling bug fails at the offending move, with full context, instead of
+//! at a later wholesale validation), while the finished trace can still be
+//! re-validated from scratch via [`crate::trace::Trace::validate`] — which
+//! is what every experiment and benchmark does before reporting a cost.
 //!
-//! Both builders are generic over a [`MoveSink`]: by default every validated
-//! move is collected into a trace, but a streaming consumer (a counting sink,
-//! an independent replay certifier, a file writer) can be substituted via
-//! [`RbpBuilder::with_sink`] / [`PrbpBuilder::with_sink`] so that arbitrarily
-//! long pebblings never materialise a move vector.
+//! One builder serves both games: it is generic over the [`Game`] it drives,
+//! and [`RbpBuilder`] / [`PrbpBuilder`] are its instantiations. Only
+//! `ensure_red` and `evict` are written per game, because the two models
+//! keep and drop red pebbles by different rules.
+//!
+//! The builder is also generic over a [`MoveSink`]: by default every
+//! validated move is collected into a trace, but a streaming consumer (a
+//! counting sink, an independent replay certifier, a file writer) can be
+//! substituted via [`TraceBuilder::with_sink`] so that arbitrarily long
+//! pebblings never materialise a move vector.
 
+use crate::game::Game;
 use crate::moves::{PrbpMove, RbpMove};
-use crate::prbp::{PrbpConfig, PrbpError, PrbpGame};
-use crate::rbp::{RbpConfig, RbpError, RbpGame};
+use crate::prbp::{PebbleState, PrbpError, PrbpGame};
+use crate::rbp::{RbpError, RbpGame};
 use crate::sink::MoveSink;
-use crate::trace::{PrbpTrace, RbpTrace};
+use crate::trace::{PrbpTrace, RbpTrace, Trace};
 use pebble_dag::{Dag, NodeId};
 
-/// Builds an [`RbpTrace`] (or feeds any other [`MoveSink`]) against a live
-/// [`RbpGame`]: every pushed move is applied (and therefore validated)
-/// immediately, then forwarded to the sink.
-pub struct RbpBuilder<'a, S: MoveSink<RbpMove> = RbpTrace> {
-    game: RbpGame<'a>,
+/// Feeds a [`MoveSink`] (a [`Trace`], by default) against a live game `G`:
+/// every pushed move is applied (and therefore validated) immediately, then
+/// forwarded to the sink.
+pub struct TraceBuilder<G, S> {
+    game: G,
     sink: S,
 }
 
-impl<'a> RbpBuilder<'a> {
+/// A [`TraceBuilder`] driving an [`RbpGame`].
+pub type RbpBuilder<'a, S = RbpTrace> = TraceBuilder<RbpGame<'a>, S>;
+
+/// A [`TraceBuilder`] driving a [`PrbpGame`].
+pub type PrbpBuilder<'a, S = PrbpTrace> = TraceBuilder<PrbpGame<'a>, S>;
+
+impl<'a, G: Game<'a>> TraceBuilder<G, Trace<G::Move>> {
     /// Start from the initial configuration of `dag` under `config`,
-    /// collecting the moves into an [`RbpTrace`].
-    pub fn new(dag: &'a Dag, config: RbpConfig) -> Self {
-        Self::with_sink(dag, config, RbpTrace::new())
+    /// collecting the moves into a [`Trace`].
+    pub fn new(dag: &'a Dag, config: G::Config) -> Self {
+        Self::with_sink(dag, config, Trace::new())
     }
 }
 
-impl<'a, S: MoveSink<RbpMove>> RbpBuilder<'a, S> {
+impl<'a, G: Game<'a>, S: MoveSink<G::Move>> TraceBuilder<G, S> {
     /// Start from the initial configuration of `dag` under `config`, sending
     /// every validated move to `sink` instead of materialising a trace.
-    pub fn with_sink(dag: &'a Dag, config: RbpConfig, sink: S) -> Self {
-        RbpBuilder {
-            game: RbpGame::new(dag, config),
+    pub fn with_sink(dag: &'a Dag, config: G::Config, sink: S) -> Self {
+        TraceBuilder {
+            game: G::new(dag, config),
             sink,
         }
     }
 
     /// The live game state (read access for schedulers).
-    pub fn game(&self) -> &RbpGame<'a> {
+    pub fn game(&self) -> &G {
         &self.game
     }
 
@@ -60,12 +71,20 @@ impl<'a, S: MoveSink<RbpMove>> RbpBuilder<'a, S> {
     }
 
     /// Apply `mv` to the live game and forward it to the sink on success.
-    pub fn push(&mut self, mv: RbpMove) -> Result<(), RbpError> {
+    pub fn push(&mut self, mv: G::Move) -> Result<(), G::Error> {
         self.game.apply(mv)?;
         self.sink.record(mv);
         Ok(())
     }
 
+    /// Finish: returns the sink (the recorded trace, by default) and the
+    /// final game for terminal checks at the call site.
+    pub fn finish(self) -> (S, G) {
+        (self.sink, self.game)
+    }
+}
+
+impl<S: MoveSink<RbpMove>> RbpBuilder<'_, S> {
     /// Ensure `v` holds a red pebble by loading it if necessary. Fails if `v`
     /// has no blue pebble or the load would exceed capacity.
     pub fn ensure_red(&mut self, v: NodeId) -> Result<(), RbpError> {
@@ -89,57 +108,9 @@ impl<'a, S: MoveSink<RbpMove>> RbpBuilder<'a, S> {
         self.push(RbpMove::Delete(v))?;
         Ok(io)
     }
-
-    /// Finish: returns the sink (the recorded trace, by default) and the
-    /// final game for terminal checks at the call site.
-    pub fn finish(self) -> (S, RbpGame<'a>) {
-        (self.sink, self.game)
-    }
 }
 
-/// Builds a [`PrbpTrace`] (or feeds any other [`MoveSink`]) against a live
-/// [`PrbpGame`]: every pushed move is applied (and therefore validated)
-/// immediately, then forwarded to the sink.
-pub struct PrbpBuilder<'a, S: MoveSink<PrbpMove> = PrbpTrace> {
-    game: PrbpGame<'a>,
-    sink: S,
-}
-
-impl<'a> PrbpBuilder<'a> {
-    /// Start from the initial configuration of `dag` under `config`,
-    /// collecting the moves into a [`PrbpTrace`].
-    pub fn new(dag: &'a Dag, config: PrbpConfig) -> Self {
-        Self::with_sink(dag, config, PrbpTrace::new())
-    }
-}
-
-impl<'a, S: MoveSink<PrbpMove>> PrbpBuilder<'a, S> {
-    /// Start from the initial configuration of `dag` under `config`, sending
-    /// every validated move to `sink` instead of materialising a trace.
-    pub fn with_sink(dag: &'a Dag, config: PrbpConfig, sink: S) -> Self {
-        PrbpBuilder {
-            game: PrbpGame::new(dag, config),
-            sink,
-        }
-    }
-
-    /// The live game state (read access for schedulers).
-    pub fn game(&self) -> &PrbpGame<'a> {
-        &self.game
-    }
-
-    /// I/O cost of the moves pushed so far.
-    pub fn io_cost(&self) -> usize {
-        self.game.io_cost()
-    }
-
-    /// Apply `mv` to the live game and forward it to the sink on success.
-    pub fn push(&mut self, mv: PrbpMove) -> Result<(), PrbpError> {
-        self.game.apply(mv)?;
-        self.sink.record(mv);
-        Ok(())
-    }
-
+impl<S: MoveSink<PrbpMove>> PrbpBuilder<'_, S> {
     /// Ensure `v` holds a red pebble by loading it if necessary. Fails if `v`
     /// has no blue pebble or the load would exceed capacity.
     pub fn ensure_red(&mut self, v: NodeId) -> Result<(), PrbpError> {
@@ -154,7 +125,6 @@ impl<'a, S: MoveSink<PrbpMove>> PrbpBuilder<'a, S> {
     /// an unsaved sink) and deleted otherwise. Returns the I/Os spent (0 or
     /// 1).
     pub fn evict(&mut self, v: NodeId) -> Result<usize, PrbpError> {
-        use crate::prbp::PebbleState;
         match self.game.pebble_state(v) {
             PebbleState::BlueAndLightRed => {
                 self.push(PrbpMove::Delete(v))?;
@@ -174,17 +144,13 @@ impl<'a, S: MoveSink<PrbpMove>> PrbpBuilder<'a, S> {
             _ => Err(PrbpError::DeleteWithoutRed(v)),
         }
     }
-
-    /// Finish: returns the sink (the recorded trace, by default) and the
-    /// final game for terminal checks at the call site.
-    pub fn finish(self) -> (S, PrbpGame<'a>) {
-        (self.sink, self.game)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prbp::PrbpConfig;
+    use crate::rbp::RbpConfig;
     use pebble_dag::DagBuilder;
 
     /// a -> b -> c chain.

@@ -11,9 +11,9 @@
 use crate::exact::heuristic::{LowerBound, PrbpStateView, RbpStateView};
 use crate::moves::{PrbpMove, RbpMove};
 use crate::packed::{clear, get, plane_words, popcount, set};
-use crate::prbp::PrbpConfig;
-use crate::rbp::RbpConfig;
-use crate::trace::{validate_prbp_moves, validate_rbp_moves, PrbpTrace, RbpTrace};
+use crate::prbp::{PrbpConfig, PrbpGame};
+use crate::rbp::{RbpConfig, RbpGame};
+use crate::trace::validate_moves;
 use pebble_dag::{Dag, NodeId};
 
 /// The successor sink passed to [`Domain::expand`]: receives
@@ -25,8 +25,6 @@ pub(crate) type EmitFn<'a, M> = dyn FnMut(&[u64], M, usize) -> bool + 'a;
 pub(crate) trait Domain {
     /// The move type of the model.
     type Move: Copy;
-    /// The trace type the engine hands back to callers.
-    type Trace;
 
     /// The packed start state.
     fn start_words(&self) -> Vec<u64>;
@@ -42,8 +40,6 @@ pub(crate) trait Domain {
     /// to honour a deadline inside one large expansion); the
     /// function returns `false` iff it was aborted.
     fn expand(&self, cur: &[u64], scratch: &mut [u64], emit: &mut EmitFn<'_, Self::Move>) -> bool;
-    /// Wrap reconstructed moves into the model's trace type.
-    fn make_trace(&self, moves: Vec<Self::Move>) -> Self::Trace;
     /// Replay `moves` through the game simulator; `Some(cost)` iff legal and
     /// terminal.
     fn validate_moves(&self, moves: &[Self::Move]) -> Option<usize>;
@@ -100,7 +96,6 @@ impl<'a> RbpDomain<'a> {
 
 impl Domain for RbpDomain<'_> {
     type Move = RbpMove;
-    type Trace = RbpTrace;
 
     fn start_words(&self) -> Vec<u64> {
         rbp_start_words(self.dag)
@@ -193,12 +188,8 @@ impl Domain for RbpDomain<'_> {
         true
     }
 
-    fn make_trace(&self, moves: Vec<RbpMove>) -> RbpTrace {
-        RbpTrace::from_moves(moves)
-    }
-
     fn validate_moves(&self, moves: &[RbpMove]) -> Option<usize> {
-        validate_rbp_moves(self.dag, self.config, moves.iter().copied()).ok()
+        validate_moves::<RbpGame, _>(self.dag, self.config, moves.iter().copied()).ok()
     }
 }
 
@@ -228,7 +219,6 @@ impl<'a> PrbpDomain<'a> {
 
 impl Domain for PrbpDomain<'_> {
     type Move = PrbpMove;
-    type Trace = PrbpTrace;
 
     fn start_words(&self) -> Vec<u64> {
         prbp_start_words(self.dag)
@@ -339,11 +329,7 @@ impl Domain for PrbpDomain<'_> {
         true
     }
 
-    fn make_trace(&self, moves: Vec<PrbpMove>) -> PrbpTrace {
-        PrbpTrace::from_moves(moves)
-    }
-
     fn validate_moves(&self, moves: &[PrbpMove]) -> Option<usize> {
-        validate_prbp_moves(self.dag, self.config, moves.iter().copied()).ok()
+        validate_moves::<PrbpGame, _>(self.dag, self.config, moves.iter().copied()).ok()
     }
 }

@@ -50,7 +50,7 @@ use crate::exact::heuristic::LowerBound;
 use crate::exact::{ExactError, SearchStats};
 use crate::prbp::PrbpConfig;
 use crate::rbp::RbpConfig;
-use crate::trace::{PrbpTrace, RbpTrace};
+use crate::trace::{PrbpTrace, RbpTrace, Trace};
 use pebble_dag::Dag;
 use std::time::{Duration, Instant};
 
@@ -131,7 +131,7 @@ pub fn solve_rbp(
 ) -> Result<EngineOutcome<RbpTrace>, ExactError> {
     let domain = RbpDomain::new(dag, config);
     let raw = run_astar(&domain, engine, heuristic, seed.map(|t| t.moves.clone()))?;
-    Ok(finish(&domain, raw))
+    Ok(finish(raw))
 }
 
 /// Solve `dag` in the PRBP model through the engine.
@@ -153,13 +153,13 @@ pub fn solve_prbp(
         let raw = beam::solve_beam(dag, config, &domain, engine, width, heuristic)?;
         obs::record_expansions(raw.stats.expanded, raw.stats.generated);
         obs::record_solve(raw.stats.distinct, raw.stop);
-        return Ok(finish(&domain, raw));
+        return Ok(finish(raw));
     }
     let raw = run_astar(&domain, engine, heuristic, seed.map(|t| t.moves.clone()))?;
-    Ok(finish(&domain, raw))
+    Ok(finish(raw))
 }
 
-/// Internal solver result before the moves become a model-specific trace.
+/// Internal solver result before the moves become a trace.
 pub(crate) struct RawOutcome<M> {
     pub cost: usize,
     pub moves: Vec<M>,
@@ -175,10 +175,10 @@ fn deadline_at(engine: &EngineConfig) -> Option<Instant> {
     engine.deadline.and_then(|d| Instant::now().checked_add(d))
 }
 
-fn finish<D: Domain>(domain: &D, raw: RawOutcome<D::Move>) -> EngineOutcome<D::Trace> {
+fn finish<M>(raw: RawOutcome<M>) -> EngineOutcome<Trace<M>> {
     EngineOutcome {
         cost: raw.cost,
-        trace: domain.make_trace(raw.moves),
+        trace: Trace::from_moves(raw.moves),
         bound: raw.bound,
         proven_optimal: raw.proven,
         stats: raw.stats,

@@ -35,12 +35,17 @@
 //! * [`strategies`] — constructive pebbling strategies for every structured
 //!   DAG in the paper (matvec, trees, zipper, pebble collection, chained
 //!   gadgets, FFT, matmul, attention) plus generic topological strategies.
-//! * [`trace`] — recorded pebblings that can be replayed, validated, printed
-//!   and serialised.
-//! * [`builder`] — trace builders that validate every move against a live
-//!   simulator at construction time (used by the `pebble-sched` schedulers).
-//! * [`sink`] — the [`sink::MoveSink`] visitor trait fed by the builders, so
-//!   long pebblings can be counted, validated or written out without ever
+//! * [`game`] — the [`Game`] trait both simulators implement, and
+//!   [`GameMove`], which ties each move type to its game. The trace layer
+//!   below is written once against it.
+//! * [`trace`] — recorded pebblings ([`Trace`], with the [`RbpTrace`] and
+//!   [`PrbpTrace`] aliases) that can be replayed, validated, printed and
+//!   serialised; [`validate_moves`] checks a move stream without storing it.
+//! * [`builder`] — the [`TraceBuilder`] ([`RbpBuilder`] / [`PrbpBuilder`]),
+//!   which validates every move against a live simulator at construction
+//!   time (used by the `pebble-sched` schedulers).
+//! * [`sink`] — the [`MoveSink`] visitor trait fed by the builder, so long
+//!   pebblings can be counted, validated or written out without ever
 //!   materialising a move vector.
 //! * [`packed`] — the canonical packed bit-plane state encoding shared by the
 //!   exact solvers and the heuristic beam search.
@@ -52,6 +57,7 @@ pub mod convert;
 pub mod cost;
 pub mod engine;
 pub mod exact;
+pub mod game;
 pub mod moves;
 pub mod packed;
 pub mod prbp;
@@ -61,10 +67,11 @@ pub mod strategies;
 pub mod trace;
 pub mod variants;
 
-pub use builder::{PrbpBuilder, RbpBuilder};
+pub use builder::{PrbpBuilder, RbpBuilder, TraceBuilder};
 pub use cost::CostModel;
+pub use game::{Game, GameMove};
 pub use moves::{Model, PrbpMove, RbpMove};
 pub use prbp::{PebbleState, PrbpConfig, PrbpError, PrbpGame};
 pub use rbp::{RbpConfig, RbpError, RbpGame};
 pub use sink::{CountingSink, DiscardSink, MoveSink};
-pub use trace::{validate_prbp_moves, validate_rbp_moves, PrbpTrace, RbpTrace};
+pub use trace::{validate_moves, PrbpTrace, RbpTrace, Trace};

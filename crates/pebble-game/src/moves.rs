@@ -1,5 +1,8 @@
 //! Transition rules (moves) of the two pebble games.
 
+use crate::game::GameMove;
+use crate::prbp::PrbpGame;
+use crate::rbp::RbpGame;
 use pebble_dag::NodeId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -60,17 +63,18 @@ pub enum RbpMove {
     },
 }
 
-impl RbpMove {
-    /// I/O cost of the move (1 for load/save, 0 otherwise).
-    pub fn io_cost(&self) -> usize {
+impl GameMove for RbpMove {
+    type Game<'a> = RbpGame<'a>;
+
+    fn io_cost(&self) -> usize {
         match self {
             RbpMove::Save(_) | RbpMove::Load(_) => 1,
             _ => 0,
         }
     }
 
-    /// Returns `true` if the move is a compute step (including slides).
-    pub fn is_compute(&self) -> bool {
+    /// Compute steps include slides.
+    fn is_compute(&self) -> bool {
         matches!(self, RbpMove::Compute(_) | RbpMove::ComputeSlide { .. })
     }
 }
@@ -118,17 +122,18 @@ pub enum PrbpMove {
     Clear(NodeId),
 }
 
-impl PrbpMove {
-    /// I/O cost of the move (1 for load/save, 0 otherwise).
-    pub fn io_cost(&self) -> usize {
+impl GameMove for PrbpMove {
+    type Game<'a> = PrbpGame<'a>;
+
+    fn io_cost(&self) -> usize {
         match self {
             PrbpMove::Save(_) | PrbpMove::Load(_) => 1,
             _ => 0,
         }
     }
 
-    /// Returns `true` if the move is a partial compute step.
-    pub fn is_compute(&self) -> bool {
+    /// Compute steps are partial computes.
+    fn is_compute(&self) -> bool {
         matches!(self, PrbpMove::PartialCompute { .. })
     }
 }

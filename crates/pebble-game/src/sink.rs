@@ -1,22 +1,21 @@
 //! Move sinks: the visitor side of the streaming trace pipeline.
 //!
-//! The trace builders ([`crate::RbpBuilder`] / [`crate::PrbpBuilder`]) and the
-//! greedy executors of `pebble-sched` historically accumulated every emitted
-//! move into a `Vec` ([`RbpTrace`] / [`PrbpTrace`]). On million-node DAGs that
-//! vector dwarfs the DAG itself, so the emitting side is now generic over a
-//! [`MoveSink`]: each validated move is *visited* exactly once, in execution
-//! order, and the sink decides whether to store it ([`RbpTrace`] and
-//! [`PrbpTrace`] are themselves sinks), count it ([`CountingSink`]), replay it
-//! into an independent simulator (`pebble-sched`'s streaming certifiers), or
-//! drop it ([`DiscardSink`]).
+//! The trace builder ([`crate::builder::TraceBuilder`]) and the greedy
+//! executors of `pebble-sched` are generic over a [`MoveSink`]: each
+//! validated move is *visited* exactly once, in execution order, and the
+//! sink decides whether to store it (a [`Trace`] is itself a sink), count it
+//! ([`CountingSink`]), replay it into an independent simulator
+//! (`pebble-sched`'s streaming certifiers), or drop it ([`DiscardSink`]). On
+//! million-node DAGs a stored move vector dwarfs the DAG itself, which is
+//! what the other sinks avoid. Every sink has one impl for both games.
 //!
 //! Nothing in the contract lets a sink reject a move — validation stays with
-//! the emitter (the builders apply every move to a live game before
+//! the emitter (the builder applies every move to a live game before
 //! forwarding it). A sink that needs to detect errors on its own replay keeps
 //! the failure internally and reports it when the stream ends.
 
-use crate::moves::{PrbpMove, RbpMove};
-use crate::trace::{PrbpTrace, RbpTrace};
+use crate::game::GameMove;
+use crate::trace::Trace;
 
 /// A visitor receiving the moves of a pebbling in execution order.
 pub trait MoveSink<M> {
@@ -24,14 +23,8 @@ pub trait MoveSink<M> {
     fn record(&mut self, mv: M);
 }
 
-impl MoveSink<RbpMove> for RbpTrace {
-    fn record(&mut self, mv: RbpMove) {
-        self.push(mv);
-    }
-}
-
-impl MoveSink<PrbpMove> for PrbpTrace {
-    fn record(&mut self, mv: PrbpMove) {
+impl<M> MoveSink<M> for Trace<M> {
+    fn record(&mut self, mv: M) {
         self.push(mv);
     }
 }
@@ -62,15 +55,8 @@ impl CountingSink {
     }
 }
 
-impl MoveSink<RbpMove> for CountingSink {
-    fn record(&mut self, mv: RbpMove) {
-        self.moves += 1;
-        self.io += mv.io_cost();
-    }
-}
-
-impl MoveSink<PrbpMove> for CountingSink {
-    fn record(&mut self, mv: PrbpMove) {
+impl<M: GameMove> MoveSink<M> for CountingSink {
+    fn record(&mut self, mv: M) {
         self.moves += 1;
         self.io += mv.io_cost();
     }
@@ -79,6 +65,8 @@ impl MoveSink<PrbpMove> for CountingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::moves::{PrbpMove, RbpMove};
+    use crate::trace::RbpTrace;
     use pebble_dag::NodeId;
 
     #[test]

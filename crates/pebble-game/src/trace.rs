@@ -1,30 +1,32 @@
 //! Recorded pebbling strategies (traces) that can be replayed, validated,
 //! printed and serialised.
 //!
-//! Validation has a streaming form ([`validate_rbp_moves`] /
-//! [`validate_prbp_moves`]): any move iterator is replayed through a fresh
-//! game in `O(1)` extra memory per move, so a pebbling never has to be
-//! materialised just to be checked. The trace methods delegate to it.
+//! One [`Trace`] type serves both games: [`RbpTrace`] and [`PrbpTrace`] are
+//! its instantiations at the two move types, and [`Trace::validate`] replays
+//! the moves through the [`Game`] their [`GameMove`] names. Validation has a
+//! streaming form ([`validate_moves`]): any move iterator is replayed through
+//! a fresh game in `O(1)` extra memory per move, so a pebbling never has to
+//! be materialised just to be checked.
 
+use crate::game::{Game, GameMove};
 use crate::moves::{PrbpMove, RbpMove};
-use crate::prbp::{PrbpConfig, PrbpError, PrbpGame};
-use crate::rbp::{RbpConfig, RbpError, RbpGame};
 use pebble_dag::Dag;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
-/// Replay a stream of RBP moves on `dag` under `config`, checking every move
-/// and the terminal condition, without materialising the stream. Returns the
-/// validated I/O cost.
-pub fn validate_rbp_moves<I>(
-    dag: &Dag,
-    config: RbpConfig,
+/// Replay a stream of moves on `dag` through a fresh `G` under `config`,
+/// checking every move and the terminal condition, without materialising the
+/// stream. Returns the validated I/O cost.
+pub fn validate_moves<'a, G, I>(
+    dag: &'a Dag,
+    config: G::Config,
     moves: I,
-) -> Result<usize, TraceError<RbpError>>
+) -> Result<usize, TraceError<G::Error>>
 where
-    I: IntoIterator<Item = RbpMove>,
+    G: Game<'a>,
+    I: IntoIterator<Item = G::Move>,
 {
-    let mut game = RbpGame::new(dag, config);
+    let mut game = G::new(dag, config);
     for (i, mv) in moves.into_iter().enumerate() {
         game.apply(mv).map_err(|error| TraceError::InvalidMove {
             index: i,
@@ -38,51 +40,39 @@ where
     Ok(game.io_cost())
 }
 
-/// Replay a stream of PRBP moves on `dag` under `config`, checking every move
-/// and the terminal condition, without materialising the stream. Returns the
-/// validated I/O cost.
-pub fn validate_prbp_moves<I>(
-    dag: &Dag,
-    config: PrbpConfig,
-    moves: I,
-) -> Result<usize, TraceError<PrbpError>>
-where
-    I: IntoIterator<Item = PrbpMove>,
-{
-    let mut game = PrbpGame::new(dag, config);
-    for (i, mv) in moves.into_iter().enumerate() {
-        game.apply(mv).map_err(|error| TraceError::InvalidMove {
-            index: i,
-            description: mv.to_string(),
-            error,
-        })?;
-    }
-    if !game.is_terminal() {
-        return Err(TraceError::NotTerminal);
-    }
-    Ok(game.io_cost())
-}
-
-/// A recorded sequence of RBP moves.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RbpTrace {
+/// A recorded sequence of moves of one game. Serialises as
+/// `{"moves":[...]}`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Trace<M> {
     /// The moves in execution order.
-    pub moves: Vec<RbpMove>,
+    pub moves: Vec<M>,
 }
 
-impl RbpTrace {
+/// A recorded RBP pebbling.
+pub type RbpTrace = Trace<RbpMove>;
+
+/// A recorded PRBP pebbling.
+pub type PrbpTrace = Trace<PrbpMove>;
+
+impl<M> Default for Trace<M> {
+    fn default() -> Self {
+        Trace { moves: Vec::new() }
+    }
+}
+
+impl<M> Trace<M> {
     /// An empty trace.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Build a trace from a move list.
-    pub fn from_moves(moves: Vec<RbpMove>) -> Self {
-        RbpTrace { moves }
+    pub fn from_moves(moves: Vec<M>) -> Self {
+        Trace { moves }
     }
 
     /// Append a move.
-    pub fn push(&mut self, mv: RbpMove) {
+    pub fn push(&mut self, mv: M) {
         self.moves.push(mv);
     }
 
@@ -95,26 +85,33 @@ impl RbpTrace {
     pub fn is_empty(&self) -> bool {
         self.moves.is_empty()
     }
+}
 
+impl<M: GameMove> Trace<M> {
     /// I/O cost of the trace (number of loads + saves), computed without
     /// validation.
     pub fn io_cost(&self) -> usize {
         self.moves.iter().map(|m| m.io_cost()).sum()
     }
 
-    /// Number of compute steps (including slides).
+    /// Number of compute steps (RBP slides and PRBP partial computes
+    /// included).
     pub fn compute_steps(&self) -> usize {
         self.moves.iter().filter(|m| m.is_compute()).count()
     }
 
     /// Replay the trace on `dag` under `config`, checking every move and the
     /// terminal condition. Returns the validated I/O cost.
-    pub fn validate(&self, dag: &Dag, config: RbpConfig) -> Result<usize, TraceError<RbpError>> {
-        validate_rbp_moves(dag, config, self.moves.iter().copied())
+    pub fn validate<'a>(
+        &self,
+        dag: &'a Dag,
+        config: <M::Game<'a> as Game<'a>>::Config,
+    ) -> Result<usize, TraceError<<M::Game<'a> as Game<'a>>::Error>> {
+        validate_moves::<M::Game<'a>, _>(dag, config, self.moves.iter().copied())
     }
 }
 
-impl fmt::Display for RbpTrace {
+impl<M: fmt::Display> fmt::Display for Trace<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, mv) in self.moves.iter().enumerate() {
             writeln!(f, "{i:>4}: {mv}")?;
@@ -123,63 +120,22 @@ impl fmt::Display for RbpTrace {
     }
 }
 
-/// A recorded sequence of PRBP moves.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PrbpTrace {
-    /// The moves in execution order.
-    pub moves: Vec<PrbpMove>,
-}
-
-impl PrbpTrace {
-    /// An empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Build a trace from a move list.
-    pub fn from_moves(moves: Vec<PrbpMove>) -> Self {
-        PrbpTrace { moves }
-    }
-
-    /// Append a move.
-    pub fn push(&mut self, mv: PrbpMove) {
-        self.moves.push(mv);
-    }
-
-    /// Number of moves.
-    pub fn len(&self) -> usize {
-        self.moves.len()
-    }
-
-    /// Returns `true` if the trace contains no moves.
-    pub fn is_empty(&self) -> bool {
-        self.moves.is_empty()
-    }
-
-    /// I/O cost of the trace (number of loads + saves), computed without
-    /// validation.
-    pub fn io_cost(&self) -> usize {
-        self.moves.iter().map(|m| m.io_cost()).sum()
-    }
-
-    /// Number of partial compute steps.
-    pub fn compute_steps(&self) -> usize {
-        self.moves.iter().filter(|m| m.is_compute()).count()
-    }
-
-    /// Replay the trace on `dag` under `config`, checking every move and the
-    /// terminal condition. Returns the validated I/O cost.
-    pub fn validate(&self, dag: &Dag, config: PrbpConfig) -> Result<usize, TraceError<PrbpError>> {
-        validate_prbp_moves(dag, config, self.moves.iter().copied())
+// Written by hand because the serde derive takes no generic types; the wire
+// form is the derived one of a struct with a single `moves` field.
+impl<M: Serialize> Serialize for Trace<M> {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![("moves".to_string(), self.moves.to_value())])
     }
 }
 
-impl fmt::Display for PrbpTrace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, mv) in self.moves.iter().enumerate() {
-            writeln!(f, "{i:>4}: {mv}")?;
-        }
-        Ok(())
+impl<M: Deserialize> Deserialize for Trace<M> {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let map = v
+            .as_map()
+            .ok_or_else(|| serde::Error::custom("expected map for struct Trace"))?;
+        Ok(Trace {
+            moves: Deserialize::from_value(serde::value_get(map, "moves")?)?,
+        })
     }
 }
 
@@ -219,6 +175,8 @@ impl<E: fmt::Display + fmt::Debug> std::error::Error for TraceError<E> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prbp::{PrbpConfig, PrbpError};
+    use crate::rbp::{RbpConfig, RbpError};
     use pebble_dag::{DagBuilder, NodeId};
 
     fn chain3() -> Dag {
@@ -279,6 +237,86 @@ mod tests {
         assert_eq!(trace.validate(&g, PrbpConfig::new(3)).unwrap(), 2);
         assert_eq!(trace.validate(&g, PrbpConfig::new(2)).unwrap(), 2);
         assert!(trace.validate(&g, PrbpConfig::new(1)).is_err());
+    }
+
+    #[test]
+    fn rbp_validation_errors_are_pinned() {
+        let g = chain3();
+        // Node 2's input, node 1, holds no red pebble yet.
+        let illegal =
+            RbpTrace::from_moves(vec![RbpMove::Load(NodeId(0)), RbpMove::Compute(NodeId(2))]);
+        let err = illegal.validate(&g, RbpConfig::new(3)).unwrap_err();
+        assert_eq!(
+            err,
+            TraceError::InvalidMove {
+                index: 1,
+                description: "compute 2".to_string(),
+                error: RbpError::ComputeMissingInput(NodeId(2), NodeId(1)),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "move 1 (compute 2) is invalid: compute 2: in-neighbour 1 has no red pebble"
+        );
+        // Legal moves that stop before the sink is saved.
+        let truncated = RbpTrace::from_moves(vec![
+            RbpMove::Load(NodeId(0)),
+            RbpMove::Compute(NodeId(1)),
+            RbpMove::Compute(NodeId(2)),
+        ]);
+        let err = truncated.validate(&g, RbpConfig::new(3)).unwrap_err();
+        assert_eq!(err, TraceError::NotTerminal);
+        assert_eq!(
+            err.to_string(),
+            "trace ends before reaching the terminal state"
+        );
+    }
+
+    #[test]
+    fn prbp_validation_errors_are_pinned() {
+        let g = chain3();
+        // Node 1 has not aggregated its input, so it cannot feed node 2.
+        let illegal = PrbpTrace::from_moves(vec![
+            PrbpMove::Load(NodeId(0)),
+            PrbpMove::PartialCompute {
+                from: NodeId(1),
+                to: NodeId(2),
+            },
+        ]);
+        let err = illegal.validate(&g, PrbpConfig::new(3)).unwrap_err();
+        assert_eq!(
+            err,
+            TraceError::InvalidMove {
+                index: 1,
+                description: "pc (1,2)".to_string(),
+                error: PrbpError::InputNotFullyComputed {
+                    from: NodeId(1),
+                    to: NodeId(2),
+                },
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "move 1 (pc (1,2)) is invalid: pc (1,2): 1 is not fully computed"
+        );
+        // Every edge aggregated, but the sink never saved.
+        let truncated = PrbpTrace::from_moves(vec![
+            PrbpMove::Load(NodeId(0)),
+            PrbpMove::PartialCompute {
+                from: NodeId(0),
+                to: NodeId(1),
+            },
+            PrbpMove::PartialCompute {
+                from: NodeId(1),
+                to: NodeId(2),
+            },
+        ]);
+        let err = truncated.validate(&g, PrbpConfig::new(3)).unwrap_err();
+        assert_eq!(err, TraceError::NotTerminal);
+        assert_eq!(
+            err.to_string(),
+            "trace ends before reaching the terminal state"
+        );
     }
 
     #[test]

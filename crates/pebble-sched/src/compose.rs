@@ -744,10 +744,13 @@ fn stitch(
     (trace, game.io_cost())
 }
 
-/// Minimal scoped-thread work queue (the `pebble-experiments::runner`
-/// pattern, kept local to avoid a dependency cycle): runs `worker` over the
-/// items on up to `threads` threads, results in input order.
-fn par_map<I: Send, T: Send>(
+/// A dependency-free scoped-thread work queue: runs `worker` over the items
+/// on up to `threads` threads pulling from an atomic index, and returns the
+/// results in input order. `threads` is clamped to `1..=items.len()`; with
+/// one thread everything runs inline on the caller's thread. A worker panic
+/// propagates to the caller. Compose fans components out on it, and the
+/// experiment and benchmark sweeps fan instances out on it.
+pub fn par_map<I: Send, T: Send>(
     items: Vec<I>,
     threads: usize,
     worker: impl Fn(I) -> T + Sync,

@@ -59,14 +59,14 @@ pub mod suite;
 
 pub use beam::{beam_prbp, BeamConfig};
 pub use compose::{
-    compose_certified, compose_prbp, Certified, ComposeConfig, ComposeError, ComposeOutcome,
+    compose_certified, compose_prbp, par_map, Certified, ComposeConfig, ComposeError,
+    ComposeOutcome,
 };
 pub use edges::{cone_affinity_edges, greedy_prbp_edges};
 pub use greedy::{greedy_prbp, greedy_prbp_into, greedy_rbp, greedy_rbp_into};
 pub use policy::{Candidate, EvictionKey, FurthestInFuture};
 pub use report::{
-    certify_greedy_prbp, certify_greedy_rbp, certify_prbp, certify_prbp_with,
-    certify_prbp_with_bounds, certify_rbp, certify_rbp_with, prbp_bound_ladder, rbp_bound_ladder,
-    BoundSet, BoundValue, ScheduleReport,
+    certify_greedy_prbp, certify_greedy_rbp, certify_prbp_with, certify_prbp_with_bounds,
+    certify_rbp_with, prbp_bound_ladder, rbp_bound_ladder, BoundSet, BoundValue, ScheduleReport,
 };
 pub use suite::{best_prbp, default_suite, OrderKind, Scheduler};

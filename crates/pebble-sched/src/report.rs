@@ -19,12 +19,17 @@
 //! Since each bound is admissible, `cost / best_lower_bound` certifies the
 //! optimality gap: the schedule is provably within that factor of `OPT`.
 //!
-//! Two certification paths exist. [`certify_rbp`] / [`certify_prbp`] replay a
-//! materialised trace. [`certify_greedy_rbp`] / [`certify_greedy_prbp`] run a
-//! greedy executor with a *streaming* certifier sink: every emitted move is
-//! replayed through an independent simulator as it is produced, so a
-//! million-node DAG is scheduled, validated and certified in `O(n + m)`
-//! memory without ever materialising a move vector.
+//! Two certification paths exist. [`certify_rbp_with`] /
+//! [`certify_prbp_with`] replay a materialised trace. [`certify_greedy_rbp`]
+//! / [`certify_greedy_prbp`] run a greedy executor with a *streaming*
+//! certifier sink: every emitted move is replayed through an independent
+//! simulator as it is produced, so a million-node DAG is scheduled,
+//! validated and certified in `O(n + m)` memory without ever materialising
+//! a move vector.
+//!
+//! Each path, and the bound ladder, has one body written against
+//! [`pebble_game::Game`]; the per-model public functions are its
+//! instantiations at [`RbpGame`] and [`PrbpGame`].
 
 use crate::greedy::{greedy_prbp_into, greedy_rbp_into};
 use crate::policy::FurthestInFuture;
@@ -33,7 +38,8 @@ use pebble_game::exact::{self, LoadCountHeuristic};
 use pebble_game::prbp::{PrbpConfig, PrbpError, PrbpGame};
 use pebble_game::rbp::{RbpConfig, RbpError, RbpGame};
 use pebble_game::sink::MoveSink;
-use pebble_game::trace::{PrbpTrace, RbpTrace, TraceError};
+use pebble_game::trace::{validate_moves, PrbpTrace, RbpTrace, Trace, TraceError};
+use pebble_game::Game;
 use serde::{Deserialize, Serialize};
 
 /// One named admissible lower bound.
@@ -125,10 +131,37 @@ impl ScheduleReport {
     }
 }
 
-/// The lower-bound ladder of `set` for an initial-state `load-count` value
-/// `load`. Every entry equals `load` (see [`BoundSet`]), so the ladder is
-/// non-empty and `best` is `load` by construction.
-fn bound_ladder(set: BoundSet, load: usize) -> LadderOutcome {
+/// What certification needs of a game beyond [`Game`]: its configuration
+/// for a cache size and its initial-state `load-count` bound.
+trait Certify<'a>: Game<'a> {
+    fn config(r: usize) -> Self::Config;
+    fn load_count(dag: &Dag, config: Self::Config) -> usize;
+}
+
+impl<'a> Certify<'a> for RbpGame<'a> {
+    fn config(r: usize) -> RbpConfig {
+        RbpConfig::new(r)
+    }
+    fn load_count(dag: &Dag, config: RbpConfig) -> usize {
+        exact::rbp_initial_bound(dag, config, &LoadCountHeuristic)
+    }
+}
+
+impl<'a> Certify<'a> for PrbpGame<'a> {
+    fn config(r: usize) -> PrbpConfig {
+        PrbpConfig::new(r)
+    }
+    fn load_count(dag: &Dag, config: PrbpConfig) -> usize {
+        exact::prbp_initial_bound(dag, config, &LoadCountHeuristic)
+    }
+}
+
+/// The lower-bound ladder of `set` on the initial state of `G`:
+/// `(bounds, best_bound)`. Every entry equals `load-count` (see
+/// [`BoundSet`]), so the ladder is non-empty and `best_bound` is
+/// `load-count` by construction.
+fn ladder<'a, G: Certify<'a>>(dag: &Dag, r: usize, set: BoundSet) -> (Vec<BoundValue>, usize) {
+    let load = G::load_count(dag, G::config(r));
     let names: &[&str] = match set {
         BoundSet::Fast => &["load-count"],
         BoundSet::Full => &["load-count", "s-dominator", "s-edge"],
@@ -140,32 +173,40 @@ fn bound_ladder(set: BoundSet, load: usize) -> LadderOutcome {
             value: load,
         })
         .collect();
-    LadderOutcome { bounds, best: load }
+    (bounds, load)
 }
 
-struct LadderOutcome {
-    bounds: Vec<BoundValue>,
-    best: usize,
-}
-
-/// Assemble the report shared by every certification path.
-fn assemble(
-    model: &str,
+/// Pair a replayed `(cost, moves)` of `G` with the ladder of `set`.
+fn assemble<'a, G: Certify<'a>>(
+    dag: &Dag,
     r: usize,
     scheduler: String,
-    cost: usize,
-    moves: usize,
-    ladder: LadderOutcome,
+    (cost, moves): (usize, usize),
+    set: BoundSet,
 ) -> ScheduleReport {
+    let (bounds, best_bound) = ladder::<G>(dag, r, set);
     ScheduleReport {
-        model: model.to_string(),
+        model: G::MODEL.short_name().to_string(),
         r,
         scheduler,
         cost,
         moves,
-        bounds: ladder.bounds,
-        best_bound: ladder.best,
+        bounds,
+        best_bound,
     }
+}
+
+/// Validate `trace` on `dag` under `G` with cache `r` and pair the replayed
+/// cost with the admissible lower bounds of `set`.
+fn certify<'a, G: Certify<'a>>(
+    dag: &'a Dag,
+    r: usize,
+    trace: &Trace<G::Move>,
+    scheduler: String,
+    set: BoundSet,
+) -> Result<ScheduleReport, TraceError<G::Error>> {
+    let cost = validate_moves::<G, _>(dag, G::config(r), trace.moves.iter().copied())?;
+    Ok(assemble::<G>(dag, r, scheduler, (cost, trace.len()), set))
 }
 
 /// Validate `trace` on `dag` under RBP with cache `r` and pair the replayed
@@ -177,30 +218,7 @@ pub fn certify_rbp_with(
     scheduler: impl Into<String>,
     set: BoundSet,
 ) -> Result<ScheduleReport, TraceError<RbpError>> {
-    let config = RbpConfig::new(r);
-    let cost = trace.validate(dag, config)?;
-    let ladder = bound_ladder(
-        set,
-        exact::rbp_initial_bound(dag, config, &LoadCountHeuristic),
-    );
-    Ok(assemble(
-        "rbp",
-        r,
-        scheduler.into(),
-        cost,
-        trace.len(),
-        ladder,
-    ))
-}
-
-/// [`certify_rbp_with`] using the full bound ladder.
-pub fn certify_rbp(
-    dag: &Dag,
-    r: usize,
-    trace: &RbpTrace,
-    scheduler: impl Into<String>,
-) -> Result<ScheduleReport, TraceError<RbpError>> {
-    certify_rbp_with(dag, r, trace, scheduler, BoundSet::Full)
+    certify::<RbpGame>(dag, r, trace, scheduler.into(), set)
 }
 
 /// Validate `trace` on `dag` under PRBP with cache `r` and pair the replayed
@@ -212,20 +230,7 @@ pub fn certify_prbp_with(
     scheduler: impl Into<String>,
     set: BoundSet,
 ) -> Result<ScheduleReport, TraceError<PrbpError>> {
-    let config = PrbpConfig::new(r);
-    let cost = trace.validate(dag, config)?;
-    let ladder = bound_ladder(
-        set,
-        exact::prbp_initial_bound(dag, config, &LoadCountHeuristic),
-    );
-    Ok(assemble(
-        "prbp",
-        r,
-        scheduler.into(),
-        cost,
-        trace.len(),
-        ladder,
-    ))
+    certify::<PrbpGame>(dag, r, trace, scheduler.into(), set)
 }
 
 /// [`certify_prbp_with`] with additional caller-supplied admissible bounds
@@ -248,63 +253,31 @@ pub fn certify_prbp_with_bounds(
     Ok(report)
 }
 
-/// [`certify_prbp_with`] using the full bound ladder.
-pub fn certify_prbp(
-    dag: &Dag,
-    r: usize,
-    trace: &PrbpTrace,
-    scheduler: impl Into<String>,
-) -> Result<ScheduleReport, TraceError<PrbpError>> {
-    certify_prbp_with(dag, r, trace, scheduler, BoundSet::Full)
-}
-
 /// The lower-bound ladder of the *initial* PRBP state, without scheduling
 /// anything: `(bounds, best_bound)`. What `prbp bound` prints.
 pub fn prbp_bound_ladder(dag: &Dag, r: usize, set: BoundSet) -> (Vec<BoundValue>, usize) {
-    let config = PrbpConfig::new(r);
-    let ladder = bound_ladder(
-        set,
-        exact::prbp_initial_bound(dag, config, &LoadCountHeuristic),
-    );
-    (ladder.bounds, ladder.best)
+    ladder::<PrbpGame>(dag, r, set)
 }
 
 /// The lower-bound ladder of the *initial* RBP state, without scheduling
 /// anything: `(bounds, best_bound)`.
 pub fn rbp_bound_ladder(dag: &Dag, r: usize, set: BoundSet) -> (Vec<BoundValue>, usize) {
-    let config = RbpConfig::new(r);
-    let ladder = bound_ladder(
-        set,
-        exact::rbp_initial_bound(dag, config, &LoadCountHeuristic),
-    );
-    (ladder.bounds, ladder.best)
+    ladder::<RbpGame>(dag, r, set)
 }
 
 /// A [`MoveSink`] that replays every visited move through an independent
-/// simulator: the streaming equivalent of `trace.validate(..)`. The first
+/// game `G`: the streaming equivalent of `trace.validate(..)`. The first
 /// illegal move is remembered (with its index) and later moves are ignored.
-struct ReplaySink<G, M, E> {
+struct ReplaySink<G, E> {
     game: G,
     moves: usize,
     failure: Option<TraceError<E>>,
-    apply: fn(&mut G, M) -> Result<(), E>,
 }
 
-impl<G, M: std::fmt::Display + Copy, E> ReplaySink<G, M, E> {
-    fn new(game: G, apply: fn(&mut G, M) -> Result<(), E>) -> Self {
-        ReplaySink {
-            game,
-            moves: 0,
-            failure: None,
-            apply,
-        }
-    }
-}
-
-impl<G, M: std::fmt::Display + Copy, E> MoveSink<M> for ReplaySink<G, M, E> {
-    fn record(&mut self, mv: M) {
+impl<'a, G: Game<'a>> MoveSink<G::Move> for ReplaySink<G, G::Error> {
+    fn record(&mut self, mv: G::Move) {
         if self.failure.is_none() {
-            if let Err(error) = (self.apply)(&mut self.game, mv) {
+            if let Err(error) = self.game.apply(mv) {
                 self.failure = Some(TraceError::InvalidMove {
                     index: self.moves,
                     description: mv.to_string(),
@@ -314,6 +287,32 @@ impl<G, M: std::fmt::Display + Copy, E> MoveSink<M> for ReplaySink<G, M, E> {
         }
         self.moves += 1;
     }
+}
+
+/// Run a greedy executor (`run`) into a [`ReplaySink`] over a fresh `G` and
+/// certify what the sink replayed. `None` when the executor declines the
+/// instance.
+fn certify_streamed<'a, G: Certify<'a>>(
+    dag: &'a Dag,
+    r: usize,
+    scheduler: String,
+    set: BoundSet,
+    run: impl FnOnce(ReplaySink<G, G::Error>) -> Option<(ReplaySink<G, G::Error>, usize)>,
+) -> Option<Result<ScheduleReport, TraceError<G::Error>>> {
+    let sink = ReplaySink {
+        game: G::new(dag, G::config(r)),
+        moves: 0,
+        failure: None,
+    };
+    let (sink, _) = run(sink)?;
+    if let Some(err) = sink.failure {
+        return Some(Err(err));
+    }
+    if !sink.game.is_terminal() {
+        return Some(Err(TraceError::NotTerminal));
+    }
+    let replayed = (sink.game.io_cost(), sink.moves);
+    Some(Ok(assemble::<G>(dag, r, scheduler, replayed, set)))
 }
 
 /// Run the greedy PRBP executor on `order` and certify the result
@@ -330,28 +329,9 @@ pub fn certify_greedy_prbp(
     scheduler: impl Into<String>,
     set: BoundSet,
 ) -> Option<Result<ScheduleReport, TraceError<PrbpError>>> {
-    let config = PrbpConfig::new(r);
-    let sink = ReplaySink::new(PrbpGame::new(dag, config), PrbpGame::apply);
-    let (sink, _) = greedy_prbp_into(dag, r, order, policy, sink)?;
-    if let Some(err) = sink.failure {
-        return Some(Err(err));
-    }
-    if !sink.game.is_terminal() {
-        return Some(Err(TraceError::NotTerminal));
-    }
-    let cost = sink.game.io_cost();
-    let ladder = bound_ladder(
-        set,
-        exact::prbp_initial_bound(dag, config, &LoadCountHeuristic),
-    );
-    Some(Ok(assemble(
-        "prbp",
-        r,
-        scheduler.into(),
-        cost,
-        sink.moves,
-        ladder,
-    )))
+    certify_streamed::<PrbpGame>(dag, r, scheduler.into(), set, |sink| {
+        greedy_prbp_into(dag, r, order, policy, sink)
+    })
 }
 
 /// Run the greedy RBP executor on `order` and certify the result
@@ -365,28 +345,9 @@ pub fn certify_greedy_rbp(
     scheduler: impl Into<String>,
     set: BoundSet,
 ) -> Option<Result<ScheduleReport, TraceError<RbpError>>> {
-    let config = RbpConfig::new(r);
-    let sink = ReplaySink::new(RbpGame::new(dag, config), RbpGame::apply);
-    let (sink, _) = greedy_rbp_into(dag, r, order, policy, sink)?;
-    if let Some(err) = sink.failure {
-        return Some(Err(err));
-    }
-    if !sink.game.is_terminal() {
-        return Some(Err(TraceError::NotTerminal));
-    }
-    let cost = sink.game.io_cost();
-    let ladder = bound_ladder(
-        set,
-        exact::rbp_initial_bound(dag, config, &LoadCountHeuristic),
-    );
-    Some(Ok(assemble(
-        "rbp",
-        r,
-        scheduler.into(),
-        cost,
-        sink.moves,
-        ladder,
-    )))
+    certify_streamed::<RbpGame>(dag, r, scheduler.into(), set, |sink| {
+        greedy_rbp_into(dag, r, order, policy, sink)
+    })
 }
 
 #[cfg(test)]
@@ -395,7 +356,9 @@ mod tests {
     use crate::beam::{beam_prbp, BeamConfig};
     use crate::greedy::{greedy_prbp, greedy_rbp};
     use crate::order;
-    use pebble_dag::generators::{fft, fig1_full};
+    use pebble_dag::generators::{
+        binary_tree, fft, fig1_full, matmul, random_layered, RandomLayeredConfig,
+    };
     use pebble_game::engine::{solve_prbp, solve_rbp, EngineConfig};
 
     #[test]
@@ -403,7 +366,7 @@ mod tests {
         let dag = fig1_full().dag;
         let r = 4;
         let trace = beam_prbp(&dag, r, BeamConfig::default()).unwrap();
-        let report = certify_prbp(&dag, r, &trace, "beam:8").unwrap();
+        let report = certify_prbp_with(&dag, r, &trace, "beam:8", BoundSet::Full).unwrap();
         let engine = EngineConfig::default();
         let config = PrbpConfig::new(r);
         let opt = solve_prbp(&dag, config, &engine, &LoadCountHeuristic, None)
@@ -422,7 +385,8 @@ mod tests {
         let r = 4;
         let ord = order::natural(&dag);
         let trace = greedy_rbp(&dag, r, &ord, &mut FurthestInFuture).unwrap();
-        let report = certify_rbp(&dag, r, &trace, "greedy:belady:natural").unwrap();
+        let report =
+            certify_rbp_with(&dag, r, &trace, "greedy:belady:natural", BoundSet::Full).unwrap();
         let engine = EngineConfig::default();
         let config = RbpConfig::new(r);
         let opt = solve_rbp(&dag, config, &engine, &LoadCountHeuristic, None)
@@ -471,37 +435,63 @@ mod tests {
 
     #[test]
     fn streaming_certification_matches_the_materialised_path() {
-        let dag = fft(16).dag;
-        let r = 6;
-        let ord = order::dfs_postorder(&dag);
-        let trace = greedy_prbp(&dag, r, &ord, &mut FurthestInFuture).unwrap();
-        let via_trace = certify_prbp(&dag, r, &trace, "greedy:belady:dfs").unwrap();
-        let via_stream = certify_greedy_prbp(
-            &dag,
-            r,
-            &ord,
-            &mut FurthestInFuture,
-            "greedy:belady:dfs",
-            BoundSet::Full,
-        )
-        .unwrap()
-        .unwrap();
-        assert_eq!(via_stream, via_trace);
+        let random = |seed| {
+            random_layered(RandomLayeredConfig {
+                layers: 6,
+                width: 8,
+                max_in_degree: 3,
+                seed,
+            })
+        };
+        let table: Vec<(&str, Dag)> = vec![
+            ("fig1", fig1_full().dag),
+            ("fft-16", fft(16).dag),
+            ("fft-64", fft(64).dag),
+            ("matmul-3", matmul(3, 3, 3).dag),
+            ("matmul-4", matmul(4, 4, 4).dag),
+            ("binary-tree-5", binary_tree(5)),
+            ("random-7", random(7)),
+            ("random-11", random(11)),
+        ];
+        for (name, dag) in &table {
+            for (kind, ord) in [
+                ("natural", order::natural(dag)),
+                ("dfs", order::dfs_postorder(dag)),
+            ] {
+                for extra in [0, 1, 2, 6] {
+                    let r = 2 + extra;
+                    let trace = greedy_prbp(dag, r, &ord, &mut FurthestInFuture).unwrap();
+                    let via_trace =
+                        certify_prbp_with(dag, r, &trace, kind, BoundSet::Full).unwrap();
+                    let via_stream = certify_greedy_prbp(
+                        dag,
+                        r,
+                        &ord,
+                        &mut FurthestInFuture,
+                        kind,
+                        BoundSet::Full,
+                    )
+                    .unwrap()
+                    .unwrap();
+                    assert_eq!(via_stream, via_trace, "{name} prbp {kind} r={r}");
 
-        let rr = dag.max_in_degree() + 2;
-        let rtrace = greedy_rbp(&dag, rr, &ord, &mut FurthestInFuture).unwrap();
-        let rvia_trace = certify_rbp(&dag, rr, &rtrace, "greedy:belady:dfs").unwrap();
-        let rvia_stream = certify_greedy_rbp(
-            &dag,
-            rr,
-            &ord,
-            &mut FurthestInFuture,
-            "greedy:belady:dfs",
-            BoundSet::Full,
-        )
-        .unwrap()
-        .unwrap();
-        assert_eq!(rvia_stream, rvia_trace);
+                    let r = dag.max_in_degree() + 1 + extra;
+                    let trace = greedy_rbp(dag, r, &ord, &mut FurthestInFuture).unwrap();
+                    let via_trace = certify_rbp_with(dag, r, &trace, kind, BoundSet::Full).unwrap();
+                    let via_stream = certify_greedy_rbp(
+                        dag,
+                        r,
+                        &ord,
+                        &mut FurthestInFuture,
+                        kind,
+                        BoundSet::Full,
+                    )
+                    .unwrap()
+                    .unwrap();
+                    assert_eq!(via_stream, via_trace, "{name} rbp {kind} r={r}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -524,14 +514,14 @@ mod tests {
     fn invalid_traces_are_rejected() {
         let dag = fig1_full().dag;
         let empty = PrbpTrace::new();
-        assert!(certify_prbp(&dag, 4, &empty, "noop").is_err());
+        assert!(certify_prbp_with(&dag, 4, &empty, "noop", BoundSet::Full).is_err());
     }
 
     #[test]
     fn report_serialises() {
         let dag = fft(8).dag;
         let trace = beam_prbp(&dag, 4, BeamConfig::adaptive()).unwrap();
-        let report = certify_prbp(&dag, 4, &trace, "beam:1").unwrap();
+        let report = certify_prbp_with(&dag, 4, &trace, "beam:1", BoundSet::Full).unwrap();
         let json = serde_json::to_string(&report).unwrap();
         let back: ScheduleReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);

@@ -28,7 +28,7 @@ use pebble_game::engine::{solve_prbp, EngineConfig};
 use pebble_game::exact::{prbp_initial_bound, LoadCountHeuristic};
 use pebble_game::prbp::PrbpConfig;
 use pebble_sched::{
-    certify_prbp, compose_prbp, default_suite, ComposeConfig, OrderKind, Scheduler,
+    certify_prbp_with, compose_prbp, default_suite, BoundSet, ComposeConfig, OrderKind, Scheduler,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -145,7 +145,8 @@ proptest! {
             let opt = optimum(&dag, r);
             for s in engines() {
                 let Some(trace) = s.run_prbp(&dag, r) else { continue };
-                let report = certify_prbp(&dag, r, &trace, s.to_string()).expect("valid trace");
+                let report = certify_prbp_with(&dag, r, &trace, s.to_string(), BoundSet::Full)
+                    .expect("valid trace");
                 prop_assert!(
                     report.cost >= opt,
                     "{s}: certified cost {} below optimum {opt}", report.cost

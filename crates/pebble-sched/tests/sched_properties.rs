@@ -22,7 +22,7 @@ use pebble_game::rbp::RbpConfig;
 use pebble_game::strategies::topological;
 use pebble_game::trace::PrbpTrace;
 use pebble_sched::{
-    best_prbp, certify_prbp, certify_rbp, compose_certified, default_suite, BoundSet,
+    best_prbp, certify_prbp_with, certify_rbp_with, compose_certified, default_suite, BoundSet,
     ComposeConfig, OrderKind, Scheduler,
 };
 use proptest::prelude::*;
@@ -63,9 +63,10 @@ proptest! {
     fn every_prbp_scheduler_validates_and_respects_all_bounds((dag, r) in dag_strategy()) {
         for s in full_suite() {
             let Some(trace) = s.run_prbp(&dag, r) else { continue };
-            // `certify_prbp` replays the trace through the simulator and
+            // `certify_prbp_with` replays the trace through the simulator and
             // evaluates every admissible bound; an invalid trace errors here.
-            let report = certify_prbp(&dag, r, &trace, s.to_string()).expect("valid trace");
+            let report = certify_prbp_with(&dag, r, &trace, s.to_string(), BoundSet::Full)
+                .expect("valid trace");
             for bound in &report.bounds {
                 prop_assert!(
                     report.cost >= bound.value,
@@ -81,7 +82,8 @@ proptest! {
     fn every_rbp_scheduler_validates_and_respects_all_bounds((dag, r) in dag_strategy()) {
         for s in full_suite() {
             let Some(trace) = s.run_rbp(&dag, r) else { continue };
-            let report = certify_rbp(&dag, r, &trace, s.to_string()).expect("valid trace");
+            let report = certify_rbp_with(&dag, r, &trace, s.to_string(), BoundSet::Full)
+                .expect("valid trace");
             for bound in &report.bounds {
                 prop_assert!(report.cost >= bound.value);
             }

@@ -8,7 +8,7 @@
 use prbp::bounds::analytic::fft_prbp_lower_bound;
 use prbp::dag::generators::fft;
 use prbp::game::strategies::fft as fft_strategies;
-use prbp::sched::{certify_prbp, OrderKind, ScheduleReport, Scheduler};
+use prbp::sched::{certify_prbp_with, BoundSet, OrderKind, ScheduleReport, Scheduler};
 use std::time::Instant;
 
 fn main() {
@@ -42,9 +42,9 @@ fn main() {
             .run_prbp(&f.dag, r)
             .expect("PRBP schedules any DAG with r >= 2");
         let elapsed = t0.elapsed();
-        // `certify_prbp` replays the trace through the PRBP simulator and
-        // pairs the validated cost with the admissible lower bounds.
-        let report = certify_prbp(&f.dag, r, &trace, scheduler.to_string())
+        // `certify_prbp_with` replays the trace through the PRBP simulator
+        // and pairs the validated cost with the admissible lower bounds.
+        let report = certify_prbp_with(&f.dag, r, &trace, scheduler.to_string(), BoundSet::Full)
             .expect("schedulers emit valid traces");
         println!(
             "  {:<24} cost {:>8}  certified gap {:>5.2}x  ({} moves, scheduled in {:.2?})",
@@ -60,7 +60,8 @@ fn main() {
     // The paper's blocked superstage strategy (Theorem 6.9 upper bound),
     // replayed through the same simulator and certified the same way.
     let trace = fft_strategies::prbp_blocked(&f, r).expect("r >= 4");
-    let report = certify_prbp(&f.dag, r, &trace, "blocked").expect("valid strategy trace");
+    let report = certify_prbp_with(&f.dag, r, &trace, "blocked", BoundSet::Full)
+        .expect("valid strategy trace");
     println!(
         "  {:<24} cost {:>8}  certified gap {:>5.2}x  ({} moves)",
         report.scheduler,
