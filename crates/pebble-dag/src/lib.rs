@@ -15,9 +15,8 @@
 //! * [`traversal`] — reachability and path queries.
 //! * [`flow`] / [`dominators`] — Dinic max-flow and minimum vertex cuts, used
 //!   to compute and verify (edge-)dominator sets.
-//! * [`liveness`] — next-use / consumer-position precomputation for a compute
-//!   order, the substrate of Belady-style eviction in the heuristic
-//!   schedulers.
+//! * [`liveness`] — the [`liveness::NEVER`] next use of a dead value, shared
+//!   by the Belady eviction of the heuristic schedulers.
 //! * [`decompose`] — decomposition of a DAG into independently schedulable
 //!   components (weak components, level bands, sink-cone tiles) with
 //!   explicit boundary sets, the substrate of divide-and-conquer

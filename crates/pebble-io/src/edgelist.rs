@@ -14,7 +14,12 @@
 //! appear in some edge. Labels are not representable. Self-loops are
 //! rejected at their source line; cycles are rejected after parsing.
 //!
-//! Each line is split into at most three tokens without allocating, and its
+//! A line of the common shape — blanks, one to eight ASCII digits, blanks,
+//! one to eight digits, blanks, where a blank is a space, a tab or `\r` —
+//! naming two distinct ids is read byte by byte (`plain_edge`). Every
+//! other line, comments, errors and long or signed ids included, is split
+//! into at most three tokens without allocating (`edge`), which keeps
+//! every error text and location of the general reader. Either way the
 //! edge goes straight into the [`DagBuilder`]. Duplicate edges are found by
 //! the builder's one O(n + m) check. Only on that error path is the document
 //! read again, to report the duplicate at its second `u v` line. Before a
@@ -86,6 +91,31 @@ pub(crate) fn parse_id(line: usize, col: usize, tok: &str) -> Result<usize, Pars
     }
 }
 
+/// The edge of a line of the common shape (see the module docs); `None`
+/// for every other line, which [`edge`] then reads.
+fn plain_edge(line: &[u8]) -> Option<(usize, usize)> {
+    let blank = |b: &u8| matches!(b, b' ' | b'\t' | b'\r');
+    let mut rest = line;
+    let mut ids = [0usize; 2];
+    for (k, id) in ids.iter_mut().enumerate() {
+        let lead = rest.iter().take_while(|b| blank(b)).count();
+        if k == 1 && lead == 0 {
+            return None;
+        }
+        rest = &rest[lead..];
+        let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+        if !(1..=8).contains(&digits) {
+            return None;
+        }
+        *id = rest[..digits]
+            .iter()
+            .fold(0, |id, b| id * 10 + usize::from(b - b'0'));
+        rest = &rest[digits..];
+    }
+    let [u, v] = ids;
+    (rest.iter().all(blank) && u != v).then_some((u, v))
+}
+
 /// The edge on line `lno`, if the line holds one.
 fn edge(lno: usize, line: &str) -> Result<Option<(usize, usize)>, ParseError> {
     match tokens(line) {
@@ -122,7 +152,11 @@ pub fn parse(input: &str) -> Result<Dag, ParseError> {
     let mut b = DagBuilder::new();
     let mut max_id = 0usize;
     for (lno0, line) in input.lines().enumerate() {
-        match edge(lno0 + 1, line) {
+        let parsed = match plain_edge(line.as_bytes()) {
+            Some(uv) => Ok(Some(uv)),
+            None => edge(lno0 + 1, line),
+        };
+        match parsed {
             Ok(None) => {}
             Ok(Some((u, v))) => {
                 max_id = max_id.max(u).max(v);

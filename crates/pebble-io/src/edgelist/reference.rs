@@ -102,19 +102,24 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    /// Token separators, `\x0b` and non-ASCII whitespace included.
-    const SPACES: [&str; 6] = [" ", "\t", "  ", "\x0b", "\u{a0}", "\u{3000}"];
+    /// Token separators: the byte-level reader's blanks (space, tab, a
+    /// lone `\r`) and what only the general reader takes (`\x0b`, `\x0c`,
+    /// non-ASCII whitespace).
+    const SPACES: [&str; 8] = [" ", "\t", "  ", "\r", "\x0b", "\x0c", "\u{a0}", "\u{3000}"];
 
     fn space(rng: &mut ChaCha8Rng) -> &'static str {
         SPACES[rng.gen_range(0..SPACES.len())]
     }
 
-    /// An id as written: sometimes with leading zeros.
+    /// An id as written: sometimes with leading zeros, zero-padded to nine
+    /// digits (past the byte-level reader's eight), or with the leading `+`
+    /// that `usize::from_str` accepts.
     fn id(rng: &mut ChaCha8Rng, v: usize) -> String {
-        if rng.gen_bool(0.15) {
-            format!("00{v}")
-        } else {
-            v.to_string()
+        match rng.gen_range(0..20usize) {
+            0..=2 => format!("00{v}"),
+            3 => format!("{v:09}"),
+            4 => format!("+{v}"),
+            _ => v.to_string(),
         }
     }
 
@@ -122,10 +127,11 @@ mod tests {
     fn edge_line(rng: &mut ChaCha8Rng, u: usize, v: usize) -> String {
         let lead = if rng.gen_bool(0.2) { space(rng) } else { "" };
         let (a, sep, b) = (id(rng, u), space(rng), id(rng, v));
-        let tail = match rng.gen_range(0..6usize) {
+        let tail = match rng.gen_range(0..7usize) {
             0 => " # note",
             1 => "#x",
             2 => space(rng),
+            3 => " \t\r ",
             _ => "",
         };
         format!("{lead}{a}{sep}{b}{tail}")

@@ -19,10 +19,18 @@
 //! executors use: a node's next occurrence changes only when the sequence
 //! reaches an edge it is an endpoint of, so each edge costs `O(log r)` in
 //! the queue instead of a scan over the red nodes.
+//!
+//! The queue's index keeps every node's occurrences — the positions of the
+//! edges it is an endpoint of, `2m` entries in all — in one flat `u32`
+//! array, and one 16-byte slot per node: its `u64` eviction key (the next
+//! occurrence *strictly after* the current edge in 32 bits, whether the
+//! eviction is free in 1 bit, the inverted node id in 31 bits), a `u32`
+//! cursor into its occurrences and the end of its list with the red and
+//! dirty flags in its top two bits. So the executor takes DAGs of fewer
+//! than 2³¹ nodes and 2²⁹ edges, and returns `None` beyond that.
 
 use crate::eviction::EvictionIndex;
-use crate::policy::{Candidate, FurthestInFuture};
-use pebble_dag::liveness::NEVER;
+use crate::policy::FurthestInFuture;
 use pebble_dag::{Dag, EdgeId, NodeId};
 use pebble_game::moves::PrbpMove;
 use pebble_game::prbp::{PebbleState, PrbpConfig};
@@ -31,8 +39,8 @@ use pebble_game::PrbpBuilder;
 
 /// Schedule `dag` in PRBP with cache size `r` by processing `edges` in the
 /// given order, evicting by Belady's rule. Works for any `r ≥ 2`; returns
-/// `None` below that, or when `edges` is not a complete, source-complete
-/// edge sequence.
+/// `None` below that, when `edges` is not a complete, source-complete
+/// edge sequence, and beyond the size limits of the module docs.
 pub fn greedy_prbp_edges(
     dag: &Dag,
     r: usize,
@@ -58,17 +66,7 @@ pub fn greedy_prbp_edges(
         in_done[v.index()] += 1;
     }
 
-    // Next-use over edge positions: for each node, the ascending positions
-    // at which it is an endpoint.
-    let mut occurrences: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (t, &e) in edges.iter().enumerate() {
-        let (u, v) = dag.edge_endpoints(e);
-        occurrences[u.index()].push(t as u32);
-        occurrences[v.index()].push(t as u32);
-    }
-    let mut cursor = vec![0u32; n];
-
-    let mut red = EvictionIndex::new(n);
+    let mut red = EvictionIndex::for_edges(dag, edges)?;
     let mut builder = PrbpBuilder::new(dag, PrbpConfig::new(r));
 
     for (t, &e) in edges.iter().enumerate() {
@@ -80,24 +78,9 @@ pub fn greedy_prbp_edges(
                 |w| w == u || w == v,
                 |w| {
                     let game = builder.game();
-                    let remaining = game.unmarked_out_degree(w);
+                    let dead = game.unmarked_out_degree(w) == 0;
                     let dark = game.pebble_state(w) == PebbleState::DarkRed;
-                    let next_use = if remaining == 0 {
-                        NEVER
-                    } else {
-                        let occ = &occurrences[w.index()];
-                        let mut c = cursor[w.index()] as usize;
-                        while c < occ.len() && occ[c] as usize <= t {
-                            c += 1;
-                        }
-                        cursor[w.index()] = c as u32;
-                        occ.get(c).map(|&p| p as usize).unwrap_or(NEVER)
-                    };
-                    Candidate {
-                        node: w,
-                        next_use,
-                        free: !dark || (remaining == 0 && !dag.is_sink(w)),
-                    }
+                    (dead, !dark || (dead && !dag.is_sink(w)))
                 },
             );
             builder.evict(victim).expect("victim is evictable");

@@ -1,17 +1,45 @@
-//! The eviction queue shared by the greedy executors ([`crate::greedy`] and
+//! The eviction index shared by the greedy executors ([`crate::greedy`] and
 //! [`crate::edges`]).
 //!
-//! [`EvictionIndex`] owns the set of red nodes, each red node's current
-//! [`EvictionKey`] and a max-heap of keys, so choosing a victim costs a few
-//! heap operations instead of a scan over every red node. Keys are refreshed
-//! lazily and superseded heap entries stay in place: an entry is *stale*,
-//! and skipped when popped, once its node is no longer red or its key
-//! differs from the node's current key.
+//! [`EvictionIndex`] owns everything an eviction reads: every node's use
+//! positions, how far the executor has passed through them, whether the
+//! node is red, its current [`EvictionKey`], and a max-heap of keys. It
+//! answers Belady's next-use question itself, so an executor only reports
+//! whether a candidate is dead and whether evicting it is free. Choosing a
+//! victim costs a few heap operations instead of a scan over every red
+//! node. Keys are refreshed lazily and superseded heap entries stay in
+//! place: an entry is *stale*, and skipped when popped, once its node is no
+//! longer red or its key differs from the node's current key.
+//!
+//! # Layout
+//!
+//! One flat `u32` array holds the use positions of every node, node after
+//! node, ascending within a node: the compute-order positions of its
+//! consumers for the node executors ([`EvictionIndex::for_nodes`]), the
+//! edge positions at which it is an endpoint for the edge executor
+//! ([`EvictionIndex::for_edges`]). Each node has one 16-byte slot:
+//!
+//! * `key` (`u64`): the node's current [`EvictionKey`], or `UNKEYED`;
+//! * `cursor` (`u32`): the index into the position array of the node's
+//!   first use not yet passed, which only moves forward;
+//! * `end` (`u32`): the end of the node's list in the low 30 bits, and the
+//!   `RED` and `DIRTY` flags in the top two.
+//!
+//! Re-keying a node reads its slot and the positions its cursor passes, and
+//! nothing else of the index.
+//!
+//! # Limits
+//!
+//! A key keeps the node id in 31 bits and a list end shares its word with
+//! two flags, so the index takes fewer than 2³¹ nodes and fewer than 2³⁰
+//! use positions in total (`m` for the node executors, `2m` for the edge
+//! executor). The constructors return `None` beyond that, and so do the
+//! executors.
 //!
 //! # The touch invariant
 //!
-//! The laziness rests on one invariant: every input of a key — the
-//! `next_use` and `free` fields of a [`Candidate`] — changes only when the
+//! The laziness rests on one invariant: every input of a key — the next use
+//! and the `(dead, free)` state an executor reports — changes only when the
 //! executor *touches* the node: loads it, aggregates from or into it, or
 //! computes it. A node's next use is, by definition, a position where it
 //! gets touched, so an untouched node's next use cannot fall behind the
@@ -26,7 +54,8 @@
 //!   reports `t` while the rest of `t` is scheduled; only at `t + 1` does
 //!   its true next use show. Full scans of the red set behaved exactly so,
 //!   and the index reproduces it rather than fixing it, which keeps every
-//!   schedule move-for-move identical.
+//!   schedule move-for-move identical. The edge executor asks for the first
+//!   use *strictly after* the current position, so its keys never expire.
 //!
 //! Pinned nodes — the endpoints of the move being scheduled, or every input
 //! of the node being computed in RBP — are never the victim. They are not
@@ -41,20 +70,33 @@
 //! push), drops a pinned entry (at most one per re-key), or returns the
 //! victim. A whole schedule therefore costs `O((n + m) log r)`.
 
-use crate::policy::{Candidate, EvictionKey, FurthestInFuture};
-use pebble_dag::NodeId;
+use crate::policy::EvictionKey;
+use pebble_dag::{Dag, EdgeId, NodeId};
 use std::collections::BinaryHeap;
 
-const RED: u8 = 1;
-const DIRTY: u8 = 2;
+/// `end` flag: the node holds a red pebble.
+const RED: u32 = 1 << 31;
+/// `end` flag: the node was touched since it was last keyed.
+const DIRTY: u32 = 1 << 30;
+/// The list-end bits of `end`.
+const END: u32 = DIRTY - 1;
+
+/// One node's eviction state; see the module docs.
+#[derive(Clone, Copy)]
+struct Slot {
+    key: EvictionKey,
+    cursor: u32,
+    end: u32,
+}
 
 /// The red nodes of a greedy executor, ordered by eviction key.
 pub(crate) struct EvictionIndex {
-    /// `RED` and `DIRTY` bits per node.
-    flags: Vec<u8>,
-    /// Current key per red node; [`EvictionKey::UNKEYED`] while the node
-    /// has no current heap entry, and always for nodes that are not red.
-    key: Vec<EvictionKey>,
+    slots: Vec<Slot>,
+    /// Use positions, one ascending list per node.
+    positions: Vec<u32>,
+    /// Whether a use at the current position is past (the edge executor's
+    /// strictly-after query) or still ahead (the node executors').
+    strictly_after: bool,
     /// Number of red nodes.
     len: usize,
     /// Keys pushed so far, stale entries included.
@@ -64,29 +106,84 @@ pub(crate) struct EvictionIndex {
     /// Nodes keyed at the current position with that position as next use.
     expiring: Vec<NodeId>,
     /// The executor's current position.
-    position: usize,
+    position: u32,
     /// Key refreshes plus heap pops: the index's work, independent of clocks.
     work: u64,
 }
 
 impl EvictionIndex {
-    /// An empty index over nodes `0..n`.
-    pub(crate) fn new(n: usize) -> Self {
-        EvictionIndex {
-            flags: vec![0; n],
-            key: vec![EvictionKey::UNKEYED; n],
+    /// The index of the node executors on `order`: a node's uses are the
+    /// positions of its consumers in `order`, and a use at the current
+    /// position is still ahead. `order` must cover every node exactly once.
+    /// `None` beyond the index's limits.
+    pub(crate) fn for_nodes(dag: &Dag, order: &[NodeId]) -> Option<Self> {
+        let mut index = Self::with_lists(dag, |v| dag.out_degree(v), false)?;
+        // Filling from the last position down leaves each list ascending and
+        // each cursor at the list's start.
+        for (t, &v) in order.iter().enumerate().rev() {
+            for &(u, _) in dag.in_edges(v) {
+                index.push_front(u, t as u32);
+            }
+        }
+        Some(index)
+    }
+
+    /// The index of the edge executor on `edges`: a node's uses are the
+    /// positions of the edges it is an endpoint of, and a use at the
+    /// current position is already past. `edges` must hold every edge
+    /// exactly once. `None` beyond the index's limits.
+    pub(crate) fn for_edges(dag: &Dag, edges: &[EdgeId]) -> Option<Self> {
+        let mut index = Self::with_lists(dag, |v| dag.in_degree(v) + dag.out_degree(v), true)?;
+        for (t, &e) in edges.iter().enumerate().rev() {
+            let (u, v) = dag.edge_endpoints(e);
+            index.push_front(u, t as u32);
+            index.push_front(v, t as u32);
+        }
+        Some(index)
+    }
+
+    /// An index with room for `uses(v)` positions per node, each cursor at
+    /// the end of its empty list.
+    fn with_lists(dag: &Dag, uses: impl Fn(NodeId) -> usize, strictly_after: bool) -> Option<Self> {
+        if dag.node_count() > EvictionKey::MAX_NODES {
+            return None;
+        }
+        let mut end = 0usize;
+        let mut slots = Vec::with_capacity(dag.node_count());
+        for v in dag.nodes() {
+            end += uses(v);
+            if end > END as usize {
+                return None;
+            }
+            slots.push(Slot {
+                key: EvictionKey::UNKEYED,
+                cursor: end as u32,
+                end: end as u32,
+            });
+        }
+        Some(EvictionIndex {
+            slots,
+            positions: vec![0; end],
+            strictly_after,
             len: 0,
             heap: BinaryHeap::new(),
             dirty: Vec::new(),
             expiring: Vec::new(),
             position: 0,
             work: 0,
-        }
+        })
+    }
+
+    /// Prepend `position` to `v`'s list.
+    fn push_front(&mut self, v: NodeId, position: u32) {
+        let slot = &mut self.slots[v.index()];
+        slot.cursor -= 1;
+        self.positions[slot.cursor as usize] = position;
     }
 
     /// Whether `v` holds a red pebble.
     pub(crate) fn contains(&self, v: NodeId) -> bool {
-        self.flags[v.index()] & RED != 0
+        self.slots[v.index()].end & RED != 0
     }
 
     /// Number of red nodes.
@@ -102,7 +199,7 @@ impl EvictionIndex {
     /// Record that `v` became red; it is keyed before the next eviction.
     pub(crate) fn insert(&mut self, v: NodeId) {
         debug_assert!(!self.contains(v));
-        self.flags[v.index()] |= RED;
+        self.slots[v.index()].end |= RED;
         self.len += 1;
         self.touch(v);
     }
@@ -110,16 +207,17 @@ impl EvictionIndex {
     /// Record that `v` lost its red pebble.
     pub(crate) fn remove(&mut self, v: NodeId) {
         debug_assert!(self.contains(v));
-        self.flags[v.index()] &= !RED;
-        self.key[v.index()] = EvictionKey::UNKEYED;
+        let slot = &mut self.slots[v.index()];
+        slot.end &= !RED;
+        slot.key = EvictionKey::UNKEYED;
         self.len -= 1;
     }
 
     /// Record that the executor touched `v`, which may change its key.
     pub(crate) fn touch(&mut self, v: NodeId) {
-        let flags = &mut self.flags[v.index()];
-        if *flags & DIRTY == 0 {
-            *flags |= DIRTY;
+        let end = &mut self.slots[v.index()].end;
+        if *end & DIRTY == 0 {
+            *end |= DIRTY;
             self.dirty.push(v);
         }
     }
@@ -127,46 +225,66 @@ impl EvictionIndex {
     /// Enter `position`; keys that read the previous position as their next
     /// use are re-keyed before the next eviction.
     pub(crate) fn begin_position(&mut self, position: usize) {
-        self.position = position;
+        self.position = position as u32;
         while let Some(v) = self.expiring.pop() {
             self.touch(v);
         }
     }
 
+    /// The first use of `v` not yet passed at the current position, or
+    /// [`EvictionKey::NEVER`] if none remains. Moves `v`'s cursor past the
+    /// uses before it.
+    fn next_use(&mut self, v: NodeId) -> u32 {
+        let slot = &mut self.slots[v.index()];
+        let end = (slot.end & END) as usize;
+        let first = self.position + u32::from(self.strictly_after);
+        let uses = &self.positions[slot.cursor as usize..end];
+        let passed = uses.iter().take_while(|&&p| p < first).count();
+        slot.cursor += passed as u32;
+        uses.get(passed).copied().unwrap_or(EvictionKey::NEVER)
+    }
+
     /// Remove and return the red node with the largest Belady key that is
-    /// not `pinned`. `candidate` describes a red node at the current
-    /// position; it is called only for nodes touched since they were last
-    /// keyed.
+    /// not `pinned`. `state` reports `(dead, free)` for a red node at the
+    /// current position — a dead value ranks as never used again — and is
+    /// called only for nodes touched since they were last keyed.
     ///
     /// Panics if every red node is pinned, which the executors' capacity
     /// checks rule out.
     pub(crate) fn pop_victim(
         &mut self,
         pinned: impl Fn(NodeId) -> bool,
-        mut candidate: impl FnMut(NodeId) -> Candidate,
+        mut state: impl FnMut(NodeId) -> (bool, bool),
     ) -> NodeId {
         // Re-key the dirty nodes. Pinned ones cannot be the victim, so they
         // stay dirty until an eviction where they are not pinned.
         let mut kept = 0;
         for i in 0..self.dirty.len() {
             let v = self.dirty[i];
-            if self.contains(v) && pinned(v) {
+            let red = self.contains(v);
+            if red && pinned(v) {
                 self.dirty[kept] = v;
                 kept += 1;
                 continue;
             }
-            self.flags[v.index()] &= !DIRTY;
-            if !self.contains(v) {
+            self.slots[v.index()].end &= !DIRTY;
+            if !red {
                 continue;
             }
-            let c = candidate(v);
+            let (dead, free) = state(v);
             self.work += 1;
-            if c.next_use == self.position {
+            let rank = if dead {
+                EvictionKey::NEVER
+            } else {
+                self.next_use(v)
+            };
+            if rank == self.position {
                 self.expiring.push(v);
             }
-            let key = FurthestInFuture.key(&c);
-            if key != self.key[v.index()] {
-                self.key[v.index()] = key;
+            let key = EvictionKey::new(rank, free, v);
+            let slot = &mut self.slots[v.index()];
+            if key != slot.key {
+                slot.key = key;
                 self.heap.push(key);
             }
         }
@@ -185,7 +303,7 @@ impl EvictionIndex {
             if pinned(v) {
                 // Never the victim: drop the entry and re-key the node at
                 // an eviction where it is not pinned.
-                self.key[v.index()] = EvictionKey::UNKEYED;
+                self.slots[v.index()].key = EvictionKey::UNKEYED;
                 self.touch(v);
                 continue;
             }
@@ -198,7 +316,7 @@ impl EvictionIndex {
     /// Whether `key` is the current key of a red node (`remove` resets the
     /// key, so a matching key implies membership).
     fn is_current(&self, key: EvictionKey) -> bool {
-        self.key[key.node().index()] == key
+        self.slots[key.node().index()].key == key
     }
 
     /// Drop stale and duplicate heap entries. Afterwards the heap holds at
@@ -215,83 +333,147 @@ impl EvictionIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pebble_dag::DagBuilder;
 
     fn id(i: usize) -> NodeId {
         NodeId::from_index(i)
     }
 
-    /// Pop a Belady victim, node `v` having next use `next_use[v]`.
-    fn pop(
-        index: &mut EvictionIndex,
-        next_use: &[usize],
-        pinned: impl Fn(NodeId) -> bool,
-    ) -> NodeId {
-        index.pop_victim(pinned, |v| Candidate {
-            node: v,
-            next_use: next_use[v.index()],
-            free: false,
-        })
+    /// A DAG whose node ids are positions of its natural order, in which
+    /// source `i` is used exactly at the positions `uses[i]`, each past the
+    /// sources. Source `uses.len()` feeds every later position.
+    fn used_at(uses: &[&[usize]]) -> (Dag, Vec<NodeId>) {
+        let k = uses.len();
+        let len = 1 + uses.iter().flat_map(|u| u.iter()).max().expect("a use");
+        let mut b = DagBuilder::new();
+        let v = b.add_nodes(len);
+        for t in k + 1..len {
+            b.add_edge(v[k], v[t]);
+        }
+        for (i, ts) in uses.iter().enumerate() {
+            for &t in ts.iter() {
+                assert!(t > k, "use {t} falls inside the sources");
+                b.add_edge(v[i], v[t]);
+            }
+        }
+        (b.build().unwrap(), v)
+    }
+
+    fn index(uses: &[&[usize]]) -> EvictionIndex {
+        let (dag, order) = used_at(uses);
+        EvictionIndex::for_nodes(&dag, &order).unwrap()
+    }
+
+    /// Pop a Belady victim; every red node is live and costs a save.
+    fn pop(index: &mut EvictionIndex, pinned: impl Fn(NodeId) -> bool) -> NodeId {
+        index.pop_victim(pinned, |_| (false, false))
     }
 
     #[test]
     fn pops_the_largest_unpinned_key() {
-        let mut index = EvictionIndex::new(8);
-        for i in [3, 6, 1, 5] {
+        let mut index = index(&[&[9], &[14], &[11], &[12]]);
+        for i in [3, 1, 0, 2] {
             index.insert(id(i));
         }
-        let next_use = [0, 1, 2, 3, 4, 5, 6, 7];
-        let pinned = |v: NodeId| v == id(6);
-        assert_eq!(pop(&mut index, &next_use, pinned), id(5));
-        assert_eq!(pop(&mut index, &next_use, pinned), id(3));
+        let pinned = |v: NodeId| v == id(1);
+        assert_eq!(pop(&mut index, pinned), id(3));
+        assert_eq!(pop(&mut index, pinned), id(2));
         assert_eq!(index.len(), 2);
-        assert!(index.contains(id(6)) && index.contains(id(1)));
-        assert!(!index.contains(id(5)));
+        assert!(index.contains(id(0)) && index.contains(id(1)));
+        assert!(!index.contains(id(3)));
+    }
+
+    #[test]
+    fn dead_values_rank_as_never_and_free_breaks_ties() {
+        let mut index = index(&[&[9], &[14], &[11]]);
+        for i in 0..3 {
+            index.insert(id(i));
+        }
+        // Nodes 0 and 2 are dead: they outrank node 1's use at 14, and
+        // among them the free one goes first.
+        let state = |v: NodeId| (v != id(1), v == id(2));
+        assert_eq!(index.pop_victim(|_| false, state), id(2));
+        assert_eq!(index.pop_victim(|_| false, state), id(0));
+        assert_eq!(index.pop_victim(|_| false, state), id(1));
+    }
+
+    #[test]
+    fn cursors_pass_the_uses_behind_the_position() {
+        let mut index = index(&[&[5, 9], &[7]]);
+        index.insert(id(0));
+        index.insert(id(1));
+        // A use at the current position is still ahead.
+        index.begin_position(5);
+        assert_eq!(index.next_use(id(0)), 5);
+        index.begin_position(6);
+        assert_eq!(index.next_use(id(0)), 9);
+        assert_eq!(index.next_use(id(1)), 7);
+        index.begin_position(8);
+        assert_eq!(index.next_use(id(1)), EvictionKey::NEVER);
+        assert_eq!(pop(&mut index, |_| false), id(1));
+    }
+
+    #[test]
+    fn the_edge_index_counts_a_use_at_the_position_as_past() {
+        // 0 -> 1 at position 0, 1 -> 2 at position 1.
+        let mut b = DagBuilder::new();
+        let v = b.add_nodes(3);
+        b.add_edge(v[0], v[1]);
+        b.add_edge(v[1], v[2]);
+        let dag = b.build().unwrap();
+        let edges = crate::edges::by_target_edges(&dag, &v);
+        let mut index = EvictionIndex::for_edges(&dag, &edges).unwrap();
+        index.begin_position(0);
+        assert_eq!(index.next_use(id(1)), 1);
+        assert_eq!(index.next_use(id(0)), EvictionKey::NEVER);
+        index.begin_position(1);
+        assert_eq!(index.next_use(id(1)), EvictionKey::NEVER);
     }
 
     #[test]
     fn untouched_nodes_keep_their_key_and_touched_ones_are_rekeyed() {
-        let mut index = EvictionIndex::new(3);
-        let mut next_use = [10, 20, 30];
+        let mut index = index(&[&[10], &[20], &[30]]);
         for i in 0..3 {
             index.insert(id(i));
         }
-        assert_eq!(pop(&mut index, &next_use, |_| false), id(2));
-        // Node 0's next use moves past node 1's. Untouched, node 0 keeps its
-        // old key (the executors touch every node whose inputs change) ...
-        next_use[0] = 25;
-        assert_eq!(pop(&mut index, &next_use, |_| false), id(1));
+        assert_eq!(pop(&mut index, |_| false), id(2));
+        // Node 0 turns dead. Untouched, it keeps its old key (the executors
+        // touch every node whose state changes) ...
+        let dead_zero = |v: NodeId| (v == id(0), false);
+        assert_eq!(index.pop_victim(|_| false, dead_zero), id(1));
         // ... and once touched it is re-keyed.
         index.insert(id(1));
         index.touch(id(0));
-        assert_eq!(pop(&mut index, &next_use, |_| false), id(0));
+        assert_eq!(index.pop_victim(|_| false, dead_zero), id(0));
     }
 
     #[test]
     fn a_next_use_at_the_current_position_expires_with_it() {
-        let mut index = EvictionIndex::new(3);
-        let mut next_use = [4, 9, 50];
-        index.begin_position(4);
+        let mut index = index(&[&[5, 12], &[9], &[50]]);
+        index.begin_position(5);
         for i in 0..3 {
             index.insert(id(i));
         }
-        assert_eq!(pop(&mut index, &next_use, |_| false), id(2));
-        // Node 0 read position 4 as its next use, so entering position 5
-        // re-keys it without a touch; node 1 keeps its key.
-        next_use[0] = 12;
-        index.begin_position(5);
-        assert_eq!(pop(&mut index, &next_use, |_| false), id(0));
+        assert_eq!(pop(&mut index, |_| false), id(2));
+        // Node 0 read position 5 as its next use, so entering position 6
+        // re-keys it (to 12) without a touch; node 1 keeps its key (9).
+        index.begin_position(6);
+        assert_eq!(pop(&mut index, |_| false), id(0));
     }
 
     #[test]
     fn compaction_bounds_the_heap_by_the_red_set() {
-        let mut index = EvictionIndex::new(2);
+        let mut index = index(&[&[1000], &[2000]]);
         index.insert(id(0));
         index.insert(id(1));
         for round in 0..1000 {
-            // Both keys change every round, leaving a stale entry each.
+            // Both keys change every round, leaving a stale entry each:
+            // node 0 turns free and back, node 1 dead and back.
             index.touch(id(0));
             index.touch(id(1));
-            assert_eq!(pop(&mut index, &[round, round + 1], |_| false), id(1));
+            let flip = round % 2 == 0;
+            let state = |v: NodeId| (flip && v == id(1), flip && v == id(0));
+            assert_eq!(index.pop_victim(|_| false, state), id(1));
             index.insert(id(1));
             assert!(index.heap.len() <= 2 * index.len() + 64);
         }

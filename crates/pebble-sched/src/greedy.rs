@@ -18,15 +18,24 @@
 //! non-topological or incomplete order returns `None` in release builds too,
 //! instead of tripping an assertion deep inside the trace builder.
 //!
-//! Complexity: `O(n + m)` for the order and liveness precomputation, plus
+//! Complexity: `O(n + m)` for the order check and the eviction index, plus
 //! `O(log r)` per touched node for the indexed eviction queue the executors
 //! share (the crate-private `eviction` module): `O((n + m) log r)` in total,
 //! so the million-node FFT schedules in about the same time at r = 2048 as
 //! at r = 16.
+//!
+//! The index keeps the consumer positions of every node in one flat `u32`
+//! array, `m` entries in all, and one 16-byte slot per node: its current
+//! eviction key, a `u32` cursor into its consumer positions and the end of
+//! its list, with its red and dirty flags in the end's top two bits. A key
+//! is one `u64`: the next use's position in 32 bits (a dead value's
+//! `NEVER` as `u32::MAX`), whether the eviction is free in 1 bit and the
+//! inverted node id in 31 bits ([`crate::EvictionKey`]). So the executors
+//! take DAGs of fewer than 2³¹ nodes and 2³⁰ edges and return `None`
+//! beyond that, as they do for a cache too small to schedule in.
 
 use crate::eviction::EvictionIndex;
-use crate::policy::{Candidate, FurthestInFuture};
-use pebble_dag::liveness::{NextUse, NEVER};
+use crate::policy::FurthestInFuture;
 use pebble_dag::{topo, Dag, NodeId};
 use pebble_game::moves::{PrbpMove, RbpMove};
 use pebble_game::prbp::{PebbleState, PrbpConfig};
@@ -37,9 +46,9 @@ use pebble_game::{PrbpBuilder, RbpBuilder};
 
 /// Schedule `dag` in PRBP with cache size `r`, processing the nodes of
 /// `order` (a topological order covering every node) and evicting by
-/// Belady's rule. Works for any `r ≥ 2`; returns `None` below that, and
+/// Belady's rule. Works for any `r ≥ 2`; returns `None` below that,
 /// `None` when `order` is not a topological order covering every node
-/// exactly once.
+/// exactly once, and `None` beyond the size limits of the module docs.
 ///
 /// The in-edges of each node are aggregated one at a time, so at most two
 /// pebbles (the current input and the accumulator) are ever pinned.
@@ -56,7 +65,7 @@ pub fn greedy_prbp(
 /// `sink` instead of being collected, so the executor runs in `O(n + m)`
 /// memory regardless of how many moves the schedule contains. Returns the
 /// sink and the executor's I/O cost, or `None` under the same conditions as
-/// [`greedy_prbp`] (`r < 2`, invalid order).
+/// [`greedy_prbp`] (`r < 2`, invalid order, size limits).
 pub fn greedy_prbp_into<S: MoveSink<PrbpMove>>(
     dag: &Dag,
     r: usize,
@@ -83,9 +92,7 @@ fn run_prbp<S: MoveSink<PrbpMove>>(
     if !topo::is_topological_order(dag, order) {
         return None;
     }
-    let n = dag.node_count();
-    let mut next_use = NextUse::new(dag, order);
-    let mut red = EvictionIndex::new(n);
+    let mut red = EvictionIndex::for_nodes(dag, order)?;
     let mut builder = PrbpBuilder::with_sink(dag, PrbpConfig::new(r), sink);
 
     for (t, &v) in order.iter().enumerate() {
@@ -102,19 +109,11 @@ fn run_prbp<S: MoveSink<PrbpMove>>(
                         let game = builder.game();
                         let remaining = game.unmarked_out_degree(w);
                         let dark = game.pebble_state(w) == PebbleState::DarkRed;
-                        Candidate {
-                            node: w,
-                            // A value with no unmarked out-edge is dead even if
-                            // its last consumer sits at the current position,
-                            // so the cursor-based signal (which cannot look
-                            // inside position t) is overridden to NEVER.
-                            next_use: if remaining == 0 {
-                                NEVER
-                            } else {
-                                next_use.next_use_at(w, t)
-                            },
-                            free: !dark || (remaining == 0 && !dag.is_sink(w)),
-                        }
+                        // A value with no unmarked out-edge is dead even if
+                        // its last consumer sits at the current position,
+                        // where the index still counts that use as ahead.
+                        let dead = remaining == 0;
+                        (dead, !dark || (dead && !dag.is_sink(w)))
                     },
                 );
                 builder.evict(victim).expect("victim is evictable");
@@ -147,8 +146,9 @@ fn run_prbp<S: MoveSink<PrbpMove>>(
 /// Schedule `dag` in RBP with cache size `r`, processing the nodes of
 /// `order` and evicting by Belady's rule. RBP requires all inputs of a node
 /// to be red simultaneously, so this needs `r ≥ Δ_in + 1`; returns `None`
-/// below that, and `None` when `order` is not a topological order covering
-/// every node exactly once.
+/// below that, `None` when `order` is not a topological order covering
+/// every node exactly once, and `None` beyond the size limits of the module
+/// docs.
 pub fn greedy_rbp(
     dag: &Dag,
     r: usize,
@@ -174,10 +174,8 @@ pub fn greedy_rbp_into<S: MoveSink<RbpMove>>(
     if !topo::is_topological_order(dag, order) {
         return None;
     }
-    let n = dag.node_count();
-    let mut next_use = NextUse::new(dag, order);
-    let mut pinned = vec![false; n];
-    let mut red = EvictionIndex::new(n);
+    let mut red = EvictionIndex::for_nodes(dag, order)?;
+    let mut pinned = vec![false; dag.node_count()];
     // Uncomputed successors per node, maintained incrementally so a
     // candidate is described in O(1).
     let mut remaining: Vec<u32> = dag.nodes().map(|v| dag.out_degree(v) as u32).collect();
@@ -199,19 +197,11 @@ pub fn greedy_rbp_into<S: MoveSink<RbpMove>>(
             let victim = red.pop_victim(
                 |w| pinned[w.index()] || w == v,
                 |w| {
-                    let rem = remaining[w.index()] as usize;
-                    Candidate {
-                        node: w,
-                        // Dead values report NEVER: the cursor-based signal
-                        // cannot see that a use at the current position t was
-                        // already consumed.
-                        next_use: if rem == 0 {
-                            NEVER
-                        } else {
-                            next_use.next_use_at(w, t)
-                        },
-                        free: rem == 0 || builder.game().has_blue(w),
-                    }
+                    // Dead values rank as never used: the index cannot see
+                    // that a use at the current position t was already
+                    // consumed.
+                    let dead = remaining[w.index()] == 0;
+                    (dead, dead || builder.game().has_blue(w))
                 },
             );
             builder.evict(victim).expect("victim is evictable");

@@ -1,11 +1,13 @@
 //! Belady's eviction rule, the one rule of the greedy schedulers.
 //!
-//! For every red pebble the scheduler may evict it builds a [`Candidate`]
-//! and asks [`FurthestInFuture::key`] for an [`EvictionKey`]; the candidate
-//! with the largest key is evicted. The candidate carries the next position
-//! in the compute order at which the value is consumed again (Belady's
-//! clairvoyant signal, precomputed by [`pebble_dag::liveness::NextUse`]) and
-//! whether the eviction is free or costs a save.
+//! Every red pebble the scheduler may evict is a [`Candidate`], ranked by
+//! its [`EvictionKey`] ([`FurthestInFuture::key`]); the candidate with the
+//! largest key is evicted. The candidate carries the next position in the
+//! compute order at which the value is consumed again (Belady's
+//! clairvoyant signal) and whether the eviction is free or costs a save.
+//! The greedy executors keep every node's use positions in their eviction
+//! index (`crate::eviction`), which answers the next-use question and
+//! builds the key itself.
 //!
 //! Every key ends in the same tie-break: among equal next uses a free
 //! eviction wins, then the lowest node id. Keys of distinct nodes therefore
@@ -35,29 +37,47 @@ pub struct Candidate {
 /// The eviction priority of one candidate: the scheduler evicts the largest.
 ///
 /// Keys order lexicographically by `(rank, free, lowest node id)`, packed
-/// into one integer so that comparing two keys is one integer comparison.
-/// The node is part of the key, so two distinct nodes never share one.
+/// into one `u64` so that comparing two keys is one integer comparison:
+///
+/// * bits 32–63: the rank, the next use's position with
+///   [`pebble_dag::liveness::NEVER`] mapped to `u32::MAX`;
+/// * bit 31: whether the eviction is free;
+/// * bits 0–30: the node id subtracted from `2³¹ − 1`, so a lower id gives
+///   a larger key.
+///
+/// Keys are therefore defined for node ids below 2³¹. The node is part of
+/// the key, so two distinct nodes never share one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EvictionKey(u128);
+pub struct EvictionKey(u64);
 
 impl EvictionKey {
-    /// A value no [`EvictionKey::new`] call produces (bits 33–63 are always
-    /// zero there); marks a red node without a current heap entry.
-    pub(crate) const UNKEYED: EvictionKey = EvictionKey(u128::MAX);
+    /// The rank of a value with no remaining use.
+    pub(crate) const NEVER: u32 = u32::MAX;
+
+    /// The largest node count whose ids all fit a key.
+    pub(crate) const MAX_NODES: usize = NODE as usize;
+
+    /// A value no key of a real next use has: its rank `u32::MAX − 1` is
+    /// neither [`EvictionKey::NEVER`] nor a position, which the greedy
+    /// executors keep below 2³¹. Marks a red node without a current heap
+    /// entry.
+    pub(crate) const UNKEYED: EvictionKey = EvictionKey(((u32::MAX - 1) as u64) << 32);
 
     /// The key of `node`: a larger `rank` is evicted first, then a `free`
     /// eviction, then the lower node id.
-    pub(crate) fn new(rank: u64, free: bool, node: NodeId) -> Self {
-        EvictionKey(
-            (u128::from(rank) << 64) | (u128::from(free) << 32) | u128::from(u32::MAX - node.0),
-        )
+    pub(crate) fn new(rank: u32, free: bool, node: NodeId) -> Self {
+        debug_assert!(node.0 <= NODE, "node {} has no key", node.0);
+        EvictionKey((u64::from(rank) << 32) | (u64::from(free) << 31) | u64::from(NODE - node.0))
     }
 
     /// The node this key belongs to.
     pub(crate) fn node(self) -> NodeId {
-        NodeId(u32::MAX - self.0 as u32)
+        NodeId(NODE - (self.0 as u32 & NODE))
     }
 }
+
+/// The node-id bits of an [`EvictionKey`], and its largest node id.
+const NODE: u32 = (1 << 31) - 1;
 
 /// Belady's rule: evict the value whose next use lies furthest in the future.
 /// Free evictions win among equals, node id breaks remaining ties.
@@ -69,8 +89,13 @@ pub struct FurthestInFuture;
 
 impl FurthestInFuture {
     /// The eviction priority of `candidate`; the largest key is evicted.
+    /// Next uses at or beyond `u32::MAX` rank as [`NEVER`]; `c.node` must
+    /// be below 2³¹.
+    ///
+    /// [`NEVER`]: pebble_dag::liveness::NEVER
     pub fn key(&self, c: &Candidate) -> EvictionKey {
-        EvictionKey::new(c.next_use as u64, c.free, c.node)
+        let rank = u32::try_from(c.next_use).unwrap_or(EvictionKey::NEVER);
+        EvictionKey::new(rank, c.free, c.node)
     }
 }
 
@@ -120,8 +145,8 @@ mod tests {
 
     #[test]
     fn keys_carry_their_node_and_never_collide_with_unkeyed() {
-        for node in [0usize, 1, 7, u32::MAX as usize - 1] {
-            for (rank, free) in [(0, false), (u64::MAX, true), (42, false)] {
+        for node in [0usize, 1, 7, (1 << 31) - 1] {
+            for (rank, free) in [(0, false), (EvictionKey::NEVER, true), (42, false)] {
                 let key = EvictionKey::new(rank, free, NodeId::from_index(node));
                 assert_eq!(key.node().index(), node);
                 assert_ne!(key, EvictionKey::UNKEYED);

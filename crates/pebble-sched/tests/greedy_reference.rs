@@ -3,10 +3,11 @@
 //! check, move for move, that all three executors still emit exactly the
 //! traces of the original loops, which collected every red node into a
 //! candidate list and scanned it on every eviction with Belady's
-//! lexicographic key; the reference copies of those loops live here.
+//! lexicographic key; the reference copies of those loops live here, with
+//! the next-use table they read ([`NextUse`]).
 
 use pebble_dag::generators::{fft, matmul, random_layered, RandomLayeredConfig};
-use pebble_dag::liveness::{NextUse, NEVER};
+use pebble_dag::liveness::NEVER;
 use pebble_dag::{topo, Dag, DagBuilder, EdgeId, NodeId};
 use pebble_game::moves::{PrbpMove, RbpMove};
 use pebble_game::prbp::{PebbleState, PrbpConfig};
@@ -19,6 +20,95 @@ use pebble_sched::{
     FurthestInFuture,
 };
 use proptest::prelude::*;
+
+/// Consumer positions of every node with respect to a fixed compute order.
+///
+/// For a node `u`, the *uses* of `u` are the positions (indices into the
+/// compute order) of its out-neighbours. [`NextUse::next_use_at`] returns the
+/// first use at or after a given time; because schedulers only ever query
+/// non-decreasing times, each node keeps a cursor that only moves forward,
+/// making a full schedule's worth of queries amortised linear.
+#[derive(Debug, Clone)]
+struct NextUse {
+    /// CSR offsets into `uses`, one slice per node.
+    offsets: Vec<usize>,
+    /// Consumer positions, sorted increasingly within each node's slice.
+    uses: Vec<usize>,
+    /// Per-node cursor into its slice (monotone).
+    cursor: Vec<usize>,
+}
+
+impl NextUse {
+    /// Precompute consumer positions for `order`, which must contain every
+    /// node of `dag` exactly once (typically a topological order; the
+    /// computation itself does not require topological validity).
+    fn new(dag: &Dag, order: &[NodeId]) -> Self {
+        let n = dag.node_count();
+        assert_eq!(order.len(), n, "order must cover every node exactly once");
+        let mut position = vec![usize::MAX; n];
+        for (i, &v) in order.iter().enumerate() {
+            debug_assert_eq!(position[v.index()], usize::MAX, "duplicate node in order");
+            position[v.index()] = i;
+        }
+
+        let mut offsets = vec![0usize; n + 1];
+        for v in dag.nodes() {
+            offsets[v.index() + 1] = dag.out_degree(v);
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut uses = vec![0usize; offsets[n]];
+        let mut cursor_tmp = offsets.clone();
+        // Emitting consumers in increasing consumer position keeps each
+        // node's slice sorted without a per-slice sort.
+        for (i, &v) in order.iter().enumerate() {
+            for &(u, _) in dag.in_edges(v) {
+                uses[cursor_tmp[u.index()]] = i;
+                cursor_tmp[u.index()] += 1;
+            }
+        }
+        for v in 0..n {
+            debug_assert!(uses[offsets[v]..offsets[v + 1]]
+                .windows(2)
+                .all(|w| w[0] <= w[1]));
+        }
+        NextUse {
+            offsets,
+            uses,
+            cursor: vec![0; n],
+        }
+    }
+
+    /// All consumer positions of `v`, sorted increasingly.
+    fn uses(&self, v: NodeId) -> &[usize] {
+        &self.uses[self.offsets[v.index()]..self.offsets[v.index() + 1]]
+    }
+
+    /// The first use of `v` at or after position `now`, or [`NEVER`] if `v`
+    /// has no remaining consumer. Queries for a given node must come with
+    /// non-decreasing `now` values (the cursor only moves forward); the
+    /// schedulers' clock is monotone, so this holds naturally.
+    fn next_use_at(&mut self, v: NodeId, now: usize) -> usize {
+        let lo = self.offsets[v.index()];
+        let hi = self.offsets[v.index() + 1];
+        let mut c = lo + self.cursor[v.index()];
+        while c < hi && self.uses[c] < now {
+            c += 1;
+        }
+        self.cursor[v.index()] = c - lo;
+        if c < hi {
+            self.uses[c]
+        } else {
+            NEVER
+        }
+    }
+
+    /// Reset all cursors, allowing the structure to be replayed from time 0.
+    fn reset(&mut self) {
+        self.cursor.iter_mut().for_each(|c| *c = 0);
+    }
+}
 
 /// Index of the victim under Belady's original tuple key: the first
 /// candidate with the largest key.
@@ -367,6 +457,59 @@ fn ties_on_never_evict_the_lowest_id_first() {
         })
         .collect();
     assert_eq!(&deleted[..3], &[0, 1, 2], "moves: {:?}", trace.moves);
+}
+
+/// a -> b -> d, a -> c -> d.
+fn diamond() -> Dag {
+    let mut b = DagBuilder::new();
+    let n = b.add_nodes(4);
+    b.add_edge(n[0], n[1]);
+    b.add_edge(n[0], n[2]);
+    b.add_edge(n[1], n[3]);
+    b.add_edge(n[2], n[3]);
+    b.build().unwrap()
+}
+
+#[test]
+fn uses_are_consumer_positions() {
+    let g = diamond();
+    let order = topo::topological_order(&g); // 0, 1, 2, 3
+    let nu = NextUse::new(&g, &order);
+    assert_eq!(nu.uses(NodeId(0)), &[1, 2]);
+    assert_eq!(nu.uses(NodeId(1)), &[3]);
+    assert_eq!(nu.uses(NodeId(2)), &[3]);
+    assert_eq!(nu.uses(NodeId(3)), &[] as &[usize]);
+}
+
+#[test]
+fn next_use_advances_monotonically() {
+    let g = diamond();
+    let order = topo::topological_order(&g);
+    let mut nu = NextUse::new(&g, &order);
+    assert_eq!(nu.next_use_at(NodeId(0), 0), 1);
+    assert_eq!(nu.next_use_at(NodeId(0), 1), 1);
+    assert_eq!(nu.next_use_at(NodeId(0), 2), 2);
+    assert_eq!(nu.next_use_at(NodeId(0), 3), NEVER);
+    assert_eq!(nu.next_use_at(NodeId(3), 0), NEVER);
+    nu.reset();
+    assert_eq!(nu.next_use_at(NodeId(0), 0), 1);
+}
+
+#[test]
+fn respects_custom_orders() {
+    let g = diamond();
+    // Reversed sibling order: 0, 2, 1, 3.
+    let order = vec![NodeId(0), NodeId(2), NodeId(1), NodeId(3)];
+    let mut nu = NextUse::new(&g, &order);
+    assert_eq!(nu.uses(NodeId(0)), &[1, 2]);
+    assert_eq!(nu.next_use_at(NodeId(2), 2), 3);
+}
+
+#[test]
+#[should_panic]
+fn rejects_wrong_length_order() {
+    let g = diamond();
+    NextUse::new(&g, &[NodeId(0)]);
 }
 
 fn dag_strategy() -> impl Strategy<Value = Dag> {

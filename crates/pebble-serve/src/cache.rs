@@ -7,7 +7,8 @@
 //! the stored moves are remapped into the request's numbering and — this is
 //! the soundness invariant — **replayed through the game simulator**: a hit
 //! is only served if the remapped trace validates on the request DAG at the
-//! stored cost. Canonicalization is a bounded heuristic (WL refinement plus
+//! stored cost, and only with a bound ladder that is sound for the request
+//! DAG (the ladder is recomputed in linear time and compared). Canonicalization is a bounded heuristic (WL refinement plus
 //! capped individualization), so in the worst case two non-isomorphic DAGs
 //! could share a key; the re-validation turns that worst case into a cache
 //! miss, never into a wrong answer.
@@ -19,7 +20,7 @@ use pebble_game::moves::{Model, PrbpMove};
 use pebble_game::prbp::PrbpConfig;
 use pebble_game::trace::PrbpTrace;
 use pebble_io::store::{self, StoreEntry};
-use pebble_sched::{BoundValue, ScheduleReport};
+use pebble_sched::{prbp_bound_ladder, BoundSet, BoundValue, ScheduleReport};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -71,8 +72,8 @@ pub enum LookupOutcome {
     Hit(Box<CacheHit>),
     /// No entry exists for this `(canonical key, r)`.
     MissAbsent,
-    /// An entry exists but failed the shape check, checksum, remap, or
-    /// simulator re-validation.
+    /// An entry exists but failed the shape check, checksum, remap,
+    /// simulator re-validation or bound check.
     MissInvalid,
 }
 
@@ -125,9 +126,11 @@ impl ScheduleCache {
     /// Look up a certified schedule for `dag` at cache size `r`.
     ///
     /// Returns `Some` only when a stored entry exists for the canonical key,
-    /// matches the request's shape (`r`, node and edge counts, model), and
-    /// its moves — remapped into the request numbering — **replay through
-    /// the simulator at exactly the stored cost**. Anything less is a miss.
+    /// matches the request's shape (`r`, node and edge counts, model), its
+    /// moves — remapped into the request numbering — **replay through the
+    /// simulator at exactly the stored cost**, and its bound ladder is the
+    /// request DAG's own (a `compose` entry at most its `load-count`).
+    /// Anything less is a miss.
     pub fn lookup(&self, dag: &Dag, form: &CanonicalForm, r: usize) -> Option<CacheHit> {
         match self.lookup_outcome(dag, form, r) {
             LookupOutcome::Hit(hit) => Some(*hit),
@@ -199,7 +202,7 @@ impl ScheduleCache {
         // Soundness gate: never serve a stored schedule that does not replay
         // on *this* DAG at the stored cost.
         let cost = trace.validate(dag, PrbpConfig::new(r)).ok()?;
-        if cost as u64 != entry.cost {
+        if cost as u64 != entry.cost || !bounds_hold(&entry, dag, r) {
             return None;
         }
         let report = ScheduleReport {
@@ -277,6 +280,25 @@ impl ScheduleCache {
         crate::obs::metrics().cache_insertions.inc();
         Ok(true)
     }
+}
+
+/// Whether `entry`'s bound half is sound for `dag`: every ladder entry but
+/// `compose` equals the ladder `dag` itself gets (linear time), each
+/// `compose` entry is at most `dag`'s `load-count`, which makes it
+/// admissible by transitivity, and `best_bound` is that `load-count`.
+fn bounds_hold(entry: &StoreEntry, dag: &Dag, r: usize) -> bool {
+    let (ladder, load) = prbp_bound_ladder(dag, r, BoundSet::auto_for(dag));
+    let load = load as u64;
+    let mut own = ladder.iter();
+    let entries_hold = entry.bounds.iter().all(|(name, value)| {
+        if name == "compose" {
+            *value <= load
+        } else {
+            own.next()
+                .is_some_and(|b| b.name == *name && b.value as u64 == *value)
+        }
+    });
+    entries_hold && own.next().is_none() && entry.best_bound == load
 }
 
 /// What a warm pass over a directory of instances did.
@@ -419,6 +441,58 @@ mod tests {
             hit.trace.validate(&relabeled, PrbpConfig::new(4)).unwrap(),
             report.cost
         );
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn forged_bounds_are_never_served() {
+        // Each entry's trace replays at its cost; only the bounds lie.
+        let f = fft(8);
+        let form = canonical_form(&f.dag);
+        let (report, trace) = schedule(&f.dag, 4);
+        let load = report.best_bound;
+        let forge = |bounds: &[(&str, usize)], best_bound| ScheduleReport {
+            bounds: bounds
+                .iter()
+                .map(|&(name, value)| BoundValue {
+                    name: name.to_string(),
+                    value,
+                })
+                .collect(),
+            best_bound,
+            ..report.clone()
+        };
+        let ladder = [
+            ("load-count", load),
+            ("s-dominator", load),
+            ("s-edge", load),
+        ];
+        let with_compose = |value| {
+            let mut bounds = ladder.to_vec();
+            bounds.push(("compose", value));
+            bounds
+        };
+        let forged = [
+            forge(&[("load-count", load + 1), ladder[1], ladder[2]], load + 1),
+            forge(&with_compose(load + 1), load + 1),
+            forge(&ladder, load + 1),
+            forge(&ladder[..1], load),
+        ];
+        for (i, forged) in forged.iter().enumerate() {
+            let cache = ScheduleCache::open(scratch(&format!("forged{i}"))).unwrap();
+            cache.insert(&f.dag, &form, 4, forged, &trace).unwrap();
+            match cache.lookup_outcome(&f.dag, &form, 4) {
+                LookupOutcome::MissInvalid => {}
+                other => panic!("served {:?}: {other:?}", forged.bounds),
+            }
+            let _ = std::fs::remove_dir_all(cache.dir());
+        }
+        // A `compose` entry at most the load-count is served as stored.
+        let honest = forge(&with_compose(load), load);
+        let cache = ScheduleCache::open(scratch("honest-compose")).unwrap();
+        cache.insert(&f.dag, &form, 4, &honest, &trace).unwrap();
+        let hit = cache.lookup(&f.dag, &form, 4).expect("a sound entry hits");
+        assert_eq!(hit.report, honest);
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
