@@ -7,15 +7,24 @@
 //! 1. **Decompose** ([`pebble_dag::decompose`]): candidate decompositions
 //!    are tried in turn — the whole DAG, its weakly connected components,
 //!    then sink-cone tiles (where applicable) and level bands at a few size
-//!    caps. Each is built only when its turn comes.
-//! 2. **Prune, then schedule.** A candidate is skipped before extraction
+//!    caps. With one thread, or on a DAG of at most 512 nodes, each is built
+//!    only when its turn comes. Above that size, with
+//!    [`ComposeConfig::threads`] above 1, the other candidates are built
+//!    while the whole DAG is scheduled (step 2), and a built candidate that
+//!    does not split the DAG is dropped at once.
+//! 2. **Prune, then schedule.** The whole-DAG candidate is scheduled first,
+//!    on the DAG itself, without a copy. Above 512 nodes, with threads to
+//!    spare, its portfolio members and the other candidates' builds are the
+//!    items of one [`par_map`], and the members' results are swept in suite
+//!    order afterwards, so the schedule is the one a sequential sweep
+//!    returns. The other candidates follow in order. A candidate is skipped
+//!    before extraction, and dropped,
 //!    when none of its components is boundary-free and a linear count
 //!    (`stitch_lower_bound`: the loads and saves every stitch of it must
 //!    make) reaches the incumbent's cost: it could not be strictly cheaper.
 //!    Its composable bound is still evaluated. Otherwise each component is
 //!    scheduled on its extracted sub-DAG (members + boundary inputs), and
-//!    the components are dispatched across scoped worker threads; the
-//!    whole-DAG candidate is scheduled on the DAG itself, without a copy.
+//!    the components are dispatched across scoped worker threads.
 //!    Each distinct sub-DAG is scheduled once per call: identical components
 //!    (the blocks of a blocked FFT, the tiles of a matmul) reuse its
 //!    schedule. The heuristic portfolio runs first (the greedy members,
@@ -48,29 +57,38 @@
 //! ## Deadline contract
 //!
 //! [`ComposeConfig::deadline`] bounds the solve, measured from entry. It is
-//! checked before each candidate decomposition is built, between the bands
+//! checked before each candidate decomposition is built and again before
+//! a built one is taken up, between the bands
 //! and merge rounds of a level-band or sink-cone build (a build the deadline
 //! cuts off is skipped), between component extractions, before each
-//! distinct component, inside the portfolio's beam members (a cut beam
+//! distinct component, between portfolio members once one has a schedule,
+//! inside the portfolio's beam members (a cut beam
 //! greedy-completes its component, of at most 512 nodes), in the exact
 //! phase (which keeps its validated seed) and before each candidate's
 //! composable bound (a candidate stitched after the deadline still competes
-//! on cost, without a bound). When it fires, the best candidate stitched so
+//! on cost, without a bound). When the whole-DAG candidate's members run
+//! side by side (step 2) they all start together, so a deadline that passes
+//! mid-sweep no longer skips a later member there; each member's result is
+//! used. When the deadline fires, the best candidate stitched so
 //! far is returned; with none, the solve fails with
 //! [`ComposeError::DeadlineNoIncumbent`]. A deadline that never fires
-//! changes nothing: the answer is the one `deadline: None` gives. The
+//! changes nothing: the answer is the one `deadline: None` gives, and the
+//! answer does not depend on [`ComposeConfig::threads`]. The
 //! certification after the solve is not covered by the deadline.
 
 use crate::edges::{cone_affinity_edges, greedy_prbp_edges};
 use crate::obs::{self, ComponentOutcome};
 use crate::policy::FurthestInFuture;
 use crate::report::{certify_prbp_with_bounds, BoundSet, BoundValue, ScheduleReport};
-use crate::suite::{best_prbp_until, default_suite, validated_cost, Scheduler};
+use crate::suite::{
+    best_prbp_until, default_suite, first_minimum, load_count, run_member, validated_cost,
+    Scheduler,
+};
 use pebble_bounds::composed_prbp_bound;
 use pebble_dag::decompose::{decompose, Decomposition, ExtractedComponent, Strategy};
 use pebble_dag::{BitSet, Dag, NodeId};
 use pebble_game::engine::{self, EngineConfig};
-use pebble_game::exact::{self, LoadCountHeuristic};
+use pebble_game::exact::LoadCountHeuristic;
 use pebble_game::moves::PrbpMove;
 use pebble_game::prbp::{PrbpConfig, PrbpError};
 use pebble_game::trace::{PrbpTrace, TraceError};
@@ -94,8 +112,11 @@ pub struct ComposeConfig {
     pub exact_budget: usize,
     /// State limit per per-component exact search.
     pub exact_max_states: usize,
-    /// Worker threads for per-component scheduling; 0 uses the available
-    /// hardware parallelism.
+    /// Worker threads; 0 uses the available hardware parallelism. The
+    /// components of a split candidate are scheduled on them. On a DAG of
+    /// more than 512 nodes, the whole-DAG candidate's portfolio members and
+    /// the other candidates' decompositions also run side by side on them.
+    /// The answer is the same for every thread count.
     pub threads: usize,
     /// Wall-clock budget of the solve, measured from entry; `None` runs to
     /// completion. See the module's deadline contract.
@@ -221,68 +242,62 @@ fn compose(dag: &Dag, r: usize, config: &ComposeConfig) -> Result<ComposeOutcome
     };
 
     let _schedule_span = pebble_obs::trace::span("compose:schedule");
-    let mut best: Option<(usize, PrbpTrace, Strategy, usize, usize)> = None;
-    let mut composed_bound: Option<usize> = None;
+    let mut incumbent = Incumbent::default();
+    let strategies = candidates(r, config.exact_budget);
+    // `Whole` comes first; the other candidates follow in order.
+    let rest = &strategies[1..];
+    // Above the beams' size the `Whole` candidate's members and the other
+    // candidates' decompositions are independent linear passes, so they run
+    // side by side; on small DAGs spawning threads costs more than the work.
+    let side_by_side = if dag.node_count() > BEAM_MAX_NODES {
+        threads
+    } else {
+        1
+    };
+    let (whole, built) = schedule_whole(dag, r, config, rest, side_by_side, deadline);
+    if let Some(whole) = whole {
+        // The composable bound of the single-component candidate is the
+        // global ladder the certification evaluates anyway, so only the
+        // exact case is taken from it.
+        let bound = whole.exact[0];
+        incumbent.offer(Strategy::Whole, 1, whole, bound);
+    }
+    let mut built = built.into_iter();
     let mut memo = ScheduleMemo::new();
-    for strategy in candidates(r, config.exact_budget) {
+    for &strategy in rest {
         if expired(deadline) {
             break;
         }
-        let decompose_span = pebble_obs::trace::span("compose:decompose");
-        let decomposition = decompose(dag, strategy, deadline);
-        drop(decompose_span);
-        // The whole DAG is always a candidate; the others only when they
-        // apply, split it and were built before the deadline.
-        let Some(decomposition) =
-            decomposition.filter(|d| strategy == Strategy::Whole || d.components.len() > 1)
+        let decomposition = match built.next() {
+            Some(ahead) => ahead,
+            None => build(dag, strategy, deadline),
+        };
+        // The other candidates count only when they apply, split the DAG
+        // and were built before the deadline.
+        let Some(decomposition) = decomposition else {
+            continue;
+        };
+        if incumbent.beats(dag, &decomposition) {
+            obs::compose_candidate("pruned");
+            let bound = candidate_bound(dag, r, &decomposition, &[], deadline);
+            raise(&mut incumbent.composed_bound, bound);
+            continue;
+        }
+        let Some(scheduled) =
+            schedule_decomposition(dag, r, &decomposition, config, threads, deadline, &mut memo)
         else {
             continue;
         };
-        let pruned = best
-            .as_ref()
-            .is_some_and(|&(cost, ..)| dominated(dag, &decomposition, cost));
-        if pruned {
-            obs::compose_candidate("pruned");
-            raise(
-                &mut composed_bound,
-                candidate_bound(dag, r, &decomposition, &[], deadline),
-            );
-            continue;
-        }
-        let scheduled = if strategy == Strategy::Whole {
-            schedule_whole(dag, r, config, deadline)
-        } else {
-            schedule_decomposition(dag, r, &decomposition, config, threads, deadline, &mut memo)
-        };
-        let Some(scheduled) = scheduled else {
-            continue;
-        };
-        obs::compose_candidate("scheduled");
         // The composable bound is admissible for every candidate partition,
-        // so the maximum over candidates is too. For the single-component
-        // candidate the formula degenerates to the global ladder the
-        // certification evaluates anyway, so only the exact case is taken
-        // from it.
-        let bound = if decomposition.components.len() > 1 {
-            candidate_bound(dag, r, &decomposition, &scheduled.exact, deadline)
-        } else {
-            scheduled.exact[0]
-        };
-        raise(&mut composed_bound, bound);
-        let exact_count = scheduled.exact.iter().filter(|e| e.is_some()).count();
-        let better = best
-            .as_ref()
-            .map_or(true, |&(cost, ..)| scheduled.cost < cost);
-        if better {
-            best = Some((
-                scheduled.cost,
-                scheduled.trace,
-                decomposition.strategy,
-                decomposition.components.len(),
-                exact_count,
-            ));
-        }
+        // so the maximum over candidates is too.
+        let bound = candidate_bound(dag, r, &decomposition, &scheduled.exact, deadline);
+        let components = decomposition.components.len();
+        incumbent.offer(strategy, components, scheduled, bound);
     }
+    let Incumbent {
+        best,
+        composed_bound,
+    } = incumbent;
     let (cost, trace, strategy, components, exact_components) =
         best.ok_or(ComposeError::DeadlineNoIncumbent)?;
     Ok(ComposeOutcome {
@@ -293,6 +308,49 @@ fn compose(dag: &Dag, r: usize, config: &ComposeConfig) -> Result<ComposeOutcome
         exact_components,
         composed_bound,
     })
+}
+
+/// The cheapest candidate stitched so far, as `(cost, trace, strategy,
+/// components, exact components)`, and the best composable bound over all
+/// candidates.
+#[derive(Default)]
+struct Incumbent {
+    best: Option<(usize, PrbpTrace, Strategy, usize, usize)>,
+    composed_bound: Option<usize>,
+}
+
+impl Incumbent {
+    /// Take a stitched candidate: it raises the composable bound to `bound`
+    /// and replaces the incumbent when strictly cheaper.
+    fn offer(
+        &mut self,
+        strategy: Strategy,
+        components: usize,
+        scheduled: ScheduledDecomposition,
+        bound: Option<usize>,
+    ) {
+        obs::compose_candidate("scheduled");
+        raise(&mut self.composed_bound, bound);
+        if self.best.as_ref().map_or(true, |b| scheduled.cost < b.0) {
+            let exact = scheduled.exact.iter().filter(|e| e.is_some()).count();
+            self.best = Some((scheduled.cost, scheduled.trace, strategy, components, exact));
+        }
+    }
+
+    /// Whether the incumbent already beats every stitch of `decomposition`
+    /// ([`dominated`]).
+    fn beats(&self, dag: &Dag, decomposition: &Decomposition) -> bool {
+        self.best
+            .as_ref()
+            .is_some_and(|b| dominated(dag, decomposition, b.0))
+    }
+}
+
+/// Build one candidate other than `Whole`: `None` when its strategy does
+/// not apply, the deadline cut the build off, or it does not split the DAG.
+fn build(dag: &Dag, strategy: Strategy, deadline: Option<Instant>) -> Option<Decomposition> {
+    let _span = pebble_obs::trace::span("compose:decompose");
+    decompose(dag, strategy, deadline).filter(|d| d.components.len() > 1)
 }
 
 /// The candidate decompositions at cache size `r`, in the order they are
@@ -525,29 +583,70 @@ fn schedule_decomposition(
 }
 
 /// The `Whole` candidate, scheduled on `dag` itself: no extracted copy, no
-/// key and no memo entry, since no other candidate holds the whole DAG.
+/// key and no memo entry, since no other candidate holds the whole DAG. Its
+/// members start only before the deadline.
+///
+/// With more than one thread, its portfolio members and the builds of the
+/// `rest` candidates are the items of one [`par_map`]. The members' results
+/// are then swept in suite order, as [`best_prbp_until`] sweeps them, so the
+/// schedule is the same; only a deadline no longer skips a member, since all
+/// start together. Returns the candidate and the decompositions built
+/// ahead: [`build`]'s answer for each of `rest`, `None` for one the
+/// deadline reached before its build began, and none at all with one
+/// thread or when the deadline passed before the members could start.
 fn schedule_whole(
     dag: &Dag,
     r: usize,
     config: &ComposeConfig,
+    rest: &[Strategy],
+    threads: usize,
     deadline: Option<Instant>,
-) -> Option<ScheduledDecomposition> {
+) -> (Option<ScheduledDecomposition>, Vec<Option<Decomposition>>) {
+    let components_span = pebble_obs::trace::span("compose:components");
+    let component_span = pebble_obs::trace::span("compose:component");
+    let lower = load_count(dag, r);
     if expired(deadline) {
-        return None;
+        return (None, Vec::new());
     }
-    let schedule = {
-        let _components_span = pebble_obs::trace::span("compose:components");
-        let _component_span = pebble_obs::trace::span("compose:component");
-        schedule_component(dag, r, config, deadline)?
+    let suite = component_suite(dag);
+    let (portfolio, built) = if threads > 1 {
+        enum Job {
+            Member(Scheduler),
+            Build(Strategy),
+        }
+        let jobs = suite
+            .iter()
+            .map(|&s| Job::Member(s))
+            .chain(rest.iter().map(|&strategy| Job::Build(strategy)))
+            .collect();
+        let mut done = par_map(jobs, threads, |job| match job {
+            Job::Member(s) => (run_member(dag, r, s, deadline), None),
+            Job::Build(_) if expired(deadline) => (None, None),
+            Job::Build(strategy) => (None, build(dag, strategy, deadline)),
+        });
+        let built = done.split_off(suite.len());
+        let mut members = done.into_iter().map(|(member, _)| member);
+        let portfolio = first_minimum(&suite, lower, None, |_| members.next().flatten());
+        (portfolio, built.into_iter().map(|(_, d)| d).collect())
+    } else {
+        let portfolio = best_prbp_until(dag, r, &suite, deadline, lower);
+        (portfolio, Vec::new())
+    };
+    let schedule = finish_component(dag, r, config, deadline, lower, portfolio);
+    drop(component_span);
+    drop(components_span);
+    let Some(schedule) = schedule else {
+        return (None, built);
     };
     obs::compose_components([schedule.outcome]);
     let _stitch_span = pebble_obs::trace::span("compose:stitch");
     let (trace, cost) = stitch_whole(dag, schedule.trace);
-    Some(ScheduledDecomposition {
+    let whole = ScheduledDecomposition {
         trace,
         cost,
         exact: vec![schedule.exact],
-    })
+    };
+    (Some(whole), built)
 }
 
 /// [`stitch`] of a single component holding the whole DAG: its validated,
@@ -619,10 +718,22 @@ fn schedule_component(
     config: &ComposeConfig,
     deadline: Option<Instant>,
 ) -> Option<ComponentSchedule> {
-    let config_prbp = PrbpConfig::new(r);
-    let lower = exact::prbp_initial_bound(dag, config_prbp, &LoadCountHeuristic);
-    let mut best: Option<(PrbpTrace, usize)> =
-        best_prbp_until(dag, r, &component_suite(dag), deadline).map(|(_, t, c)| (t, c));
+    let lower = load_count(dag, r);
+    let portfolio = best_prbp_until(dag, r, &component_suite(dag), deadline, lower);
+    finish_component(dag, r, config, deadline, lower, portfolio)
+}
+
+/// [`schedule_component`] after the portfolio: `portfolio` is its sweep's
+/// result and `lower` the component's load-count bound.
+fn finish_component(
+    dag: &Dag,
+    r: usize,
+    config: &ComposeConfig,
+    deadline: Option<Instant>,
+    lower: usize,
+    portfolio: Option<(Scheduler, PrbpTrace, usize)>,
+) -> Option<ComponentSchedule> {
+    let mut best = portfolio.map(|(_, t, c)| (t, c));
     // Cone-shaped components additionally get the streaming-accumulator
     // edge schedule, which the node-order portfolio cannot express. A
     // portfolio schedule at the bound cannot be beaten, so it is skipped then.
@@ -652,7 +763,7 @@ fn schedule_component(
         };
         if let Ok(out) = engine::solve_prbp(
             dag,
-            config_prbp,
+            PrbpConfig::new(r),
             &engine_cfg,
             &LoadCountHeuristic,
             Some(&trace),
@@ -746,10 +857,13 @@ fn stitch(
 
 /// A dependency-free scoped-thread work queue: runs `worker` over the items
 /// on up to `threads` threads pulling from an atomic index, and returns the
-/// results in input order. `threads` is clamped to `1..=items.len()`; with
-/// one thread everything runs inline on the caller's thread. A worker panic
-/// propagates to the caller. Compose fans components out on it, and the
-/// experiment and benchmark sweeps fan instances out on it.
+/// results in input order. `threads` is clamped to `1..=items.len()`; the
+/// caller's thread is one of them, so with one thread everything runs inline.
+/// Working on the caller also keeps part of the work in its allocator arena:
+/// memory a scoped thread frees stays with that thread's arena, which the
+/// caller cannot reuse. A worker panic propagates to the caller. Compose fans
+/// its independent work out on it, and the experiment and benchmark sweeps
+/// fan instances out on it.
 pub fn par_map<I: Send, T: Send>(
     items: Vec<I>,
     threads: usize,
@@ -765,22 +879,24 @@ pub fn par_map<I: Send, T: Send>(
     let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
     let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("work slot poisoned")
-                    .take()
-                    .expect("work item taken twice");
-                let out = worker(item);
-                *results[i].lock().expect("result slot poisoned") = Some(out);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let item = slots[i]
+            .lock()
+            .expect("work slot poisoned")
+            .take()
+            .expect("work item taken twice");
+        let out = worker(item);
+        *results[i].lock().expect("result slot poisoned") = Some(out);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
     });
     results
         .into_iter()
@@ -909,7 +1025,7 @@ mod tests {
                         continue;
                     };
                     let scheduled = if strategy == Strategy::Whole {
-                        schedule_whole(&dag, r, &config, None)
+                        schedule_whole(&dag, r, &config, &[], 1, None).0
                     } else {
                         schedule_decomposition(&dag, r, &decomposition, &config, 1, None, &mut memo)
                     };
@@ -1010,7 +1126,7 @@ mod tests {
             let schedule = schedule_component(&copy.dag, r, &config, None).unwrap();
             exact_rows += usize::from(schedule.outcome == ComponentOutcome::Exact);
             let stitched = stitch(&dag, r, &[copy], &[&schedule.trace]);
-            let in_place = schedule_whole(&dag, r, &config, None).unwrap();
+            let in_place = schedule_whole(&dag, r, &config, &[], 1, None).0.unwrap();
             assert_eq!((in_place.trace, in_place.cost), stitched, "r = {r}");
             assert_eq!(in_place.exact, [schedule.exact]);
         }
@@ -1104,6 +1220,72 @@ mod tests {
         let mut best = None;
         keep_cheaper(&dag, 4, &mut best, Some(PrbpTrace::new()));
         assert!(best.is_none());
+    }
+
+    /// Two disjoint copies of `dag`, the second's ids shifted past the
+    /// first's.
+    fn twice(dag: &Dag) -> Dag {
+        let n = dag.node_count();
+        let mut b = DagBuilder::new();
+        let nodes = b.add_nodes(2 * n);
+        for copy in [0, n] {
+            for e in dag.edges() {
+                let (u, v) = dag.edge_endpoints(e);
+                b.add_edge(nodes[copy + u.index()], nodes[copy + v.index()]);
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn thread_count_never_changes_the_answer() {
+        let random = |layers, width, seed| {
+            random_layered(RandomLayeredConfig {
+                layers,
+                width,
+                max_in_degree: 3,
+                seed,
+            })
+        };
+        let rows: Vec<(&str, Dag, usize)> = vec![
+            ("attention-full-8x4", attention_full(8, 4).dag, 8),
+            ("random-24x24", random(24, 24, 5), 8),
+            ("random-6x8-twice", twice(&random(6, 8, 3)), 4),
+            ("random-20x16-twice", twice(&random(20, 16, 9)), 8),
+            ("fft-256", fft(256).dag, 16),
+            // Both greedy members meet the load-count bound here: the
+            // first in suite order must win.
+            ("fft-128-in-cache", fft(128).dag, 1024),
+            ("matmul-8", matmul(8, 8, 8).dag, 24),
+        ];
+        // Every row but the small disjoint pair is above the beams' size,
+        // where compose fans out when it has threads.
+        let fanned = rows
+            .iter()
+            .filter(|row| row.1.node_count() > BEAM_MAX_NODES);
+        assert_eq!(fanned.count(), rows.len() - 1);
+        for (name, dag, r) in &rows {
+            let run = |threads| {
+                let config = ComposeConfig {
+                    threads,
+                    ..ComposeConfig::default()
+                };
+                compose_prbp(dag, *r, &config).unwrap()
+            };
+            let answer = |o: &ComposeOutcome| {
+                let counts = (o.components, o.exact_components, o.composed_bound);
+                (o.cost, o.strategy, counts)
+            };
+            let one = run(1);
+            for threads in [2, 4] {
+                let many = run(threads);
+                assert_eq!(
+                    many.trace.moves, one.trace.moves,
+                    "{name}, {threads} threads"
+                );
+                assert_eq!(answer(&many), answer(&one), "{name}, {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The scheduler's hook into the `pebble-obs` metrics registry: which
-//! portfolio family wins, how compose obtained each component's schedule,
-//! and which compose candidates were scheduled or pruned. All are labelled
-//! by small fixed sets, so cardinality stays bounded; all are recorded once
-//! per portfolio sweep, decomposition or candidate, never inside a
-//! scheduler's loop.
+//! portfolio family wins, which member wins alone, how compose obtained each
+//! component's schedule, and which compose candidates were scheduled or
+//! pruned. All are labelled by small fixed sets (a member label takes the
+//! display names of the suite swept), so cardinality stays bounded; all are
+//! recorded once per portfolio sweep, decomposition or candidate, never
+//! inside a scheduler's loop.
 
 use pebble_obs::metrics::Registry;
 
@@ -14,6 +15,20 @@ pub(crate) fn portfolio_win(family: &'static str) {
             "sched_portfolio_wins_total",
             "Portfolio sweeps won, by member family",
             &[("member", family)],
+        )
+        .inc();
+}
+
+/// Count one portfolio sweep whose winner, `member` (its display name), was
+/// the sole minimum: every member produced a validated trace and the
+/// winner's cost is strictly below all the others. Unlike
+/// [`portfolio_win`], a tie is nobody's win here.
+pub(crate) fn portfolio_sole_win(member: &str) {
+    Registry::global()
+        .counter(
+            "sched_portfolio_sole_wins_total",
+            "Portfolio sweeps won with a cost strictly below every other member's, by member",
+            &[("member", member)],
         )
         .inc();
 }

@@ -231,9 +231,10 @@ impl Scheduler {
 }
 
 /// The default portfolio, cheap enough to sweep on every instance: Belady
-/// greedy on the natural and on the DFS order, each `O((n + m) log r)`. A beam level copies an `O(n)` entry per child, so the
-/// beams are quadratic and only pay off on small DAGs: compose adds them to
-/// components of at most 512 nodes.
+/// greedy on the natural and on the DFS order, each `O((n + m) log r)`. A
+/// beam level copies an `O(n)` entry per child, so the beams are quadratic
+/// and only pay off on small DAGs: compose adds them to components of at
+/// most 512 nodes.
 pub fn default_suite() -> Vec<Scheduler> {
     vec![
         Scheduler::Greedy {
@@ -254,55 +255,89 @@ pub fn default_suite() -> Vec<Scheduler> {
 /// load-count bound: no later member can be strictly cheaper, so the result
 /// is the one a full sweep would return. A member that emits no trace, or an
 /// invalid one, is skipped. The winner's family is counted in
-/// `sched_portfolio_wins_total`.
+/// `sched_portfolio_wins_total`, and the winner in
+/// `sched_portfolio_sole_wins_total` when every member produced a validated
+/// trace and the winner's cost is strictly below all the others.
 pub fn best_prbp(
     dag: &Dag,
     r: usize,
     suite: &[Scheduler],
 ) -> Option<(Scheduler, PrbpTrace, usize)> {
-    best_prbp_until(dag, r, suite, None)
+    best_prbp_until(dag, r, suite, None, load_count(dag, r))
 }
 
-/// [`best_prbp`] under a deadline: once it has passed, the sweep stops at
-/// the next member that would start after a result exists, and a beam
-/// member it cuts greedy-completes its schedule.
+/// The admissible load-count bound of `dag`'s initial state at cache size
+/// `r`, an `O(n + m)` pass: a member meeting it ends a portfolio sweep.
+pub(crate) fn load_count(dag: &Dag, r: usize) -> usize {
+    exact::prbp_initial_bound(dag, PrbpConfig::new(r), &LoadCountHeuristic)
+}
+
+/// [`best_prbp`] under a deadline, with `dag`'s [`load_count`] bound
+/// `lower` passed in: once the deadline has passed, the sweep stops at the
+/// next member that would start after a result exists, and a beam member it
+/// cuts greedy-completes its schedule.
 pub(crate) fn best_prbp_until(
     dag: &Dag,
     r: usize,
     suite: &[Scheduler],
     deadline: Option<Instant>,
+    lower: usize,
 ) -> Option<(Scheduler, PrbpTrace, usize)> {
-    let best = first_minimum(dag, r, suite, deadline, |s| match s {
+    first_minimum(suite, lower, deadline, |s| run_member(dag, r, s, deadline))
+}
+
+/// Run one portfolio member in PRBP, a beam under `deadline`, and replay
+/// its trace: the validated trace and its cost, or `None` when the member
+/// emits no trace or an invalid one. Members share nothing, so compose runs
+/// them side by side.
+pub(crate) fn run_member(
+    dag: &Dag,
+    r: usize,
+    s: Scheduler,
+    deadline: Option<Instant>,
+) -> Option<(PrbpTrace, usize)> {
+    replayed(dag, r, s, |s| match s {
         Scheduler::Beam { width, branch } => {
             beam_prbp_until(dag, r, BeamConfig { width, branch }, deadline)
         }
         s => s.run_prbp(dag, r),
-    });
-    if let Some((s, ..)) = &best {
-        crate::obs::portfolio_win(s.family());
-    }
-    best
+    })
 }
 
-/// [`best_prbp`]'s sweep, with the way a member is run passed in.
-fn first_minimum(
+/// The trace `run` produces for `s`, with its validated cost, under the
+/// member's phase span.
+fn replayed(
     dag: &Dag,
     r: usize,
+    s: Scheduler,
+    run: impl FnOnce(Scheduler) -> Option<PrbpTrace>,
+) -> Option<(PrbpTrace, usize)> {
+    let _span = pebble_obs::trace::span(s.phase_name());
+    let trace = run(s)?;
+    let cost = validated_cost(dag, r, &trace, &s)?;
+    Some((trace, cost))
+}
+
+/// [`best_prbp`]'s sweep over `suite`, in order: `result` gives a member's
+/// validated trace and cost, running it or taking a result computed ahead.
+/// It is not called for a member after one whose cost meets `lower`, nor,
+/// once a result exists, after `deadline`. Counts the win.
+pub(crate) fn first_minimum(
     suite: &[Scheduler],
+    lower: usize,
     deadline: Option<Instant>,
-    run: impl Fn(Scheduler) -> Option<PrbpTrace>,
+    mut result: impl FnMut(Scheduler) -> Option<(PrbpTrace, usize)>,
 ) -> Option<(Scheduler, PrbpTrace, usize)> {
-    let lower = exact::prbp_initial_bound(dag, PrbpConfig::new(r), &LoadCountHeuristic);
     let mut best: Option<(Scheduler, PrbpTrace, usize)> = None;
+    // The swept members' costs, `None` for a skipped one.
+    let mut costs = Vec::with_capacity(suite.len());
     for &s in suite {
         if best.is_some() && deadline.is_some_and(|at| Instant::now() >= at) {
             break;
         }
-        let _span = pebble_obs::trace::span(s.phase_name());
-        let Some(trace) = run(s) else {
-            continue;
-        };
-        let Some(cost) = validated_cost(dag, r, &trace, &s) else {
+        let swept = result(s);
+        costs.push(swept.as_ref().map(|&(_, cost)| cost));
+        let Some((trace, cost)) = swept else {
             continue;
         };
         if best.as_ref().map_or(true, |&(_, _, c)| cost < c) {
@@ -312,7 +347,21 @@ fn first_minimum(
             break;
         }
     }
+    let (winner, _, cost) = best.as_ref()?;
+    crate::obs::portfolio_win(winner.family());
+    if sole_minimum(&costs, suite.len(), *cost) {
+        crate::obs::portfolio_sole_win(&winner.to_string());
+    }
     best
+}
+
+/// Whether a sweep of `members` members that recorded `costs` had a sole
+/// winner at cost `best`: every member was swept and produced a cost, and
+/// exactly one of them is `best`.
+fn sole_minimum(costs: &[Option<usize>], members: usize, best: usize) -> bool {
+    costs.len() == members
+        && costs.iter().all(Option::is_some)
+        && costs.iter().filter(|&&c| c == Some(best)).count() == 1
 }
 
 /// The replayed cost of a scheduler's trace. An invalid trace is a bug in
@@ -336,7 +385,7 @@ pub(crate) fn validated_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pebble_dag::generators::{fft, fig1_full};
+    use pebble_dag::generators::{fft, fig1_full, matmul};
 
     #[test]
     fn names_are_stable() {
@@ -394,6 +443,19 @@ mod tests {
         }
     }
 
+    /// [`first_minimum`] over `suite` without a deadline, each member run
+    /// by `run`.
+    fn sweep(
+        dag: &Dag,
+        r: usize,
+        suite: &[Scheduler],
+        run: impl Fn(Scheduler) -> Option<PrbpTrace>,
+    ) -> Option<(Scheduler, PrbpTrace, usize)> {
+        first_minimum(suite, load_count(dag, r), None, |s| {
+            replayed(dag, r, s, &run)
+        })
+    }
+
     #[test]
     fn the_winning_family_is_counted() {
         let wins = |family| {
@@ -404,6 +466,43 @@ mod tests {
         let dag = fft(16).dag;
         let (s, ..) = best_prbp(&dag, 4, &default_suite()).unwrap();
         assert!(wins(s.family()) >= 1);
+    }
+
+    #[test]
+    fn a_strict_minimum_over_every_member_is_a_sole_win() {
+        assert!(sole_minimum(&[Some(5), Some(7)], 2, 5));
+        assert!(sole_minimum(&[Some(7), Some(5), Some(9)], 3, 5));
+        // A tie, a skipped member or an unswept one is not.
+        assert!(!sole_minimum(&[Some(5), Some(5)], 2, 5));
+        assert!(!sole_minimum(&[Some(5), None], 2, 5));
+        assert!(!sole_minimum(&[Some(5)], 2, 5));
+    }
+
+    #[test]
+    fn a_strict_dfs_win_on_matmul_is_counted_as_sole() {
+        let sole_wins = |member: &str| {
+            pebble_obs::metrics::Registry::global()
+                .counter("sched_portfolio_sole_wins_total", "", &[("member", member)])
+                .get()
+        };
+        let dag = matmul(4, 4, 4).dag;
+        let r = 8;
+        let suite = default_suite();
+        let costs: Vec<usize> = suite
+            .iter()
+            .map(|&s| run_member(&dag, r, s, None).unwrap().1)
+            .collect();
+        assert!(
+            costs[1] < costs[0],
+            "dfs {} >= natural {}",
+            costs[1],
+            costs[0]
+        );
+        let dfs = suite[1].to_string();
+        let before = sole_wins(&dfs);
+        let (s, _, cost) = best_prbp(&dag, r, &suite).unwrap();
+        assert_eq!((s, cost), (suite[1], costs[1]));
+        assert!(sole_wins(&dfs) > before);
     }
 
     #[test]
@@ -427,7 +526,7 @@ mod tests {
         let r = 4;
         let suite = default_suite();
         let skipped = |s: Scheduler| (s != suite[0]).then(|| s.run_prbp(&dag, r)).flatten();
-        let (s, trace, cost) = first_minimum(&dag, r, &suite, None, skipped).unwrap();
+        let (s, trace, cost) = sweep(&dag, r, &suite, skipped).unwrap();
         assert_ne!(s, suite[0]);
         assert_eq!(Some(trace), s.run_prbp(&dag, r));
         let others = suite[1..]
@@ -435,7 +534,7 @@ mod tests {
             .map(|m| validated_cost(&dag, r, &m.run_prbp(&dag, r).unwrap(), m).unwrap());
         assert_eq!(Some(cost), others.min());
         // No member at all: no result.
-        assert!(first_minimum(&dag, r, &suite, None, |_| None).is_none());
+        assert!(sweep(&dag, r, &suite, |_| None).is_none());
     }
 
     // Release builds skip an invalid trace; debug builds stop on it.
@@ -452,7 +551,7 @@ mod tests {
                 s.run_prbp(&dag, r)
             }
         };
-        let (s, ..) = first_minimum(&dag, r, &suite, None, broken).unwrap();
+        let (s, ..) = sweep(&dag, r, &suite, broken).unwrap();
         assert_ne!(s, suite[0]);
         assert_eq!(validated_cost(&dag, r, &PrbpTrace::new(), &"empty"), None);
     }

@@ -61,8 +61,10 @@ USAGE:
       --deadline-ms runs the certified compose solve instead of
          --scheduler (PRBP only): the best stitched schedule found within
          the wall-clock budget, components scheduled on --workers threads
-         (0 = all cores), certified with the bound ladder plus the
-         composable `compose` bound
+         (0 = all cores; above 512 nodes the whole-DAG portfolio members
+         and the candidate decompositions also run side by side on them,
+         with the same answer for every count), certified with the bound
+         ladder plus the composable `compose` bound
       --trace FILE.jsonl streams typed observability events (phase spans)
          to FILE; analyse with `prbp trace`
   prbp bound --input PATH --r <cache> [--model prbp|rbp] [--format F]
