@@ -78,7 +78,6 @@
 
 use crate::edges::{cone_affinity_edges, greedy_prbp_edges};
 use crate::obs::{self, ComponentOutcome};
-use crate::policy::FurthestInFuture;
 use crate::report::{certify_prbp_with_bounds, BoundSet, BoundValue, ScheduleReport};
 use crate::suite::{
     best_prbp_until, default_suite, first_minimum, load_count, run_member, validated_cost,
@@ -738,8 +737,7 @@ fn finish_component(
     // edge schedule, which the node-order portfolio cannot express. A
     // portfolio schedule at the bound cannot be beaten, so it is skipped then.
     if best.as_ref().map_or(true, |&(_, c)| c > lower) {
-        let edges = cone_affinity_edges(dag)
-            .and_then(|edges| greedy_prbp_edges(dag, r, &edges, &mut FurthestInFuture));
+        let edges = cone_affinity_edges(dag).and_then(|edges| greedy_prbp_edges(dag, r, &edges));
         keep_cheaper(dag, r, &mut best, edges);
     }
     let (trace, cost) = best?;
@@ -1404,6 +1402,23 @@ mod tests {
         let err = compose_certified(&dag, 8, &config, BoundSet::Fast).unwrap_err();
         assert_eq!(err, ComposeError::DeadlineNoIncumbent);
         assert!(compose_prbp(&dag, 8, &config).is_none());
+    }
+
+    #[test]
+    fn a_zero_deadline_has_no_incumbent_side_by_side() {
+        // Above the beams' size the whole-DAG members and the other
+        // candidates' builds run side by side on two threads, and in turn
+        // on one. A deadline that has passed on entry starts none of them.
+        let dag = fft(128).dag;
+        assert!(dag.node_count() > BEAM_MAX_NODES);
+        for threads in [1, 2] {
+            let config = ComposeConfig {
+                threads,
+                ..with_deadline(Duration::ZERO)
+            };
+            let err = compose_certified(&dag, 16, &config, BoundSet::Fast).unwrap_err();
+            assert_eq!(err, ComposeError::DeadlineNoIncumbent, "threads {threads}");
+        }
     }
 
     #[test]

@@ -1,24 +1,28 @@
-//! Edge-order greedy scheduling: the PRBP executor generalised from node
-//! sequences to *edge* sequences.
+//! Edge-order greedy scheduling: the one PRBP greedy loop.
 //!
-//! [`crate::greedy_prbp`] processes a node order and aggregates all in-edges
-//! of a node back to back, which forces every pending input of a
-//! high-fan-in node (a matmul accumulator, an attention score) to be
-//! resident simultaneously. PRBP's partial computes do not require that: an
-//! accumulator can absorb one input at a time, with each input produced
-//! just-in-time and deleted immediately. [`greedy_prbp_edges`] schedules an
-//! explicit edge sequence and unlocks exactly that pattern — it is what
-//! makes the tiled matmul / streaming attention access patterns expressible
-//! as a *generic* greedy run (see `compose`).
+//! PRBP's partial compute aggregates one in-edge at a time, so a greedy
+//! PRBP schedule is fully described by the sequence of edges it
+//! aggregates. [`greedy_prbp_edges`] schedules an explicit edge sequence;
+//! [`crate::greedy_prbp`] runs the same loop on the by-target sequence of a
+//! node order ([`by_target_edges`]), each node's in-edges back to back.
+//! An explicit sequence can do what no node order can: let a high-fan-in
+//! node (a matmul accumulator, an attention score) absorb one input at a
+//! time, with each input produced just-in-time and deleted immediately.
+//! That makes the tiled matmul / streaming attention access patterns
+//! expressible as a *generic* greedy run (see `compose`).
 //!
 //! The edge sequence must be *complete* (every edge exactly once) and
-//! *source-complete* (all in-edges of `u` appear before any edge `(u, v)`),
-//! which is verified up-front in `O(n + m)`; invalid sequences return
-//! `None`. Evictions follow Belady's rule, with next-use distances measured
-//! in edge positions. Victims come from the indexed eviction queue the node
-//! executors use: a node's next occurrence changes only when the sequence
-//! reaches an edge it is an endpoint of, so each edge costs `O(log r)` in
-//! the queue instead of a scan over the red nodes.
+//! *source-complete* (all in-edges of `u` appear before any edge `(u, v)`).
+//! An explicit sequence is verified up-front in `O(n + m)`, and an invalid
+//! one returns `None`; the by-target sequence of a topological order is
+//! both by construction. Evictions follow Belady's rule, with next-use
+//! distances measured in edge positions. Victims come from the indexed
+//! eviction queue (the crate-private `eviction` module): a node's next
+//! occurrence changes only when the sequence reaches an edge it is an
+//! endpoint of, so each edge costs `O(log r)` in the queue instead of a
+//! scan over the red nodes. A consumed non-sink input is deleted at once,
+//! a finished sink is saved and deleted at once, and a spilled partial
+//! value is loaded back before it absorbs its next input.
 //!
 //! The queue's index keeps every node's occurrences — the positions of the
 //! edges it is an endpoint of, `2m` entries in all — in one flat `u32`
@@ -26,14 +30,16 @@
 //! occurrence *strictly after* the current edge in 32 bits, whether the
 //! eviction is free in 1 bit, the inverted node id in 31 bits), a `u32`
 //! cursor into its occurrences and the end of its list with the red and
-//! dirty flags in its top two bits. So the executor takes DAGs of fewer
-//! than 2³¹ nodes and 2²⁹ edges, and returns `None` beyond that.
+//! dirty flags in its top two bits. The loop reads its sequence through an
+//! iterator, twice: once to fill the index, once to schedule. So PRBP greedy
+//! takes DAGs of fewer than 2³¹ nodes and 2²⁹ edges on every path, and
+//! returns `None` beyond that.
 
 use crate::eviction::EvictionIndex;
-use crate::policy::FurthestInFuture;
 use pebble_dag::{Dag, EdgeId, NodeId};
 use pebble_game::moves::PrbpMove;
 use pebble_game::prbp::{PebbleState, PrbpConfig};
+use pebble_game::sink::MoveSink;
 use pebble_game::trace::PrbpTrace;
 use pebble_game::PrbpBuilder;
 
@@ -41,36 +47,46 @@ use pebble_game::PrbpBuilder;
 /// given order, evicting by Belady's rule. Works for any `r ≥ 2`; returns
 /// `None` below that, when `edges` is not a complete, source-complete
 /// edge sequence, and beyond the size limits of the module docs.
-pub fn greedy_prbp_edges(
-    dag: &Dag,
-    r: usize,
-    edges: &[EdgeId],
-    _policy: &mut FurthestInFuture,
-) -> Option<PrbpTrace> {
-    if r < 2 || edges.len() != dag.edge_count() {
+pub fn greedy_prbp_edges(dag: &Dag, r: usize, edges: &[EdgeId]) -> Option<PrbpTrace> {
+    if edges.len() != dag.edge_count() {
         return None;
     }
-    let n = dag.node_count();
     // Validate: every edge once, and every in-edge of `u` before any (u, v).
     let mut seen = dag.edge_set();
-    let mut in_done = vec![0usize; n];
+    let mut in_done = vec![0u32; dag.node_count()];
     for &e in edges {
         if e.index() >= dag.edge_count() || seen.contains(e.index()) {
             return None;
         }
         seen.insert(e.index());
         let (u, v) = dag.edge_endpoints(e);
-        if in_done[u.index()] != dag.in_degree(u) {
+        if in_done[u.index()] as usize != dag.in_degree(u) {
             return None;
         }
         in_done[v.index()] += 1;
     }
+    let pairs = edges.iter().map(|&e| dag.edge_endpoints(e));
+    run(dag, r, pairs, PrbpTrace::new()).map(|(trace, _, _)| trace)
+}
 
-    let mut red = EvictionIndex::for_edges(dag, edges)?;
-    let mut builder = PrbpBuilder::new(dag, PrbpConfig::new(r));
+/// The PRBP greedy loop on `edges`, a complete, source-complete edge
+/// sequence given as `(source, target)` pairs (the callers check it),
+/// streaming every validated move into `sink`. Returns the sink, the I/O cost and the eviction index's work
+/// count (key refreshes plus heap pops), or `None` for `r < 2` and beyond
+/// the size limits of the module docs.
+pub(crate) fn run<S: MoveSink<PrbpMove>>(
+    dag: &Dag,
+    r: usize,
+    edges: impl DoubleEndedIterator<Item = (NodeId, NodeId)> + Clone,
+    sink: S,
+) -> Option<(S, usize, u64)> {
+    if r < 2 {
+        return None;
+    }
+    let mut red = EvictionIndex::for_edges(dag, edges.clone())?;
+    let mut builder = PrbpBuilder::with_sink(dag, PrbpConfig::new(r), sink);
 
-    for (t, &e) in edges.iter().enumerate() {
-        let (u, v) = dag.edge_endpoints(e);
+    for (t, (u, v)) in edges.enumerate() {
         red.begin_position(t);
         let needed = usize::from(!red.contains(u)) + usize::from(!red.contains(v));
         while red.len() + needed > r {
@@ -117,9 +133,10 @@ pub fn greedy_prbp_edges(
             red.remove(v);
         }
     }
-    let (trace, game) = builder.finish();
+    let work = red.work();
+    let (sink, game) = builder.finish();
     debug_assert!(game.is_terminal());
-    Some(trace)
+    Some((sink, game.io_cost(), work))
 }
 
 /// A shared-input-affinity edge order for DAGs whose non-source nodes all
@@ -171,9 +188,10 @@ pub fn cone_affinity_edges(dag: &Dag) -> Option<Vec<EdgeId>> {
     Some(edges)
 }
 
-/// The by-target edge order equivalent to running [`crate::greedy_prbp`] on
-/// `order`: for each node of the order, its in-edges in CSR order. Useful as
-/// a baseline edge sequence and in tests.
+/// The by-target edge order of `order`: for each node of the order, its
+/// in-edges in CSR order. On a topological order it is the sequence
+/// [`crate::greedy_prbp`] schedules. Useful as a baseline edge sequence and
+/// in tests.
 pub fn by_target_edges(dag: &Dag, order: &[NodeId]) -> Vec<EdgeId> {
     let mut edges = Vec::with_capacity(dag.edge_count());
     for &v in order {
@@ -188,6 +206,7 @@ pub fn by_target_edges(dag: &Dag, order: &[NodeId]) -> Vec<EdgeId> {
 mod tests {
     use super::*;
     use crate::order;
+    use crate::policy::FurthestInFuture;
     use pebble_dag::generators::{attention_qk, fft, matmul};
 
     #[test]
@@ -195,8 +214,10 @@ mod tests {
         let dag = fft(16).dag;
         let ord = order::natural(&dag);
         let edges = by_target_edges(&dag, &ord);
-        let trace = greedy_prbp_edges(&dag, 4, &edges, &mut FurthestInFuture).unwrap();
+        let trace = greedy_prbp_edges(&dag, 4, &edges).unwrap();
         assert!(trace.validate(&dag, PrbpConfig::new(4)).is_ok());
+        let node_trace = crate::greedy_prbp(&dag, 4, &ord, &mut FurthestInFuture);
+        assert_eq!(node_trace, Some(trace));
     }
 
     #[test]
@@ -206,12 +227,12 @@ mod tests {
         let edges = by_target_edges(&dag, &ord);
         let mut rev = edges.clone();
         rev.reverse();
-        assert!(greedy_prbp_edges(&dag, 4, &rev, &mut FurthestInFuture).is_none());
-        assert!(greedy_prbp_edges(&dag, 4, &edges[1..], &mut FurthestInFuture).is_none());
+        assert!(greedy_prbp_edges(&dag, 4, &rev).is_none());
+        assert!(greedy_prbp_edges(&dag, 4, &edges[1..]).is_none());
         let mut dup = edges.clone();
         dup[0] = dup[1];
-        assert!(greedy_prbp_edges(&dag, 4, &dup, &mut FurthestInFuture).is_none());
-        assert!(greedy_prbp_edges(&dag, 1, &edges, &mut FurthestInFuture).is_none());
+        assert!(greedy_prbp_edges(&dag, 4, &dup).is_none());
+        assert!(greedy_prbp_edges(&dag, 1, &edges).is_none());
     }
 
     #[test]
@@ -223,7 +244,7 @@ mod tests {
         let mm = matmul(4, 4, 4).dag;
         let r = 4 * 4 + 2 * 4 + 2; // t² accumulators + 2t inputs + transient
         let edges = cone_affinity_edges(&mm).unwrap();
-        let trace = greedy_prbp_edges(&mm, r, &edges, &mut FurthestInFuture).unwrap();
+        let trace = greedy_prbp_edges(&mm, r, &edges).unwrap();
         let cost = trace.validate(&mm, PrbpConfig::new(r)).unwrap();
         // Spill-free: every source loaded once, every sink saved once.
         assert_eq!(cost, mm.trivial_cost());
@@ -239,7 +260,7 @@ mod tests {
         let att = attention_qk(4, 2).dag;
         let edges = cone_affinity_edges(&att).unwrap();
         let r = 16 + 2 * 4 * 2 + 2;
-        let trace = greedy_prbp_edges(&att, r, &edges, &mut FurthestInFuture).unwrap();
+        let trace = greedy_prbp_edges(&att, r, &edges).unwrap();
         assert_eq!(
             trace.validate(&att, PrbpConfig::new(r)).unwrap(),
             att.trivial_cost()
@@ -258,7 +279,7 @@ mod tests {
         let mm = matmul(3, 3, 3).dag;
         let edges = cone_affinity_edges(&mm).unwrap();
         for r in [2usize, 3, 4, 6] {
-            let trace = greedy_prbp_edges(&mm, r, &edges, &mut FurthestInFuture).unwrap();
+            let trace = greedy_prbp_edges(&mm, r, &edges).unwrap();
             let cost = trace.validate(&mm, PrbpConfig::new(r)).unwrap();
             assert!(cost >= mm.trivial_cost());
         }

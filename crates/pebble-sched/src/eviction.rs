@@ -1,5 +1,5 @@
-//! The eviction index shared by the greedy executors ([`crate::greedy`] and
-//! [`crate::edges`]).
+//! The eviction index shared by the greedy executors: the PRBP edge loop
+//! of [`crate::edges`] and the RBP node executor of [`crate::greedy`].
 //!
 //! [`EvictionIndex`] owns everything an eviction reads: every node's use
 //! positions, how far the executor has passed through them, whether the
@@ -15,8 +15,8 @@
 //!
 //! One flat `u32` array holds the use positions of every node, node after
 //! node, ascending within a node: the compute-order positions of its
-//! consumers for the node executors ([`EvictionIndex::for_nodes`]), the
-//! edge positions at which it is an endpoint for the edge executor
+//! consumers for the RBP executor ([`EvictionIndex::for_nodes`]), the edge
+//! positions at which it is an endpoint for the PRBP edge loop
 //! ([`EvictionIndex::for_edges`]). Each node has one 16-byte slot:
 //!
 //! * `key` (`u64`): the node's current [`EvictionKey`], or `UNKEYED`;
@@ -32,9 +32,8 @@
 //!
 //! A key keeps the node id in 31 bits and a list end shares its word with
 //! two flags, so the index takes fewer than 2³¹ nodes and fewer than 2³⁰
-//! use positions in total (`m` for the node executors, `2m` for the edge
-//! executor). The constructors return `None` beyond that, and so do the
-//! executors.
+//! use positions in total (`m` for RBP, `2m` for PRBP). The constructors
+//! return `None` beyond that, and so do the executors.
 //!
 //! # The touch invariant
 //!
@@ -43,35 +42,28 @@
 //! executor *touches* the node: loads it, aggregates from or into it, or
 //! computes it. A node's next use is, by definition, a position where it
 //! gets touched, so an untouched node's next use cannot fall behind the
-//! clock. Two rules follow:
+//! clock. One rule follows: before an eviction, the nodes touched since
+//! they were last keyed are re-keyed (executors report touches through
+//! [`EvictionIndex::touch`]).
 //!
-//! * before an eviction, the nodes touched since they were last keyed are
-//!   re-keyed (executors report touches through [`EvictionIndex::touch`]);
-//! * at the start of each position, the nodes touched at the previous one
-//!   whose key read that position as their next use are re-keyed too. The
-//!   node executors ask for the first use *at or after* the current
-//!   position, so a node already aggregated from at position `t` still
-//!   reports `t` while the rest of `t` is scheduled; only at `t + 1` does
-//!   its true next use show. Full scans of the red set behaved exactly so,
-//!   and the index reproduces it rather than fixing it, which keeps every
-//!   schedule move-for-move identical. The edge executor asks for the first
-//!   use *strictly after* the current position, so its keys never expire.
-//!
-//! Pinned nodes — the endpoints of the move being scheduled, or every input
-//! of the node being computed in RBP — are never the victim. They are not
-//! re-keyed while pinned, and a pinned entry that reaches the top of the
-//! heap is dropped; the node is re-keyed at the first eviction where it is
-//! not pinned.
+//! A next use is the first use *strictly after* the current position, so a
+//! key never expires: every use at the current position belongs to a
+//! pinned node. Pinned nodes — the endpoints of the edge being aggregated
+//! in PRBP, or every input of the node being computed in RBP — are never
+//! the victim. They are not re-keyed while pinned, and a pinned entry that
+//! reaches the top of the heap is dropped; the node is re-keyed at the
+//! first eviction where it is not pinned.
 //!
 //! Re-keying skips the heap push when the key did not change, and the heap
 //! is compacted once it holds more than twice as many entries as there are
-//! red nodes (plus eight), so it stays `O(r)` long. Each touch causes at most two
-//! re-keys and one push. Each pop discards a stale entry (at most one per
-//! push), drops a pinned entry (at most one per re-key), or returns the
-//! victim. A whole schedule therefore costs `O((n + m) log r)`.
+//! red nodes (plus eight), so it stays `O(r)` long. Each touch causes at
+//! most one re-key and one push. Each pop discards a stale entry (at most
+//! one per push), drops a pinned entry (at most one per push, and it
+//! touches the node once more), or returns the victim. A node is pinned
+//! only at its own uses, so a whole schedule costs `O((n + m) log r)`.
 
 use crate::policy::EvictionKey;
-use pebble_dag::{Dag, EdgeId, NodeId};
+use pebble_dag::{Dag, NodeId};
 use std::collections::BinaryHeap;
 
 /// `end` flag: the node holds a red pebble.
@@ -94,17 +86,12 @@ pub(crate) struct EvictionIndex {
     slots: Vec<Slot>,
     /// Use positions, one ascending list per node.
     positions: Vec<u32>,
-    /// Whether a use at the current position is past (the edge executor's
-    /// strictly-after query) or still ahead (the node executors').
-    strictly_after: bool,
     /// Number of red nodes.
     len: usize,
     /// Keys pushed so far, stale entries included.
     heap: BinaryHeap<EvictionKey>,
     /// Nodes touched since they were last keyed (each flagged `DIRTY`).
     dirty: Vec<NodeId>,
-    /// Nodes keyed at the current position with that position as next use.
-    expiring: Vec<NodeId>,
     /// The executor's current position.
     position: u32,
     /// Key refreshes plus heap pops: the index's work, independent of clocks.
@@ -112,12 +99,11 @@ pub(crate) struct EvictionIndex {
 }
 
 impl EvictionIndex {
-    /// The index of the node executors on `order`: a node's uses are the
-    /// positions of its consumers in `order`, and a use at the current
-    /// position is still ahead. `order` must cover every node exactly once.
-    /// `None` beyond the index's limits.
+    /// The index of the RBP executor on `order`: a node's uses are the
+    /// positions of its consumers in `order`. `order` must cover every node
+    /// exactly once. `None` beyond the index's limits.
     pub(crate) fn for_nodes(dag: &Dag, order: &[NodeId]) -> Option<Self> {
-        let mut index = Self::with_lists(dag, |v| dag.out_degree(v), false)?;
+        let mut index = Self::with_lists(dag, |v| dag.out_degree(v))?;
         // Filling from the last position down leaves each list ascending and
         // each cursor at the list's start.
         for (t, &v) in order.iter().enumerate().rev() {
@@ -128,23 +114,25 @@ impl EvictionIndex {
         Some(index)
     }
 
-    /// The index of the edge executor on `edges`: a node's uses are the
-    /// positions of the edges it is an endpoint of, and a use at the
-    /// current position is already past. `edges` must hold every edge
-    /// exactly once. `None` beyond the index's limits.
-    pub(crate) fn for_edges(dag: &Dag, edges: &[EdgeId]) -> Option<Self> {
-        let mut index = Self::with_lists(dag, |v| dag.in_degree(v) + dag.out_degree(v), true)?;
-        for (t, &e) in edges.iter().enumerate().rev() {
-            let (u, v) = dag.edge_endpoints(e);
-            index.push_front(u, t as u32);
-            index.push_front(v, t as u32);
+    /// The index of the PRBP edge loop on `edges`, given as `(source,
+    /// target)` pairs: a node's uses are the positions of the edges it is an
+    /// endpoint of. `edges` must yield every edge exactly once. `None`
+    /// beyond the index's limits.
+    pub(crate) fn for_edges(
+        dag: &Dag,
+        edges: impl DoubleEndedIterator<Item = (NodeId, NodeId)>,
+    ) -> Option<Self> {
+        let mut index = Self::with_lists(dag, |v| dag.in_degree(v) + dag.out_degree(v))?;
+        for (t, (u, v)) in (0..dag.edge_count() as u32).rev().zip(edges.rev()) {
+            index.push_front(u, t);
+            index.push_front(v, t);
         }
         Some(index)
     }
 
     /// An index with room for `uses(v)` positions per node, each cursor at
     /// the end of its empty list.
-    fn with_lists(dag: &Dag, uses: impl Fn(NodeId) -> usize, strictly_after: bool) -> Option<Self> {
+    fn with_lists(dag: &Dag, uses: impl Fn(NodeId) -> usize) -> Option<Self> {
         if dag.node_count() > EvictionKey::MAX_NODES {
             return None;
         }
@@ -164,11 +152,9 @@ impl EvictionIndex {
         Some(EvictionIndex {
             slots,
             positions: vec![0; end],
-            strictly_after,
             len: 0,
             heap: BinaryHeap::new(),
             dirty: Vec::new(),
-            expiring: Vec::new(),
             position: 0,
             work: 0,
         })
@@ -222,24 +208,19 @@ impl EvictionIndex {
         }
     }
 
-    /// Enter `position`; keys that read the previous position as their next
-    /// use are re-keyed before the next eviction.
+    /// Enter `position`.
     pub(crate) fn begin_position(&mut self, position: usize) {
         self.position = position as u32;
-        while let Some(v) = self.expiring.pop() {
-            self.touch(v);
-        }
     }
 
-    /// The first use of `v` not yet passed at the current position, or
+    /// The first use of `v` strictly after the current position, or
     /// [`EvictionKey::NEVER`] if none remains. Moves `v`'s cursor past the
     /// uses before it.
     fn next_use(&mut self, v: NodeId) -> u32 {
         let slot = &mut self.slots[v.index()];
         let end = (slot.end & END) as usize;
-        let first = self.position + u32::from(self.strictly_after);
         let uses = &self.positions[slot.cursor as usize..end];
-        let passed = uses.iter().take_while(|&&p| p < first).count();
+        let passed = uses.iter().take_while(|&&p| p <= self.position).count();
         slot.cursor += passed as u32;
         uses.get(passed).copied().unwrap_or(EvictionKey::NEVER)
     }
@@ -278,9 +259,6 @@ impl EvictionIndex {
             } else {
                 self.next_use(v)
             };
-            if rank == self.position {
-                self.expiring.push(v);
-            }
             let key = EvictionKey::new(rank, free, v);
             let slot = &mut self.slots[v.index()];
             if key != slot.key {
@@ -402,13 +380,13 @@ mod tests {
         let mut index = index(&[&[5, 9], &[7]]);
         index.insert(id(0));
         index.insert(id(1));
-        // A use at the current position is still ahead.
-        index.begin_position(5);
+        index.begin_position(4);
         assert_eq!(index.next_use(id(0)), 5);
-        index.begin_position(6);
+        // A use at the current position is already past.
+        index.begin_position(5);
         assert_eq!(index.next_use(id(0)), 9);
         assert_eq!(index.next_use(id(1)), 7);
-        index.begin_position(8);
+        index.begin_position(7);
         assert_eq!(index.next_use(id(1)), EvictionKey::NEVER);
         assert_eq!(pop(&mut index, |_| false), id(1));
     }
@@ -421,8 +399,8 @@ mod tests {
         b.add_edge(v[0], v[1]);
         b.add_edge(v[1], v[2]);
         let dag = b.build().unwrap();
-        let edges = crate::edges::by_target_edges(&dag, &v);
-        let mut index = EvictionIndex::for_edges(&dag, &edges).unwrap();
+        let edges = [(v[0], v[1]), (v[1], v[2])];
+        let mut index = EvictionIndex::for_edges(&dag, edges.into_iter()).unwrap();
         index.begin_position(0);
         assert_eq!(index.next_use(id(1)), 1);
         assert_eq!(index.next_use(id(0)), EvictionKey::NEVER);
@@ -448,16 +426,21 @@ mod tests {
     }
 
     #[test]
-    fn a_next_use_at_the_current_position_expires_with_it() {
+    fn entering_a_position_rekeys_no_node() {
         let mut index = index(&[&[5, 12], &[9], &[50]]);
-        index.begin_position(5);
+        index.begin_position(4);
         for i in 0..3 {
             index.insert(id(i));
         }
         assert_eq!(pop(&mut index, |_| false), id(2));
-        // Node 0 read position 5 as its next use, so entering position 6
-        // re-keys it (to 12) without a touch; node 1 keeps its key (9).
+        // Node 0 read position 5 as its next use. Past it, untouched, it
+        // keeps that key (the executors touch a node at each of its uses)
+        // and node 1's use at 9 ranks above it ...
         index.begin_position(6);
+        assert_eq!(pop(&mut index, |_| false), id(1));
+        // ... and once touched it is re-keyed to 12.
+        index.insert(id(1));
+        index.touch(id(0));
         assert_eq!(pop(&mut index, |_| false), id(0));
     }
 

@@ -2,6 +2,12 @@
 //! order, loading inputs on demand and evicting by Belady's rule
 //! ([`FurthestInFuture`]).
 //!
+//! PRBP aggregates one in-edge at a time, so [`greedy_prbp`] is the PRBP
+//! edge loop of [`crate::edges`] run on the by-target sequence of the order
+//! ([`crate::edges::by_target_edges`]): each node's in-edges back to back,
+//! each consumed input deleted at once. [`greedy_rbp`] computes a node from
+//! all of its inputs at once, in its own loop here.
+//!
 //! Every move is pushed through the validated trace builders of
 //! `pebble-game`, so an internal inconsistency fails at the offending move;
 //! callers still re-validate the finished pebbling from scratch before
@@ -24,25 +30,28 @@
 //! so the million-node FFT schedules in about the same time at r = 2048 as
 //! at r = 16.
 //!
-//! The index keeps the consumer positions of every node in one flat `u32`
-//! array, `m` entries in all, and one 16-byte slot per node: its current
-//! eviction key, a `u32` cursor into its consumer positions and the end of
-//! its list, with its red and dirty flags in the end's top two bits. A key
-//! is one `u64`: the next use's position in 32 bits (a dead value's
-//! `NEVER` as `u32::MAX`), whether the eviction is free in 1 bit and the
-//! inverted node id in 31 bits ([`crate::EvictionKey`]). So the executors
-//! take DAGs of fewer than 2³¹ nodes and 2³⁰ edges and return `None`
-//! beyond that, as they do for a cache too small to schedule in.
+//! The index keeps the use positions of every node in one flat `u32`
+//! array — its consumers' positions in the order for RBP, `m` entries in
+//! all, and the positions of the edges it is an endpoint of for PRBP, `2m`
+//! — and one 16-byte slot per node: its current eviction key, a `u32`
+//! cursor into its positions and the end of its list, with its red and
+//! dirty flags in the end's top two bits. A key is one `u64`: the next
+//! use's position in 32 bits (a dead value's `NEVER` as `u32::MAX`),
+//! whether the eviction is free in 1 bit and the inverted node id in 31
+//! bits ([`crate::EvictionKey`]). So the executors take DAGs of fewer than
+//! 2³¹ nodes, and of fewer than 2³⁰ edges for RBP and 2²⁹ for PRBP; they
+//! return `None` beyond that, as they do for a cache too small to schedule
+//! in.
 
+use crate::edges;
 use crate::eviction::EvictionIndex;
 use crate::policy::FurthestInFuture;
 use pebble_dag::{topo, Dag, NodeId};
 use pebble_game::moves::{PrbpMove, RbpMove};
-use pebble_game::prbp::{PebbleState, PrbpConfig};
 use pebble_game::rbp::RbpConfig;
 use pebble_game::sink::MoveSink;
 use pebble_game::trace::{PrbpTrace, RbpTrace};
-use pebble_game::{PrbpBuilder, RbpBuilder};
+use pebble_game::RbpBuilder;
 
 /// Schedule `dag` in PRBP with cache size `r`, processing the nodes of
 /// `order` (a topological order covering every node) and evicting by
@@ -51,7 +60,8 @@ use pebble_game::{PrbpBuilder, RbpBuilder};
 /// exactly once, and `None` beyond the size limits of the module docs.
 ///
 /// The in-edges of each node are aggregated one at a time, so at most two
-/// pebbles (the current input and the accumulator) are ever pinned.
+/// pebbles (the current input and the accumulator) are ever pinned, and an
+/// input is deleted as soon as its last consumer has absorbed it.
 pub fn greedy_prbp(
     dag: &Dag,
     r: usize,
@@ -73,74 +83,24 @@ pub fn greedy_prbp_into<S: MoveSink<PrbpMove>>(
     _policy: &mut FurthestInFuture,
     sink: S,
 ) -> Option<(S, usize)> {
-    run_prbp(dag, r, order, sink).map(|(sink, io, _)| (sink, io))
-}
-
-/// [`greedy_prbp_into`], also returning the eviction queue's work count.
-fn run_prbp<S: MoveSink<PrbpMove>>(
-    dag: &Dag,
-    r: usize,
-    order: &[NodeId],
-    sink: S,
-) -> Option<(S, usize, u64)> {
-    if r < 2 {
-        return None;
-    }
     // Validate up-front: external callers (the CLI, refinement loops) hand in
-    // arbitrary orders, and a non-topological one would only surface as a
-    // builder `.expect(...)` panic deep inside the executor.
+    // arbitrary orders. The by-target sequence of a topological order is
+    // complete and source-complete, as the edge loop requires.
     if !topo::is_topological_order(dag, order) {
         return None;
     }
-    let mut red = EvictionIndex::for_nodes(dag, order)?;
-    let mut builder = PrbpBuilder::with_sink(dag, PrbpConfig::new(r), sink);
+    edges::run(dag, r, by_target(dag, order), sink).map(|(sink, io, _)| (sink, io))
+}
 
-    for (t, &v) in order.iter().enumerate() {
-        if dag.is_source(v) {
-            continue;
-        }
-        red.begin_position(t);
-        for &(u, _) in dag.in_edges(v) {
-            let needed = usize::from(!red.contains(u)) + usize::from(!red.contains(v));
-            while red.len() + needed > r {
-                let victim = red.pop_victim(
-                    |w| w == u || w == v,
-                    |w| {
-                        let game = builder.game();
-                        let remaining = game.unmarked_out_degree(w);
-                        let dark = game.pebble_state(w) == PebbleState::DarkRed;
-                        // A value with no unmarked out-edge is dead even if
-                        // its last consumer sits at the current position,
-                        // where the index still counts that use as ahead.
-                        let dead = remaining == 0;
-                        (dead, !dark || (dead && !dag.is_sink(w)))
-                    },
-                );
-                builder.evict(victim).expect("victim is evictable");
-            }
-            if !red.contains(u) {
-                builder.ensure_red(u).expect("u has a blue copy");
-                red.insert(u);
-            }
-            if !red.contains(v) {
-                red.insert(v);
-            }
-            builder
-                .push(PrbpMove::PartialCompute { from: u, to: v })
-                .expect("edge aggregation is legal");
-            red.touch(u);
-            red.touch(v);
-        }
-        if dag.is_sink(v) {
-            builder.push(PrbpMove::Save(v)).expect("sink is dark red");
-            builder.push(PrbpMove::Delete(v)).expect("light red delete");
-            red.remove(v);
-        }
-    }
-    let work = red.work();
-    let (sink, game) = builder.finish();
-    debug_assert!(game.is_terminal());
-    Some((sink, game.io_cost(), work))
+/// The by-target sequence of `order` as `(source, target)` pairs: for each
+/// node of the order, its in-edges in CSR order.
+fn by_target<'a>(
+    dag: &'a Dag,
+    order: &'a [NodeId],
+) -> impl DoubleEndedIterator<Item = (NodeId, NodeId)> + Clone + 'a {
+    order
+        .iter()
+        .flat_map(move |&v| dag.in_edges(v).iter().map(move |&(u, _)| (u, v)))
 }
 
 /// Schedule `dag` in RBP with cache size `r`, processing the nodes of
@@ -197,9 +157,8 @@ pub fn greedy_rbp_into<S: MoveSink<RbpMove>>(
             let victim = red.pop_victim(
                 |w| pinned[w.index()] || w == v,
                 |w| {
-                    // Dead values rank as never used: the index cannot see
-                    // that a use at the current position t was already
-                    // consumed.
+                    // A value whose consumers are all computed is dead, and
+                    // dropping it is free.
                     let dead = remaining[w.index()] == 0;
                     (dead, dead || builder.game().has_blue(w))
                 },
@@ -235,6 +194,7 @@ mod tests {
     use super::*;
     use crate::order;
     use pebble_dag::generators::{binary_tree, fft, fig1_full, matmul};
+    use pebble_game::prbp::PrbpConfig;
 
     fn prbp_cost(dag: &Dag, r: usize, ord: &[NodeId]) -> usize {
         let trace = greedy_prbp(dag, r, ord, &mut FurthestInFuture).expect("schedulable");
@@ -360,7 +320,8 @@ mod tests {
         let dag = fft(4096).dag;
         let ord = order::dfs_postorder(&dag);
         let work = |r| {
-            let (_, _, work) = run_prbp(&dag, r, &ord, CountingSink::new()).unwrap();
+            let pairs = by_target(&dag, &ord);
+            let (_, _, work) = edges::run(&dag, r, pairs, CountingSink::new()).unwrap();
             work
         };
         let (small, large) = (work(16), work(2048));

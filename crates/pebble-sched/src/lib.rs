@@ -20,16 +20,18 @@
 //!   ([`order::natural`] or [`order::dfs_postorder`]), loading inputs on
 //!   demand and evicting by Belady's furthest-in-future rule
 //!   ([`policy::FurthestInFuture`]). `O((n + m) log r)`: the red nodes sit
-//!   in one indexed eviction queue.
+//!   in one indexed eviction queue. PRBP greedy runs the edge loop of
+//!   [`edges`] on the order's by-target edge sequence.
 //! * [`beam`] — beam search over partial schedules, deduplicated by the
 //!   packed-state encoding shared with the exact solvers
 //!   ([`pebble_game::packed`]); width 1 is the adaptive greedy that picks the
 //!   cheapest next node online. A level copies an `O(n)` entry per child,
 //!   so a solve is quadratic and compose runs it only on components of at
 //!   most 512 nodes.
-//! * [`edges`] — the edge-order greedy executor: PRBP partial computes
-//!   scheduled one edge at a time, which makes streaming-accumulator
-//!   (tiled matmul / attention) access patterns expressible generically.
+//! * [`edges`] — the one PRBP greedy loop: partial computes scheduled one
+//!   edge at a time, on a node order's by-target sequence or an explicit
+//!   edge sequence, which makes streaming-accumulator (tiled matmul /
+//!   attention) access patterns expressible generically.
 //! * [`compose`] — structure-aware divide-and-conquer: decompose
 //!   ([`pebble_dag::decompose`]), schedule each distinct component once
 //!   (portfolio first, exact search below a node budget when the portfolio

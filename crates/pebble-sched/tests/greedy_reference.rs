@@ -1,10 +1,12 @@
 //! The greedy executors keep their red nodes in an indexed eviction queue
 //! and re-key only the nodes whose key can have changed. These properties
-//! check, move for move, that all three executors still emit exactly the
-//! traces of the original loops, which collected every red node into a
-//! candidate list and scanned it on every eviction with Belady's
-//! lexicographic key; the reference copies of those loops live here, with
-//! the next-use table they read ([`NextUse`]).
+//! check, move for move, that both executor loops — PRBP's edge loop, on
+//! explicit edge sequences and on the by-target sequences of node orders,
+//! and RBP's node loop — still emit exactly the traces of the original
+//! loops, which collected every red node into a candidate list and scanned
+//! it on every eviction with Belady's lexicographic key; the reference
+//! copies of those loops live here, with the next-use table the RBP loop
+//! reads ([`NextUse`]).
 
 use pebble_dag::generators::{fft, matmul, random_layered, RandomLayeredConfig};
 use pebble_dag::liveness::NEVER;
@@ -163,73 +165,6 @@ impl RedSet {
     }
 }
 
-/// The node-order PRBP executor with a candidate scan per eviction.
-fn prbp_scan(dag: &Dag, r: usize, order: &[NodeId]) -> Option<PrbpTrace> {
-    if r < 2 || !topo::is_topological_order(dag, order) {
-        return None;
-    }
-    let n = dag.node_count();
-    let mut next_use = NextUse::new(dag, order);
-    let mut red = RedSet::new(n);
-    let mut builder = PrbpBuilder::new(dag, PrbpConfig::new(r));
-    let mut candidates: Vec<Candidate> = Vec::with_capacity(r);
-
-    for (t, &v) in order.iter().enumerate() {
-        if dag.is_source(v) {
-            continue;
-        }
-        for &(u, _) in dag.in_edges(v) {
-            let mut needed = 0;
-            if !red.contains(u) {
-                needed += 1;
-            }
-            if !red.contains(v) {
-                needed += 1;
-            }
-            while red.len() + needed > r {
-                candidates.clear();
-                for &w in &red.members {
-                    if w == u || w == v {
-                        continue;
-                    }
-                    let game = builder.game();
-                    let remaining = game.unmarked_out_degree(w);
-                    let dark = game.pebble_state(w) == PebbleState::DarkRed;
-                    let free = !dark || (remaining == 0 && !dag.is_sink(w));
-                    candidates.push(Candidate {
-                        node: w,
-                        next_use: if remaining == 0 {
-                            NEVER
-                        } else {
-                            next_use.next_use_at(w, t)
-                        },
-                        free,
-                    });
-                }
-                let victim = candidates[choose(&candidates)].node;
-                builder.evict(victim).expect("victim is evictable");
-                red.remove(victim);
-            }
-            if !red.contains(u) {
-                builder.ensure_red(u).expect("u has a blue copy");
-                red.insert(u);
-            }
-            if !red.contains(v) {
-                red.insert(v);
-            }
-            builder
-                .push(PrbpMove::PartialCompute { from: u, to: v })
-                .expect("edge aggregation is legal");
-        }
-        if dag.is_sink(v) {
-            builder.push(PrbpMove::Save(v)).expect("sink is dark red");
-            builder.push(PrbpMove::Delete(v)).expect("light red delete");
-            red.remove(v);
-        }
-    }
-    Some(builder.finish().0)
-}
-
 /// The node-order RBP executor with a candidate scan per eviction.
 fn rbp_scan(dag: &Dag, r: usize, order: &[NodeId]) -> Option<RbpTrace> {
     if r < dag.max_in_degree() + 1 || !topo::is_topological_order(dag, order) {
@@ -381,7 +316,9 @@ fn prbp_edges_scan(dag: &Dag, r: usize, edges: &[EdgeId]) -> PrbpTrace {
 
 /// Compare every executor against its reference on `dag`, for the natural
 /// and DFS orders (plus the cone-affinity edge order where it applies) and
-/// r ∈ {minimum, minimum + 1, 8, n}.
+/// r ∈ {minimum, minimum + 1, 8, n}. `greedy_prbp` on a node order is
+/// compared with the edge loop's reference on the order's by-target
+/// sequence.
 fn check_all(dag: &Dag) {
     let n = dag.node_count();
     let prbp_rs = [2, 3, 8, n];
@@ -390,13 +327,12 @@ fn check_all(dag: &Dag) {
     let orders = [order::natural(dag), order::dfs_postorder(dag)];
     let mut edge_orders: Vec<Vec<EdgeId>> =
         orders.iter().map(|o| by_target_edges(dag, o)).collect();
-    edge_orders.extend(cone_affinity_edges(dag));
     let belady = &mut FurthestInFuture;
-    for ord in &orders {
+    for (ord, edges) in orders.iter().zip(&edge_orders) {
         for r in prbp_rs {
             assert_eq!(
                 greedy_prbp(dag, r, ord, belady),
-                prbp_scan(dag, r, ord),
+                Some(prbp_edges_scan(dag, r, edges)),
                 "greedy_prbp, r {r}"
             );
         }
@@ -408,10 +344,11 @@ fn check_all(dag: &Dag) {
             );
         }
     }
+    edge_orders.extend(cone_affinity_edges(dag));
     for edges in &edge_orders {
         for r in prbp_rs {
             assert_eq!(
-                greedy_prbp_edges(dag, r, edges, belady),
+                greedy_prbp_edges(dag, r, edges),
                 Some(prbp_edges_scan(dag, r, edges)),
                 "greedy_prbp_edges, r {r}"
             );
@@ -431,10 +368,11 @@ fn matmul_4_matches_the_candidate_scan() {
 
 #[test]
 fn ties_on_never_evict_the_lowest_id_first() {
-    // Sources 0–3 feed node 4; sources 5 and 6 join 4 in sink 7. At r = 3
-    // the aggregation into 4 leaves the fully consumed sources red, and
-    // every later eviction chooses among several dead values that all tie
-    // on NEVER (and on being free), so the node id alone decides.
+    // Sources 0–3 feed node 4; sources 5 and 6 join 4 in sink 7. In RBP at
+    // r = 5 the computation of 4 leaves the fully consumed sources red, and
+    // making room for 5, 6 and 7 chooses among four dead values that all tie
+    // on NEVER (and on being free), so the node id alone decides. PRBP
+    // deletes each consumed source as soon as 4 has absorbed it.
     let mut b = DagBuilder::new();
     let v = b.add_nodes(8);
     for i in 0..4 {
@@ -453,6 +391,17 @@ fn ties_on_never_evict_the_lowest_id_first() {
         .iter()
         .filter_map(|mv| match *mv {
             PrbpMove::Delete(w) => Some(w.index()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(&deleted[..3], &[0, 1, 2], "moves: {:?}", trace.moves);
+
+    let trace = greedy_rbp(&dag, 5, &ord, &mut FurthestInFuture).unwrap();
+    let deleted: Vec<usize> = trace
+        .moves
+        .iter()
+        .filter_map(|mv| match *mv {
+            RbpMove::Delete(w) => Some(w.index()),
             _ => None,
         })
         .collect();

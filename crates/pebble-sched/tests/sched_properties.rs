@@ -220,9 +220,7 @@ mod compose_reference {
     use pebble_game::moves::PrbpMove;
     use pebble_game::PrbpBuilder;
     use pebble_sched::compose::DEFAULT_EXACT_BUDGET;
-    use pebble_sched::{
-        compose_prbp, cone_affinity_edges, greedy_prbp_edges, ComposeConfig, FurthestInFuture,
-    };
+    use pebble_sched::{compose_prbp, cone_affinity_edges, greedy_prbp_edges, ComposeConfig};
 
     /// The members compose runs on a component: the default portfolio,
     /// plus `beam:1` and then `beam:8` on components of at most 512 nodes.
@@ -254,7 +252,7 @@ mod compose_reference {
             .filter_map(|s| s.run_prbp(dag, r))
             .collect();
         if let Some(edges) = cone_affinity_edges(dag) {
-            candidates.extend(greedy_prbp_edges(dag, r, &edges, &mut FurthestInFuture));
+            candidates.extend(greedy_prbp_edges(dag, r, &edges));
         }
         let mut best: Option<(PrbpTrace, usize)> = None;
         for trace in candidates {
