@@ -73,15 +73,6 @@ fn wide_beam() -> Scheduler {
     }
 }
 
-/// Structure-aware divide-and-conquer (E17's engine), swept as a portfolio
-/// member on the small and mid-size PRBP instances so the committed
-/// benchmark baseline tracks its costs.
-fn compose() -> Scheduler {
-    Scheduler::Compose {
-        exact_budget: pebble_sched::compose::DEFAULT_EXACT_BUDGET,
-    }
-}
-
 /// The scheduling corpus. All instances are deterministic; the committed
 /// `BENCH_sched.json` baseline gates their costs exactly.
 pub fn corpus() -> Vec<SchedInstance> {
@@ -91,7 +82,9 @@ pub fn corpus() -> Vec<SchedInstance> {
     let f64_ = fft(64);
     let mut beam_suite = core_suite();
     beam_suite.push(wide_beam());
-    beam_suite.push(compose());
+    // Compose (E17's engine) is swept on the small and mid-size PRBP
+    // instances, so the committed baseline tracks its costs.
+    beam_suite.push(Scheduler::Compose);
     out.push(SchedInstance {
         id: "fft-64",
         model: Model::Prbp,
@@ -161,7 +154,7 @@ pub fn corpus() -> Vec<SchedInstance> {
     });
     let mm16 = matmul(16, 16, 16);
     let mut mm16_suite = core_suite();
-    mm16_suite.push(compose());
+    mm16_suite.push(Scheduler::Compose);
     out.push(SchedInstance {
         id: "matmul-16",
         model: Model::Prbp,

@@ -30,7 +30,7 @@ use pebble_dag::{Dag, DagBuilder};
 use pebble_game::engine::{solve_prbp, EngineConfig};
 use pebble_game::exact::LoadCountHeuristic;
 use pebble_game::prbp::PrbpConfig;
-use pebble_sched::{best_prbp, compose_certified, default_suite, BoundSet, ComposeConfig};
+use pebble_sched::{best_prbp, compose_certified, default_suite, ComposeConfig};
 
 /// One corpus instance.
 pub struct ComposeInstance {
@@ -199,7 +199,7 @@ pub fn measure(inst: &ComposeInstance) -> ComposeRow {
         threads: 1,
         ..ComposeConfig::default()
     };
-    let certified = compose_certified(&inst.dag, inst.r, &config, BoundSet::auto_for(&inst.dag))
+    let certified = compose_certified(&inst.dag, inst.r, &config)
         .expect("corpus instances are schedulable and their stitched traces replay");
     let (_, _, portfolio_cost) =
         best_prbp(&inst.dag, inst.r, &default_suite()).expect("portfolio handles the corpus");

@@ -109,11 +109,6 @@ pub fn emit_with(table: Table, json: bool) -> std::process::ExitCode {
     }
 }
 
-/// All experiment tables in order, built sequentially.
-pub fn all_tables() -> Vec<Table> {
-    EXPERIMENTS.iter().map(|(_, run)| run()).collect()
-}
-
 /// All experiment tables in order, built concurrently on `threads` workers.
 /// Each experiment is independent, so the sweep scales with the core count;
 /// results come back in the canonical E1..E15 order regardless.

@@ -136,14 +136,6 @@ impl<'a> PrbpStateView<'a> {
         self.words[2 * self.wn + i / 64] & (1u64 << (i % 64)) != 0
     }
 
-    /// Number of marked edges.
-    pub fn marked_count(&self) -> usize {
-        self.words[2 * self.wn..]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
     /// Number of red pebbles currently placed.
     pub fn red_count(&self) -> usize {
         self.words[..self.wn]

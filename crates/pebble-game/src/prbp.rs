@@ -247,11 +247,6 @@ impl<'a> PrbpGame<'a> {
         self.marked.contains(e.index())
     }
 
-    /// The set of marked edges.
-    pub fn marked_set(&self) -> &BitSet {
-        &self.marked
-    }
-
     /// Returns `true` if all in-edges of `v` are marked, i.e. the final value
     /// of `v` is available (sources are trivially fully computed).
     pub fn is_fully_computed(&self, v: NodeId) -> bool {

@@ -189,11 +189,6 @@ impl<'a> RbpGame<'a> {
         &self.red
     }
 
-    /// The current blue-pebble set.
-    pub fn blue_set(&self) -> &BitSet {
-        &self.blue
-    }
-
     /// The current configuration in the canonical packed encoding
     /// `[red | blue | computed]` of [`crate::packed`] — identical to the
     /// encoding the exact solver uses, so equal configurations produce equal

@@ -32,7 +32,7 @@
 //!    shared-input-affinity edge schedule ([`crate::edges`]) on cone-shaped
 //!    components; a schedule meeting the load-count bound is optimal and
 //!    ends the work. Otherwise components within
-//!    [`ComposeConfig::exact_budget`] nodes go to the exact engine, seeded
+//!    [`EXACT_BUDGET`] nodes go to the exact engine, seeded
 //!    with the portfolio's schedule.
 //! 3. **Stitch**: replay each component's moves against the full-DAG
 //!    simulator in quotient-topological order. Boundary-aware
@@ -96,19 +96,14 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::time::{Duration, Instant};
 
-/// The default node budget below which components are solved exactly. The
-/// unified engine's seeded branch-and-bound (the portfolio's best schedule
-/// primes the incumbent and prunes the search) made the exact phase cheap
-/// enough to raise this from the historical 20.
-pub const DEFAULT_EXACT_BUDGET: usize = 24;
+/// Components with at most this many sub-DAG nodes whose portfolio schedule
+/// misses the load-count bound are searched exactly, seeded with that
+/// schedule (which stands when the state limit trips).
+pub const EXACT_BUDGET: usize = 24;
 
 /// Configuration of the [`compose_prbp`] pipeline.
 #[derive(Debug, Clone)]
 pub struct ComposeConfig {
-    /// Components with at most this many sub-DAG nodes whose portfolio
-    /// schedule misses the load-count bound are searched exactly, seeded with
-    /// that schedule (which stands when the state limit trips).
-    pub exact_budget: usize,
     /// State limit per per-component exact search.
     pub exact_max_states: usize,
     /// Worker threads; 0 uses the available hardware parallelism. The
@@ -125,7 +120,6 @@ pub struct ComposeConfig {
 impl Default for ComposeConfig {
     fn default() -> Self {
         ComposeConfig {
-            exact_budget: DEFAULT_EXACT_BUDGET,
             exact_max_states: 2_000_000,
             threads: 0,
             deadline: None,
@@ -190,8 +184,8 @@ impl std::error::Error for ComposeError {}
 pub struct Certified {
     /// The compose run; `outcome.trace` is the certified schedule.
     pub outcome: ComposeOutcome,
-    /// The trace's report, scheduler `compose`: the `set` ladder plus the
-    /// `compose` entry when the run found a composable bound.
+    /// The trace's report, scheduler `compose`: the [`BoundSet::auto_for`]
+    /// ladder plus the `compose` entry when the run found a composable bound.
     pub report: ScheduleReport,
 }
 
@@ -206,21 +200,21 @@ pub fn compose_prbp(dag: &Dag, r: usize, config: &ComposeConfig) -> Option<Compo
 }
 
 /// [`compose_prbp`] followed by certification: the stitched trace is
-/// re-validated from scratch and its report carries the `set` ladder plus
-/// the composable `compose` bound. The one certified solve of the CLI's
-/// `--deadline-ms` and `--scheduler compose`, of cold `serve` requests and
-/// of `warm`.
+/// re-validated from scratch and its report carries the
+/// [`BoundSet::auto_for`] ladder plus the composable `compose` bound. The
+/// one certified solve of the CLI's `--deadline-ms` and `--scheduler
+/// compose`, of cold `serve` requests and of `warm`.
 pub fn compose_certified(
     dag: &Dag,
     r: usize,
     config: &ComposeConfig,
-    set: BoundSet,
 ) -> Result<Certified, ComposeError> {
     let outcome = compose(dag, r, config)?;
     let extra = outcome.composed_bound.into_iter().map(|value| BoundValue {
         name: "compose".to_string(),
         value,
     });
+    let set = BoundSet::auto_for(dag);
     let report = certify_prbp_with_bounds(dag, r, &outcome.trace, "compose", set, extra.collect())
         .map_err(ComposeError::Invalid)?;
     Ok(Certified { outcome, report })
@@ -242,7 +236,7 @@ fn compose(dag: &Dag, r: usize, config: &ComposeConfig) -> Result<ComposeOutcome
 
     let _schedule_span = pebble_obs::trace::span("compose:schedule");
     let mut incumbent = Incumbent::default();
-    let strategies = candidates(r, config.exact_budget);
+    let strategies = candidates(r);
     // `Whole` comes first; the other candidates follow in order.
     let rest = &strategies[1..];
     // Above the beams' size the `Whole` candidate's members and the other
@@ -355,12 +349,12 @@ fn build(dag: &Dag, strategy: Strategy, deadline: Option<Instant>) -> Option<Dec
 /// The candidate decompositions at cache size `r`, in the order they are
 /// tried: the whole DAG, its weak components, then sink-cone tiles and level
 /// bands at two size caps (members + boundary inputs), 4r and 16r, floored
-/// by the exact budget. Saturating: a cache or budget too large for the
-/// caps leaves no cap.
-fn candidates(r: usize, exact_budget: usize) -> Vec<Strategy> {
+/// by twice and four times [`EXACT_BUDGET`]. Saturating: a cache too large
+/// for the caps leaves no cap.
+fn candidates(r: usize) -> Vec<Strategy> {
     let mut caps = vec![
-        r.saturating_mul(4).max(exact_budget.saturating_mul(2)),
-        r.saturating_mul(16).max(exact_budget.saturating_mul(4)),
+        r.saturating_mul(4).max(2 * EXACT_BUDGET),
+        r.saturating_mul(16).max(4 * EXACT_BUDGET),
     ];
     caps.dedup();
     let max_sinks = sink_cap(r);
@@ -749,7 +743,7 @@ fn finish_component(
             outcome: ComponentOutcome::Bound,
         });
     }
-    if dag.node_count() <= config.exact_budget {
+    if dag.node_count() <= EXACT_BUDGET {
         // Seed the engine with the portfolio's best schedule: the search
         // becomes a branch-and-bound that prunes everything at least as
         // expensive as the incumbent, and a budget-stopped solve still
@@ -1018,7 +1012,7 @@ mod tests {
         for (name, dag) in bound_corpus() {
             for r in [2usize, 3, 4, 8, 16, 64] {
                 let mut memo = ScheduleMemo::new();
-                for strategy in candidates(r, config.exact_budget) {
+                for strategy in candidates(r) {
                     let Some(decomposition) = decompose(&dag, strategy, None) else {
                         continue;
                     };
@@ -1335,8 +1329,7 @@ mod tests {
     #[test]
     fn compose_report_carries_the_compose_bound() {
         let dag = binary_tree(3);
-        let certified =
-            compose_certified(&dag, 4, &ComposeConfig::default(), BoundSet::Full).unwrap();
+        let certified = compose_certified(&dag, 4, &ComposeConfig::default()).unwrap();
         let report = &certified.report;
         assert_eq!(report.scheduler, "compose");
         assert!(report.bounds.iter().any(|b| b.name == "compose"));
@@ -1361,7 +1354,7 @@ mod tests {
     #[test]
     fn r_below_two_is_rejected() {
         for config in [ComposeConfig::default(), with_deadline(Duration::ZERO)] {
-            let err = compose_certified(&fig1_full().dag, 1, &config, BoundSet::Fast).unwrap_err();
+            let err = compose_certified(&fig1_full().dag, 1, &config).unwrap_err();
             assert_eq!(err, ComposeError::SmallR { r: 1 });
         }
     }
@@ -1370,7 +1363,7 @@ mod tests {
     fn a_generous_deadline_proves_fig1_optimal() {
         let dag = fig1_full().dag;
         let config = with_deadline(Duration::from_secs(30));
-        let certified = compose_certified(&dag, 4, &config, BoundSet::Full).unwrap();
+        let certified = compose_certified(&dag, 4, &config).unwrap();
         assert_eq!((certified.report.cost, certified.report.best_bound), (2, 2));
         assert_eq!(
             certified.outcome.trace.validate(&dag, PrbpConfig::new(4)),
@@ -1383,8 +1376,7 @@ mod tests {
         let dag = fft(64).dag;
         let deadline = Duration::from_millis(200);
         let started = Instant::now();
-        let certified =
-            compose_certified(&dag, 8, &with_deadline(deadline), BoundSet::Fast).unwrap();
+        let certified = compose_certified(&dag, 8, &with_deadline(deadline)).unwrap();
         // Generous slack: a cut beam still greedy-completes, and
         // certification runs after the deadline.
         assert!(started.elapsed() < deadline + Duration::from_secs(5));
@@ -1399,7 +1391,7 @@ mod tests {
         // The check before the first candidate fires on any machine.
         let config = with_deadline(Duration::ZERO);
         let dag = fft(64).dag;
-        let err = compose_certified(&dag, 8, &config, BoundSet::Fast).unwrap_err();
+        let err = compose_certified(&dag, 8, &config).unwrap_err();
         assert_eq!(err, ComposeError::DeadlineNoIncumbent);
         assert!(compose_prbp(&dag, 8, &config).is_none());
     }
@@ -1416,7 +1408,7 @@ mod tests {
                 threads,
                 ..with_deadline(Duration::ZERO)
             };
-            let err = compose_certified(&dag, 16, &config, BoundSet::Fast).unwrap_err();
+            let err = compose_certified(&dag, 16, &config).unwrap_err();
             assert_eq!(err, ComposeError::DeadlineNoIncumbent, "threads {threads}");
         }
     }
@@ -1424,19 +1416,8 @@ mod tests {
     #[test]
     fn the_largest_cache_is_certified_optimal() {
         let dag = fft(8).dag;
-        let certified =
-            compose_certified(&dag, usize::MAX, &ComposeConfig::default(), BoundSet::Full).unwrap();
+        let certified = compose_certified(&dag, usize::MAX, &ComposeConfig::default()).unwrap();
         assert_eq!(certified.report.cost, certified.report.best_bound);
-    }
-
-    #[test]
-    fn the_largest_exact_budget_proves_fig1_optimal() {
-        let config = ComposeConfig {
-            exact_budget: usize::MAX,
-            ..ComposeConfig::default()
-        };
-        let outcome = compose_prbp(&fig1_full().dag, 4, &config).unwrap();
-        assert_eq!(outcome.cost, 2);
     }
 
     #[test]
@@ -1455,7 +1436,7 @@ mod tests {
         let dag = fft(4096).dag;
         let config = with_deadline(Duration::ZERO);
         let started = Instant::now();
-        let err = compose_certified(&dag, 16, &config, BoundSet::Fast).unwrap_err();
+        let err = compose_certified(&dag, 16, &config).unwrap_err();
         let elapsed = started.elapsed();
         assert_eq!(err, ComposeError::DeadlineNoIncumbent);
         assert!(elapsed < Duration::from_millis(20), "took {elapsed:?}");

@@ -94,7 +94,9 @@ pub(crate) fn run<S: MoveSink<PrbpMove>>(
                 |w| w == u || w == v,
                 |w| {
                     let game = builder.game();
-                    let dead = game.unmarked_out_degree(w) == 0;
+                    // A sink has no out-edges, but it is dead only once it
+                    // has absorbed every input.
+                    let dead = game.unmarked_out_degree(w) == 0 && game.unmarked_in_degree(w) == 0;
                     let dark = game.pebble_state(w) == PebbleState::DarkRed;
                     (dead, !dark || (dead && !dag.is_sink(w)))
                 },
@@ -270,6 +272,22 @@ mod tests {
     #[test]
     fn cone_order_rejects_fanout_dags() {
         assert!(cone_affinity_edges(&fft(8).dag).is_none());
+    }
+
+    #[test]
+    fn a_sink_still_aggregating_is_not_evicted_as_dead() {
+        // A half-aggregated accumulator is live: ranking it as dead would
+        // save and evict it ahead of every live value, then load it back.
+        let mm = matmul(8, 8, 8).dag;
+        let edges = cone_affinity_edges(&mm).unwrap();
+        for (r, expected) in [(16usize, 1_008usize), (24, 880), (32, 766), (64, 318)] {
+            let trace = greedy_prbp_edges(&mm, r, &edges).unwrap();
+            assert_eq!(
+                trace.validate(&mm, PrbpConfig::new(r)),
+                Ok(expected),
+                "r = {r}"
+            );
+        }
     }
 
     #[test]

@@ -234,17 +234,75 @@ mod tests {
         assert!(cost >= mm.dag.trivial_cost());
     }
 
-    #[test]
-    fn rbp_simulator_red_count_follows_a_greedy_trace() {
-        let dag = fft(64).dag;
-        let r = 8;
-        let trace = greedy_rbp(&dag, r, &order::natural(&dag), &mut FurthestInFuture).unwrap();
-        let mut game = pebble_game::rbp::RbpGame::new(&dag, RbpConfig::new(r));
-        for &mv in &trace.moves {
+    /// Replay `moves` under `config`, checking after every move that the
+    /// simulator's red counter equals its red set's population. Returns the
+    /// I/O cost of the terminal state.
+    fn replay_counting_red(dag: &Dag, config: RbpConfig, moves: &[RbpMove]) -> usize {
+        let mut game = pebble_game::rbp::RbpGame::new(dag, config);
+        for &mv in moves {
             game.apply(mv).unwrap();
             assert_eq!(game.red_count(), game.red_set().count(), "after {mv:?}");
         }
         assert!(game.is_terminal());
+        game.io_cost()
+    }
+
+    /// `moves` with every compute that leaves an input dead turned into a
+    /// slide from that input, and the input's later delete dropped. With
+    /// `recompute`, every remaining compute is issued twice, the second time
+    /// onto a red node.
+    fn with_slides(dag: &Dag, moves: &[RbpMove], recompute: bool) -> Vec<RbpMove> {
+        let mut remaining: Vec<usize> = dag.nodes().map(|v| dag.out_degree(v)).collect();
+        let mut slid = vec![false; dag.node_count()];
+        let mut out = Vec::with_capacity(moves.len());
+        for &mv in moves {
+            match mv {
+                RbpMove::Compute(v) => {
+                    let mut dead = None;
+                    for u in dag.predecessors(v) {
+                        remaining[u.index()] -= 1;
+                        if remaining[u.index()] == 0 && dead.is_none() {
+                            dead = Some(u);
+                        }
+                    }
+                    match dead {
+                        Some(from) => {
+                            slid[from.index()] = true;
+                            out.push(RbpMove::ComputeSlide { node: v, from });
+                        }
+                        None => {
+                            out.push(mv);
+                            if recompute {
+                                out.push(mv);
+                            }
+                        }
+                    }
+                }
+                RbpMove::Delete(u) if slid[u.index()] => {}
+                mv => out.push(mv),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn rbp_simulator_red_count_follows_a_greedy_trace() {
+        for (dag, r) in [(fft(64).dag, 8), (matmul(4, 4, 4).dag, 8)] {
+            let trace = greedy_rbp(&dag, r, &order::natural(&dag), &mut FurthestInFuture).unwrap();
+            let cost = replay_counting_red(&dag, RbpConfig::new(r), &trace.moves);
+            // A slide from a dead input costs no I/O, and neither does a
+            // recompute onto a red node.
+            let slides = with_slides(&dag, &trace.moves, false);
+            assert!(slides
+                .iter()
+                .any(|mv| matches!(mv, RbpMove::ComputeSlide { .. })));
+            let sliding = RbpConfig::new(r).with_sliding();
+            assert_eq!(replay_counting_red(&dag, sliding, &slides), cost);
+            let recomputes = with_slides(&dag, &trace.moves, true);
+            assert!(recomputes.len() > slides.len());
+            let both = sliding.with_recompute();
+            assert_eq!(replay_counting_red(&dag, both, &recomputes), cost);
+        }
     }
 
     #[test]

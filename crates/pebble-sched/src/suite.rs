@@ -81,10 +81,7 @@ pub enum Scheduler {
     /// (exact A* below the node budget), stitch with boundary-aware
     /// eviction. Never worse than the plain portfolio, which participates
     /// as the single-component candidate. PRBP-only.
-    Compose {
-        /// Node budget below which components are solved exactly.
-        exact_budget: usize,
-    },
+    Compose,
 }
 
 impl fmt::Display for Scheduler {
@@ -93,13 +90,7 @@ impl fmt::Display for Scheduler {
             Scheduler::Baseline => write!(f, "baseline"),
             Scheduler::Greedy { order } => write!(f, "greedy:belady:{}", order.name()),
             Scheduler::Beam { width, .. } => write!(f, "beam:{width}"),
-            Scheduler::Compose { exact_budget } => {
-                if exact_budget == crate::compose::DEFAULT_EXACT_BUDGET {
-                    write!(f, "compose")
-                } else {
-                    write!(f, "compose:{exact_budget}")
-                }
-            }
+            Scheduler::Compose => write!(f, "compose"),
         }
     }
 }
@@ -109,8 +100,7 @@ impl std::str::FromStr for Scheduler {
 
     /// Parse the display form back into a configuration: `baseline`,
     /// `greedy:belady:<order>`, `beam:<width>[:<branch>]` (branch defaults
-    /// to 4, the [`crate::beam::BeamConfig::default`] value) or
-    /// `compose[:<budget>]`.
+    /// to 4, the [`crate::beam::BeamConfig::default`] value) or `compose`.
     fn from_str(s: &str) -> Result<Self, String> {
         if s == "baseline" {
             return Ok(Scheduler::Baseline);
@@ -153,21 +143,13 @@ impl std::str::FromStr for Scheduler {
                 }
                 Ok(Scheduler::Beam { width, branch })
             }
-            "compose" => {
-                let exact_budget: usize = match parts.next() {
-                    Some(b) => b
-                        .parse()
-                        .map_err(|_| format!("invalid exact budget in `{s}`"))?,
-                    None => crate::compose::DEFAULT_EXACT_BUDGET,
-                };
-                if parts.next().is_some() {
-                    return Err(format!("trailing components in scheduler `{s}`"));
-                }
-                Ok(Scheduler::Compose { exact_budget })
-            }
+            "compose" => match parts.next() {
+                None => Ok(Scheduler::Compose),
+                Some(_) => Err(format!("compose takes no parameters, got `{s}`")),
+            },
             other => Err(format!(
                 "unknown scheduler `{other}` (expected baseline, greedy:belady:<order>, \
-                 beam:<width>[:<branch>] or compose[:<budget>])"
+                 beam:<width>[:<branch>] or compose)"
             )),
         }
     }
@@ -182,7 +164,7 @@ impl Scheduler {
             Scheduler::Baseline => "baseline",
             Scheduler::Greedy { .. } => "greedy",
             Scheduler::Beam { .. } => "beam",
-            Scheduler::Compose { .. } => "compose",
+            Scheduler::Compose => "compose",
         }
     }
 
@@ -193,7 +175,7 @@ impl Scheduler {
             Scheduler::Baseline => "portfolio:baseline",
             Scheduler::Greedy { .. } => "portfolio:greedy",
             Scheduler::Beam { .. } => "portfolio:beam",
-            Scheduler::Compose { .. } => "portfolio:compose",
+            Scheduler::Compose => "portfolio:compose",
         }
     }
 
@@ -206,12 +188,8 @@ impl Scheduler {
                 greedy_prbp(dag, r, &order.build(dag), &mut FurthestInFuture)
             }
             Scheduler::Beam { width, branch } => beam_prbp(dag, r, BeamConfig { width, branch }),
-            Scheduler::Compose { exact_budget } => {
-                let config = crate::compose::ComposeConfig {
-                    exact_budget,
-                    ..Default::default()
-                };
-                crate::compose::compose_prbp(dag, r, &config).map(|outcome| outcome.trace)
+            Scheduler::Compose => {
+                crate::compose::compose_prbp(dag, r, &Default::default()).map(|o| o.trace)
             }
         }
     }
@@ -225,7 +203,7 @@ impl Scheduler {
             Scheduler::Greedy { order } => {
                 greedy_rbp(dag, r, &order.build(dag), &mut FurthestInFuture)
             }
-            Scheduler::Beam { .. } | Scheduler::Compose { .. } => None,
+            Scheduler::Beam { .. } | Scheduler::Compose => None,
         }
     }
 }
@@ -409,7 +387,7 @@ mod tests {
 
     #[test]
     fn parsing_roundtrips_display_names() {
-        for s in default_suite() {
+        for s in default_suite().into_iter().chain([Scheduler::Compose]) {
             let parsed = s.to_string().parse::<Scheduler>().unwrap();
             match (parsed, s) {
                 // The display form `beam:<width>` intentionally omits the
@@ -438,6 +416,9 @@ mod tests {
             "beam:x",
             "local:120",
             "annealing:3",
+            "suite",
+            "compose:",
+            "compose:20",
         ] {
             assert!(bad.parse::<Scheduler>().is_err(), "{bad} should not parse");
         }

@@ -12,8 +12,8 @@
 //!   *arbitrary* node partitions — including disconnected, non-convex ones —
 //!   and never exceeds the whole DAG's load-count bound;
 //! * `Scheduler`/`OrderKind` display names round-trip through
-//!   `FromStr` (including the `compose` variants) and unknown names are
-//!   rejected instead of misparsed.
+//!   `FromStr` (including `compose`) and unknown names, parameterised
+//!   `compose:<N>` among them, are rejected instead of misparsed.
 //!
 //! The A* reference searches explore millions of states and need optimised
 //! builds; CI runs this suite in release (`cargo test --release -p
@@ -108,7 +108,7 @@ fn engines() -> Vec<Scheduler> {
         width: 8,
         branch: 4,
     });
-    suite.push(Scheduler::Compose { exact_budget: 20 });
+    suite.push(Scheduler::Compose);
     suite
 }
 
@@ -241,7 +241,7 @@ proptest! {
             0 => Scheduler::Baseline,
             1 => Scheduler::Greedy { order },
             2 => Scheduler::Beam { width: a, branch: b },
-            _ => Scheduler::Compose { exact_budget: a },
+            _ => Scheduler::Compose,
         };
         let parsed: Scheduler = s.to_string().parse().expect("display form parses");
         match (parsed, s) {
@@ -282,7 +282,10 @@ fn known_bad_scheduler_names_stay_rejected() {
         "",
         "compose:",
         "compose:x",
+        "compose:20",
+        "compose:32",
         "compose:20:7",
+        "suite",
         "greedy:belady",
         "greedy:belady:dfs:extra",
         "beam:0",
@@ -293,16 +296,7 @@ fn known_bad_scheduler_names_stay_rejected() {
     ] {
         assert!(bad.parse::<Scheduler>().is_err(), "`{bad}` must not parse");
     }
-    // The default-budget display form is the bare name.
-    assert_eq!(
-        Scheduler::Compose {
-            exact_budget: pebble_sched::compose::DEFAULT_EXACT_BUDGET
-        }
-        .to_string(),
-        "compose"
-    );
-    assert_eq!(
-        "compose:32".parse::<Scheduler>().unwrap(),
-        Scheduler::Compose { exact_budget: 32 }
-    );
+    // Compose has one configuration, and its display form is the bare name.
+    assert_eq!(Scheduler::Compose.to_string(), "compose");
+    assert_eq!("compose".parse::<Scheduler>(), Ok(Scheduler::Compose));
 }

@@ -264,10 +264,11 @@ fn prbp_edges_scan(dag: &Dag, r: usize, edges: &[EdgeId]) -> PrbpTrace {
                     continue;
                 }
                 let game = builder.game();
-                let remaining = game.unmarked_out_degree(w);
+                // A sink that still aggregates inputs is live.
+                let dead = game.unmarked_out_degree(w) == 0 && game.unmarked_in_degree(w) == 0;
                 let dark = game.pebble_state(w) == PebbleState::DarkRed;
-                let free = !dark || (remaining == 0 && !dag.is_sink(w));
-                let next_use = if remaining == 0 {
+                let free = !dark || (dead && !dag.is_sink(w));
+                let next_use = if dead {
                     NEVER
                 } else {
                     let occ = &occurrences[w.index()];

@@ -161,7 +161,7 @@ fn certified_compose(dag: &Dag, r: usize, deadline: Option<Duration>) -> (PrbpTr
         deadline,
         ..ComposeConfig::default()
     };
-    let certified = compose_certified(dag, r, &config, BoundSet::auto_for(dag)).expect("r >= 2");
+    let certified = compose_certified(dag, r, &config).expect("r >= 2");
     let report = serde_json::to_string(&certified.report).expect("report serialises");
     (certified.outcome.trace, report)
 }
@@ -219,7 +219,7 @@ mod compose_reference {
     use pebble_game::exact;
     use pebble_game::moves::PrbpMove;
     use pebble_game::PrbpBuilder;
-    use pebble_sched::compose::DEFAULT_EXACT_BUDGET;
+    use pebble_sched::compose::EXACT_BUDGET;
     use pebble_sched::{compose_prbp, cone_affinity_edges, greedy_prbp_edges, ComposeConfig};
 
     /// The members compose runs on a component: the default portfolio,
@@ -265,7 +265,7 @@ mod compose_reference {
         if cost == exact::prbp_initial_bound(dag, config, &LoadCountHeuristic) {
             return Some((trace, Some(cost)));
         }
-        if dag.node_count() <= DEFAULT_EXACT_BUDGET {
+        if dag.node_count() <= EXACT_BUDGET {
             let engine_cfg = EngineConfig {
                 node_budget: Some(ComposeConfig::default().exact_max_states),
                 ..EngineConfig::default()
@@ -316,7 +316,7 @@ mod compose_reference {
     type Reference = (usize, PrbpTrace, Strategy, usize, usize, Option<usize>);
 
     fn reference(dag: &Dag, r: usize, suite_of: fn(&Dag) -> Vec<Scheduler>) -> Reference {
-        let budget = DEFAULT_EXACT_BUDGET;
+        let budget = EXACT_BUDGET;
         let mut caps = vec![(4 * r).max(2 * budget), (16 * r).max(4 * budget)];
         caps.dedup();
         let mut candidates = vec![decompose(dag, Strategy::Whole, None).unwrap()];

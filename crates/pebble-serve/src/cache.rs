@@ -317,15 +317,14 @@ pub struct WarmSummary {
 /// Precompute the cache from a directory of instance files (any `pebble-io`
 /// format, recognised by extension). Each instance goes through the
 /// certified compose solve ([`pebble_sched::compose_certified`]) that cold
-/// `serve` requests use, here without a deadline unless `compose` sets
-/// one, and is inserted under its canonical key. Files with
+/// `serve` requests use, here with the default configuration and no
+/// deadline, and is inserted under its canonical key. Files with
 /// unrecognised extensions are ignored; per-file failures are counted, not
 /// fatal.
 pub fn warm_from_dir(
     cache: &ScheduleCache,
     dir: &Path,
     r: usize,
-    compose: &pebble_sched::ComposeConfig,
 ) -> Result<WarmSummary, ServeError> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| ServeError::Cache(format!("reading instance dir {}: {e}", dir.display())))?
@@ -348,8 +347,7 @@ pub fn warm_from_dir(
             summary.failed += 1;
             continue;
         };
-        let set = pebble_sched::BoundSet::auto_for(&dag);
-        let Ok(certified) = pebble_sched::compose_certified(&dag, r, compose, set) else {
+        let Ok(certified) = pebble_sched::compose_certified(&dag, r, &Default::default()) else {
             summary.failed += 1;
             continue;
         };

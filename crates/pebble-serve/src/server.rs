@@ -25,7 +25,7 @@ use pebble_io::json::escape;
 use pebble_io::Format;
 use pebble_obs::metrics::Registry;
 use pebble_obs::trace::{emit, enabled, TraceEvent};
-use pebble_sched::{compose_certified, BoundSet, ComposeConfig, ComposeError, ScheduleReport};
+use pebble_sched::{compose_certified, ComposeConfig, ComposeError, ScheduleReport};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -409,9 +409,7 @@ fn schedule_response(request: &Request, ctx: &Ctx, read_us: u64) -> Response {
         threads: ctx.solver_workers,
         ..ComposeConfig::default()
     };
-    let (solved, solve_us) = timed(STAGE_SOLVE, || {
-        compose_certified(&dag, r, &config, BoundSet::auto_for(&dag))
-    });
+    let (solved, solve_us) = timed(STAGE_SOLVE, || compose_certified(&dag, r, &config));
     stages.solve_us = solve_us;
     let certified = match solved {
         Ok(certified) => certified,

@@ -27,9 +27,9 @@ use pebble_dag::{generators, Dag};
 use pebble_io::Format;
 use pebble_obs::trace::JsonlSink;
 use pebble_sched::{
-    best_prbp, certify_greedy_prbp, certify_greedy_rbp, certify_prbp_with, certify_rbp_with,
-    compose_certified, default_suite, prbp_bound_ladder, rbp_bound_ladder, BoundSet, BoundValue,
-    ComposeConfig, ComposeError, FurthestInFuture, ScheduleReport, Scheduler,
+    certify_greedy_prbp, certify_greedy_rbp, certify_prbp_with, certify_rbp_with,
+    compose_certified, prbp_bound_ladder, rbp_bound_ladder, BoundSet, BoundValue, ComposeConfig,
+    ComposeError, FurthestInFuture, ScheduleReport, Scheduler,
 };
 use pebble_serve::http::{client_request_with_retries, Backoff};
 use pebble_serve::{warm_from_dir, ScheduleCache, ServeConfig, Server};
@@ -50,14 +50,12 @@ USAGE:
         random     --layers <n> --width <n> [--max-in <n>] [--seed <n>]
         fig1                                     (the paper's Figure 1 DAG)
   prbp schedule --input PATH --r <cache> [--model prbp|rbp] [--format F]
-                [--scheduler S] [--bounds fast|full|auto] [--out PATH]
+                [--scheduler S] [--out PATH]
                 [--deadline-ms MS [--workers N]] [--trace FILE.jsonl]
       S: greedy:belady:<natural|dfs> (default greedy:belady:dfs,
-         streaming), beam:<width>[:<branch>], baseline,
-         compose[:<exact-budget>] (structure-aware decomposition, certified
-         with the composable `compose` bound; PRBP only), or `suite` (best
-         of the two greedy members of the default portfolio; materialises
-         traces)
+         streaming), beam:<width>[:<branch>], baseline, or compose
+         (structure-aware decomposition, certified with the composable
+         `compose` bound; PRBP only)
       --deadline-ms runs the certified compose solve instead of
          --scheduler (PRBP only): the best stitched schedule found within
          the wall-clock budget, components scheduled on --workers threads
@@ -68,15 +66,14 @@ USAGE:
       --trace FILE.jsonl streams typed observability events (phase spans)
          to FILE; analyse with `prbp trace`
   prbp bound --input PATH --r <cache> [--model prbp|rbp] [--format F]
-             [--bounds fast|full|auto] [--out PATH]
+             [--out PATH]
   prbp convert --input PATH --out PATH [--from F] [--to F]
   prbp serve --cache-dir DIR [--addr HOST:PORT] [--deadline-ms MS]
              [--workers N] [--solver-workers N]
       certified scheduling as a service: POST /v1/schedule answers with a
       validated ScheduleReport, repeated shapes from the content-addressed
       cache (see docs/API.md)
-  prbp warm --cache-dir DIR --dir INSTANCE_DIR --r <cache>
-            [--exact-budget N]
+  prbp warm --cache-dir DIR --dir INSTANCE_DIR --r <cache> [--out PATH]
       precompute the cache: schedule every instance file in INSTANCE_DIR
       with the structure-aware compose pipeline and store the certificates
   prbp submit --addr HOST:PORT --input PATH --r <cache>
@@ -279,17 +276,6 @@ fn load_dag(args: &Args) -> Result<(Dag, Format, String), CliError> {
     Ok((dag, format, path))
 }
 
-fn bound_set(args: &Args, dag: &Dag) -> Result<BoundSet, CliError> {
-    match args.get("bounds").unwrap_or("auto") {
-        "fast" => Ok(BoundSet::Fast),
-        "full" => Ok(BoundSet::Full),
-        "auto" => Ok(BoundSet::auto_for(dag)),
-        other => Err(usage(format!(
-            "--bounds expects fast, full or auto, got `{other}`"
-        ))),
-    }
-}
-
 fn cmd_gen(args: &Args) -> Result<(), CliError> {
     args.check_known(&[
         "family", "m", "d", "m1", "m2", "m3", "depth", "layers", "width", "max-in", "seed",
@@ -418,7 +404,6 @@ fn cmd_schedule(args: &Args) -> Result<(), CliError> {
         "r",
         "model",
         "scheduler",
-        "bounds",
         "out",
         "deadline-ms",
         "workers",
@@ -448,7 +433,6 @@ fn schedule_run(args: &Args) -> Result<(), CliError> {
     drop(parse_span);
     let r = args.require_usize("r")?;
     let model = args.get("model").unwrap_or("prbp");
-    let set = bound_set(args, &dag)?;
     let sched_name = args.get("scheduler").unwrap_or("greedy:belady:dfs");
 
     let solve_span = pebble_obs::trace::span("cli:solve");
@@ -473,7 +457,7 @@ fn schedule_run(args: &Args) -> Result<(), CliError> {
             ..ComposeConfig::default()
         };
         let started = Instant::now();
-        let solved = compose_certified(&dag, r, &config, set);
+        let solved = compose_certified(&dag, r, &config);
         let solve_ms = started.elapsed().as_millis();
         let member = format!("\"deadline\":{{\"deadline_ms\":{deadline_ms},\"workers\":{workers}");
         match solved {
@@ -501,16 +485,9 @@ fn schedule_run(args: &Args) -> Result<(), CliError> {
         }
     } else if args.get("workers").is_some() {
         return Err(usage("--workers requires --deadline-ms"));
-    } else if sched_name == "suite" {
-        if model != "prbp" {
-            return Err(usage("--scheduler suite is PRBP-only"));
-        }
-        let (scheduler, trace, _) = best_prbp(&dag, r, &default_suite())
-            .ok_or_else(|| runtime(format!("no scheduler in the suite can handle r = {r}")))?;
-        certify_prbp_with(&dag, r, &trace, scheduler.to_string(), set)
-            .map_err(|e| runtime(format!("certification failed: {e}")))?
     } else {
         let scheduler: Scheduler = sched_name.parse().map_err(|e: String| usage(e))?;
+        let set = BoundSet::auto_for(&dag);
         match (scheduler, model) {
             // Greedy schedulers go through the streaming pipeline: moves are
             // certified as they are emitted and never materialised.
@@ -533,15 +510,10 @@ fn schedule_run(args: &Args) -> Result<(), CliError> {
             }
             // The same certified solve as `--deadline-ms`, `serve` and `warm`,
             // so the ladder carries the composable `compose` bound.
-            (Scheduler::Compose { exact_budget }, "prbp") => {
-                let config = ComposeConfig {
-                    exact_budget,
-                    ..ComposeConfig::default()
-                };
-                let mut certified =
-                    compose_certified(&dag, r, &config, set).map_err(|e| runtime(e.to_string()))?;
-                certified.report.scheduler = sched_name.to_string();
-                certified.report
+            (Scheduler::Compose, "prbp") => {
+                compose_certified(&dag, r, &ComposeConfig::default())
+                    .map_err(|e| runtime(e.to_string()))?
+                    .report
             }
             (s, "prbp") => {
                 let trace = s.run_prbp(&dag, r).ok_or_else(|| {
@@ -599,10 +571,10 @@ fn cmd_trace(rest: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_bound(args: &Args) -> Result<(), CliError> {
-    args.check_known(&["input", "format", "r", "model", "bounds", "out"])?;
+    args.check_known(&["input", "format", "r", "model", "out"])?;
     let (dag, _, path) = load_dag(args)?;
     let r = args.require_usize("r")?;
-    let set = bound_set(args, &dag)?;
+    let set = BoundSet::auto_for(&dag);
     let model = args.get("model").unwrap_or("prbp");
     let (bounds, best): (Vec<BoundValue>, usize) = match model {
         "prbp" => prbp_bound_ladder(&dag, r, set),
@@ -679,17 +651,13 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_warm(args: &Args) -> Result<(), CliError> {
-    args.check_known(&["cache-dir", "dir", "r", "exact-budget", "out"])?;
+    args.check_known(&["cache-dir", "dir", "r", "out"])?;
     let cache_dir = args.require("cache-dir")?.to_string();
     let dir = args.require("dir")?.to_string();
     let r = args.require_usize("r")?;
-    let compose = ComposeConfig {
-        exact_budget: args.usize_or("exact-budget", ComposeConfig::default().exact_budget)?,
-        ..ComposeConfig::default()
-    };
     let cache =
         ScheduleCache::open(&cache_dir).map_err(|e| runtime(format!("--cache-dir: {e}")))?;
-    let summary = warm_from_dir(&cache, std::path::Path::new(&dir), r, &compose)
+    let summary = warm_from_dir(&cache, std::path::Path::new(&dir), r)
         .map_err(|e| runtime(format!("warming from {dir}: {e}")))?;
     eprintln!(
         "warmed {cache_dir} from {dir} at r={r}: {} files, {} inserted, {} skipped \

@@ -157,27 +157,58 @@ fn schedule_compose_certifies_the_composable_bound() {
     assert!(doc.contains("\"best_bound\":12}"), "{doc}");
 }
 
+/// Run the binary in `dir`, asserting exit code 2 (a usage error); returns
+/// the first line of stderr, the error message.
+fn usage_error(dir: &Path, args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_prbp"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("spawn prbp");
+    assert_eq!(out.status.code(), Some(2), "prbp {args:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    stderr.lines().next().unwrap_or_default().to_string()
+}
+
 #[test]
 fn retired_eviction_policies_are_usage_errors() {
     let dir = scratch_dir("policies");
     gen_fig1(&dir);
     for scheduler in ["greedy:lru:natural", "greedy:fewest:dfs"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_prbp"))
-            .args([
-                "schedule",
-                "--input",
-                "fig1.el",
-                "--r",
-                "4",
-                "--scheduler",
-                scheduler,
-            ])
-            .current_dir(&dir)
-            .output()
-            .expect("spawn prbp");
-        assert_eq!(out.status.code(), Some(2), "{scheduler}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("unknown eviction policy"), "{stderr}");
+        let args = [
+            "schedule",
+            "--input",
+            "fig1.el",
+            "--r",
+            "4",
+            "--scheduler",
+            scheduler,
+        ];
+        let error = usage_error(&dir, &args);
+        assert!(error.contains("unknown eviction policy"), "{error}");
+    }
+}
+
+#[test]
+fn retired_options_are_usage_errors() {
+    // Each entry point certifies with one configuration: the bound-set,
+    // suite and exact-budget knobs are gone, and naming one is a usage
+    // error that names it.
+    let dir = scratch_dir("retired");
+    gen_fig1(&dir);
+    let schedule = ["schedule", "--input", "fig1.el", "--r", "4"];
+    let bound = ["bound", "--input", "fig1.el", "--r", "4"];
+    let warm = ["warm", "--cache-dir", "cache", "--dir", ".", "--r", "4"];
+    let cases: [(&[&str], [&str; 2], &str); 5] = [
+        (&schedule, ["--bounds", "full"], "--bounds"),
+        (&bound, ["--bounds", "fast"], "--bounds"),
+        (&schedule, ["--scheduler", "suite"], "`suite`"),
+        (&schedule, ["--scheduler", "compose:20"], "`compose:20`"),
+        (&warm, ["--exact-budget", "30"], "--exact-budget"),
+    ];
+    for (command, option, named) in cases {
+        let error = usage_error(&dir, &[command, &option].concat());
+        assert!(error.contains(named), "{option:?}: {error}");
     }
 }
 
