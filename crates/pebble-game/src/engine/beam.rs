@@ -19,9 +19,18 @@
 //! its ready nodes in bitsets bucketed by immediate loads, updated in
 //! `O(out-degree)` when a node gains or loses its red pebble, children reuse
 //! the buffers of dropped entries, and all moves go to one per-solve arena.
-//! The copy is `O(n)`, so a solve is still quadratic in the DAG size:
+//! The copy is `O(n)`, so a full solve is still quadratic in the DAG size:
 //! `pebble-sched`'s compose runs the beams only on components of at most 512
 //! nodes; on larger ones they changed no benchmark answer but cost time.
+//!
+//! Branch and bound: each entry also keeps `owed`, the load-count bound of
+//! its state ([`crate::exact::LoadCountHeuristic`]), updated in `O(1)` per
+//! move. Every schedule the beam can still finish descends from one of its
+//! entries and costs at least that entry's `io + owed`. So with an
+//! [`EngineConfig::cutoff`], the solve stops at the top of the first level
+//! where the least such sum reaches the cutoff, and returns no schedule: a
+//! caller that keeps only strictly cheaper results (the portfolio sweep)
+//! loses nothing, and skips the rest of a beam that could never win.
 //!
 //! Anytime contract: deadline and budget stops are honoured between macro
 //! steps, and an early stop *greedily completes* the best partial schedule,
@@ -98,6 +107,10 @@ struct Entry {
     /// The currently red nodes, for `O(r)` eviction scans.
     red_members: Vec<NodeId>,
     io: usize,
+    /// The load-count bound of `words`
+    /// ([`crate::exact::LoadCountHeuristic`]): the loads and sink saves that
+    /// every completion of this schedule still pays.
+    owed: usize,
     /// This schedule's last macro step in the [`Arena`].
     step: usize,
 }
@@ -113,6 +126,12 @@ impl Entry {
             ready: vec![0; s.buckets * s.wn],
             red_members: Vec::new(),
             io: 0,
+            // Every source that feeds a node must be loaded, and every sink
+            // that is not also a source must be saved.
+            owed: dag
+                .nodes()
+                .filter(|&v| dag.is_source(v) != dag.is_sink(v))
+                .count(),
             step: 0,
         };
         dag.nodes().for_each(|v| entry.enqueue_if_ready(s, v));
@@ -126,7 +145,7 @@ impl Entry {
         self.loads.clone_from(&src.loads);
         self.ready.clone_from(&src.ready);
         self.red_members.clone_from(&src.red_members);
-        (self.io, self.step) = (src.io, src.step);
+        (self.io, self.owed, self.step) = (src.io, src.owed, src.step);
     }
 
     fn red(&self, v: NodeId) -> bool {
@@ -218,7 +237,11 @@ impl Entry {
                 best = Some((key, v));
             }
         }
-        let (_, v) = best.expect("r >= 2 guarantees an evictable pebble");
+        let ((_, unmarked, _), v) = best.expect("r >= 2 guarantees an evictable pebble");
+        // A completed value that is still read must come back by a load.
+        if unmarked > 0 && !s.dag.is_sink(v) {
+            self.owed += 1;
+        }
         if !self.blue(s, v) {
             moves.push(PrbpMove::Save(v));
             self.io += 1;
@@ -246,6 +269,7 @@ impl Entry {
                 debug_assert!(self.blue(s, u), "computed value lost");
                 moves.push(PrbpMove::Load(u));
                 self.io += 1;
+                self.owed -= 1;
                 self.set_red(s, u, true);
             }
             if !self.red(v) {
@@ -268,6 +292,7 @@ impl Entry {
         if dag.is_sink(v) {
             moves.push(PrbpMove::Save(v));
             self.io += 1;
+            self.owed -= 1;
             moves.push(PrbpMove::Delete(v));
             set(&mut self.words[wn..2 * wn], vi);
             self.set_red(s, v, false);
@@ -336,6 +361,20 @@ pub(crate) fn solve_beam(
     let mut next: Vec<Entry> = Vec::new();
     let mut spare: Vec<Entry> = Vec::new();
     'levels: for _ in 0..levels {
+        // Every schedule this beam can still finish descends from one of its
+        // entries and costs at least that entry's `io + owed`.
+        let floor = beam.iter().map(|e| e.io + e.owed).min();
+        let floor = floor.expect("non-empty beam");
+        if engine.cutoff.is_some_and(|cutoff| floor >= cutoff) {
+            return Ok(RawOutcome {
+                cost: floor,
+                moves: Vec::new(),
+                bound: h0,
+                proven: false,
+                stats,
+                stop: StopReason::Cutoff,
+            });
+        }
         let over_budget = engine.node_budget.is_some_and(|b| stats.distinct > b);
         stopped = stop_requested(deadline_at).or(over_budget.then_some(StopReason::Budget));
         if stopped.is_some() {
@@ -539,31 +578,33 @@ mod tests {
         h
     }
 
-    /// The beam's exact output on a fixed corpus: `(name, width, r, cost,
-    /// move count, move digest)`. The constants were produced by the
-    /// per-level-rescoring beam this implementation replaced; any change to
-    /// ranking, tie-breaking, dedup or eviction order shows up here. The
-    /// `matmul2x100x2` sums have in-degree 100, so its ready nodes also use
-    /// the capped last load bucket.
-    #[test]
-    fn beam_output_is_pinned_on_a_fixed_corpus() {
-        use pebble_dag::generators::{
-            attention_qk, binary_tree, matmul, random_layered, RandomLayeredConfig,
-        };
+    /// The pinned corpus. The `matmul2x100x2` sums have in-degree 100, so
+    /// its ready nodes also use the capped last load bucket.
+    fn pinned_corpus() -> [(&'static str, Dag); 6] {
+        use pebble_dag::generators::{attention_qk, matmul, random_layered, RandomLayeredConfig};
         let random = random_layered(RandomLayeredConfig {
             layers: 6,
             width: 7,
             max_in_degree: 3,
             seed: 17,
         });
-        let dags = [
+        [
             ("fft16", fft(16).dag),
             ("matmul444", matmul(4, 4, 4).dag),
             ("attn_qk44", attention_qk(4, 4).dag),
             ("tree5", binary_tree(5)),
             ("random6x7", random),
             ("matmul2x100x2", matmul(2, 100, 2).dag),
-        ];
+        ]
+    }
+
+    /// The beam's exact output on [`pinned_corpus`]: `(name, width, r, cost,
+    /// move count, move digest)`. The constants were produced by the
+    /// per-level-rescoring beam this implementation replaced; any change to
+    /// ranking, tie-breaking, dedup or eviction order shows up here.
+    #[test]
+    fn beam_output_is_pinned_on_a_fixed_corpus() {
+        let dags = pinned_corpus();
         let expected: &[(&str, usize, usize, usize, usize, u64)] = &[
             ("fft16", 1, 3, 155, 442, 13581383776689036361),
             ("fft16", 1, 8, 103, 356, 17566028573313168999),
@@ -601,6 +642,61 @@ mod tests {
             }
         }
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn owed_is_the_load_count_bound_after_every_macro_step() {
+        // Greedy steps from the root take every kind of move: loads, sink
+        // saves, and evictions of light and dark values, live or dead.
+        for (name, dag) in &pinned_corpus() {
+            for r in [3, 8] {
+                let domain = super::super::PrbpDomain::new(dag, PrbpConfig::new(r));
+                let (s, mut arena) = setup(dag, r);
+                let mut entry = Entry::initial(&s);
+                let mut scratch = Vec::new();
+                let mut steps = 0;
+                loop {
+                    let h = domain.h(&LoadCountHeuristic, &entry.words);
+                    assert_eq!(entry.owed, h, "{name} r = {r} after {steps} steps");
+                    if !entry.greedy_step(&s, &mut arena, &mut scratch) {
+                        break;
+                    }
+                    steps += 1;
+                }
+                assert_eq!(
+                    entry.owed, 0,
+                    "{name} r = {r}: a finished schedule owes nothing"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_beam_that_cannot_beat_its_cutoff_stops_without_a_schedule() {
+        let dag = fft(16).dag;
+        let solve = |cutoff| {
+            let engine = EngineConfig {
+                width: Some(8),
+                cutoff,
+                ..EngineConfig::default()
+            };
+            super::super::solve_prbp(&dag, PrbpConfig::new(8), &engine, &LoadCountHeuristic, None)
+        };
+        let full = solve(None).expect("beam solve");
+        // A cutoff above the beam's cost never fires: the same schedule.
+        let above = solve(Some(full.cost + 1)).expect("beam solve");
+        assert_eq!((above.cost, above.trace), (full.cost, full.trace));
+        // At the root the beam owes the load-count bound of the whole DAG.
+        let root = full.bound;
+        assert_eq!(
+            solve(Some(root)).unwrap_err(),
+            ExactError::Cutoff { bound: root }
+        );
+        // Cut at its own cost, it reports a bound of at least that cost.
+        match solve(Some(full.cost)) {
+            Err(ExactError::Cutoff { bound }) => assert!(bound >= full.cost, "{bound}"),
+            other => panic!("not cut: {:?}", other.map(|o| o.cost)),
+        }
     }
 
     #[test]

@@ -71,6 +71,11 @@ pub struct EngineConfig {
     /// Candidate next-nodes proposed per beam entry per level (beam only;
     /// `0` means the default of 4).
     pub branch: usize,
+    /// An incumbent cost the caller already holds (beam only). A beam whose
+    /// every entry's I/O so far plus its load-count bound reaches it can only
+    /// finish at or above it, so it stops without a schedule
+    /// ([`ExactError::Cutoff`]). `None` never stops.
+    pub cutoff: Option<usize>,
 }
 
 /// Why a solve stopped.
@@ -83,6 +88,9 @@ pub enum StopReason {
     Deadline,
     /// The distinct-state budget was exhausted.
     Budget,
+    /// No schedule the beam could still finish beats
+    /// [`EngineConfig::cutoff`]; the solve returns [`ExactError::Cutoff`].
+    Cutoff,
 }
 
 impl StopReason {
@@ -92,6 +100,7 @@ impl StopReason {
             StopReason::Completed => "completed",
             StopReason::Deadline => "deadline",
             StopReason::Budget => "budget",
+            StopReason::Cutoff => "cutoff",
         }
     }
 }
@@ -139,8 +148,9 @@ pub fn solve_rbp(
 /// With `engine.width = Some(w)` this runs the anytime beam search (one
 /// level per non-source node, macro-step node completions, packed-state
 /// dedup) instead of exact A*; the outcome is then proven optimal only when
-/// its cost meets the admissible bound. See [`solve_rbp`] for the seeding
-/// and anytime contract.
+/// its cost meets the admissible bound, and a beam stopped by
+/// `engine.cutoff` returns [`ExactError::Cutoff`]. See [`solve_rbp`] for the
+/// seeding and anytime contract.
 pub fn solve_prbp(
     dag: &Dag,
     config: PrbpConfig,
@@ -153,6 +163,11 @@ pub fn solve_prbp(
         let raw = beam::solve_beam(dag, config, &domain, engine, width, heuristic)?;
         obs::record_expansions(raw.stats.expanded, raw.stats.generated);
         obs::record_solve(raw.stats.distinct, raw.stop);
+        if raw.stop == StopReason::Cutoff {
+            // A cut beam holds no schedule; its `cost` is the bound that
+            // every schedule it could finish meets.
+            return Err(ExactError::Cutoff { bound: raw.cost });
+        }
         return Ok(finish(raw));
     }
     let raw = run_astar(&domain, engine, heuristic, seed.map(|t| t.moves.clone()))?;
@@ -220,6 +235,7 @@ mod tests {
         assert_eq!(StopReason::Completed.as_str(), "completed");
         assert_eq!(StopReason::Deadline.as_str(), "deadline");
         assert_eq!(StopReason::Budget.as_str(), "budget");
+        assert_eq!(StopReason::Cutoff.as_str(), "cutoff");
     }
 
     #[test]

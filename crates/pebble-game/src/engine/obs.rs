@@ -20,8 +20,9 @@ pub(crate) struct EngineMetrics {
     /// Transposition-table occupancy (distinct states) of the most recent
     /// solve.
     pub tt_occupancy: Gauge,
-    /// Solves by stop reason, indexed as [completed, deadline, budget].
-    pub solves: [Counter; 3],
+    /// Solves by stop reason, indexed as [completed, deadline, budget,
+    /// cutoff].
+    pub solves: [Counter; 4],
 }
 
 pub(crate) fn metrics() -> &'static EngineMetrics {
@@ -60,6 +61,7 @@ pub(crate) fn metrics() -> &'static EngineMetrics {
                 solve_counter(&StopReason::Completed),
                 solve_counter(&StopReason::Deadline),
                 solve_counter(&StopReason::Budget),
+                solve_counter(&StopReason::Cutoff),
             ],
         }
     })
@@ -82,6 +84,7 @@ pub(crate) fn record_solve(distinct: usize, stop: StopReason) {
         StopReason::Completed => 0,
         StopReason::Deadline => 1,
         StopReason::Budget => 2,
+        StopReason::Cutoff => 3,
     };
     m.solves[idx].inc();
 }

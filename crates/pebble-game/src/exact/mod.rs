@@ -65,6 +65,13 @@ pub enum ExactError {
         /// Number of states explored when the solve was stopped.
         explored: usize,
     },
+    /// A beam solve stopped because no schedule it could still finish costs
+    /// less than its `EngineConfig::cutoff`.
+    Cutoff {
+        /// A lower bound on every schedule the beam could have finished; at
+        /// least the cutoff.
+        bound: usize,
+    },
 }
 
 impl fmt::Display for ExactError {
@@ -79,6 +86,9 @@ impl fmt::Display for ExactError {
                     f,
                     "solve interrupted after exploring {explored} states with no incumbent"
                 )
+            }
+            ExactError::Cutoff { bound } => {
+                write!(f, "beam cut off: every completion costs at least {bound}")
             }
         }
     }
@@ -154,6 +164,9 @@ mod tests {
         assert!(ExactError::Interrupted { explored: 9 }
             .to_string()
             .contains("interrupted"));
+        assert!(ExactError::Cutoff { bound: 11 }
+            .to_string()
+            .contains("at least 11"));
     }
 
     #[test]

@@ -31,13 +31,15 @@
 //!
 //! Writers go through [`write_file`], which writes to a temporary sibling
 //! and renames into place, so concurrent readers only ever observe complete
-//! entries.
+//! entries. It does not `fsync`: an entry is a cache of a result that can
+//! be recomputed, so a crash may lose recent entries. The file system may
+//! then leave one empty or truncated, which fails its checksum and reads
+//! back as an error (a cache miss), never as a schedule.
 
 use pebble_dag::NodeId;
 use pebble_game::moves::{Model, PrbpMove};
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::path::Path;
 
 /// Leading magic of every store entry (includes a format-generation byte).
@@ -320,15 +322,11 @@ pub fn decode(bytes: &[u8]) -> Result<StoreEntry, StoreError> {
 }
 
 /// Write an entry atomically: serialize to `<path>.tmp` and rename into
-/// place, so a concurrent reader never sees a torn entry.
+/// place, so a concurrent reader never sees a torn entry. Not durable: see
+/// the module docs for what a crash leaves.
 pub fn write_file(path: &Path, entry: &StoreEntry) -> Result<(), StoreError> {
-    let bytes = encode(entry);
     let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
+    fs::write(&tmp, encode(entry))?;
     fs::rename(&tmp, path)?;
     Ok(())
 }

@@ -14,16 +14,19 @@
 //! Width 1 degenerates to an *adaptive* greedy scheduler that picks the
 //! globally cheapest next node online, which helps where a fixed compute
 //! order wastes locality; larger widths buy schedule quality for more time
-//! and memory. Each level copies an `O(n)` entry per child, so a solve is
-//! quadratic and neither width is a [`crate::default_suite`] member:
+//! and memory. Each level copies an `O(n)` entry per child, so a full solve
+//! is quadratic and neither width is a [`crate::default_suite`] member:
 //! compose runs `beam:1` and `beam:8` on its components of at most 512
-//! nodes, where dropping either one raised some compose costs. Callers that
-//! want deadlines configure the same search through
-//! [`pebble_game::engine::solve_prbp`] with `EngineConfig::width`.
+//! nodes, where dropping either one raised some compose costs. There the
+//! portfolio sweep hands each beam the best cost found before it as a
+//! cutoff, and the beam stops once no schedule it could finish beats it;
+//! [`beam_prbp`] runs with none. Callers that want deadlines configure the
+//! same search through [`pebble_game::engine::solve_prbp`] with
+//! `EngineConfig::width`.
 
 use pebble_dag::Dag;
 use pebble_game::engine::{solve_prbp, EngineConfig};
-use pebble_game::exact::LoadCountHeuristic;
+use pebble_game::exact::{ExactError, LoadCountHeuristic};
 use pebble_game::prbp::PrbpConfig;
 use pebble_game::trace::PrbpTrace;
 use std::time::Instant;
@@ -60,29 +63,30 @@ impl BeamConfig {
 /// that. Deterministic: all ranking ties are broken by node id and beam
 /// insertion order.
 pub fn beam_prbp(dag: &Dag, r: usize, cfg: BeamConfig) -> Option<PrbpTrace> {
-    beam_prbp_until(dag, r, cfg, None)
+    beam_prbp_until(dag, r, cfg, None, None).ok()
 }
 
-/// [`beam_prbp`] stopped at `deadline`: a cut beam greedy-completes its
-/// best partial schedule.
+/// [`beam_prbp`] stopped at `deadline`, where a cut beam greedy-completes
+/// its best partial schedule, and at `cutoff`, where it returns
+/// [`ExactError::Cutoff`] once no schedule it could finish costs less.
 pub(crate) fn beam_prbp_until(
     dag: &Dag,
     r: usize,
     cfg: BeamConfig,
     deadline: Option<Instant>,
-) -> Option<PrbpTrace> {
+    cutoff: Option<usize>,
+) -> Result<PrbpTrace, ExactError> {
     if r < 2 {
-        return None;
+        return Err(ExactError::Unsolvable);
     }
     let engine = EngineConfig {
         width: Some(cfg.width.max(1)),
         branch: cfg.branch.max(1),
         deadline: deadline.map(|at| at.saturating_duration_since(Instant::now())),
+        cutoff,
         ..EngineConfig::default()
     };
-    solve_prbp(dag, PrbpConfig::new(r), &engine, &LoadCountHeuristic, None)
-        .ok()
-        .map(|out| out.trace)
+    solve_prbp(dag, PrbpConfig::new(r), &engine, &LoadCountHeuristic, None).map(|out| out.trace)
 }
 
 #[cfg(test)]

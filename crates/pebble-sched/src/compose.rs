@@ -28,7 +28,8 @@
 //!    Each distinct sub-DAG is scheduled once per call: identical components
 //!    (the blocks of a blocked FFT, the tiles of a matmul) reuse its
 //!    schedule. The heuristic portfolio runs first (the greedy members,
-//!    plus the beams on components of at most 512 nodes), then the
+//!    plus the beams on components of at most 512 nodes, each stopped once
+//!    it cannot beat the members before it), then the
 //!    shared-input-affinity edge schedule ([`crate::edges`]) on cone-shaped
 //!    components; a schedule meeting the load-count bound is optimal and
 //!    ends the work. Otherwise components within
@@ -81,7 +82,7 @@ use crate::obs::{self, ComponentOutcome};
 use crate::report::{certify_prbp_with_bounds, BoundSet, BoundValue, ScheduleReport};
 use crate::suite::{
     best_prbp_until, default_suite, first_minimum, load_count, run_member, validated_cost,
-    Scheduler,
+    Scheduler, Swept,
 };
 use pebble_bounds::composed_prbp_bound;
 use pebble_dag::decompose::{decompose, Decomposition, ExtractedComponent, Strategy};
@@ -613,13 +614,15 @@ fn schedule_whole(
             .chain(rest.iter().map(|&strategy| Job::Build(strategy)))
             .collect();
         let mut done = par_map(jobs, threads, |job| match job {
-            Job::Member(s) => (run_member(dag, r, s, deadline), None),
-            Job::Build(_) if expired(deadline) => (None, None),
-            Job::Build(strategy) => (None, build(dag, strategy, deadline)),
+            Job::Member(s) => (run_member(dag, r, s, deadline, None), None),
+            Job::Build(_) if expired(deadline) => (Swept::Skipped, None),
+            Job::Build(strategy) => (Swept::Skipped, build(dag, strategy, deadline)),
         });
         let built = done.split_off(suite.len());
         let mut members = done.into_iter().map(|(member, _)| member);
-        let portfolio = first_minimum(&suite, lower, None, |_| members.next().flatten());
+        let portfolio = first_minimum(&suite, lower, None, |_, _| {
+            members.next().expect("one result per member")
+        });
         (portfolio, built.into_iter().map(|(_, d)| d).collect())
     } else {
         let portfolio = best_prbp_until(dag, r, &suite, deadline, lower);
@@ -680,9 +683,12 @@ const BEAM_MAX_NODES: usize = 512;
 
 /// The portfolio run on one component: [`default_suite`], plus the adaptive
 /// `beam:1` and then `beam:8` on components of at most [`BEAM_MAX_NODES`]
-/// nodes. A beam solve is quadratic: each level copies an `O(n)` entry per
-/// child. Running them only there changed no compose cost on the benchmark
-/// corpora, while dropping either one from the small components raised some.
+/// nodes. A full beam solve is quadratic: each level copies an `O(n)` entry
+/// per child. Running them only there changed no compose cost on the
+/// benchmark corpora, while dropping either one from the small components
+/// raised some. In the sweep each beam gets the cheapest cost before it as
+/// a cutoff and stops once it cannot go below it, so most beams on
+/// components the greedy members already schedule well end early.
 pub(crate) fn component_suite(dag: &Dag) -> Vec<Scheduler> {
     let mut suite = default_suite();
     if dag.node_count() <= BEAM_MAX_NODES {
@@ -1324,6 +1330,110 @@ mod tests {
         let (_, _, portfolio) = best_prbp(&mm, r, &default_suite()).unwrap();
         assert!(outcome.cost < portfolio);
         assert!(matches!(outcome.strategy, Strategy::SinkCones { .. }));
+    }
+
+    /// A random relabelling of `dag`: nodes renumbered and edges inserted
+    /// in a shuffled order.
+    #[cfg(not(debug_assertions))]
+    fn relabelled(dag: &Dag, seed: u64) -> Dag {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut perm: Vec<usize> = (0..dag.node_count()).collect();
+        perm.shuffle(&mut rng);
+        let id = |v: NodeId| NodeId::from_index(perm[v.index()]);
+        let mut edges: Vec<(NodeId, NodeId)> = dag
+            .edges()
+            .map(|e| dag.edge_endpoints(e))
+            .map(|(u, v)| (id(u), id(v)))
+            .collect();
+        edges.shuffle(&mut rng);
+        let mut b = DagBuilder::new();
+        b.add_nodes(dag.node_count());
+        for (u, v) in edges {
+            b.add_edge(u, v);
+        }
+        b.build().unwrap()
+    }
+
+    // The beams' cutoff must not change any portfolio answer. On relabelled
+    // kernels like the ones `serve` sees (fft, matmul, attention Q.K^T,
+    // binary and k-ary trees) at r = 8 and 16, every distinct component of
+    // every compose candidate gets the same (scheduler, trace, cost) from
+    // the cut sweep as from a full sweep of uncut runs. Release-only: the
+    // full sweep runs every beam to its end.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn the_beam_cutoff_changes_no_component_answer() {
+        let mut kernels: Vec<Dag> = [32, 64, 128, 256].map(|m| fft(m).dag).into();
+        let matmuls = [
+            (2, 2, 2),
+            (2, 3, 4),
+            (3, 3, 3),
+            (4, 4, 4),
+            (2, 8, 2),
+            (4, 2, 8),
+            (5, 5, 5),
+            (6, 6, 6),
+            (8, 8, 8),
+            (3, 6, 8),
+            (8, 4, 4),
+            (7, 7, 7),
+        ];
+        kernels.extend(matmuls.map(|(m1, m2, m3)| matmul(m1, m2, m3).dag));
+        let attention = [
+            (4, 2),
+            (4, 4),
+            (6, 3),
+            (8, 2),
+            (8, 4),
+            (8, 8),
+            (12, 4),
+            (16, 4),
+        ];
+        kernels.extend(attention.map(|(m, d)| attention_qk(m, d).dag));
+        kernels.extend((3..=8).map(binary_tree));
+        let trees = [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)];
+        kernels.extend(trees.map(|(k, depth)| kary_tree(k, depth).dag));
+        let (mut components, mut cut) = (0, 0);
+        for (i, kernel) in kernels.iter().enumerate() {
+            let dag = relabelled(kernel, i as u64);
+            for r in [8, 16] {
+                let mut seen = HashSet::new();
+                for strategy in candidates(r) {
+                    let Some(decomposition) = decompose(&dag, strategy, None) else {
+                        continue;
+                    };
+                    for component in &decomposition.components {
+                        let sub = pebble_dag::decompose::extract_component(&dag, component).dag;
+                        if !seen.insert(component_key(&sub)) {
+                            continue;
+                        }
+                        let suite = component_suite(&sub);
+                        let mut full: Option<(Scheduler, PrbpTrace, usize)> = None;
+                        for &s in &suite {
+                            let trace = s.run_prbp(&sub, r).unwrap();
+                            let cost = trace.validate(&sub, PrbpConfig::new(r)).unwrap();
+                            if full.as_ref().map_or(true, |&(_, _, c)| cost < c) {
+                                full = Some((s, trace, cost));
+                            }
+                        }
+                        let lower = load_count(&sub, r);
+                        let swept = first_minimum(&suite, lower, None, |s, incumbent| {
+                            let out = run_member(&sub, r, s, None, incumbent);
+                            cut += usize::from(matches!(out, Swept::Cut(_)));
+                            out
+                        });
+                        assert_eq!(swept, full, "kernel {i} at r = {r}, {strategy}");
+                        components += 1;
+                    }
+                }
+            }
+        }
+        // The sweep covers many components, and the cutoff stops beams on
+        // them.
+        assert!(components > 200, "{components} components");
+        assert!(cut > components / 4, "{cut} of {components} cut");
     }
 
     #[test]

@@ -368,6 +368,46 @@ mod tests {
         assert_eq!(rio, rtrace.io_cost());
     }
 
+    // A wall-clock ratio, so release builds only (CI runs this crate's
+    // tests in release).
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn rbp_simulator_work_per_move_does_not_grow_with_the_dag() {
+        // A move touches its node and its in-edges, so replaying a trace
+        // costs about the same per move on a 2,304-node FFT as on a
+        // 245,760-node one. Work that scans the red set per move, such as
+        // recounting it, reads n / 64 words: 36 against 3,840, a ratio far
+        // above the bound below. The best of five replays keeps a noisy
+        // machine from failing the test.
+        use pebble_game::rbp::RbpGame;
+        use std::time::Instant;
+        let seconds_per_move = |m: usize| {
+            let dag = fft(m).dag;
+            let r = 16;
+            let ord = order::dfs_postorder(&dag);
+            let moves = greedy_rbp(&dag, r, &ord, &mut FurthestInFuture)
+                .unwrap()
+                .moves;
+            let best = (0..5)
+                .map(|_| {
+                    let mut game = RbpGame::new(&dag, RbpConfig::new(r));
+                    let started = Instant::now();
+                    game.run(moves.iter().copied()).expect("valid trace");
+                    started.elapsed()
+                })
+                .min()
+                .unwrap();
+            best.as_secs_f64() / moves.len() as f64
+        };
+        let (small, large) = (seconds_per_move(256), seconds_per_move(16384));
+        assert!(
+            large <= 8.0 * small,
+            "{:.1} ns per move on fft-16384 against {:.1} ns on fft-256",
+            large * 1e9,
+            small * 1e9
+        );
+    }
+
     #[test]
     fn eviction_work_does_not_grow_with_the_cache() {
         // The eviction queue's work (key refreshes plus heap pops) is the

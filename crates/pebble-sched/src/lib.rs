@@ -26,8 +26,9 @@
 //!   packed-state encoding shared with the exact solvers
 //!   ([`pebble_game::packed`]); width 1 is the adaptive greedy that picks the
 //!   cheapest next node online. A level copies an `O(n)` entry per child,
-//!   so a solve is quadratic and compose runs it only on components of at
-//!   most 512 nodes.
+//!   so a full solve is quadratic and compose runs it only on components of
+//!   at most 512 nodes, where the portfolio sweep also stops a beam once it
+//!   cannot beat the cheapest member before it.
 //! * [`edges`] — the one PRBP greedy loop: partial computes scheduled one
 //!   edge at a time, on a node order's by-target sequence or an explicit
 //!   edge sequence, which makes streaming-accumulator (tiled matmul /

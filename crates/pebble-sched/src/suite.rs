@@ -9,7 +9,7 @@ use crate::greedy::{greedy_prbp, greedy_rbp};
 use crate::order;
 use crate::policy::FurthestInFuture;
 use pebble_dag::{Dag, NodeId};
-use pebble_game::exact::{self, LoadCountHeuristic};
+use pebble_game::exact::{self, ExactError, LoadCountHeuristic};
 use pebble_game::prbp::PrbpConfig;
 use pebble_game::strategies::topological;
 use pebble_game::trace::{PrbpTrace, RbpTrace};
@@ -210,9 +210,10 @@ impl Scheduler {
 
 /// The default portfolio, cheap enough to sweep on every instance: Belady
 /// greedy on the natural and on the DFS order, each `O((n + m) log r)`. A
-/// beam level copies an `O(n)` entry per child, so the beams are quadratic
-/// and only pay off on small DAGs: compose adds them to components of at
-/// most 512 nodes.
+/// beam level copies an `O(n)` entry per child, so a full beam solve is
+/// quadratic and only pays off on small DAGs: compose adds the beams to
+/// components of at most 512 nodes, where [`best_prbp`] also stops a beam
+/// once it cannot beat the greedy members before it.
 pub fn default_suite() -> Vec<Scheduler> {
     vec![
         Scheduler::Greedy {
@@ -231,11 +232,16 @@ pub fn default_suite() -> Vec<Scheduler> {
 ///
 /// The sweep stops at the first member whose cost meets the admissible
 /// load-count bound: no later member can be strictly cheaper, so the result
-/// is the one a full sweep would return. A member that emits no trace, or an
-/// invalid one, is skipped. The winner's family is counted in
-/// `sched_portfolio_wins_total`, and the winner in
+/// is the one a full sweep would return. For the same reason a beam member
+/// runs as a branch-and-bound against the cheapest cost swept before it: it
+/// stops, with no trace, once every schedule it could still finish costs at
+/// least that much (its I/O so far plus the load-count bound of its state,
+/// per beam entry), so a full beam solve is paid only where it may win. A
+/// member that emits no trace, or an invalid one, is skipped. The winner's
+/// family is counted in `sched_portfolio_wins_total`, and the winner in
 /// `sched_portfolio_sole_wins_total` when every member produced a validated
-/// trace and the winner's cost is strictly below all the others.
+/// trace or was cut, and the winner's cost is strictly below every other
+/// cost and every cut member's bound.
 pub fn best_prbp(
     dag: &Dag,
     r: usize,
@@ -261,24 +267,38 @@ pub(crate) fn best_prbp_until(
     deadline: Option<Instant>,
     lower: usize,
 ) -> Option<(Scheduler, PrbpTrace, usize)> {
-    first_minimum(suite, lower, deadline, |s| run_member(dag, r, s, deadline))
+    first_minimum(suite, lower, deadline, |s, incumbent| {
+        run_member(dag, r, s, deadline, incumbent)
+    })
 }
 
-/// Run one portfolio member in PRBP, a beam under `deadline`, and replay
-/// its trace: the validated trace and its cost, or `None` when the member
-/// emits no trace or an invalid one. Members share nothing, so compose runs
-/// them side by side.
+/// What one portfolio member returned.
+pub(crate) enum Swept {
+    /// A validated trace and its cost.
+    Ran(PrbpTrace, usize),
+    /// A beam stopped by its cutoff: every schedule it could still have
+    /// finished costs at least this bound.
+    Cut(usize),
+    /// No trace, or an invalid one.
+    Skipped,
+}
+
+/// Run one portfolio member in PRBP, a beam under `deadline` and `cutoff`
+/// (an incumbent cost it must beat, see [`best_prbp`]), and replay its
+/// trace. Members share nothing, so compose runs them side by side, with no
+/// cutoff.
 pub(crate) fn run_member(
     dag: &Dag,
     r: usize,
     s: Scheduler,
     deadline: Option<Instant>,
-) -> Option<(PrbpTrace, usize)> {
+    cutoff: Option<usize>,
+) -> Swept {
     replayed(dag, r, s, |s| match s {
         Scheduler::Beam { width, branch } => {
-            beam_prbp_until(dag, r, BeamConfig { width, branch }, deadline)
+            beam_prbp_until(dag, r, BeamConfig { width, branch }, deadline, cutoff)
         }
-        s => s.run_prbp(dag, r),
+        s => s.run_prbp(dag, r).ok_or(ExactError::Unsolvable),
     })
 }
 
@@ -288,34 +308,45 @@ fn replayed(
     dag: &Dag,
     r: usize,
     s: Scheduler,
-    run: impl FnOnce(Scheduler) -> Option<PrbpTrace>,
-) -> Option<(PrbpTrace, usize)> {
+    run: impl FnOnce(Scheduler) -> Result<PrbpTrace, ExactError>,
+) -> Swept {
     let _span = pebble_obs::trace::span(s.phase_name());
-    let trace = run(s)?;
-    let cost = validated_cost(dag, r, &trace, &s)?;
-    Some((trace, cost))
+    match run(s) {
+        Ok(trace) => match validated_cost(dag, r, &trace, &s) {
+            Some(cost) => Swept::Ran(trace, cost),
+            None => Swept::Skipped,
+        },
+        Err(ExactError::Cutoff { bound }) => Swept::Cut(bound),
+        Err(_) => Swept::Skipped,
+    }
 }
 
 /// [`best_prbp`]'s sweep over `suite`, in order: `result` gives a member's
-/// validated trace and cost, running it or taking a result computed ahead.
-/// It is not called for a member after one whose cost meets `lower`, nor,
-/// once a result exists, after `deadline`. Counts the win.
+/// outcome, running it with the best cost swept so far as its cutoff, or
+/// taking a result computed ahead. It is not called for a member after one
+/// whose cost meets `lower`, nor, once a result exists, after `deadline`.
+/// Only a strictly cheaper member replaces the incumbent, so a member cut at
+/// the incumbent's cost changes nothing. Counts the win.
 pub(crate) fn first_minimum(
     suite: &[Scheduler],
     lower: usize,
     deadline: Option<Instant>,
-    mut result: impl FnMut(Scheduler) -> Option<(PrbpTrace, usize)>,
+    mut result: impl FnMut(Scheduler, Option<usize>) -> Swept,
 ) -> Option<(Scheduler, PrbpTrace, usize)> {
     let mut best: Option<(Scheduler, PrbpTrace, usize)> = None;
-    // The swept members' costs, `None` for a skipped one.
+    // The swept members' costs, a cut member's bound, `None` for a skipped
+    // one.
     let mut costs = Vec::with_capacity(suite.len());
     for &s in suite {
         if best.is_some() && deadline.is_some_and(|at| Instant::now() >= at) {
             break;
         }
-        let swept = result(s);
-        costs.push(swept.as_ref().map(|&(_, cost)| cost));
-        let Some((trace, cost)) = swept else {
+        let swept = result(s, best.as_ref().map(|&(_, _, c)| c));
+        costs.push(match swept {
+            Swept::Ran(_, cost) | Swept::Cut(cost) => Some(cost),
+            Swept::Skipped => None,
+        });
+        let Swept::Ran(trace, cost) = swept else {
             continue;
         };
         if best.as_ref().map_or(true, |&(_, _, c)| cost < c) {
@@ -334,8 +365,9 @@ pub(crate) fn first_minimum(
 }
 
 /// Whether a sweep of `members` members that recorded `costs` had a sole
-/// winner at cost `best`: every member was swept and produced a cost, and
-/// exactly one of them is `best`.
+/// winner at cost `best`: every member was swept and produced a cost or was
+/// cut, and exactly one of them is `best`. A member cut at a bound above
+/// `best` is a strict loser; one cut at `best` might have tied.
 fn sole_minimum(costs: &[Option<usize>], members: usize, best: usize) -> bool {
     costs.len() == members
         && costs.iter().all(Option::is_some)
@@ -432,8 +464,8 @@ mod tests {
         suite: &[Scheduler],
         run: impl Fn(Scheduler) -> Option<PrbpTrace>,
     ) -> Option<(Scheduler, PrbpTrace, usize)> {
-        first_minimum(suite, load_count(dag, r), None, |s| {
-            replayed(dag, r, s, &run)
+        first_minimum(suite, load_count(dag, r), None, |s, _| {
+            replayed(dag, r, s, |s| run(s).ok_or(ExactError::Unsolvable))
         })
     }
 
@@ -471,7 +503,10 @@ mod tests {
         let suite = default_suite();
         let costs: Vec<usize> = suite
             .iter()
-            .map(|&s| run_member(&dag, r, s, None).unwrap().1)
+            .map(|&s| match run_member(&dag, r, s, None, None) {
+                Swept::Ran(_, cost) => cost,
+                _ => panic!("{s} ran no schedule"),
+            })
             .collect();
         assert!(
             costs[1] < costs[0],
@@ -484,6 +519,42 @@ mod tests {
         let (s, _, cost) = best_prbp(&dag, r, &suite).unwrap();
         assert_eq!((s, cost), (suite[1], costs[1]));
         assert!(sole_wins(&dfs) > before);
+    }
+
+    #[test]
+    fn a_member_cut_above_the_winner_loses_and_one_cut_at_it_may_tie() {
+        // `baseline` wins at cost 5; no other test sweeps it, so its sole
+        // win counter moves only here. The beam gets the incumbent as its
+        // cutoff and reports the bound it was cut at.
+        let sole_wins = || {
+            pebble_obs::metrics::Registry::global()
+                .counter(
+                    "sched_portfolio_sole_wins_total",
+                    "",
+                    &[("member", "baseline")],
+                )
+                .get()
+        };
+        let beam = Scheduler::Beam {
+            width: 2,
+            branch: 2,
+        };
+        let suite = [Scheduler::Baseline, beam];
+        let mut cutoffs = Vec::new();
+        for (bound, sole) in [(6, true), (5, false)] {
+            let before = sole_wins();
+            let won = first_minimum(&suite, 0, None, |s, cutoff| {
+                cutoffs.push(cutoff);
+                match s {
+                    Scheduler::Baseline => Swept::Ran(PrbpTrace::new(), 5),
+                    _ => Swept::Cut(bound),
+                }
+            });
+            let (s, _, cost) = won.unwrap();
+            assert_eq!((s, cost), (Scheduler::Baseline, 5));
+            assert_eq!(sole_wins() > before, sole, "cut at {bound}");
+        }
+        assert_eq!(cutoffs, [None, Some(5), None, Some(5)]);
     }
 
     #[test]

@@ -28,7 +28,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// Thread-safe: lookups and insertions may race freely; insertion is atomic
 /// (write-temp-then-rename) and a torn or stale read surfaces as a checksum
-/// failure, i.e. a miss.
+/// failure, i.e. a miss. Insertion does not `fsync`, so a crash may lose
+/// recent entries: one left empty or truncated is a miss too.
 pub struct ScheduleCache {
     dir: PathBuf,
     hits: AtomicU64,
@@ -525,6 +526,31 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.revalidation_failures, 1, "{stats:?}");
         assert_eq!(stats.misses, 1, "{stats:?}");
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn an_entry_a_crash_left_empty_or_truncated_is_a_miss() {
+        // Inserts do not `fsync`, so after a crash an entry may be empty or
+        // hold only a prefix of its bytes. Either reads back as a miss.
+        let f = fft(8);
+        let form = canonical_form(&f.dag);
+        let (report, trace) = schedule(&f.dag, 4);
+        let cache = ScheduleCache::open(scratch("crash")).unwrap();
+        cache.insert(&f.dag, &form, 4, &report, &trace).unwrap();
+        let path = cache.entry_path(&form, 4);
+        assert_eq!(path.extension().and_then(|e| e.to_str()), Some("sched"));
+        let bytes = std::fs::read(&path).unwrap();
+        for kept in [0, bytes.len() / 2, bytes.len() - 1] {
+            std::fs::write(&path, &bytes[..kept]).unwrap();
+            match cache.lookup_outcome(&f.dag, &form, 4) {
+                LookupOutcome::MissInvalid => {}
+                other => panic!("{kept} of {} bytes: {other:?}", bytes.len()),
+            }
+        }
+        // The next insert replaces the broken entry.
+        assert!(cache.insert(&f.dag, &form, 4, &report, &trace).unwrap());
+        assert!(cache.lookup(&f.dag, &form, 4).is_some());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 }

@@ -53,9 +53,9 @@ USAGE:
                 [--scheduler S] [--out PATH]
                 [--deadline-ms MS [--workers N]] [--trace FILE.jsonl]
       S: greedy:belady:<natural|dfs> (default greedy:belady:dfs,
-         streaming), beam:<width>[:<branch>], baseline, or compose
-         (structure-aware decomposition, certified with the composable
-         `compose` bound; PRBP only)
+         streaming), baseline, beam:<width>[:<branch>] (PRBP only), or
+         compose (structure-aware decomposition, certified with the
+         composable `compose` bound; PRBP only)
       --deadline-ms runs the certified compose solve instead of
          --scheduler (PRBP only): the best stitched schedule found within
          the wall-clock budget, components scheduled on --workers threads
@@ -523,6 +523,11 @@ fn schedule_run(args: &Args) -> Result<(), CliError> {
                 })?;
                 certify_prbp_with(&dag, r, &trace, sched_name, set)
                     .map_err(|e| runtime(format!("certification failed: {e}")))?
+            }
+            (Scheduler::Beam { .. } | Scheduler::Compose, "rbp") => {
+                return Err(usage(format!(
+                    "scheduler `{sched_name}` is PRBP-only; drop --model rbp"
+                )))
             }
             (s, "rbp") => {
                 let trace = s.run_rbp(&dag, r).ok_or_else(|| {

@@ -213,6 +213,30 @@ fn retired_options_are_usage_errors() {
 }
 
 #[test]
+fn prbp_only_schedulers_in_rbp_are_usage_errors() {
+    // The beams and compose schedule PRBP only: asking for them in RBP is a
+    // usage error that names the scheduler, not a runtime failure at r.
+    let dir = scratch_dir("prbp-only");
+    gen_fig1(&dir);
+    for scheduler in ["compose", "beam:1", "beam:8:2"] {
+        let args = [
+            "schedule",
+            "--input",
+            "fig1.el",
+            "--r",
+            "64",
+            "--model",
+            "rbp",
+            "--scheduler",
+            scheduler,
+        ];
+        let error = usage_error(&dir, &args);
+        assert!(error.contains(&format!("`{scheduler}`")), "{error}");
+        assert!(error.contains("PRBP-only"), "{error}");
+    }
+}
+
+#[test]
 fn bound_document() {
     let dir = scratch_dir("bound");
     gen_fig1(&dir);
