@@ -1,7 +1,7 @@
 //! Property coverage for the iso-invariant canonical hash: random node
 //! relabelings and edge-order permutations of random layered DAGs hash
 //! identically, structural edits change the key, and the canonical numbering
-//! is always a permutation whose inverse inverts it.
+//! is always a topological permutation whose inverse inverts it.
 
 use pebble_dag::canon::{canonical_form, canonical_key, CanonKey};
 use pebble_dag::generators::{random_layered, RandomLayeredConfig};
@@ -109,6 +109,10 @@ proptest! {
         for v in dag.nodes() {
             prop_assert_eq!(inv[form.to_canonical(v)], v);
         }
+        // Numbered by level first, so every edge runs forward.
+        for (u, v) in form.edges(&dag) {
+            prop_assert!(u < v, "edge {:?} -> {:?} runs backwards", u, v);
+        }
         // The canonical numbering of a relabeled copy must agree with the
         // original's through the relabeling on WL-discriminated nodes; at
         // minimum both forms share the key (soundness beyond that is the
@@ -140,5 +144,81 @@ fn distinct_families_hash_apart() {
         for j in i + 1..keys.len() {
             assert_ne!(keys[i], keys[j], "families {i} and {j} collided");
         }
+    }
+}
+
+/// The kernels `serve` sees: FFT 32–256, matmuls up to 8³, attention
+/// Q·Kᵀ, binary trees of depth 3–8 and k-ary trees.
+fn kernels() -> Vec<(String, Dag)> {
+    use pebble_dag::generators::{attention_qk, binary_tree, fft, kary_tree, matmul};
+    let mut rows: Vec<(String, Dag)> = Vec::new();
+    for m in [32, 64, 128, 256] {
+        rows.push((format!("fft-{m}"), fft(m).dag));
+    }
+    for (m1, m2, m3) in [
+        (2, 2, 2),
+        (2, 3, 4),
+        (3, 3, 3),
+        (4, 4, 4),
+        (2, 8, 2),
+        (4, 2, 8),
+        (5, 5, 5),
+        (6, 6, 6),
+        (8, 8, 8),
+        (3, 6, 8),
+        (8, 4, 4),
+        (7, 7, 7),
+    ] {
+        rows.push((format!("matmul-{m1}x{m2}x{m3}"), matmul(m1, m2, m3).dag));
+    }
+    for (m, d) in [
+        (4, 2),
+        (4, 4),
+        (6, 3),
+        (8, 2),
+        (8, 4),
+        (8, 8),
+        (12, 4),
+        (16, 4),
+    ] {
+        rows.push((format!("attention-qk-{m}x{d}"), attention_qk(m, d).dag));
+    }
+    for depth in 3..=8 {
+        rows.push((format!("binary-tree-{depth}"), binary_tree(depth)));
+    }
+    for (k, depth) in [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)] {
+        rows.push((format!("{k}-ary-tree-{depth}"), kary_tree(k, depth).dag));
+    }
+    rows
+}
+
+#[test]
+fn relabelled_kernels_get_one_canonical_edge_list() {
+    for (i, (name, dag)) in kernels().into_iter().enumerate() {
+        let form = canonical_form(&dag);
+        assert!(form.discrete, "{name}: ties left");
+        let edges = form.edges(&dag);
+        for copy in 0..3u64 {
+            let seed = 1000 * i as u64 + copy;
+            let relabeled = permuted(&dag, &random_perm(dag.node_count(), seed), seed);
+            let other = canonical_form(&relabeled);
+            assert!(other.discrete, "{name}, copy {copy}: ties left");
+            assert_eq!(other.key, form.key, "{name}, copy {copy}");
+            assert!(other.edges(&relabeled) == edges, "{name}, copy {copy}");
+        }
+    }
+}
+
+#[test]
+fn the_canonical_copy_is_its_own_canonical_form() {
+    for (name, dag) in kernels() {
+        let form = canonical_form(&dag);
+        let copy = form.relabel(&dag);
+        let again = canonical_form(&copy);
+        assert_eq!(again.key, form.key, "{name}");
+        assert!(again.edges(&copy) == form.edges(&dag), "{name}");
+        // The copy's edges are its canonical edge list, in id order.
+        let listed: Vec<(NodeId, NodeId)> = copy.edges().map(|e| copy.edge_endpoints(e)).collect();
+        assert!(listed == form.edges(&dag), "{name}");
     }
 }

@@ -138,6 +138,29 @@ impl GameMove for PrbpMove {
     }
 }
 
+impl PrbpMove {
+    /// The same move on the nodes `f` maps its nodes to.
+    pub fn map_nodes(self, mut f: impl FnMut(NodeId) -> NodeId) -> PrbpMove {
+        self.try_map_nodes(|v| Some(f(v)))
+            .expect("an infallible map maps every node")
+    }
+
+    /// [`PrbpMove::map_nodes`] through a partial map: `None` when `f` maps
+    /// one of the move's nodes to nothing.
+    pub fn try_map_nodes(self, mut f: impl FnMut(NodeId) -> Option<NodeId>) -> Option<PrbpMove> {
+        Some(match self {
+            PrbpMove::Save(v) => PrbpMove::Save(f(v)?),
+            PrbpMove::Load(v) => PrbpMove::Load(f(v)?),
+            PrbpMove::PartialCompute { from, to } => PrbpMove::PartialCompute {
+                from: f(from)?,
+                to: f(to)?,
+            },
+            PrbpMove::Delete(v) => PrbpMove::Delete(f(v)?),
+            PrbpMove::Clear(v) => PrbpMove::Clear(f(v)?),
+        })
+    }
+}
+
 impl fmt::Display for PrbpMove {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -197,6 +220,37 @@ mod tests {
         }
         .is_compute());
         assert!(!PrbpMove::Save(NodeId(0)).is_compute());
+    }
+
+    #[test]
+    fn map_nodes_maps_every_node_of_a_move() {
+        let shift = |v: NodeId| NodeId(v.0 + 10);
+        let pc = PrbpMove::PartialCompute {
+            from: NodeId(1),
+            to: NodeId(2),
+        };
+        assert_eq!(
+            pc.map_nodes(shift),
+            PrbpMove::PartialCompute {
+                from: NodeId(11),
+                to: NodeId(12)
+            }
+        );
+        for mv in [
+            PrbpMove::Save,
+            PrbpMove::Load,
+            PrbpMove::Delete,
+            PrbpMove::Clear,
+        ] {
+            assert_eq!(mv(NodeId(3)).map_nodes(shift), mv(NodeId(13)));
+        }
+        // A partial map fails on either end of an aggregation.
+        let below_two = |v: NodeId| (v.0 < 2).then_some(v);
+        assert_eq!(pc.try_map_nodes(below_two), None);
+        assert_eq!(
+            PrbpMove::Load(NodeId(1)).try_map_nodes(below_two),
+            Some(PrbpMove::Load(NodeId(1)))
+        );
     }
 
     #[test]

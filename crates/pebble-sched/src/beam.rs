@@ -63,19 +63,22 @@ impl BeamConfig {
 /// that. Deterministic: all ranking ties are broken by node id and beam
 /// insertion order.
 pub fn beam_prbp(dag: &Dag, r: usize, cfg: BeamConfig) -> Option<PrbpTrace> {
-    beam_prbp_until(dag, r, cfg, None, None).ok()
+    beam_prbp_until(dag, r, cfg, None, None)
+        .ok()
+        .map(|(trace, _)| trace)
 }
 
 /// [`beam_prbp`] stopped at `deadline`, where a cut beam greedy-completes
 /// its best partial schedule, and at `cutoff`, where it returns
 /// [`ExactError::Cutoff`] once no schedule it could finish costs less.
+/// Returns the trace with the cost the engine's own replay gave it.
 pub(crate) fn beam_prbp_until(
     dag: &Dag,
     r: usize,
     cfg: BeamConfig,
     deadline: Option<Instant>,
     cutoff: Option<usize>,
-) -> Result<PrbpTrace, ExactError> {
+) -> Result<(PrbpTrace, usize), ExactError> {
     if r < 2 {
         return Err(ExactError::Unsolvable);
     }
@@ -86,7 +89,8 @@ pub(crate) fn beam_prbp_until(
         cutoff,
         ..EngineConfig::default()
     };
-    solve_prbp(dag, PrbpConfig::new(r), &engine, &LoadCountHeuristic, None).map(|out| out.trace)
+    solve_prbp(dag, PrbpConfig::new(r), &engine, &LoadCountHeuristic, None)
+        .map(|out| (out.trace, out.cost))
 }
 
 #[cfg(test)]

@@ -27,7 +27,13 @@
 //!    the components are dispatched across scoped worker threads.
 //!    Each distinct sub-DAG is scheduled once per call: identical components
 //!    (the blocks of a blocked FFT, the tiles of a matmul) reuse its
-//!    schedule. The heuristic portfolio runs first (the greedy members,
+//!    schedule. The memo is keyed by the sub-DAG's edge list in its local
+//!    ids first; on a miss, by its node count and sorted canonical edge
+//!    list ([`pebble_dag::canon`]), which are equal only for isomorphic
+//!    sub-DAGs, so a differently numbered copy reuses the schedule mapped
+//!    through the isomorphism, and its exact optimum. Canonicalization is
+//!    paid only for local keys not seen before. The heuristic portfolio
+//!    runs first (the greedy members,
 //!    plus the beams on components of at most 512 nodes, each stopped once
 //!    it cannot beat the members before it), then the
 //!    shared-input-affinity edge schedule ([`crate::edges`]) on cone-shaped
@@ -85,6 +91,7 @@ use crate::suite::{
     Scheduler, Swept,
 };
 use pebble_bounds::composed_prbp_bound;
+use pebble_dag::canon::{canonical_form, CanonicalForm};
 use pebble_dag::decompose::{decompose, Decomposition, ExtractedComponent, Strategy};
 use pebble_dag::{BitSet, Dag, NodeId};
 use pebble_game::engine::{self, EngineConfig};
@@ -210,7 +217,34 @@ pub fn compose_certified(
     r: usize,
     config: &ComposeConfig,
 ) -> Result<Certified, ComposeError> {
-    let outcome = compose(dag, r, config)?;
+    certify(dag, r, compose(dag, r, config)?)
+}
+
+/// [`compose_certified`] solved on the canonical copy of `dag`
+/// ([`CanonicalForm::relabel`] of `form`, which must be `dag`'s form), so
+/// every relabeling with the same canonical edge list gets the same
+/// schedule. The copy's trace is mapped back to `dag`'s ids and certified
+/// on `dag` itself. Returns the certificate and the trace in canonical ids.
+pub fn compose_certified_canonical(
+    dag: &Dag,
+    form: &CanonicalForm,
+    r: usize,
+    config: &ComposeConfig,
+) -> Result<(Certified, PrbpTrace), ComposeError> {
+    let mut outcome = compose(&form.relabel(dag), r, config)?;
+    let inverse = form.inverse();
+    let moves = outcome.trace.moves.iter();
+    let back = moves
+        .map(|mv| mv.map_nodes(|c| inverse[c.index()]))
+        .collect();
+    let canonical = std::mem::replace(&mut outcome.trace, PrbpTrace::from_moves(back));
+    Ok((certify(dag, r, outcome)?, canonical))
+}
+
+/// Certify a compose `outcome` whose trace is in `dag`'s ids: re-validate
+/// it and pair it with the [`BoundSet::auto_for`] ladder plus the
+/// composable `compose` bound.
+fn certify(dag: &Dag, r: usize, outcome: ComposeOutcome) -> Result<Certified, ComposeError> {
     let extra = outcome.composed_bound.into_iter().map(|value| BoundValue {
         name: "compose".to_string(),
         value,
@@ -257,7 +291,7 @@ fn compose(dag: &Dag, r: usize, config: &ComposeConfig) -> Result<ComposeOutcome
         incumbent.offer(Strategy::Whole, 1, whole, bound);
     }
     let mut built = built.into_iter();
-    let mut memo = ScheduleMemo::new();
+    let mut memo = ScheduleMemo::default();
     for &strategy in rest {
         if expired(deadline) {
             break;
@@ -484,10 +518,25 @@ fn component_key(dag: &Dag) -> ComponentKey {
     )
 }
 
-/// The schedules of the distinct sub-DAGs seen so far in one compose call;
-/// `None` when a sub-DAG could not be scheduled, or the deadline cut it off
-/// (after which no candidate is scheduled).
-type ScheduleMemo = HashMap<ComponentKey, Option<ComponentSchedule>>;
+/// The schedules of the distinct sub-DAGs seen so far in one compose call.
+///
+/// A sub-DAG is looked up by its local key ([`component_key`]) first. On a
+/// miss its [`canonical_form`] gives a second, exact key: the node count and
+/// the sorted canonical edge list. Equal canonical lists prove an
+/// isomorphism (the one sub-DAG's local ids → canonical ids → the other's),
+/// so a differently numbered copy of a scheduled sub-DAG reuses its
+/// schedule, mapped, and its exact optimum. Inputs numbered alike per copy
+/// (the generators' blocks and tiles) hit the local key and never pay for
+/// canonicalization.
+#[derive(Default)]
+struct ScheduleMemo {
+    /// By local key; `None` when a sub-DAG could not be scheduled, or the
+    /// deadline cut it off (after which no candidate is scheduled).
+    local: HashMap<ComponentKey, Option<ComponentSchedule>>,
+    /// By canonical key: the local key of the first sub-DAG scheduled under
+    /// it, and that sub-DAG's canonical numbering ([`CanonicalForm::perm`]).
+    canonical: HashMap<ComponentKey, (ComponentKey, Vec<usize>)>,
+}
 
 /// One component's schedule, in the component's local ids.
 struct ComponentSchedule {
@@ -496,6 +545,19 @@ struct ComponentSchedule {
     exact: Option<usize>,
     /// How the schedule was obtained (never [`ComponentOutcome::Reused`]).
     outcome: ComponentOutcome,
+}
+
+impl ComponentSchedule {
+    /// The schedule of an isomorphic sub-DAG whose node `map(v)` is this
+    /// sub-DAG's node `v`.
+    fn mapped(&self, map: impl Fn(NodeId) -> NodeId) -> ComponentSchedule {
+        let moves = self.trace.moves.iter().map(|mv| mv.map_nodes(&map));
+        ComponentSchedule {
+            trace: PrbpTrace::from_moves(moves.collect()),
+            exact: self.exact,
+            outcome: self.outcome,
+        }
+    }
 }
 
 struct ScheduledDecomposition {
@@ -525,16 +587,29 @@ fn schedule_decomposition(
         extracted.push(pebble_dag::decompose::extract_component(dag, component));
     }
     drop(extract_span);
+    // Schedule only the first copy of each sub-DAG not seen earlier in this
+    // call; every other copy reuses its schedule, through the local key or,
+    // numbered differently, through the canonical one.
     let key_span = pebble_obs::trace::span("compose:key");
     let keys: Vec<ComponentKey> = extracted.iter().map(|c| component_key(&c.dag)).collect();
-    drop(key_span);
-    // Schedule only the first copy of each sub-DAG not seen earlier in this
-    // call; every other copy reuses its schedule.
     let mut fresh = vec![false; keys.len()];
     let mut pending: HashSet<&ComponentKey> = HashSet::new();
+    // Per local miss: its canonical form and canonical key.
+    let mut canonical: Vec<Option<(CanonicalForm, ComponentKey)>> = Vec::new();
+    canonical.resize_with(keys.len(), || None);
+    let mut pending_canonical: HashSet<ComponentKey> = HashSet::new();
     for (i, key) in keys.iter().enumerate() {
-        fresh[i] = !memo.contains_key(key) && pending.insert(key);
+        if memo.local.contains_key(key) || !pending.insert(key) {
+            continue;
+        }
+        let sub = &extracted[i].dag;
+        let form = canonical_form(sub);
+        let canonical_key = (sub.node_count(), form.edges(sub));
+        fresh[i] = !memo.canonical.contains_key(&canonical_key)
+            && pending_canonical.insert(canonical_key.clone());
+        canonical[i] = Some((form, canonical_key));
     }
+    drop(key_span);
     let firsts: Vec<usize> = (0..keys.len()).filter(|&i| fresh[i]).collect();
     let components_span = pebble_obs::trace::span("compose:components");
     let results = par_map(
@@ -552,11 +627,27 @@ fn schedule_decomposition(
     );
     drop(components_span);
     for (i, result) in firsts.into_iter().zip(results) {
-        memo.insert(keys[i].clone(), result);
+        let (form, canonical_key) = canonical[i].take().expect("a fresh sub-DAG has its form");
+        memo.canonical
+            .insert(canonical_key, (keys[i].clone(), form.perm));
+        memo.local.insert(keys[i].clone(), result);
+    }
+    // The other local misses are copies of a scheduled sub-DAG: map its
+    // schedule through the isomorphism the canonical keys prove.
+    for (i, entry) in canonical.into_iter().enumerate() {
+        let Some((form, canonical_key)) = entry else {
+            continue;
+        };
+        let (first, first_perm) = &memo.canonical[&canonical_key];
+        let inverse = form.inverse();
+        let copy = memo.local[first]
+            .as_ref()
+            .map(|s| s.mapped(|v| inverse[first_perm[v.index()]]));
+        memo.local.insert(keys[i].clone(), copy);
     }
     let mut schedules = Vec::with_capacity(keys.len());
     for key in &keys {
-        schedules.push(memo[key].as_ref()?);
+        schedules.push(memo.local[key].as_ref()?);
     }
     obs::compose_components(schedules.iter().zip(&fresh).map(|(s, &first)| {
         if first {
@@ -1017,7 +1108,7 @@ mod tests {
         };
         for (name, dag) in bound_corpus() {
             for r in [2usize, 3, 4, 8, 16, 64] {
-                let mut memo = ScheduleMemo::new();
+                let mut memo = ScheduleMemo::default();
                 for strategy in candidates(r) {
                     let Some(decomposition) = decompose(&dag, strategy, None) else {
                         continue;
@@ -1195,6 +1286,44 @@ mod tests {
         // The two copies share one sub-DAG: the second reuses the first's
         // schedule.
         assert!(reused() > reused_before);
+    }
+
+    #[test]
+    fn differently_numbered_copies_share_one_schedule() {
+        // Two copies of fft-64, the second numbered in reverse: their local
+        // keys differ, their canonical keys do not. The first copy is
+        // scheduled, the second takes its schedule through the isomorphism.
+        let one = fft(64).dag;
+        let n = one.node_count();
+        let mut b = DagBuilder::new();
+        let nodes = b.add_nodes(2 * n);
+        for e in one.edges() {
+            let (u, v) = one.edge_endpoints(e);
+            b.add_edge(nodes[u.index()], nodes[v.index()]);
+            b.add_edge(nodes[2 * n - 1 - u.index()], nodes[2 * n - 1 - v.index()]);
+        }
+        let dag = b.build().unwrap();
+        let r = 8;
+        let config = ComposeConfig {
+            threads: 1,
+            ..ComposeConfig::default()
+        };
+        let wcc = decompose(&dag, Strategy::Wcc, None).unwrap();
+        assert_eq!(wcc.components.len(), 2);
+        let mut memo = ScheduleMemo::default();
+        let scheduled = schedule_decomposition(&dag, r, &wcc, &config, 1, None, &mut memo).unwrap();
+        assert_eq!((memo.local.len(), memo.canonical.len()), (2, 1));
+        let first = extract_component(&dag, &wcc.components[0]);
+        let alone = schedule_component(&first.dag, r, &config, None).unwrap();
+        let cost = alone
+            .trace
+            .validate(&first.dag, PrbpConfig::new(r))
+            .unwrap();
+        assert_eq!(scheduled.cost, 2 * cost);
+        assert_eq!(
+            scheduled.trace.validate(&dag, PrbpConfig::new(r)),
+            Ok(2 * cost)
+        );
     }
 
     #[test]

@@ -62,8 +62,8 @@ pub mod suite;
 
 pub use beam::{beam_prbp, BeamConfig};
 pub use compose::{
-    compose_certified, compose_prbp, par_map, Certified, ComposeConfig, ComposeError,
-    ComposeOutcome,
+    compose_certified, compose_certified_canonical, compose_prbp, par_map, Certified,
+    ComposeConfig, ComposeError, ComposeOutcome,
 };
 pub use edges::{cone_affinity_edges, greedy_prbp_edges};
 pub use greedy::{greedy_prbp, greedy_prbp_into, greedy_rbp, greedy_rbp_into};

@@ -284,9 +284,10 @@ pub(crate) enum Swept {
 }
 
 /// Run one portfolio member in PRBP, a beam under `deadline` and `cutoff`
-/// (an incumbent cost it must beat, see [`best_prbp`]), and replay its
-/// trace. Members share nothing, so compose runs them side by side, with no
-/// cutoff.
+/// (an incumbent cost it must beat, see [`best_prbp`]), and take its trace
+/// with its replayed cost: a greedy or baseline trace is replayed here, a
+/// beam's comes replayed by the engine. Members share nothing, so compose
+/// runs them side by side, with no cutoff.
 pub(crate) fn run_member(
     dag: &Dag,
     r: usize,
@@ -294,31 +295,24 @@ pub(crate) fn run_member(
     deadline: Option<Instant>,
     cutoff: Option<usize>,
 ) -> Swept {
-    replayed(dag, r, s, |s| match s {
+    let _span = pebble_obs::trace::span(s.phase_name());
+    match s {
         Scheduler::Beam { width, branch } => {
-            beam_prbp_until(dag, r, BeamConfig { width, branch }, deadline, cutoff)
+            match beam_prbp_until(dag, r, BeamConfig { width, branch }, deadline, cutoff) {
+                Ok((trace, cost)) => Swept::Ran(trace, cost),
+                Err(ExactError::Cutoff { bound }) => Swept::Cut(bound),
+                Err(_) => Swept::Skipped,
+            }
         }
-        s => s.run_prbp(dag, r).ok_or(ExactError::Unsolvable),
-    })
+        s => replayed(dag, r, s, s.run_prbp(dag, r)),
+    }
 }
 
-/// The trace `run` produces for `s`, with its validated cost, under the
-/// member's phase span.
-fn replayed(
-    dag: &Dag,
-    r: usize,
-    s: Scheduler,
-    run: impl FnOnce(Scheduler) -> Result<PrbpTrace, ExactError>,
-) -> Swept {
-    let _span = pebble_obs::trace::span(s.phase_name());
-    match run(s) {
-        Ok(trace) => match validated_cost(dag, r, &trace, &s) {
-            Some(cost) => Swept::Ran(trace, cost),
-            None => Swept::Skipped,
-        },
-        Err(ExactError::Cutoff { bound }) => Swept::Cut(bound),
-        Err(_) => Swept::Skipped,
-    }
+/// `trace`, the result of member `s`, with its replayed cost.
+fn replayed(dag: &Dag, r: usize, s: Scheduler, trace: Option<PrbpTrace>) -> Swept {
+    trace
+        .and_then(|trace| validated_cost(dag, r, &trace, &s).map(|cost| Swept::Ran(trace, cost)))
+        .unwrap_or(Swept::Skipped)
 }
 
 /// [`best_prbp`]'s sweep over `suite`, in order: `result` gives a member's
@@ -465,7 +459,7 @@ mod tests {
         run: impl Fn(Scheduler) -> Option<PrbpTrace>,
     ) -> Option<(Scheduler, PrbpTrace, usize)> {
         first_minimum(suite, load_count(dag, r), None, |s, _| {
-            replayed(dag, r, s, |s| run(s).ok_or(ExactError::Unsolvable))
+            replayed(dag, r, s, run(s))
         })
     }
 

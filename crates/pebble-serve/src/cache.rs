@@ -8,10 +8,11 @@
 //! the soundness invariant — **replayed through the game simulator**: a hit
 //! is only served if the remapped trace validates on the request DAG at the
 //! stored cost, and only with a bound ladder that is sound for the request
-//! DAG (the ladder is recomputed in linear time and compared). Canonicalization is a bounded heuristic (WL refinement plus
-//! capped individualization), so in the worst case two non-isomorphic DAGs
-//! could share a key; the re-validation turns that worst case into a cache
-//! miss, never into a wrong answer.
+//! DAG (the ladder is recomputed in linear time and compared). The key is a
+//! hash and the numbering is partition refinement under a work budget, so
+//! in the worst case two non-isomorphic DAGs could share a key, or two
+//! relabelings of one DAG get different numberings; the re-validation turns
+//! either into a cache miss, never into a wrong answer.
 
 use crate::error::ServeError;
 use pebble_dag::canon::CanonicalForm;
@@ -185,21 +186,11 @@ impl ScheduleCache {
         }
         // Canonical index -> request NodeId.
         let inverse = form.inverse();
-        let back = |v: NodeId| -> Option<NodeId> { inverse.get(v.index()).copied() };
-        let mut moves = Vec::with_capacity(entry.moves.len());
-        for mv in &entry.moves {
-            moves.push(match *mv {
-                PrbpMove::Save(v) => PrbpMove::Save(back(v)?),
-                PrbpMove::Load(v) => PrbpMove::Load(back(v)?),
-                PrbpMove::PartialCompute { from, to } => PrbpMove::PartialCompute {
-                    from: back(from)?,
-                    to: back(to)?,
-                },
-                PrbpMove::Delete(v) => PrbpMove::Delete(back(v)?),
-                PrbpMove::Clear(v) => PrbpMove::Clear(back(v)?),
-            });
-        }
-        let trace = PrbpTrace { moves };
+        let back = |v: NodeId| inverse.get(v.index()).copied();
+        let moves = entry.moves.iter().map(|mv| mv.try_map_nodes(back));
+        let trace = PrbpTrace {
+            moves: moves.collect::<Option<_>>()?,
+        };
         // Soundness gate: never serve a stored schedule that does not replay
         // on *this* DAG at the stored cost.
         let cost = trace.validate(dag, PrbpConfig::new(r)).ok()?;
@@ -237,28 +228,46 @@ impl ScheduleCache {
         report: &ScheduleReport,
         trace: &PrbpTrace,
     ) -> Result<bool, ServeError> {
+        // Request NodeId -> canonical index, stored as a canonical NodeId.
+        let canonical = |v: NodeId| NodeId::from_index(form.to_canonical(v));
+        self.store(dag, form, r, report, || {
+            trace
+                .moves
+                .iter()
+                .map(|mv| mv.map_nodes(canonical))
+                .collect()
+        })
+    }
+
+    /// [`ScheduleCache::insert`] of a trace already in canonical numbering,
+    /// as a solve of the canonical copy returns it.
+    pub fn insert_canonical(
+        &self,
+        dag: &Dag,
+        form: &CanonicalForm,
+        r: usize,
+        report: &ScheduleReport,
+        trace: PrbpTrace,
+    ) -> Result<bool, ServeError> {
+        self.store(dag, form, r, report, || trace.moves)
+    }
+
+    /// Write the entry for `form` and `r` unless one at most as costly
+    /// exists; `moves` gives the schedule in canonical numbering.
+    fn store(
+        &self,
+        dag: &Dag,
+        form: &CanonicalForm,
+        r: usize,
+        report: &ScheduleReport,
+        moves: impl FnOnce() -> Vec<PrbpMove>,
+    ) -> Result<bool, ServeError> {
         let path = self.entry_path(form, r);
         if let Ok(existing) = store::read_file(&path) {
             if existing.cost <= report.cost as u64 {
                 return Ok(false);
             }
         }
-        // Request NodeId -> canonical index, stored as a canonical NodeId.
-        let fwd = |v: NodeId| NodeId::from_index(form.to_canonical(v));
-        let moves = trace
-            .moves
-            .iter()
-            .map(|mv| match *mv {
-                PrbpMove::Save(v) => PrbpMove::Save(fwd(v)),
-                PrbpMove::Load(v) => PrbpMove::Load(fwd(v)),
-                PrbpMove::PartialCompute { from, to } => PrbpMove::PartialCompute {
-                    from: fwd(from),
-                    to: fwd(to),
-                },
-                PrbpMove::Delete(v) => PrbpMove::Delete(fwd(v)),
-                PrbpMove::Clear(v) => PrbpMove::Clear(fwd(v)),
-            })
-            .collect();
         let entry = StoreEntry {
             key: form.key.0,
             model: Model::Prbp,
@@ -273,7 +282,7 @@ impl ScheduleCache {
                 .iter()
                 .map(|b| (b.name.clone(), b.value as u64))
                 .collect(),
-            moves,
+            moves: moves(),
         };
         store::write_file(&path, &entry)
             .map_err(|e| ServeError::Cache(format!("writing {}: {e}", path.display())))?;

@@ -4,9 +4,14 @@
 //! Request flow (`POST /v1/schedule`): parse (any `pebble-io` format) →
 //! canonical hash ([`pebble_dag::canon`]) → cache lookup (hits are
 //! simulator-re-validated before they are served) → on a miss, the
-//! certified compose solve ([`pebble_sched::compose_certified`]) under the
-//! request's deadline, whose result is inserted for the next request of
-//! the same shape.
+//! certified compose solve under the request's deadline, whose result is
+//! inserted for the next request of the same shape. When the canonical form
+//! is discrete the solve runs on the canonical copy
+//! ([`pebble_sched::compose_certified_canonical`]), so the relabelings of a
+//! shape that canon numbers alike get the same schedule; its trace is mapped back and certified on
+//! the request's own DAG, and stored as solved, in canonical ids. A form
+//! with ties left solves the request's own numbering
+//! ([`pebble_sched::compose_certified`]).
 //! Every response is either a validated certificate or a structured JSON
 //! error; a deadline too small to produce any incumbent is the distinct
 //! `"status":"deadline-no-incumbent"` outcome (HTTP 504), never a panic.
@@ -25,7 +30,9 @@ use pebble_io::json::escape;
 use pebble_io::Format;
 use pebble_obs::metrics::Registry;
 use pebble_obs::trace::{emit, enabled, TraceEvent};
-use pebble_sched::{compose_certified, ComposeConfig, ComposeError, ScheduleReport};
+use pebble_sched::{
+    compose_certified, compose_certified_canonical, ComposeConfig, ComposeError, ScheduleReport,
+};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -409,10 +416,20 @@ fn schedule_response(request: &Request, ctx: &Ctx, read_us: u64) -> Response {
         threads: ctx.solver_workers,
         ..ComposeConfig::default()
     };
-    let (solved, solve_us) = timed(STAGE_SOLVE, || compose_certified(&dag, r, &config));
+    // A discrete form numbers the relabelings of a shape alike (see
+    // `pebble_dag::canon`), so the solve runs on the canonical copy. A form with ties left puts the tied nodes in hash
+    // order, which carries no structure to schedule by, so the request's
+    // own numbering is solved instead.
+    let (solved, solve_us) = timed(STAGE_SOLVE, || {
+        if form.discrete {
+            compose_certified_canonical(&dag, &form, r, &config).map(|(c, t)| (c, Some(t)))
+        } else {
+            compose_certified(&dag, r, &config).map(|c| (c, None))
+        }
+    });
     stages.solve_us = solve_us;
-    let certified = match solved {
-        Ok(certified) => certified,
+    let (certified, canonical) = match solved {
+        Ok(solved) => solved,
         Err(ComposeError::SmallR { r }) => {
             return bad_request(&format!("r = {r} is too small for PRBP (need r >= 2)"))
         }
@@ -433,9 +450,11 @@ fn schedule_response(request: &Request, ctx: &Ctx, read_us: u64) -> Response {
     };
     let report = certified.report;
     // A cache write failure degrades to cold-serving; the answer stands.
-    let (_, validate_us) = timed(STAGE_VALIDATE, || {
-        ctx.cache
-            .insert(&dag, &form, r, &report, &certified.outcome.trace)
+    let (_, validate_us) = timed(STAGE_VALIDATE, || match canonical {
+        Some(trace) => ctx.cache.insert_canonical(&dag, &form, r, &report, trace),
+        None => ctx
+            .cache
+            .insert(&dag, &form, r, &report, &certified.outcome.trace),
     });
     stages.validate_us = validate_us;
     ok_response(
@@ -577,6 +596,54 @@ mod tests {
         let dir = server.cache().dir().to_path_buf();
         server.shutdown();
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn relabelings_get_one_cold_certificate() {
+        // Each relabeling goes to a fresh cache, so each is a cold solve; all
+        // of them run on the same canonical copy.
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let dag = fft(16).dag;
+        let n = dag.node_count();
+        let mut certificates = Vec::new();
+        for seed in 0..5u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut perm: Vec<usize> = (0..n).collect();
+            perm.shuffle(&mut rng);
+            let mut edges: Vec<(usize, usize)> = dag
+                .edges()
+                .map(|e| dag.edge_endpoints(e))
+                .map(|(u, v)| (perm[u.index()], perm[v.index()]))
+                .collect();
+            edges.shuffle(&mut rng);
+            let mut b = pebble_dag::DagBuilder::new();
+            let ids = b.add_nodes(n);
+            for (u, v) in edges {
+                b.add_edge(ids[u], ids[v]);
+            }
+            let doc = pebble_io::write(&b.build().unwrap(), Format::EdgeList);
+            let server = start_server(&format!("relabel{seed}"));
+            let addr = server.local_addr().to_string();
+            let (status, body) = client_request(
+                &addr,
+                "POST",
+                "/v1/schedule?r=4&deadline_ms=60000",
+                doc.as_bytes(),
+                Duration::from_secs(120),
+            )
+            .unwrap();
+            let body = String::from_utf8(body).unwrap();
+            assert_eq!(status, 200, "{body}");
+            assert!(body.contains("\"cache\":\"miss\""), "{body}");
+            certificates.push(report_of(&body).to_string());
+            let dir = server.cache().dir().to_path_buf();
+            server.shutdown();
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        for other in &certificates[1..] {
+            assert_eq!(other, &certificates[0]);
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! no-incumbent contract (exit code 3 + machine-readable status) and the
 //! `warm` / `serve` / `submit` round trip over a real socket.
 
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
@@ -128,27 +129,33 @@ fn warm_serve_submit_roundtrip() {
     );
     assert!(warm.contains("\"inserted\":1"), "{warm}");
 
-    // Port 0 would be ideal, but the CLI server prints its address to
-    // stderr and `submit` needs it up front — so pick a port from the pid.
-    let port = 20000 + (std::process::id() % 20000);
-    let addr = format!("127.0.0.1:{port}");
+    // Port 0 picks a free port; the server names it on its first stderr
+    // line, once it is listening.
     let mut server = Command::new(env!("CARGO_BIN_EXE_prbp"))
         .args([
             "serve",
             "--cache-dir",
             "cache",
             "--addr",
-            &addr,
+            "127.0.0.1:0",
             "--deadline-ms",
             "10000",
         ])
         .current_dir(&dir)
         .stdout(Stdio::null())
-        .stderr(Stdio::null())
+        .stderr(Stdio::piped())
         .spawn()
         .expect("spawn prbp serve");
-
-    // `submit` retries connecting, so no sleep is needed here.
+    let mut stderr = BufReader::new(server.stderr.take().expect("piped stderr"));
+    let mut banner = String::new();
+    stderr
+        .read_line(&mut banner)
+        .expect("read the server banner");
+    let addr = banner
+        .strip_prefix("prbp-serve listening on http://")
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no listening address in {banner:?}"))
+        .to_string();
     let result = Command::new(env!("CARGO_BIN_EXE_prbp"))
         .args([
             "submit",
