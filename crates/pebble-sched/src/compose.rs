@@ -224,21 +224,19 @@ pub fn compose_certified(
 /// ([`CanonicalForm::relabel`] of `form`, which must be `dag`'s form), so
 /// every relabeling with the same canonical edge list gets the same
 /// schedule. The copy's trace is mapped back to `dag`'s ids and certified
-/// on `dag` itself. Returns the certificate and the trace in canonical ids.
+/// on `dag` itself.
 pub fn compose_certified_canonical(
     dag: &Dag,
     form: &CanonicalForm,
     r: usize,
     config: &ComposeConfig,
-) -> Result<(Certified, PrbpTrace), ComposeError> {
+) -> Result<Certified, ComposeError> {
     let mut outcome = compose(&form.relabel(dag), r, config)?;
     let inverse = form.inverse();
     let moves = outcome.trace.moves.iter();
-    let back = moves
-        .map(|mv| mv.map_nodes(|c| inverse[c.index()]))
-        .collect();
-    let canonical = std::mem::replace(&mut outcome.trace, PrbpTrace::from_moves(back));
-    Ok((certify(dag, r, outcome)?, canonical))
+    let back = moves.map(|mv| mv.map_nodes(|c| inverse[c.index()]));
+    outcome.trace = PrbpTrace::from_moves(back.collect());
+    certify(dag, r, outcome)
 }
 
 /// Certify a compose `outcome` whose trace is in `dag`'s ids: re-validate

@@ -12,12 +12,13 @@
 //! hash and the numbering is partition refinement under a work budget, so
 //! in the worst case two non-isomorphic DAGs could share a key, or two
 //! relabelings of one DAG get different numberings; the re-validation turns
-//! either into a cache miss, never into a wrong answer.
+//! either into a cache miss, never into a wrong answer. An insert replaces
+//! an entry that fails that re-validation, so such a miss is not permanent.
 
 use crate::error::ServeError;
 use pebble_dag::canon::CanonicalForm;
 use pebble_dag::{Dag, NodeId};
-use pebble_game::moves::{Model, PrbpMove};
+use pebble_game::moves::Model;
 use pebble_game::prbp::PrbpConfig;
 use pebble_game::trace::PrbpTrace;
 use pebble_io::store::{self, StoreEntry};
@@ -218,8 +219,11 @@ impl ScheduleCache {
 
     /// Store a certified schedule, keyed by `form` and `r`. The trace is in
     /// the request numbering and gets stored canonically. Keep-better: an
-    /// existing entry with equal or lower cost is left untouched (returns
-    /// `Ok(false)`).
+    /// existing entry that still serves this request (see
+    /// [`ScheduleCache::lookup`]) at equal or lower cost is left untouched
+    /// (returns `Ok(false)`). One that does not, because it was written
+    /// under another numbering, for a colliding shape or got corrupted, is
+    /// replaced, so a shape never stays a miss for good.
     pub fn insert(
         &self,
         dag: &Dag,
@@ -228,46 +232,14 @@ impl ScheduleCache {
         report: &ScheduleReport,
         trace: &PrbpTrace,
     ) -> Result<bool, ServeError> {
+        if self
+            .lookup_inner(dag, form, r)
+            .is_some_and(|existing| existing.report.cost <= report.cost)
+        {
+            return Ok(false);
+        }
         // Request NodeId -> canonical index, stored as a canonical NodeId.
         let canonical = |v: NodeId| NodeId::from_index(form.to_canonical(v));
-        self.store(dag, form, r, report, || {
-            trace
-                .moves
-                .iter()
-                .map(|mv| mv.map_nodes(canonical))
-                .collect()
-        })
-    }
-
-    /// [`ScheduleCache::insert`] of a trace already in canonical numbering,
-    /// as a solve of the canonical copy returns it.
-    pub fn insert_canonical(
-        &self,
-        dag: &Dag,
-        form: &CanonicalForm,
-        r: usize,
-        report: &ScheduleReport,
-        trace: PrbpTrace,
-    ) -> Result<bool, ServeError> {
-        self.store(dag, form, r, report, || trace.moves)
-    }
-
-    /// Write the entry for `form` and `r` unless one at most as costly
-    /// exists; `moves` gives the schedule in canonical numbering.
-    fn store(
-        &self,
-        dag: &Dag,
-        form: &CanonicalForm,
-        r: usize,
-        report: &ScheduleReport,
-        moves: impl FnOnce() -> Vec<PrbpMove>,
-    ) -> Result<bool, ServeError> {
-        let path = self.entry_path(form, r);
-        if let Ok(existing) = store::read_file(&path) {
-            if existing.cost <= report.cost as u64 {
-                return Ok(false);
-            }
-        }
         let entry = StoreEntry {
             key: form.key.0,
             model: Model::Prbp,
@@ -282,8 +254,13 @@ impl ScheduleCache {
                 .iter()
                 .map(|b| (b.name.clone(), b.value as u64))
                 .collect(),
-            moves: moves(),
+            moves: trace
+                .moves
+                .iter()
+                .map(|mv| mv.map_nodes(canonical))
+                .collect(),
         };
+        let path = self.entry_path(form, r);
         store::write_file(&path, &entry)
             .map_err(|e| ServeError::Cache(format!("writing {}: {e}", path.display())))?;
         self.insertions.fetch_add(1, Ordering::Relaxed);
@@ -318,7 +295,8 @@ pub struct WarmSummary {
     pub files: usize,
     /// Entries written into the cache.
     pub inserted: usize,
-    /// Instances already cached at an equal or better cost.
+    /// Instances whose cached entry still serves them at an equal or
+    /// better cost.
     pub skipped: usize,
     /// Files that failed to parse or schedule.
     pub failed: usize,
@@ -326,9 +304,9 @@ pub struct WarmSummary {
 
 /// Precompute the cache from a directory of instance files (any `pebble-io`
 /// format, recognised by extension). Each instance goes through the
-/// certified compose solve ([`pebble_sched::compose_certified`]) that cold
-/// `serve` requests use, here with the default configuration and no
-/// deadline, and is inserted under its canonical key. Files with
+/// certified compose solve ([`pebble_sched::compose_certified`]) in its own
+/// numbering, with the default configuration and no deadline, and is
+/// inserted under its canonical key. Files with
 /// unrecognised extensions are ignored; per-file failures are counted, not
 /// fatal.
 pub fn warm_from_dir(
@@ -513,6 +491,33 @@ mod tests {
         assert!(cache.insert(&f.dag, &form, 4, &report, &trace).unwrap());
         // Same cost again: not overwritten.
         assert!(!cache.insert(&f.dag, &form, 4, &report, &trace).unwrap());
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn an_entry_under_another_numbering_is_replaced() {
+        // An entry written under another canonical numbering (a cache kept
+        // across a numbering change) fails re-validation; the next insert
+        // replaces it even at the same cost, and then hits.
+        let f = fft(8);
+        let form = canonical_form(&f.dag);
+        let n = f.dag.node_count();
+        let other = CanonicalForm {
+            perm: form.perm.iter().map(|&p| n - 1 - p).collect(),
+            ..form.clone()
+        };
+        let (report, trace) = schedule(&f.dag, 4);
+        let cache = ScheduleCache::open(scratch("renumbered")).unwrap();
+        assert!(cache.insert(&f.dag, &other, 4, &report, &trace).unwrap());
+        match cache.lookup_outcome(&f.dag, &form, 4) {
+            LookupOutcome::MissInvalid => {}
+            other => panic!("expected MissInvalid, got {other:?}"),
+        }
+        assert!(cache.insert(&f.dag, &form, 4, &report, &trace).unwrap());
+        let hit = cache
+            .lookup(&f.dag, &form, 4)
+            .expect("hit after the replace");
+        assert_eq!(hit.report, report);
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

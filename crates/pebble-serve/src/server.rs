@@ -5,13 +5,10 @@
 //! canonical hash ([`pebble_dag::canon`]) → cache lookup (hits are
 //! simulator-re-validated before they are served) → on a miss, the
 //! certified compose solve under the request's deadline, whose result is
-//! inserted for the next request of the same shape. When the canonical form
-//! is discrete the solve runs on the canonical copy
-//! ([`pebble_sched::compose_certified_canonical`]), so the relabelings of a
-//! shape that canon numbers alike get the same schedule; its trace is mapped back and certified on
-//! the request's own DAG, and stored as solved, in canonical ids. A form
-//! with ties left solves the request's own numbering
-//! ([`pebble_sched::compose_certified`]).
+//! inserted for the next request of the same shape. The solve runs on the
+//! canonical copy ([`pebble_sched::compose_certified_canonical`]), so the
+//! relabelings of a shape that canon numbers alike get the same schedule;
+//! its trace is mapped back and certified on the request's own DAG.
 //! Every response is either a validated certificate or a structured JSON
 //! error; a deadline too small to produce any incumbent is the distinct
 //! `"status":"deadline-no-incumbent"` outcome (HTTP 504), never a panic.
@@ -30,9 +27,7 @@ use pebble_io::json::escape;
 use pebble_io::Format;
 use pebble_obs::metrics::Registry;
 use pebble_obs::trace::{emit, enabled, TraceEvent};
-use pebble_sched::{
-    compose_certified, compose_certified_canonical, ComposeConfig, ComposeError, ScheduleReport,
-};
+use pebble_sched::{compose_certified_canonical, ComposeConfig, ComposeError, ScheduleReport};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -416,19 +411,13 @@ fn schedule_response(request: &Request, ctx: &Ctx, read_us: u64) -> Response {
         threads: ctx.solver_workers,
         ..ComposeConfig::default()
     };
-    // A discrete form numbers the relabelings of a shape alike (see
-    // `pebble_dag::canon`), so the solve runs on the canonical copy. A form with ties left puts the tied nodes in hash
-    // order, which carries no structure to schedule by, so the request's
-    // own numbering is solved instead.
+    // The canonical copy is numbered alike for the relabelings of a shape
+    // (see `pebble_dag::canon`), so they all get the same schedule.
     let (solved, solve_us) = timed(STAGE_SOLVE, || {
-        if form.discrete {
-            compose_certified_canonical(&dag, &form, r, &config).map(|(c, t)| (c, Some(t)))
-        } else {
-            compose_certified(&dag, r, &config).map(|c| (c, None))
-        }
+        compose_certified_canonical(&dag, &form, r, &config)
     });
     stages.solve_us = solve_us;
-    let (certified, canonical) = match solved {
+    let certified = match solved {
         Ok(solved) => solved,
         Err(ComposeError::SmallR { r }) => {
             return bad_request(&format!("r = {r} is too small for PRBP (need r >= 2)"))
@@ -450,11 +439,9 @@ fn schedule_response(request: &Request, ctx: &Ctx, read_us: u64) -> Response {
     };
     let report = certified.report;
     // A cache write failure degrades to cold-serving; the answer stands.
-    let (_, validate_us) = timed(STAGE_VALIDATE, || match canonical {
-        Some(trace) => ctx.cache.insert_canonical(&dag, &form, r, &report, trace),
-        None => ctx
-            .cache
-            .insert(&dag, &form, r, &report, &certified.outcome.trace),
+    let (_, validate_us) = timed(STAGE_VALIDATE, || {
+        ctx.cache
+            .insert(&dag, &form, r, &report, &certified.outcome.trace)
     });
     stages.validate_us = validate_us;
     ok_response(
@@ -644,6 +631,57 @@ mod tests {
         for other in &certificates[1..] {
             assert_eq!(other, &certificates[0]);
         }
+    }
+
+    #[test]
+    fn a_stale_entry_is_replaced_by_the_next_cold_solve() {
+        // An entry stored under another numbering claims cost 0, which no
+        // solve beats; it never validates, so the cold solve replaces it.
+        let dag = fft(8).dag;
+        let form = canonical_form(&dag);
+        let n = dag.node_count();
+        let stale = pebble_dag::canon::CanonicalForm {
+            perm: form.perm.iter().map(|&p| n - 1 - p).collect(),
+            ..form.clone()
+        };
+        let solved = pebble_sched::compose_certified(&dag, 4, &ComposeConfig::default()).unwrap();
+        let report = ScheduleReport {
+            cost: 0,
+            ..solved.report
+        };
+        let server = start_server("stale");
+        let trace = &solved.outcome.trace;
+        assert!(server
+            .cache()
+            .insert(&dag, &stale, 4, &report, trace)
+            .unwrap());
+        let addr = server.local_addr().to_string();
+        let doc = pebble_io::write(&dag, Format::Json);
+        for expected in ["miss", "hit"] {
+            let (status, body) = client_request(
+                &addr,
+                "POST",
+                "/v1/schedule?r=4&deadline_ms=2000",
+                doc.as_bytes(),
+                Duration::from_secs(30),
+            )
+            .unwrap();
+            let body = String::from_utf8(body).unwrap();
+            assert_eq!(status, 200, "{body}");
+            assert!(
+                body.contains(&format!("\"cache\":\"{expected}\"")),
+                "{body}"
+            );
+        }
+        let stats = server.cache().stats();
+        assert_eq!(
+            (stats.revalidation_failures, stats.hits),
+            (1, 1),
+            "{stats:?}"
+        );
+        let dir = server.cache().dir().to_path_buf();
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
