@@ -44,10 +44,12 @@ use pebble_game::trace::PrbpTrace;
 use pebble_game::PrbpBuilder;
 
 /// Schedule `dag` in PRBP with cache size `r` by processing `edges` in the
-/// given order, evicting by Belady's rule. Works for any `r ≥ 2`; returns
-/// `None` below that, when `edges` is not a complete, source-complete
-/// edge sequence, and beyond the size limits of the module docs.
-pub fn greedy_prbp_edges(dag: &Dag, r: usize, edges: &[EdgeId]) -> Option<PrbpTrace> {
+/// given order, evicting by Belady's rule. Returns the trace and the I/O
+/// cost the simulator counted as it applied each move. Works for any
+/// `r ≥ 2`; returns `None` below that, when `edges` is not a complete,
+/// source-complete edge sequence, and beyond the size limits of the module
+/// docs.
+pub fn greedy_prbp_edges(dag: &Dag, r: usize, edges: &[EdgeId]) -> Option<(PrbpTrace, usize)> {
     if edges.len() != dag.edge_count() {
         return None;
     }
@@ -66,14 +68,19 @@ pub fn greedy_prbp_edges(dag: &Dag, r: usize, edges: &[EdgeId]) -> Option<PrbpTr
         in_done[v.index()] += 1;
     }
     let pairs = edges.iter().map(|&e| dag.edge_endpoints(e));
-    run(dag, r, pairs, PrbpTrace::new()).map(|(trace, _, _)| trace)
+    run(dag, r, pairs, PrbpTrace::new()).map(|(trace, io, _)| (trace, io))
 }
 
 /// The PRBP greedy loop on `edges`, a complete, source-complete edge
 /// sequence given as `(source, target)` pairs (the callers check it),
-/// streaming every validated move into `sink`. Returns the sink, the I/O cost and the eviction index's work
-/// count (key refreshes plus heap pops), or `None` for `r < 2` and beyond
-/// the size limits of the module docs.
+/// streaming every validated move into `sink`. Returns the sink, the I/O
+/// cost and the eviction index's work count (key refreshes plus heap pops),
+/// or `None` for `r < 2` and beyond the size limits of the module docs.
+///
+/// Every move goes through the simulator, so the cost is the one a replay
+/// of the moves gives: an illegal move panics, and so does a schedule that
+/// ends short of the terminal state (either is a bug here, since the
+/// sequence is complete and source-complete).
 pub(crate) fn run<S: MoveSink<PrbpMove>>(
     dag: &Dag,
     r: usize,
@@ -137,7 +144,7 @@ pub(crate) fn run<S: MoveSink<PrbpMove>>(
     }
     let work = red.work();
     let (sink, game) = builder.finish();
-    debug_assert!(game.is_terminal());
+    assert!(game.is_terminal(), "the edge loop must end terminal");
     Some((sink, game.io_cost(), work))
 }
 
@@ -216,8 +223,8 @@ mod tests {
         let dag = fft(16).dag;
         let ord = order::natural(&dag);
         let edges = by_target_edges(&dag, &ord);
-        let trace = greedy_prbp_edges(&dag, 4, &edges).unwrap();
-        assert!(trace.validate(&dag, PrbpConfig::new(4)).is_ok());
+        let (trace, cost) = greedy_prbp_edges(&dag, 4, &edges).unwrap();
+        assert_eq!(trace.validate(&dag, PrbpConfig::new(4)), Ok(cost));
         let node_trace = crate::greedy_prbp(&dag, 4, &ord, &mut FurthestInFuture);
         assert_eq!(node_trace, Some(trace));
     }
@@ -246,8 +253,8 @@ mod tests {
         let mm = matmul(4, 4, 4).dag;
         let r = 4 * 4 + 2 * 4 + 2; // t² accumulators + 2t inputs + transient
         let edges = cone_affinity_edges(&mm).unwrap();
-        let trace = greedy_prbp_edges(&mm, r, &edges).unwrap();
-        let cost = trace.validate(&mm, PrbpConfig::new(r)).unwrap();
+        let (trace, cost) = greedy_prbp_edges(&mm, r, &edges).unwrap();
+        assert_eq!(trace.validate(&mm, PrbpConfig::new(r)), Ok(cost));
         // Spill-free: every source loaded once, every sink saved once.
         assert_eq!(cost, mm.trivial_cost());
 
@@ -262,11 +269,9 @@ mod tests {
         let att = attention_qk(4, 2).dag;
         let edges = cone_affinity_edges(&att).unwrap();
         let r = 16 + 2 * 4 * 2 + 2;
-        let trace = greedy_prbp_edges(&att, r, &edges).unwrap();
-        assert_eq!(
-            trace.validate(&att, PrbpConfig::new(r)).unwrap(),
-            att.trivial_cost()
-        );
+        let (trace, cost) = greedy_prbp_edges(&att, r, &edges).unwrap();
+        assert_eq!(cost, att.trivial_cost());
+        assert_eq!(trace.validate(&att, PrbpConfig::new(r)), Ok(cost));
     }
 
     #[test]
@@ -281,12 +286,9 @@ mod tests {
         let mm = matmul(8, 8, 8).dag;
         let edges = cone_affinity_edges(&mm).unwrap();
         for (r, expected) in [(16usize, 1_008usize), (24, 880), (32, 766), (64, 318)] {
-            let trace = greedy_prbp_edges(&mm, r, &edges).unwrap();
-            assert_eq!(
-                trace.validate(&mm, PrbpConfig::new(r)),
-                Ok(expected),
-                "r = {r}"
-            );
+            let (trace, cost) = greedy_prbp_edges(&mm, r, &edges).unwrap();
+            assert_eq!(cost, expected, "r = {r}");
+            assert_eq!(trace.validate(&mm, PrbpConfig::new(r)), Ok(cost));
         }
     }
 
@@ -297,8 +299,8 @@ mod tests {
         let mm = matmul(3, 3, 3).dag;
         let edges = cone_affinity_edges(&mm).unwrap();
         for r in [2usize, 3, 4, 6] {
-            let trace = greedy_prbp_edges(&mm, r, &edges).unwrap();
-            let cost = trace.validate(&mm, PrbpConfig::new(r)).unwrap();
+            let (trace, cost) = greedy_prbp_edges(&mm, r, &edges).unwrap();
+            assert_eq!(trace.validate(&mm, PrbpConfig::new(r)), Ok(cost));
             assert!(cost >= mm.trivial_cost());
         }
     }

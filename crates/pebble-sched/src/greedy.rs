@@ -9,9 +9,8 @@
 //! all of its inputs at once, in its own loop here.
 //!
 //! Every move is pushed through the validated trace builders of
-//! `pebble-game`, so an internal inconsistency fails at the offending move;
-//! callers still re-validate the finished pebbling from scratch before
-//! reporting its cost (see [`crate::report`]).
+//! `pebble-game`, so an internal inconsistency fails at the offending move,
+//! and the I/O cost an executor returns is the simulator's own count.
 //!
 //! The executors come in two forms: [`greedy_prbp`] / [`greedy_rbp`] collect
 //! the moves into a trace, while [`greedy_prbp_into`] / [`greedy_rbp_into`]

@@ -5,7 +5,7 @@
 //! can refer to schedulers by string and replay them bit-for-bit.
 
 use crate::beam::{beam_prbp, beam_prbp_until, BeamConfig};
-use crate::greedy::{greedy_prbp, greedy_rbp};
+use crate::greedy::{greedy_prbp, greedy_prbp_into, greedy_rbp};
 use crate::order;
 use crate::policy::FurthestInFuture;
 use pebble_dag::{Dag, NodeId};
@@ -226,9 +226,10 @@ pub fn default_suite() -> Vec<Scheduler> {
 }
 
 /// Run the schedulers of `suite` in order in PRBP and return the first
-/// cheapest result as `(scheduler, trace, validated cost)`. Costs come from a
-/// full simulator re-validation of each trace, not from the builders'
-/// counters.
+/// cheapest result as `(scheduler, trace, cost)`. Each cost is the I/O the
+/// simulator counted for the member's own trace, as the member built it (or,
+/// for a beam, as the engine checked it); no trace is replayed only to
+/// choose between members.
 ///
 /// The sweep stops at the first member whose cost meets the admissible
 /// load-count bound: no later member can be strictly cheaper, so the result
@@ -237,11 +238,11 @@ pub fn default_suite() -> Vec<Scheduler> {
 /// stops, with no trace, once every schedule it could still finish costs at
 /// least that much (its I/O so far plus the load-count bound of its state,
 /// per beam entry), so a full beam solve is paid only where it may win. A
-/// member that emits no trace, or an invalid one, is skipped. The winner's
-/// family is counted in `sched_portfolio_wins_total`, and the winner in
-/// `sched_portfolio_sole_wins_total` when every member produced a validated
-/// trace or was cut, and the winner's cost is strictly below every other
-/// cost and every cut member's bound.
+/// member that emits no trace is skipped. The winner's family is counted in
+/// `sched_portfolio_wins_total`, and the winner in
+/// `sched_portfolio_sole_wins_total` when every member produced a trace or
+/// was cut, and the winner's cost is strictly below every other cost and
+/// every cut member's bound.
 pub fn best_prbp(
     dag: &Dag,
     r: usize,
@@ -274,20 +275,23 @@ pub(crate) fn best_prbp_until(
 
 /// What one portfolio member returned.
 pub(crate) enum Swept {
-    /// A validated trace and its cost.
+    /// A trace and the I/O its producer's simulator counted.
     Ran(PrbpTrace, usize),
     /// A beam stopped by its cutoff: every schedule it could still have
     /// finished costs at least this bound.
     Cut(usize),
-    /// No trace, or an invalid one.
+    /// No trace.
     Skipped,
 }
 
 /// Run one portfolio member in PRBP, a beam under `deadline` and `cutoff`
 /// (an incumbent cost it must beat, see [`best_prbp`]), and take its trace
-/// with its replayed cost: a greedy or baseline trace is replayed here, a
-/// beam's comes replayed by the engine. Members share nothing, so compose
-/// runs them side by side, with no cutoff.
+/// with the I/O its producer counted. A greedy member and compose build
+/// their traces move by move through the simulator, and the beam's engine
+/// replays its trace, so each count is a replay's; debug builds check that
+/// against one more replay. Only the baseline, which tracks the game by
+/// hand, is replayed here. Members share nothing, so compose runs them side
+/// by side, with no cutoff.
 pub(crate) fn run_member(
     dag: &Dag,
     r: usize,
@@ -296,23 +300,34 @@ pub(crate) fn run_member(
     cutoff: Option<usize>,
 ) -> Swept {
     let _span = pebble_obs::trace::span(s.phase_name());
-    match s {
+    let counted = match s {
         Scheduler::Beam { width, branch } => {
             match beam_prbp_until(dag, r, BeamConfig { width, branch }, deadline, cutoff) {
-                Ok((trace, cost)) => Swept::Ran(trace, cost),
-                Err(ExactError::Cutoff { bound }) => Swept::Cut(bound),
-                Err(_) => Swept::Skipped,
+                Ok(counted) => Some(counted),
+                Err(ExactError::Cutoff { bound }) => return Swept::Cut(bound),
+                Err(_) => None,
             }
         }
-        s => replayed(dag, r, s, s.run_prbp(dag, r)),
-    }
-}
-
-/// `trace`, the result of member `s`, with its replayed cost.
-fn replayed(dag: &Dag, r: usize, s: Scheduler, trace: Option<PrbpTrace>) -> Swept {
-    trace
-        .and_then(|trace| validated_cost(dag, r, &trace, &s).map(|cost| Swept::Ran(trace, cost)))
-        .unwrap_or(Swept::Skipped)
+        Scheduler::Greedy { order } => {
+            let order = order.build(dag);
+            greedy_prbp_into(dag, r, &order, &mut FurthestInFuture, PrbpTrace::new())
+        }
+        Scheduler::Compose => crate::compose::compose_prbp(dag, r, &Default::default())
+            .map(|outcome| (outcome.trace, outcome.cost)),
+        Scheduler::Baseline => topological::prbp_topological(dag, r).map(|trace| {
+            let cost = trace.validate(dag, PrbpConfig::new(r));
+            (trace, cost.expect("the baseline emits a valid trace"))
+        }),
+    };
+    let Some((trace, cost)) = counted else {
+        return Swept::Skipped;
+    };
+    debug_assert_eq!(
+        trace.validate(dag, PrbpConfig::new(r)),
+        Ok(cost),
+        "{s}'s count differs from its replay"
+    );
+    Swept::Ran(trace, cost)
 }
 
 /// [`best_prbp`]'s sweep over `suite`, in order: `result` gives a member's
@@ -366,24 +381,6 @@ fn sole_minimum(costs: &[Option<usize>], members: usize, best: usize) -> bool {
     costs.len() == members
         && costs.iter().all(Option::is_some)
         && costs.iter().filter(|&&c| c == Some(best)).count() == 1
-}
-
-/// The replayed cost of a scheduler's trace. An invalid trace is a bug in
-/// that scheduler: debug builds stop on it, release builds return `None` so
-/// the caller skips the member instead of panicking.
-pub(crate) fn validated_cost(
-    dag: &Dag,
-    r: usize,
-    trace: &PrbpTrace,
-    scheduler: &dyn fmt::Display,
-) -> Option<usize> {
-    match trace.validate(dag, PrbpConfig::new(r)) {
-        Ok(cost) => Some(cost),
-        Err(e) => {
-            debug_assert!(false, "{scheduler} emitted an invalid trace: {e}");
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -451,15 +448,19 @@ mod tests {
     }
 
     /// [`first_minimum`] over `suite` without a deadline, each member run
-    /// by `run`.
+    /// by `run` and its trace replayed for its cost.
     fn sweep(
         dag: &Dag,
         r: usize,
         suite: &[Scheduler],
         run: impl Fn(Scheduler) -> Option<PrbpTrace>,
     ) -> Option<(Scheduler, PrbpTrace, usize)> {
-        first_minimum(suite, load_count(dag, r), None, |s, _| {
-            replayed(dag, r, s, run(s))
+        first_minimum(suite, load_count(dag, r), None, |s, _| match run(s) {
+            Some(trace) => {
+                let cost = trace.validate(dag, PrbpConfig::new(r)).expect("valid");
+                Swept::Ran(trace, cost)
+            }
+            None => Swept::Skipped,
         })
     }
 
@@ -575,31 +576,13 @@ mod tests {
         let (s, trace, cost) = sweep(&dag, r, &suite, skipped).unwrap();
         assert_ne!(s, suite[0]);
         assert_eq!(Some(trace), s.run_prbp(&dag, r));
-        let others = suite[1..]
-            .iter()
-            .map(|m| validated_cost(&dag, r, &m.run_prbp(&dag, r).unwrap(), m).unwrap());
+        let others = suite[1..].iter().map(|m| {
+            let trace = m.run_prbp(&dag, r).unwrap();
+            trace.validate(&dag, PrbpConfig::new(r)).unwrap()
+        });
         assert_eq!(Some(cost), others.min());
         // No member at all: no result.
         assert!(sweep(&dag, r, &suite, |_| None).is_none());
-    }
-
-    // Release builds skip an invalid trace; debug builds stop on it.
-    #[cfg(not(debug_assertions))]
-    #[test]
-    fn an_invalid_trace_is_skipped() {
-        let dag = fft(16).dag;
-        let r = 4;
-        let suite = default_suite();
-        let broken = |s: Scheduler| {
-            if s == suite[0] {
-                Some(PrbpTrace::new())
-            } else {
-                s.run_prbp(&dag, r)
-            }
-        };
-        let (s, ..) = sweep(&dag, r, &suite, broken).unwrap();
-        assert_ne!(s, suite[0]);
-        assert_eq!(validated_cost(&dag, r, &PrbpTrace::new(), &"empty"), None);
     }
 
     #[test]

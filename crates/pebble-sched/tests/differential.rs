@@ -11,6 +11,10 @@
 //! * the composable decomposition bound of `pebble-bounds` is admissible for
 //!   *arbitrary* node partitions — including disconnected, non-convex ones —
 //!   and never exceeds the whole DAG's load-count bound;
+//! * every producer's own I/O count — greedy on both orders, the cone edge
+//!   schedule, the beams and compose — equals a from-scratch replay of its
+//!   trace, since selection and compose's reported cost use those counts
+//!   and only the certificate replays;
 //! * `Scheduler`/`OrderKind` display names round-trip through
 //!   `FromStr` (including `compose`) and unknown names, parameterised
 //!   `compose:<N>` among them, are rejected instead of misparsed.
@@ -22,13 +26,16 @@
 #![cfg(not(debug_assertions))]
 
 use pebble_bounds::composed_prbp_bound;
-use pebble_dag::generators::{random_layered, RandomLayeredConfig};
+use pebble_dag::generators::{attention_qk, fft, matmul, random_layered, RandomLayeredConfig};
 use pebble_dag::{Dag, DagBuilder, NodeId};
 use pebble_game::engine::{solve_prbp, EngineConfig};
 use pebble_game::exact::{prbp_initial_bound, LoadCountHeuristic};
 use pebble_game::prbp::PrbpConfig;
+use pebble_game::trace::PrbpTrace;
 use pebble_sched::{
-    certify_prbp_with, compose_prbp, default_suite, BoundSet, ComposeConfig, OrderKind, Scheduler,
+    beam_prbp, certify_prbp_with, compose_prbp, cone_affinity_edges, default_suite,
+    greedy_prbp_edges, greedy_prbp_into, BeamConfig, BoundSet, ComposeConfig, FurthestInFuture,
+    OrderKind, Scheduler,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -134,8 +141,89 @@ fn exact_config() -> ComposeConfig {
     }
 }
 
+/// Cache sizes at which the producers' counts are compared with replays.
+const COUNT_RS: [usize; 5] = [2, 3, 4, 8, 16];
+
+/// Assert that every producer's own I/O count on `dag` at cache size `r`
+/// equals a from-scratch replay of its trace: greedy on both orders, the
+/// cone edge schedule where it applies, the beam engine at widths 1 and 8
+/// (the trace `beam_prbp` returns) and compose's `outcome.cost`.
+fn producer_counts_equal_replays(dag: &Dag, r: usize) {
+    let replay = |trace: &PrbpTrace| trace.validate(dag, PrbpConfig::new(r));
+    for kind in [OrderKind::Natural, OrderKind::DfsPostorder] {
+        let order = kind.build(dag);
+        let (trace, cost) =
+            greedy_prbp_into(dag, r, &order, &mut FurthestInFuture, PrbpTrace::new())
+                .expect("r >= 2 schedules any topological order");
+        assert_eq!(replay(&trace), Ok(cost), "greedy {kind:?}, r {r}");
+    }
+    if let Some(edges) = cone_affinity_edges(dag) {
+        let (trace, cost) = greedy_prbp_edges(dag, r, &edges)
+            .expect("the cone order is complete and source-complete");
+        assert_eq!(replay(&trace), Ok(cost), "cone edges, r {r}");
+    }
+    for cfg in [BeamConfig::adaptive(), BeamConfig::default()] {
+        let engine = EngineConfig {
+            width: Some(cfg.width),
+            branch: cfg.branch,
+            ..EngineConfig::default()
+        };
+        let out = solve_prbp(dag, PrbpConfig::new(r), &engine, &LoadCountHeuristic, None)
+            .expect("a beam schedules any DAG at r >= 2");
+        assert_eq!(beam_prbp(dag, r, cfg).as_ref(), Some(&out.trace));
+        assert_eq!(
+            replay(&out.trace),
+            Ok(out.cost),
+            "beam:{}, r {r}",
+            cfg.width
+        );
+    }
+    // A small exact budget keeps the search short; the count is checked
+    // whatever the components' schedules are.
+    let config = ComposeConfig {
+        exact_max_states: 20_000,
+        ..ComposeConfig::default()
+    };
+    let outcome = compose_prbp(dag, r, &config).expect("r >= 2 schedules any DAG");
+    assert_eq!(replay(&outcome.trace), Ok(outcome.cost), "compose, r {r}");
+}
+
+#[test]
+fn producer_counts_equal_replays_on_structured_dags() {
+    for dag in [
+        fft(16).dag,
+        matmul(2, 2, 2).dag,
+        matmul(4, 4, 4).dag,
+        attention_qk(4, 2).dag,
+    ] {
+        for r in COUNT_RS {
+            producer_counts_equal_replays(&dag, r);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every producer's count equals its replay on random layered DAGs,
+    /// from solver-sized ones to a few dozen nodes.
+    #[test]
+    fn producer_counts_equal_replays_on_random_dags(
+        layers in 2usize..7,
+        width in 2usize..8,
+        deg in 1usize..4,
+        seed in any::<u64>(),
+    ) {
+        let dag = random_layered(RandomLayeredConfig {
+            layers,
+            width,
+            max_in_degree: deg,
+            seed,
+        });
+        for r in COUNT_RS {
+            producer_counts_equal_replays(&dag, r);
+        }
+    }
 
     /// Every engine's certified cost brackets the exact optimum from above,
     /// and every bound in its ladder brackets it from below.

@@ -349,7 +349,7 @@ fn check_all(dag: &Dag) {
     for edges in &edge_orders {
         for r in prbp_rs {
             assert_eq!(
-                greedy_prbp_edges(dag, r, edges),
+                greedy_prbp_edges(dag, r, edges).map(|(trace, _)| trace),
                 Some(prbp_edges_scan(dag, r, edges)),
                 "greedy_prbp_edges, r {r}"
             );

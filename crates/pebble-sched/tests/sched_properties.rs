@@ -252,7 +252,7 @@ mod compose_reference {
             .filter_map(|s| s.run_prbp(dag, r))
             .collect();
         if let Some(edges) = cone_affinity_edges(dag) {
-            candidates.extend(greedy_prbp_edges(dag, r, &edges));
+            candidates.extend(greedy_prbp_edges(dag, r, &edges).map(|(trace, _)| trace));
         }
         let mut best: Option<(PrbpTrace, usize)> = None;
         for trace in candidates {
