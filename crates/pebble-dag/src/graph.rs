@@ -351,19 +351,18 @@ impl Dag {
 
     pub(crate) fn topological_order_internal(&self) -> Option<Vec<NodeId>> {
         let n = self.node_count();
-        let mut in_deg: Vec<usize> = (0..n)
-            .map(|i| self.in_degree(NodeId::from_index(i)))
+        let mut in_deg: Vec<u32> = self
+            .in_off
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as u32)
             .collect();
-        let mut queue: Vec<NodeId> = (0..n)
-            .map(NodeId::from_index)
-            .filter(|&v| in_deg[v.index()] == 0)
-            .collect();
-        let mut order = Vec::with_capacity(n);
+        // The queue is never popped: a head index walks it, so once the walk
+        // ends it holds every node reached, in order.
+        let mut queue: Vec<NodeId> = Vec::with_capacity(n);
+        queue.extend((0..n).filter(|&i| in_deg[i] == 0).map(NodeId::from_index));
         let mut head = 0;
-        while head < queue.len() {
-            let v = queue[head];
+        while let Some(&v) = queue.get(head) {
             head += 1;
-            order.push(v);
             for &(w, _) in self.out_edges(v) {
                 in_deg[w.index()] -= 1;
                 if in_deg[w.index()] == 0 {
@@ -371,11 +370,7 @@ impl Dag {
                 }
             }
         }
-        if order.len() == n {
-            Some(order)
-        } else {
-            None
-        }
+        (queue.len() == n).then_some(queue)
     }
 }
 

@@ -16,9 +16,12 @@
 //!
 //! The builder is also generic over a [`MoveSink`]: by default every
 //! validated move is collected into a trace, but a streaming consumer (a
-//! counting sink, an independent replay certifier, a file writer) can be
-//! substituted via [`TraceBuilder::with_sink`] so that arbitrarily long
-//! pebblings never materialise a move vector.
+//! counting sink, a file writer) can be substituted via
+//! [`TraceBuilder::with_sink`] so that arbitrarily long pebblings never
+//! materialise a move vector. The builder's game is then the only
+//! simulator the moves meet: `pebble-sched`'s streaming certifiers take
+//! its I/O count as the certified cost, and a property test cross-checks
+//! the simulator against an independent implementation of the rules.
 
 use crate::game::Game;
 use crate::moves::{PrbpMove, RbpMove};

@@ -4,15 +4,15 @@
 //! executors of `pebble-sched` are generic over a [`MoveSink`]: each
 //! validated move is *visited* exactly once, in execution order, and the
 //! sink decides whether to store it (a [`Trace`] is itself a sink), count it
-//! ([`CountingSink`]), replay it into an independent simulator
-//! (`pebble-sched`'s streaming certifiers), or drop it ([`DiscardSink`]). On
-//! million-node DAGs a stored move vector dwarfs the DAG itself, which is
-//! what the other sinks avoid. Every sink has one impl for both games.
+//! ([`CountingSink`], what `pebble-sched`'s streaming certifiers use), or
+//! drop it ([`DiscardSink`]). On million-node DAGs a stored move vector
+//! dwarfs the DAG itself, which is what the other sinks avoid. Every sink
+//! has one impl for both games.
 //!
 //! Nothing in the contract lets a sink reject a move — validation stays with
 //! the emitter (the builder applies every move to a live game before
-//! forwarding it). A sink that needs to detect errors on its own replay keeps
-//! the failure internally and reports it when the stream ends.
+//! forwarding it), and that game is the one simulator a streamed pebbling
+//! meets.
 
 use crate::game::GameMove;
 use crate::trace::Trace;

@@ -14,13 +14,16 @@
 //! appear in some edge. Labels are not representable. Self-loops are
 //! rejected at their source line; cycles are rejected after parsing.
 //!
-//! A line of the common shape — blanks, one to eight ASCII digits, blanks,
-//! one to eight digits, blanks, where a blank is a space, a tab or `\r` —
-//! naming two distinct ids is read byte by byte (`plain_edge`). Every
-//! other line, comments, errors and long or signed ids included, is split
-//! into at most three tokens without allocating (`edge`), which keeps
-//! every error text and location of the general reader. Either way the
-//! edge goes straight into the [`DagBuilder`]. Duplicate edges are found by
+//! The document is read in one pass of bytes, without splitting it into
+//! lines first. A line of the common shape — blanks, one to eight ASCII
+//! digits, blanks, one to eight digits, blanks, then `\n` or the end of the
+//! document, where a blank is a space, a tab or `\r` — naming two distinct
+//! ids is read inline (`plain_edge`). Every other line, comments, errors
+//! and long or signed ids included, is handed with its line number to a
+//! tokenizer that splits it into at most three tokens without allocating
+//! (`edge`), which keeps every error text and location of the general
+//! reader; the pass then goes on from the next line. Either way the edge
+//! goes straight into the [`DagBuilder`]. Duplicate edges are found by
 //! the builder's one O(n + m) check. Only on that error path is the document
 //! read again, to report the duplicate at its second `u v` line. Before a
 //! located error on a later line is returned, the edges read so far are
@@ -91,29 +94,43 @@ pub(crate) fn parse_id(line: usize, col: usize, tok: &str) -> Result<usize, Pars
     }
 }
 
-/// The edge of a line of the common shape (see the module docs); `None`
-/// for every other line, which [`edge`] then reads.
-fn plain_edge(line: &[u8]) -> Option<(usize, usize)> {
-    let blank = |b: &u8| matches!(b, b' ' | b'\t' | b'\r');
-    let mut rest = line;
+/// The edge of the line starting at `at` if the line has the common shape
+/// (see the module docs), with the start of the next line. Otherwise the
+/// offset at which the line left that shape: no line end comes before it.
+fn plain_edge(bytes: &[u8], mut at: usize) -> Result<((usize, usize), usize), usize> {
+    let blanks = |mut at: usize| {
+        while bytes
+            .get(at)
+            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\r'))
+        {
+            at += 1;
+        }
+        at
+    };
     let mut ids = [0usize; 2];
-    for (k, id) in ids.iter_mut().enumerate() {
-        let lead = rest.iter().take_while(|b| blank(b)).count();
-        if k == 1 && lead == 0 {
-            return None;
+    for id in &mut ids {
+        // A second id needs a blank before it, which the digit run of the
+        // first already ensures: it stops only at a non-digit.
+        at = blanks(at);
+        let first = at;
+        while let Some(&b) = bytes.get(at).filter(|b| b.is_ascii_digit()) {
+            if at - first == 8 {
+                return Err(at);
+            }
+            *id = *id * 10 + usize::from(b - b'0');
+            at += 1;
         }
-        rest = &rest[lead..];
-        let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
-        if !(1..=8).contains(&digits) {
-            return None;
+        if at == first {
+            return Err(at);
         }
-        *id = rest[..digits]
-            .iter()
-            .fold(0, |id, b| id * 10 + usize::from(b - b'0'));
-        rest = &rest[digits..];
     }
+    at = blanks(at);
     let [u, v] = ids;
-    (rest.iter().all(blank) && u != v).then_some((u, v))
+    match bytes.get(at) {
+        None if u != v => Ok(((u, v), at)),
+        Some(b'\n') if u != v => Ok(((u, v), at + 1)),
+        _ => Err(at),
+    }
 }
 
 /// The edge on line `lno`, if the line holds one.
@@ -149,12 +166,24 @@ fn edge(lno: usize, line: &str) -> Result<Option<(usize, usize)>, ParseError> {
 
 /// Parse a whitespace edge-list document into a [`Dag`].
 pub fn parse(input: &str) -> Result<Dag, ParseError> {
+    let bytes = input.as_bytes();
     let mut b = DagBuilder::new();
     let mut max_id = 0usize;
-    for (lno0, line) in input.lines().enumerate() {
-        let parsed = match plain_edge(line.as_bytes()) {
-            Some(uv) => Ok(Some(uv)),
-            None => edge(lno0 + 1, line),
+    let (mut at, mut lno) = (0, 0);
+    while at < bytes.len() {
+        lno += 1;
+        let (parsed, next) = match plain_edge(bytes, at) {
+            Ok((uv, next)) => (Ok(Some(uv)), next),
+            Err(stop) => {
+                // The line as `str::lines` yields it: up to its `\n`, less
+                // one `\r` before that `\n`.
+                let end = input[stop..].find('\n').map_or(input.len(), |i| stop + i);
+                let mut line = &input[at..end];
+                if end < input.len() {
+                    line = line.strip_suffix('\r').unwrap_or(line);
+                }
+                (edge(lno, line), end + 1)
+            }
         };
         match parsed {
             Ok(None) => {}
@@ -175,6 +204,7 @@ pub fn parse(input: &str) -> Result<Dag, ParseError> {
                 });
             }
         }
+        at = next;
     }
     if b.edge_count() == 0 {
         return Err(ParseError::graph(DagError::Empty));
@@ -185,7 +215,10 @@ pub fn parse(input: &str) -> Result<Dag, ParseError> {
 /// Build the DAG on nodes `0 ..= max_id`, locating a duplicate edge in
 /// `input`.
 fn build(input: &str, mut b: DagBuilder, max_id: usize) -> Result<Dag, ParseError> {
-    b.add_nodes(max_id + 1);
+    // `add_node` one at a time: `add_nodes` would collect ids nobody reads.
+    for _ in 0..=max_id {
+        b.add_node();
+    }
     b.build().map_err(|err| match err {
         DagError::DuplicateEdge(u, v) => locate_duplicate(input, u.index(), v.index()),
         err => ParseError::graph(err),
@@ -264,6 +297,26 @@ mod tests {
             err.to_string(),
             "line 2, col 2: edge line needs two node ids, found one"
         );
+    }
+
+    #[test]
+    fn a_line_left_to_the_tokenizer_keeps_the_line_reader_columns() {
+        // A `\r` before `\n` ends the line; a last line keeps its `\r`, as
+        // `str::lines` yields them.
+        let err = parse("0 1\r\n3\r\n1 2\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 2, col 2: edge line needs two node ids, found one"
+        );
+        let err = parse("0 1\n1 2\n3\r").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 3, col 3: edge line needs two node ids, found one"
+        );
+        // The pass goes back to the inline reader after a handed-off line.
+        let g = parse("0 1 # c\n+1 2\n2\x0c3\n3 4").unwrap();
+        assert_eq!(g.edge_count(), 4);
+        assert!(g.has_edge(NodeId(3), NodeId(4)));
     }
 
     #[test]

@@ -99,6 +99,7 @@ pub(crate) fn parse(input: &str) -> Result<Dag, ParseError> {
 #[cfg(test)]
 mod tests {
     use crate::dag_eq;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -237,6 +238,101 @@ mod tests {
             }
         }
         assert!(duplicate_first >= 100, "{duplicate_first}");
+    }
+
+    /// The defects planted into an otherwise plain document, each a line
+    /// the byte loop must hand to the tokenizer or an edge it must reject.
+    const DEFECTS: [&str; 9] = [
+        "comment",
+        "blank",
+        "plus",
+        "nine digits",
+        "form feed",
+        "self-loop",
+        "duplicate",
+        "one id",
+        "nine-digit overflow",
+    ];
+
+    /// A long document of lines the byte loop reads inline — a random DAG
+    /// on dense ids, its ids sometimes zero-padded to the eight digits the
+    /// loop still takes — with one `defect` at a random line, `\r\n` line
+    /// ends at random and no final newline at random.
+    fn plain_document(rng: &mut ChaCha8Rng, defect: &str) -> String {
+        let k = rng.gen_range(20..400);
+        let mut seen = std::collections::HashSet::new();
+        let mut edges: Vec<(usize, usize)> = (1..k).map(|v| (rng.gen_range(0..v), v)).collect();
+        seen.extend(edges.iter().copied());
+        for _ in 0..rng.gen_range(0..3 * k) {
+            let u = rng.gen_range(0..k - 1);
+            let v = rng.gen_range(u + 1..k);
+            if seen.insert((u, v)) {
+                edges.push((u, v));
+            }
+        }
+        edges.shuffle(rng);
+        let plain = |rng: &mut ChaCha8Rng, u: usize, v: usize| {
+            let id = |rng: &mut ChaCha8Rng, x: usize| match rng.gen_range(0..8usize) {
+                0 => format!("{x:08}"),
+                _ => x.to_string(),
+            };
+            let blanks = [" ", "\t", "  ", " \t", "\r "];
+            let lead = if rng.gen_bool(0.1) {
+                blanks[rng.gen_range(0..5usize)]
+            } else {
+                ""
+            };
+            let sep = blanks[rng.gen_range(0..4usize)];
+            let tail = if rng.gen_bool(0.1) {
+                blanks[rng.gen_range(0..5usize)]
+            } else {
+                ""
+            };
+            format!("{lead}{}{sep}{}{tail}", id(rng, u), id(rng, v))
+        };
+        let mut lines: Vec<String> = edges.iter().map(|&(u, v)| plain(rng, u, v)).collect();
+        let at = rng.gen_range(0..lines.len());
+        let (u, v) = edges[at];
+        match defect {
+            "comment" => lines.insert(at, "# a comment".to_string()),
+            "blank" => lines.insert(at, ["", " ", "\t"][rng.gen_range(0..3usize)].to_string()),
+            "plus" => lines[at] = format!("+{u} {v}"),
+            "nine digits" => lines[at] = format!("{u} {v:09}"),
+            "form feed" => lines[at] = format!("{u}\x0c{v}"),
+            "self-loop" => lines.insert(at, format!("{v} {v}")),
+            "duplicate" => {
+                let copy = lines[rng.gen_range(0..=at)].clone();
+                lines.insert(at + 1, copy);
+            }
+            "one id" => lines.insert(at, format!("{u}")),
+            "nine-digit overflow" => lines[at] = format!("{u} 123456789"),
+            _ => unreachable!("{defect}"),
+        }
+        let mut doc = lines.join(if rng.gen_bool(0.3) { "\r\n" } else { "\n" });
+        if rng.gen_bool(0.7) {
+            doc.push('\n');
+        }
+        doc
+    }
+
+    /// The one-pass byte loop against the reference on long plain
+    /// documents: the hand-off of a single defective line to the tokenizer,
+    /// and the return to the inline path after it, at any line.
+    #[test]
+    fn matches_the_hashing_parser_on_plain_documents_with_one_defect() {
+        let mut rng = ChaCha8Rng::seed_from_u64(33);
+        let mut outcomes = std::collections::BTreeMap::<String, usize>::new();
+        for round in 0..360 {
+            let defect = DEFECTS[round % DEFECTS.len()];
+            let doc = plain_document(&mut rng, defect);
+            *outcomes.entry(assert_same(&doc)).or_default() += 1;
+        }
+        for kind in ["ok", "DuplicateEdge", "SelfLoop", "Syntax"] {
+            assert!(
+                outcomes.get(kind).copied().unwrap_or(0) >= 30,
+                "{outcomes:?}"
+            );
+        }
     }
 
     /// A large document with its only error on the last line: the parser

@@ -10,7 +10,10 @@
 //!
 //! Every move is pushed through the validated trace builders of
 //! `pebble-game`, so an internal inconsistency fails at the offending move,
-//! and the I/O cost an executor returns is the simulator's own count.
+//! and the I/O cost an executor returns is the simulator's own count. Both
+//! executors assert a terminal end in release builds too, which is what
+//! lets the streaming certifiers of [`crate::report`] take that count
+//! without a replay.
 //!
 //! The executors come in two forms: [`greedy_prbp`] / [`greedy_rbp`] collect
 //! the moves into a trace, while [`greedy_prbp_into`] / [`greedy_rbp_into`]
@@ -184,7 +187,7 @@ pub fn greedy_rbp_into<S: MoveSink<RbpMove>>(
         }
     }
     let (sink, game) = builder.finish();
-    debug_assert!(game.is_terminal());
+    assert!(game.is_terminal(), "the greedy RBP loop must end terminal");
     Some((sink, game.io_cost()))
 }
 

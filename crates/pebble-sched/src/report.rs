@@ -21,11 +21,14 @@
 //!
 //! Two certification paths exist. [`certify_rbp_with`] /
 //! [`certify_prbp_with`] replay a materialised trace. [`certify_greedy_rbp`]
-//! / [`certify_greedy_prbp`] run a greedy executor with a *streaming*
-//! certifier sink: every emitted move is replayed through an independent
-//! simulator as it is produced, so a million-node DAG is scheduled,
-//! validated and certified in `O(n + m)` memory without ever materialising
-//! a move vector.
+//! / [`certify_greedy_prbp`] run a greedy executor into a counting sink:
+//! the executor's builder applies every move to its game as it is emitted,
+//! and that game is the one simulator of the certificate, so a
+//! million-node DAG is scheduled, validated and certified in `O(n + m)`
+//! memory without ever materialising a move vector or replaying it. Each
+//! path checks every move exactly once. The simulator itself is
+//! cross-checked against a second, independent implementation of the rules
+//! by a property test (`tests/rules_checker.rs`).
 //!
 //! Each path, and the bound ladder, has one body written against
 //! [`pebble_game::Game`]; the per-model public functions are its
@@ -37,7 +40,7 @@ use pebble_dag::{Dag, NodeId};
 use pebble_game::exact::{self, LoadCountHeuristic};
 use pebble_game::prbp::{PrbpConfig, PrbpError, PrbpGame};
 use pebble_game::rbp::{RbpConfig, RbpError, RbpGame};
-use pebble_game::sink::MoveSink;
+use pebble_game::sink::CountingSink;
 use pebble_game::trace::{validate_moves, PrbpTrace, RbpTrace, Trace, TraceError};
 use pebble_game::Game;
 use serde::{Deserialize, Serialize};
@@ -265,62 +268,33 @@ pub fn rbp_bound_ladder(dag: &Dag, r: usize, set: BoundSet) -> (Vec<BoundValue>,
     ladder::<RbpGame>(dag, r, set)
 }
 
-/// A [`MoveSink`] that replays every visited move through an independent
-/// game `G`: the streaming equivalent of `trace.validate(..)`. The first
-/// illegal move is remembered (with its index) and later moves are ignored.
-struct ReplaySink<G, E> {
-    game: G,
-    moves: usize,
-    failure: Option<TraceError<E>>,
-}
-
-impl<'a, G: Game<'a>> MoveSink<G::Move> for ReplaySink<G, G::Error> {
-    fn record(&mut self, mv: G::Move) {
-        if self.failure.is_none() {
-            if let Err(error) = self.game.apply(mv) {
-                self.failure = Some(TraceError::InvalidMove {
-                    index: self.moves,
-                    description: mv.to_string(),
-                    error,
-                });
-            }
-        }
-        self.moves += 1;
-    }
-}
-
-/// Run a greedy executor (`run`) into a [`ReplaySink`] over a fresh `G` and
-/// certify what the sink replayed. `None` when the executor declines the
-/// instance.
+/// Run a greedy executor (`run`) into a [`CountingSink`] and certify what
+/// its builder applied. The builder's game is the one simulator: every
+/// move was checked by it as it was emitted (an illegal one panics there)
+/// and the executor asserts a terminal end, so the I/O count `run` returns
+/// is the certified cost and the sink only counts the moves. `None` when
+/// the executor declines the instance.
 fn certify_streamed<'a, G: Certify<'a>>(
     dag: &'a Dag,
     r: usize,
     scheduler: String,
     set: BoundSet,
-    run: impl FnOnce(ReplaySink<G, G::Error>) -> Option<(ReplaySink<G, G::Error>, usize)>,
+    run: impl FnOnce(CountingSink) -> Option<(CountingSink, usize)>,
 ) -> Option<Result<ScheduleReport, TraceError<G::Error>>> {
-    let sink = ReplaySink {
-        game: G::new(dag, G::config(r)),
-        moves: 0,
-        failure: None,
-    };
-    let (sink, _) = run(sink)?;
-    if let Some(err) = sink.failure {
-        return Some(Err(err));
-    }
-    if !sink.game.is_terminal() {
-        return Some(Err(TraceError::NotTerminal));
-    }
-    let replayed = (sink.game.io_cost(), sink.moves);
-    Some(Ok(assemble::<G>(dag, r, scheduler, replayed, set)))
+    let (sink, cost) = run(CountingSink::new())?;
+    debug_assert_eq!(sink.io, cost, "the moves' I/O sum is the builder's count");
+    let report = assemble::<G>(dag, r, scheduler, (cost, sink.moves), set);
+    Some(Ok(report))
 }
 
 /// Run the greedy PRBP executor on `order` and certify the result
-/// through the streaming pipeline: every move is validated twice (by the
-/// executor's own builder and by an independent replay simulator inside the
-/// sink) and never stored. Returns `None` under the same conditions as
-/// [`crate::greedy_prbp`] (`r < 2`, invalid order); `Err` if the replayed
-/// pebbling is rejected, which would indicate an executor bug.
+/// through the streaming pipeline: every move is validated once, by the
+/// executor's own builder, and never stored; the report's cost is that
+/// builder's count. Returns `None` under the same conditions as
+/// [`crate::greedy_prbp`] (`r < 2`, invalid order). An executor bug panics
+/// at the offending move or at a non-terminal end, so the result is never
+/// `Err`; the `Result` matches the materialised path's
+/// [`certify_prbp_with`].
 pub fn certify_greedy_prbp(
     dag: &Dag,
     r: usize,
@@ -335,8 +309,9 @@ pub fn certify_greedy_prbp(
 }
 
 /// Run the greedy RBP executor on `order` and certify the result
-/// through the streaming pipeline. Returns `None` under the same conditions
-/// as [`crate::greedy_rbp`] (`r < Δ_in + 1`, invalid order).
+/// through the streaming pipeline, as [`certify_greedy_prbp`] does. Returns
+/// `None` under the same conditions as [`crate::greedy_rbp`]
+/// (`r < Δ_in + 1`, invalid order), and never `Err`.
 pub fn certify_greedy_rbp(
     dag: &Dag,
     r: usize,
@@ -433,6 +408,38 @@ mod tests {
         assert_eq!(rfast[0].name, "load-count");
     }
 
+    /// The streamed PRBP and RBP reports of `ord` at `r_prbp` and `r_rbp`
+    /// equal the materialised path's.
+    fn assert_streaming_matches(
+        name: &str,
+        dag: &Dag,
+        ord: &[NodeId],
+        r_prbp: usize,
+        r_rbp: usize,
+    ) {
+        let trace = greedy_prbp(dag, r_prbp, ord, &mut FurthestInFuture).unwrap();
+        let via_trace = certify_prbp_with(dag, r_prbp, &trace, name, BoundSet::Full).unwrap();
+        let via_stream = certify_greedy_prbp(
+            dag,
+            r_prbp,
+            ord,
+            &mut FurthestInFuture,
+            name,
+            BoundSet::Full,
+        )
+        .unwrap()
+        .unwrap();
+        assert_eq!(via_stream, via_trace, "{name} prbp r={r_prbp}");
+
+        let trace = greedy_rbp(dag, r_rbp, ord, &mut FurthestInFuture).unwrap();
+        let via_trace = certify_rbp_with(dag, r_rbp, &trace, name, BoundSet::Full).unwrap();
+        let via_stream =
+            certify_greedy_rbp(dag, r_rbp, ord, &mut FurthestInFuture, name, BoundSet::Full)
+                .unwrap()
+                .unwrap();
+        assert_eq!(via_stream, via_trace, "{name} rbp r={r_rbp}");
+    }
+
     #[test]
     fn streaming_certification_matches_the_materialised_path() {
         let random = |seed| {
@@ -459,38 +466,23 @@ mod tests {
                 ("dfs", order::dfs_postorder(dag)),
             ] {
                 for extra in [0, 1, 2, 6] {
-                    let r = 2 + extra;
-                    let trace = greedy_prbp(dag, r, &ord, &mut FurthestInFuture).unwrap();
-                    let via_trace =
-                        certify_prbp_with(dag, r, &trace, kind, BoundSet::Full).unwrap();
-                    let via_stream = certify_greedy_prbp(
+                    let r_rbp = dag.max_in_degree() + 1 + extra;
+                    assert_streaming_matches(
+                        &format!("{name} {kind}"),
                         dag,
-                        r,
                         &ord,
-                        &mut FurthestInFuture,
-                        kind,
-                        BoundSet::Full,
-                    )
-                    .unwrap()
-                    .unwrap();
-                    assert_eq!(via_stream, via_trace, "{name} prbp {kind} r={r}");
-
-                    let r = dag.max_in_degree() + 1 + extra;
-                    let trace = greedy_rbp(dag, r, &ord, &mut FurthestInFuture).unwrap();
-                    let via_trace = certify_rbp_with(dag, r, &trace, kind, BoundSet::Full).unwrap();
-                    let via_stream = certify_greedy_rbp(
-                        dag,
-                        r,
-                        &ord,
-                        &mut FurthestInFuture,
-                        kind,
-                        BoundSet::Full,
-                    )
-                    .unwrap()
-                    .unwrap();
-                    assert_eq!(via_stream, via_trace, "{name} rbp {kind} r={r}");
+                        2 + extra,
+                        r_rbp,
+                    );
                 }
             }
+        }
+        // The benchmark's scale: the 245,760-node FFT in DFS order.
+        #[cfg(not(debug_assertions))]
+        {
+            let dag = fft(16384).dag;
+            let ord = order::dfs_postorder(&dag);
+            assert_streaming_matches("fft-16384 dfs", &dag, &ord, 128, 64);
         }
     }
 
